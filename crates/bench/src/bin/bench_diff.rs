@@ -7,7 +7,7 @@
 //! document's `"table"` field:
 //!
 //! * **deterministic counters** (gate counts, SAT calls, merges, constants,
-//!   resimulation counts, SAT batches) must match the baseline exactly —
+//!   resimulation counts) must match the baseline exactly —
 //!   the engines are seeded and deterministic, so any drift is a real
 //!   behaviour change;
 //! * **time-like fields** (per-benchmark wall-clock, the Table I speed-up
@@ -58,8 +58,6 @@ const EXACT_ROW_FIELDS: &[&str] = &[
     "resim_events",
     "resim_nodes",
     "resim_skipped",
-    "sat_batches",
-    "sat_conflicts",
 ];
 
 /// The run-parameter header fields of a table1 snapshot; the two snapshots
@@ -86,8 +84,6 @@ const TABLE2_EXACT_ROW_FIELDS: &[&str] = &[
     "tsat_s",
     "merges_s",
     "constants_s",
-    "sat_batches_s",
-    "sat_conflicts_s",
 ];
 
 /// The time-like per-benchmark fields of a table2 snapshot, gated with the
@@ -95,13 +91,7 @@ const TABLE2_EXACT_ROW_FIELDS: &[&str] = &[
 const TABLE2_TIME_ROW_FIELDS: &[&str] = &["total_b_s", "total_s_s"];
 
 /// The run-parameter header fields of a table2 snapshot.
-const TABLE2_HEADER_FIELDS: &[&str] = &["patterns", "sat_par_checked", "shards_checked"];
-
-/// The deterministic per-benchmark counters of a table2 snapshot's
-/// `batch_quality` section (both batch policies); any drift fails.  The
-/// `mean_*` fields are derived from these and deliberately not re-gated.
-const BATCH_QUALITY_EXACT_FIELDS: &[&str] =
-    &["batches_sd", "committed_sd", "batches_ra", "committed_ra"];
+const TABLE2_HEADER_FIELDS: &[&str] = &["patterns"];
 
 /// The deterministic per-benchmark counters of a `table_seq --json`
 /// sequential-sweeping snapshot; any drift fails.
@@ -126,7 +116,7 @@ const SEQ_EXACT_ROW_FIELDS: &[&str] = &[
 const SEQ_TIME_ROW_FIELDS: &[&str] = &["total_s"];
 
 /// The run-parameter header fields of a table_seq snapshot.
-const SEQ_HEADER_FIELDS: &[&str] = &["patterns", "seq_depth", "sat_par_checked"];
+const SEQ_HEADER_FIELDS: &[&str] = &["patterns", "seq_depth"];
 
 fn num_field(row: &Json, key: &str) -> Result<f64, String> {
     row.num(key)
@@ -152,21 +142,17 @@ fn compare(
         return findings;
     }
     match base_kind {
-        "table2_sweeping" => {
-            let mut findings = compare_flat(
-                baseline,
-                fresh,
-                tolerance,
-                time_floor,
-                skip_times,
-                TABLE2_HEADER_FIELDS,
-                TABLE2_EXACT_ROW_FIELDS,
-                TABLE2_TIME_ROW_FIELDS,
-                "BENCH_baseline_table2.json",
-            );
-            compare_batch_quality(&mut findings, baseline, fresh);
-            findings
-        }
+        "table2_sweeping" => compare_flat(
+            baseline,
+            fresh,
+            tolerance,
+            time_floor,
+            skip_times,
+            TABLE2_HEADER_FIELDS,
+            TABLE2_EXACT_ROW_FIELDS,
+            TABLE2_TIME_ROW_FIELDS,
+            "BENCH_baseline_table2.json",
+        ),
         "table_seq_sequential" => compare_flat(
             baseline,
             fresh,
@@ -258,54 +244,6 @@ fn compare_flat(
         );
     }
     findings
-}
-
-/// Compares the `batch_quality` section of two table2 snapshots exactly,
-/// whenever the baseline records one: the committed-batch accounting of both
-/// batch policies is deterministic, so any drift is a behaviour change.
-fn compare_batch_quality(findings: &mut Findings, baseline: &Json, fresh: &Json) {
-    let Some(base_rows) = baseline.get("batch_quality").and_then(Json::as_arr) else {
-        return;
-    };
-    let empty: Vec<Json> = Vec::new();
-    let fresh_rows = fresh
-        .get("batch_quality")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for base_row in base_rows {
-        let Some(name) = base_row.str("benchmark") else {
-            findings.check(false, || "baseline batch_quality row without a name".into());
-            continue;
-        };
-        let Some(fresh_row) = fresh_rows.iter().find(|r| r.str("benchmark") == Some(name)) else {
-            findings.check(false, || {
-                format!("{name}: missing from the fresh snapshot's batch_quality section")
-            });
-            continue;
-        };
-        for &key in BATCH_QUALITY_EXACT_FIELDS {
-            match (num_field(base_row, key), num_field(fresh_row, key)) {
-                (Ok(base), Ok(new)) => findings.check(base == new, || {
-                    format!("{name}: batch_quality {key} changed: baseline {base} vs fresh {new}")
-                }),
-                (Err(e), _) | (_, Err(e)) => {
-                    findings.check(false, || format!("{name}: batch_quality: {e}"))
-                }
-            }
-        }
-    }
-    for fresh_row in fresh_rows {
-        let name = fresh_row.str("benchmark").unwrap_or("<unnamed>");
-        findings.check(
-            base_rows.iter().any(|r| r.str("benchmark") == Some(name)),
-            || {
-                format!(
-                    "{name}: batch_quality row not in the baseline \
-                     (refresh BENCH_baseline_table2.json)"
-                )
-            },
-        );
-    }
 }
 
 fn compare_table1(
@@ -552,7 +490,6 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": 345,
                     "sat_calls": {sat_calls}, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "sat_batches": 2, "sat_conflicts": 0,
                     "total_s": {total_s}}}
                 ]}}}}"#
         ))
@@ -560,31 +497,16 @@ mod tests {
     }
 
     fn table2_snapshot(total_s: f64, ssat_s: u64, merges_s: u64) -> Json {
-        table2_snapshot_with_quality(total_s, ssat_s, merges_s, 98)
-    }
-
-    fn table2_snapshot_with_quality(
-        total_s: f64,
-        ssat_s: u64,
-        merges_s: u64,
-        committed_ra: u64,
-    ) -> Json {
         parse(&format!(
             r#"{{"table": "table2_sweeping", "scale": "Tiny", "patterns": 256,
-                "sat_par_checked": 4, "shards_checked": 2,
                 "rows": [
                   {{"benchmark": "6s100", "pi": 24, "po": 40, "levels": 12,
                     "gates": 600, "result_b": 510, "result_s": 500,
                     "ssat_b": 40, "tsat_b": 90, "merges_b": 30, "constants_b": 2,
                     "ssat_s": {ssat_s}, "tsat_s": 60, "merges_s": {merges_s},
-                    "constants_s": 2, "sat_batches_s": 7, "sat_conflicts_s": 1,
+                    "constants_s": 2,
                     "sim_b_s": 0.001, "sim_s_s": 0.002,
                     "total_b_s": 0.040, "total_s_s": {total_s}}}
-                ],
-                "batch_quality": [
-                  {{"benchmark": "6s382r", "batches_sd": 100, "committed_sd": 100,
-                    "batches_ra": 90, "committed_ra": {committed_ra},
-                    "mean_sd": 1.0, "mean_ra": 1.09}}
                 ]}}"#
         ))
         .unwrap()
@@ -659,28 +581,10 @@ mod tests {
         assert!(compare(&base, &fast, 0.30, 0.0, false).failures.is_empty());
     }
 
-    #[test]
-    fn table2_batch_quality_counters_are_gated_exactly() {
-        let base = table2_snapshot_with_quality(0.050, 5, 25, 98);
-        assert!(compare(&base, &base, 0.30, 0.0, false).failures.is_empty());
-        // A drift in the refinement-aware committed-batch accounting fails
-        // even when every engine counter agrees.
-        let drifted = table2_snapshot_with_quality(0.050, 5, 25, 97);
-        let findings = compare(&base, &drifted, 0.30, 0.0, false);
-        assert!(
-            findings
-                .failures
-                .iter()
-                .any(|f| f.contains("batch_quality committed_ra")),
-            "{:?}",
-            findings.failures
-        );
-    }
-
     fn seq_snapshot(total_s: f64, latches_after: u64, refuted: u64) -> Json {
         parse(&format!(
             r#"{{"table": "table_seq_sequential", "scale": "Tiny", "patterns": 64,
-                "seq_depth": 1, "sat_par_checked": 4,
+                "seq_depth": 1,
                 "rows": [
                   {{"benchmark": "dup_s3", "pi": 4, "latches": 9, "gates": 60,
                     "levels": 8, "result": 40, "latches_after": {latches_after},
@@ -732,7 +636,6 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": {gates_after},
                     "sat_calls": 0, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "sat_batches": 0, "sat_conflicts": 0,
                     "total_s": 0.01, "passes": [
                       {{"name": "rewrite", "gates_before": 345, "gates_after": {gates_after},
                         "sat_calls": 0, "merges": 0, "time_s": 0.005,

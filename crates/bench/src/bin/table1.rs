@@ -34,8 +34,7 @@
 //! `stp_sweep::passes::parse_script` for the grammar).  The per-pass JSON
 //! rows then additionally carry each pass's deterministic counters (e.g.
 //! `rewrites`, `iterations`), so `bench_diff` against a script baseline
-//! pins the pass-level behaviour exactly.  Scripted runs keep the
-//! `sat_parallelism` 1-vs-4 determinism cross-check; they cannot be
+//! pins the pass-level behaviour exactly.  Scripted runs cannot be
 //! combined with `--checkpoint-every` (the cancel→resume cycle is specific
 //! to the default pipeline).
 //!
@@ -200,14 +199,9 @@ fn run_pipeline_checkpointed(
 }
 
 /// Runs the standard pipeline on one benchmark and renders its JSON row.
-///
-/// The pipeline is run twice — sequentially and with `sat_parallelism = 4`
-/// — and the deterministic counters plus the final network must agree (the
-/// parallel prover's determinism guarantee); the row reports the sequential
-/// run's numbers.  With `checkpoint_every` set, the sequential run is the
-/// cancel→resume execution of [`run_pipeline_checkpointed`] — its counters
-/// must *still* agree with the plain parallel run, pinning the resume
-/// identity per benchmark before `bench_diff` pins it against the baseline.
+/// With `checkpoint_every` set, the run is the cancel→resume execution of
+/// [`run_pipeline_checkpointed`], whose counters `bench_diff` then pins
+/// against the uninterrupted baseline.
 fn pipeline_json_row(
     name: &str,
     aig: &netlist::Aig,
@@ -215,12 +209,10 @@ fn pipeline_json_row(
     script: Option<&str>,
     checkpoint_every: Option<u64>,
     compact_every: u64,
-    par_times: &mut (f64, f64),
 ) -> String {
-    let run = |sat_par: usize| {
+    let run = || {
         let config = SweepConfig::fast()
             .parallelism(threads)
-            .sat_parallelism(sat_par)
             .compact_every(compact_every);
         let manager = match script {
             Some(script) => Pipeline::new(config)
@@ -237,33 +229,8 @@ fn pipeline_json_row(
     };
     let outcome = match checkpoint_every {
         Some(every) => run_pipeline_checkpointed(name, aig, threads, every, compact_every),
-        None => run(1),
+        None => run(),
     };
-    let parallel = run(4);
-    assert_eq!(
-        (
-            outcome.report.sat_calls_total,
-            outcome.report.merges,
-            outcome.report.constants,
-            outcome.report.sat_batches,
-            outcome.report.sat_parallel_conflicts,
-        ),
-        (
-            parallel.report.sat_calls_total,
-            parallel.report.merges,
-            parallel.report.constants,
-            parallel.report.sat_batches,
-            parallel.report.sat_parallel_conflicts,
-        ),
-        "{name}: pipeline counters differ between sat_parallelism 1 and 4"
-    );
-    assert_eq!(
-        netlist::aiger::write_aiger_string(&outcome.aig),
-        netlist::aiger::write_aiger_string(&parallel.aig),
-        "{name}: pipeline output differs between sat_parallelism 1 and 4"
-    );
-    par_times.0 += outcome.report.total_time.as_secs_f64();
-    par_times.1 += parallel.report.total_time.as_secs_f64();
     let passes: Vec<String> = outcome
         .passes
         .iter()
@@ -299,7 +266,6 @@ fn pipeline_json_row(
         "      {{\"benchmark\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, \
          \"sat_calls\": {}, \"merges\": {}, \"constants\": {}, \
          \"resim_events\": {}, \"resim_nodes\": {}, \"resim_skipped\": {}, \
-         \"sat_batches\": {}, \"sat_conflicts\": {}, \
          \"total_s\": {:.6}, \"passes\": [{}]}}",
         name,
         r.gates_before,
@@ -310,8 +276,6 @@ fn pipeline_json_row(
         r.resim_events,
         r.resim_nodes,
         r.resim_skipped_nodes,
-        r.sat_batches,
-        r.sat_parallel_conflicts,
         r.total_time.as_secs_f64(),
         passes.join(", ")
     )
@@ -520,7 +484,6 @@ fn main() {
                  match a compaction-free baseline exactly"
             );
         }
-        let mut par_times = (0.0f64, 0.0f64);
         let pipeline_rows: Vec<String> = suite
             .iter()
             .map(|bench| {
@@ -531,15 +494,9 @@ fn main() {
                     passes_script.as_deref(),
                     checkpoint_every,
                     compact_every,
-                    &mut par_times,
                 )
             })
             .collect();
-        println!(
-            "pipeline wall-clock: sat_parallelism 1 = {:.3}s, sat_parallelism 4 = {:.3}s \
-             (identical counters and outputs)",
-            par_times.0, par_times.1
-        );
         // The default-pipeline header is spelled out verbatim so the
         // checked-in `BENCH_baseline.json` stays byte-identical; scripted
         // runs record the script plus the scheduled pass names.

@@ -8,67 +8,23 @@
 //! their total runtime, plus the runtime ratio (STP / baseline).  Every
 //! sweep is verified with the CEC checker unless `--no-verify` is passed.
 //!
-//! Usage: `cargo run -p bench --release --bin table2 -- [--scale tiny|small|large] [--patterns N] [--no-verify] [--json PATH] [--sat-par N] [--shards K]`
+//! Usage: `cargo run -p bench --release --bin table2 -- [--scale tiny|small|large] [--patterns N] [--no-verify] [--json PATH]`
 //!
 //! With `--json PATH` the measured numbers are written as a JSON document
 //! (the format of the checked-in `BENCH_baseline_table2.json`): the exact
 //! per-benchmark SAT-call/merge/constant counters of both engines plus
-//! their wall-clock times.  The JSON run additionally re-sweeps every
-//! benchmark with `sat_parallelism = N` (`--sat-par`, default 4) and
-//! **asserts** that the committed SAT calls, merges and the swept AIGER
-//! output are byte-identical to the sequential run — the determinism
-//! guarantee of the parallel prover, enforced on every snapshot.  With
-//! `--shards K` (default 2) the same assertion also covers sharded proving
-//! (`SweepConfig::shards`), and the snapshot gains a `batch_quality`
-//! section: the arithmetic rows re-swept under both batch policies,
-//! asserting that the refinement-aware policy commits identical results
-//! while raising the mean committed batch size on at least two of them.
+//! their wall-clock times.
 
 use bench::{arg_value, geometric_mean, parse_scale, secs};
-use netlist::aiger::write_aiger_string;
-use stp_sweep::{cec, BatchPolicy, Engine, SweepConfig, SweepResult, Sweeper};
+use stp_sweep::{cec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::hwmcc_suite;
 
-/// The Table II rows whose base circuits are arithmetic (divider,
-/// multiplier, polynomial datapath, hypotenuse, square root, adder) — the
-/// designs whose overlapping supports defeat the support-disjointness prior
-/// and which the refinement-aware batch former is built for.
-const ARITHMETIC_ROWS: &[&str] = &["6s20", "6s281b35", "6s382r", "6s392r", "oski2b1i", "leon2"];
-
-/// Runs one engine on one benchmark with the given SAT parallelism.
-fn sweep(aig: &netlist::Aig, engine: Engine, config: SweepConfig, sat_par: usize) -> SweepResult {
+/// Runs one engine on one benchmark.
+fn sweep(aig: &netlist::Aig, engine: Engine, config: SweepConfig) -> SweepResult {
     Sweeper::new(engine)
-        .config(config.sat_parallelism(sat_par))
+        .config(config)
         .run(aig)
         .expect("valid sweep config")
-}
-
-/// Asserts the parallel-prover determinism guarantee: the `variant` run
-/// commits exactly the sequential run's SAT calls and merges and produces a
-/// byte-identical network.
-fn assert_identical(
-    name: &str,
-    engine: Engine,
-    reference: &SweepResult,
-    run: &SweepResult,
-    variant: &str,
-) {
-    let (s, p) = (&reference.report, &run.report);
-    assert_eq!(
-        (s.sat_calls_sat, s.sat_calls_total, s.merges, s.constants),
-        (p.sat_calls_sat, p.sat_calls_total, p.merges, p.constants),
-        "{name} ({engine}): counters differ between sat_parallelism 1 and {variant}"
-    );
-    assert_eq!(
-        (s.sat_batches, s.sat_parallel_conflicts),
-        (p.sat_batches, p.sat_parallel_conflicts),
-        "{name} ({engine}): batch accounting differs between sat_parallelism 1 and {variant}"
-    );
-    assert_eq!(
-        write_aiger_string(&reference.aig),
-        write_aiger_string(&run.aig),
-        "{name} ({engine}): swept AIGER differs between sat_parallelism 1 and {variant}"
-    );
 }
 
 fn main() {
@@ -76,17 +32,11 @@ fn main() {
     let scale = parse_scale(&args);
     let verify = !args.iter().any(|a| a == "--no-verify");
     let json_path = arg_value(&args, "--json");
-    let sat_par: usize = arg_value(&args, "--sat-par")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let shards: usize = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
     let num_patterns: usize = arg_value(&args, "--patterns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(256);
-    if sat_par == 0 || num_patterns == 0 {
-        eprintln!("--sat-par and --patterns must be nonzero");
+    if num_patterns == 0 {
+        eprintln!("--patterns must be nonzero");
         std::process::exit(2);
     }
 
@@ -120,50 +70,8 @@ fn main() {
 
     for bench in hwmcc_suite(scale) {
         let aig = &bench.aig;
-        let baseline = sweep(aig, Engine::Baseline, baseline_config, 1);
-        let stp = sweep(aig, Engine::Stp, stp_config, 1);
-
-        if json_path.is_some() {
-            // The snapshot doubles as the determinism proof: both engines
-            // must commit identical results under parallel SAT proving.
-            let baseline_par = sweep(aig, Engine::Baseline, baseline_config, sat_par);
-            assert_identical(
-                bench.name,
-                Engine::Baseline,
-                &baseline,
-                &baseline_par,
-                &sat_par.to_string(),
-            );
-            let stp_par = sweep(aig, Engine::Stp, stp_config, sat_par);
-            assert_identical(
-                bench.name,
-                Engine::Stp,
-                &stp,
-                &stp_par,
-                &sat_par.to_string(),
-            );
-            if shards > 0 {
-                // ... and under sharded proving: isolated sub-workers over
-                // a partitioned solver pool must reconcile to the exact
-                // sequential commit.
-                let variant = format!("{sat_par} with {shards} shards");
-                let baseline_sharded = sweep(
-                    aig,
-                    Engine::Baseline,
-                    baseline_config.shards(shards),
-                    sat_par,
-                );
-                assert_identical(
-                    bench.name,
-                    Engine::Baseline,
-                    &baseline,
-                    &baseline_sharded,
-                    &variant,
-                );
-                let stp_sharded = sweep(aig, Engine::Stp, stp_config.shards(shards), sat_par);
-                assert_identical(bench.name, Engine::Stp, &stp, &stp_sharded, &variant);
-            }
-        }
+        let baseline = sweep(aig, Engine::Baseline, baseline_config);
+        let stp = sweep(aig, Engine::Stp, stp_config);
 
         if verify {
             let b_ok = cec::check_equivalence(aig, &baseline.aig, 200_000);
@@ -188,7 +96,6 @@ fn main() {
              \"result_b\": {}, \"result_s\": {}, \
              \"ssat_b\": {}, \"tsat_b\": {}, \"merges_b\": {}, \"constants_b\": {}, \
              \"ssat_s\": {}, \"tsat_s\": {}, \"merges_s\": {}, \"constants_s\": {}, \
-             \"sat_batches_s\": {}, \"sat_conflicts_s\": {}, \
              \"sim_b_s\": {:.6}, \"sim_s_s\": {:.6}, \"total_b_s\": {:.6}, \"total_s_s\": {:.6}}}",
             bench.name,
             aig.num_inputs(),
@@ -205,8 +112,6 @@ fn main() {
             rs.sat_calls_total,
             rs.merges,
             rs.constants,
-            rs.sat_batches,
-            rs.sat_parallel_conflicts,
             rb.simulation_time.as_secs_f64(),
             rs.simulation_time.as_secs_f64(),
             rb.total_time.as_secs_f64(),
@@ -269,94 +174,12 @@ fn main() {
     println!("(paper: satisfiable SAT calls 0.09, total SAT calls 0.60, simulation 1.99, total runtime 0.65)");
 
     if let Some(path) = json_path {
-        // Batch-quality check: on the arithmetic rows the refinement-aware
-        // batch former must commit results identical to the
-        // support-disjointness prior while packing strictly more candidates
-        // per committed batch on at least two of them.
-        let mut batch_quality_rows = Vec::new();
-        let mut wins = 0usize;
-        println!("\nbatch quality (Baseline engine, sat_parallelism {sat_par}):");
-        for bench in hwmcc_suite(scale)
-            .iter()
-            .filter(|b| ARITHMETIC_ROWS.contains(&b.name))
-        {
-            let sd = sweep(
-                &bench.aig,
-                Engine::Baseline,
-                baseline_config.batch_policy(BatchPolicy::SupportDisjoint),
-                sat_par,
-            );
-            let ra = sweep(
-                &bench.aig,
-                Engine::Baseline,
-                baseline_config.batch_policy(BatchPolicy::RefinementAware),
-                sat_par,
-            );
-            let (s, r) = (&sd.report, &ra.report);
-            assert_eq!(
-                (s.sat_calls_sat, s.sat_calls_total, s.merges, s.constants),
-                (r.sat_calls_sat, r.sat_calls_total, r.merges, r.constants),
-                "{}: committed counters differ between batch policies",
-                bench.name
-            );
-            assert_eq!(
-                write_aiger_string(&sd.aig),
-                write_aiger_string(&ra.aig),
-                "{}: swept AIGER differs between batch policies",
-                bench.name
-            );
-            let mean = |batches: u64, committed: u64| {
-                if batches == 0 {
-                    0.0
-                } else {
-                    committed as f64 / batches as f64
-                }
-            };
-            let mean_sd = mean(s.sat_batches, s.sat_batch_committed);
-            let mean_ra = mean(r.sat_batches, r.sat_batch_committed);
-            if mean_ra > mean_sd {
-                wins += 1;
-            }
-            println!(
-                "  {:<14} support-disjoint {:.3} ({} batches)  refinement-aware {:.3} ({} batches)",
-                bench.name, mean_sd, s.sat_batches, mean_ra, r.sat_batches
-            );
-            batch_quality_rows.push(format!(
-                "    {{\"benchmark\": \"{}\", \
-                 \"batches_sd\": {}, \"committed_sd\": {}, \
-                 \"batches_ra\": {}, \"committed_ra\": {}, \
-                 \"mean_sd\": {:.6}, \"mean_ra\": {:.6}}}",
-                bench.name,
-                s.sat_batches,
-                s.sat_batch_committed,
-                r.sat_batches,
-                r.sat_batch_committed,
-                mean_sd,
-                mean_ra,
-            ));
-        }
-        assert!(
-            wins >= 2,
-            "refinement-aware batching raised the mean committed batch size on only {wins} \
-             arithmetic rows (expected at least 2)"
-        );
-        println!(
-            "  refinement-aware wins on {wins}/{} rows",
-            batch_quality_rows.len()
-        );
-
         let document = format!(
             "{{\n  \"table\": \"table2_sweeping\",\n  \"scale\": \"{scale:?}\",\n  \
-             \"patterns\": {num_patterns},\n  \"sat_par_checked\": {sat_par},\n  \
-             \"shards_checked\": {shards},\n  \
-             \"rows\": [\n{}\n  ],\n  \"batch_quality\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n"),
-            batch_quality_rows.join(",\n")
+             \"patterns\": {num_patterns},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            json_rows.join(",\n")
         );
         std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!(
-            "wrote {path} (sat_parallelism {sat_par}, {shards} shards and both batch policies \
-             verified identical to sequential)"
-        );
+        println!("wrote {path}");
     }
 }

@@ -9,18 +9,13 @@
 //! sweep is verified against the BMC sequential-equivalence oracle unless
 //! `--no-verify` is passed.
 //!
-//! Usage: `cargo run -p bench --release --bin table_seq -- [--scale tiny|small|large] [--depth K] [--patterns N] [--no-verify] [--json PATH] [--sat-par N]`
+//! Usage: `cargo run -p bench --release --bin table_seq -- [--scale tiny|small|large] [--depth K] [--patterns N] [--no-verify] [--json PATH]`
 //!
 //! With `--json PATH` the measured numbers are written as a JSON snapshot
 //! (the format of the checked-in `BENCH_baseline_seq.json`, gated in CI by
-//! `bench_diff`).  The JSON run additionally re-sweeps every benchmark with
-//! `num_threads = sat_parallelism = N` (`--sat-par`, default 4) and
-//! **asserts** that the committed proofs, all report counters and the swept
-//! AIGER bytes are identical to the sequential run — the determinism
-//! guarantee of the sequential engine, enforced on every snapshot.
+//! `bench_diff`).
 
 use bench::{arg_value, parse_scale, secs};
-use netlist::aiger::write_aiger_string;
 use netlist::Aig;
 use stp_sweep::{bmc_sec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::sequential::{random_sequential_aig, sequential_miter, with_duplicate_latches};
@@ -47,57 +42,11 @@ fn seq_suite(scale: Scale) -> Vec<(String, Aig)> {
     suite
 }
 
-fn sweep(aig: &Aig, config: SweepConfig, threads: usize, sat_par: usize) -> SweepResult {
+fn sweep(aig: &Aig, config: SweepConfig) -> SweepResult {
     Sweeper::new(Engine::Stp)
-        .config(config.parallelism(threads).sat_parallelism(sat_par))
+        .config(config)
         .run(aig)
         .expect("valid sequential sweep config")
-}
-
-/// Asserts the determinism guarantee of the sequential engine: a parallel
-/// run commits exactly the sequential run's proofs and produces
-/// byte-identical output.
-fn assert_parallel_identical(name: &str, sequential: &SweepResult, parallel: &SweepResult) {
-    let (s, p) = (&sequential.report, &parallel.report);
-    assert_eq!(
-        (
-            s.merges,
-            s.constants,
-            s.sat_calls_sat,
-            s.sat_calls_unsat,
-            s.sat_calls_total
-        ),
-        (
-            p.merges,
-            p.constants,
-            p.sat_calls_sat,
-            p.sat_calls_unsat,
-            p.sat_calls_total
-        ),
-        "{name}: SAT/merge counters differ between parallelism settings"
-    );
-    assert_eq!(
-        (
-            s.seq_latches_after,
-            s.seq_candidates,
-            s.seq_ternary_constants,
-            s.seq_induction_refuted,
-            s.seq_induction_undet
-        ),
-        (
-            p.seq_latches_after,
-            p.seq_candidates,
-            p.seq_ternary_constants,
-            p.seq_induction_refuted,
-            p.seq_induction_undet
-        ),
-        "{name}: sequential counters differ between parallelism settings"
-    );
-    assert_eq!(
-        write_aiger_string(&sequential.aig),
-        write_aiger_string(&parallel.aig),
-        "{name}: swept AIGER differs between parallelism settings"
-    );
 }
 
 fn main() {
@@ -108,14 +57,11 @@ fn main() {
     let depth: usize = arg_value(&args, "--depth")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let sat_par: usize = arg_value(&args, "--sat-par")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let num_patterns: usize = arg_value(&args, "--patterns")
         .and_then(|v| v.parse().ok())
         .unwrap_or(64);
-    if depth == 0 || sat_par == 0 || num_patterns == 0 {
-        eprintln!("--depth, --sat-par and --patterns must be nonzero");
+    if depth == 0 || num_patterns == 0 {
+        eprintln!("--depth and --patterns must be nonzero");
         std::process::exit(2);
     }
 
@@ -133,13 +79,7 @@ fn main() {
     let mut json_rows = Vec::new();
 
     for (name, aig) in seq_suite(scale) {
-        let result = sweep(&aig, config, 1, 1);
-
-        if json_path.is_some() {
-            // The snapshot doubles as the determinism proof.
-            let parallel = sweep(&aig, config, sat_par, sat_par);
-            assert_parallel_identical(&name, &result, &parallel);
-        }
+        let result = sweep(&aig, config);
         if verify {
             let verdict = bmc_sec(&aig, &result.aig, ORACLE_FRAMES, ORACLE_CONFLICTS);
             assert!(
@@ -200,11 +140,10 @@ fn main() {
         let document = format!(
             "{{\n  \"table\": \"table_seq_sequential\",\n  \"scale\": \"{scale:?}\",\n  \
              \"patterns\": {num_patterns},\n  \"seq_depth\": {depth},\n  \
-             \"sat_par_checked\": {sat_par},\n  \
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
         std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("\nwrote {path} (parallelism {sat_par} verified identical to sequential)");
+        println!("\nwrote {path}");
     }
 }

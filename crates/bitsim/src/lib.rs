@@ -13,9 +13,6 @@
 //!   Kleene logic over a (value, care) signature pair per node, plus the
 //!   [`ternary_fixpoint`] initial-state analysis that seeds sequential
 //!   sweeping.
-//! * [`cosplit`] — the online co-split statistic ([`CoSplitTable`]) that
-//!   refinement-aware SAT batching in the `stp-sweep` crate learns from
-//!   committed counter-example refinements.
 //! * [`LutSimulator`] — simulation of a k-LUT network.  As the paper notes,
 //!   bit-parallel words do not help a k-LUT directly: the baseline extracts
 //!   the individual input bits of each pattern, forms the LUT index and looks
@@ -43,7 +40,6 @@
 
 mod aig_sim;
 pub mod arena;
-pub mod cosplit;
 pub mod kernels;
 mod lut_sim;
 pub mod parallel;
@@ -53,7 +49,6 @@ pub mod ternary;
 
 pub use aig_sim::{AigSimState, AigSimulator};
 pub use arena::{ArenaPrefix, ArenaRows, SigRef, SignatureArena};
-pub use cosplit::{CoSplitSnapshot, CoSplitTable};
 pub use lut_sim::{LutSimState, LutSimulator};
 pub use patterns::{PatternError, PatternSet};
 pub use signature::Signature;

@@ -10,15 +10,6 @@
 //! exhausted when a session starts skips priming entirely; an in-flight
 //! phase (pattern generation, a single SAT query, a pipeline strash or
 //! verify pass) is cooperative and runs to its own completion first.
-//!
-//! Under parallel SAT proving the same contract holds at two levels: the
-//! prover's workers re-check the deadline and cancellation cooperatively
-//! before every speculative query (via [`crate::prover::WorkerBudget`]), and
-//! the commit barrier re-checks the budget authoritatively before counting
-//! each committed SAT call — so speculative work never leaks into the
-//! partial result, merges are never half-applied, and a `max_sat_calls` cap
-//! stops the run after exactly the same committed calls for every
-//! `sat_parallelism`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};

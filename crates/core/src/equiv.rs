@@ -59,18 +59,6 @@ fn canonical_eq(a: SigRef<'_>, phase_a: bool, b: SigRef<'_>, phase_b: bool) -> b
     })
 }
 
-/// The result of a tracked refinement pass
-/// ([`EquivClasses::refine_tracked`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RefineOutcome {
-    /// Number of nodes that moved class or were dropped.
-    pub moved: usize,
-    /// Pre-split representatives of every class the refinement split,
-    /// sorted ascending.  Classes that merely re-sorted or kept all members
-    /// together are not reported.
-    pub split_representatives: Vec<NodeId>,
-}
-
 /// A candidate constant node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConstantCandidate {
@@ -310,17 +298,6 @@ impl EquivClasses {
     ///
     /// Returns the number of nodes that moved or were dropped.
     pub fn refine(&mut self, signatures: &HashMap<NodeId, Signature>) -> usize {
-        self.refine_tracked(signatures).moved
-    }
-
-    /// Like [`refine`](Self::refine), but also reports which classes were
-    /// split, identified by their *pre-split* representative.  This is the
-    /// feed for the refinement-aware batching statistic
-    /// ([`bitsim::CoSplitTable`]): one committed counter-example produces one
-    /// refinement, and the set of representatives it split is one co-split
-    /// event.
-    pub fn refine_tracked(&mut self, signatures: &HashMap<NodeId, Signature>) -> RefineOutcome {
-        let mut split_representatives = Vec::new();
         let mut moved = 0usize;
 
         // Drop disproved constant candidates.
@@ -375,9 +352,6 @@ impl EquivClasses {
                 let target = if key.is_none() { repr_key.clone() } else { key };
                 merged.entry(target).or_default().extend(members);
             }
-            if merged.len() > 1 {
-                split_representatives.push(class.representative());
-            }
             for (_, mut members) in merged {
                 if members.len() < 2 {
                     moved += members.len();
@@ -398,11 +372,7 @@ impl EquivClasses {
         }
         new_classes.sort_by_key(|c| c.representative());
         self.classes = new_classes;
-        split_representatives.sort_unstable();
-        RefineOutcome {
-            moved,
-            split_representatives,
-        }
+        moved
     }
 
     /// Removes a node from its class (e.g. after it has been merged away or
@@ -535,49 +505,6 @@ mod tests {
         assert!(moved > 0);
         assert_eq!(classes.classes().len(), 1);
         assert_eq!(classes.classes()[0].members(), &[3, 5]);
-    }
-
-    #[test]
-    fn refine_tracked_reports_split_classes_by_pre_split_representative() {
-        // Two classes: {3, 5, 8} and {10, 12}.
-        let mut classes = build(&[
-            (3, sig(&[0, 1, 1, 0])),
-            (5, sig(&[0, 1, 1, 0])),
-            (8, sig(&[0, 1, 1, 0])),
-            (10, sig(&[0, 0, 1, 1])),
-            (12, sig(&[0, 0, 1, 1])),
-        ]);
-        assert_eq!(classes.classes().len(), 2);
-        // The counter-example splits 8 out of the first class and leaves the
-        // second class intact.
-        let new: HashMap<NodeId, Signature> = [
-            (3, sig(&[0])),
-            (5, sig(&[0])),
-            (8, sig(&[1])),
-            (10, sig(&[1])),
-            (12, sig(&[1])),
-        ]
-        .into_iter()
-        .collect();
-        let outcome = classes.refine_tracked(&new);
-        assert!(outcome.moved > 0);
-        assert_eq!(outcome.split_representatives, vec![3]);
-        // A refinement that splits nothing reports no representatives.
-        let outcome = classes.refine_tracked(&HashMap::new());
-        assert_eq!(outcome.moved, 0);
-        assert!(outcome.split_representatives.is_empty());
-        // One splitting both remaining classes reports both (sorted).
-        let new: HashMap<NodeId, Signature> = [
-            (3, sig(&[0])),
-            (5, sig(&[1])),
-            (10, sig(&[0])),
-            (12, sig(&[1])),
-        ]
-        .into_iter()
-        .collect();
-        let outcome = classes.refine_tracked(&new);
-        assert_eq!(outcome.split_representatives, vec![3, 10]);
-        assert!(classes.classes().is_empty());
     }
 
     #[test]

@@ -14,14 +14,6 @@
 //!   STP sweeper (Algorithm 2), driven through the [`Sweeper`] builder:
 //!   engine selection ([`Engine`]), progress [`Observer`]s, resource
 //!   [`Budget`]s with partial results, and typed [`SweepError`]s.
-//! * [`prover`] / [`batching`] — parallel SAT proving over speculative
-//!   candidate batches ([`ParallelProver`]): prefix batch formation under a
-//!   pluggable [`BatchPolicy`] (support-disjointness prior, or the
-//!   refinement-aware policy learning from the co-split statistic), slot-keyed
-//!   solver pools with pre-query snapshots, optional sharded proving
-//!   ([`SweepConfig::shards`]), all committed at a barrier in canonical
-//!   candidate order so every [`SweepConfig::sat_parallelism`], policy and
-//!   shard count commits the identical sweep.
 //! * [`passes`] / [`pipeline`] — the optimisation-pass framework: a
 //!   [`Pass`] trait with structural cleanups, cut-based NPN rewriting
 //!   ([`passes::Rewrite`]), the [`passes::Dc2`] fixpoint loop, sweeps and
@@ -85,7 +77,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batching;
 pub mod bmc;
 pub mod budget;
 pub mod cec;
@@ -97,7 +88,6 @@ pub mod observer;
 pub mod passes;
 pub mod patterns;
 pub mod pipeline;
-pub mod prover;
 pub mod report;
 pub mod resim;
 pub mod sequential;
@@ -113,6 +103,5 @@ pub use error::SweepError;
 pub use observer::{NoopObserver, Observer, SatCallOutcome, StatsObserver};
 pub use passes::{ParsePassError, Pass, PassCtx};
 pub use pipeline::{PassManager, PassReport, Pipeline, PipelineResult};
-pub use prover::{shard_slots, BatchProof, ParallelProver, SupportIndex};
-pub use report::{BatchPolicy, SweepConfig, SweepReport, SweepResult};
+pub use report::{SweepConfig, SweepReport, SweepResult};
 pub use session::{Engine, SweepSession, Sweeper};

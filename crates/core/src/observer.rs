@@ -82,26 +82,6 @@ pub trait Observer {
         let _ = (targets, resimulated, skipped);
     }
 
-    /// A parallel SAT-proving batch was committed at its barrier: `batch` is
-    /// the zero-based batch index within the round, `committed` the number
-    /// of speculative results accepted at the barrier, `settled` how many of
-    /// those finished their candidate (a committed counter-example refines
-    /// classes but leaves its candidate pending), and `conflicts` the number
-    /// of speculative SAT calls discarded because an earlier commit in the
-    /// same batch invalidated them.  The batch sequence — and therefore this
-    /// event stream — is identical for every
-    /// [`crate::SweepConfig::sat_parallelism`], batch policy and shard
-    /// count.
-    fn on_batch_proved(
-        &mut self,
-        batch: usize,
-        committed: usize,
-        settled: usize,
-        conflicts: usize,
-    ) {
-        let _ = (batch, committed, settled, conflicts);
-    }
-
     /// A periodic checkpoint was captured (every
     /// [`crate::SweepConfig::checkpoint_interval`] committed candidates
     /// and/or every [`crate::SweepConfig::checkpoint_interval_millis`]
@@ -114,7 +94,7 @@ pub trait Observer {
     /// instead of re-encoding, and observers that meter checkpoint cost
     /// read `encoded.len()`.  Candidate-count checkpoints fire at
     /// deterministic points, so their event stream is identical for every
-    /// `sat_parallelism` and `num_threads`; wall-clock checkpoints fire at
+    /// `num_threads`; wall-clock checkpoints fire at
     /// time-dependent points, but checkpoints never change the sweep, so
     /// the *results* stay byte-identical either way.
     fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, encoded: &[u8]) {
@@ -182,12 +162,6 @@ pub struct StatsObserver {
     pub resim_nodes: u64,
     /// AND nodes incremental resimulation skipped, over all events.
     pub resim_skipped_nodes: u64,
-    /// Parallel SAT-proving batches committed.
-    pub sat_batches: u64,
-    /// Speculative results accepted at batch commit barriers, summed.
-    pub sat_batch_committed: u64,
-    /// Speculative SAT calls discarded at batch commit barriers.
-    pub sat_parallel_conflicts: u64,
     /// Periodic checkpoints captured (not part of [`SweepReport`]: a
     /// resumed run re-emits its own checkpoints, while the report counters
     /// stay identical to an uninterrupted run).
@@ -232,9 +206,6 @@ impl StatsObserver {
             resim_events: self.resim_events,
             resim_nodes: self.resim_nodes,
             resim_skipped_nodes: self.resim_skipped_nodes,
-            sat_batches: self.sat_batches,
-            sat_batch_committed: self.sat_batch_committed,
-            sat_parallel_conflicts: self.sat_parallel_conflicts,
             patterns_dropped: self.patterns_dropped,
             ..SweepReport::default()
         }
@@ -284,18 +255,6 @@ impl Observer for StatsObserver {
         self.resim_skipped_nodes += skipped as u64;
     }
 
-    fn on_batch_proved(
-        &mut self,
-        _batch: usize,
-        committed: usize,
-        _settled: usize,
-        conflicts: usize,
-    ) {
-        self.sat_batches += 1;
-        self.sat_batch_committed += committed as u64;
-        self.sat_parallel_conflicts += conflicts as u64;
-    }
-
     fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, encoded: &[u8]) {
         self.checkpoints += 1;
         self.checkpoint_bytes += encoded.len() as u64;
@@ -330,8 +289,6 @@ mod tests {
         stats.on_simulation_verdict(5, 3, true);
         stats.on_simulation_verdict(6, 3, false);
         stats.on_resimulation(3, 5, 95);
-        stats.on_batch_proved(0, 5, 4, 0);
-        stats.on_batch_proved(1, 2, 2, 3);
         stats.on_compaction(96, 160);
 
         assert_eq!(stats.rounds, 1);
@@ -348,9 +305,6 @@ mod tests {
         assert_eq!(stats.resim_events, 1);
         assert_eq!(stats.resim_nodes, 5);
         assert_eq!(stats.resim_skipped_nodes, 95);
-        assert_eq!(stats.sat_batches, 2);
-        assert_eq!(stats.sat_batch_committed, 7);
-        assert_eq!(stats.sat_parallel_conflicts, 3);
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.patterns_dropped, 160);
 
@@ -361,9 +315,6 @@ mod tests {
         assert_eq!(report.resim_events, 1);
         assert_eq!(report.resim_nodes, 5);
         assert_eq!(report.resim_skipped_nodes, 95);
-        assert_eq!(report.sat_batches, 2);
-        assert_eq!(report.sat_batch_committed, 7);
-        assert_eq!(report.sat_parallel_conflicts, 3);
         assert_eq!(report.patterns_dropped, 160);
         assert_eq!(report.gates_before, 0, "gate counts belong to the session");
     }
@@ -378,6 +329,5 @@ mod tests {
         noop.on_class_refined(0, 0);
         noop.on_simulation_verdict(1, 2, true);
         noop.on_resimulation(0, 0, 0);
-        noop.on_batch_proved(0, 0, 0, 0);
     }
 }

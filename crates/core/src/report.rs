@@ -5,32 +5,6 @@ use netlist::Aig;
 use std::fmt;
 use std::time::Duration;
 
-/// How the engine selects which pending candidates to prove speculatively
-/// in one SAT batch (see the `crate::prover` module docs for the commit
-/// protocol that makes every policy commit identical results).
-///
-/// The policy only decides how far the batch former extends the canonical
-/// prefix of pending candidates — it can never change which SAT calls,
-/// counter-examples or merges are *committed*, only how much speculative
-/// work is wasted ([`SweepReport::sat_parallel_conflicts`]) and how large
-/// committed batches get ([`SweepReport::sat_batch_committed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// The PR 4 prior: extend the batch while the candidate's proof cone
-    /// (candidate plus drivers, measured by primary-input support) is
-    /// disjoint from everything already in the batch.  Safe but near-serial
-    /// on arithmetic circuits, where all candidates share most inputs.
-    SupportDisjoint,
-    /// The learned policy (the default): extend the batch while the
-    /// candidate's class and every class already in the batch have never
-    /// been split by the same committed counter-example — falling back to
-    /// support-disjointness while a pair lacks observations (see
-    /// [`bitsim::CoSplitTable`]).  Classes that refine independently batch
-    /// together even when their supports overlap.
-    #[default]
-    RefinementAware,
-}
-
 /// Configuration of a SAT-sweeping run.
 ///
 /// The defaults correspond to the setting of the paper's evaluation: a TFI /
@@ -64,11 +38,6 @@ pub struct SweepConfig {
     /// the fully sequential behaviour; any value yields bit-identical
     /// signatures and identical sweep results.
     pub num_threads: usize,
-    /// Number of worker threads for parallel SAT proving (see
-    /// [`crate::prover::ParallelProver`]).  The default of 1 proves each
-    /// batch on the calling thread; any value commits the same SAT calls,
-    /// counter-examples and merges in the same order.
-    pub sat_parallelism: usize,
     /// Emit a [`crate::SweepCheckpoint`] through
     /// [`crate::Observer::on_checkpoint`] every this many committed
     /// candidates (settled merge candidates plus processed constant
@@ -77,14 +46,6 @@ pub struct SweepConfig {
     /// [`crate::SweepError::BudgetExhausted`] either way.  Checkpoints never
     /// change the sweep result.
     pub checkpoint_interval: usize,
-    /// Reset each [`crate::prover::ParallelProver`] pool solver after it has
-    /// served this many *committed* SAT queries, bounding clause
-    /// accumulation on very long runs.  Keyed on the committed query count,
-    /// the resets happen at identical points for every `sat_parallelism` and
-    /// `num_threads`, so determinism is preserved.  `0` (the default)
-    /// disables resets — a reset discards learnt clauses, so runs with
-    /// different intervals may commit different (equally correct) sweeps.
-    pub solver_reset_interval: u64,
     /// Compact the pattern set every this many counter-examples: drop dead
     /// pattern columns that no surviving candidate class (nor any candidate
     /// node vs. constant zero) disagrees on, bounding the pattern-word
@@ -115,21 +76,6 @@ pub struct SweepConfig {
     /// [`SweepConfig::with_seq_depth`]; capped at [`MAX_SEQ_DEPTH`] by
     /// [`SweepConfig::validate`].
     pub seq_depth: usize,
-    /// The speculative batch-formation policy (see [`BatchPolicy`]).
-    /// Either policy commits byte-identical results; they differ only in
-    /// how much SAT parallelism a batch exposes.
-    pub batch_policy: BatchPolicy,
-    /// Number of shards the solver-slot space is partitioned into for
-    /// proving (see [`crate::prover::ParallelProver::prove_batch_sharded`]).
-    /// `0` (the default) disables sharding and proves batches with
-    /// [`SweepConfig::sat_parallelism`] work-stealing workers; `k ≥ 1`
-    /// assigns each of the `k` contiguous slot ranges to one isolated
-    /// sub-worker.  Every value commits byte-identical results; sharding
-    /// exists as the in-process rehearsal for distributing slot ranges
-    /// across processes (the checkpoint codec carries the shard config as
-    /// the wire format).  Capped at [`crate::prover::MAX_BATCH`] by
-    /// [`SweepConfig::validate`].
-    pub shards: usize,
 }
 
 impl Default for SweepConfig {
@@ -144,14 +90,10 @@ impl Default for SweepConfig {
             constant_substitution: true,
             window_refinement: true,
             num_threads: 1,
-            sat_parallelism: 1,
             checkpoint_interval: 0,
-            solver_reset_interval: 0,
             compact_every: 0,
             checkpoint_interval_millis: 0,
             seq_depth: 0,
-            batch_policy: BatchPolicy::RefinementAware,
-            shards: 0,
         }
     }
 }
@@ -268,16 +210,9 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the number of worker threads for parallel SAT proving.
-    ///
-    /// The engine partitions the candidate queue into TFI-disjoint batches
-    /// and proves each batch on up to `sat_parallelism` workers; results are
-    /// committed at a deterministic barrier in canonical candidate order, so
-    /// SAT calls, counter-examples and merges are identical for every value.
-    /// `1` (the default) proves batches on the calling thread; `0` is
-    /// rejected by [`SweepConfig::validate`].
-    pub fn sat_parallelism(mut self, sat_parallelism: usize) -> Self {
-        self.sat_parallelism = sat_parallelism;
+    /// Ignores its argument; kept because the frozen `stpbench` benchmark calls it.
+    #[doc(hidden)]
+    pub fn sat_parallelism(self, _sat_parallelism: usize) -> Self {
         self
     }
 
@@ -307,31 +242,10 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the per-slot solver hygiene interval in committed SAT queries
-    /// (see [`SweepConfig::solver_reset_interval`]; `0` disables).
-    pub fn with_solver_reset_interval(mut self, queries: u64) -> Self {
-        self.solver_reset_interval = queries;
-        self
-    }
-
     /// Sets the pattern compaction cadence in counter-examples
     /// (see [`SweepConfig::compact_every`]; `0` disables).
     pub fn compact_every(mut self, counterexamples: u64) -> Self {
         self.compact_every = counterexamples;
-        self
-    }
-
-    /// Sets the speculative batch-formation policy (see [`BatchPolicy`]).
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        self.batch_policy = policy;
-        self
-    }
-
-    /// Sets the number of proving shards (see [`SweepConfig::shards`];
-    /// `0` disables sharding).  Every shard count commits byte-identical
-    /// results.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -350,8 +264,7 @@ impl SweepConfig {
     /// * `num_threads` must be nonzero (1 = sequential);
     /// * [`SweepConfig::checkpoint_every_secs`] must have been given a
     ///   finite, non-negative duration;
-    /// * `shards` must be at most [`crate::prover::MAX_BATCH`] (one shard
-    ///   needs at least one solver slot).
+    /// * `seq_depth` must be at most [`MAX_SEQ_DEPTH`].
     pub fn validate(&self) -> Result<(), SweepError> {
         if self.num_initial_patterns == 0 {
             return Err(SweepError::InvalidConfig(
@@ -361,11 +274,6 @@ impl SweepConfig {
         if self.num_threads == 0 {
             return Err(SweepError::InvalidConfig(
                 "num_threads must be nonzero (1 = sequential)".into(),
-            ));
-        }
-        if self.sat_parallelism == 0 {
-            return Err(SweepError::InvalidConfig(
-                "sat_parallelism must be nonzero (1 = sequential proving)".into(),
             ));
         }
         if self.conflict_limit == 0 {
@@ -388,13 +296,6 @@ impl SweepConfig {
             return Err(SweepError::InvalidConfig(format!(
                 "seq_depth {} exceeds the maximum induction depth of {MAX_SEQ_DEPTH}",
                 self.seq_depth
-            )));
-        }
-        if self.shards > crate::prover::MAX_BATCH {
-            return Err(SweepError::InvalidConfig(format!(
-                "shards {} exceeds the solver pool of {} slots",
-                self.shards,
-                crate::prover::MAX_BATCH
             )));
         }
         Ok(())
@@ -437,22 +338,14 @@ pub struct SweepReport {
     /// Worker threads used for parallel simulation (1 = sequential; for
     /// merged multi-pass reports, the maximum over the passes).
     pub num_threads: usize,
-    /// Worker threads used for parallel SAT proving (1 = sequential; for
-    /// merged multi-pass reports, the maximum over the passes).
-    pub sat_parallelism: usize,
-    /// SAT-proving batches committed (each batch is one barrier of the
-    /// parallel prover; identical for every `sat_parallelism`).
+    /// Always 0; kept because the frozen `stpbench` benchmark reads it.
+    #[doc(hidden)]
     pub sat_batches: u64,
-    /// Speculative proof results accepted at commit barriers, summed over
-    /// batches.  `sat_batch_committed / sat_batches` is the mean committed
-    /// batch size — the utilisation measure refinement-aware batching
-    /// optimises (see [`SweepConfig::batch_policy`]).  Identical for every
-    /// `sat_parallelism` and shard count.
+    /// Always 0; kept because the frozen `stpbench` benchmark reads it.
+    #[doc(hidden)]
     pub sat_batch_committed: u64,
-    /// Speculative SAT calls discarded at the commit barrier because an
-    /// earlier commit in the same batch invalidated them.  These are *not*
-    /// part of [`SweepReport::sat_calls_total`]; they measure wasted
-    /// parallel work, and are identical for every `sat_parallelism`.
+    /// Always 0; kept because the frozen `stpbench` benchmark reads it.
+    #[doc(hidden)]
     pub sat_parallel_conflicts: u64,
     /// Dead pattern columns dropped by periodic pattern compaction (see
     /// [`SweepConfig::compact_every`]), summed over compactions.  Identical
@@ -488,12 +381,8 @@ pub struct SweepReport {
     pub ternary_iterations: u64,
     /// Time spent simulating (initial + counter-example simulation).
     pub simulation_time: Duration,
-    /// Aggregate time spent inside SAT solvers, summed over the prover's
-    /// workers.  Conflict-discarded speculative queries are included;
-    /// queries abandoned when a budget stop drops the rest of a batch are
-    /// not.  With `sat_parallelism > 1` queries overlap in wall-clock, so
-    /// this can exceed [`SweepReport::total_time`] — read it as solver CPU
-    /// time, not as a fraction of the run.
+    /// Time spent inside the SAT solver on sweeping queries (constant
+    /// proofs, pairwise merges and, for sequential sweeps, induction).
     pub sat_time: Duration,
     /// End-to-end runtime of the sweep.
     pub total_time: Duration,
@@ -529,10 +418,6 @@ impl SweepReport {
         self.resim_nodes += later.resim_nodes;
         self.resim_skipped_nodes += later.resim_skipped_nodes;
         self.num_threads = self.num_threads.max(later.num_threads);
-        self.sat_parallelism = self.sat_parallelism.max(later.sat_parallelism);
-        self.sat_batches += later.sat_batches;
-        self.sat_batch_committed += later.sat_batch_committed;
-        self.sat_parallel_conflicts += later.sat_parallel_conflicts;
         self.patterns_dropped += later.patterns_dropped;
         self.steal_events += later.steal_events;
         self.seq_latches_after = later.seq_latches_after;
@@ -625,28 +510,20 @@ mod tests {
             .with_window_limit(5)
             .with_seed(42)
             .parallelism(4)
-            .sat_parallelism(3)
             .checkpoint_every(50)
             .checkpoint_every_secs(1.5)
-            .with_solver_reset_interval(128)
             .compact_every(200)
-            .with_seq_depth(2)
-            .batch_policy(BatchPolicy::SupportDisjoint)
-            .shards(2);
+            .with_seq_depth(2);
         assert_eq!(config.num_initial_patterns, 99);
         assert_eq!(config.conflict_limit, 7);
         assert_eq!(config.tfi_limit, 3);
         assert_eq!(config.window_limit, 5);
         assert_eq!(config.seed, 42);
         assert_eq!(config.num_threads, 4);
-        assert_eq!(config.sat_parallelism, 3);
         assert_eq!(config.checkpoint_interval, 50);
         assert_eq!(config.checkpoint_interval_millis, 1500);
-        assert_eq!(config.solver_reset_interval, 128);
         assert_eq!(config.compact_every, 200);
         assert_eq!(config.seq_depth, 2);
-        assert_eq!(config.batch_policy, BatchPolicy::SupportDisjoint);
-        assert_eq!(config.shards, 2);
     }
 
     #[test]
@@ -703,21 +580,13 @@ mod tests {
             SweepConfig::baseline(),
         ] {
             assert_eq!(config.num_threads, 1, "parallelism is opt-in");
-            assert_eq!(config.sat_parallelism, 1, "SAT parallelism is opt-in");
             assert_eq!(config.checkpoint_interval, 0, "checkpoints are opt-in");
             assert_eq!(
                 config.checkpoint_interval_millis, 0,
                 "wall-clock checkpoints are opt-in"
             );
-            assert_eq!(config.solver_reset_interval, 0, "resets are opt-in");
             assert_eq!(config.compact_every, 0, "compaction is opt-in");
             assert_eq!(config.seq_depth, 0, "sequential sweeping is opt-in");
-            assert_eq!(
-                config.batch_policy,
-                BatchPolicy::RefinementAware,
-                "the learned batch former is the default"
-            );
-            assert_eq!(config.shards, 0, "sharding is opt-in");
         }
     }
 
@@ -726,11 +595,6 @@ mod tests {
         assert!(SweepConfig::default().with_patterns(0).validate().is_err());
         assert!(SweepConfig::default().parallelism(0).validate().is_err());
         assert!(SweepConfig::default().parallelism(8).validate().is_ok());
-        assert!(SweepConfig::default()
-            .sat_parallelism(0)
-            .validate()
-            .is_err());
-        assert!(SweepConfig::default().sat_parallelism(8).validate().is_ok());
         assert!(SweepConfig::default()
             .with_conflict_limit(0)
             .validate()
@@ -763,14 +627,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(SweepConfig::sequential(MAX_SEQ_DEPTH).validate().is_ok());
-        assert!(SweepConfig::default()
-            .shards(crate::prover::MAX_BATCH + 1)
-            .validate()
-            .is_err());
-        assert!(SweepConfig::default()
-            .shards(crate::prover::MAX_BATCH)
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -800,10 +656,6 @@ mod tests {
             resim_nodes: 30,
             resim_skipped_nodes: 130,
             num_threads: 4,
-            sat_parallelism: 2,
-            sat_batches: 3,
-            sat_batch_committed: 5,
-            sat_parallel_conflicts: 1,
             patterns_dropped: 40,
             steal_events: 6,
             seq_latches_after: 3,
@@ -827,10 +679,6 @@ mod tests {
         assert_eq!(first.resim_nodes, 30);
         assert_eq!(first.resim_skipped_nodes, 130);
         assert_eq!(first.num_threads, 4, "merge keeps the maximum");
-        assert_eq!(first.sat_parallelism, 2, "merge keeps the maximum");
-        assert_eq!(first.sat_batches, 3);
-        assert_eq!(first.sat_batch_committed, 5);
-        assert_eq!(first.sat_parallel_conflicts, 1);
         assert_eq!(first.patterns_dropped, 40);
         assert_eq!(first.steal_events, 6);
         assert_eq!(first.seq_latches_before, 7, "merge keeps the origin");
@@ -869,8 +717,6 @@ mod tests {
             sat_calls_unsat: 4,
             sat_calls_total: 5,
             num_threads: 4,
-            sat_parallelism: 2,
-            sat_batches: 3,
             seq_latches_after: 5,
             seq_candidates: 3,
             ternary_iterations: 2,
@@ -884,7 +730,6 @@ mod tests {
             merges: 2,
             sat_calls_undet: 1,
             sat_calls_total: 1,
-            sat_parallelism: 3,
             patterns_dropped: 12,
             steal_events: 6,
             seq_latches_after: 4,

@@ -28,14 +28,13 @@
 //!    means the depth was too shallow).  Both UNSAT merge the target latch
 //!    into its representative.
 //!
-//! Candidates are proved speculatively in chunks of
-//! [`SweepConfig::sat_parallelism`] on fresh per-candidate solvers and
-//! committed in canonical candidate order, so the committed SAT calls,
+//! Candidates are proved one after another, in canonical candidate order,
+//! each on fresh per-candidate solvers, so the committed SAT calls,
 //! counter-examples and merges — and the swept network — are identical for
-//! every `sat_parallelism` × `num_threads`, exactly like the combinational
-//! engine.  Budget stops and periodic checkpoints happen at candidate
-//! boundaries; a resumed run recomputes the deterministic analysis and
-//! continues from the committed-candidate cursor.
+//! every `num_threads`, exactly like the combinational engine.  Budget
+//! stops and periodic checkpoints happen at candidate boundaries; a
+//! resumed run recomputes the deterministic analysis and continues from
+//! the committed-candidate cursor.
 //!
 //! The whole flow is driven through the ordinary [`crate::Sweeper`]
 //! builder — a nonzero [`SweepConfig::sequential`] depth is the only
@@ -347,8 +346,7 @@ fn state_diff(dest: &mut Aig, states: &[Vec<Lit>], frame: usize, cand: Candidate
 }
 
 /// Proves one candidate by `k`-step induction on fresh per-candidate
-/// unrollings of the original network.  Pure per-candidate work on fresh
-/// solvers — byte-identical results for any proving schedule.
+/// unrollings of the original network.
 fn prove_candidate(aig: &Aig, cand: Candidate, k: usize, conflict_limit: u64) -> Proof {
     let start = Instant::now();
     let mut calls = Vec::with_capacity(2);
@@ -621,13 +619,10 @@ fn build_seq_checkpoint(
         sweep_sat_calls: run.stats.sat_calls_total(),
         committed_candidates: run.cursor as u64,
         last_compaction_ce: 0,
-        cosplit: bitsim::CoSplitSnapshot::default(),
         simulation_time,
         sat_time: run.sat_time,
         elapsed,
-        main_solver: CircuitSat::new(aig).snapshot(),
-        pool: Vec::new(),
-        pool_committed: Vec::new(),
+        solver: CircuitSat::new(aig).snapshot(),
         seq_candidates: analysis.candidates.len() as u64,
         seq_ternary_constants: analysis.constants.len() as u64,
         seq_induction_refuted: run.refuted,
@@ -680,7 +675,6 @@ pub(crate) fn run_sequential(
             let stats = StatsObserver::new();
             let mut report = stats.counts();
             report.num_threads = config.num_threads;
-            report.sat_parallelism = config.sat_parallelism;
             report.gates_before = aig.num_ands();
             report.gates_after = cleaned.num_ands();
             report.levels = aig.depth();
@@ -774,91 +768,67 @@ pub(crate) fn run_sequential(
         }
     }
 
-    // The candidate loop: chunks of `sat_parallelism` proved speculatively
-    // on fresh solvers, committed in canonical order.  Budget checks and
-    // periodic checkpoints sit at candidate boundaries; results of a chunk
-    // past a stop are discarded — a resume re-proves them on fresh solvers
-    // with identical outcomes, keeping the committed totals equal to an
-    // uninterrupted run's.
+    // The candidate loop, in canonical order.  Budget checks and periodic
+    // checkpoints sit at candidate boundaries, so a resumed run continues
+    // with exactly the candidates an uninterrupted run would prove next.
     let candidates = &analysis.candidates;
     let mut stopped: Option<BudgetCause> = None;
     let mut last_checkpoint = run.cursor as u64;
     let mut last_checkpoint_instant = Instant::now();
-    while run.cursor < candidates.len() && stopped.is_none() {
+    while let Some(&cand) = candidates.get(run.cursor) {
         if let Some(cause) = budget.exceeded(started, run.stats.sat_calls_total()) {
             stopped = Some(cause);
             break;
         }
-        let end = (run.cursor + config.sat_parallelism.max(1)).min(candidates.len());
-        let chunk = &candidates[run.cursor..end];
-        let proofs: Vec<Proof> = if config.sat_parallelism > 1 && chunk.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunk
-                    .iter()
-                    .map(|&cand| {
-                        scope.spawn(move || prove_candidate(aig, cand, k, config.conflict_limit))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("induction prover thread panicked"))
-                    .collect()
-            })
-        } else {
-            chunk
-                .iter()
-                .map(|&cand| prove_candidate(aig, cand, k, config.conflict_limit))
-                .collect()
-        };
-        for (&cand, proof) in chunk.iter().zip(proofs) {
-            if stopped.is_some() {
-                break;
+        let proof = prove_candidate(aig, cand, k, config.conflict_limit);
+        for &call in &proof.calls {
+            run.notify_sat_call(call);
+        }
+        run.sat_time += proof.sat_time;
+        match proof.verdict {
+            Verdict::Merge => {
+                run.merges.push(cand);
+                let node = aig.latch_state_lit(cand.target).node();
+                let replacement = aig
+                    .latch_state_lit(cand.rep)
+                    .complement_if(cand.complemented);
+                run.notify_merge(node, replacement);
             }
-            for &call in &proof.calls {
-                run.notify_sat_call(call);
+            Verdict::Refuted(cex) => {
+                run.refuted += 1;
+                run.notify_counterexample(&cex);
             }
-            run.sat_time += proof.sat_time;
-            match proof.verdict {
-                Verdict::Merge => {
-                    run.merges.push(cand);
-                    let node = aig.latch_state_lit(cand.target).node();
-                    let replacement = aig
-                        .latch_state_lit(cand.rep)
-                        .complement_if(cand.complemented);
-                    run.notify_merge(node, replacement);
-                }
-                Verdict::Refuted(cex) => {
-                    run.refuted += 1;
-                    run.notify_counterexample(&cex);
-                }
-                Verdict::Undetermined => run.undet += 1,
-            }
-            run.cursor += 1;
-            if let Some(cause) = budget.exceeded(started, run.stats.sat_calls_total()) {
-                stopped = Some(cause);
-            } else if checkpoint_due(
+            Verdict::Undetermined => run.undet += 1,
+        }
+        run.cursor += 1;
+        // A candidate's base case and step may overshoot a SAT-call cap by
+        // one, even on the last candidate: the run still reports the stop.
+        if let Some(cause) = budget.exceeded(started, run.stats.sat_calls_total()) {
+            stopped = Some(cause);
+            break;
+        }
+        if checkpoint_due(
+            &config,
+            run.cursor as u64,
+            last_checkpoint,
+            last_checkpoint_instant,
+        ) {
+            last_checkpoint = run.cursor as u64;
+            last_checkpoint_instant = Instant::now();
+            let ckpt = build_seq_checkpoint(
+                aig,
+                engine,
                 &config,
-                run.cursor as u64,
-                last_checkpoint,
-                last_checkpoint_instant,
-            ) {
-                last_checkpoint = run.cursor as u64;
-                last_checkpoint_instant = Instant::now();
-                let ckpt = build_seq_checkpoint(
-                    aig,
-                    engine,
-                    &config,
-                    round,
-                    &analysis,
-                    &run,
-                    simulation_time_base + simulation_time_leg,
-                    elapsed_base + started.elapsed(),
-                );
-                let encoded = ckpt.encode();
-                run.stats.on_checkpoint(&ckpt, &encoded);
-                if let Some(obs) = run.observer.as_mut() {
-                    obs.on_checkpoint(&ckpt, &encoded);
-                }
+                round,
+                &analysis,
+                &run,
+                simulation_time_base + simulation_time_leg,
+                elapsed_base + started.elapsed(),
+            );
+            let encoded = ckpt.encode();
+            run.stats.on_checkpoint(&ckpt, &encoded);
+            if let Some(obs) = run.observer.as_mut() {
+                obs.on_checkpoint(&ckpt, &encoded);
             }
         }
     }
@@ -879,7 +849,6 @@ pub(crate) fn run_sequential(
     let result_aig = rebuild(aig, &analysis.constants, &run.merges);
     let mut report = run.stats.counts();
     report.num_threads = config.num_threads;
-    report.sat_parallelism = config.sat_parallelism;
     report.gates_before = aig.num_ands();
     report.gates_after = result_aig.num_ands();
     report.levels = aig.depth();

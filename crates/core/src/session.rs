@@ -3,22 +3,20 @@
 //! (simulate → classify → window-refine → SAT → resimulate) for *both*
 //! engines through one dispatch point.
 //!
-//! The pairwise-merging phase runs on the [`crate::prover::ParallelProver`]:
-//! TFI-disjoint candidate batches are proved speculatively (up to
-//! [`SweepConfig::sat_parallelism`] workers, one persistent solver per batch
-//! slot) and committed at a deterministic barrier in canonical candidate
-//! order, so the committed SAT calls, counter-examples and merges — and the
-//! swept network — are identical for every parallelism setting.
+//! Every SAT query of a session — SAT-guided patterns, constant proofs and
+//! pairwise merges — runs on one incremental [`CircuitSat`], in canonical
+//! candidate order, as in the paper's Algorithm 2.  The swept network is
+//! therefore a pure function of the input and the configuration; the
+//! thread count of parallel simulation never changes it.
 //!
 //! The session is a resumable phase machine: its execution cursor (constant
-//! queue, pending merge queue, half-committed batch) lives in an explicit
-//! phase value, and every candidate boundary can be captured as a
-//! [`SweepCheckpoint`] — either periodically
-//! ([`SweepConfig::checkpoint_interval`], delivered through
+//! queue, pending merge queue) lives in an explicit phase value, and every
+//! candidate boundary can be captured as a [`SweepCheckpoint`] — either
+//! periodically ([`SweepConfig::checkpoint_interval`], delivered through
 //! [`crate::Observer::on_checkpoint`]) or when the [`Budget`] stops the run
 //! (the checkpoint travels inside
 //! [`crate::SweepError::BudgetExhausted`]).  [`Sweeper::resume_from`]
-//! restores the full state — solver pool included, see
+//! restores the full state — the solver included, see
 //! [`crate::checkpoint`] — and the resumed run commits SAT calls, merges
 //! and output bytes identical to an uninterrupted one.
 //!
@@ -44,20 +42,16 @@
 //! assert_eq!(stats.merges, result.report.merges);
 //! ```
 
-use crate::batching;
 use crate::budget::{Budget, BudgetCause};
-use crate::checkpoint::{netlist_fingerprint, InflightPod, PhasePod, SweepCheckpoint};
+use crate::checkpoint::{netlist_fingerprint, PhasePod, SweepCheckpoint};
 use crate::equiv::EquivClasses;
 use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::patterns::{self, PatternGenConfig};
-use crate::prover::{
-    ParallelProver, ProofItem, ProofOutcome, SupportIndex, WorkerBudget, MAX_BATCH,
-};
 use crate::report::{SweepConfig, SweepResult};
 use crate::resim::{self, ResimEngine};
 use crate::window::WindowIndex;
-use bitsim::{AigSimulator, CoSplitTable, PatternSet, Signature};
+use bitsim::{AigSimulator, PatternSet, Signature};
 use netlist::{Aig, Lit, NodeId};
 use satsolver::{CircuitSat, EquivOutcome};
 use std::collections::HashMap;
@@ -89,6 +83,21 @@ impl fmt::Display for Engine {
 /// The session's execution cursor — the serialisable pod types double as
 /// the live state, so a checkpoint is a plain clone of the cursor.
 type Phase = PhasePod;
+
+/// The outcome of one proof step (see [`SweepSession::prove_step`]).
+enum Step {
+    /// A window verdict or an UNSAT query proved the candidate equal to
+    /// this literal.
+    Merge(Lit),
+    /// A satisfiable query: refine with the counter-example, then retry
+    /// the candidate's remaining drivers.
+    CounterExample(Vec<bool>),
+    /// The query ran out of conflicts (`unDET`): mark the candidate
+    /// don't-touch.
+    Undetermined,
+    /// Windows disproved every driver.
+    Exhausted,
+}
 
 /// Builder of a sweeping run.
 ///
@@ -181,7 +190,7 @@ impl<'o> Sweeper<'o> {
     /// A run cancelled at any candidate boundary and resumed through this
     /// method commits exactly the SAT calls, counter-examples and merges an
     /// uninterrupted run would have committed, and produces byte-identical
-    /// AIGER output — for every `sat_parallelism` × `num_threads`.
+    /// AIGER output — for every `num_threads`.
     pub fn resume_from<'n>(
         self,
         aig: &'n Aig,
@@ -247,6 +256,8 @@ pub struct SweepSession<'n, 'o> {
     round: usize,
     original: &'n Aig,
     result: Aig,
+    /// The session's one incremental solver: pattern generation, constant
+    /// proofs and pairwise merges all query it, in canonical order.
     sat: CircuitSat<'n>,
     pattern_set: PatternSet,
     classes: EquivClasses,
@@ -268,27 +279,8 @@ pub struct SweepSession<'n, 'o> {
     stopped: Option<BudgetCause>,
     /// The execution cursor (see [`crate::checkpoint`]).
     phase: Phase,
-    /// The persistent prover pool: item `i` of every batch runs on slot
-    /// `i`, so each slot's incremental state (lazily encoded cones, learned
-    /// clauses) is a pure function of the deterministic batch sequence —
-    /// reuse without a determinism leak.
-    solver_pool: Vec<CircuitSat<'n>>,
-    /// Committed SAT queries per pool slot; drives the deterministic
-    /// size-triggered hygiene resets
-    /// ([`SweepConfig::solver_reset_interval`]).
-    pool_committed: Vec<u64>,
-    /// Whether each pool slot has been handed to the prover since it was
-    /// last (re)constructed.  Cold slots are exactly fresh solvers, so
-    /// checkpoints omit their snapshots (`None` in
-    /// [`SweepCheckpoint::pool`]) and resume rebuilds them with
-    /// [`CircuitSat::new`] — behaviour-exact and much cheaper to
-    /// serialise.  Never cleared at checkpoint emission: "dirty since
-    /// construction/reset" is invariant across suspend/resume, keeping
-    /// checkpoint bytes identical between interrupted and uninterrupted
-    /// runs.
-    pool_dirty: Vec<bool>,
     /// Settled candidates so far (constants processed plus merge candidates
-    /// settled at batch barriers) — the periodic-checkpoint cursor.
+    /// settled by a proof step) — the periodic-checkpoint cursor.
     committed_candidates: u64,
     last_checkpoint: u64,
     /// When the last periodic checkpoint was emitted (or the session leg
@@ -300,12 +292,6 @@ pub struct SweepSession<'n, 'o> {
     /// `stats.counterexamples` advances by the cadence.  Checkpointed, so a
     /// resumed run compacts at the same points as an uninterrupted one.
     last_compaction_ce: u64,
-    /// Online co-split statistic feeding the refinement-aware batch policy
-    /// ([`crate::batching`]).  Advanced only on *committed* counter-example
-    /// refinements, so its contents — and therefore batch formation — are
-    /// identical for every `sat_parallelism`, worker count and shard count.
-    /// Checkpointed (codec v5) so resumed runs form the same batches.
-    cosplit: CoSplitTable,
     /// Work-stealing claims beyond each worker's first, summed over the
     /// session's parallel simulations (diagnostic; see
     /// [`crate::SweepReport::steal_events`]).
@@ -363,14 +349,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 sweep_sat_calls: 0,
                 stopped: Some(cause),
                 phase: Phase::Start,
-                solver_pool: Vec::new(),
-                pool_committed: vec![0; MAX_BATCH],
-                pool_dirty: vec![false; MAX_BATCH],
                 committed_candidates: 0,
                 last_checkpoint: 0,
                 last_checkpoint_instant: started,
                 last_compaction_ce: 0,
-                cosplit: CoSplitTable::new(),
                 steal_events: 0,
                 primed: false,
                 stop_checkpoint: None,
@@ -438,14 +420,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sweep_sat_calls: 0,
             stopped: None,
             phase: Phase::Start,
-            solver_pool: (0..MAX_BATCH).map(|_| CircuitSat::new(aig)).collect(),
-            pool_committed: vec![0; MAX_BATCH],
-            pool_dirty: vec![false; MAX_BATCH],
             committed_candidates: 0,
             last_checkpoint: 0,
             last_checkpoint_instant: started,
             last_compaction_ce: 0,
-            cosplit: CoSplitTable::new(),
             steal_events: state.steal_events(),
             primed: true,
             stop_checkpoint: None,
@@ -546,11 +524,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         {
             return Err(mismatch("pattern set word count disagrees with its length"));
         }
-        if checkpoint.pool.len() != MAX_BATCH || checkpoint.pool_committed.len() != MAX_BATCH {
-            return Err(mismatch(
-                "solver pool arity differs from the engine's batch width",
-            ));
-        }
         match &checkpoint.phase {
             PhasePod::Start | PhasePod::Done => {}
             PhasePod::Constants { queue, next } => {
@@ -558,30 +531,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     return Err(mismatch("constant-phase cursor is inconsistent"));
                 }
             }
-            PhasePod::Merging {
-                pending, inflight, ..
-            } => {
+            PhasePod::Merging { pending } => {
                 if !pending.iter().all(|&(node, _)| in_range(node)) {
                     return Err(mismatch(
                         "pending queue references a node outside the network",
                     ));
-                }
-                if let Some(batch) = inflight {
-                    let mut seen_slots = [false; MAX_BATCH];
-                    let items_ok = batch.items.len() <= MAX_BATCH
-                        && batch.results.len() == batch.items.len()
-                        && batch.pre_query.len() == batch.items.len()
-                        && batch.next <= batch.items.len()
-                        && batch.committed <= batch.next
-                        && batch.items.iter().all(|item| {
-                            in_range(item.candidate)
-                                && item.slot < MAX_BATCH
-                                && !std::mem::replace(&mut seen_slots[item.slot], true)
-                                && item.drivers.iter().all(|&(d, _)| in_range(d))
-                        });
-                    if !items_ok {
-                        return Err(mismatch("in-flight batch is inconsistent"));
-                    }
                 }
             }
         }
@@ -612,19 +566,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             None
         };
         let resim = ResimEngine::from_snapshot(aig, &checkpoint.resim).map_err(mismatch)?;
-        let sat = CircuitSat::from_snapshot(aig, &checkpoint.main_solver).map_err(mismatch)?;
-        // Cold slots (`None`) were never queried since (re)construction:
-        // a fresh solver is their exact state.
-        let pool_dirty: Vec<bool> = checkpoint.pool.iter().map(|s| s.is_some()).collect();
-        let solver_pool: Vec<CircuitSat<'n>> = checkpoint
-            .pool
-            .iter()
-            .map(|snap| match snap {
-                Some(snap) => CircuitSat::from_snapshot(aig, snap),
-                None => Ok(CircuitSat::new(aig)),
-            })
-            .collect::<Result<_, _>>()
-            .map_err(mismatch)?;
+        let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver).map_err(mismatch)?;
 
         // No `on_round` notification: the resumed session continues the
         // round the checkpoint was taken in (the restored stats already
@@ -653,14 +595,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sweep_sat_calls: checkpoint.sweep_sat_calls,
             stopped: None,
             phase: checkpoint.phase.clone(),
-            solver_pool,
-            pool_committed: checkpoint.pool_committed.clone(),
-            pool_dirty,
             committed_candidates: checkpoint.committed_candidates,
             last_checkpoint: checkpoint.committed_candidates,
             last_checkpoint_instant: Instant::now(),
             last_compaction_ce: checkpoint.last_compaction_ce,
-            cosplit: CoSplitTable::from_snapshot(&checkpoint.cosplit),
             // Steal counts are wall-clock diagnostics of *this* leg; they are
             // deliberately not carried across a resume.
             steal_events: 0,
@@ -810,21 +748,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sweep_sat_calls: self.sweep_sat_calls,
             committed_candidates: self.committed_candidates,
             last_compaction_ce: self.last_compaction_ce,
-            cosplit: self.cosplit.snapshot(),
             simulation_time: self.simulation_time,
             sat_time: self.sat_time,
             elapsed: self.elapsed_base + self.started.elapsed(),
-            main_solver: self.sat.snapshot(),
-            // Cold slots (never handed to the prover since construction or
-            // the last hygiene reset) are fresh solvers; omit their
-            // snapshots — resume rebuilds them exactly.
-            pool: self
-                .solver_pool
-                .iter()
-                .zip(&self.pool_dirty)
-                .map(|(s, &dirty)| dirty.then(|| s.snapshot()))
-                .collect(),
-            pool_committed: self.pool_committed.clone(),
+            solver: self.sat.snapshot(),
             // The sequential counters belong to the sequential engine's own
             // checkpoints; a combinational session always writes zeros.
             seq_candidates: 0,
@@ -925,20 +852,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         }
     }
 
-    fn notify_batch_proved(
-        &mut self,
-        batch: usize,
-        committed: usize,
-        settled: usize,
-        conflicts: usize,
-    ) {
-        self.stats
-            .on_batch_proved(batch, committed, settled, conflicts);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_batch_proved(batch, committed, settled, conflicts);
-        }
-    }
-
     fn notify_compaction(&mut self, kept: usize, dropped: usize) {
         self.stats.on_compaction(kept, dropped);
         if let Some(obs) = self.observer.as_mut() {
@@ -947,27 +860,25 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 
     // ------------------------------------------------------------------
-    // SAT queries (timed, budgeted, observed).
+    // SAT queries (timed, counted, observed).
     // ------------------------------------------------------------------
 
-    fn prove_constant(&mut self, lit: Lit, value: bool) -> EquivOutcome {
+    /// Runs one sweeping query on the session solver: timed, counted and
+    /// reported to the observers.  Callers check the budget first.
+    fn query(
+        &mut self,
+        run: impl FnOnce(&mut CircuitSat<'n>, u64) -> EquivOutcome,
+    ) -> EquivOutcome {
         let sat_start = Instant::now();
-        let outcome = self
-            .sat
-            .prove_constant(lit, value, self.config.conflict_limit);
+        let outcome = run(&mut self.sat, self.config.conflict_limit);
         self.sat_time += sat_start.elapsed();
-        self.record_sat_outcome(&outcome);
-        outcome
-    }
-
-    fn record_sat_outcome(&mut self, outcome: &EquivOutcome) {
         self.sweep_sat_calls += 1;
-        let kind = match outcome {
+        self.notify_sat_call(match outcome {
             EquivOutcome::Equivalent => SatCallOutcome::Unsat,
             EquivOutcome::CounterExample(_) => SatCallOutcome::Sat,
             EquivOutcome::Undetermined => SatCallOutcome::Undetermined,
-        };
-        self.notify_sat_call(kind);
+        });
+        outcome
     }
 
     // ------------------------------------------------------------------
@@ -994,14 +905,14 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 return false;
             }
             let lit = Lit::positive(candidate.node);
-            match self.prove_constant(lit, candidate.value) {
+            match self.query(|sat, limit| sat.prove_constant(lit, candidate.value, limit)) {
                 EquivOutcome::Equivalent => {
                     let constant = if candidate.value {
                         Lit::TRUE
                     } else {
                         Lit::FALSE
                     };
-                    self.apply_merge_lit(candidate.node, constant);
+                    self.apply_merge(candidate.node, constant);
                 }
                 EquivOutcome::CounterExample(ce) => self.refine_with_counterexample(&ce),
                 EquivOutcome::Undetermined => {
@@ -1020,37 +931,28 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         }
     }
 
-    /// The initial merging-phase cursor: every AND node pending, in the
-    /// engine's canonical processing order.
+    /// The initial merging-phase cursor: every AND node pending, the next
+    /// candidate last.  The canonical order is forward topological for the
+    /// baseline and reverse topological for the STP engine (Algorithm 2
+    /// traverses the circuit from outputs to inputs).
     fn merging_entry_phase(&self) -> Phase {
-        let mut order: Vec<NodeId> = self.original.and_ids().collect();
-        if self.engine == Engine::Stp {
-            // Algorithm 2 traverses the circuit from outputs to inputs.
-            order.reverse();
+        let mut pending: Vec<(NodeId, usize)> = self.original.and_ids().map(|c| (c, 0)).collect();
+        if self.engine == Engine::Baseline {
+            pending.reverse();
         }
-        Phase::Merging {
-            pending: order.into_iter().map(|c| (c, 0)).collect(),
-            batch_index: 0,
-            inflight: None,
-        }
+        Phase::Merging { pending }
     }
 
     // ------------------------------------------------------------------
-    // Phase: pairwise merging, batched over the parallel prover.
+    // Phase: pairwise merging.
     // ------------------------------------------------------------------
 
-    /// Derives the driver list the engine examines next for `candidate`,
-    /// given the attempts already consumed — class members that precede the
-    /// candidate in topological order, bounded by the TFI limit — plus the
-    /// candidate's class representative (the key the batch former's co-split
-    /// lookups are made under).  `None` means the candidate is settled
-    /// (merged, don't-touch, out of budgeted attempts, classless, its
-    /// class's representative, or driverless).
-    fn next_drivers_with_rep(
-        &self,
-        candidate: NodeId,
-        attempts: usize,
-    ) -> Option<(NodeId, Vec<(NodeId, bool)>)> {
+    /// The driver list the engine examines next for `candidate`, given the
+    /// attempts already consumed: class members that precede the candidate
+    /// in topological order, bounded by the TFI limit.  `None` means the
+    /// candidate is settled (merged, don't-touch, out of attempts,
+    /// classless, its class's representative, or driverless).
+    fn next_drivers(&self, candidate: NodeId, attempts: usize) -> Option<Vec<(NodeId, bool)>> {
         if self.merged[candidate].is_some()
             || self.dont_touch[candidate]
             || attempts >= self.config.tfi_limit
@@ -1065,453 +967,126 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let drivers: Vec<(NodeId, bool)> = class
             .members()
             .iter()
-            .zip(class.members().iter().map(|&m| class.phase_of(m)))
+            .zip(class.phases())
             .filter(|&(&m, _)| m < candidate && self.merged[m].is_none() && !self.dont_touch[m])
-            .map(|(&m, phase)| (m, phase != candidate_phase))
+            .map(|(&m, &phase)| (m, phase != candidate_phase))
             .take(self.config.tfi_limit - attempts)
             .collect();
-        if drivers.is_empty() {
-            None
-        } else {
-            Some((class.representative(), drivers))
-        }
+        (!drivers.is_empty()).then_some(drivers)
     }
 
-    /// Re-inserts a candidate into the pending queue at its canonical
-    /// position (the queue is kept sorted by the round's processing order).
-    fn reinsert(
-        pending: &mut Vec<(NodeId, usize)>,
-        rank: &[usize],
-        candidate: NodeId,
-        attempts: usize,
-    ) {
-        let pos = pending.partition_point(|&(c, _)| rank[c] < rank[candidate]);
-        pending.insert(pos, (candidate, attempts));
-    }
-
-    /// The pairwise-merging phase: the candidate queue is cut into prefix
-    /// batches under the configured [`crate::report::BatchPolicy`], every
-    /// batch is proved speculatively by the [`ParallelProver`] (on the
-    /// persistent candidate-keyed solver pool, up to
-    /// [`SweepConfig::sat_parallelism`] workers, optionally sharded —
-    /// [`SweepConfig::shards`]), and the results are committed at a
-    /// deterministic barrier in canonical candidate order — a result whose
-    /// assumed driver list no longer matches the replayed state is
-    /// discarded (`sat_parallel_conflicts`), its solver slot restored from
-    /// the pre-query snapshot, and the candidate retried in a later batch.
-    /// See [`crate::prover`] for the protocol; the committed SAT calls,
-    /// counter-examples and merges are identical for every
-    /// `sat_parallelism`, `num_threads`, batch policy and shard count.
-    ///
-    /// Returns `true` when the phase completes, `false` on a budget stop
-    /// (with the stop checkpoint captured, half-committed batch included).
+    /// The pairwise-merging phase: the candidate on top of the pending
+    /// queue takes proof steps until it settles; a counter-example refines
+    /// the classes and the candidate retries with its remaining drivers.
+    /// Returns `true` when the queue drains, `false` on a budget stop (with
+    /// the stop checkpoint captured).
     fn step_merging(&mut self) -> bool {
-        // Derived indices are pure functions of the input network and the
-        // engine, so a resumed session recomputes them instead of carrying
-        // them in the checkpoint.
-        let mut order: Vec<NodeId> = self.original.and_ids().collect();
-        if self.engine == Engine::Stp {
-            order.reverse();
-        }
-        let mut rank = vec![usize::MAX; self.original.num_nodes()];
-        for (i, &candidate) in order.iter().enumerate() {
-            rank[candidate] = i;
-        }
-        let supports = SupportIndex::build(self.original);
-
         // Take the cursor out of `self.phase` while mutating it; it is
-        // written back before any checkpoint is captured.
-        let Phase::Merging {
-            mut pending,
-            mut batch_index,
-            mut inflight,
-        } = std::mem::replace(&mut self.phase, Phase::Done)
-        else {
+        // written back before any stop checkpoint is captured.
+        let Phase::Merging { mut pending } = std::mem::replace(&mut self.phase, Phase::Done) else {
             unreachable!("step_merging runs in the merging phase")
         };
-
-        let finished = self.merging_loop(
-            &mut pending,
-            &mut batch_index,
-            &mut inflight,
-            &rank,
-            &supports,
-        );
-        if finished {
-            self.phase = Phase::Done;
-            true
-        } else {
-            let phase = Phase::Merging {
-                pending,
-                batch_index,
-                inflight,
+        while let Some(&(candidate, attempts)) = pending.last() {
+            let Some(drivers) = self.next_drivers(candidate, attempts) else {
+                pending.pop();
+                continue;
             };
-            self.capture_stop_checkpoint(&phase);
-            self.phase = phase;
-            false
-        }
-    }
-
-    /// The batch loop; returns `true` when the queue drains, `false` on a
-    /// budget stop.
-    fn merging_loop(
-        &mut self,
-        pending: &mut Vec<(NodeId, usize)>,
-        batch_index: &mut usize,
-        inflight: &mut Option<InflightPod>,
-        rank: &[usize],
-        supports: &SupportIndex,
-    ) -> bool {
-        // A restored half-committed batch is finished first: stored results
-        // replay verbatim, aborted items re-prove on their untouched slots.
-        if inflight.is_some() {
-            if !self.commit_inflight(pending, batch_index, inflight, rank) {
+            let Some((step, used)) = self.prove_step(candidate, &drivers) else {
+                let phase = Phase::Merging { pending };
+                self.capture_stop_checkpoint(&phase);
+                self.phase = phase;
                 return false;
-            }
-            self.maybe_emit_merging_checkpoint(pending, *batch_index);
-        }
-
-        while !pending.is_empty() {
-            if !self.within_budget() {
-                return false;
-            }
-
-            // Deterministic per-slot solver hygiene: a slot that has served
-            // `solver_reset_interval` committed queries is replaced by a
-            // fresh solver before the next batch forms.  Keyed on committed
-            // counts, the resets happen at identical points for every
-            // `sat_parallelism`, so determinism is preserved.
-            if self.config.solver_reset_interval > 0 {
-                for slot in 0..self.solver_pool.len() {
-                    if self.pool_committed[slot] >= self.config.solver_reset_interval {
-                        self.solver_pool[slot] = CircuitSat::new(self.original);
-                        self.pool_committed[slot] = 0;
-                        self.pool_dirty[slot] = false;
-                    }
+            };
+            let settled = match step {
+                Step::Merge(replacement) => {
+                    self.apply_merge(candidate, replacement);
+                    true
                 }
-            }
-
-            // Batch formation: take the maximal *prefix* of live pending
-            // candidates (in canonical order) that the batch policy admits.
-            // Settled candidates are resolved on the way; the first live
-            // candidate the policy rejects — or whose solver slot collides —
-            // TERMINATES the batch instead of being skipped, so the
-            // committed operation sequence is the strict canonical order
-            // under every policy (see [`crate::batching`]).  Nothing here
-            // depends on `sat_parallelism` or the shard count.
-            let mut batch: Vec<ProofItem> = Vec::new();
-            let mut batch_reps: Vec<NodeId> = Vec::new();
-            let mut used_slots = [false; MAX_BATCH];
-            let mut acc = supports.empty_accumulator();
-            let mut i = 0usize;
-            // Indices (ascending) of entries leaving `pending` this round —
-            // settled candidates and taken batch items — compacted in one
-            // O(|pending|) pass instead of per-entry `Vec::remove` shifts.
-            let mut drop_indices: Vec<usize> = Vec::new();
-            while i < pending.len() && batch.len() < MAX_BATCH {
-                let (candidate, attempts) = pending[i];
-                let Some((rep, drivers)) = self.next_drivers_with_rep(candidate, attempts) else {
-                    drop_indices.push(i);
-                    i += 1;
-                    continue;
-                };
-                // Solver slots are keyed on the candidate id, so a slot's
-                // incremental state is a pure function of the committed
-                // queries it served — independent of batch shapes.
-                let slot = candidate % MAX_BATCH;
-                let admitted = !used_slots[slot]
-                    && (batch.is_empty()
-                        || batching::admits(
-                            self.config.batch_policy,
-                            &self.cosplit,
-                            supports,
-                            candidate,
-                            rep,
-                            &drivers,
-                            &acc,
-                            &batch_reps,
-                        ));
-                if !admitted {
-                    break;
+                Step::CounterExample(assignment) => {
+                    self.refine_with_counterexample(&assignment);
+                    false
                 }
-                used_slots[slot] = true;
-                supports.accumulate(candidate, &mut acc);
-                for &(driver, _) in &drivers {
-                    supports.accumulate(driver, &mut acc);
+                Step::Undetermined => {
+                    self.dont_touch[candidate] = true;
+                    self.classes.remove(candidate);
+                    true
                 }
-                batch_reps.push(rep);
-                batch.push(ProofItem {
-                    candidate,
-                    attempts,
-                    drivers,
-                    slot,
-                });
-                drop_indices.push(i);
-                i += 1;
+                Step::Exhausted => true,
+            };
+            if settled {
+                pending.pop();
+                self.committed_candidates += 1;
+            } else if let Some(top) = pending.last_mut() {
+                top.1 = attempts + used;
             }
-            if !drop_indices.is_empty() {
-                let mut index = 0usize;
-                let mut next_drop = drop_indices.iter().peekable();
-                pending.retain(|_| {
-                    let drop = next_drop.peek() == Some(&&index);
-                    if drop {
-                        next_drop.next();
-                    }
-                    index += 1;
-                    !drop
+            if self.checkpoint_due() {
+                self.emit_checkpoint(&Phase::Merging {
+                    pending: pending.clone(),
                 });
             }
-            if batch.is_empty() {
-                return true; // every remaining candidate resolved without work
-            }
-
-            // Speculative proving: pure per-item work, any scheduling.
-            // Sharded mode partitions the slot range across isolated
-            // sub-workers; both paths produce the identical [`BatchProof`].
-            let proof = {
-                let windows = if self.engine == Engine::Stp && self.config.window_refinement {
-                    self.windows.as_ref()
-                } else {
-                    None
-                };
-                let prover = ParallelProver::new(
-                    self.original,
-                    windows,
-                    self.config.conflict_limit,
-                    self.config.sat_parallelism,
-                );
-                let worker_budget =
-                    WorkerBudget::new(&self.budget, self.started, self.sweep_sat_calls);
-                // The items' slots are handed to the prover and may mutate
-                // even on aborted items — conservatively dirty.
-                for item in &batch {
-                    self.pool_dirty[item.slot] = true;
-                }
-                if self.config.shards > 0 {
-                    prover.prove_batch_sharded(
-                        &batch,
-                        &mut self.solver_pool,
-                        &worker_budget,
-                        self.config.shards,
-                    )
-                } else {
-                    prover.prove_batch(&batch, &mut self.solver_pool, &worker_budget)
-                }
-            };
-            *inflight = Some(InflightPod {
-                items: batch,
-                results: proof.results,
-                pre_query: proof.pre_query,
-                next: 0,
-                committed: 0,
-                settled: 0,
-                conflicts: 0,
-            });
-
-            if !self.commit_inflight(pending, batch_index, inflight, rank) {
-                return false;
-            }
-            self.maybe_emit_merging_checkpoint(pending, *batch_index);
         }
+        self.phase = Phase::Done;
         true
     }
 
-    /// Periodic checkpoint at a batch barrier (no in-flight batch by
-    /// construction — the barrier just committed it).
-    fn maybe_emit_merging_checkpoint(&mut self, pending: &[(NodeId, usize)], batch_index: usize) {
-        if self.checkpoint_due() {
-            let phase = Phase::Merging {
-                pending: pending.to_vec(),
-                batch_index,
-                inflight: None,
-            };
-            self.emit_checkpoint(&phase);
-        }
-    }
-
-    /// Commit barrier: replays a proved batch from its cursor, in canonical
-    /// candidate order.  Returns `false` on a budget stop — the cursor then
-    /// points at the first uncommitted item, so a checkpointed resume picks
-    /// up exactly where the uninterrupted run would have continued.
-    fn commit_inflight(
+    /// One proof step for `candidate`: the window verdicts over `drivers`
+    /// (STP engine), stopping at the first window proof or at the first
+    /// driver a window cannot settle, whose pair then gets one SAT query.
+    /// Returns the outcome and the number of drivers consumed — or `None`,
+    /// having committed nothing, when the budget stops the run before the
+    /// query; a resumed run repeats the step.
+    fn prove_step(
         &mut self,
-        pending: &mut Vec<(NodeId, usize)>,
-        batch_index: &mut usize,
-        inflight_slot: &mut Option<InflightPod>,
-        rank: &[usize],
-    ) -> bool {
-        loop {
-            let Some(inflight) = inflight_slot.as_mut() else {
-                return true;
-            };
-            if inflight.next >= inflight.items.len() {
-                // Batch fully committed: emit the barrier event and advance
-                // the candidate cursor.  (A budget-stopped batch emits no
-                // partial event — the resumed run completes it and emits
-                // the single, cumulative event an uninterrupted run would.)
-                let done = inflight_slot.take().expect("inflight batch present");
-                self.notify_batch_proved(
-                    *batch_index,
-                    done.committed,
-                    done.settled,
-                    done.conflicts,
-                );
-                *batch_index += 1;
-                self.committed_candidates += done.settled as u64;
-                return true;
-            }
-            let index = inflight.next;
-            let item = inflight.items[index].clone();
-            let result = inflight.results[index].clone();
-
-            if matches!(result.outcome, ProofOutcome::Aborted) {
-                // The worker observed an exhausted budget and never issued
-                // its query.  Live runs stop here (every budget dimension
-                // is monotone between the worker check and this commit, so
-                // the authoritative check agrees); a resumed run re-proves
-                // the item on its untouched solver slot, reproducing
-                // exactly the query an uninterrupted run would have issued.
-                if !self.within_budget() {
-                    return false;
+        candidate: NodeId,
+        drivers: &[(NodeId, bool)],
+    ) -> Option<(Step, usize)> {
+        let windows = self
+            .windows
+            .as_ref()
+            .filter(|_| self.config.window_refinement);
+        let mut verdicts = Vec::new();
+        let mut proved = None;
+        let mut query = None;
+        for &(driver, complemented) in drivers {
+            let replacement = Lit::new(driver, complemented);
+            match windows.and_then(|w| w.compare(self.original, candidate, driver, complemented)) {
+                Some(false) => verdicts.push((driver, false)),
+                Some(true) => {
+                    verdicts.push((driver, true));
+                    proved = Some(replacement);
+                    break;
                 }
-                let (fresh, snapshot) = {
-                    let windows = if self.engine == Engine::Stp && self.config.window_refinement {
-                        self.windows.as_ref()
-                    } else {
-                        None
-                    };
-                    let prover = ParallelProver::new(
-                        self.original,
-                        windows,
-                        self.config.conflict_limit,
-                        self.config.sat_parallelism,
-                    );
-                    let worker_budget =
-                        WorkerBudget::new(&self.budget, self.started, self.sweep_sat_calls);
-                    self.pool_dirty[item.slot] = true;
-                    prover.prove_one(
-                        &item,
-                        &mut self.solver_pool[item.slot],
-                        &worker_budget,
-                        index > 0,
-                    )
-                };
-                let inflight = inflight_slot.as_mut().expect("inflight batch present");
-                inflight.results[index] = fresh;
-                inflight.pre_query[index] = snapshot;
-                continue;
-            }
-
-            // Validation: the consumed driver prefix must be exactly
-            // what the engine would examine here; for an exhausted item
-            // the whole list must match (the engine would examine every
-            // driver of the re-derived list).
-            let current = self.next_drivers_with_rep(item.candidate, item.attempts);
-            let valid = match (&current, &result.outcome) {
-                (Some((_, d)), ProofOutcome::Exhausted) => *d == item.drivers,
-                (Some((_, d)), _) => {
-                    let used = result.attempts_used.min(item.drivers.len());
-                    d.len() >= used && d[..used] == item.drivers[..used]
+                None => {
+                    query = Some(replacement);
+                    break;
                 }
-                (None, _) => false,
-            };
-            let inflight = inflight_slot.as_mut().expect("inflight batch present");
-            if !valid {
-                if result.sat_outcome.is_some() {
-                    inflight.conflicts += 1;
-                    // The invalidated query polluted its solver slot with
-                    // assumptions and possibly learned clauses from a state
-                    // the committed sequence never visits — restore the
-                    // pre-query snapshot, erasing the query, so slot state
-                    // stays a pure function of the committed sequence.
-                    if let Some(snap) = inflight.pre_query[index].take() {
-                        self.solver_pool[item.slot] =
-                            CircuitSat::from_snapshot(self.original, &snap)
-                                .expect("pre-query snapshot was taken against this network");
-                    }
-                }
-                inflight.next += 1;
-                // The discarded query still burned solver time.
-                self.sat_time += result.sat_time;
-                if current.is_some() {
-                    Self::reinsert(pending, rank, item.candidate, item.attempts);
-                }
-                continue;
-            }
-            if result.sat_outcome.is_some() && !self.within_budget() {
-                // The speculative call is not committed; the run stops
-                // exactly as the sequential engine would before issuing
-                // this query (its window verdicts are not committed either,
-                // so a resumed run replays the item in full).
-                return false;
-            }
-            inflight.next += 1;
-            inflight.committed += 1;
-            // The committed result's pre-query snapshot is dead weight from
-            // here on — drop it so checkpoints only carry snapshots for the
-            // still-uncommitted tail.
-            inflight.pre_query[index] = None;
-            for &(driver, equivalent) in &result.verdicts {
-                self.notify_simulation_verdict(item.candidate, driver, equivalent);
-            }
-            if let Some(kind) = result.sat_outcome {
-                self.sat_time += result.sat_time;
-                self.sweep_sat_calls += 1;
-                self.pool_committed[item.slot] += 1;
-                self.notify_sat_call(kind);
-                if matches!(kind, SatCallOutcome::Unsat) {
-                    // The candidate's class survived a committed proof
-                    // unsplit — stability evidence for the refinement-aware
-                    // batch former (see [`bitsim::CoSplitTable`]).
-                    if let Some((rep, _)) = &current {
-                        self.cosplit.record_proof(*rep);
-                    }
-                }
-            }
-            match &result.outcome {
-                ProofOutcome::Merge {
-                    driver,
-                    complemented,
-                    ..
-                } => {
-                    self.apply_merge(item.candidate, *driver, *complemented);
-                    Self::bump_settled(inflight_slot);
-                }
-                ProofOutcome::CounterExample { assignment } => {
-                    self.refine_with_counterexample(assignment);
-                    Self::reinsert(
-                        pending,
-                        rank,
-                        item.candidate,
-                        item.attempts + result.attempts_used,
-                    );
-                }
-                ProofOutcome::DontTouch => {
-                    self.dont_touch[item.candidate] = true;
-                    self.classes.remove(item.candidate);
-                    Self::bump_settled(inflight_slot);
-                }
-                ProofOutcome::Exhausted => {
-                    Self::bump_settled(inflight_slot);
-                }
-                ProofOutcome::Aborted => unreachable!("handled before validation"),
             }
         }
-    }
-
-    fn bump_settled(inflight_slot: &mut Option<InflightPod>) {
-        if let Some(inflight) = inflight_slot.as_mut() {
-            inflight.settled += 1;
+        if query.is_some() && !self.within_budget() {
+            return None;
         }
+        let used = verdicts.len() + usize::from(query.is_some());
+        for (driver, equivalent) in verdicts {
+            self.notify_simulation_verdict(candidate, driver, equivalent);
+        }
+        let step = match (proved, query) {
+            (Some(replacement), _) => Step::Merge(replacement),
+            (None, Some(replacement)) => {
+                let lit = Lit::positive(candidate);
+                match self.query(|sat, limit| sat.prove_equivalent(lit, replacement, limit)) {
+                    EquivOutcome::Equivalent => Step::Merge(replacement),
+                    EquivOutcome::CounterExample(assignment) => Step::CounterExample(assignment),
+                    EquivOutcome::Undetermined => Step::Undetermined,
+                }
+            }
+            (None, None) => Step::Exhausted,
+        };
+        Some((step, used))
     }
 
-    /// Applies a proved merge: redirects `candidate`'s fanouts to `driver`
-    /// (complemented as required) in the working copy.
-    fn apply_merge(&mut self, candidate: NodeId, driver: NodeId, complemented: bool) {
-        self.apply_merge_lit(candidate, Lit::new(driver, complemented));
-    }
-
-    fn apply_merge_lit(&mut self, candidate: NodeId, replacement: Lit) {
+    /// Applies a proved merge: redirects `candidate`'s fanouts to
+    /// `replacement` in the working copy.
+    fn apply_merge(&mut self, candidate: NodeId, replacement: Lit) {
         self.result.replace_node(candidate, replacement);
         self.merged[candidate] = Some(replacement);
         self.merge_log.push((candidate, replacement));
@@ -1564,12 +1139,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             };
         let event = self.resim.record_event(targets.len(), &evaluated);
         self.notify_resimulation(event.targets, event.resimulated, event.skipped);
-        let outcome = self.classes.refine_tracked(&new_signatures);
-        // Feed the co-split statistic from the *committed* refinement (the
-        // only kind this path ever sees): which classes this counter-example
-        // split, and which split together.
-        self.cosplit.record_event(&outcome.split_representatives);
-        let moved = outcome.moved;
+        let moved = self.classes.refine(&new_signatures);
         self.simulation_time += sim_start.elapsed();
         let num_classes = self.classes.classes().len();
         self.notify_class_refined(num_classes, moved);
@@ -1672,7 +1242,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let (cleaned, _) = self.result.cleanup();
         let mut report = self.stats.counts();
         report.num_threads = self.config.num_threads;
-        report.sat_parallelism = self.config.sat_parallelism;
         report.gates_before = self.original.num_ands();
         report.levels = self.original.depth();
         report.gates_after = cleaned.num_ands();
@@ -1948,12 +1517,21 @@ mod tests {
     #[test]
     fn checkpoint_resume_at_every_sat_boundary_is_identity() {
         let aig = redundant_circuit();
-        let config = SweepConfig {
-            num_initial_patterns: 4, // few patterns: plenty of SAT traffic
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
-        for engine in [Engine::Stp, Engine::Baseline] {
+        for (engine, num_threads) in [Engine::Stp, Engine::Baseline]
+            .into_iter()
+            .flat_map(|engine| [(engine, 1), (engine, 4)])
+        {
+            let config = SweepConfig {
+                num_initial_patterns: 4, // few patterns: plenty of SAT traffic
+                sat_guided_patterns: false,
+                ..SweepConfig::default()
+            }
+            .parallelism(num_threads);
+            let context = |cut: u64, total: u64| {
+                format!(
+                    "{engine}, {num_threads} threads, cancelled after {cut} of {total} SAT calls"
+                )
+            };
             let reference = Sweeper::new(engine).config(config).run(&aig).expect("runs");
             let reference_aiger = write_aiger_string(&reference.aig);
             let total = reference.report.sat_calls_total;
@@ -1979,12 +1557,14 @@ mod tests {
                 assert_eq!(
                     strip(&resumed.report),
                     strip(&reference.report),
-                    "{engine}, cancelled after {cut} of {total} SAT calls"
+                    "{}",
+                    context(cut, total)
                 );
                 assert_eq!(
                     write_aiger_string(&resumed.aig),
                     reference_aiger,
-                    "{engine}, cancelled after {cut} of {total} SAT calls"
+                    "{}",
+                    context(cut, total)
                 );
             }
         }
@@ -2262,60 +1842,5 @@ mod tests {
             .expect("runs");
         assert_eq!(fresh.report.merges, resumed.report.merges);
         assert_eq!(fresh.report.constants, resumed.report.constants);
-    }
-
-    #[test]
-    fn solver_hygiene_resets_keep_the_sweep_deterministic() {
-        let aig = redundant_circuit();
-        let config = SweepConfig {
-            num_initial_patterns: 4,
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
-        // Aggressive hygiene: reset a slot after every committed query.
-        let reference = Sweeper::new(Engine::Stp)
-            .config(config.with_solver_reset_interval(1))
-            .run(&aig)
-            .expect("runs");
-        assert!(check_equivalence(&aig, &reference.aig, 100_000).equivalent);
-        // Identical across sat_parallelism — resets key on committed
-        // counts, which are scheduling-independent.
-        for sat_parallelism in [2usize, 4] {
-            let run = Sweeper::new(Engine::Stp)
-                .config(
-                    config
-                        .with_solver_reset_interval(1)
-                        .sat_parallelism(sat_parallelism),
-                )
-                .run(&aig)
-                .expect("runs");
-            let mut expected = strip(&reference.report);
-            expected.sat_parallelism = sat_parallelism;
-            assert_eq!(strip(&run.report), expected);
-            assert_eq!(
-                write_aiger_string(&run.aig),
-                write_aiger_string(&reference.aig)
-            );
-        }
-        // Checkpoint/resume identity holds with hygiene on.
-        let total = reference.report.sat_calls_total;
-        let cut = total / 2;
-        let checkpoint = Sweeper::new(Engine::Stp)
-            .config(config.with_solver_reset_interval(1))
-            .budget(Budget::unlimited().with_max_sat_calls(cut))
-            .run(&aig)
-            .unwrap_err()
-            .into_checkpoint()
-            .expect("checkpoint");
-        let resumed = Sweeper::new(Engine::Stp)
-            .resume_from(&aig, &checkpoint)
-            .expect("matches")
-            .run()
-            .expect("runs");
-        assert_eq!(strip(&resumed.report), strip(&reference.report));
-        assert_eq!(
-            write_aiger_string(&resumed.aig),
-            write_aiger_string(&reference.aig)
-        );
     }
 }

@@ -15,10 +15,9 @@
 //! The builder additionally offers progress [`crate::Observer`]s, a
 //! [`crate::Budget`] (deadline, SAT-call cap, cancellation) with partial
 //! results, typed [`crate::SweepError`]s instead of silent misbehaviour, and
-//! deterministic parallelism on both hot paths — simulation via
-//! [`crate::SweepConfig::parallelism`] and SAT proving via
-//! [`crate::SweepConfig::sat_parallelism`] — none of which the legacy free
-//! functions expose (they always run sequentially).
+//! deterministic parallel simulation via [`crate::SweepConfig::parallelism`]
+//! — none of which the legacy free functions expose (they always run
+//! sequentially).
 //! See [`crate::session`] for the engine itself (Algorithm 2 of the paper)
 //! and [`crate::pipeline`] for multi-pass composition.
 

@@ -16,6 +16,7 @@
 //! files for the ASCII format too.
 
 use crate::{Aig, AigNode, LatchInit, Lit};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -53,6 +54,13 @@ impl From<std::io::Error> for AigerError {
         AigerError::Io(e)
     }
 }
+
+/// The most inputs a binary (`aig`) header may declare.  Binary inputs are
+/// implicit, so unlike every other count the body length does not bound
+/// them; this cap keeps a hostile few-byte header from allocating
+/// gigabytes (reading 2^20 implicit inputs peaks at about 90 MB).  The
+/// ASCII format spells every input out and has no such cap.
+pub const MAX_BINARY_INPUTS: usize = 1 << 20;
 
 fn format_err(msg: impl Into<String>) -> AigerError {
     AigerError::Format(msg.into())
@@ -102,32 +110,83 @@ pub fn read_aiger_bytes(bytes: &[u8]) -> Result<Aig, AigerError> {
     let l = parse(fields[3])?;
     let o = parse(fields[4])?;
     let a = parse(fields[5])?;
+    let overflow = || format_err("header counts overflow");
+    let defined = i
+        .checked_add(l)
+        .and_then(|n| n.checked_add(a))
+        .ok_or_else(overflow)?;
     // The ASCII format allows M to exceed I+L+A (unused variable indices);
     // the binary format requires equality.
-    if m < i + l + a || (fields[0] == "aig" && m != i + l + a) {
+    let ascii = fields[0] == "aag";
+    if m < defined || (!ascii && m != defined) {
         return Err(format_err(format!(
-            "inconsistent header: M={m} but I+L+A={}",
-            i + l + a
+            "inconsistent header: M={m} but I+L+A={defined}"
+        )));
+    }
+    // A node literal is 32 bits wide: two per variable.
+    if m > (u32::MAX / 2) as usize {
+        return Err(format_err(format!(
+            "M={m} exceeds the {} variables a literal can address",
+            u32::MAX / 2
+        )));
+    }
+    // Every entry takes at least two bytes of body: a one-digit line plus
+    // its newline, or a binary AND's two deltas.  Binary inputs are
+    // implicit, so they are capped instead.  A header that declares more
+    // than this is rejected before anything is allocated for it.
+    if !ascii && i > MAX_BINARY_INPUTS {
+        return Err(format_err(format!(
+            "binary header declares {i} inputs, more than the {MAX_BINARY_INPUTS} \
+             a binary file may (write it as ascii instead)"
+        )));
+    }
+    let body = &bytes[header_end + 1..];
+    let entries = if ascii {
+        defined.checked_add(o)
+    } else {
+        l.checked_add(o).and_then(|n| n.checked_add(a))
+    }
+    .ok_or_else(overflow)?;
+    if entries.saturating_mul(2) > body.len() + 1 {
+        return Err(format_err(format!(
+            "header declares {entries} entries but the body has only {} bytes",
+            body.len()
         )));
     }
     match fields[0] {
         "aag" => {
-            let body = std::str::from_utf8(&bytes[header_end + 1..])
-                .map_err(|_| format_err("ascii body is not utf-8"))?;
+            let body =
+                std::str::from_utf8(body).map_err(|_| format_err("ascii body is not utf-8"))?;
             read_ascii(body, m, i, l, o, a)
         }
-        "aig" => read_binary(&bytes[header_end + 1..], m, i, l, o, a),
+        "aig" => read_binary(body, m, i, l, o, a),
         other => Err(format_err(format!("unknown format tag '{other}'"))),
     }
 }
 
-/// Maps an AIGER literal to a [`Lit`] using `var_map` (AIGER variable index
-/// to node id).
-fn map_lit(aiger_lit: usize, var_map: &[Option<Lit>]) -> Result<Lit, AigerError> {
-    let var = aiger_lit / 2;
-    let base = var_map.get(var).copied().flatten().ok_or_else(|| {
+/// Parses a literal field and range-checks it against the header's `M`:
+/// AIGER literals run from 0 to `2M + 1`.
+fn parse_lit(text: &str, m: usize, what: &str) -> Result<usize, AigerError> {
+    let lit: usize = text
+        .trim()
+        .parse()
+        .map_err(|_| format_err(format!("invalid {what} '{text}'")))?;
+    if lit / 2 > m {
+        return Err(format_err(format!(
+            "{what} {lit} exceeds the largest literal 2M+1 = {}",
+            m.saturating_mul(2).saturating_add(1)
+        )));
+    }
+    Ok(lit)
+}
+
+/// Maps an AIGER literal to a [`Lit`], given the node literal of its
+/// variable (`None` if the variable is undefined).
+fn map_lit(aiger_lit: usize, base: Option<Lit>) -> Result<Lit, AigerError> {
+    let base = base.ok_or_else(|| {
         format_err(format!(
-            "literal {aiger_lit} references undefined var {var}"
+            "literal {aiger_lit} references undefined var {}",
+            aiger_lit / 2
         ))
     })?;
     Ok(base.complement_if(aiger_lit % 2 == 1))
@@ -156,21 +215,23 @@ fn parse_latch_init(field: Option<&str>, q: usize) -> Result<LatchInit, AigerErr
     }
 }
 
+/// Adds the outputs and latch next-state functions; `var` looks up the node
+/// literal of an AIGER variable.
 fn finish(
     mut aig: Aig,
-    var_map: &[Option<Lit>],
+    var: impl Fn(usize) -> Option<Lit>,
     latches: &[(usize, LatchInit)],
     output_lits: &[usize],
 ) -> Result<Aig, AigerError> {
     for (idx, &lit) in output_lits.iter().enumerate() {
-        let lit = map_lit(lit, var_map)?;
+        let lit = map_lit(lit, var(lit / 2))?;
         aig.add_output(format!("po{idx}"), lit);
     }
     // Latch state inputs were created right after the real inputs; the
     // next-state outputs go right after the real outputs.
     let input_base = aig.num_inputs() - latches.len();
     for (idx, &(next, init)) in latches.iter().enumerate() {
-        let lit = map_lit(next, var_map)?;
+        let lit = map_lit(next, var(next / 2))?;
         let next_output = aig.num_outputs();
         aig.add_output(format!("latch_next{idx}"), lit);
         aig.define_latch(input_base + idx, next_output, init);
@@ -193,54 +254,51 @@ fn read_ascii(
             .ok_or_else(|| format_err(format!("unexpected end of file while reading {what}")))
     };
     let mut aig = Aig::new();
-    let mut var_map: Vec<Option<Lit>> = vec![None; m + 1];
-    var_map[0] = Some(Lit::FALSE);
+    // ASCII variable indices may leave gaps up to `M`, so the map holds
+    // only the variables the body defines.
+    let mut var_map: HashMap<usize, Lit> = HashMap::with_capacity(i + l + a + 1);
+    var_map.insert(0, Lit::FALSE);
 
     // Inputs.
     for idx in 0..i {
-        let line = next_line("inputs")?;
-        let lit: usize = line
-            .trim()
-            .parse()
-            .map_err(|_| format_err(format!("invalid input literal '{line}'")))?;
+        let lit = parse_lit(next_line("inputs")?, m, "input literal")?;
         if lit % 2 != 0 {
             return Err(format_err("input literal must be even"));
         }
         let input = aig.add_input(format!("pi{idx}"));
-        var_map[lit / 2] = Some(input);
+        var_map.insert(lit / 2, input);
     }
     // Latches: the state side becomes an extra PI; the reset field is kept.
     let mut latches = Vec::with_capacity(l);
     for idx in 0..l {
         let line = next_line("latches")?;
         let mut parts = line.split_whitespace();
-        let q: usize = parts
-            .next()
-            .ok_or_else(|| format_err("latch line missing literal"))?
-            .parse()
-            .map_err(|_| format_err("invalid latch literal"))?;
+        let q = parse_lit(
+            parts
+                .next()
+                .ok_or_else(|| format_err("latch line missing literal"))?,
+            m,
+            "latch literal",
+        )?;
         if q % 2 != 0 {
             return Err(format_err("latch literal must be even"));
         }
-        let next: usize = parts
-            .next()
-            .ok_or_else(|| format_err("latch line missing next-state literal"))?
-            .parse()
-            .map_err(|_| format_err("invalid latch next-state literal"))?;
+        let next = parse_lit(
+            parts
+                .next()
+                .ok_or_else(|| format_err("latch line missing next-state literal"))?,
+            m,
+            "latch next-state literal",
+        )?;
         let init = parse_latch_init(parts.next(), q)?;
         let latch = aig.add_input(format!("latch{idx}"));
-        var_map[q / 2] = Some(latch);
+        var_map.insert(q / 2, latch);
         latches.push((next, init));
     }
     // Outputs.
     let mut output_lits = Vec::with_capacity(o);
     for _ in 0..o {
-        let line = next_line("outputs")?;
-        let lit: usize = line
-            .trim()
-            .parse()
-            .map_err(|_| format_err(format!("invalid output literal '{line}'")))?;
-        output_lits.push(lit);
+        output_lits.push(parse_lit(next_line("outputs")?, m, "output literal")?);
     }
     // AND gates.  The ASCII format allows definitions in any order, so gather
     // them first and insert in passes until every fanin is defined.
@@ -249,11 +307,10 @@ fn read_ascii(
         let line = next_line("and gates")?;
         let mut parts = line.split_whitespace();
         let mut next_num = |what: &str| -> Result<usize, AigerError> {
-            parts
+            let field = parts
                 .next()
-                .ok_or_else(|| format_err(format!("and line missing {what}")))?
-                .parse()
-                .map_err(|_| format_err(format!("invalid {what}")))
+                .ok_or_else(|| format_err(format!("and line missing {what}")))?;
+            parse_lit(field, m, what)
         };
         let lhs = next_num("lhs")?;
         let rhs0 = next_num("rhs0")?;
@@ -266,16 +323,18 @@ fn read_ascii(
     while !pending.is_empty() {
         let before = pending.len();
         pending.retain(|&(lhs, rhs0, rhs1)| {
-            let ready = var_map[rhs0 / 2].is_some() && var_map[rhs1 / 2].is_some();
-            if ready {
-                let f0 = map_lit(rhs0, &var_map).expect("fanin checked defined");
-                let f1 = map_lit(rhs1, &var_map).expect("fanin checked defined");
-                // Constant folding or structural hashing may return any
-                // literal (possibly complemented); the map stores it as-is.
-                let lit = aig.and(f0, f1);
-                var_map[lhs / 2] = Some(lit);
-            }
-            !ready
+            let (Some(&f0), Some(&f1)) = (var_map.get(&(rhs0 / 2)), var_map.get(&(rhs1 / 2)))
+            else {
+                return true;
+            };
+            // Constant folding or structural hashing may return any
+            // literal (possibly complemented); the map stores it as-is.
+            let lit = aig.and(
+                f0.complement_if(rhs0 % 2 == 1),
+                f1.complement_if(rhs1 % 2 == 1),
+            );
+            var_map.insert(lhs / 2, lit);
+            false
         });
         if pending.len() == before {
             return Err(format_err(
@@ -283,7 +342,12 @@ fn read_ascii(
             ));
         }
     }
-    finish(aig, &var_map, &latches, &output_lits)
+    finish(
+        aig,
+        |var| var_map.get(&var).copied(),
+        &latches,
+        &output_lits,
+    )
 }
 
 fn read_binary(
@@ -295,6 +359,8 @@ fn read_binary(
     a: usize,
 ) -> Result<Aig, AigerError> {
     let mut aig = Aig::new();
+    // Binary variables are dense (`M = I + L + A`), and the header checks
+    // bounded `L + A` by the body length and `I` by `MAX_BINARY_INPUTS`.
     let mut var_map: Vec<Option<Lit>> = vec![None; m + 1];
     var_map[0] = Some(Lit::FALSE);
     // In the binary format inputs are implicitly variables 1..=i.
@@ -320,11 +386,13 @@ fn read_binary(
     for idx in 0..l {
         let line = read_line(&mut cursor)?;
         let mut parts = line.split_whitespace();
-        let next: usize = parts
-            .next()
-            .ok_or_else(|| format_err("latch line missing next-state literal"))?
-            .parse()
-            .map_err(|_| format_err("invalid latch next-state literal"))?;
+        let next = parse_lit(
+            parts
+                .next()
+                .ok_or_else(|| format_err("latch line missing next-state literal"))?,
+            m,
+            "latch next-state literal",
+        )?;
         let init = parse_latch_init(parts.next(), 2 * (i + idx + 1))?;
         let latch = aig.add_input(format!("latch{idx}"));
         var_map[i + idx + 1] = Some(latch);
@@ -333,12 +401,7 @@ fn read_binary(
     // Outputs.
     let mut output_lits = Vec::with_capacity(o);
     for _ in 0..o {
-        let line = read_line(&mut cursor)?;
-        let lit: usize = line
-            .trim()
-            .parse()
-            .map_err(|_| format_err("invalid output literal"))?;
-        output_lits.push(lit);
+        output_lits.push(parse_lit(&read_line(&mut cursor)?, m, "output literal")?);
     }
     // AND gates, delta-encoded.
     let read_delta = |cursor: &mut usize| -> Result<usize, AigerError> {
@@ -367,12 +430,18 @@ fn read_binary(
         let rhs1 = rhs0
             .checked_sub(delta1)
             .ok_or_else(|| format_err("invalid delta1"))?;
-        let f0 = map_lit(rhs0, &var_map)?;
-        let f1 = map_lit(rhs1, &var_map)?;
+        // Both fanins are at most `lhs`, so they are in range.
+        let f0 = map_lit(rhs0, var_map[rhs0 / 2])?;
+        let f1 = map_lit(rhs1, var_map[rhs1 / 2])?;
         let lit = aig.and(f0, f1);
         var_map[lhs / 2] = Some(lit);
     }
-    finish(aig, &var_map, &latches, &output_lits)
+    finish(
+        aig,
+        |var| var_map.get(var).copied().flatten(),
+        &latches,
+        &output_lits,
+    )
 }
 
 /// The canonical AIGER numbering shared by both writers: real inputs (in
@@ -734,6 +803,45 @@ mod tests {
         assert!(read_aiger_str("aag 1 1 0 0\n").is_err());
         assert!(read_aiger_str("aag 5 1 0 0 1\n2\n").is_err());
         assert!(read_aiger_str("xyz 0 0 0 0 0\n").is_err());
+    }
+
+    #[test]
+    fn hostile_headers_fail_before_allocating() {
+        // A 24-byte header whose M would size a multi-gigabyte variable map.
+        assert!(matches!(
+            read_aiger_bytes(b"aag 3000000000 0 0 0 0\n"),
+            Err(AigerError::Format(_))
+        ));
+        // Counts the body cannot hold, and counts that overflow.
+        assert!(read_aiger_bytes(b"aag 1000000 1000000 0 0 0\n2\n").is_err());
+        assert!(read_aiger_bytes(b"aig 1000 0 0 0 1000\n\x02\x01").is_err());
+        assert!(read_aiger_bytes(b"aag 5 18446744073709551615 1 0 0\n").is_err());
+        // Binary inputs are implicit, so the body cannot bound them.
+        for header in [
+            &b"aig 2000000000 2000000000 0 0 0\n"[..],
+            &b"aig 1048577 1048577 0 0 0\n"[..],
+        ] {
+            assert!(matches!(
+                read_aiger_bytes(header),
+                Err(AigerError::Format(_))
+            ));
+        }
+        // A sparse ASCII file is still read.
+        let sparse = read_aiger_str("aag 1000 1 0 1 0\n2000\n2001\n").expect("valid");
+        assert_eq!((sparse.num_inputs(), sparse.num_outputs()), (1, 1));
+    }
+
+    #[test]
+    fn out_of_range_literals_are_errors_not_panics() {
+        // AND fanin 9 exceeds 2M+1 = 7.
+        assert!(matches!(
+            read_aiger_str("aag 3 2 0 1 1\n2\n4\n6\n6 2 9\n"),
+            Err(AigerError::Format(_))
+        ));
+        // The same for an output, a latch next-state and a binary output.
+        assert!(read_aiger_str("aag 1 1 0 1 0\n2\n5\n").is_err());
+        assert!(read_aiger_str("aag 2 1 1 0 0\n2\n4 7\n").is_err());
+        assert!(read_aiger_bytes(b"aig 1 1 0 1 0\n9\n").is_err());
     }
 
     #[test]

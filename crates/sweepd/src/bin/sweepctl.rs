@@ -6,7 +6,7 @@
 //! commands:
 //!   submit FILE [--priority low|normal|high] [--engine baseline|stp]
 //!               [--preset fast|paper|thorough] [--passes SCRIPT]
-//!               [--shards K] [--wait] [-o OUT]
+//!               [--wait] [-o OUT]
 //!   status ID
 //!   cancel ID
 //!   list
@@ -103,7 +103,6 @@ fn run() -> Result<(), String> {
             let mut engine = stp_sweep::Engine::Stp;
             let mut preset = Preset::Fast;
             let mut passes = String::new();
-            let mut shards = 0u32;
             let mut wait = false;
             let mut out = None;
             let mut rest = args[1..].iter();
@@ -124,11 +123,6 @@ fn run() -> Result<(), String> {
                             .ok_or_else(|| err("--preset is fast|paper|thorough"))?
                     }
                     "--passes" => passes = value("--passes")?,
-                    "--shards" => {
-                        shards = value("--shards")?
-                            .parse()
-                            .map_err(|_| err("--shards is a shard count (0 = unsharded)"))?
-                    }
                     "--wait" => wait = true,
                     "-o" => out = Some(PathBuf::from(value("-o")?)),
                     other if file.is_none() && !other.starts_with('-') => {
@@ -141,7 +135,7 @@ fn run() -> Result<(), String> {
             let aiger =
                 std::fs::read(&file).map_err(|e| format!("reading {}: {e}", file.display()))?;
             let (id, adopted) = client
-                .submit_with_options(priority, engine, preset, &passes, shards, &aiger)
+                .submit_with_passes(priority, engine, preset, &passes, &aiger)
                 .map_err(|e| e.to_string())?;
             if adopted {
                 println!("job {id} (adopted an existing job for this netlist)");

@@ -124,29 +124,12 @@ impl SweepClient {
         passes: &str,
         aiger: &[u8],
     ) -> Result<(JobId, bool), ClientError> {
-        self.submit_with_options(priority, engine, preset, passes, 0, aiger)
-    }
-
-    /// Like [`SweepClient::submit_with_passes`], plus a shard count for
-    /// the sweep ([`stp_sweep::SweepConfig::shards`]; `0` runs unsharded).
-    /// Sharding never changes committed results, only which sub-worker
-    /// runs each speculative SAT query.
-    pub fn submit_with_options(
-        &self,
-        priority: Priority,
-        engine: Engine,
-        preset: Preset,
-        passes: &str,
-        shards: u32,
-        aiger: &[u8],
-    ) -> Result<(JobId, bool), ClientError> {
         match self.roundtrip(&Request::Submit {
             priority,
             engine,
             preset,
             aiger: aiger.to_vec(),
             passes: passes.to_string(),
-            shards,
         })? {
             Response::Submitted { id, adopted } => Ok((id, adopted)),
             other => Err(unexpected("Submitted", &other)),

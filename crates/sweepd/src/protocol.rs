@@ -4,10 +4,8 @@
 //! followed by the payload.  Payloads are a tag byte followed by
 //! fixed-width big-endian integers and length-prefixed byte strings —
 //! deliberately dependency-free and versioned by the leading
-//! [`PROTOCOL_VERSION`] byte of every payload: known older versions
-//! (from [`MIN_PROTOCOL_VERSION`]) decode with their missing fields
-//! defaulted, and anything else fails with a clear error instead of a
-//! decode panic.
+//! [`PROTOCOL_VERSION`] byte of every payload: any other version fails
+//! with [`ProtocolError::Malformed`] naming it, instead of a decode panic.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -15,27 +13,11 @@ use std::io::{self, Read, Write};
 use crate::job::{engine_from_u8, engine_to_u8, JobCounters, JobId, JobInfo, JobState, Priority};
 use stp_sweep::Engine;
 
-/// Version byte leading every payload.  Bump on any incompatible change.
-///
-/// Version history:
-///
-/// * **1** — the original protocol.
-/// * **2** — `Submit` carries a pass script (the
-///   [`stp_sweep::PassManager::parse`] grammar); empty means "run the
-///   engine's plain sweep", exactly what a v1 submission requests.
-/// * **3** — `Submit` carries a shard count for the sweep
-///   ([`stp_sweep::SweepConfig::shards`]); `0` means "unsharded", exactly
-///   what every earlier submission requests.  Sharding never changes
-///   committed results, so a defaulted field is purely a scheduling
-///   preference, not a behaviour drift.
-///
-/// This build always *encodes* version 3 but *decodes* any version from
-/// [`MIN_PROTOCOL_VERSION`] up, defaulting the fields an older peer could
-/// not have sent — so old clients can still submit and drive jobs.
-pub const PROTOCOL_VERSION: u8 = 3;
-
-/// Oldest payload version this build still decodes.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
+/// Version byte leading every payload, the only version this build speaks.
+/// Version 4 is the `Submit` of priority, engine, preset, AIGER bytes and
+/// pass script; the daemon and `sweepctl` ship together, so older
+/// versions are not decoded.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound on a frame payload, protecting the daemon from a garbage
 /// length prefix.  64 MiB comfortably covers the binary AIGER of the
@@ -110,13 +92,8 @@ pub enum Request {
         aiger: Vec<u8>,
         /// Optional pass script in the [`stp_sweep::PassManager::parse`]
         /// grammar (e.g. `"strash;rewrite;sweep(stp)"`).  Empty runs the
-        /// engine's plain sweep — the only behaviour protocol v1 could
-        /// request, and what v1 submissions decode to.
+        /// engine's plain sweep.
         passes: String,
-        /// Shard count for the sweep ([`stp_sweep::SweepConfig::shards`]);
-        /// `0` runs unsharded — the only behaviour protocols v1/v2 could
-        /// request, and what their submissions decode to.
-        shards: u32,
     },
     /// Ask for the state of one job.
     Status {
@@ -251,10 +228,6 @@ impl Enc {
         self.buf.push(value);
     }
 
-    fn u32(&mut self, value: u32) {
-        self.buf.extend_from_slice(&value.to_be_bytes());
-    }
-
     fn u64(&mut self, value: u64) {
         self.buf.extend_from_slice(&value.to_be_bytes());
     }
@@ -274,9 +247,6 @@ impl Enc {
 struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
-    /// Version byte the peer sent; fields newer than it decode to their
-    /// defaults instead of being read.
-    version: u8,
 }
 
 type DecResult<T> = Result<T, ProtocolError>;
@@ -287,19 +257,13 @@ fn malformed(what: impl Into<String>) -> ProtocolError {
 
 impl<'a> Dec<'a> {
     fn new(data: &'a [u8]) -> DecResult<(u8, Self)> {
-        let mut dec = Dec {
-            data,
-            pos: 0,
-            version: PROTOCOL_VERSION,
-        };
+        let mut dec = Dec { data, pos: 0 };
         let version = dec.u8()?;
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(malformed(format!(
-                "protocol version {version} (this build speaks \
-                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                "protocol version {version} (this build speaks {PROTOCOL_VERSION})"
             )));
         }
-        dec.version = version;
         let tag = dec.u8()?;
         Ok((tag, dec))
     }
@@ -422,7 +386,6 @@ impl Request {
                 preset,
                 aiger,
                 passes,
-                shards,
             } => {
                 let mut enc = Enc::new(REQ_SUBMIT);
                 enc.u8(priority.to_u8());
@@ -430,7 +393,6 @@ impl Request {
                 enc.u8(preset.to_u8());
                 enc.bytes(aiger);
                 enc.str(passes);
-                enc.u32(*shards);
                 enc.buf
             }
             Request::Status { id } => {
@@ -463,14 +425,7 @@ impl Request {
                 engine: engine_from_u8(dec.u8()?).ok_or_else(|| malformed("unknown engine"))?,
                 preset: Preset::from_u8(dec.u8()?).ok_or_else(|| malformed("unknown preset"))?,
                 aiger: dec.bytes()?,
-                // A v1 peer cannot ask for a pass script: plain sweep.
-                passes: if dec.version >= 2 {
-                    dec.str()?
-                } else {
-                    String::new()
-                },
-                // A v1/v2 peer cannot ask for sharding: unsharded.
-                shards: if dec.version >= 3 { dec.u32()? } else { 0 },
+                passes: dec.str()?,
             },
             REQ_STATUS => Request::Status { id: dec.u64()? },
             REQ_CANCEL => Request::Cancel { id: dec.u64()? },
@@ -622,7 +577,6 @@ mod tests {
                 preset: Preset::Thorough,
                 aiger: b"aag 0 0 0 0 0\n".to_vec(),
                 passes: String::new(),
-                shards: 0,
             },
             Request::Submit {
                 priority: Priority::High,
@@ -630,7 +584,6 @@ mod tests {
                 preset: Preset::Paper,
                 aiger: b"aag 0 0 0 0 0\n".to_vec(),
                 passes: "strash;rewrite;sweep(stp);verify".into(),
-                shards: 4,
             },
             Request::Status { id: 7 },
             Request::Cancel { id: u64::MAX },
@@ -714,67 +667,41 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_still_decode() {
-        // Requests without version-2 fields decode identically under
-        // either version byte.
-        let mut old_list = Request::List.encode();
-        old_list[0] = 1;
-        assert_eq!(Request::decode(&old_list).expect("v1 list"), Request::List);
-
-        // A hand-built v1 Submit (no trailing pass script) decodes to an
-        // empty script — the plain sweep it was asking for all along.
-        let aiger = b"aag 0 0 0 0 0\n";
-        let mut v1_submit: Vec<u8> = vec![
-            1, // version
-            super::REQ_SUBMIT,
-            Priority::Normal.to_u8(),
-            engine_to_u8(Engine::Stp),
-            Preset::Fast.to_u8(),
-        ];
-        v1_submit.extend_from_slice(&(aiger.len() as u32).to_be_bytes());
-        v1_submit.extend_from_slice(aiger);
-        assert_eq!(
-            Request::decode(&v1_submit).expect("v1 submit"),
-            Request::Submit {
-                priority: Priority::Normal,
-                engine: Engine::Stp,
-                preset: Preset::Fast,
-                aiger: aiger.to_vec(),
-                passes: String::new(),
-                shards: 0,
-            }
-        );
-    }
-
-    #[test]
-    fn v2_submits_decode_to_unsharded_jobs() {
-        // A hand-built v2 Submit: pass script present, no trailing shard
-        // count.  It decodes to shards = 0 — the unsharded sweep a v2 peer
-        // was asking for all along.
+    fn retired_versions_are_rejected_with_a_typed_error() {
+        // A v3 Submit: pass script plus the trailing shard count that
+        // version carried.
         let aiger = b"aag 0 0 0 0 0\n";
         let passes = b"strash;sweep(stp)";
-        let mut v2_submit: Vec<u8> = vec![
-            2, // version
+        let mut v3_submit: Vec<u8> = vec![
+            3, // version
             super::REQ_SUBMIT,
             Priority::High.to_u8(),
             engine_to_u8(Engine::Baseline),
             Preset::Paper.to_u8(),
         ];
-        v2_submit.extend_from_slice(&(aiger.len() as u32).to_be_bytes());
-        v2_submit.extend_from_slice(aiger);
-        v2_submit.extend_from_slice(&(passes.len() as u32).to_be_bytes());
-        v2_submit.extend_from_slice(passes);
-        assert_eq!(
-            Request::decode(&v2_submit).expect("v2 submit"),
-            Request::Submit {
-                priority: Priority::High,
-                engine: Engine::Baseline,
-                preset: Preset::Paper,
-                aiger: aiger.to_vec(),
-                passes: "strash;sweep(stp)".into(),
-                shards: 0,
-            }
-        );
+        v3_submit.extend_from_slice(&(aiger.len() as u32).to_be_bytes());
+        v3_submit.extend_from_slice(aiger);
+        v3_submit.extend_from_slice(&(passes.len() as u32).to_be_bytes());
+        v3_submit.extend_from_slice(passes);
+        v3_submit.extend_from_slice(&2u32.to_be_bytes());
+        let err = Request::decode(&v3_submit).expect_err("v3 is retired");
+        assert!(matches!(err, ProtocolError::Malformed(_)), "got {err}");
+        assert!(err.to_string().contains("version 3"), "got {err}");
+
+        // Every other version byte fails the same way, for responses too.
+        for version in [0u8, 1, 2, PROTOCOL_VERSION + 1] {
+            let named = format!("version {version}");
+            let mut list = Request::List.encode();
+            list[0] = version;
+            let err = Request::decode(&list).expect_err("retired version");
+            assert!(matches!(err, ProtocolError::Malformed(_)), "got {err}");
+            assert!(err.to_string().contains(&named), "got {err}");
+            let mut done = Response::Done.encode();
+            done[0] = version;
+            let err = Response::decode(&done).expect_err("retired version");
+            assert!(matches!(err, ProtocolError::Malformed(_)), "got {err}");
+            assert!(err.to_string().contains(&named), "got {err}");
+        }
     }
 
     #[test]
@@ -782,10 +709,6 @@ mod tests {
         let mut wrong_version = Request::List.encode();
         wrong_version[0] = PROTOCOL_VERSION + 1;
         let err = Request::decode(&wrong_version).expect_err("version");
-        assert!(err.to_string().contains("protocol version"), "got {err}");
-
-        wrong_version[0] = MIN_PROTOCOL_VERSION - 1;
-        let err = Request::decode(&wrong_version).expect_err("version zero");
         assert!(err.to_string().contains("protocol version"), "got {err}");
 
         let unknown_tag = [PROTOCOL_VERSION, 250];
@@ -804,13 +727,11 @@ mod tests {
             preset: Preset::Fast,
             aiger: vec![0; 8],
             passes: String::new(),
-            shards: 0,
         }
         .encode();
-        // ... the AIGER length prefix sits before the 8 AIGER bytes, the
-        // (empty) pass-script string's own 4-byte length, and the 4-byte
-        // shard count.
-        let len_at = lying.len() - 4 - 4 - 8 - 4;
+        // ... the AIGER length prefix sits before the 8 AIGER bytes and the
+        // (empty) pass-script string's own 4-byte length.
+        let len_at = lying.len() - 4 - 8 - 4;
         lying[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(Request::decode(&lying).is_err());
     }

@@ -105,10 +105,6 @@ struct Job {
     /// jobs run whole pipelines per slice and are never mid-script
     /// resumable, so they keep no checkpoint.
     passes: String,
-    /// Shard count of the sweep; 0 runs unsharded.  Sharding never changes
-    /// committed results, so it is a scheduling preference the dedup check
-    /// still treats as a setting.
-    shards: u32,
     aig: Arc<Aig>,
     state: JobState,
     /// Latest suspension checkpoint, encoded.
@@ -175,7 +171,6 @@ struct Claim {
     engine: Engine,
     preset: Preset,
     passes: String,
-    shards: u32,
     checkpoint: Option<Vec<u8>>,
     token: CancelToken,
     quantum: Duration,
@@ -258,7 +253,6 @@ impl SweepService {
                         engine: recovered.job.engine,
                         preset: recovered.job.preset,
                         passes: recovered.job.passes,
-                        shards: recovered.job.shards,
                         aig: Arc::new(aig),
                         state: if has_checkpoint {
                             JobState::Suspended
@@ -315,7 +309,7 @@ impl SweepService {
         preset: Preset,
         aiger: &[u8],
     ) -> Result<(JobId, bool), String> {
-        self.submit_with_options(priority, engine, preset, "", 0, aiger)
+        self.submit_with_passes(priority, engine, preset, "", aiger)
     }
 
     /// Submits a netlist with an optional pass script (the
@@ -333,23 +327,6 @@ impl SweepService {
         passes: &str,
         aiger: &[u8],
     ) -> Result<(JobId, bool), String> {
-        self.submit_with_options(priority, engine, preset, passes, 0, aiger)
-    }
-
-    /// Like [`SweepService::submit_with_passes`], plus a shard count for
-    /// the sweep ([`stp_sweep::SweepConfig::shards`]; `0` runs unsharded).
-    /// Sharding never changes committed results — the daemon battery pins
-    /// sharded jobs byte-identical to unsharded ones — so the knob only
-    /// trades peak memory against candidate-ordering locality.
-    pub fn submit_with_options(
-        &self,
-        priority: Priority,
-        engine: Engine,
-        preset: Preset,
-        passes: &str,
-        shards: u32,
-        aiger: &[u8],
-    ) -> Result<(JobId, bool), String> {
         if self.inner.shutdown.load(Ordering::Relaxed) {
             return Err("the service is shutting down".into());
         }
@@ -362,13 +339,9 @@ impl SweepService {
         let mut state = self.lock();
         if let Some(&id) = state.by_fp.get(&fp) {
             let job = state.jobs.get_mut(&id).expect("by_fp is consistent");
-            if job.engine != engine
-                || job.preset != preset
-                || job.passes != passes
-                || job.shards != shards
-            {
+            if job.engine != engine || job.preset != preset || job.passes != passes {
                 return Err(format!(
-                    "job {id} already sweeps this netlist under {}/{}{}{}; \
+                    "job {id} already sweeps this netlist under {}/{}{}; \
                      cancel it first to change settings",
                     job.engine,
                     job.preset,
@@ -376,11 +349,6 @@ impl SweepService {
                         String::new()
                     } else {
                         format!(" with passes \"{}\"", job.passes)
-                    },
-                    if job.shards == 0 {
-                        String::new()
-                    } else {
-                        format!(" with {} shards", job.shards)
                     }
                 ));
             }
@@ -409,7 +377,6 @@ impl SweepService {
             engine,
             preset,
             passes: passes.to_string(),
-            shards,
             aig: Arc::new(aig),
             state: JobState::Queued,
             checkpoint: None,
@@ -465,7 +432,6 @@ impl SweepService {
                         preset: job.preset,
                         aiger: write_aiger_string(&job.aig).into_bytes(),
                         passes: job.passes.clone(),
-                        shards: job.shards,
                     },
                 );
             }
@@ -659,7 +625,6 @@ fn worker_loop(inner: &Arc<Inner>) {
                         engine: job.engine,
                         preset: job.preset,
                         passes: job.passes.clone(),
-                        shards: job.shards,
                         checkpoint: job.checkpoint.clone(),
                         token,
                         quantum: inner
@@ -685,7 +650,7 @@ fn run_slice(inner: &Arc<Inner>, claim: Claim) {
         .with_deadline(claim.quantum)
         .with_cancel_token(claim.token.clone());
     let scripted = !claim.passes.is_empty();
-    let mut config = effective_config(claim.preset).shards(claim.shards as usize);
+    let mut config = effective_config(claim.preset);
     if !scripted && inner.spill.is_some() && inner.checkpoint_every_secs > 0.0 {
         config = config.checkpoint_every_secs(inner.checkpoint_every_secs);
     }

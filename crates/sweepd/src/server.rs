@@ -94,9 +94,7 @@ fn dispatch(service: &SweepService, request: &Request) -> Response {
             preset,
             aiger,
             passes,
-            shards,
-        } => match service.submit_with_options(*priority, *engine, *preset, passes, *shards, aiger)
-        {
+        } => match service.submit_with_passes(*priority, *engine, *preset, passes, aiger) {
             Ok((id, adopted)) => Response::Submitted { id, adopted },
             Err(reason) => Response::Error(reason),
         },

@@ -26,15 +26,10 @@ use crate::job::{engine_from_u8, engine_to_u8, Priority};
 use crate::protocol::Preset;
 use stp_sweep::Engine;
 
-/// Current `.job` format: v2 plus a trailing shard count.
-const JOB_MAGIC: &[u8; 4] = b"SWJ3";
-/// The pre-shard `.job` format, still accepted by [`SpillDir::read_job`]
-/// (its jobs run unsharded).
-const JOB_MAGIC_V2: &[u8; 4] = b"SWJ2";
-/// The pre-pass-script `.job` format, still accepted by
-/// [`SpillDir::read_job`] (its jobs carry an empty script and run
-/// unsharded).
-const JOB_MAGIC_V1: &[u8; 4] = b"SWJ1";
+/// The `.job` format, the only one read: priority, engine, preset, the
+/// AIGER bytes and the pass script.  Spill files outlive a daemon only
+/// until the same build restarts, so older magics are not read.
+const JOB_MAGIC: &[u8; 4] = b"SWJ4";
 const CKPT_MAGIC: &[u8; 4] = b"SWC1";
 
 /// FNV-1a, the workspace's stock integrity hash for sidecar files.
@@ -59,13 +54,8 @@ pub struct SpilledJob {
     /// The original AIGER bytes — resumes always run against this exact
     /// netlist, which is what makes spilled checkpoints byte-exact.
     pub aiger: Vec<u8>,
-    /// Pass script of a scripted submission; empty for a plain sweep
-    /// (and for every job recovered from a v1 `.job` file).
+    /// Pass script of a scripted submission; empty for a plain sweep.
     pub passes: String,
-    /// Shard count of the sweep ([`stp_sweep::SweepConfig::shards`]);
-    /// `0` — unsharded — for every job recovered from a v1/v2 `.job`
-    /// file.
-    pub shards: u32,
 }
 
 /// One job recovered by [`SpillDir::scan`].
@@ -122,15 +112,8 @@ impl SpillDir {
     }
 
     /// Reads a checksummed file back; `Ok(None)` when missing, an error
-    /// when present but corrupt.
+    /// when present but corrupt or of another format.
     fn read_verified(path: &Path, magic: &[u8; 4]) -> io::Result<Option<Vec<u8>>> {
-        Ok(Self::read_verified_any(path, &[magic])?.map(|(_, body)| body))
-    }
-
-    /// Like [`Self::read_verified`], but accepting any of several format
-    /// magics; returns the index of the one that matched alongside the
-    /// payload, so callers can parse older layouts.
-    fn read_verified_any(path: &Path, magics: &[&[u8; 4]]) -> io::Result<Option<(usize, Vec<u8>)>> {
         let bytes = match fs::read(path) {
             Ok(bytes) => bytes,
             Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -142,19 +125,14 @@ impl SpillDir {
                 format!("{}: {what}", path.display()),
             )
         };
-        let which = if bytes.len() >= 12 {
-            magics.iter().position(|magic| &bytes[..4] == *magic)
-        } else {
-            None
-        };
-        let Some(which) = which else {
+        if bytes.len() < 12 || &bytes[..4] != magic {
             return Err(corrupt("bad magic or truncated"));
-        };
+        }
         let (body, sum) = bytes.split_at(bytes.len() - 8);
         if fnv64(body) != u64::from_be_bytes(sum.try_into().expect("8 bytes")) {
             return Err(corrupt("checksum mismatch"));
         }
-        Ok(Some((which, body[4..].to_vec())))
+        Ok(Some(body[4..].to_vec()))
     }
 
     /// Records a submission durably.
@@ -167,22 +145,15 @@ impl SpillDir {
         payload.extend_from_slice(&job.aiger);
         payload.extend_from_slice(&(job.passes.len() as u32).to_be_bytes());
         payload.extend_from_slice(job.passes.as_bytes());
-        payload.extend_from_slice(&job.shards.to_be_bytes());
         Self::write_atomic(&self.job_path(fp), JOB_MAGIC, &payload)
     }
 
-    /// Reads a submission back; `Ok(None)` when no `.job` file exists.
-    /// The current (`SWJ3`) and both older (`SWJ2`, `SWJ1`) layouts are
-    /// accepted; v2 jobs come back unsharded, v1 jobs additionally with
-    /// an empty pass script.
+    /// Reads a submission back; `Ok(None)` when no `.job` file exists, an
+    /// error when it is corrupt or of another format.
     pub fn read_job(&self, fp: u64) -> io::Result<Option<SpilledJob>> {
-        let Some((which, payload)) =
-            Self::read_verified_any(&self.job_path(fp), &[JOB_MAGIC, JOB_MAGIC_V2, JOB_MAGIC_V1])?
-        else {
+        let Some(payload) = Self::read_verified(&self.job_path(fp), JOB_MAGIC)? else {
             return Ok(None);
         };
-        let is_v1 = which == 2;
-        let has_shards = which == 0;
         let corrupt = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         if payload.len() < 11 {
             return Err(corrupt("job record truncated"));
@@ -195,44 +166,25 @@ impl SpillDir {
             .checked_add(len)
             .filter(|&end| end <= payload.len())
             .ok_or_else(|| corrupt("job record length mismatch"))?;
-        let (passes, shards) = if is_v1 {
-            if payload.len() != aiger_end {
-                return Err(corrupt("job record length mismatch"));
-            }
-            (String::new(), 0)
-        } else {
-            if payload.len() < aiger_end + 4 {
-                return Err(corrupt("job record truncated"));
-            }
-            let passes_len = u32::from_be_bytes(
-                payload[aiger_end..aiger_end + 4]
-                    .try_into()
-                    .expect("4 bytes"),
-            ) as usize;
-            let passes_end = aiger_end
-                .checked_add(4 + passes_len)
-                .filter(|&end| end <= payload.len())
-                .ok_or_else(|| corrupt("job record length mismatch"))?;
-            let tail = if has_shards { 4 } else { 0 };
-            if payload.len() != passes_end + tail {
-                return Err(corrupt("job record length mismatch"));
-            }
-            let passes = String::from_utf8(payload[aiger_end + 4..passes_end].to_vec())
-                .map_err(|_| corrupt("non-UTF-8 pass script"))?;
-            let shards = if has_shards {
-                u32::from_be_bytes(payload[passes_end..].try_into().expect("4 bytes"))
-            } else {
-                0
-            };
-            (passes, shards)
-        };
+        if payload.len() < aiger_end + 4 {
+            return Err(corrupt("job record truncated"));
+        }
+        let passes_len = u32::from_be_bytes(
+            payload[aiger_end..aiger_end + 4]
+                .try_into()
+                .expect("4 bytes"),
+        ) as usize;
+        if payload.len() - (aiger_end + 4) != passes_len {
+            return Err(corrupt("job record length mismatch"));
+        }
+        let passes = String::from_utf8(payload[aiger_end + 4..].to_vec())
+            .map_err(|_| corrupt("non-UTF-8 pass script"))?;
         Ok(Some(SpilledJob {
             priority,
             engine,
             preset,
             aiger: payload[11..aiger_end].to_vec(),
             passes,
-            shards,
         }))
     }
 
@@ -312,55 +264,57 @@ mod tests {
             preset: Preset::Fast,
             aiger: b"aag 1 1 0 1 0\n2\n2\n".to_vec(),
             passes: String::new(),
-            shards: 0,
         }
     }
 
     #[test]
-    fn scripted_jobs_round_trip_and_v1_files_still_read() {
+    fn scripted_jobs_round_trip_and_retired_formats_are_skipped() {
         let spill = SpillDir::open(fresh_dir("script")).expect("open");
         let scripted = SpilledJob {
             passes: "strash;rewrite;sweep(stp);verify".into(),
-            shards: 4,
             ..sample_job()
         };
         spill.write_job(0xC0, &scripted).expect("write");
         assert_eq!(spill.read_job(0xC0).expect("read"), Some(scripted));
 
-        // A `.job` file spilled by a pre-script build: same payload, SWJ1
-        // magic, no trailing script field.  It must read back with an
-        // empty script, not an error.
-        let v1 = sample_job();
+        // A `.job` file of the retired SWJ3 layout (a pass script plus a
+        // trailing shard count), intact under its own checksum: reading it
+        // is an error, and a scan skips the job without panicking.
+        let old = sample_job();
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOB_MAGIC_V1);
-        bytes.push(v1.priority.to_u8());
-        bytes.push(engine_to_u8(v1.engine));
-        bytes.push(v1.preset.to_u8());
-        bytes.extend_from_slice(&(v1.aiger.len() as u64).to_be_bytes());
-        bytes.extend_from_slice(&v1.aiger);
+        bytes.extend_from_slice(b"SWJ3");
+        bytes.push(old.priority.to_u8());
+        bytes.push(engine_to_u8(old.engine));
+        bytes.push(old.preset.to_u8());
+        bytes.extend_from_slice(&(old.aiger.len() as u64).to_be_bytes());
+        bytes.extend_from_slice(&old.aiger);
+        bytes.extend_from_slice(&0u32.to_be_bytes());
+        bytes.extend_from_slice(&2u32.to_be_bytes());
         bytes.extend_from_slice(&fnv64(&bytes).to_be_bytes());
-        fs::write(spill.path().join(format!("{:016x}.job", 0xC1u64)), &bytes).expect("write v1");
-        assert_eq!(spill.read_job(0xC1).expect("read v1"), Some(v1));
+        fs::write(spill.path().join(format!("{:016x}.job", 0xC1u64)), &bytes).expect("write");
+        let err = spill.read_job(0xC1).expect_err("SWJ3 is retired");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let recovered = spill.scan().expect("scan");
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].canonical_fingerprint, 0xC0);
+        let _ = fs::remove_dir_all(spill.path());
+    }
 
-        // A `.job` file spilled by a pre-shard build: SWJ2 magic, a pass
-        // script, no trailing shard count.  It must read back unsharded.
-        let v2 = SpilledJob {
-            passes: "strash;sweep(stp)".into(),
-            ..sample_job()
-        };
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOB_MAGIC_V2);
-        bytes.push(v2.priority.to_u8());
-        bytes.push(engine_to_u8(v2.engine));
-        bytes.push(v2.preset.to_u8());
-        bytes.extend_from_slice(&(v2.aiger.len() as u64).to_be_bytes());
-        bytes.extend_from_slice(&v2.aiger);
-        bytes.extend_from_slice(&(v2.passes.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(v2.passes.as_bytes());
-        bytes.extend_from_slice(&fnv64(&bytes).to_be_bytes());
-        fs::write(spill.path().join(format!("{:016x}.job", 0xC2u64)), &bytes).expect("write v2");
-        assert_eq!(spill.read_job(0xC2).expect("read v2"), Some(v2));
-        assert_eq!(spill.scan().expect("scan").len(), 3);
+    #[test]
+    fn a_job_record_with_trailing_bytes_is_corrupt() {
+        let spill = SpillDir::open(fresh_dir("trailing")).expect("open");
+        let job = sample_job();
+        let mut payload = vec![
+            job.priority.to_u8(),
+            engine_to_u8(job.engine),
+            job.preset.to_u8(),
+        ];
+        payload.extend_from_slice(&(job.aiger.len() as u64).to_be_bytes());
+        payload.extend_from_slice(&job.aiger);
+        payload.extend_from_slice(&0u32.to_be_bytes());
+        payload.push(0);
+        SpillDir::write_atomic(&spill.job_path(0xD0), JOB_MAGIC, &payload).expect("write");
+        assert!(spill.read_job(0xD0).is_err());
         let _ = fs::remove_dir_all(spill.path());
     }
 

@@ -417,7 +417,6 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
             preset: Preset::Fast,
             aiger: aiger_bytes(&other),
             passes: script.to_string(),
-            shards: 0,
         },
     )
     .expect("job spills");
@@ -447,58 +446,57 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 }
 
 #[test]
-fn a_sharded_job_matches_the_unsharded_reference() {
-    // Sharding is a scheduling preference, not a behaviour: a job swept
-    // over 3 shards — sliced on a tiny quantum, with within-slice
-    // checkpoints spilled and resumed — must produce the same AIGER bytes
-    // and committed counters as the unsharded, uninterrupted reference.
-    let aig = inject_redundancy(&generators::barrel_shifter(16), 0.5, 21);
-    let spill = fresh_dir("sharded");
+fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
+    // A spilled sweep job whose `SWC1` sidecar holds checkpoint bytes of
+    // format version 5: intact as a spill file, but not a checkpoint this
+    // build decodes.  The job is re-adopted as queued — exactly like a job
+    // with a corrupt checkpoint — and reruns to the uninterrupted result.
+    let aig = inject_redundancy(&generators::barrel_shifter(8), 0.5, 21);
+    let fp = canonical_fingerprint(&aig);
+    let spill = fresh_dir("retired");
+    let dir = SpillDir::open(&spill).expect("spill dir opens");
+    dir.write_job(
+        fp,
+        &SpilledJob {
+            priority: Priority::Normal,
+            engine: Engine::Stp,
+            preset: Preset::Fast,
+            aiger: aiger_bytes(&aig),
+            passes: String::new(),
+        },
+    )
+    .expect("job spills");
+    let mut v5 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
+    v5.extend_from_slice(&5u32.to_le_bytes());
+    v5.extend_from_slice(&[0x5A; 256]);
+    assert_eq!(
+        stp_sweep::SweepCheckpoint::decode(&v5),
+        Err(stp_sweep::CheckpointError::UnsupportedVersion(5))
+    );
+    dir.write_checkpoint(fp, &v5).expect("checkpoint spills");
+
     let service = SweepService::start(ServiceConfig {
-        workers: 2,
-        quantum: Duration::from_millis(2),
+        workers: 1,
+        quantum: Duration::from_secs(3600),
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.05,
+        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
-    let (id, adopted) = service
-        .submit_with_options(
-            Priority::Normal,
-            Engine::Stp,
-            Preset::Fast,
-            "",
-            3,
-            &aiger_bytes(&aig),
-        )
-        .expect("submit succeeds");
-    assert!(!adopted);
-
-    // A resubmission under a different shard count is a settings conflict,
-    // same as changing the engine or the script.
-    let err = service
-        .submit_with_options(
-            Priority::Normal,
-            Engine::Stp,
-            Preset::Fast,
-            "",
-            2,
-            &aiger_bytes(&aig),
-        )
-        .expect_err("a conflicting shard count is refused");
-    assert!(
-        err.contains("3 shards"),
-        "the error names the shards: {err}"
+    let recovered = service.list();
+    assert_eq!(recovered.len(), 1, "the spilled job is re-adopted");
+    assert_eq!(recovered[0].canonical_fingerprint, fp);
+    // Re-adopted as queued, not suspended: the worker may already have
+    // claimed it, but it never resumes from the undecodable checkpoint.
+    assert_ne!(
+        recovered[0].state,
+        JobState::Suspended,
+        "no progress is carried over"
     );
-
-    let info = service.wait(id, WAIT).expect("job finishes");
+    let info = service.wait(recovered[0].id, WAIT).expect("job finishes");
     assert_eq!(info.state, JobState::Done);
-    let (aiger, counters) = service.fetch(id).expect("done job has output");
+    let (aiger, counters) = service.fetch(info.id).expect("output");
     let (want_aiger, want_counters) = reference(Engine::Stp, Preset::Fast, &aig);
-    assert_eq!(
-        String::from_utf8(aiger).expect("AIGER is text"),
-        want_aiger,
-        "sharded daemon output differs from the unsharded reference"
-    );
+    assert_eq!(String::from_utf8(aiger).expect("AIGER is text"), want_aiger);
     assert_eq!(counters, want_counters);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&spill);

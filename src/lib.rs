@@ -53,8 +53,8 @@ pub use workloads;
 
 pub use netlist::canonical_fingerprint;
 pub use stp_sweep::{
-    bmc_sec, netlist_fingerprint, BatchPolicy, Budget, BudgetCause, CancelToken, CheckpointError,
-    Engine, NoopObserver, Observer, ParsePassError, Pass, PassCtx, PassManager, PassReport,
-    Pipeline, PipelineResult, SatCallOutcome, SecResult, StatsObserver, SweepCheckpoint,
-    SweepConfig, SweepError, SweepReport, SweepResult, SweepSession, Sweeper,
+    bmc_sec, netlist_fingerprint, Budget, BudgetCause, CancelToken, CheckpointError, Engine,
+    NoopObserver, Observer, ParsePassError, Pass, PassCtx, PassManager, PassReport, Pipeline,
+    PipelineResult, SatCallOutcome, SecResult, StatsObserver, SweepCheckpoint, SweepConfig,
+    SweepError, SweepReport, SweepResult, SweepSession, Sweeper,
 };

@@ -3,7 +3,7 @@
 //! Headline invariant of the checkpoint subsystem: cancel a sweep at any
 //! candidate boundary, resume it from the checkpoint, and the final SAT
 //! calls, merges and output AIGER bytes are identical to an uninterrupted
-//! run — for every `sat_parallelism` × `num_threads`.  The battery
+//! run — for every `num_threads`.  The battery
 //! exercises both cancellation mechanisms (`max_sat_calls` budget caps and
 //! a mid-run [`CancelToken`] tripped from an observer callback), round-trips
 //! every checkpoint through its binary encoding, and pins the corruption
@@ -31,13 +31,12 @@ fn workload() -> Aig {
     inject_redundancy(&bench.aig, 0.3, 11)
 }
 
-fn config(sat_parallelism: usize, num_threads: usize) -> SweepConfig {
+fn config(num_threads: usize) -> SweepConfig {
     SweepConfig {
         num_initial_patterns: 16,
         sat_guided_patterns: false,
         ..SweepConfig::default()
     }
-    .sat_parallelism(sat_parallelism)
     .parallelism(num_threads)
 }
 
@@ -85,50 +84,48 @@ impl Observer for CancelAfter {
 fn checkpoint_resume_identity_across_parallelism_grid() {
     let aig = workload();
     for engine in [Engine::Stp, Engine::Baseline] {
-        for sat_parallelism in [1usize, 4] {
-            for num_threads in [1usize, 4] {
-                let config = config(sat_parallelism, num_threads);
-                let reference = Sweeper::new(engine)
+        for num_threads in [1usize, 4] {
+            let config = config(num_threads);
+            let reference = Sweeper::new(engine)
+                .config(config)
+                .run(&aig)
+                .expect("uninterrupted run finishes");
+            let total = reference.report.sat_calls_total;
+            assert!(total >= 4, "workload must need SAT calls (got {total})");
+
+            // Budget-cap cancellation at a spread of candidate
+            // boundaries (the first, the last, and the quartiles).
+            for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
+                let cut = cut.max(1);
+                let context = format!(
+                    "{engine}, num_threads={num_threads}, \
+                         cancelled after {cut}/{total} SAT calls"
+                );
+                let err = Sweeper::new(engine)
                     .config(config)
+                    .budget(Budget::unlimited().with_max_sat_calls(cut))
                     .run(&aig)
-                    .expect("uninterrupted run finishes");
-                let total = reference.report.sat_calls_total;
-                assert!(total >= 4, "workload must need SAT calls (got {total})");
+                    .expect_err("the cap must trip");
+                let partial = match &err {
+                    SweepError::BudgetExhausted { partial, .. } => partial,
+                    other => panic!("unexpected error: {other}"),
+                };
+                assert_eq!(partial.report.sat_calls_total, cut, "{context}");
+                let checkpoint = err
+                    .into_checkpoint()
+                    .expect("a primed budget stop carries a checkpoint");
+                assert_eq!(checkpoint.sat_calls(), cut, "{context}");
 
-                // Budget-cap cancellation at a spread of candidate
-                // boundaries (the first, the last, and the quartiles).
-                for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
-                    let cut = cut.max(1);
-                    let context = format!(
-                        "{engine}, sat_parallelism={sat_parallelism}, \
-                         num_threads={num_threads}, cancelled after {cut}/{total} SAT calls"
-                    );
-                    let err = Sweeper::new(engine)
-                        .config(config)
-                        .budget(Budget::unlimited().with_max_sat_calls(cut))
-                        .run(&aig)
-                        .expect_err("the cap must trip");
-                    let partial = match &err {
-                        SweepError::BudgetExhausted { partial, .. } => partial,
-                        other => panic!("unexpected error: {other}"),
-                    };
-                    assert_eq!(partial.report.sat_calls_total, cut, "{context}");
-                    let checkpoint = err
-                        .into_checkpoint()
-                        .expect("a primed budget stop carries a checkpoint");
-                    assert_eq!(checkpoint.sat_calls(), cut, "{context}");
-
-                    // Round-trip through the binary codec before resuming.
-                    let decoded = SweepCheckpoint::decode(&checkpoint.encode())
-                        .expect("own encoding decodes");
-                    assert_eq!(decoded, checkpoint);
-                    let resumed = Sweeper::new(engine)
-                        .resume_from(&aig, &decoded)
-                        .expect("fingerprints match")
-                        .run()
-                        .expect("unlimited resume finishes");
-                    assert_identical(&resumed, &reference, &context);
-                }
+                // Round-trip through the binary codec before resuming.
+                let decoded =
+                    SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
+                assert_eq!(decoded, checkpoint);
+                let resumed = Sweeper::new(engine)
+                    .resume_from(&aig, &decoded)
+                    .expect("fingerprints match")
+                    .run()
+                    .expect("unlimited resume finishes");
+                assert_identical(&resumed, &reference, &context);
             }
         }
     }
@@ -137,7 +134,7 @@ fn checkpoint_resume_identity_across_parallelism_grid() {
 #[test]
 fn checkpoint_resume_identity_after_mid_run_cancel_token() {
     let aig = workload();
-    let config = config(4, 4);
+    let config = config(4);
     let reference = Sweeper::new(Engine::Stp)
         .config(config)
         .run(&aig)
@@ -161,8 +158,6 @@ fn checkpoint_resume_identity_after_mid_run_cancel_token() {
         let checkpoint = err
             .into_checkpoint()
             .expect("a primed cancel carries a checkpoint");
-        // A token can trip mid-batch: the checkpoint then carries the
-        // half-committed batch and the resume replays it exactly.
         let resumed = Sweeper::new(Engine::Stp)
             .resume_from(&aig, &checkpoint)
             .expect("fingerprints match")
@@ -183,7 +178,7 @@ fn checkpoint_chained_cancels_still_reach_identity() {
     // run.  (`max_sat_calls` caps the cumulative total, so the second leg
     // gets a higher cap.)
     let aig = workload();
-    let config = config(4, 1);
+    let config = config(1);
     let reference = Sweeper::new(Engine::Stp)
         .config(config)
         .run(&aig)
@@ -225,7 +220,7 @@ fn checkpoint_resume_identity_with_mid_run_compaction() {
     // as a never-compacting run, with only `patterns_dropped` differing.
     let aig = workload();
     for engine in [Engine::Stp, Engine::Baseline] {
-        let base = config(1, 1);
+        let base = config(1);
         let plain = Sweeper::new(engine)
             .config(base)
             .run(&aig)
@@ -265,8 +260,8 @@ fn checkpoint_resume_identity_with_mid_run_compaction() {
                 .expect_err("the cap must trip")
                 .into_checkpoint()
                 .expect("a primed budget stop carries a checkpoint");
-            // Round-trip through the v2 codec (which carries the
-            // compaction cursor and the dropped-pattern stats).
+            // Round-trip through the codec (which carries the compaction
+            // cursor and the dropped-pattern stats).
             let decoded =
                 SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
             assert_eq!(decoded, checkpoint, "{context}");
@@ -284,7 +279,7 @@ fn checkpoint_resume_identity_with_mid_run_compaction() {
 fn corrupt_checkpoints_yield_typed_errors_never_panics() {
     let aig = workload();
     let checkpoint = Sweeper::new(Engine::Stp)
-        .config(config(1, 1))
+        .config(config(1))
         .budget(Budget::unlimited().with_max_sat_calls(2))
         .run(&aig)
         .expect_err("cap trips")
@@ -349,110 +344,4 @@ fn corrupt_checkpoints_yield_typed_errors_never_panics() {
     };
     assert!(matches!(err, SweepError::CheckpointMismatch(_)));
     assert!(err.to_string().contains("fingerprint"), "{err}");
-}
-
-#[test]
-fn checkpoint_solver_hygiene_reset_mid_sweep_leaves_results_unchanged() {
-    // The ROADMAP hygiene contract, pinned: on this workload a per-slot
-    // solver reset mid-sweep changes *nothing* — counters and AIGER output
-    // are identical to the no-reset run for every interval.  (In general a
-    // reset discards learnt clauses and may shift counter-example models —
-    // and with them the SAT-call count by a few — but the swept network
-    // stays byte-identical; the second half of the test pins that weaker,
-    // universal property on the battery workload, where the counts do
-    // drift.)
-    let bench = hwmcc_suite(Scale::Tiny)
-        .into_iter()
-        .find(|b| b.name == "oski15a07b0s")
-        .expect("the suite contains oski15a07b0s");
-    let aig = inject_redundancy(&bench.aig, 0.3, 11);
-    let base = config(1, 1);
-    let plain = Sweeper::new(Engine::Stp)
-        .config(base)
-        .run(&aig)
-        .expect("runs");
-    assert!(
-        plain.report.sat_calls_total >= 100,
-        "needs real SAT traffic"
-    );
-    for interval in [1u64, 2, 8, 64] {
-        let reset = Sweeper::new(Engine::Stp)
-            .config(base.with_solver_reset_interval(interval))
-            .run(&aig)
-            .expect("runs");
-        assert_eq!(
-            strip(&reset.report),
-            strip(&plain.report),
-            "reset interval {interval} perturbed the counters"
-        );
-        assert_eq!(
-            write_aiger_string(&reset.aig),
-            write_aiger_string(&plain.aig),
-            "reset interval {interval} perturbed the output"
-        );
-    }
-
-    // Battery workload: the SAT-call count shifts slightly under resets,
-    // but the swept network must still be byte-identical and equivalent.
-    let aig = workload();
-    let plain = Sweeper::new(Engine::Stp)
-        .config(base)
-        .run(&aig)
-        .expect("runs");
-    let reset = Sweeper::new(Engine::Stp)
-        .config(base.with_solver_reset_interval(2))
-        .run(&aig)
-        .expect("runs");
-    assert_eq!(
-        write_aiger_string(&reset.aig),
-        write_aiger_string(&plain.aig)
-    );
-    assert_eq!(reset.report.gates_after, plain.report.gates_after);
-}
-
-#[test]
-fn checkpoint_solver_hygiene_interacts_cleanly() {
-    // Per-slot hygiene resets (ROADMAP): with an aggressive reset interval
-    // the sweep stays deterministic across the parallelism grid, remains
-    // CEC-equivalent, and cancel→resume identity still holds.
-    let aig = workload();
-    let base = config(1, 1).with_solver_reset_interval(2);
-    let reference = Sweeper::new(Engine::Stp)
-        .config(base)
-        .run(&aig)
-        .expect("runs");
-    assert!(cec::check_equivalence(&aig, &reference.aig, 500_000).equivalent);
-
-    for sat_parallelism in [2usize, 4] {
-        let run = Sweeper::new(Engine::Stp)
-            .config(base.sat_parallelism(sat_parallelism))
-            .run(&aig)
-            .expect("runs");
-        let mut expected = strip(&reference.report);
-        expected.sat_parallelism = sat_parallelism;
-        assert_eq!(strip(&run.report), expected);
-        assert_eq!(
-            write_aiger_string(&run.aig),
-            write_aiger_string(&reference.aig)
-        );
-    }
-
-    let total = reference.report.sat_calls_total;
-    let checkpoint = Sweeper::new(Engine::Stp)
-        .config(base)
-        .budget(Budget::unlimited().with_max_sat_calls(total / 2))
-        .run(&aig)
-        .expect_err("cap trips")
-        .into_checkpoint()
-        .expect("checkpoint");
-    let resumed = Sweeper::new(Engine::Stp)
-        .resume_from(&aig, &checkpoint)
-        .expect("matches")
-        .run()
-        .expect("runs");
-    assert_identical(
-        &resumed,
-        &reference,
-        "hygiene interval 2, cancelled at half",
-    );
 }

@@ -163,12 +163,12 @@ fn budget_limited_sweep_returns_equivalent_partial_result() {
 }
 
 #[test]
-fn budget_exhaustion_mid_parallel_batch_is_consistent_and_deterministic() {
-    // A SAT-call budget that expires *inside* a parallel proving batch must
-    // hand back a partial result with no half-applied merges: the observer
-    // counters, the returned report and the network must all agree, and —
-    // because `max_sat_calls` is a deterministic budget dimension — the
-    // partial result must be identical for every `sat_parallelism`.
+fn budget_exhaustion_mid_sweep_is_consistent_and_deterministic() {
+    // A SAT-call budget that expires mid-sweep must hand back a partial
+    // result with no half-applied merges: the observer counters, the
+    // returned report and the network must all agree, and — because
+    // `max_sat_calls` is a deterministic budget dimension — the partial
+    // result must be identical for every `num_threads`.
     let bench = hwmcc_suite(Scale::Tiny)
         .into_iter()
         .max_by_key(|b| b.aig.num_ands())
@@ -180,19 +180,18 @@ fn budget_exhaustion_mid_parallel_batch_is_consistent_and_deterministic() {
     };
 
     let full = Sweeper::new(Engine::Stp)
-        .config(config.sat_parallelism(4))
+        .config(config)
         .run(&bench.aig)
         .expect("unlimited run finishes");
     let total = full.report.sat_calls_total;
     assert!(total >= 2, "workload must need SAT calls (got {total})");
-    // Expire mid-run, and with sat_parallelism=4 necessarily mid-batch.
     let limit = total / 2 + 1;
 
     let mut partials = Vec::new();
-    for sat_parallelism in [1usize, 4] {
+    for num_threads in [1usize, 4] {
         let mut stats = StatsObserver::new();
         let run = Sweeper::new(Engine::Stp)
-            .config(config.sat_parallelism(sat_parallelism))
+            .config(config.parallelism(num_threads))
             .budget(Budget::unlimited().with_max_sat_calls(limit))
             .observer(&mut stats)
             .run(&bench.aig);
@@ -201,8 +200,7 @@ fn budget_exhaustion_mid_parallel_batch_is_consistent_and_deterministic() {
             Ok(_) => panic!("limit {limit} of {total} calls must trip the budget"),
             Err(other) => panic!("unexpected error: {other}"),
         };
-        // Exactly `limit` calls were committed — speculative calls that the
-        // barrier discarded are not silently counted.
+        // Exactly `limit` calls were committed.
         assert_eq!(partial.report.sat_calls_total, limit);
         // No half-applied merges: the observer saw exactly the merges the
         // report claims, and the partial network is still equivalent.
@@ -212,16 +210,15 @@ fn budget_exhaustion_mid_parallel_batch_is_consistent_and_deterministic() {
         assert_eq!(stats.counterexamples, partial.report.sat_calls_sat);
         assert!(
             cec::check_equivalence(&bench.aig, &partial.aig, 500_000).equivalent,
-            "a truncated parallel sweep must still be functionally equivalent"
+            "a truncated sweep must still be functionally equivalent"
         );
         partials.push(partial);
     }
-    // Deterministic across sat_parallelism: same committed calls, same
+    // Deterministic across thread counts: same committed calls, same
     // merges, byte-identical partial network.
     let (a, b) = (&partials[0], &partials[1]);
     assert_eq!(a.report.merges, b.report.merges);
     assert_eq!(a.report.sat_calls_sat, b.report.sat_calls_sat);
-    assert_eq!(a.report.sat_batches, b.report.sat_batches);
     assert_eq!(write_aiger_string(&a.aig), write_aiger_string(&b.aig));
 }
 

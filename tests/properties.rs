@@ -14,7 +14,7 @@ use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
 use stp_sat_sweep::stp_sweep::{cec, sweeper, SweepConfig, SweepReport};
 use stp_sat_sweep::workloads::inject_redundancy;
 use stp_sat_sweep::workloads::sequential::random_sequential_aig;
-use stp_sat_sweep::{BatchPolicy, Engine, Pipeline, Sweeper};
+use stp_sat_sweep::{Engine, Pipeline, Sweeper};
 
 /// A random Boolean expression over `num_vars` variables with bounded depth.
 fn arb_expr(num_vars: usize, depth: u32) -> impl Strategy<Value = Expr> {
@@ -140,136 +140,53 @@ proptest! {
         }
     }
 
-    /// Sweeping with `num_threads` 1, 2 and 4 yields identical merge counts
-    /// and identical post-sweep networks (determinism of the parallel path).
+    /// The determinism battery: for both engines, with and without
+    /// SAT-guided patterns, sweeping with `num_threads` in {1, 2, 4}, with
+    /// and without periodic checkpoints, commits identical SAT calls,
+    /// identical merges and byte-identical AIGER output — thread count and
+    /// checkpoint cadence are scheduling knobs, never inputs of the sweep.
     #[test]
     fn parallel_sweeping_is_deterministic(spec in arb_aig(), seed in 0u64..500) {
         let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.3, seed);
-        let base = SweepConfig {
-            num_initial_patterns: 32,
-            ..SweepConfig::default()
-        };
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&threads| {
-                Sweeper::new(Engine::Stp)
-                    .config(base.parallelism(threads))
-                    .run(&redundant)
-                    .expect("valid config")
-            })
-            .collect();
-        let reference = &runs[0];
-        let reference_aiger = write_aiger_string(&reference.aig);
-        for run in &runs[1..] {
-            prop_assert_eq!(run.report.merges, reference.report.merges);
-            prop_assert_eq!(run.report.constants, reference.report.constants);
-            prop_assert_eq!(run.report.sat_calls_total, reference.report.sat_calls_total);
-            prop_assert_eq!(run.report.resim_nodes, reference.report.resim_nodes);
-            // The post-sweep networks are identical, not merely equivalent.
-            prop_assert_eq!(write_aiger_string(&run.aig), reference_aiger.clone());
-        }
-    }
-
-    /// The parallel-SAT determinism battery: sweeping with every
-    /// `sat_parallelism` in {1, 2, 4} crossed with `num_threads` in {1, 4}
-    /// commits identical SAT calls, identical merges and byte-identical
-    /// AIGER output — the engine's batches, discards and counter-examples
-    /// are a pure function of the sweep state, never of worker scheduling.
-    #[test]
-    fn parallel_sat_proving_is_deterministic(spec in arb_aig(), seed in 0u64..500) {
-        let aig = build_aig(&spec);
         let redundant = inject_redundancy(&aig, 0.4, seed);
-        let base = SweepConfig {
-            num_initial_patterns: 16, // few patterns: SAT finds counter-examples
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
         for engine in [Engine::Stp, Engine::Baseline] {
-            let mut reference: Option<(stp_sat_sweep::SweepResult, String)> = None;
-            for sat_parallelism in [1usize, 2, 4] {
-                for num_threads in [1usize, 4] {
-                    let run = Sweeper::new(engine)
-                        .config(base.parallelism(num_threads).sat_parallelism(sat_parallelism))
-                        .run(&redundant)
-                        .expect("valid config");
-                    let aiger = write_aiger_string(&run.aig);
-                    match &reference {
-                        None => reference = Some((run, aiger)),
-                        Some((reference, reference_aiger)) => {
-                            let (r, s) = (&run.report, &reference.report);
-                            prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
-                            prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
-                            prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
-                            prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
-                            prop_assert_eq!(r.merges, s.merges);
-                            prop_assert_eq!(r.constants, s.constants);
-                            prop_assert_eq!(r.sat_batches, s.sat_batches);
-                            prop_assert_eq!(r.sat_parallel_conflicts, s.sat_parallel_conflicts);
-                            prop_assert_eq!(r.resim_events, s.resim_events);
-                            prop_assert_eq!(r.resim_nodes, s.resim_nodes);
-                            prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
-                            prop_assert_eq!(r.disproved_by_simulation, s.disproved_by_simulation);
-                            prop_assert_eq!(&aiger, reference_aiger);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sharding and batch-policy battery: for both engines, every shard
-    /// count in {0 (unsharded), 1, 2, 4} crossed with both batch policies
-    /// commits identical SAT calls, identical merges and byte-identical
-    /// AIGER output.  Batch *shapes* (and therefore `sat_batches` and the
-    /// conflict count) may differ between policies — the committed operation
-    /// sequence must not.
-    #[test]
-    fn sharded_and_policy_sweeps_commit_identically(spec in arb_aig(), seed in 0u64..500) {
-        let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.4, seed);
-        let base = SweepConfig {
-            num_initial_patterns: 16, // few patterns: SAT finds counter-examples
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
-        for engine in [Engine::Stp, Engine::Baseline] {
-            let mut reference: Option<(stp_sat_sweep::SweepResult, String)> = None;
-            for policy in [BatchPolicy::SupportDisjoint, BatchPolicy::RefinementAware] {
-                // Shards must not even change batch shapes within a policy.
-                let mut policy_reference: Option<stp_sat_sweep::SweepReport> = None;
-                for shards in [0usize, 1, 2, 4] {
-                    let run = Sweeper::new(engine)
-                        .config(base.sat_parallelism(4).batch_policy(policy).shards(shards))
-                        .run(&redundant)
-                        .expect("valid config");
-                    let aiger = write_aiger_string(&run.aig);
-                    if let Some(p) = &policy_reference {
-                        prop_assert_eq!(run.report.sat_batches, p.sat_batches);
-                        prop_assert_eq!(
-                            run.report.sat_batch_committed,
-                            p.sat_batch_committed
-                        );
-                        prop_assert_eq!(
-                            run.report.sat_parallel_conflicts,
-                            p.sat_parallel_conflicts
-                        );
-                    } else {
-                        policy_reference = Some(run.report);
-                    }
-                    match &reference {
-                        None => reference = Some((run, aiger)),
-                        Some((reference, reference_aiger)) => {
-                            let (r, s) = (&run.report, &reference.report);
-                            prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
-                            prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
-                            prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
-                            prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
-                            prop_assert_eq!(r.merges, s.merges);
-                            prop_assert_eq!(r.constants, s.constants);
-                            prop_assert_eq!(r.resim_events, s.resim_events);
-                            prop_assert_eq!(r.resim_nodes, s.resim_nodes);
-                            prop_assert_eq!(&aiger, reference_aiger);
+            for sat_guided_patterns in [false, true] {
+                let base = SweepConfig {
+                    num_initial_patterns: 16, // few patterns: SAT finds counter-examples
+                    sat_guided_patterns,
+                    ..SweepConfig::default()
+                };
+                let mut reference: Option<(stp_sat_sweep::SweepResult, String)> = None;
+                for num_threads in [1usize, 2, 4] {
+                    for checkpoint_every in [0usize, 1] {
+                        let run = Sweeper::new(engine)
+                            .config(
+                                base.parallelism(num_threads).checkpoint_every(checkpoint_every),
+                            )
+                            .run(&redundant)
+                            .expect("valid config");
+                        let aiger = write_aiger_string(&run.aig);
+                        match &reference {
+                            None => reference = Some((run, aiger)),
+                            Some((reference, reference_aiger)) => {
+                                let (r, s) = (&run.report, &reference.report);
+                                prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
+                                prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
+                                prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
+                                prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
+                                prop_assert_eq!(r.merges, s.merges);
+                                prop_assert_eq!(r.constants, s.constants);
+                                prop_assert_eq!(r.resim_events, s.resim_events);
+                                prop_assert_eq!(r.resim_nodes, s.resim_nodes);
+                                prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
+                                prop_assert_eq!(
+                                    r.disproved_by_simulation,
+                                    s.disproved_by_simulation
+                                );
+                                // The post-sweep networks are identical, not
+                                // merely equivalent.
+                                prop_assert_eq!(&aiger, reference_aiger);
+                            }
                         }
                     }
                 }
@@ -439,10 +356,10 @@ proptest! {
     }
 
     /// The scripted rewrite→sweep flow is parallelism-invariant: every
-    /// `num_threads` × `sat_parallelism` in {1, 4}² produces byte-identical
-    /// AIGER output and identical merge counts.  Rewriting is purely
-    /// structural, so all nondeterminism risk concentrates in the sweep —
-    /// this pins the composition end to end.
+    /// `num_threads` in {1, 2, 4} produces byte-identical AIGER output and
+    /// identical SAT-call counts.  Rewriting is purely structural, so all
+    /// nondeterminism risk concentrates in the sweep — this pins the
+    /// composition end to end.
     #[test]
     fn scripted_rewrite_sweep_is_parallelism_invariant(
         spec in arb_aig(),
@@ -456,28 +373,23 @@ proptest! {
             ..SweepConfig::default()
         };
         let mut reference: Option<(String, u64)> = None;
-        for num_threads in [1usize, 4] {
-            for sat_parallelism in [1usize, 4] {
-                let result = Pipeline::new(
-                    base.parallelism(num_threads).sat_parallelism(sat_parallelism),
-                )
+        for num_threads in [1usize, 2, 4] {
+            let result = Pipeline::new(base.parallelism(num_threads))
                 .with_script("rewrite;sweep(stp)")
                 .expect("script parses")
                 .run(&redundant)
                 .expect("pipeline runs");
-                let aiger = write_aiger_string(&result.aig);
-                let sat_calls = result.report.sat_calls_total;
-                match &reference {
-                    None => reference = Some((aiger, sat_calls)),
-                    Some((want_aiger, want_sat_calls)) => {
-                        prop_assert!(
-                            &aiger == want_aiger,
-                            "{}x{} diverged from the sequential run",
-                            num_threads,
-                            sat_parallelism
-                        );
-                        prop_assert_eq!(sat_calls, *want_sat_calls);
-                    }
+            let aiger = write_aiger_string(&result.aig);
+            let sat_calls = result.report.sat_calls_total;
+            match &reference {
+                None => reference = Some((aiger, sat_calls)),
+                Some((want_aiger, want_sat_calls)) => {
+                    prop_assert!(
+                        &aiger == want_aiger,
+                        "{} threads diverged from the sequential run",
+                        num_threads
+                    );
+                    prop_assert_eq!(sat_calls, *want_sat_calls);
                 }
             }
         }
