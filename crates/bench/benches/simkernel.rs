@@ -1,26 +1,11 @@
-//! Microbench for the locality-first simulation core: the struct-of-arrays
-//! [`SignatureArena`] with blocked kernels and cost-modeled work stealing
-//! against the previous layout (one heap `Vec<u64>` per node, words-outer /
-//! minterm-inner evaluation).
-//!
-//! The `pernode_old` benches reimplement the pre-arena level evaluator
-//! faithfully — per-node output buffers allocated per level via
-//! [`parallel::evaluate_level`], fanins read through owned [`Signature`]s,
-//! minterms expanded in the innermost loop — so the `arena_steal` /
-//! `pernode_old` ratio measures exactly what the refactor bought.  The
-//! kernel flavour baked into this build (scalar autovectorized or the
-//! `simd` feature's lane-widened path) is part of the benchmark name, so
-//! runs of both feature legs can be compared side by side.
+//! Microbench for the simulation core's level evaluator: struct-of-arrays
+//! [`SignatureArena`] rows filled through the blocked `bitsim::kernels`
+//! primitives by [`parallel::evaluate_level_stealing`], on a skewed-cost
+//! LUT level and on a uniform AND level, at 1, 2 and 4 threads.
 
-use bitsim::{kernels, parallel, PatternSet, Signature, SignatureArena};
+use bitsim::{kernels, parallel, PatternSet, SignatureArena};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use truthtable::TruthTable;
-
-const KERNEL_FLAVOUR: &str = if cfg!(feature = "simd") {
-    "simd"
-} else {
-    "scalar"
-};
 
 /// Words processed per stack block, mirroring the simulator's narrow path.
 const BLOCK_WORDS: usize = 64;
@@ -59,32 +44,6 @@ fn skewed_level(num_pis: usize, num_narrow: usize, num_wide: usize, seed: u64) -
         fanins,
         functions,
         costs,
-    }
-}
-
-/// The pre-arena kernel: words-outer, minterm-inner, one fanin word load
-/// per (word, minterm, fanin) triple.
-fn old_kernel_eval(
-    fanins: &[usize],
-    function: &TruthTable,
-    inputs: &[Signature],
-    word_lo: usize,
-    out: &mut [u64],
-) {
-    for (o, w) in out.iter_mut().zip(word_lo..) {
-        let mut acc = 0u64;
-        for m in 0..function.num_bits() {
-            if !function.get_bit(m) {
-                continue;
-            }
-            let mut term = u64::MAX;
-            for (j, &f) in fanins.iter().enumerate() {
-                let word = inputs[f].words()[w];
-                term &= if (m >> j) & 1 == 1 { word } else { !word };
-            }
-            acc |= term;
-        }
-        *o = acc;
     }
 }
 
@@ -134,13 +93,6 @@ fn level_eval_benches(c: &mut Criterion) {
     let level = skewed_level(NUM_PIS, NUM_NARROW, NUM_WIDE, 0x5EED);
     let num_nodes = level.fanins.len();
     let patterns = PatternSet::random(NUM_PIS, NUM_PATTERNS, 0xEB5).unwrap();
-    let num_words = NUM_PATTERNS / 64;
-
-    // Per-node layout: fanin signatures live in individually owned heap
-    // allocations, exactly like the pre-arena simulator state.
-    let input_sigs: Vec<Signature> = (0..NUM_PIS)
-        .map(|i| patterns.input_signature(i).clone())
-        .collect();
 
     // Arena layout: inputs first, then one row per LUT of the level.
     let mut arena = SignatureArena::new(NUM_PIS + num_nodes, NUM_PATTERNS);
@@ -148,7 +100,6 @@ fn level_eval_benches(c: &mut Criterion) {
         arena
             .row_mut(i)
             .copy_from_slice(patterns.input_signature(i).words());
-        arena.mark_written(i);
     }
     let group_rows: Vec<usize> = (NUM_PIS..NUM_PIS + num_nodes).collect();
     let nodes: Vec<usize> = (0..num_nodes).collect();
@@ -156,35 +107,12 @@ fn level_eval_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("simkernel_level_eval");
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::new("pernode_old", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let buffers = parallel::evaluate_level(
-                        &nodes,
-                        num_words,
-                        t,
-                        &|node: usize, word_lo: usize, out: &mut [u64]| {
-                            old_kernel_eval(
-                                &level.fanins[node],
-                                &level.functions[node],
-                                &input_sigs,
-                                word_lo,
-                                out,
-                            );
-                        },
-                    );
-                    black_box(buffers)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("arena_steal_{KERNEL_FLAVOUR}"), threads),
+            BenchmarkId::new("arena_steal", threads),
             &threads,
             |b, &t| {
                 b.iter(|| {
                     let (rows, reader) = arena.split_rows(&group_rows);
-                    let steals = parallel::evaluate_level_stealing(
+                    parallel::evaluate_level_stealing(
                         rows,
                         &nodes,
                         &level.costs,
@@ -201,7 +129,7 @@ fn level_eval_benches(c: &mut Criterion) {
                             );
                         },
                     );
-                    black_box(steals)
+                    black_box(arena.row(NUM_PIS)[0])
                 });
             },
         );
@@ -210,8 +138,7 @@ fn level_eval_benches(c: &mut Criterion) {
 }
 
 fn aig_level_benches(c: &mut Criterion) {
-    // A uniform-cost AND level: the arena win here is pure layout (no
-    // per-node allocation, stride-contiguous rows).
+    // A uniform-cost AND level over stride-contiguous rows.
     const NUM_PIS: usize = 64;
     const NUM_ANDS: usize = 512;
     const NUM_PATTERNS: usize = 64 * 64;
@@ -234,18 +161,12 @@ fn aig_level_benches(c: &mut Criterion) {
         })
         .collect();
     let patterns = PatternSet::random(NUM_PIS, NUM_PATTERNS, 0xEB5).unwrap();
-    let num_words = NUM_PATTERNS / 64;
-
-    let input_sigs: Vec<Signature> = (0..NUM_PIS)
-        .map(|i| patterns.input_signature(i).clone())
-        .collect();
 
     let mut arena = SignatureArena::new(NUM_PIS + NUM_ANDS, NUM_PATTERNS);
     for i in 0..NUM_PIS {
         arena
             .row_mut(i)
             .copy_from_slice(patterns.input_signature(i).words());
-        arena.mark_written(i);
     }
     let group_rows: Vec<usize> = (NUM_PIS..NUM_PIS + NUM_ANDS).collect();
     let nodes: Vec<usize> = (0..NUM_ANDS).collect();
@@ -254,34 +175,12 @@ fn aig_level_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("simkernel_aig_level");
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::new("pernode_old", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let buffers = parallel::evaluate_level(
-                        &nodes,
-                        num_words,
-                        t,
-                        &|node: usize, word_lo: usize, out: &mut [u64]| {
-                            let (a, ma, bn, mb) = pairs[node];
-                            let aw = &input_sigs[a].words()[word_lo..word_lo + out.len()];
-                            let bw = &input_sigs[bn].words()[word_lo..word_lo + out.len()];
-                            for ((o, &x), &y) in out.iter_mut().zip(aw).zip(bw) {
-                                *o = (x ^ ma) & (y ^ mb);
-                            }
-                        },
-                    );
-                    black_box(buffers)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("arena_steal_{KERNEL_FLAVOUR}"), threads),
+            BenchmarkId::new("arena_steal", threads),
             &threads,
             |b, &t| {
                 b.iter(|| {
                     let (rows, reader) = arena.split_rows(&group_rows);
-                    let steals = parallel::evaluate_level_stealing(
+                    parallel::evaluate_level_stealing(
                         rows,
                         &nodes,
                         &costs,
@@ -293,7 +192,7 @@ fn aig_level_benches(c: &mut Criterion) {
                             kernels::and2_masked(aw, bw, ma, mb, out);
                         },
                     );
-                    black_box(steals)
+                    black_box(arena.row(NUM_PIS)[0])
                 });
             },
         );

@@ -12,12 +12,12 @@
 //! The paper reports parity on `TA` and a ~7.2× average speed-up on `TL`;
 //! the shape (not the absolute numbers) is what this harness reproduces.
 //!
-//! Usage: `cargo run -p bench --release --bin table1 -- [--scale tiny|small|large] [--patterns N] [--lut-k K] [--threads T] [--json PATH] [--passes SCRIPT] [--checkpoint-every N] [--compact-every N] [--resume PATH]`
+//! Usage: `cargo run -p bench --release --bin table1 -- [--scale tiny|small|large] [--patterns N] [--lut-k K] [--threads T] [--json PATH] [--passes SCRIPT] [--checkpoint-every N] [--resume PATH]`
 //!
 //! `--threads T` runs every simulator through the level-scheduled parallel
-//! evaluator with `T` workers and sweeps with `SweepConfig::parallelism(T)`;
-//! results are bit-identical to `--threads 1` (the default), only the times
-//! change.
+//! evaluator with `T` workers; results are bit-identical to `--threads 1`
+//! (the default), only the times change.  The sweeps of the JSON section
+//! are single-threaded either way.
 //!
 //! With `--json PATH` the measured numbers are also written as a JSON
 //! document (the format of the checked-in `BENCH_baseline.json`).  The JSON
@@ -47,13 +47,6 @@
 //! mid-sweep checkpoint of each benchmark is saved as
 //! `table1_<bench>.ckpt`.
 //!
-//! `--compact-every N` enables periodic pattern compaction
-//! ([`SweepConfig::compact_every`]) on every sweep pass of the JSON pipeline
-//! section.  Compaction is behaviour-neutral, so the snapshot's counters —
-//! and therefore `bench_diff` against a baseline captured *without*
-//! compaction — must stay exact; the flag turns the regression gate into a
-//! proof of that neutrality on real workloads.
-//!
 //! `--resume PATH` loads such a file, locates the matching benchmark by
 //! netlist fingerprint in the (deterministically regenerated) suite,
 //! resumes it to completion and prints the cumulative report.
@@ -63,7 +56,7 @@ use bitsim::{AigSimulator, LutSimulator, PatternSet};
 use netlist::lutmap;
 use stp_sweep::stp_sim::StpSimulator;
 use stp_sweep::{
-    Budget, CancelToken, Engine, Observer, PassReport, Pipeline, PipelineResult, SatCallOutcome,
+    Budget, CancelToken, Engine, Observer, PassManager, PassReport, PipelineResult, SatCallOutcome,
     SweepCheckpoint, SweepConfig, SweepError, SweepReport, SweepResult, Sweeper,
 };
 use workloads::{epfl_suite, Scale};
@@ -140,19 +133,10 @@ fn checkpointed_sweep_pass(
 
 /// The `--checkpoint-every` variant of the standard pipeline: the same
 /// sweep → strash → sweep composition (aggregation mirrors
-/// [`Pipeline::run`]), with every sweep pass executed through
+/// [`PassManager::run`]), with every sweep pass executed through
 /// [`checkpointed_sweep_pass`].
-fn run_pipeline_checkpointed(
-    name: &str,
-    aig: &netlist::Aig,
-    threads: usize,
-    every: u64,
-    compact_every: u64,
-) -> PipelineResult {
-    let config = SweepConfig::fast()
-        .parallelism(threads)
-        .checkpoint_every(every as usize)
-        .compact_every(compact_every);
+fn run_pipeline_checkpointed(name: &str, aig: &netlist::Aig, every: u64) -> PipelineResult {
+    let config = SweepConfig::fast().checkpoint_every(every as usize);
     let mut current = aig.clone();
     let mut aggregate = SweepReport {
         gates_before: aig.num_ands(),
@@ -205,20 +189,16 @@ fn run_pipeline_checkpointed(
 fn pipeline_json_row(
     name: &str,
     aig: &netlist::Aig,
-    threads: usize,
     script: Option<&str>,
     checkpoint_every: Option<u64>,
-    compact_every: u64,
 ) -> String {
     let run = || {
-        let config = SweepConfig::fast()
-            .parallelism(threads)
-            .compact_every(compact_every);
+        let config = SweepConfig::fast();
         let manager = match script {
-            Some(script) => Pipeline::new(config)
+            Some(script) => PassManager::new(config)
                 .with_script(script)
                 .unwrap_or_else(|e| panic!("{name}: --passes script: {e}")),
-            None => Pipeline::new(config)
+            None => PassManager::new(config)
                 .sweep(Engine::Stp)
                 .strash()
                 .sweep(Engine::Stp),
@@ -228,7 +208,7 @@ fn pipeline_json_row(
             .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
     };
     let outcome = match checkpoint_every {
-        Some(every) => run_pipeline_checkpointed(name, aig, threads, every, compact_every),
+        Some(every) => run_pipeline_checkpointed(name, aig, every),
         None => run(),
     };
     let passes: Vec<String> = outcome
@@ -344,14 +324,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let compact_every: u64 = arg_value(&args, "--compact-every")
-        .map(|v| {
-            v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                eprintln!("--compact-every expects a positive counter-example count");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
     let passes_script: Option<String> = arg_value(&args, "--passes");
     // Validate the script up-front (and collect the scheduled pass names
     // for the snapshot header) instead of panicking per benchmark.
@@ -478,22 +450,14 @@ fn main() {
                 )
             }
         }
-        if compact_every > 0 {
-            println!(
-                "pattern compaction every {compact_every} counter-example(s); counters must \
-                 match a compaction-free baseline exactly"
-            );
-        }
         let pipeline_rows: Vec<String> = suite
             .iter()
             .map(|bench| {
                 pipeline_json_row(
                     bench.name,
                     &bench.aig,
-                    threads,
                     passes_script.as_deref(),
                     checkpoint_every,
-                    compact_every,
                 )
             })
             .collect();

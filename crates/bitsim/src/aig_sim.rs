@@ -25,7 +25,6 @@ fn mask(complemented: bool) -> u64 {
 #[derive(Debug, Clone)]
 pub struct AigSimState {
     arena: SignatureArena,
-    steal_events: u64,
 }
 
 impl AigSimState {
@@ -54,22 +53,16 @@ impl AigSimState {
     pub fn arena(&self) -> &SignatureArena {
         &self.arena
     }
-
-    /// Number of work-stealing events the producing run observed (0 for
-    /// sequential runs; see [`parallel::evaluate_level_stealing`]).
-    pub fn steal_events(&self) -> u64 {
-        self.steal_events
-    }
 }
 
 /// Word-parallel AIG simulator: 64 patterns per machine word, one word-level
 /// AND/NOT per node per word (Section II-A of the paper).
 ///
 /// The simulator is stateless apart from the network reference; [`run`] and
-/// [`run_incremental`] return an [`AigSimState`] holding all signatures.
+/// [`run_parallel`] return an [`AigSimState`] holding all signatures.
 ///
 /// [`run`]: AigSimulator::run
-/// [`run_incremental`]: AigSimulator::run_incremental
+/// [`run_parallel`]: AigSimulator::run_parallel
 #[derive(Debug, Clone, Copy)]
 pub struct AigSimulator<'a> {
     aig: &'a Aig,
@@ -114,12 +107,8 @@ impl<'a> AigSimulator<'a> {
                     arena.mask_row_tail(id);
                 }
             }
-            arena.mark_written(id);
         }
-        AigSimState {
-            arena,
-            steal_events: 0,
-        }
+        AigSimState { arena }
     }
 
     /// Simulates all nodes with up to `num_threads` worker threads.
@@ -149,19 +138,17 @@ impl<'a> AigSimulator<'a> {
         );
         let n = patterns.num_patterns();
         let mut arena = SignatureArena::new(self.aig.num_nodes(), n);
-        let mut steal_events = 0u64;
         let groups = parallel::group_by_level(&self.aig.levels());
         for group in &groups {
             // Constants and inputs (always level 0) are plain copies.
             let mut and_nodes: Vec<NodeId> = Vec::with_capacity(group.len());
             for &id in group {
                 match self.aig.node(id) {
-                    AigNode::Const0 => arena.mark_written(id),
+                    AigNode::Const0 => {} // rows start zeroed
                     AigNode::Input { position } => {
                         arena
                             .row_mut(id)
                             .copy_from_slice(patterns.input_signature(*position).words());
-                        arena.mark_written(id);
                     }
                     AigNode::And { .. } => and_nodes.push(id),
                 }
@@ -172,7 +159,7 @@ impl<'a> AigSimulator<'a> {
             let aig = self.aig;
             let costs = vec![1u64; and_nodes.len()];
             let (rows, reader) = arena.split_rows(&and_nodes);
-            steal_events += parallel::evaluate_level_stealing(
+            parallel::evaluate_level_stealing(
                 rows,
                 &and_nodes,
                 &costs,
@@ -194,63 +181,9 @@ impl<'a> AigSimulator<'a> {
             );
             for &id in &and_nodes {
                 arena.mask_row_tail(id);
-                arena.mark_written(id);
             }
         }
-        AigSimState {
-            arena,
-            steal_events,
-        }
-    }
-
-    /// Incremental re-simulation: appends the patterns of `extra` to an
-    /// existing state, re-computing only the newly added words.  This mirrors
-    /// the "re-computing only the last block of TT" optimisation the paper
-    /// attributes to Mockturtle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra` has a different input count than the AIG.
-    pub fn run_incremental(&self, state: &AigSimState, extra: &PatternSet) -> AigSimState {
-        assert_eq!(
-            extra.num_inputs(),
-            self.aig.num_inputs(),
-            "pattern set input count must match the network"
-        );
-        let old_n = state.num_patterns();
-        let new_n = old_n + extra.num_patterns();
-        let mut arena = SignatureArena::new(self.aig.num_nodes(), new_n);
-        for id in self.aig.node_ids() {
-            match self.aig.node(id) {
-                AigNode::Const0 => {}
-                AigNode::Input { position } => {
-                    let old_words = state.arena.row(id);
-                    arena.row_mut(id)[..old_words.len()].copy_from_slice(old_words);
-                    let extra_sig = extra.input_signature(*position);
-                    for i in 0..extra.num_patterns() {
-                        if extra_sig.get_bit(i) {
-                            arena.set_bit(id, old_n + i, true);
-                        }
-                    }
-                }
-                AigNode::And { fanin0, fanin1 } => {
-                    let (prefix, row) = arena.split_at_row(id);
-                    kernels::and2_masked(
-                        prefix.row(fanin0.node()),
-                        prefix.row(fanin1.node()),
-                        mask(fanin0.is_complemented()),
-                        mask(fanin1.is_complemented()),
-                        row,
-                    );
-                    arena.mask_row_tail(id);
-                }
-            }
-            arena.mark_written(id);
-        }
-        AigSimState {
-            arena,
-            steal_events: 0,
-        }
+        AigSimState { arena }
     }
 }
 
@@ -351,34 +284,6 @@ mod tests {
         let b = sim.run_parallel(&patterns, 1);
         for id in aig.node_ids() {
             assert_eq!(a.signature(id), b.signature(id));
-        }
-    }
-
-    #[test]
-    fn incremental_matches_full_resimulation() {
-        let aig = sample_aig();
-        let base = PatternSet::random(3, 100, 1).unwrap();
-        let extra = PatternSet::random(3, 37, 2).unwrap();
-        let sim = AigSimulator::new(&aig);
-        let state = sim.run(&base);
-        let incremental = sim.run_incremental(&state, &extra);
-
-        let mut combined = base.clone();
-        combined.extend(&extra);
-        let full = sim.run(&combined);
-        for id in aig.node_ids() {
-            assert_eq!(incremental.signature(id), full.signature(id), "node {id}");
-        }
-        assert_eq!(incremental.num_patterns(), 137);
-    }
-
-    #[test]
-    fn state_rows_are_generation_fresh() {
-        let aig = sample_aig();
-        let patterns = PatternSet::random(3, 70, 9).unwrap();
-        let state = AigSimulator::new(&aig).run(&patterns);
-        for id in aig.node_ids() {
-            assert!(!state.arena().is_stale(id));
         }
     }
 

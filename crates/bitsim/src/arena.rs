@@ -15,12 +15,6 @@
 //!    [`Signature`] stays the public boundary type via
 //!    [`SigRef::to_signature`].
 //!
-//! Rows are **generation-tagged**: [`SignatureArena::generation`] records
-//! the pattern count at the time a row was last written, so after the
-//! pattern set grows (incremental resimulation) the rows that were *not*
-//! refreshed are recognisably stale — this replaces the per-node
-//! `stale: Vec<bool>` bookkeeping of the pre-arena engines.
-//!
 //! The borrow puzzle of parallel level evaluation — every node of a level
 //! writes its own row while reading fanin rows — is solved without `unsafe`
 //! by [`SignatureArena::split_rows`]: a single `split_at_mut` walk hands out
@@ -162,14 +156,10 @@ pub struct SignatureArena {
     num_patterns: usize,
     /// Number of rows (nodes).
     num_rows: usize,
-    /// Pattern count at the time each row was last marked written; a row is
-    /// stale when its generation differs from `num_patterns`.
-    gens: Vec<u64>,
 }
 
 impl SignatureArena {
     /// Creates a zeroed arena of `num_rows` rows of `num_patterns` bits.
-    /// Every row starts at generation 0 (stale unless `num_patterns == 0`).
     pub fn new(num_rows: usize, num_patterns: usize) -> Self {
         let stride = words_for(num_patterns);
         SignatureArena {
@@ -177,7 +167,6 @@ impl SignatureArena {
             stride,
             num_patterns,
             num_rows,
-            gens: vec![0u64; num_rows],
         }
     }
 
@@ -196,30 +185,12 @@ impl SignatureArena {
         self.stride
     }
 
-    /// The pattern count recorded when row `i` was last
-    /// [marked written](SignatureArena::mark_written).
-    pub fn generation(&self, i: usize) -> u64 {
-        self.gens[i]
-    }
-
-    /// `true` if row `i` was not refreshed since the pattern set last grew.
-    pub fn is_stale(&self, i: usize) -> bool {
-        self.gens[i] != self.num_patterns as u64
-    }
-
-    /// Records that row `i` now reflects all `num_patterns` patterns.
-    pub fn mark_written(&mut self, i: usize) {
-        self.gens[i] = self.num_patterns as u64;
-    }
-
     /// Read access to row `i` (full stride).
     pub fn row(&self, i: usize) -> &[u64] {
         &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Write access to row `i` (full stride).  Does not change the row's
-    /// generation — call [`SignatureArena::mark_written`] once the row holds
-    /// all patterns.
+    /// Write access to row `i` (full stride).
     pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
         &mut self.words[i * self.stride..(i + 1) * self.stride]
     }
@@ -237,7 +208,7 @@ impl SignatureArena {
         self.sig(i).to_signature()
     }
 
-    /// Overwrites row `i` with the bits of `sig` and marks it written.
+    /// Overwrites row `i` with the bits of `sig`.
     ///
     /// # Panics
     ///
@@ -249,7 +220,6 @@ impl SignatureArena {
             "signature length must match the arena's pattern count"
         );
         self.row_mut(i).copy_from_slice(sig.words());
-        self.mark_written(i);
     }
 
     /// Sets pattern bit `index` of row `i`.
@@ -275,32 +245,6 @@ impl SignatureArena {
         let mask = tail_mask(self.num_patterns);
         let stride = self.stride;
         self.words[i * stride + stride - 1] &= mask;
-    }
-
-    /// Grows every row to `new_num_patterns` bits, preserving existing bits
-    /// and zeroing the new columns.  Restrides with a single allocation
-    /// when the word count per row changes.  Row generations are preserved,
-    /// so previously fresh rows become stale until re-marked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_num_patterns` is smaller than the current count.
-    pub fn grow_patterns(&mut self, new_num_patterns: usize) {
-        assert!(
-            new_num_patterns >= self.num_patterns,
-            "the arena cannot shrink"
-        );
-        let new_stride = words_for(new_num_patterns);
-        if new_stride != self.stride {
-            let mut new_words = vec![0u64; self.num_rows * new_stride];
-            for r in 0..self.num_rows {
-                new_words[r * new_stride..r * new_stride + self.stride]
-                    .copy_from_slice(&self.words[r * self.stride..(r + 1) * self.stride]);
-            }
-            self.words = new_words;
-            self.stride = new_stride;
-        }
-        self.num_patterns = new_num_patterns;
     }
 
     /// Splits the arena at row `i`: read access to all rows before `i`
@@ -446,7 +390,6 @@ mod tests {
         assert_eq!(arena.num_rows(), 3);
         arena.row_mut(1).fill(u64::MAX);
         arena.mask_row_tail(1);
-        arena.mark_written(1);
         assert_eq!(arena.row(1), &[u64::MAX, 1]);
         let sig = arena.sig(1);
         assert_eq!(sig.len(), 65);
@@ -454,33 +397,6 @@ mod tests {
         assert!(sig.is_const1());
         assert!(!sig.is_const0());
         assert!(arena.sig(0).is_const0());
-    }
-
-    #[test]
-    fn generation_tags_track_staleness() {
-        let mut arena = SignatureArena::new(2, 64);
-        assert!(arena.is_stale(0));
-        arena.mark_written(0);
-        assert!(!arena.is_stale(0));
-        arena.grow_patterns(70);
-        assert!(arena.is_stale(0), "growth invalidates old rows");
-        assert_eq!(arena.generation(0), 64);
-        arena.mark_written(0);
-        assert!(!arena.is_stale(0));
-    }
-
-    #[test]
-    fn grow_restrides_preserving_bits() {
-        let mut arena = SignatureArena::new(2, 3);
-        arena.set_bit(0, 1, true);
-        arena.set_bit(1, 2, true);
-        arena.grow_patterns(130);
-        assert_eq!(arena.stride(), 3);
-        assert!(arena.sig(0).get_bit(1));
-        assert!(arena.sig(1).get_bit(2));
-        assert_eq!(arena.sig(0).count_ones(), 1);
-        arena.set_bit(0, 129, true);
-        assert!(arena.sig(0).get_bit(129));
     }
 
     #[test]
@@ -528,7 +444,6 @@ mod tests {
         let sig = Signature::from_bits((0..100).map(|i| i % 3 == 0));
         let mut arena = SignatureArena::new(2, 100);
         arena.set_signature(1, &sig);
-        assert!(!arena.is_stale(1));
         assert_eq!(arena.to_signature(1), sig);
     }
 }

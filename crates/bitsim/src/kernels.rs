@@ -1,20 +1,10 @@
 //! Word-zip kernels shared by the level-evaluation paths.
 //!
 //! These are the innermost loops of bit-parallel simulation: bulk AND / OR
-//! / AND-NOT over `u64` signature words.  Each kernel has two
-//! implementations selected at compile time:
-//!
-//! * the default **scalar** path is written as a plain stride-1 slice zip so
-//!   the compiler's autovectorizer turns it into SIMD on any target that
-//!   has vector units;
-//! * the **`simd` cargo feature** switches to explicitly 4×`u64`-lane
-//!   widened loops (a stable-Rust stand-in for `std::simd`, which is still
-//!   nightly-only) that guarantee the wide shape instead of relying on the
-//!   autovectorizer.
-//!
-//! Both paths are bit-identical; the property tests in this crate verify
-//! whichever path is compiled against a naive per-bit reference, and CI
-//! builds and tests both feature legs.
+//! / AND-NOT over `u64` signature words, written as plain stride-1 slice
+//! zips so the compiler's autovectorizer turns them into SIMD on any target
+//! that has vector units.  The property tests check them against a naive
+//! per-bit reference.
 
 /// `out[w] = (a[w] ^ mask_a) & (b[w] ^ mask_b)` — the AIG AND kernel with
 /// complement masks (`u64::MAX` complements an operand, `0` passes it
@@ -23,42 +13,9 @@
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-#[cfg(not(feature = "simd"))]
 pub fn and2_masked(a: &[u64], b: &[u64], mask_a: u64, mask_b: u64, out: &mut [u64]) {
     assert!(a.len() == out.len() && b.len() == out.len());
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = (x ^ mask_a) & (y ^ mask_b);
-    }
-}
-
-/// `out[w] = (a[w] ^ mask_a) & (b[w] ^ mask_b)` — explicit 4-lane variant.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[cfg(feature = "simd")]
-pub fn and2_masked(a: &[u64], b: &[u64], mask_a: u64, mask_b: u64, out: &mut [u64]) {
-    assert!(a.len() == out.len() && b.len() == out.len());
-    let mut chunks = out.chunks_exact_mut(4);
-    let mut a_chunks = a.chunks_exact(4);
-    let mut b_chunks = b.chunks_exact(4);
-    for o in chunks.by_ref() {
-        let x = a_chunks.next().unwrap();
-        let y = b_chunks.next().unwrap();
-        let lanes = [
-            (x[0] ^ mask_a) & (y[0] ^ mask_b),
-            (x[1] ^ mask_a) & (y[1] ^ mask_b),
-            (x[2] ^ mask_a) & (y[2] ^ mask_b),
-            (x[3] ^ mask_a) & (y[3] ^ mask_b),
-        ];
-        o.copy_from_slice(&lanes);
-    }
-    for ((o, &x), &y) in chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(a_chunks.remainder())
-        .zip(b_chunks.remainder())
-    {
         *o = (x ^ mask_a) & (y ^ mask_b);
     }
 }
@@ -68,30 +25,9 @@ pub fn and2_masked(a: &[u64], b: &[u64], mask_a: u64, mask_b: u64, out: &mut [u6
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-#[cfg(not(feature = "simd"))]
 pub fn and_assign(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= s;
-    }
-}
-
-/// `dst[w] &= src[w]` — explicit 4-lane variant.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[cfg(feature = "simd")]
-pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len());
-    let mut chunks = dst.chunks_exact_mut(4);
-    let mut s_chunks = src.chunks_exact(4);
-    for d in chunks.by_ref() {
-        let s = s_chunks.next().unwrap();
-        let lanes = [d[0] & s[0], d[1] & s[1], d[2] & s[2], d[3] & s[3]];
-        d.copy_from_slice(&lanes);
-    }
-    for (d, &s) in chunks.into_remainder().iter_mut().zip(s_chunks.remainder()) {
         *d &= s;
     }
 }
@@ -101,30 +37,9 @@ pub fn and_assign(dst: &mut [u64], src: &[u64]) {
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-#[cfg(not(feature = "simd"))]
 pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= !s;
-    }
-}
-
-/// `dst[w] &= !src[w]` — explicit 4-lane variant.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[cfg(feature = "simd")]
-pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len());
-    let mut chunks = dst.chunks_exact_mut(4);
-    let mut s_chunks = src.chunks_exact(4);
-    for d in chunks.by_ref() {
-        let s = s_chunks.next().unwrap();
-        let lanes = [d[0] & !s[0], d[1] & !s[1], d[2] & !s[2], d[3] & !s[3]];
-        d.copy_from_slice(&lanes);
-    }
-    for (d, &s) in chunks.into_remainder().iter_mut().zip(s_chunks.remainder()) {
         *d &= !s;
     }
 }
@@ -134,30 +49,9 @@ pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-#[cfg(not(feature = "simd"))]
 pub fn or_assign(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
-/// `dst[w] |= src[w]` — explicit 4-lane variant.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-#[cfg(feature = "simd")]
-pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len());
-    let mut chunks = dst.chunks_exact_mut(4);
-    let mut s_chunks = src.chunks_exact(4);
-    for d in chunks.by_ref() {
-        let s = s_chunks.next().unwrap();
-        let lanes = [d[0] | s[0], d[1] | s[1], d[2] | s[2], d[3] | s[3]];
-        d.copy_from_slice(&lanes);
-    }
-    for (d, &s) in chunks.into_remainder().iter_mut().zip(s_chunks.remainder()) {
         *d |= s;
     }
 }

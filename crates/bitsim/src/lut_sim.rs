@@ -94,9 +94,6 @@ impl<'a> LutSimulator<'a> {
                 }
             }
         }
-        for id in self.net.node_ids() {
-            arena.mark_written(id);
-        }
         LutSimState { arena }
     }
 }

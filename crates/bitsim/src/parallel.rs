@@ -3,114 +3,21 @@
 //! Both the word-parallel AIG simulator here and the STP simulator in the
 //! `stp-sweep` crate parallelise the same way: nodes are grouped by
 //! topological level (so every fanin of a level-`l` node is finished before
-//! level `l` starts), and within one level the signature word arrays are
-//! split into contiguous chunks that `std::thread::scope` workers fill
-//! independently.  Because every worker executes exactly the word operations
-//! the sequential evaluator would execute — just on a sub-range of words —
-//! the result is bit-identical to a sequential run, for any thread count.
+//! level `l` starts), and within one level the signature rows are split
+//! into cost-balanced chunks of words that `std::thread::scope` workers
+//! claim ([`evaluate_level_stealing`]).  Because every worker executes
+//! exactly the word operations the sequential evaluator would execute —
+//! just on a sub-range of words — the result is bit-identical to a
+//! sequential run, for any thread count.
 //!
 //! This module holds the scheduling helpers; the per-node word kernels stay
 //! with their simulators.
-
-use std::ops::Range;
 
 /// Minimum number of node·word work items a level must have before it is
 /// worth spawning scoped threads for it.  Levels below the grain are
 /// evaluated inline on the calling thread (spawning costs more than the
 /// level's work); the evaluation itself is identical either way.
 pub const PARALLEL_GRAIN: usize = 4096;
-
-/// Splits `num_words` signature words into at most `num_threads` contiguous,
-/// non-empty chunks of near-equal size.
-///
-/// Returns an empty vector when there is nothing to split.
-pub fn word_chunks(num_words: usize, num_threads: usize) -> Vec<Range<usize>> {
-    if num_words == 0 || num_threads == 0 {
-        return Vec::new();
-    }
-    let chunks = num_threads.min(num_words);
-    let base = num_words / chunks;
-    let extra = num_words % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for i in 0..chunks {
-        let len = base + usize::from(i < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
-/// Splits every per-node output buffer of one level at the given word
-/// ranges: the result has one entry per range, holding — for every node of
-/// the level, in order — the mutable word sub-slice that the corresponding
-/// worker fills.
-///
-/// # Panics
-///
-/// Panics if the ranges do not exactly tile each buffer.
-pub fn split_level_buffers<'a>(
-    buffers: &'a mut [Vec<u64>],
-    ranges: &[Range<usize>],
-) -> Vec<Vec<&'a mut [u64]>> {
-    let mut parts: Vec<Vec<&'a mut [u64]>> = ranges
-        .iter()
-        .map(|_| Vec::with_capacity(buffers.len()))
-        .collect();
-    for buffer in buffers.iter_mut() {
-        let mut rest: &mut [u64] = buffer.as_mut_slice();
-        let mut consumed = 0usize;
-        for (part, range) in parts.iter_mut().zip(ranges.iter()) {
-            assert_eq!(range.start, consumed, "ranges must tile the buffer");
-            let (head, tail) = rest.split_at_mut(range.len());
-            part.push(head);
-            rest = tail;
-            consumed = range.end;
-        }
-        assert!(rest.is_empty(), "ranges must cover the whole buffer");
-    }
-    parts
-}
-
-/// Evaluates one level: allocates a zeroed `num_words`-word output buffer
-/// per node and fills them through `kernel(node, word_lo, out)`, which must
-/// write words `word_lo .. word_lo + out.len()` of `node`'s signature.
-///
-/// Levels whose total work (`nodes × words`) is below [`PARALLEL_GRAIN`],
-/// or that cannot be split into at least two word chunks, run inline on the
-/// calling thread; larger levels run the kernel across
-/// [`std::thread::scope`] workers, one contiguous word chunk each.  Either
-/// way the kernel executes exactly once per (node, word) pair, so the
-/// result is independent of `num_threads`.
-pub fn evaluate_level<K>(
-    nodes: &[usize],
-    num_words: usize,
-    num_threads: usize,
-    kernel: &K,
-) -> Vec<Vec<u64>>
-where
-    K: Fn(usize, usize, &mut [u64]) + Sync,
-{
-    let mut buffers: Vec<Vec<u64>> = nodes.iter().map(|_| vec![0u64; num_words]).collect();
-    let ranges = word_chunks(num_words, num_threads);
-    if ranges.len() < 2 || nodes.len() * num_words < PARALLEL_GRAIN {
-        for (buffer, &id) in buffers.iter_mut().zip(nodes) {
-            kernel(id, 0, buffer);
-        }
-        return buffers;
-    }
-    let parts = split_level_buffers(&mut buffers, &ranges);
-    std::thread::scope(|scope| {
-        for (part, range) in parts.into_iter().zip(ranges.iter()) {
-            scope.spawn(move || {
-                for (slice, &id) in part.into_iter().zip(nodes.iter()) {
-                    kernel(id, range.start, slice);
-                }
-            });
-        }
-    });
-    buffers
-}
 
 /// One deterministic work item of a stolen level evaluation: a contiguous
 /// word sub-range of one node's signature row.
@@ -121,7 +28,7 @@ struct StealItem<'a> {
 }
 
 /// Evaluates one level directly into arena rows with **cost-modeled chunked
-/// work stealing**, and returns the number of steal events.
+/// work stealing**.
 ///
 /// `rows` holds one mutable full-width signature row per level node (as
 /// produced by `SignatureArena::split_rows`), `nodes` the matching node ids
@@ -136,9 +43,8 @@ struct StealItem<'a> {
 ///
 /// Because the chunk partition is fixed and every (node, word) pair is
 /// written by exactly one chunk, the result is bit-identical for any thread
-/// count and any steal schedule; only the returned steal count (claims
-/// beyond each worker's first) is timing-dependent.  Levels below
-/// [`PARALLEL_GRAIN`] run inline and report zero steals.
+/// count and any steal schedule.  Levels below [`PARALLEL_GRAIN`] run
+/// inline.
 ///
 /// # Panics
 ///
@@ -149,21 +55,20 @@ pub fn evaluate_level_stealing<K>(
     costs: &[u64],
     num_threads: usize,
     kernel: &K,
-) -> u64
-where
+) where
     K: Fn(usize, usize, &mut [u64]) + Sync,
 {
     assert_eq!(rows.len(), nodes.len());
     assert_eq!(rows.len(), costs.len());
     if rows.is_empty() {
-        return 0;
+        return;
     }
     let num_words = rows[0].len();
     if num_threads < 2 || rows.len() * num_words < PARALLEL_GRAIN {
         for (out, &id) in rows.into_iter().zip(nodes) {
             kernel(id, 0, out);
         }
-        return 0;
+        return;
     }
 
     // Deterministic cost-balanced partition into ~4 chunks per thread.
@@ -204,67 +109,23 @@ where
         chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let cursor = AtomicUsize::new(0);
     let workers = num_threads.min(slots.len());
-    let claims: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut claimed = 0u64;
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= slots.len() {
-                            break;
-                        }
-                        let taken = slots[idx]
-                            .lock()
-                            .expect("a chunk mutex is never poisoned")
-                            .take();
-                        if let Some(items) = taken {
-                            for item in items {
-                                kernel(item.node, item.word_lo, item.out);
-                            }
-                            claimed += 1;
-                        }
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("a steal worker never panics"))
-            .collect()
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= slots.len() {
+                    break;
+                }
+                let taken = slots[idx]
+                    .lock()
+                    .expect("a chunk mutex is never poisoned")
+                    .take();
+                for item in taken.into_iter().flatten() {
+                    kernel(item.node, item.word_lo, item.out);
+                }
+            });
+        }
     });
-    claims.iter().map(|&c| c.saturating_sub(1)).sum()
-}
-
-/// Fills one node's output words `word_lo .. word_lo + out.len()` by
-/// per-pattern table lookup: for every pattern `p` in the chunk, an index is
-/// assembled from bit `p` of each leaf word array (leaf `k` contributes bit
-/// `k`) and the output bit is set when `table_bit(index)` holds.  `n` is the
-/// total pattern count; `out` must be zero-initialised.
-///
-/// This is the kernel shared by the sparse (specified-node) evaluators —
-/// window-based target simulation and cut-collapsed STP simulation — so the
-/// word-boundary arithmetic that their sequential/parallel bit-identity
-/// depends on lives in exactly one place.
-pub fn lookup_kernel(
-    table_bit: impl Fn(usize) -> bool,
-    leaf_words: &[&[u64]],
-    n: usize,
-    word_lo: usize,
-    out: &mut [u64],
-) {
-    let p_lo = word_lo * 64;
-    let p_hi = ((word_lo + out.len()) * 64).min(n);
-    for p in p_lo..p_hi {
-        let mut index = 0usize;
-        for (k, lw) in leaf_words.iter().enumerate() {
-            index |= (((lw[p / 64] >> (p % 64)) & 1) as usize) << k;
-        }
-        if table_bit(index) {
-            out[p / 64 - word_lo] |= 1u64 << (p % 64);
-        }
-    }
 }
 
 /// Groups node ids by topological level: `groups[l]` lists the ids with
@@ -281,81 +142,6 @@ pub fn group_by_level(levels: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn word_chunks_tile_the_range() {
-        for num_words in [0usize, 1, 3, 7, 64, 100] {
-            for num_threads in [1usize, 2, 3, 8, 200] {
-                let ranges = word_chunks(num_words, num_threads);
-                if num_words == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert!(ranges.len() <= num_threads);
-                assert_eq!(ranges.first().unwrap().start, 0);
-                assert_eq!(ranges.last().unwrap().end, num_words);
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start);
-                }
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-                // Near-equal: sizes differ by at most one word.
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let min = sizes.iter().min().unwrap();
-                let max = sizes.iter().max().unwrap();
-                assert!(max - min <= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn split_level_buffers_partitions_each_buffer() {
-        let mut buffers = vec![vec![0u64; 10], vec![0u64; 10]];
-        let ranges = word_chunks(10, 3);
-        let mut parts = split_level_buffers(&mut buffers, &ranges);
-        assert_eq!(parts.len(), 3);
-        for (t, part) in parts.iter_mut().enumerate() {
-            assert_eq!(part.len(), 2, "one slice per node");
-            for slice in part.iter_mut() {
-                for w in slice.iter_mut() {
-                    *w = t as u64 + 1;
-                }
-            }
-        }
-        drop(parts);
-        // Every word was written by exactly one chunk, in range order.
-        for buffer in &buffers {
-            let expected: Vec<u64> = ranges
-                .iter()
-                .enumerate()
-                .flat_map(|(t, r)| std::iter::repeat(t as u64 + 1).take(r.len()))
-                .collect();
-            assert_eq!(buffer, &expected);
-        }
-    }
-
-    #[test]
-    fn lookup_kernel_assembles_indices_and_respects_chunks() {
-        // Two leaves, table = XOR (bits 01 and 10 set), 100 patterns.
-        let n = 100usize;
-        let a: Vec<u64> = vec![0xAAAA_AAAA_AAAA_AAAA, 0xAAAA_AAAA_AAAA_AAAA];
-        let b: Vec<u64> = vec![0xFFFF_0000_FFFF_0000, 0xFFFF_0000_FFFF_0000];
-        let leaves: Vec<&[u64]> = vec![&a, &b];
-        let xor = |index: usize| index == 1 || index == 2;
-        let mut whole = vec![0u64; 2];
-        lookup_kernel(xor, &leaves, n, 0, &mut whole);
-        // Chunked evaluation must tile to the same words.
-        let mut lo = vec![0u64; 1];
-        let mut hi = vec![0u64; 1];
-        lookup_kernel(xor, &leaves, n, 0, &mut lo);
-        lookup_kernel(xor, &leaves, n, 1, &mut hi);
-        assert_eq!(whole, vec![lo[0], hi[0]]);
-        // Bits beyond the pattern count stay clear.
-        assert_eq!(whole[1] >> (n - 64), 0);
-        // Spot-check pattern 0 (a=0, b=0 -> index 0 -> clear) and pattern 1
-        // (a=1, b=0 -> index 1 -> set).
-        assert_eq!(whole[0] & 1, 0);
-        assert_eq!((whole[0] >> 1) & 1, 1);
-    }
 
     #[test]
     fn group_by_level_orders_ids() {
@@ -380,9 +166,8 @@ mod tests {
         for num_threads in [1usize, 2, 4, 8] {
             let mut storage: Vec<Vec<u64>> = nodes.iter().map(|_| vec![0u64; num_words]).collect();
             let rows: Vec<&mut [u64]> = storage.iter_mut().map(|b| b.as_mut_slice()).collect();
-            let steals = evaluate_level_stealing(rows, &nodes, &costs, num_threads, &kernel);
+            evaluate_level_stealing(rows, &nodes, &costs, num_threads, &kernel);
             if num_threads == 1 {
-                assert_eq!(steals, 0, "inline path reports no steals");
                 reference = storage.clone();
             }
             assert_eq!(storage, reference, "{num_threads} threads");
@@ -396,12 +181,11 @@ mod tests {
 
     #[test]
     fn evaluate_level_stealing_handles_small_and_empty_levels() {
-        assert_eq!(
-            evaluate_level_stealing(Vec::new(), &[], &[], 4, &|_, _, _: &mut [u64]| {}),
-            0
-        );
+        evaluate_level_stealing(Vec::new(), &[], &[], 4, &|_, _, _: &mut [u64]| {
+            panic!("an empty level runs no kernel")
+        });
         let mut row = vec![0u64; 3];
-        let steals = evaluate_level_stealing(
+        evaluate_level_stealing(
             vec![row.as_mut_slice()],
             &[7],
             &[1],
@@ -411,29 +195,6 @@ mod tests {
                 out.fill(5);
             },
         );
-        assert_eq!(steals, 0);
         assert_eq!(row, vec![5, 5, 5]);
-    }
-
-    #[test]
-    fn evaluate_level_runs_kernel_once_per_node_and_word() {
-        // A kernel that stamps node ^ word; with enough work to cross the
-        // grain and little enough to stay inline, the result must be the
-        // same.
-        let nodes: Vec<usize> = (0..80).collect();
-        for (num_words, num_threads) in [(1usize, 1usize), (7, 3), (64, 4), (100, 8)] {
-            let buffers = evaluate_level(&nodes, num_words, num_threads, &|node, word_lo, out| {
-                for (i, w) in out.iter_mut().enumerate() {
-                    *w = (node as u64) << 32 | (word_lo + i) as u64;
-                }
-            });
-            assert_eq!(buffers.len(), nodes.len());
-            for (j, buffer) in buffers.iter().enumerate() {
-                assert_eq!(buffer.len(), num_words);
-                for (w, &value) in buffer.iter().enumerate() {
-                    assert_eq!(value, (j as u64) << 32 | w as u64, "{num_threads} threads");
-                }
-            }
-        }
     }
 }

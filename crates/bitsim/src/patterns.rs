@@ -134,8 +134,7 @@ impl PatternSet {
     }
 
     /// Rebuilds a pattern set from per-input signatures (the inverse of
-    /// reading [`PatternSet::input_signature`] for every input), used by
-    /// state snapshots.
+    /// reading [`PatternSet::input_signature`] for every input).
     ///
     /// # Panics
     ///
@@ -199,52 +198,6 @@ impl PatternSet {
         }
         self.num_patterns += 1;
     }
-
-    /// Keeps only the pattern columns listed in `keep` (strictly
-    /// ascending), renumbering them `0..keep.len()` — the column-dropping
-    /// half of pattern compaction.  The caller decides *which* columns are
-    /// dead (no surviving equivalence class disagrees on them); this method
-    /// just rebuilds the per-input signatures over the kept columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keep` is empty (an empty pattern set makes every node a
-    /// constant candidate), not strictly ascending, or out of range.
-    pub fn compact(&mut self, keep: &[usize]) {
-        assert!(
-            !keep.is_empty(),
-            "compaction must keep at least one pattern"
-        );
-        assert!(
-            keep.windows(2).all(|w| w[0] < w[1]),
-            "kept pattern columns must be strictly ascending"
-        );
-        assert!(
-            *keep.last().expect("keep is non-empty") < self.num_patterns,
-            "kept pattern column out of range"
-        );
-        for sig in &mut self.inputs {
-            *sig = Signature::from_bits(keep.iter().map(|&c| sig.get_bit(c)));
-        }
-        self.num_patterns = keep.len();
-    }
-
-    /// Appends all patterns of `other` (which must have the same input
-    /// count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input counts differ.
-    pub fn extend(&mut self, other: &PatternSet) {
-        assert_eq!(
-            self.num_inputs(),
-            other.num_inputs(),
-            "pattern sets must have the same number of inputs"
-        );
-        for p in 0..other.num_patterns() {
-            self.push_pattern(&other.assignment(p));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -304,48 +257,13 @@ mod tests {
     }
 
     #[test]
-    fn push_and_extend() {
+    fn push_appends_patterns() {
         let mut p = PatternSet::new(3);
         p.push_pattern(&[true, false, true]);
         p.push_pattern(&[false, false, true]);
         assert_eq!(p.num_patterns(), 2);
         assert_eq!(p.assignment(0), vec![true, false, true]);
-        let mut q = PatternSet::new(3);
-        q.push_pattern(&[true, true, true]);
-        p.extend(&q);
-        assert_eq!(p.num_patterns(), 3);
-        assert_eq!(p.assignment(2), vec![true, true, true]);
-    }
-
-    #[test]
-    fn compact_keeps_selected_columns_in_order() {
-        let mut p = PatternSet::new(2);
-        p.push_pattern(&[true, false]);
-        p.push_pattern(&[false, true]);
-        p.push_pattern(&[true, true]);
-        p.push_pattern(&[false, false]);
-        p.compact(&[1, 3]);
-        assert_eq!(p.num_patterns(), 2);
-        assert_eq!(p.assignment(0), vec![false, true]);
-        assert_eq!(p.assignment(1), vec![false, false]);
-        // Further growth works on the compacted set.
-        p.push_pattern(&[true, true]);
-        assert_eq!(p.num_patterns(), 3);
-        assert_eq!(p.assignment(2), vec![true, true]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pattern")]
-    fn compact_rejects_empty_keep() {
-        let mut p = PatternSet::exhaustive(2);
-        p.compact(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn compact_rejects_unordered_keep() {
-        let mut p = PatternSet::exhaustive(2);
-        p.compact(&[2, 1]);
+        assert_eq!(p.assignment(1), vec![false, false, true]);
     }
 
     #[test]

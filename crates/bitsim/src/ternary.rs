@@ -268,8 +268,6 @@ impl<'a> TernarySimulator<'a> {
                     );
                 }
             }
-            val.mark_written(id);
-            care.mark_written(id);
         }
         TernarySimState { val, care }
     }

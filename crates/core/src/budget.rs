@@ -79,7 +79,7 @@ impl Budget {
     }
 
     /// Limits the run to `deadline` of wall-clock time, measured from the
-    /// start of the session (for a [`crate::Pipeline`]: of the pipeline).
+    /// start of the session (for a [`crate::PassManager`]: of the pipeline).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -136,7 +136,7 @@ impl Budget {
     }
 
     /// The budget that remains after `elapsed` time and `sat_calls` queries
-    /// have been consumed — used by [`crate::Pipeline`] to thread one budget
+    /// have been consumed — used by [`crate::PassManager`] to thread one budget
     /// through a sequence of passes.
     pub(crate) fn remaining(&self, elapsed: Duration, sat_calls: u64) -> Budget {
         Budget {

@@ -2,16 +2,15 @@
 //!
 //! A [`SweepCheckpoint`] is a versioned, self-describing snapshot of a
 //! [`crate::SweepSession`] at a candidate boundary: the candidate
-//! equivalence classes, the grown pattern set, the incremental-resimulation
-//! dirty set, the ordered merge log, the phase cursor, the cumulative
-//! report counters — and, crucially, a behaviour-exact snapshot of the
-//! session's incremental SAT solver ([`satsolver::CircuitSatSnapshot`]).
+//! equivalence classes, the incremental-resimulation dirty set, the ordered
+//! merge log, the phase cursor, the cumulative report counters — and,
+//! crucially, a behaviour-exact snapshot of the session's incremental SAT
+//! solver ([`satsolver::CircuitSatSnapshot`]).
 //! CDCL solvers are history-dependent (learnt clauses, VSIDS activities,
 //! saved phases steer every future query), so carrying its exact state is
 //! what makes the headline guarantee possible: **cancel at any candidate
 //! boundary, resume with [`crate::Sweeper::resume_from`], and the final SAT
-//! calls, merges and AIGER bytes are identical to an uninterrupted run**,
-//! for every `num_threads`.
+//! calls, merges and AIGER bytes are identical to an uninterrupted run**.
 //!
 //! The on-disk format is a dependency-free little-endian binary codec with
 //! an integrity header: an 8-byte magic, a format version and the
@@ -50,7 +49,6 @@ use crate::equiv::ConstantCandidate;
 use crate::observer::StatsObserver;
 use crate::report::SweepConfig;
 use crate::session::Engine;
-use bitsim::Signature;
 use netlist::{Aig, AigNode, Lit, NodeId};
 use satsolver::{
     CircuitSatSnapshot, ClauseSnapshot, QueryStats, SatLit, SolverConfig, SolverSnapshot,
@@ -64,10 +62,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 6 holds the session's
-/// one solver and a pending-candidate cursor; checkpoints are resumed by
-/// the build that wrote them, so older layouts are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// [`CheckpointError::UnsupportedVersion`].  Version 7 holds the session's
+/// one solver and a pending-candidate cursor, and no pattern words: the
+/// classes and the solver carry everything a resumed run reads.
+/// Checkpoints are resumed by the build that wrote them, so older layouts
+/// are not decoded.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -219,17 +219,10 @@ pub struct SweepCheckpoint {
     /// Raw class parts: (members, phases) per class, plus constants.
     pub(crate) classes: Vec<(Vec<NodeId>, Vec<bool>)>,
     pub(crate) constants: Vec<ConstantCandidate>,
-    /// The grown pattern set: per-input signature words.
-    pub(crate) num_patterns: usize,
-    pub(crate) pattern_words: Vec<Vec<u64>>,
     pub(crate) resim: crate::resim::ResimSnapshot,
     pub(crate) stats: StatsObserver,
     pub(crate) sweep_sat_calls: u64,
     pub(crate) committed_candidates: u64,
-    /// Counter-example count at the last pattern compaction (drives the
-    /// deterministic [`crate::SweepConfig::compact_every`] cadence across a
-    /// resume).
-    pub(crate) last_compaction_ce: u64,
     pub(crate) simulation_time: Duration,
     pub(crate) sat_time: Duration,
     /// Wall-clock already consumed before this checkpoint (added to the
@@ -349,14 +342,6 @@ impl SweepCheckpoint {
             w.usize(c.node);
             w.boolean(c.value);
         }
-        w.usize(self.num_patterns);
-        w.usize(self.pattern_words.len());
-        for words in &self.pattern_words {
-            w.usize(words.len());
-            for &word in words {
-                w.u64(word);
-            }
-        }
         w.usize(self.resim.last_seen.len());
         for &e in &self.resim.last_seen {
             w.u64(e);
@@ -367,7 +352,6 @@ impl SweepCheckpoint {
         encode_stats(&mut w, &self.stats);
         w.u64(self.sweep_sat_calls);
         w.u64(self.committed_candidates);
-        w.u64(self.last_compaction_ce);
         w.duration(self.simulation_time);
         w.duration(self.sat_time);
         w.duration(self.elapsed);
@@ -458,15 +442,6 @@ impl SweepCheckpoint {
             }
             constants
         };
-        let num_patterns = r.usize()?;
-        let pattern_words = {
-            let len = r.vec_len(8)?;
-            let mut inputs = Vec::with_capacity(len);
-            for _ in 0..len {
-                inputs.push(r.u64_vec()?);
-            }
-            inputs
-        };
         let resim = crate::resim::ResimSnapshot {
             last_seen: r.u64_vec()?,
             events: r.u64()?,
@@ -476,7 +451,6 @@ impl SweepCheckpoint {
         let stats = decode_stats(&mut r)?;
         let sweep_sat_calls = r.u64()?;
         let committed_candidates = r.u64()?;
-        let last_compaction_ce = r.u64()?;
         let simulation_time = r.duration()?;
         let sat_time = r.duration()?;
         let elapsed = r.duration()?;
@@ -501,13 +475,10 @@ impl SweepCheckpoint {
             dont_touch,
             classes,
             constants,
-            num_patterns,
-            pattern_words,
             resim,
             stats,
             sweep_sat_calls,
             committed_candidates,
-            last_compaction_ce,
             simulation_time,
             sat_time,
             elapsed,
@@ -530,14 +501,6 @@ impl SweepCheckpoint {
         let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
         SweepCheckpoint::decode(&bytes)
     }
-
-    /// The per-input signatures of the checkpointed pattern set.
-    pub(crate) fn pattern_signatures(&self) -> Vec<Signature> {
-        self.pattern_words
-            .iter()
-            .map(|words| Signature::from_words(self.num_patterns, words.clone()))
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -553,9 +516,7 @@ fn encode_config(w: &mut Writer, c: &SweepConfig) {
     w.boolean(c.sat_guided_patterns);
     w.boolean(c.constant_substitution);
     w.boolean(c.window_refinement);
-    w.usize(c.num_threads);
     w.usize(c.checkpoint_interval);
-    w.u64(c.compact_every);
     w.u64(c.checkpoint_interval_millis);
     w.usize(c.seq_depth);
 }
@@ -570,9 +531,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SweepConfig, CheckpointError> {
         sat_guided_patterns: r.boolean()?,
         constant_substitution: r.boolean()?,
         window_refinement: r.boolean()?,
-        num_threads: r.usize()?,
         checkpoint_interval: r.usize()?,
-        compact_every: r.u64()?,
         checkpoint_interval_millis: r.u64()?,
         seq_depth: r.usize()?,
     })
@@ -593,8 +552,6 @@ fn encode_stats(w: &mut Writer, s: &StatsObserver) {
     w.u64(s.resim_nodes);
     w.u64(s.resim_skipped_nodes);
     w.u64(s.checkpoints);
-    w.u64(s.compactions);
-    w.u64(s.patterns_dropped);
     w.u64(s.checkpoint_bytes);
 }
 
@@ -614,8 +571,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
         resim_nodes: r.u64()?,
         resim_skipped_nodes: r.u64()?,
         checkpoints: r.u64()?,
-        compactions: r.u64()?,
-        patterns_dropped: r.u64()?,
         checkpoint_bytes: r.u64()?,
         // Pipeline-level pass brackets are not part of a sweep session's
         // state: a resumed session starts outside any pass manager.
@@ -1176,8 +1131,6 @@ mod tests {
                 node: 10,
                 value: true,
             }],
-            num_patterns: 65,
-            pattern_words: vec![vec![0xAAAA, 0x1], vec![0x5555, 0x0], vec![0xF0F0, 0x1]],
             resim: crate::resim::ResimSnapshot {
                 last_seen: vec![0, 1, 2, 2, 2],
                 events: 2,
@@ -1194,7 +1147,6 @@ mod tests {
             },
             sweep_sat_calls: 3,
             committed_candidates: 4,
-            last_compaction_ce: 2,
             simulation_time: Duration::from_millis(12),
             sat_time: Duration::from_millis(7),
             elapsed: Duration::from_millis(20),
@@ -1282,16 +1234,16 @@ mod tests {
 
     #[test]
     fn every_other_version_is_rejected_before_the_payload_is_read() {
-        // A version-5 header followed by arbitrary bytes: rejected on the
+        // A version-6 header followed by arbitrary bytes: rejected on the
         // version field alone, before the payload is parsed.
-        let mut v5 = CHECKPOINT_MAGIC.to_vec();
-        v5.extend_from_slice(&5u32.to_le_bytes());
-        v5.extend_from_slice(&[0xA5; 64]);
+        let mut v6 = CHECKPOINT_MAGIC.to_vec();
+        v6.extend_from_slice(&6u32.to_le_bytes());
+        v6.extend_from_slice(&[0xA5; 64]);
         assert_eq!(
-            SweepCheckpoint::decode(&v5),
-            Err(CheckpointError::UnsupportedVersion(5))
+            SweepCheckpoint::decode(&v6),
+            Err(CheckpointError::UnsupportedVersion(6))
         );
-        for version in [1u32, 2, 3, 4, 5, CHECKPOINT_VERSION + 1] {
+        for version in (1..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1]) {
             let mut bytes = sample_checkpoint().encode();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert_eq!(
@@ -1320,10 +1272,6 @@ mod tests {
     }
 
     // -- proptest: encode ∘ decode = id over random session states ---------
-
-    fn arb_signature_words() -> impl Strategy<Value = Vec<u64>> {
-        proptest::collection::vec(any::<u64>(), 1..4)
-    }
 
     fn arb_opt_bool() -> impl Strategy<Value = Option<bool>> {
         (0u8..3).prop_map(|v| match v {
@@ -1433,7 +1381,7 @@ mod tests {
                 proptest::collection::vec(0usize..1000, 0..5),
             ),
             (
-                proptest::collection::vec(arb_signature_words(), 0..4),
+                proptest::collection::vec(any::<u64>(), 0..6),
                 arb_solver_snapshot(),
                 any::<u64>(),
                 any::<u64>(),
@@ -1442,7 +1390,7 @@ mod tests {
             .prop_map(
                 |(
                     ((fingerprint, canonical), primed, stp, phase, merges, dont_touch),
-                    (pattern_words, solver, sat_calls, committed),
+                    (last_seen, solver, sat_calls, committed),
                 )| {
                     SweepCheckpoint {
                         fingerprint,
@@ -1459,10 +1407,8 @@ mod tests {
                         dont_touch,
                         classes: vec![(vec![1, 2], vec![false, true])],
                         constants: Vec::new(),
-                        num_patterns: 64,
-                        pattern_words,
                         resim: crate::resim::ResimSnapshot {
-                            last_seen: vec![0; 4],
+                            last_seen,
                             events: 0,
                             resimulated: 0,
                             skipped: 0,
@@ -1470,7 +1416,6 @@ mod tests {
                         stats: StatsObserver::new(),
                         sweep_sat_calls: sat_calls,
                         committed_candidates: committed,
-                        last_compaction_ce: sat_calls / 2,
                         simulation_time: Duration::ZERO,
                         sat_time: Duration::ZERO,
                         elapsed: Duration::ZERO,

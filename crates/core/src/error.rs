@@ -1,6 +1,6 @@
 //! Typed errors of the sweeping API.
 //!
-//! The builder API ([`crate::Sweeper`], [`crate::Pipeline`]) replaces the
+//! The builder API ([`crate::Sweeper`], [`crate::PassManager`]) replaces the
 //! silent clamping and panics of the original free functions with a typed
 //! error: invalid configurations are rejected up front, budget exhaustion
 //! hands back the partial result instead of discarding it, and internal

@@ -17,18 +17,15 @@
 //! * [`passes`] / [`pipeline`] — the optimisation-pass framework: a
 //!   [`Pass`] trait with structural cleanups, cut-based NPN rewriting
 //!   ([`passes::Rewrite`]), the [`passes::Dc2`] fixpoint loop, sweeps and
-//!   CEC verification, composed by the [`PassManager`] (aliased
-//!   [`Pipeline`]) with per-pass reports — built programmatically or from a
-//!   textual script ([`PassManager::parse`]).
+//!   CEC verification, composed by the [`PassManager`] with per-pass
+//!   reports — built programmatically or from a textual script
+//!   ([`PassManager::parse`]).
 //! * [`resim`] — incremental counter-example resimulation: single-pattern
 //!   evaluation restricted to the transitive fanin of the surviving
 //!   candidates, with a dirty-set tracking the nodes whose signature history
 //!   was left behind.  Both engines route counter-examples through it; the
 //!   per-run counts surface in [`SweepReport`] and
 //!   [`Observer::on_resimulation`].
-//! * [`fraig`] / [`sweeper`] — the legacy free-function wrappers
-//!   (`sweep_fraig`, `sweep_stp`, `sweep_stp_to_fixpoint`), kept as
-//!   deprecated thin shims over the builder.
 //! * [`cec`] — combinational equivalence checking used to verify every sweep
 //!   (the `&cec` analog).
 //! * [`sequential`] — sequential SAT-sweeping over latches, activated by
@@ -66,7 +63,7 @@
 //! assert_eq!(stats.merges, result.report.merges);
 //! ```
 //!
-//! Multi-pass flows compose through [`Pipeline`], and long runs stay
+//! Multi-pass flows compose through [`PassManager`], and long runs stay
 //! interruptible through [`Budget`] (deadline, SAT-call cap,
 //! [`CancelToken`]) — a tripped budget returns the partial result inside
 //! [`SweepError::BudgetExhausted`] instead of discarding the work done,
@@ -83,7 +80,6 @@ pub mod cec;
 pub mod checkpoint;
 pub mod equiv;
 pub mod error;
-pub mod fraig;
 pub mod observer;
 pub mod passes;
 pub mod patterns;
@@ -93,7 +89,6 @@ pub mod resim;
 pub mod sequential;
 pub mod session;
 pub mod stp_sim;
-pub mod sweeper;
 pub mod window;
 
 pub use bmc::{bmc_sec, SecResult};
@@ -102,6 +97,6 @@ pub use checkpoint::{netlist_fingerprint, CheckpointError, SweepCheckpoint};
 pub use error::SweepError;
 pub use observer::{NoopObserver, Observer, SatCallOutcome, StatsObserver};
 pub use passes::{ParsePassError, Pass, PassCtx};
-pub use pipeline::{PassManager, PassReport, Pipeline, PipelineResult};
+pub use pipeline::{PassManager, PassReport, PipelineResult};
 pub use report::{SweepConfig, SweepReport, SweepResult};
 pub use session::{Engine, SweepSession, Sweeper};

@@ -30,12 +30,12 @@ pub enum SatCallOutcome {
 /// Receives engine events during a sweeping run.
 ///
 /// All methods default to no-ops.  Observers are passed to
-/// [`crate::Sweeper::observer`] / [`crate::Pipeline::observer`] by mutable
+/// [`crate::Sweeper::observer`] / [`crate::PassManager::observer`] by mutable
 /// reference, so the caller keeps ownership and can inspect the observer
 /// after the run.
 pub trait Observer {
     /// A sweep round starts: `round` is the zero-based round index (a plain
-    /// [`crate::Sweeper`] run is round 0; [`crate::Pipeline`] and fixpoint
+    /// [`crate::Sweeper`] run is round 0; [`crate::PassManager`] and fixpoint
     /// sweeps advance it per pass), `gates` the AND count of the network
     /// being swept.
     fn on_round(&mut self, round: usize, gates: usize) {
@@ -93,10 +93,10 @@ pub trait Observer {
     /// per emission — observers that spill to disk write these bytes
     /// instead of re-encoding, and observers that meter checkpoint cost
     /// read `encoded.len()`.  Candidate-count checkpoints fire at
-    /// deterministic points, so their event stream is identical for every
-    /// `num_threads`; wall-clock checkpoints fire at
-    /// time-dependent points, but checkpoints never change the sweep, so
-    /// the *results* stay byte-identical either way.
+    /// deterministic points, so their event stream is identical on every
+    /// run; wall-clock checkpoints fire at time-dependent points, but
+    /// checkpoints never change the sweep, so the *results* stay
+    /// byte-identical either way.
     fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, encoded: &[u8]) {
         let _ = (checkpoint, encoded);
     }
@@ -113,16 +113,6 @@ pub trait Observer {
     /// A [`crate::PassManager`] pass finished with this [`PassReport`].
     fn on_pass_end(&mut self, report: &PassReport) {
         let _ = report;
-    }
-
-    /// The pattern set was compacted (every
-    /// [`crate::SweepConfig::compact_every`] counter-examples): `kept`
-    /// pattern columns survived, `dropped` dead columns — columns no
-    /// surviving candidate class disagrees on — were removed.  Compaction
-    /// happens at deterministic points and never changes the sweep result,
-    /// so this event stream is identical for every thread count.
-    fn on_compaction(&mut self, kept: usize, dropped: usize) {
-        let _ = (kept, dropped);
     }
 }
 
@@ -174,10 +164,6 @@ pub struct StatsObserver {
     /// Pipeline passes started (one per [`Observer::on_pass_start`]; not
     /// part of [`SweepReport`]).
     pub passes: u64,
-    /// Pattern compactions performed.
-    pub compactions: u64,
-    /// Dead pattern columns dropped, summed over compactions.
-    pub patterns_dropped: u64,
 }
 
 impl StatsObserver {
@@ -206,7 +192,6 @@ impl StatsObserver {
             resim_events: self.resim_events,
             resim_nodes: self.resim_nodes,
             resim_skipped_nodes: self.resim_skipped_nodes,
-            patterns_dropped: self.patterns_dropped,
             ..SweepReport::default()
         }
     }
@@ -263,11 +248,6 @@ impl Observer for StatsObserver {
     fn on_pass_start(&mut self, _name: &str, _gates: usize) {
         self.passes += 1;
     }
-
-    fn on_compaction(&mut self, _kept: usize, dropped: usize) {
-        self.compactions += 1;
-        self.patterns_dropped += dropped as u64;
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +269,6 @@ mod tests {
         stats.on_simulation_verdict(5, 3, true);
         stats.on_simulation_verdict(6, 3, false);
         stats.on_resimulation(3, 5, 95);
-        stats.on_compaction(96, 160);
 
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.merges, 1);
@@ -305,8 +284,6 @@ mod tests {
         assert_eq!(stats.resim_events, 1);
         assert_eq!(stats.resim_nodes, 5);
         assert_eq!(stats.resim_skipped_nodes, 95);
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(stats.patterns_dropped, 160);
 
         let report = stats.counts();
         assert_eq!(report.merges, 1);
@@ -315,7 +292,6 @@ mod tests {
         assert_eq!(report.resim_events, 1);
         assert_eq!(report.resim_nodes, 5);
         assert_eq!(report.resim_skipped_nodes, 95);
-        assert_eq!(report.patterns_dropped, 160);
         assert_eq!(report.gates_before, 0, "gate counts belong to the session");
     }
 

@@ -4,9 +4,8 @@
 //! cleanup, a rewrite, a verification.  Passes run inside a [`PassCtx`]
 //! that carries the current network, the sweep configuration, the budget
 //! spanning the whole run, the observer and the cumulative statistics.  The
-//! [`crate::PassManager`] (aliased as [`crate::Pipeline`]) owns a sequence
-//! of boxed passes and executes them in order, collecting one
-//! [`PassReport`] per pass.
+//! [`crate::PassManager`] owns a sequence of boxed passes and executes them
+//! in order, collecting one [`PassReport`] per pass.
 //!
 //! The built-in passes:
 //!

@@ -168,7 +168,7 @@ impl Pass for Verify {
             // mistake for a verified result.
             return Err(SweepError::Inconsistent(if check.undetermined {
                 "verify pass could not prove equivalence within its budget \
-                 (raise Pipeline::verify_conflict_limit)"
+                 (raise PassManager::verify_conflict_limit)"
                     .into()
             } else {
                 "verify pass found the swept network inequivalent to the input".into()

@@ -1,13 +1,12 @@
 //! Multi-pass optimisation runs.
 //!
-//! A [`PassManager`] (aliased as [`Pipeline`] for the original API) owns a
-//! sequence of boxed [`Pass`]es — sweeps, structural cleanups, rewriting,
-//! verification — and executes them in order inside one budgeted,
-//! observable run:
+//! A [`PassManager`] owns a sequence of boxed [`Pass`]es — sweeps,
+//! structural cleanups, rewriting, verification — and executes them in
+//! order inside one budgeted, observable run:
 //!
 //! ```
 //! use netlist::Aig;
-//! use stp_sweep::{Engine, Pipeline, SweepConfig};
+//! use stp_sweep::{Engine, PassManager, SweepConfig};
 //!
 //! let mut aig = Aig::new();
 //! let a = aig.add_input("a");
@@ -17,7 +16,7 @@
 //! let y = aig.xor(f, g);
 //! aig.add_output("y", y);
 //!
-//! let outcome = Pipeline::new(SweepConfig::fast())
+//! let outcome = PassManager::new(SweepConfig::fast())
 //!     .sweep(Engine::Stp)
 //!     .strash()
 //!     .sweep(Engine::Stp)
@@ -115,10 +114,6 @@ pub struct PassManager<'o> {
     observer: Option<&'o mut dyn Observer>,
     verify_conflict_limit: u64,
 }
-
-/// The original name of [`PassManager`], kept so existing pipeline callers
-/// compile unchanged.
-pub type Pipeline<'o> = PassManager<'o>;
 
 impl Default for PassManager<'_> {
     fn default() -> Self {
@@ -273,6 +268,7 @@ mod tests {
     use super::*;
     use crate::cec::check_equivalence;
     use crate::observer::StatsObserver;
+    use crate::session::Sweeper;
 
     fn redundant_circuit() -> Aig {
         let mut aig = Aig::new();
@@ -294,7 +290,7 @@ mod tests {
     #[test]
     fn pipeline_accumulates_per_pass_reports() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .strash()
             .sweep(Engine::Stp)
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn fixpoint_pass_converges() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .sweep_to_fixpoint(Engine::Stp, 4)
             .run(&aig)
             .expect("runs");
@@ -335,13 +331,20 @@ mod tests {
             assert_eq!(last.gates_before, last.gates_after);
         }
         assert!(check_equivalence(&aig, &outcome.aig, 100_000).equivalent);
+        // The rounds accumulate: at least as small and as many merges as one
+        // sweep, with the report spanning the whole run.
+        let once = Sweeper::new(Engine::Stp).run(&aig).expect("runs");
+        assert!(outcome.aig.num_ands() <= once.aig.num_ands());
+        assert!(outcome.report.merges >= once.report.merges);
+        assert_eq!(outcome.report.gates_before, aig.num_ands());
+        assert_eq!(outcome.report.gates_after, outcome.aig.num_ands());
     }
 
     #[test]
     fn observer_sees_increasing_round_indices() {
         let aig = redundant_circuit();
         let mut stats = StatsObserver::new();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .sweep(Engine::Stp)
             .observer(&mut stats)
@@ -357,7 +360,7 @@ mod tests {
     fn observer_gets_a_bracket_per_scheduled_pass() {
         let aig = redundant_circuit();
         let mut stats = StatsObserver::new();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .rewrite()
             .strash()
             .sweep_to_fixpoint(Engine::Stp, 4)
@@ -374,7 +377,7 @@ mod tests {
     #[test]
     fn pipeline_budget_returns_aggregate_partial() {
         let aig = redundant_circuit();
-        let err = Pipeline::new(SweepConfig::default())
+        let err = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .sweep(Engine::Stp)
             .budget(Budget::unlimited().with_max_sat_calls(0))
@@ -389,7 +392,7 @@ mod tests {
     #[test]
     fn exhausted_budget_stops_before_strash_and_verify() {
         let aig = redundant_circuit();
-        let err = Pipeline::new(SweepConfig::default())
+        let err = PassManager::new(SweepConfig::default())
             .strash()
             .verify()
             .budget(Budget::unlimited().with_deadline(Duration::ZERO))
@@ -402,11 +405,11 @@ mod tests {
 
     #[test]
     fn default_pipeline_verify_budget_is_usable() {
-        // Pipeline::default() must behave like Pipeline::new(default config):
+        // PassManager::default() must behave like PassManager::new(default config):
         // a verify pass on a correct sweep passes instead of failing with a
         // zero conflict budget.
         let aig = redundant_circuit();
-        let outcome = Pipeline::default()
+        let outcome = PassManager::default()
             .sweep(Engine::Stp)
             .verify()
             .run(&aig)
@@ -417,7 +420,7 @@ mod tests {
     #[test]
     fn verify_pass_passes_on_a_correct_sweep() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .verify()
             .run(&aig)
@@ -431,7 +434,7 @@ mod tests {
         // pipeline must surface that as `Inconsistent` instead of silently
         // reporting a verified result.
         let aig = redundant_circuit();
-        let err = Pipeline::new(SweepConfig::default())
+        let err = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .verify()
             .verify_conflict_limit(1)
@@ -444,7 +447,7 @@ mod tests {
     #[test]
     fn empty_pipeline_is_identity_with_empty_report() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .run(&aig)
             .expect("runs");
         assert_eq!(outcome.aig.num_ands(), aig.num_ands());
@@ -456,7 +459,7 @@ mod tests {
     #[test]
     fn structural_passes_preserve_equivalence_and_report_counters() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .constant_fold()
             .dangling_gc()
             .rewrite()
@@ -476,7 +479,7 @@ mod tests {
     #[test]
     fn dc2_records_sub_reports_and_reduces() {
         let aig = redundant_circuit();
-        let outcome = Pipeline::new(SweepConfig::default())
+        let outcome = PassManager::new(SweepConfig::default())
             .dc2(3)
             .verify()
             .run(&aig)
@@ -497,11 +500,11 @@ mod tests {
     #[test]
     fn parsed_script_runs_like_the_builder() {
         let aig = redundant_circuit();
-        let scripted = Pipeline::parse("sweep(stp); strash; sweep(stp); verify")
+        let scripted = PassManager::parse("sweep(stp); strash; sweep(stp); verify")
             .expect("script parses")
             .run(&aig)
             .expect("scripted pipeline verifies");
-        let built = Pipeline::new(SweepConfig::default())
+        let built = PassManager::new(SweepConfig::default())
             .sweep(Engine::Stp)
             .strash()
             .sweep(Engine::Stp)

@@ -33,11 +33,6 @@ pub struct SweepConfig {
     /// Refine candidate equivalence classes by exhaustive STP window
     /// simulation before calling the SAT solver.
     pub window_refinement: bool,
-    /// Number of worker threads for level-scheduled parallel simulation
-    /// (see [`bitsim::AigSimulator::run_parallel`]).  The default of 1 is
-    /// the fully sequential behaviour; any value yields bit-identical
-    /// signatures and identical sweep results.
-    pub num_threads: usize,
     /// Emit a [`crate::SweepCheckpoint`] through
     /// [`crate::Observer::on_checkpoint`] every this many committed
     /// candidates (settled merge candidates plus processed constant
@@ -46,14 +41,6 @@ pub struct SweepConfig {
     /// [`crate::SweepError::BudgetExhausted`] either way.  Checkpoints never
     /// change the sweep result.
     pub checkpoint_interval: usize,
-    /// Compact the pattern set every this many counter-examples: drop dead
-    /// pattern columns that no surviving candidate class (nor any candidate
-    /// node vs. constant zero) disagrees on, bounding the pattern-word
-    /// footprint of long runs.  Compaction never changes the sweep — the
-    /// engines refine classes from counter-example assignments, not from
-    /// stored patterns — so SAT calls, merges and the result network are
-    /// identical with or without it.  `0` (the default) disables compaction.
-    pub compact_every: u64,
     /// Emit a [`crate::SweepCheckpoint`] whenever this many *milliseconds* of
     /// wall-clock time have elapsed since the last one was emitted, checked
     /// at the same candidate boundaries as [`SweepConfig::checkpoint_interval`]
@@ -89,9 +76,7 @@ impl Default for SweepConfig {
             sat_guided_patterns: true,
             constant_substitution: true,
             window_refinement: true,
-            num_threads: 1,
             checkpoint_interval: 0,
-            compact_every: 0,
             checkpoint_interval_millis: 0,
             seq_depth: 0,
         }
@@ -200,13 +185,9 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the number of worker threads for parallel simulation.
-    ///
-    /// Parallel runs are deterministic: signatures are bit-identical and the
-    /// sweep result is the same for every thread count.  `1` (the default)
-    /// is fully sequential; `0` is rejected by [`SweepConfig::validate`].
-    pub fn parallelism(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
+    /// Ignores its argument; kept because the frozen `stpbench` benchmark calls it.
+    #[doc(hidden)]
+    pub fn parallelism(self, _num_threads: usize) -> Self {
         self
     }
 
@@ -242,13 +223,6 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the pattern compaction cadence in counter-examples
-    /// (see [`SweepConfig::compact_every`]; `0` disables).
-    pub fn compact_every(mut self, counterexamples: u64) -> Self {
-        self.compact_every = counterexamples;
-        self
-    }
-
     /// Checks the configuration for values the engines cannot work with.
     ///
     /// Invalid values used to be clamped or to silently misbehave; the
@@ -261,7 +235,6 @@ impl SweepConfig {
     ///   query into `unDET` and marks every candidate don't-touch);
     /// * `window_limit` must be at most [`MAX_WINDOW_LIMIT`] (the paper
     ///   restricts exhaustive windows to at most 16 leaves);
-    /// * `num_threads` must be nonzero (1 = sequential);
     /// * [`SweepConfig::checkpoint_every_secs`] must have been given a
     ///   finite, non-negative duration;
     /// * `seq_depth` must be at most [`MAX_SEQ_DEPTH`].
@@ -269,11 +242,6 @@ impl SweepConfig {
         if self.num_initial_patterns == 0 {
             return Err(SweepError::InvalidConfig(
                 "num_initial_patterns must be nonzero".into(),
-            ));
-        }
-        if self.num_threads == 0 {
-            return Err(SweepError::InvalidConfig(
-                "num_threads must be nonzero (1 = sequential)".into(),
             ));
         }
         if self.conflict_limit == 0 {
@@ -335,9 +303,6 @@ pub struct SweepReport {
     /// extra work a `simulate_all`-per-counter-example strategy would have
     /// done.
     pub resim_skipped_nodes: u64,
-    /// Worker threads used for parallel simulation (1 = sequential; for
-    /// merged multi-pass reports, the maximum over the passes).
-    pub num_threads: usize,
     /// Always 0; kept because the frozen `stpbench` benchmark reads it.
     #[doc(hidden)]
     pub sat_batches: u64,
@@ -347,16 +312,6 @@ pub struct SweepReport {
     /// Always 0; kept because the frozen `stpbench` benchmark reads it.
     #[doc(hidden)]
     pub sat_parallel_conflicts: u64,
-    /// Dead pattern columns dropped by periodic pattern compaction (see
-    /// [`SweepConfig::compact_every`]), summed over compactions.  Identical
-    /// for every thread count; `0` when compaction is disabled.
-    pub patterns_dropped: u64,
-    /// Work-stealing chunk claims beyond each worker's first, summed over
-    /// parallel level evaluations.  Purely diagnostic: the steal *schedule*
-    /// is timing-dependent, but the produced signatures are bit-identical
-    /// regardless, so this counter is excluded from determinism-gated
-    /// output.  `0` for sequential runs.
-    pub steal_events: u64,
     /// Latches of the input network (sequential sweeps only; `0` for
     /// combinational runs, kept from the first pass when merging).
     pub seq_latches_before: usize,
@@ -403,7 +358,7 @@ impl SweepReport {
     /// Counters and times are summed; `gates_before` and `levels` keep
     /// describing the network this report started from while `gates_after`
     /// is taken from the later pass.  This is the accumulation used by
-    /// [`crate::Pipeline`] and the fixpoint wrapper.
+    /// [`crate::PassManager`] and the fixpoint wrapper.
     pub fn merge(&mut self, later: &SweepReport) {
         self.gates_after = later.gates_after;
         self.merges += later.merges;
@@ -417,9 +372,6 @@ impl SweepReport {
         self.resim_events += later.resim_events;
         self.resim_nodes += later.resim_nodes;
         self.resim_skipped_nodes += later.resim_skipped_nodes;
-        self.num_threads = self.num_threads.max(later.num_threads);
-        self.patterns_dropped += later.patterns_dropped;
-        self.steal_events += later.steal_events;
         self.seq_latches_after = later.seq_latches_after;
         self.seq_candidates += later.seq_candidates;
         self.seq_ternary_constants += later.seq_ternary_constants;
@@ -509,20 +461,16 @@ mod tests {
             .with_tfi_limit(3)
             .with_window_limit(5)
             .with_seed(42)
-            .parallelism(4)
             .checkpoint_every(50)
             .checkpoint_every_secs(1.5)
-            .compact_every(200)
             .with_seq_depth(2);
         assert_eq!(config.num_initial_patterns, 99);
         assert_eq!(config.conflict_limit, 7);
         assert_eq!(config.tfi_limit, 3);
         assert_eq!(config.window_limit, 5);
         assert_eq!(config.seed, 42);
-        assert_eq!(config.num_threads, 4);
         assert_eq!(config.checkpoint_interval, 50);
         assert_eq!(config.checkpoint_interval_millis, 1500);
-        assert_eq!(config.compact_every, 200);
         assert_eq!(config.seq_depth, 2);
     }
 
@@ -572,20 +520,18 @@ mod tests {
     }
 
     #[test]
-    fn presets_default_to_sequential() {
+    fn presets_leave_opt_in_features_off() {
         for config in [
             SweepConfig::paper(),
             SweepConfig::fast(),
             SweepConfig::thorough(),
             SweepConfig::baseline(),
         ] {
-            assert_eq!(config.num_threads, 1, "parallelism is opt-in");
             assert_eq!(config.checkpoint_interval, 0, "checkpoints are opt-in");
             assert_eq!(
                 config.checkpoint_interval_millis, 0,
                 "wall-clock checkpoints are opt-in"
             );
-            assert_eq!(config.compact_every, 0, "compaction is opt-in");
             assert_eq!(config.seq_depth, 0, "sequential sweeping is opt-in");
         }
     }
@@ -593,8 +539,6 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_configs() {
         assert!(SweepConfig::default().with_patterns(0).validate().is_err());
-        assert!(SweepConfig::default().parallelism(0).validate().is_err());
-        assert!(SweepConfig::default().parallelism(8).validate().is_ok());
         assert!(SweepConfig::default()
             .with_conflict_limit(0)
             .validate()
@@ -655,9 +599,6 @@ mod tests {
             resim_events: 2,
             resim_nodes: 30,
             resim_skipped_nodes: 130,
-            num_threads: 4,
-            patterns_dropped: 40,
-            steal_events: 6,
             seq_latches_after: 3,
             seq_candidates: 4,
             seq_ternary_constants: 1,
@@ -678,9 +619,6 @@ mod tests {
         assert_eq!(first.resim_events, 2);
         assert_eq!(first.resim_nodes, 30);
         assert_eq!(first.resim_skipped_nodes, 130);
-        assert_eq!(first.num_threads, 4, "merge keeps the maximum");
-        assert_eq!(first.patterns_dropped, 40);
-        assert_eq!(first.steal_events, 6);
         assert_eq!(first.seq_latches_before, 7, "merge keeps the origin");
         assert_eq!(first.seq_latches_after, 3, "the later pass wins");
         assert_eq!(first.seq_candidates, 6);
@@ -696,7 +634,7 @@ mod tests {
         // The pipeline folds pass reports left to right, but the fixpoint
         // wrapper pre-merges its inner iterations before handing the result
         // up.  Both bracketings must agree, which holds because every field
-        // policy (sum, max, last-writer, keep-first) is associative.
+        // policy (sum, last-writer, keep-first) is associative.
         let a = SweepReport {
             gates_before: 100,
             gates_after: 80,
@@ -704,7 +642,6 @@ mod tests {
             merges: 5,
             sat_calls_sat: 2,
             sat_calls_total: 4,
-            num_threads: 2,
             simulation_time: Duration::from_millis(10),
             ..SweepReport::default()
         };
@@ -716,7 +653,6 @@ mod tests {
             constants: 1,
             sat_calls_unsat: 4,
             sat_calls_total: 5,
-            num_threads: 4,
             seq_latches_after: 5,
             seq_candidates: 3,
             ternary_iterations: 2,
@@ -730,8 +666,6 @@ mod tests {
             merges: 2,
             sat_calls_undet: 1,
             sat_calls_total: 1,
-            patterns_dropped: 12,
-            steal_events: 6,
             seq_latches_after: 4,
             seq_induction_undet: 1,
             total_time: Duration::from_millis(20),

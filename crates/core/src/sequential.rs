@@ -30,8 +30,9 @@
 //!
 //! Candidates are proved one after another, in canonical candidate order,
 //! each on fresh per-candidate solvers, so the committed SAT calls,
-//! counter-examples and merges — and the swept network — are identical for
-//! every `num_threads`, exactly like the combinational engine.  Budget
+//! counter-examples and merges — and the swept network — are a pure
+//! function of the network and the configuration, exactly like the
+//! combinational engine.  Budget
 //! stops and periodic checkpoints happen at candidate boundaries; a
 //! resumed run recomputes the deterministic analysis and continues from
 //! the committed-candidate cursor.
@@ -607,8 +608,6 @@ fn build_seq_checkpoint(
         dont_touch: Vec::new(),
         classes: Vec::new(),
         constants: Vec::new(),
-        num_patterns: 0,
-        pattern_words: Vec::new(),
         resim: ResimSnapshot {
             last_seen: Vec::new(),
             events: 0,
@@ -618,7 +617,6 @@ fn build_seq_checkpoint(
         stats: run.stats,
         sweep_sat_calls: run.stats.sat_calls_total(),
         committed_candidates: run.cursor as u64,
-        last_compaction_ce: 0,
         simulation_time,
         sat_time: run.sat_time,
         elapsed,
@@ -674,7 +672,6 @@ pub(crate) fn run_sequential(
             let (cleaned, _) = aig.cleanup();
             let stats = StatsObserver::new();
             let mut report = stats.counts();
-            report.num_threads = config.num_threads;
             report.gates_before = aig.num_ands();
             report.gates_after = cleaned.num_ands();
             report.levels = aig.depth();
@@ -848,7 +845,6 @@ pub(crate) fn run_sequential(
     // Apply the proved substitutions and assemble the report.
     let result_aig = rebuild(aig, &analysis.constants, &run.merges);
     let mut report = run.stats.counts();
-    report.num_threads = config.num_threads;
     report.gates_before = aig.num_ands();
     report.gates_after = result_aig.num_ands();
     report.levels = aig.depth();

@@ -28,45 +28,18 @@ pub const MAX_CUT_LEAVES: usize = 16;
 
 /// Result of an all-nodes STP simulation: one [`SignatureArena`] row per
 /// node.
-///
-/// After an incremental [`StpSimulator::resimulate`], nodes outside the
-/// resimulated targets become *stale*: their arena row was written at an
-/// older pattern count (the arena's generation tag differs from the current
-/// pattern count).  Stale signatures must not be read
-/// ([`StpSimState::signature`] panics); [`StpSimState::is_stale`] tells which
-/// nodes are affected.
 #[derive(Debug, Clone)]
 pub struct StpSimState {
     arena: SignatureArena,
-    steal_events: u64,
 }
 
 impl StpSimState {
     /// A borrowed view of the signature of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node's signature is stale after an incremental
-    /// resimulation that did not target it.
     pub fn signature(&self, node: LutNodeId) -> SigRef<'_> {
-        assert!(
-            !self.arena.is_stale(node),
-            "node {node} is stale: it was skipped by an incremental resimulation"
-        );
         self.arena.sig(node)
     }
 
-    /// `true` if the node's signature no longer covers every pattern (the
-    /// node was skipped by an incremental [`StpSimulator::resimulate`]).
-    pub fn is_stale(&self, node: LutNodeId) -> bool {
-        self.arena.is_stale(node)
-    }
-
     /// The signature of output `index` (complement applied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the driving node's signature is stale.
     pub fn output_signature(&self, net: &LutNetwork, index: usize) -> Signature {
         let output = &net.outputs()[index];
         let sig = self.signature(output.node).to_signature();
@@ -82,16 +55,9 @@ impl StpSimState {
         self.arena.num_patterns()
     }
 
-    /// The backing signature arena.  Stale rows (see
-    /// [`StpSimState::is_stale`]) carry an older generation tag.
+    /// The backing signature arena.
     pub fn arena(&self) -> &SignatureArena {
         &self.arena
-    }
-
-    /// Number of work-stealing events the producing run observed (0 for
-    /// sequential runs).
-    pub fn steal_events(&self) -> u64 {
-        self.steal_events
     }
 }
 
@@ -178,12 +144,8 @@ impl<'a> StpSimulator<'a> {
                     arena.mask_row_tail(id);
                 }
             }
-            arena.mark_written(id);
         }
-        StpSimState {
-            arena,
-            steal_events: 0,
-        }
+        StpSimState { arena }
     }
 
     /// Simulates **all** nodes with up to `num_threads` worker threads.
@@ -214,18 +176,16 @@ impl<'a> StpSimulator<'a> {
         );
         let n = patterns.num_patterns();
         let mut arena = SignatureArena::new(self.net.num_nodes(), n);
-        let mut steal_events = 0u64;
         let groups = parallel::group_by_level(&self.net.levels());
         for group in &groups {
             let mut luts: Vec<LutNodeId> = Vec::with_capacity(group.len());
             for &id in group {
                 match self.net.node(id) {
-                    LutNode::Const0 => arena.mark_written(id),
+                    LutNode::Const0 => {} // rows start zeroed
                     LutNode::Input { position } => {
                         arena
                             .row_mut(id)
                             .copy_from_slice(patterns.input_signature(*position).words());
-                        arena.mark_written(id);
                     }
                     LutNode::Lut { .. } => luts.push(id),
                 }
@@ -241,7 +201,7 @@ impl<'a> StpSimulator<'a> {
                 .map(|&id| 1u64 << self.node_fanins[id].len().min(MAX_CUT_LEAVES))
                 .collect();
             let (rows, reader) = arena.split_rows(&luts);
-            steal_events += parallel::evaluate_level_stealing(
+            parallel::evaluate_level_stealing(
                 rows,
                 &luts,
                 &costs,
@@ -256,94 +216,9 @@ impl<'a> StpSimulator<'a> {
             );
             for &id in &luts {
                 arena.mask_row_tail(id);
-                arena.mark_written(id);
             }
         }
-        StpSimState {
-            arena,
-            steal_events,
-        }
-    }
-
-    /// Incremental resimulation: appends the patterns of `extra` to `state`
-    /// for the `targets` only, using [`StpSimulator::simulate_nodes`] (the
-    /// cut-collapsing specified-node mode) as the kernel.  Inputs and the
-    /// constant node are extended as well (their values are free); every
-    /// other non-target LUT is marked *stale* instead of being resimulated —
-    /// the dirty-set analogue of fanout-limited resimulation in FRAIG-style
-    /// sweepers.
-    ///
-    /// Returns the number of LUT nodes the kernel evaluated (the cut roots
-    /// visited on the targets' behalf) — the work metric that a
-    /// `simulate_all` call would have inflated to every LUT in the network.
-    /// Only the **targets** have their stored signatures extended; a
-    /// non-target cut root's freshly computed value is intermediate data
-    /// and the node is marked stale like every other skipped LUT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra` has a different input count than the network, if a
-    /// target is out of range, or if a target is already stale (its history
-    /// is incomplete, so appending would corrupt it).
-    pub fn resimulate(
-        &self,
-        state: &mut StpSimState,
-        extra: &PatternSet,
-        targets: &[LutNodeId],
-    ) -> usize {
-        assert_eq!(
-            extra.num_inputs(),
-            self.net.num_pis(),
-            "pattern set input count must match the network"
-        );
-        assert_eq!(
-            state.arena.num_rows(),
-            self.net.num_nodes(),
-            "state must belong to this network"
-        );
-        for &t in targets {
-            assert!(
-                !state.arena.is_stale(t),
-                "target {t} is stale: its signature history is incomplete"
-            );
-        }
-        let (values, evaluated) = self.simulate_nodes_counted(extra, targets);
-        let mut is_target = vec![false; self.net.num_nodes()];
-        for &t in targets {
-            is_target[t] = true;
-        }
-        // Growing the arena leaves every row's generation at the old pattern
-        // count, so all rows start out stale; the nodes refreshed below are
-        // re-marked and everything else *stays* stale — exactly the dirty
-        // set the pre-arena `stale: Vec<bool>` tracked by hand.
-        let old_n = state.arena.num_patterns();
-        state.arena.grow_patterns(old_n + extra.num_patterns());
-        for id in self.net.node_ids() {
-            match self.net.node(id) {
-                LutNode::Const0 => state.arena.mark_written(id), // new bits stay zero
-                LutNode::Input { position } => {
-                    let sig = extra.input_signature(*position);
-                    for p in 0..extra.num_patterns() {
-                        if sig.get_bit(p) {
-                            state.arena.set_bit(id, old_n + p, true);
-                        }
-                    }
-                    state.arena.mark_written(id);
-                }
-                LutNode::Lut { .. } => {
-                    if is_target[id] {
-                        let fresh = &values[&id];
-                        for p in 0..extra.num_patterns() {
-                            if fresh.get_bit(p) {
-                                state.arena.set_bit(id, old_n + p, true);
-                            }
-                        }
-                        state.arena.mark_written(id);
-                    }
-                }
-            }
-        }
-        evaluated
+        StpSimState { arena }
     }
 
     /// Simulates only the **specified** nodes (Algorithm 1, mode `s`).
@@ -365,139 +240,6 @@ impl<'a> StpSimulator<'a> {
         targets: &[LutNodeId],
     ) -> HashMap<LutNodeId, Signature> {
         self.simulate_nodes_counted(patterns, targets).0
-    }
-
-    /// Simulates only the **specified** nodes with up to `num_threads`
-    /// worker threads: the cut collapse is unchanged, but the cut roots are
-    /// evaluated level by level with each [`std::thread::scope`] worker
-    /// filling a contiguous chunk of every root's signature words (the
-    /// [`parallel`] scheduler shared with the all-nodes evaluators).  The
-    /// evaluation is exact, so the result is **bit-identical to
-    /// [`StpSimulator::simulate_nodes`]** for any thread count;
-    /// `num_threads <= 1` falls back to the sequential path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern set's input count differs from the network's or
-    /// a target id is out of range.
-    pub fn simulate_nodes_parallel(
-        &self,
-        patterns: &PatternSet,
-        targets: &[LutNodeId],
-        num_threads: usize,
-    ) -> HashMap<LutNodeId, Signature> {
-        self.simulate_nodes_counted_parallel(patterns, targets, num_threads)
-            .0
-    }
-
-    /// Like [`StpSimulator::simulate_nodes_parallel`], but also reports how
-    /// many LUT nodes (cut roots) were evaluated — identical to the count of
-    /// [`StpSimulator::simulate_nodes_counted`].
-    pub fn simulate_nodes_counted_parallel(
-        &self,
-        patterns: &PatternSet,
-        targets: &[LutNodeId],
-        num_threads: usize,
-    ) -> (HashMap<LutNodeId, Signature>, usize) {
-        let n = patterns.num_patterns();
-        let num_words = n.div_ceil(64);
-        // A single signature word cannot be split across workers, so skip
-        // the collapse/level set-up and evaluate sequentially.
-        if num_threads <= 1 || targets.is_empty() || num_words < 2 {
-            return self.simulate_nodes_counted(patterns, targets);
-        }
-        assert_eq!(
-            patterns.num_inputs(),
-            self.net.num_pis(),
-            "pattern set input count must match the network"
-        );
-        let limit = cut_limit(n);
-        let collapse = self.collapse(targets, limit);
-        let mut roots: Vec<LutNodeId> = collapse.roots.iter().copied().collect();
-        roots.sort_unstable();
-        let evaluated = roots
-            .iter()
-            .filter(|&&r| matches!(self.net.node(r), LutNode::Lut { .. }))
-            .count();
-
-        // Dependency depth over the cut-root DAG: a root's cut leaves are
-        // PIs, the constant, or earlier roots (smaller ids), so one
-        // ascending pass assigns levels.
-        let num_nodes = self.net.num_nodes();
-        let mut signatures: Vec<Signature> = vec![Signature::zeros(0); num_nodes];
-        let mut depth = vec![0usize; num_nodes];
-        let mut level_nodes: Vec<Vec<LutNodeId>> = Vec::new();
-        for &root in &roots {
-            match self.net.node(root) {
-                LutNode::Const0 => signatures[root] = Signature::zeros(n),
-                LutNode::Input { position } => {
-                    signatures[root] = patterns.input_signature(*position).clone();
-                }
-                LutNode::Lut { .. } => {
-                    let cut = &collapse.cuts[&root];
-                    let d = 1 + cut
-                        .leaves
-                        .iter()
-                        .filter(|&&l| matches!(self.net.node(l), LutNode::Lut { .. }))
-                        .map(|&l| depth[l])
-                        .max()
-                        .unwrap_or(0);
-                    depth[root] = d;
-                    if level_nodes.len() < d {
-                        level_nodes.resize_with(d, Vec::new);
-                    }
-                    level_nodes[d - 1].push(root);
-                }
-            }
-        }
-        // Leaf PI signatures that are not roots themselves.
-        for level in &level_nodes {
-            for &root in level {
-                for &leaf in &collapse.cuts[&root].leaves {
-                    if let LutNode::Input { position } = self.net.node(leaf) {
-                        if signatures[leaf].is_empty() && n > 0 {
-                            signatures[leaf] = patterns.input_signature(*position).clone();
-                        }
-                    }
-                }
-            }
-        }
-        // Constant leaves contribute a hard-zero word array so every leaf
-        // kind goes through the one shared lookup kernel.
-        let zero_words = vec![0u64; num_words];
-        for level in &level_nodes {
-            let sigs = &signatures;
-            let cuts = &collapse.cuts;
-            let net = self.net;
-            let zeros = zero_words.as_slice();
-            let buffers =
-                parallel::evaluate_level(level, num_words, num_threads, &|id, word_lo, out| {
-                    let cut = &cuts[&id];
-                    let leaf_words: Vec<&[u64]> = cut
-                        .leaves
-                        .iter()
-                        .map(|&leaf| match net.node(leaf) {
-                            LutNode::Const0 => zeros,
-                            _ => sigs[leaf].words(),
-                        })
-                        .collect();
-                    parallel::lookup_kernel(
-                        |index| cut.table.get_bit(index),
-                        &leaf_words,
-                        n,
-                        word_lo,
-                        out,
-                    );
-                });
-            for (out, &id) in buffers.into_iter().zip(level.iter()) {
-                signatures[id] = Signature::from_words(n, out);
-            }
-        }
-        let map = targets
-            .iter()
-            .map(|&t| (t, signatures[t].clone()))
-            .collect();
-        (map, evaluated)
     }
 
     /// Like [`StpSimulator::simulate_nodes`], but also reports how many LUT
@@ -721,10 +463,9 @@ impl<'a> StpSimulator<'a> {
 /// over stack blocks of up to [`LUT_BLOCK_WORDS`] words: the innermost loops
 /// are plain stride-1 slice zips over contiguous fanin words (the
 /// [`bitsim::kernels`] primitives), so the per-column table-bit branch is
-/// amortised over a whole block and the hot loops autovectorize (or use the
-/// explicitly widened kernels under the `simd` feature).  The pre-arena
-/// kernel was words-outer / minterm-inner, re-deciding every column once
-/// per word.
+/// amortised over a whole block and the hot loops autovectorize.  The
+/// pre-arena kernel was words-outer / minterm-inner, re-deciding every
+/// column once per word.
 fn eval_lut_words(
     words: &[u64],
     fanin_words: &[&[u64]],
@@ -952,101 +693,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn resimulate_appends_target_bits_and_marks_others_stale() {
-        let (_, lut) = mapped_network();
-        let sim = StpSimulator::new(&lut);
-        let base = PatternSet::random(6, 64, 3).unwrap();
-        let extra = PatternSet::random(6, 17, 4).unwrap();
-        let mut combined = base.clone();
-        combined.extend(&extra);
-
-        let lut_ids: Vec<LutNodeId> = lut.lut_ids().collect();
-        let targets = vec![lut_ids[0], *lut_ids.last().unwrap()];
-
-        let mut state = sim.simulate_all(&base);
-        let evaluated = sim.resimulate(&mut state, &extra, &targets);
-        assert!(evaluated >= targets.len());
-        assert!(evaluated <= lut_ids.len());
-        assert_eq!(state.num_patterns(), 81);
-
-        let full = sim.simulate_all(&combined);
-        for &t in &targets {
-            assert!(!state.is_stale(t));
-            assert_eq!(state.signature(t), full.signature(t), "target {t}");
-        }
-        // Inputs stay fresh; skipped LUTs are stale.
-        for &pi in lut.inputs() {
-            assert!(!state.is_stale(pi));
-            assert_eq!(state.signature(pi), full.signature(pi));
-        }
-        for &id in &lut_ids {
-            if !targets.contains(&id) {
-                assert!(state.is_stale(id), "non-target LUT {id} must be stale");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stale")]
-    fn reading_a_stale_signature_panics() {
-        let (_, lut) = mapped_network();
-        let sim = StpSimulator::new(&lut);
-        let base = PatternSet::random(6, 32, 1).unwrap();
-        let extra = PatternSet::random(6, 1, 2).unwrap();
-        let lut_ids: Vec<LutNodeId> = lut.lut_ids().collect();
-        let mut state = sim.simulate_all(&base);
-        sim.resimulate(&mut state, &extra, &lut_ids[..1]);
-        let _ = state.signature(lut_ids[1]);
-    }
-
-    #[test]
-    fn parallel_simulate_nodes_is_bit_identical_to_sequential() {
-        let (_, lut) = mapped_network();
-        let sim = StpSimulator::new(&lut);
-        let lut_ids: Vec<LutNodeId> = lut.lut_ids().collect();
-        // Pattern counts straddling word boundaries and the parallel grain.
-        for n in [1usize, 63, 64, 65, 700] {
-            let patterns = PatternSet::random(6, n, n as u64 + 7).unwrap();
-            for targets in [&lut_ids[..1], &lut_ids[..]] {
-                let (seq, seq_count) = sim.simulate_nodes_counted(&patterns, targets);
-                for threads in [1usize, 2, 4, 8] {
-                    let (par, par_count) =
-                        sim.simulate_nodes_counted_parallel(&patterns, targets, threads);
-                    assert_eq!(par_count, seq_count, "n {n}, {threads} threads");
-                    for &t in targets {
-                        assert_eq!(par[&t], seq[&t], "node {t}, n {n}, {threads} threads");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_simulate_nodes_handles_pi_targets_and_deep_chains() {
-        // The deep-chain case splits into several stacked cuts, so the
-        // parallel path must schedule multiple levels of cut roots.
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs("x", 10);
-        let mut acc = xs[0];
-        for &x in &xs[1..] {
-            acc = aig.xor(acc, x);
-        }
-        aig.add_output("parity", acc);
-        let lut = lutmap::map_to_luts(&aig, 2);
-        let patterns = PatternSet::random(10, 200, 13).unwrap();
-        let sim = StpSimulator::new(&lut);
-        let last_lut = lut.lut_ids().last().expect("chain has LUTs");
-        let pi = lut.inputs()[3];
-        let targets = vec![pi, last_lut];
-        let (seq, seq_count) = sim.simulate_nodes_counted(&patterns, &targets);
-        let par = sim.simulate_nodes_parallel(&patterns, &targets, 4);
-        let (_, par_count) = sim.simulate_nodes_counted_parallel(&patterns, &targets, 4);
-        assert_eq!(par_count, seq_count);
-        assert_eq!(par[&last_lut], seq[&last_lut]);
-        assert_eq!(&par[&pi], patterns.input_signature(3));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! node, a window (a cut with at most `limit` leaves) and the node's function
 //! over that window, obtained by logic-matrix (truth-table) composition.
 
-use bitsim::{parallel, PatternSet, Signature};
+use bitsim::{PatternSet, Signature};
 use netlist::{Aig, AigNode, NodeId};
 use std::collections::HashMap;
 use truthtable::TruthTable;
@@ -237,111 +237,6 @@ impl WindowIndex {
         (result, evaluated)
     }
 
-    /// Like [`WindowIndex::simulate_targets_counted`], but evaluates the
-    /// needed window nodes level by level across up to `num_threads` scoped
-    /// workers, each filling a contiguous chunk of every node's signature
-    /// words (the [`bitsim::parallel`] scheduler shared with the all-nodes
-    /// evaluators).  The evaluation is exact, so the result is
-    /// **bit-identical to the sequential path** for any thread count;
-    /// `num_threads <= 1` falls back to the sequential recursion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern set's input count differs from the AIG's.
-    pub fn simulate_targets_counted_parallel(
-        &self,
-        aig: &Aig,
-        patterns: &PatternSet,
-        targets: &[NodeId],
-        num_threads: usize,
-    ) -> (HashMap<NodeId, Signature>, Vec<NodeId>) {
-        let n = patterns.num_patterns();
-        let num_words = n.div_ceil(64);
-        // A single signature word cannot be split across workers (the CE
-        // resimulation case), so skip the per-node level set-up entirely.
-        if num_threads <= 1 || targets.is_empty() || num_words < 2 {
-            return self.simulate_targets_counted(aig, patterns, targets);
-        }
-        assert_eq!(
-            patterns.num_inputs(),
-            aig.num_inputs(),
-            "pattern set input count must match the network"
-        );
-        // The needed set: targets plus, recursively, the AND nodes among
-        // their window leaves — exactly the nodes the sequential recursion
-        // memoises.
-        let num_nodes = aig.num_nodes();
-        let mut needed = vec![false; num_nodes];
-        let mut stack: Vec<NodeId> = targets.to_vec();
-        while let Some(id) = stack.pop() {
-            if needed[id] {
-                continue;
-            }
-            needed[id] = true;
-            if matches!(aig.node(id), AigNode::And { .. }) {
-                stack.extend(self.windows[id].leaves.iter().copied());
-            }
-        }
-        // Dependency depth over the window-leaf DAG (leaves precede their
-        // users in id order, so one ascending pass suffices).
-        let mut signatures: Vec<Signature> = vec![Signature::zeros(0); num_nodes];
-        let mut depth = vec![0usize; num_nodes];
-        let mut level_nodes: Vec<Vec<NodeId>> = Vec::new();
-        for id in 0..num_nodes {
-            if !needed[id] {
-                continue;
-            }
-            match aig.node(id) {
-                AigNode::Const0 => signatures[id] = Signature::zeros(n),
-                AigNode::Input { position } => {
-                    signatures[id] = patterns.input_signature(*position).clone();
-                }
-                AigNode::And { .. } => {
-                    let d = 1 + self.windows[id]
-                        .leaves
-                        .iter()
-                        .filter(|&&l| matches!(aig.node(l), AigNode::And { .. }))
-                        .map(|&l| depth[l])
-                        .max()
-                        .unwrap_or(0);
-                    depth[id] = d;
-                    if level_nodes.len() < d {
-                        level_nodes.resize_with(d, Vec::new);
-                    }
-                    level_nodes[d - 1].push(id);
-                }
-            }
-        }
-        for level in &level_nodes {
-            let sigs = &signatures;
-            let buffers =
-                parallel::evaluate_level(level, num_words, num_threads, &|id, word_lo, out| {
-                    let window = &self.windows[id];
-                    let leaf_words: Vec<&[u64]> =
-                        window.leaves.iter().map(|&l| sigs[l].words()).collect();
-                    parallel::lookup_kernel(
-                        |index| window.table.get_bit(index),
-                        &leaf_words,
-                        n,
-                        word_lo,
-                        out,
-                    );
-                });
-            for (out, &id) in buffers.into_iter().zip(level.iter()) {
-                signatures[id] = Signature::from_words(n, out);
-            }
-        }
-        let result = targets
-            .iter()
-            .map(|&t| (t, signatures[t].clone()))
-            .collect();
-        let mut evaluated: Vec<NodeId> = (0..num_nodes)
-            .filter(|&id| needed[id] && matches!(aig.node(id), AigNode::And { .. }))
-            .collect();
-        evaluated.sort_unstable();
-        (result, evaluated)
-    }
-
     fn eval_node(
         &self,
         aig: &Aig,
@@ -497,43 +392,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_simulate_targets_is_bit_identical_to_sequential() {
-        let (aig, gates) = sample_aig();
-        // Pattern counts straddling word boundaries and the parallel grain.
-        for n in [1usize, 63, 64, 65, 700] {
-            let patterns = PatternSet::random(6, n, n as u64 + 5).unwrap();
-            for limit in [2usize, 4, 8] {
-                let index = WindowIndex::build(&aig, limit);
-                let targets: Vec<NodeId> = gates.iter().map(|l| l.node()).collect();
-                let (seq, seq_eval) = index.simulate_targets_counted(&aig, &patterns, &targets);
-                for threads in [1usize, 2, 4, 8] {
-                    let (par, par_eval) =
-                        index.simulate_targets_counted_parallel(&aig, &patterns, &targets, threads);
-                    assert_eq!(
-                        par_eval, seq_eval,
-                        "n {n}, limit {limit}, {threads} threads"
-                    );
-                    for &t in &targets {
-                        assert_eq!(par[&t], seq[&t], "node {t}, n {n}, {threads} threads");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_simulate_targets_handles_pi_and_subset_targets() {
+    fn simulate_targets_handles_pi_and_subset_targets() {
         let (aig, gates) = sample_aig();
         let patterns = PatternSet::random(6, 130, 9).unwrap();
+        let full = AigSimulator::new(&aig).run(&patterns);
         let index = WindowIndex::build(&aig, 4);
         let pi = aig.inputs()[1];
         let targets = vec![pi, gates[2].node()];
-        let (seq, seq_eval) = index.simulate_targets_counted(&aig, &patterns, &targets);
-        let (par, par_eval) = index.simulate_targets_counted_parallel(&aig, &patterns, &targets, 4);
-        assert_eq!(par_eval, seq_eval);
-        assert_eq!(par[&pi], seq[&pi]);
-        assert_eq!(par[&targets[1]], seq[&targets[1]]);
-        // The PI target's signature is the raw input column.
-        assert_eq!(&par[&pi], patterns.input_signature(1));
+        let (result, evaluated) = index.simulate_targets_counted(&aig, &patterns, &targets);
+        // The PI target's signature is the raw input column; the gate
+        // target matches full simulation.
+        assert_eq!(&result[&pi], patterns.input_signature(1));
+        assert_eq!(result[&targets[1]], full.signature(targets[1]));
+        assert!(
+            !evaluated.contains(&pi),
+            "only AND nodes count as evaluated"
+        );
     }
 }

@@ -56,7 +56,7 @@ use crate::protocol::Preset;
 use crate::spill::{SpillDir, SpilledJob};
 use netlist::{canonical_fingerprint, read_aiger_bytes, write_aiger_string, Aig};
 use stp_sweep::{
-    Budget, CancelToken, Engine, Observer, Pipeline, SweepCheckpoint, SweepError, Sweeper,
+    Budget, CancelToken, Engine, Observer, PassManager, SweepCheckpoint, SweepError, Sweeper,
 };
 
 #[cfg(doc)]
@@ -679,7 +679,7 @@ fn run_slice(inner: &Arc<Inner>, claim: Claim) {
         // The script was validated at submission; a parse failure here
         // means the spill directory handed us something newer than this
         // build understands, which fails the job instead of looping.
-        match Pipeline::new(config).with_script(&claim.passes) {
+        match PassManager::new(config).with_script(&claim.passes) {
             Ok(pipeline) => pipeline
                 .budget(budget)
                 .run(&claim.aig)

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use common::{aiger_bytes, fresh_dir, reference, renumbered_copy, spill_files};
 use netlist::canonical_fingerprint;
-use stp_sweep::{Engine, Pipeline};
+use stp_sweep::{Engine, PassManager};
 use sweepd::spill::{SpillDir, SpilledJob};
 use sweepd::{
     effective_config, JobCounters, JobState, Preset, Priority, ServiceConfig, SweepService,
@@ -334,7 +334,7 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 
     // The oracle: the same pipeline run uninterrupted, in-process, under
     // the daemon's effective configuration.
-    let want = Pipeline::new(effective_config(Preset::Fast))
+    let want = PassManager::new(effective_config(Preset::Fast))
         .with_script(script)
         .expect("script parses")
         .run(&aig)
@@ -423,7 +423,7 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
     dir.write_checkpoint(fp, b"stale sweep checkpoint")
         .expect("checkpoint spills");
 
-    let want = Pipeline::new(effective_config(Preset::Fast))
+    let want = PassManager::new(effective_config(Preset::Fast))
         .with_script(script)
         .expect("script parses")
         .run(&other)
@@ -448,7 +448,7 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 #[test]
 fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
     // A spilled sweep job whose `SWC1` sidecar holds checkpoint bytes of
-    // format version 5: intact as a spill file, but not a checkpoint this
+    // format version 6: intact as a spill file, but not a checkpoint this
     // build decodes.  The job is re-adopted as queued — exactly like a job
     // with a corrupt checkpoint — and reruns to the uninterrupted result.
     let aig = inject_redundancy(&generators::barrel_shifter(8), 0.5, 21);
@@ -466,14 +466,14 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
         },
     )
     .expect("job spills");
-    let mut v5 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
-    v5.extend_from_slice(&5u32.to_le_bytes());
-    v5.extend_from_slice(&[0x5A; 256]);
+    let mut v6 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
+    v6.extend_from_slice(&6u32.to_le_bytes());
+    v6.extend_from_slice(&[0x5A; 256]);
     assert_eq!(
-        stp_sweep::SweepCheckpoint::decode(&v5),
-        Err(stp_sweep::CheckpointError::UnsupportedVersion(5))
+        stp_sweep::SweepCheckpoint::decode(&v6),
+        Err(stp_sweep::CheckpointError::UnsupportedVersion(6))
     );
-    dir.write_checkpoint(fp, &v5).expect("checkpoint spills");
+    dir.write_checkpoint(fp, &v6).expect("checkpoint spills");
 
     let service = SweepService::start(ServiceConfig {
         workers: 1,

@@ -87,7 +87,7 @@ fn socket_end_to_end_lifecycle() {
     let (aiger, counters) = client
         .wait_result(scripted_id, Duration::from_secs(300))
         .expect("scripted job finishes");
-    let want = stp_sweep::Pipeline::new(sweepd::effective_config(Preset::Fast))
+    let want = stp_sweep::PassManager::new(sweepd::effective_config(Preset::Fast))
         .with_script(script)
         .expect("script parses")
         .run(&scripted)

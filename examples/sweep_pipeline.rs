@@ -1,16 +1,14 @@
 //! The session API end-to-end: a budgeted, observed multi-pass pipeline
 //! (sweep → strash → sweep → verify) over a redundancy-injected workload,
 //! plus a deliberately starved run showing that budget exhaustion hands back
-//! a functionally equivalent partial result instead of discarding the work,
-//! and a parallel re-run demonstrating that `parallelism(n)` changes the
-//! wall-clock but not one bit of the result.
+//! a functionally equivalent partial result instead of discarding the work.
 //!
 //! Run with: `cargo run --release --example sweep_pipeline`
 
 use stp_sat_sweep::stp_sweep::cec;
 use stp_sat_sweep::workloads::{generators, inject_redundancy};
 use stp_sat_sweep::{
-    Budget, Engine, Observer, Pipeline, SatCallOutcome, SweepConfig, SweepError, Sweeper,
+    Budget, Engine, Observer, PassManager, SatCallOutcome, SweepConfig, SweepError, Sweeper,
 };
 
 /// A minimal progress observer: one line per round, one dot per SAT call.
@@ -52,7 +50,7 @@ fn main() {
     // 1. A multi-pass pipeline: sweep, re-hash, sweep again, then verify the
     //    result against the input as part of the pipeline itself.
     let mut progress = Progress::default();
-    let outcome = Pipeline::new(SweepConfig::paper())
+    let outcome = PassManager::new(SweepConfig::paper())
         .sweep(Engine::Stp)
         .strash()
         .sweep(Engine::Stp)
@@ -84,24 +82,7 @@ fn main() {
         outcome.report.resim_events, outcome.report.resim_nodes, outcome.report.resim_skipped_nodes
     );
 
-    // 2. The same sweep with 4 worker threads: level-scheduled parallel
-    //    simulation is deterministic, so the result is identical.
-    let parallel = Sweeper::new(Engine::Stp)
-        .config(SweepConfig::paper().parallelism(4))
-        .run(&redundant)
-        .expect("parallel run");
-    let sequential = Sweeper::new(Engine::Stp)
-        .config(SweepConfig::paper())
-        .run(&redundant)
-        .expect("sequential run");
-    assert_eq!(parallel.aig.num_ands(), sequential.aig.num_ands());
-    assert_eq!(parallel.report.merges, sequential.report.merges);
-    println!(
-        "\nparallelism(4) run: identical result ({} gates, {} merges) on {} threads",
-        parallel.report.gates_after, parallel.report.merges, parallel.report.num_threads
-    );
-
-    // 3. The same sweep under a starvation budget: the partial result is
+    // 2. The same sweep under a starvation budget: the partial result is
     //    returned, not discarded, and still verifies.
     match Sweeper::new(Engine::Stp)
         .config(SweepConfig::paper())

@@ -30,12 +30,10 @@
 //! ```
 //!
 //! Multi-pass flows (rewrite → strash → sweep → verify) compose through
-//! the [`PassManager`] (aliased [`Pipeline`]) — programmatically via its
-//! builder verbs or from a textual script via [`PassManager::parse`] —
-//! with runs bounded by [`Budget`] and observed through [`Observer`]; see
-//! the `stp_sweep` crate docs.  The legacy free functions
-//! (`stp_sweep::sweeper::sweep_stp` and friends) remain as deprecated thin
-//! wrappers.
+//! the [`PassManager`] — programmatically via its builder verbs or from a
+//! textual script via [`PassManager::parse`] — with runs bounded by
+//! [`Budget`] and observed through [`Observer`]; see the `stp_sweep` crate
+//! docs.
 //!
 //! Long-running multi-job deployments use the [`sweepd`] service instead of
 //! driving sessions by hand: a daemon that fair-slices concurrent sweeps
@@ -54,7 +52,7 @@ pub use workloads;
 pub use netlist::canonical_fingerprint;
 pub use stp_sweep::{
     bmc_sec, netlist_fingerprint, Budget, BudgetCause, CancelToken, CheckpointError, Engine,
-    NoopObserver, Observer, ParsePassError, Pass, PassCtx, PassManager, PassReport, Pipeline,
-    PipelineResult, SatCallOutcome, SecResult, StatsObserver, SweepCheckpoint, SweepConfig,
-    SweepError, SweepReport, SweepResult, SweepSession, Sweeper,
+    NoopObserver, Observer, ParsePassError, Pass, PassCtx, PassManager, PassReport, PipelineResult,
+    SatCallOutcome, SecResult, StatsObserver, SweepCheckpoint, SweepConfig, SweepError,
+    SweepReport, SweepResult, SweepSession, Sweeper,
 };

@@ -1,32 +1,16 @@
-//! Resource-bound guarantees of the locality-first simulation core.
-//!
-//! Two contracts are pinned here:
-//!
-//! * **O(1) allocations per simulation pass.**  The struct-of-arrays
-//!   [`SignatureArena`] replaces one heap `Vec<u64>` per node with a single
-//!   contiguous allocation, so a full [`AigSimulator::run`] performs a
-//!   constant number of heap allocations regardless of network size.  A
-//!   counting `#[global_allocator]` measures the real number.
-//!
-//! * **Bounded pattern footprint under compaction.**  With
-//!   `compact_every` set, the pattern set never retains more useful columns
-//!   than the class structure can distinguish: every compaction event keeps
-//!   at most `#AND nodes + 1` columns (partition refinement keeps one
-//!   column per prototype split, and there are at most `#ANDs + 1`
-//!   prototypes), so the live footprint stays bounded by that plus the
-//!   compaction cadence.
-//!
-//! The two tests share a lock: the allocation counter is global, so the
-//! footprint test must not allocate concurrently with the measurement.
+//! Resource-bound guarantee of the locality-first simulation core: **O(1)
+//! allocations per simulation pass.**  The struct-of-arrays
+//! [`SignatureArena`] replaces one heap `Vec<u64>` per node with a single
+//! contiguous allocation, so a full [`AigSimulator::run`] performs a
+//! constant number of heap allocations regardless of network size.  A
+//! counting `#[global_allocator]` measures the real number; this file holds
+//! a single test, so nothing else allocates during the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use stp_sat_sweep::bitsim::{AigSimulator, PatternSet};
 use stp_sat_sweep::netlist::{Aig, Lit};
-use stp_sat_sweep::workloads::{hwmcc_suite, inject_redundancy, Scale};
-use stp_sat_sweep::{Engine, Observer, SweepConfig, Sweeper};
 
 /// Counts every heap allocation made by the process.
 struct CountingAlloc;
@@ -46,10 +30,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes the two tests so the footprint run's allocations cannot leak
-/// into the measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A wide synthetic network: enough AND nodes that a per-node layout would
 /// be forced into thousands of signature allocations.
@@ -76,7 +56,6 @@ fn wide_aig(num_ands: usize) -> Aig {
 
 #[test]
 fn simulation_pass_performs_constant_allocations() {
-    let _guard = SERIAL.lock().unwrap();
     let aig = wide_aig(3000);
     assert!(aig.num_nodes() >= 3000, "workload must be wide");
     let patterns = PatternSet::random(16, 4096, 0xA110C).unwrap();
@@ -92,76 +71,14 @@ fn simulation_pass_performs_constant_allocations() {
     let after = ALLOCS.load(Ordering::SeqCst);
     let allocs = after - before;
 
-    // The arena needs two allocations (the word plane and the generation
-    // tags).  Allow a little slack for allocator-internal bookkeeping, but
-    // stay orders of magnitude below the per-node layout's floor of one
-    // allocation per AND node.
+    // The arena needs one allocation (the word plane).  Allow a little
+    // slack for allocator-internal bookkeeping, but stay orders of
+    // magnitude below the per-node layout's floor of one allocation per AND
+    // node.
     assert!(
         allocs <= 8,
         "expected O(1) allocations for {} nodes, measured {allocs}",
         aig.num_nodes()
     );
     assert_eq!(state.num_patterns(), 4096);
-}
-
-/// Records every compaction event a sweep emits.
-#[derive(Default)]
-struct CompactionLog {
-    events: Vec<(usize, usize)>,
-}
-
-impl Observer for CompactionLog {
-    fn on_compaction(&mut self, kept: usize, dropped: usize) {
-        self.events.push((kept, dropped));
-    }
-}
-
-#[test]
-fn compaction_bounds_the_pattern_footprint() {
-    let _guard = SERIAL.lock().unwrap();
-    let bench = hwmcc_suite(Scale::Tiny)
-        .into_iter()
-        .find(|b| b.name == "beemfwt5b3")
-        .expect("the suite contains beemfwt5b3");
-    let aig = inject_redundancy(&bench.aig, 0.3, 11);
-    let num_ands = aig.num_nodes() - aig.num_inputs() - 1;
-
-    let mut log = CompactionLog::default();
-    let result = Sweeper::new(Engine::Stp)
-        .config(
-            SweepConfig {
-                num_initial_patterns: 16,
-                sat_guided_patterns: false,
-                ..SweepConfig::default()
-            }
-            .compact_every(1),
-        )
-        .observer(&mut log)
-        .run(&aig)
-        .expect("sweep finishes");
-    assert!(
-        result.report.sat_calls_sat >= 2,
-        "workload must produce counter-examples"
-    );
-
-    assert!(!log.events.is_empty(), "compaction never fired");
-    assert!(
-        log.events.iter().any(|&(_, dropped)| dropped > 0),
-        "compaction never dropped a column"
-    );
-    // Partition refinement keeps at most one column per prototype split;
-    // prototypes are the constant row plus one per node, so the kept
-    // footprint can never exceed the class structure's resolving power.
-    for &(kept, _) in &log.events {
-        assert!(
-            kept <= num_ands + 1,
-            "compaction kept {kept} columns, bound is {} + 1",
-            num_ands
-        );
-    }
-    assert_eq!(
-        result.report.patterns_dropped,
-        log.events.iter().map(|&(_, d)| d as u64).sum::<u64>(),
-        "report aggregates the observer's dropped counts"
-    );
 }

@@ -3,8 +3,8 @@
 //! Headline invariant of the checkpoint subsystem: cancel a sweep at any
 //! candidate boundary, resume it from the checkpoint, and the final SAT
 //! calls, merges and output AIGER bytes are identical to an uninterrupted
-//! run — for every `num_threads`.  The battery
-//! exercises both cancellation mechanisms (`max_sat_calls` budget caps and
+//! run, for both engines.  The battery exercises both cancellation
+//! mechanisms (`max_sat_calls` budget caps and
 //! a mid-run [`CancelToken`] tripped from an observer callback), round-trips
 //! every checkpoint through its binary encoding, and pins the corruption
 //! paths (truncated bytes, wrong version, mutated netlist) to typed errors.
@@ -31,13 +31,12 @@ fn workload() -> Aig {
     inject_redundancy(&bench.aig, 0.3, 11)
 }
 
-fn config(num_threads: usize) -> SweepConfig {
+fn config() -> SweepConfig {
     SweepConfig {
         num_initial_patterns: 16,
         sat_guided_patterns: false,
         ..SweepConfig::default()
     }
-    .parallelism(num_threads)
 }
 
 /// Strips the wall-clock fields (measurements, not results).
@@ -84,49 +83,44 @@ impl Observer for CancelAfter {
 fn checkpoint_resume_identity_across_parallelism_grid() {
     let aig = workload();
     for engine in [Engine::Stp, Engine::Baseline] {
-        for num_threads in [1usize, 4] {
-            let config = config(num_threads);
-            let reference = Sweeper::new(engine)
+        let config = config();
+        let reference = Sweeper::new(engine)
+            .config(config)
+            .run(&aig)
+            .expect("uninterrupted run finishes");
+        let total = reference.report.sat_calls_total;
+        assert!(total >= 4, "workload must need SAT calls (got {total})");
+
+        // Budget-cap cancellation at a spread of candidate boundaries (the
+        // first, the last, and the quartiles).
+        for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
+            let cut = cut.max(1);
+            let context = format!("{engine}, cancelled after {cut}/{total} SAT calls");
+            let err = Sweeper::new(engine)
                 .config(config)
+                .budget(Budget::unlimited().with_max_sat_calls(cut))
                 .run(&aig)
-                .expect("uninterrupted run finishes");
-            let total = reference.report.sat_calls_total;
-            assert!(total >= 4, "workload must need SAT calls (got {total})");
+                .expect_err("the cap must trip");
+            let partial = match &err {
+                SweepError::BudgetExhausted { partial, .. } => partial,
+                other => panic!("unexpected error: {other}"),
+            };
+            assert_eq!(partial.report.sat_calls_total, cut, "{context}");
+            let checkpoint = err
+                .into_checkpoint()
+                .expect("a primed budget stop carries a checkpoint");
+            assert_eq!(checkpoint.sat_calls(), cut, "{context}");
 
-            // Budget-cap cancellation at a spread of candidate
-            // boundaries (the first, the last, and the quartiles).
-            for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
-                let cut = cut.max(1);
-                let context = format!(
-                    "{engine}, num_threads={num_threads}, \
-                         cancelled after {cut}/{total} SAT calls"
-                );
-                let err = Sweeper::new(engine)
-                    .config(config)
-                    .budget(Budget::unlimited().with_max_sat_calls(cut))
-                    .run(&aig)
-                    .expect_err("the cap must trip");
-                let partial = match &err {
-                    SweepError::BudgetExhausted { partial, .. } => partial,
-                    other => panic!("unexpected error: {other}"),
-                };
-                assert_eq!(partial.report.sat_calls_total, cut, "{context}");
-                let checkpoint = err
-                    .into_checkpoint()
-                    .expect("a primed budget stop carries a checkpoint");
-                assert_eq!(checkpoint.sat_calls(), cut, "{context}");
-
-                // Round-trip through the binary codec before resuming.
-                let decoded =
-                    SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
-                assert_eq!(decoded, checkpoint);
-                let resumed = Sweeper::new(engine)
-                    .resume_from(&aig, &decoded)
-                    .expect("fingerprints match")
-                    .run()
-                    .expect("unlimited resume finishes");
-                assert_identical(&resumed, &reference, &context);
-            }
+            // Round-trip through the binary codec before resuming.
+            let decoded =
+                SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
+            assert_eq!(decoded, checkpoint);
+            let resumed = Sweeper::new(engine)
+                .resume_from(&aig, &decoded)
+                .expect("fingerprints match")
+                .run()
+                .expect("unlimited resume finishes");
+            assert_identical(&resumed, &reference, &context);
         }
     }
 }
@@ -134,7 +128,7 @@ fn checkpoint_resume_identity_across_parallelism_grid() {
 #[test]
 fn checkpoint_resume_identity_after_mid_run_cancel_token() {
     let aig = workload();
-    let config = config(4);
+    let config = config();
     let reference = Sweeper::new(Engine::Stp)
         .config(config)
         .run(&aig)
@@ -178,7 +172,7 @@ fn checkpoint_chained_cancels_still_reach_identity() {
     // run.  (`max_sat_calls` caps the cumulative total, so the second leg
     // gets a higher cap.)
     let aig = workload();
-    let config = config(1);
+    let config = config();
     let reference = Sweeper::new(Engine::Stp)
         .config(config)
         .run(&aig)
@@ -212,74 +206,10 @@ fn checkpoint_chained_cancels_still_reach_identity() {
 }
 
 #[test]
-fn checkpoint_resume_identity_with_mid_run_compaction() {
-    // Pattern compaction (`compact_every`) composes with checkpointing: a
-    // run cancelled between (or right at) compaction events resumes into
-    // byte-for-byte the same result as the uninterrupted compacting run —
-    // and that run in turn produces the same network and SAT/merge counters
-    // as a never-compacting run, with only `patterns_dropped` differing.
-    let aig = workload();
-    for engine in [Engine::Stp, Engine::Baseline] {
-        let base = config(1);
-        let plain = Sweeper::new(engine)
-            .config(base)
-            .run(&aig)
-            .expect("uninterrupted run finishes");
-        // Cadence 1: compact after every counter-example, so every cancel
-        // cut lands near a compaction boundary.
-        let compacting = base.compact_every(1);
-        let reference = Sweeper::new(engine)
-            .config(compacting)
-            .run(&aig)
-            .expect("uninterrupted compacting run finishes");
-
-        // Compaction must actually fire on this workload, and must not
-        // perturb anything except the dropped-pattern count.
-        assert!(reference.report.sat_calls_sat >= 2, "{engine}: needs CEs");
-        assert!(
-            reference.report.patterns_dropped > 0,
-            "{engine}: compaction never fired"
-        );
-        let mut expected = strip(&plain.report);
-        expected.patterns_dropped = reference.report.patterns_dropped;
-        assert_eq!(strip(&reference.report), expected, "{engine}");
-        assert_eq!(
-            write_aiger_string(&reference.aig),
-            write_aiger_string(&plain.aig),
-            "{engine}: compaction changed the swept network"
-        );
-
-        let total = reference.report.sat_calls_total;
-        for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
-            let cut = cut.max(1);
-            let context = format!("{engine}, compact_every=1, cancelled after {cut}/{total}");
-            let checkpoint = Sweeper::new(engine)
-                .config(compacting)
-                .budget(Budget::unlimited().with_max_sat_calls(cut))
-                .run(&aig)
-                .expect_err("the cap must trip")
-                .into_checkpoint()
-                .expect("a primed budget stop carries a checkpoint");
-            // Round-trip through the codec (which carries the compaction
-            // cursor and the dropped-pattern stats).
-            let decoded =
-                SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
-            assert_eq!(decoded, checkpoint, "{context}");
-            let resumed = Sweeper::new(engine)
-                .resume_from(&aig, &decoded)
-                .expect("fingerprints match")
-                .run()
-                .expect("unlimited resume finishes");
-            assert_identical(&resumed, &reference, &context);
-        }
-    }
-}
-
-#[test]
 fn corrupt_checkpoints_yield_typed_errors_never_panics() {
     let aig = workload();
     let checkpoint = Sweeper::new(Engine::Stp)
-        .config(config(1))
+        .config(config())
         .budget(Budget::unlimited().with_max_sat_calls(2))
         .run(&aig)
         .expect_err("cap trips")

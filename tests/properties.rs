@@ -11,10 +11,10 @@ use stp_sat_sweep::netlist::aiger::{read_aiger_str, write_aiger_string};
 use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit};
 use stp_sat_sweep::stp::{canonical_form, canonical_form_enumerated, BoolVec, Expr};
 use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
-use stp_sat_sweep::stp_sweep::{cec, sweeper, SweepConfig, SweepReport};
+use stp_sat_sweep::stp_sweep::{cec, SweepConfig};
 use stp_sat_sweep::workloads::inject_redundancy;
 use stp_sat_sweep::workloads::sequential::random_sequential_aig;
-use stp_sat_sweep::{Engine, Pipeline, Sweeper};
+use stp_sat_sweep::{Engine, PassManager, Sweeper};
 
 /// A random Boolean expression over `num_vars` variables with bounded depth.
 fn arb_expr(num_vars: usize, depth: u32) -> impl Strategy<Value = Expr> {
@@ -141,12 +141,12 @@ proptest! {
     }
 
     /// The determinism battery: for both engines, with and without
-    /// SAT-guided patterns, sweeping with `num_threads` in {1, 2, 4}, with
-    /// and without periodic checkpoints, commits identical SAT calls,
-    /// identical merges and byte-identical AIGER output — thread count and
-    /// checkpoint cadence are scheduling knobs, never inputs of the sweep.
+    /// SAT-guided patterns, sweeping with and without periodic checkpoints
+    /// commits identical SAT calls, identical merges and byte-identical
+    /// AIGER output — the checkpoint cadence is a scheduling knob, never an
+    /// input of the sweep.
     #[test]
-    fn parallel_sweeping_is_deterministic(spec in arb_aig(), seed in 0u64..500) {
+    fn checkpoint_cadence_never_changes_the_sweep(spec in arb_aig(), seed in 0u64..500) {
         let aig = build_aig(&spec);
         let redundant = inject_redundancy(&aig, 0.4, seed);
         for engine in [Engine::Stp, Engine::Baseline] {
@@ -157,36 +157,29 @@ proptest! {
                     ..SweepConfig::default()
                 };
                 let mut reference: Option<(stp_sat_sweep::SweepResult, String)> = None;
-                for num_threads in [1usize, 2, 4] {
-                    for checkpoint_every in [0usize, 1] {
-                        let run = Sweeper::new(engine)
-                            .config(
-                                base.parallelism(num_threads).checkpoint_every(checkpoint_every),
-                            )
-                            .run(&redundant)
-                            .expect("valid config");
-                        let aiger = write_aiger_string(&run.aig);
-                        match &reference {
-                            None => reference = Some((run, aiger)),
-                            Some((reference, reference_aiger)) => {
-                                let (r, s) = (&run.report, &reference.report);
-                                prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
-                                prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
-                                prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
-                                prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
-                                prop_assert_eq!(r.merges, s.merges);
-                                prop_assert_eq!(r.constants, s.constants);
-                                prop_assert_eq!(r.resim_events, s.resim_events);
-                                prop_assert_eq!(r.resim_nodes, s.resim_nodes);
-                                prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
-                                prop_assert_eq!(
-                                    r.disproved_by_simulation,
-                                    s.disproved_by_simulation
-                                );
-                                // The post-sweep networks are identical, not
-                                // merely equivalent.
-                                prop_assert_eq!(&aiger, reference_aiger);
-                            }
+                for checkpoint_every in [0usize, 1] {
+                    let run = Sweeper::new(engine)
+                        .config(base.checkpoint_every(checkpoint_every))
+                        .run(&redundant)
+                        .expect("valid config");
+                    let aiger = write_aiger_string(&run.aig);
+                    match &reference {
+                        None => reference = Some((run, aiger)),
+                        Some((reference, reference_aiger)) => {
+                            let (r, s) = (&run.report, &reference.report);
+                            prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
+                            prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
+                            prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
+                            prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
+                            prop_assert_eq!(r.merges, s.merges);
+                            prop_assert_eq!(r.constants, s.constants);
+                            prop_assert_eq!(r.resim_events, s.resim_events);
+                            prop_assert_eq!(r.resim_nodes, s.resim_nodes);
+                            prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
+                            prop_assert_eq!(r.disproved_by_simulation, s.disproved_by_simulation);
+                            // The post-sweep networks are identical, not
+                            // merely equivalent.
+                            prop_assert_eq!(&aiger, reference_aiger);
                         }
                     }
                 }
@@ -214,44 +207,7 @@ proptest! {
         prop_assert!(check.equivalent);
     }
 
-    /// The builder API is a drop-in replacement: on generated workloads the
-    /// legacy `sweep_stp` wrapper produces gate counts and reports identical
-    /// to an explicit `Sweeper` invocation (times excluded — they are
-    /// measurements, not results).  Since the wrapper now forwards to the
-    /// builder, this pins two things: the wrapper forwards the config
-    /// faithfully (no preset/flag drift), and the engine is deterministic
-    /// across independent runs — the property every report-comparing test
-    /// in this suite relies on.
-    #[test]
-    #[allow(deprecated)] // the legacy wrapper is the property under test
-    fn builder_matches_legacy_wrapper(spec in arb_aig(), seed in 0u64..1000) {
-        let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.3, seed);
-        let config = SweepConfig {
-            num_initial_patterns: 32,
-            ..SweepConfig::default()
-        };
-        let legacy = sweeper::sweep_stp(&redundant, &config);
-        let builder = Sweeper::new(Engine::Stp)
-            .config(config)
-            .run(&redundant)
-            .expect("valid config");
-        prop_assert_eq!(legacy.aig.num_ands(), builder.aig.num_ands());
-        prop_assert_eq!(legacy.aig.num_nodes(), builder.aig.num_nodes());
-        let strip = |r: &SweepReport| SweepReport {
-            simulation_time: Default::default(),
-            sat_time: Default::default(),
-            total_time: Default::default(),
-            ..*r
-        };
-        prop_assert_eq!(strip(&legacy.report), strip(&builder.report));
-    }
-
-    /// The word kernels of this build — scalar autovectorized or, under the
-    /// `simd` feature, the lane-widened path — agree bit-for-bit with a
-    /// naive per-bit reference.  CI runs this property on both feature
-    /// legs, which transitively proves the simd and scalar kernels are
-    /// bit-identical to each other.
+    /// The word kernels agree bit-for-bit with a naive per-bit reference.
     #[test]
     fn word_kernels_match_per_bit_reference(
         a in proptest::collection::vec(any::<u64>(), 0..19),
@@ -338,7 +294,7 @@ proptest! {
             ..SweepConfig::default()
         };
         for script in ["strash", "cfold", "gc", "rewrite", "rewrite;strash", "dc2(2)"] {
-            let result = Pipeline::new(config)
+            let result = PassManager::new(config)
                 .with_script(script)
                 .expect("script parses")
                 .run(&redundant)
@@ -352,80 +308,6 @@ proptest! {
             );
             let check = cec::check_equivalence(&redundant, &result.aig, 200_000);
             prop_assert!(check.equivalent, "script {} broke equivalence", script);
-        }
-    }
-
-    /// The scripted rewrite→sweep flow is parallelism-invariant: every
-    /// `num_threads` in {1, 2, 4} produces byte-identical AIGER output and
-    /// identical SAT-call counts.  Rewriting is purely structural, so all
-    /// nondeterminism risk concentrates in the sweep — this pins the
-    /// composition end to end.
-    #[test]
-    fn scripted_rewrite_sweep_is_parallelism_invariant(
-        spec in arb_aig(),
-        seed in 0u64..500,
-    ) {
-        let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.4, seed);
-        let base = SweepConfig {
-            num_initial_patterns: 16, // few patterns: SAT finds counter-examples
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
-        let mut reference: Option<(String, u64)> = None;
-        for num_threads in [1usize, 2, 4] {
-            let result = Pipeline::new(base.parallelism(num_threads))
-                .with_script("rewrite;sweep(stp)")
-                .expect("script parses")
-                .run(&redundant)
-                .expect("pipeline runs");
-            let aiger = write_aiger_string(&result.aig);
-            let sat_calls = result.report.sat_calls_total;
-            match &reference {
-                None => reference = Some((aiger, sat_calls)),
-                Some((want_aiger, want_sat_calls)) => {
-                    prop_assert!(
-                        &aiger == want_aiger,
-                        "{} threads diverged from the sequential run",
-                        num_threads
-                    );
-                    prop_assert_eq!(sat_calls, *want_sat_calls);
-                }
-            }
-        }
-    }
-
-    /// Pattern compaction never changes the sweep: identical SAT calls,
-    /// merges, constants and byte-identical output networks with and
-    /// without it, on both engines.
-    #[test]
-    fn pattern_compaction_is_behavior_neutral(spec in arb_aig(), seed in 0u64..500) {
-        let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.4, seed);
-        let base = SweepConfig {
-            num_initial_patterns: 16, // few patterns: SAT finds counter-examples
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
-        for engine in [Engine::Stp, Engine::Baseline] {
-            let plain = Sweeper::new(engine)
-                .config(base)
-                .run(&redundant)
-                .expect("valid config");
-            let compacted = Sweeper::new(engine)
-                .config(base.compact_every(1))
-                .run(&redundant)
-                .expect("valid config");
-            let (r, s) = (&compacted.report, &plain.report);
-            prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
-            prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
-            prop_assert_eq!(r.merges, s.merges);
-            prop_assert_eq!(r.constants, s.constants);
-            prop_assert_eq!(r.resim_events, s.resim_events);
-            prop_assert_eq!(
-                write_aiger_string(&compacted.aig),
-                write_aiger_string(&plain.aig)
-            );
         }
     }
 }
