@@ -2,10 +2,10 @@
 //!
 //! A [`SweepCheckpoint`] is a versioned, self-describing snapshot of a
 //! [`crate::SweepSession`] at a candidate boundary: the candidate
-//! equivalence classes, the incremental-resimulation dirty set, the ordered
-//! merge log, the phase cursor, the cumulative report counters — and,
-//! crucially, a behaviour-exact snapshot of the session's incremental SAT
-//! solver ([`satsolver::CircuitSatSnapshot`]).
+//! equivalence classes, the ordered merge log, the phase cursor, the
+//! cumulative report counters — and, crucially, a behaviour-exact snapshot
+//! of the session's incremental SAT solver
+//! ([`satsolver::CircuitSatSnapshot`]).
 //! CDCL solvers are history-dependent (learnt clauses, VSIDS activities,
 //! saved phases steer every future query), so carrying its exact state is
 //! what makes the headline guarantee possible: **cancel at any candidate
@@ -62,12 +62,13 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 7 holds the session's
-/// one solver and a pending-candidate cursor, and no pattern words: the
-/// classes and the solver carry everything a resumed run reads.
+/// [`CheckpointError::UnsupportedVersion`].  Version 8 holds the session's
+/// one solver and a pending-candidate cursor, and no pattern words or
+/// resimulation state: the classes and the solver carry everything a
+/// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 7;
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -219,9 +220,7 @@ pub struct SweepCheckpoint {
     /// Raw class parts: (members, phases) per class, plus constants.
     pub(crate) classes: Vec<(Vec<NodeId>, Vec<bool>)>,
     pub(crate) constants: Vec<ConstantCandidate>,
-    pub(crate) resim: crate::resim::ResimSnapshot,
     pub(crate) stats: StatsObserver,
-    pub(crate) sweep_sat_calls: u64,
     pub(crate) committed_candidates: u64,
     pub(crate) simulation_time: Duration,
     pub(crate) sat_time: Duration,
@@ -300,7 +299,7 @@ impl SweepCheckpoint {
 
     /// Committed sweeping SAT calls at the checkpoint.
     pub fn sat_calls(&self) -> u64 {
-        self.sweep_sat_calls
+        self.stats.sat_calls_total()
     }
 
     /// Serialises the checkpoint into the versioned binary format.
@@ -342,15 +341,7 @@ impl SweepCheckpoint {
             w.usize(c.node);
             w.boolean(c.value);
         }
-        w.usize(self.resim.last_seen.len());
-        for &e in &self.resim.last_seen {
-            w.u64(e);
-        }
-        w.u64(self.resim.events);
-        w.u64(self.resim.resimulated);
-        w.u64(self.resim.skipped);
         encode_stats(&mut w, &self.stats);
-        w.u64(self.sweep_sat_calls);
         w.u64(self.committed_candidates);
         w.duration(self.simulation_time);
         w.duration(self.sat_time);
@@ -442,14 +433,7 @@ impl SweepCheckpoint {
             }
             constants
         };
-        let resim = crate::resim::ResimSnapshot {
-            last_seen: r.u64_vec()?,
-            events: r.u64()?,
-            resimulated: r.u64()?,
-            skipped: r.u64()?,
-        };
         let stats = decode_stats(&mut r)?;
-        let sweep_sat_calls = r.u64()?;
         let committed_candidates = r.u64()?;
         let simulation_time = r.duration()?;
         let sat_time = r.duration()?;
@@ -475,9 +459,7 @@ impl SweepCheckpoint {
             dont_touch,
             classes,
             constants,
-            resim,
             stats,
-            sweep_sat_calls,
             committed_candidates,
             simulation_time,
             sat_time,
@@ -1002,15 +984,6 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
-    fn u64_vec(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let len = self.vec_len(8)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.u64()?);
-        }
-        Ok(v)
-    }
-
     fn usize_vec(&mut self) -> Result<Vec<usize>, CheckpointError> {
         let len = self.vec_len(8)?;
         let mut v = Vec::with_capacity(len);
@@ -1131,21 +1104,17 @@ mod tests {
                 node: 10,
                 value: true,
             }],
-            resim: crate::resim::ResimSnapshot {
-                last_seen: vec![0, 1, 2, 2, 2],
-                events: 2,
-                resimulated: 7,
-                skipped: 3,
-            },
             stats: StatsObserver {
                 rounds: 1,
                 merges: 2,
                 sat_calls_sat: 1,
                 sat_calls_unsat: 2,
+                resim_events: 1,
+                resim_nodes: 7,
+                resim_skipped_nodes: 3,
                 checkpoints: 1,
                 ..StatsObserver::new()
             },
-            sweep_sat_calls: 3,
             committed_candidates: 4,
             simulation_time: Duration::from_millis(12),
             sat_time: Duration::from_millis(7),
@@ -1234,14 +1203,14 @@ mod tests {
 
     #[test]
     fn every_other_version_is_rejected_before_the_payload_is_read() {
-        // A version-6 header followed by arbitrary bytes: rejected on the
+        // A version-7 header followed by arbitrary bytes: rejected on the
         // version field alone, before the payload is parsed.
-        let mut v6 = CHECKPOINT_MAGIC.to_vec();
-        v6.extend_from_slice(&6u32.to_le_bytes());
-        v6.extend_from_slice(&[0xA5; 64]);
+        let mut v7 = CHECKPOINT_MAGIC.to_vec();
+        v7.extend_from_slice(&7u32.to_le_bytes());
+        v7.extend_from_slice(&[0xA5; 64]);
         assert_eq!(
-            SweepCheckpoint::decode(&v6),
-            Err(CheckpointError::UnsupportedVersion(6))
+            SweepCheckpoint::decode(&v7),
+            Err(CheckpointError::UnsupportedVersion(7))
         );
         for version in (1..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1]) {
             let mut bytes = sample_checkpoint().encode();
@@ -1381,7 +1350,7 @@ mod tests {
                 proptest::collection::vec(0usize..1000, 0..5),
             ),
             (
-                proptest::collection::vec(any::<u64>(), 0..6),
+                proptest::collection::vec((0usize..1000, any::<bool>()), 0..6),
                 arb_solver_snapshot(),
                 any::<u64>(),
                 any::<u64>(),
@@ -1390,7 +1359,7 @@ mod tests {
             .prop_map(
                 |(
                     ((fingerprint, canonical), primed, stp, phase, merges, dont_touch),
-                    (last_seen, solver, sat_calls, committed),
+                    (constants, solver, sat_calls, committed),
                 )| {
                     SweepCheckpoint {
                         fingerprint,
@@ -1406,15 +1375,14 @@ mod tests {
                             .collect(),
                         dont_touch,
                         classes: vec![(vec![1, 2], vec![false, true])],
-                        constants: Vec::new(),
-                        resim: crate::resim::ResimSnapshot {
-                            last_seen,
-                            events: 0,
-                            resimulated: 0,
-                            skipped: 0,
+                        constants: constants
+                            .into_iter()
+                            .map(|(node, value)| ConstantCandidate { node, value })
+                            .collect(),
+                        stats: StatsObserver {
+                            sat_calls_unsat: sat_calls,
+                            ..StatsObserver::new()
                         },
-                        stats: StatsObserver::new(),
-                        sweep_sat_calls: sat_calls,
                         committed_candidates: committed,
                         simulation_time: Duration::ZERO,
                         sat_time: Duration::ZERO,

@@ -81,6 +81,18 @@ pub struct EquivClass {
 }
 
 impl EquivClass {
+    /// Builds a class from `(member, phase)` pairs whose phases share an
+    /// arbitrary reference: members are sorted and phases re-expressed
+    /// relative to the new representative.
+    fn from_members(mut members: Vec<(NodeId, bool)>) -> Self {
+        members.sort_unstable();
+        let repr_phase = members[0].1;
+        EquivClass {
+            phases: members.iter().map(|&(_, p)| p != repr_phase).collect(),
+            members: members.into_iter().map(|(n, _)| n).collect(),
+        }
+    }
+
     /// The representative (earliest member).
     pub fn representative(&self) -> NodeId {
         self.members[0]
@@ -152,20 +164,11 @@ impl EquivClasses {
             let phase = sig.get_bit(0);
             buckets.entry(key).or_default().push((node, phase));
         }
-        let mut classes = Vec::new();
-        for (_, mut members) in buckets {
-            if members.len() < 2 {
-                continue;
-            }
-            members.sort_unstable();
-            // Normalise phases relative to the representative.
-            let repr_phase = members[0].1;
-            let phases = members.iter().map(|&(_, p)| p != repr_phase).collect();
-            classes.push(EquivClass {
-                members: members.into_iter().map(|(n, _)| n).collect(),
-                phases,
-            });
-        }
+        let mut classes: Vec<EquivClass> = buckets
+            .into_values()
+            .filter(|members| members.len() >= 2)
+            .map(EquivClass::from_members)
+            .collect();
         classes.sort_by_key(|c| c.representative());
         constants.sort_by_key(|c| c.node);
         EquivClasses { classes, constants }
@@ -218,18 +221,12 @@ impl EquivClasses {
                     }
                 }
             }
-            for mut members in groups {
-                if members.len() < 2 {
-                    continue;
-                }
-                members.sort_unstable();
-                let repr_phase = members[0].1;
-                let phases = members.iter().map(|&(_, p)| p != repr_phase).collect();
-                classes.push(EquivClass {
-                    members: members.into_iter().map(|(n, _)| n).collect(),
-                    phases,
-                });
-            }
+            classes.extend(
+                groups
+                    .into_iter()
+                    .filter(|members| members.len() >= 2)
+                    .map(EquivClass::from_members),
+            );
         }
         classes.sort_by_key(|c| c.representative());
         constants.sort_by_key(|c| c.node);
@@ -287,91 +284,52 @@ impl EquivClasses {
         self.classes.iter().find(|c| c.members.contains(&node))
     }
 
-    /// Refines every class using additional signature information (e.g.
-    /// after simulating a counter-example): members whose new signatures
-    /// disagree (up to the class phase) with their representative are split
-    /// into new classes.  Constant candidates whose new signature is no
-    /// longer constant are dropped.
+    /// Refines the candidates by one simulated pattern (a counter-example):
+    /// `values` holds the pattern's value of every class member and
+    /// constant candidate, indexed by [`NodeId`] (the shape
+    /// [`crate::resim::eval_pattern_targets`] returns).
     ///
-    /// `signatures` only needs to contain nodes that were actually
-    /// re-simulated; members without an entry keep their current class.
+    /// Each class splits in two: the members that agree with the
+    /// representative up to their phase, and the members that do not.
+    /// Groups of one member are dropped, and so are the constant candidates
+    /// the pattern contradicts.
     ///
-    /// Returns the number of nodes that moved or were dropped.
-    pub fn refine(&mut self, signatures: &HashMap<NodeId, Signature>) -> usize {
-        let mut moved = 0usize;
-
-        // Drop disproved constant candidates.
+    /// Returns the number of nodes that moved or were dropped: every
+    /// dropped node counts one, and so does every class a split leaves
+    /// with at least two members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate's id is out of range of `values`.
+    pub fn refine(&mut self, values: &[bool]) -> usize {
         let before = self.constants.len();
-        self.constants.retain(|c| match signatures.get(&c.node) {
-            Some(sig) => {
-                if c.value {
-                    sig.is_const1()
-                } else {
-                    sig.is_const0()
-                }
-            }
-            None => true,
-        });
-        moved += before - self.constants.len();
+        self.constants.retain(|c| values[c.node] == c.value);
+        let mut moved = before - self.constants.len();
 
-        let mut new_classes = Vec::new();
-        for class in &self.classes {
-            // Bucket members by their new signature relative to phase; members
-            // without new data keep the representative's bucket key `None`.
-            let mut buckets: HashMap<Option<Signature>, Vec<(NodeId, bool)>> = HashMap::new();
-            for (idx, &member) in class.members.iter().enumerate() {
-                let phase = class.phases[idx];
-                let key = signatures.get(&member).map(|sig| {
-                    // Normalise by phase so that complement-equivalent members
-                    // stay together.
-                    if phase {
-                        sig.complement()
-                    } else {
-                        sig.clone()
-                    }
-                });
-                buckets.entry(key).or_default().push((member, phase));
-            }
-            if buckets.len() == 1 {
-                new_classes.push(class.clone());
+        let mut refined = Vec::with_capacity(self.classes.len());
+        for class in std::mem::take(&mut self.classes) {
+            let repr_value = values[class.representative()];
+            let (agree, differ): (Vec<_>, Vec<_>) = class
+                .members
+                .iter()
+                .copied()
+                .zip(class.phases.iter().copied())
+                .partition(|&(member, phase)| (values[member] ^ phase) == repr_value);
+            if differ.is_empty() {
+                refined.push(class);
                 continue;
             }
-            // The bucket containing the representative keeps the `None`
-            // members (unsimulated nodes default to staying with their
-            // representative only if the representative itself was not
-            // re-simulated; otherwise they join the representative's bucket).
-            let repr_key = signatures.get(&class.representative()).map(|sig| {
-                if class.phase_of(class.representative()) {
-                    sig.complement()
+            for group in [agree, differ] {
+                if group.len() < 2 {
+                    moved += group.len();
                 } else {
-                    sig.clone()
-                }
-            });
-            let mut merged: HashMap<Option<Signature>, Vec<(NodeId, bool)>> = HashMap::new();
-            for (key, members) in buckets {
-                let target = if key.is_none() { repr_key.clone() } else { key };
-                merged.entry(target).or_default().extend(members);
-            }
-            for (_, mut members) in merged {
-                if members.len() < 2 {
-                    moved += members.len();
-                    continue;
-                }
-                members.sort_unstable();
-                let repr_phase = members[0].1;
-                let phases: Vec<bool> = members.iter().map(|&(_, p)| p != repr_phase).collect();
-                let class_members: Vec<NodeId> = members.into_iter().map(|(n, _)| n).collect();
-                if class_members != class.members {
                     moved += 1;
+                    refined.push(EquivClass::from_members(group));
                 }
-                new_classes.push(EquivClass {
-                    members: class_members,
-                    phases,
-                });
             }
         }
-        new_classes.sort_by_key(|c| c.representative());
-        self.classes = new_classes;
+        refined.sort_by_key(|c| c.representative());
+        self.classes = refined;
         moved
     }
 
@@ -407,6 +365,15 @@ mod tests {
 
     fn build(map: &[(NodeId, Signature)]) -> EquivClasses {
         EquivClasses::from_signatures(&map.iter().cloned().collect())
+    }
+
+    /// One pattern's per-node values, indexed by node id.
+    fn values(assigned: &[(NodeId, bool)]) -> Vec<bool> {
+        let mut values = vec![false; 16];
+        for &(node, value) in assigned {
+            values[node] = value;
+        }
+        values
     }
 
     #[test]
@@ -498,11 +465,8 @@ mod tests {
         ]);
         assert_eq!(classes.classes()[0].len(), 3);
         // A counter-example distinguishes node 8 from 3 and 5.
-        let new: HashMap<NodeId, Signature> = [(3, sig(&[0])), (5, sig(&[0])), (8, sig(&[1]))]
-            .into_iter()
-            .collect();
-        let moved = classes.refine(&new);
-        assert!(moved > 0);
+        let moved = classes.refine(&values(&[(3, false), (5, false), (8, true)]));
+        assert_eq!(moved, 2, "node 8 is dropped and {{3, 5}} is a new class");
         assert_eq!(classes.classes().len(), 1);
         assert_eq!(classes.classes()[0].members(), &[3, 5]);
     }
@@ -512,20 +476,24 @@ mod tests {
         let mut classes = build(&[(3, sig(&[0, 1])), (5, sig(&[1, 0]))]);
         assert_eq!(classes.classes().len(), 1);
         // New evidence consistent with complementation must not split them.
-        let new: HashMap<NodeId, Signature> = [(3, sig(&[1, 1, 0])), (5, sig(&[0, 0, 1]))]
-            .into_iter()
-            .collect();
-        let moved = classes.refine(&new);
-        assert_eq!(classes.classes().len(), 1);
-        assert_eq!(moved, 0);
+        for value in [false, true] {
+            let moved = classes.refine(&values(&[(3, value), (5, !value)]));
+            assert_eq!(classes.classes().len(), 1);
+            assert_eq!(moved, 0);
+        }
     }
 
     #[test]
     fn refine_drops_disproved_constants() {
         let mut classes = build(&[(2, sig(&[0, 0, 0]))]);
         assert_eq!(classes.constants().len(), 1);
-        let new: HashMap<NodeId, Signature> = [(2, sig(&[0, 1, 0]))].into_iter().collect();
-        classes.refine(&new);
+        assert_eq!(classes.refine(&values(&[(2, false)])), 0);
+        assert_eq!(
+            classes.constants().len(),
+            1,
+            "a consistent pattern keeps it"
+        );
+        assert_eq!(classes.refine(&values(&[(2, true)])), 1);
         assert!(classes.constants().is_empty());
     }
 

@@ -20,12 +20,11 @@
 //!   CEC verification, composed by the [`PassManager`] with per-pass
 //!   reports — built programmatically or from a textual script
 //!   ([`PassManager::parse`]).
-//! * [`resim`] — incremental counter-example resimulation: single-pattern
-//!   evaluation restricted to the transitive fanin of the surviving
-//!   candidates, with a dirty-set tracking the nodes whose signature history
-//!   was left behind.  Both engines route counter-examples through it; the
-//!   per-run counts surface in [`SweepReport`] and
-//!   [`Observer::on_resimulation`].
+//! * [`resim`] — counter-example resimulation: single-pattern evaluation
+//!   restricted to the transitive fanin of the surviving candidates.  Both
+//!   engines route every counter-example through it into the two-way class
+//!   split of [`equiv::EquivClasses::refine`]; the per-run counts surface
+//!   in [`SweepReport`] and [`Observer::on_resimulation`].
 //! * [`cec`] — combinational equivalence checking used to verify every sweep
 //!   (the `&cec` analog).
 //! * [`sequential`] — sequential SAT-sweeping over latches, activated by

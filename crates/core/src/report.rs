@@ -233,8 +233,9 @@ impl SweepConfig {
     ///   from initial signatures);
     /// * `conflict_limit` must be nonzero (a zero budget turns every SAT
     ///   query into `unDET` and marks every candidate don't-touch);
-    /// * `window_limit` must be at most [`MAX_WINDOW_LIMIT`] (the paper
-    ///   restricts exhaustive windows to at most 16 leaves);
+    /// * `window_limit` must be at least 2 (a window of a two-input AND
+    ///   needs both fanins as leaves) and at most [`MAX_WINDOW_LIMIT`] (the
+    ///   paper restricts exhaustive windows to at most 16 leaves);
     /// * [`SweepConfig::checkpoint_every_secs`] must have been given a
     ///   finite, non-negative duration;
     /// * `seq_depth` must be at most [`MAX_SEQ_DEPTH`].
@@ -248,6 +249,12 @@ impl SweepConfig {
             return Err(SweepError::InvalidConfig(
                 "conflict_limit must be nonzero".into(),
             ));
+        }
+        if self.window_limit < 2 {
+            return Err(SweepError::InvalidConfig(format!(
+                "window_limit {} is below the minimum of 2 leaves",
+                self.window_limit
+            )));
         }
         if self.window_limit > MAX_WINDOW_LIMIT {
             return Err(SweepError::InvalidConfig(format!(
@@ -543,15 +550,23 @@ mod tests {
             .with_conflict_limit(0)
             .validate()
             .is_err());
-        assert!(SweepConfig::default()
-            .with_window_limit(MAX_WINDOW_LIMIT + 1)
-            .validate()
-            .is_err());
-        // The boundary value itself is allowed (the ablation sweeps it).
-        assert!(SweepConfig::default()
-            .with_window_limit(MAX_WINDOW_LIMIT)
-            .validate()
-            .is_ok());
+        for bad in [0, 1, MAX_WINDOW_LIMIT + 1] {
+            assert!(
+                SweepConfig::default()
+                    .with_window_limit(bad)
+                    .validate()
+                    .is_err(),
+                "window_limit {bad} must be rejected"
+            );
+        }
+        // The boundary values themselves are allowed (the ablation sweeps
+        // the upper one).
+        for good in [2, MAX_WINDOW_LIMIT] {
+            assert!(SweepConfig::default()
+                .with_window_limit(good)
+                .validate()
+                .is_ok());
+        }
         // Degenerate wall-clock cadences are recorded as a sentinel and
         // rejected here, not at the (infallible) builder.
         for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

@@ -1,36 +1,24 @@
-//! Incremental counter-example resimulation.
+//! Counter-example resimulation.
 //!
 //! When a satisfiable SAT query produces a counter-example, the sweeping
 //! engine needs the *new pattern's* value for every node that is still a
-//! merge candidate — nothing else.  The original engines either re-simulated
-//! the whole network over the whole grown pattern set (the baseline) or
-//! re-derived targets through window cuts (the STP engine) without tracking
-//! how much work was avoided.
-//!
-//! [`ResimEngine`] centralises the bookkeeping for both engines:
-//!
-//! * [`eval_pattern_targets`] evaluates a single input assignment over the
-//!   transitive fanin of the target nodes only — an `O(|TFI(targets)|)`
-//!   single-bit sweep instead of an `O(nodes × patterns)` full pass;
-//! * the engine maintains a **dirty set** keyed by transitive fanout: an AND
-//!   node becomes dirty the first time a resimulation event skips it (its
-//!   cumulative signature history stops being extended).  Because targets
-//!   are always the members of the current candidate classes, and classes
-//!   only ever shrink, a node that went dirty is never needed again — the
-//!   engine asserts this invariant on every event.
-//!
-//! The per-event counts (nodes resimulated vs. nodes a `simulate_all` pass
-//! would have touched) feed [`crate::Observer::on_resimulation`] and the
-//! resimulation fields of [`crate::SweepReport`].
+//! merge candidate — nothing else.  Both engines therefore evaluate the
+//! counter-example with [`eval_pattern_targets`]: a single-bit sweep over
+//! the transitive fanin of the surviving candidates, `O(|TFI(targets)|)`
+//! instead of an `O(nodes)` pass over the whole network.  The values feed
+//! the two-way class split of [`crate::equiv::EquivClasses::refine`], and
+//! the per-event counts (AND nodes evaluated vs. left alone) feed
+//! [`crate::Observer::on_resimulation`] and the resimulation fields of
+//! [`crate::SweepReport`].
 
-use bitsim::Signature;
 use netlist::{Aig, AigNode, NodeId};
-use std::collections::HashMap;
 
 /// Evaluates the single input `assignment` over the transitive fanin of
-/// `targets` and returns each target's value as a one-pattern [`Signature`]
-/// (the shape [`crate::equiv::EquivClasses::refine`] consumes), together
-/// with the sorted list of AND nodes that were evaluated.
+/// `targets`.
+///
+/// Returns every node's value, indexed by [`NodeId`] — valid on the
+/// targets' transitive fanin, `false` elsewhere — together with the number
+/// of AND nodes that were evaluated.
 ///
 /// # Panics
 ///
@@ -40,7 +28,7 @@ pub fn eval_pattern_targets(
     aig: &Aig,
     assignment: &[bool],
     targets: &[NodeId],
-) -> (HashMap<NodeId, Signature>, Vec<NodeId>) {
+) -> (Vec<bool>, usize) {
     assert_eq!(
         assignment.len(),
         aig.num_inputs(),
@@ -49,7 +37,7 @@ pub fn eval_pattern_targets(
     let num_nodes = aig.num_nodes();
     let mut value = vec![false; num_nodes];
     let mut known = vec![false; num_nodes];
-    let mut evaluated: Vec<NodeId> = Vec::new();
+    let mut evaluated = 0;
     // Iterative post-order walk restricted to the targets' transitive fanin.
     let mut stack: Vec<(NodeId, bool)> = targets.iter().rev().map(|&t| (t, false)).collect();
     while let Some((id, expanded)) = stack.pop() {
@@ -68,7 +56,7 @@ pub fn eval_pattern_targets(
                     let v1 = value[fanin1.node()] ^ fanin1.is_complemented();
                     value[id] = v0 && v1;
                     known[id] = true;
-                    evaluated.push(id);
+                    evaluated += 1;
                 } else {
                     stack.push((id, true));
                     if !known[fanin0.node()] {
@@ -81,158 +69,7 @@ pub fn eval_pattern_targets(
             }
         }
     }
-    let map = targets
-        .iter()
-        .map(|&t| (t, Signature::from_bits(std::iter::once(value[t]))))
-        .collect();
-    evaluated.sort_unstable();
-    (map, evaluated)
-}
-
-/// Counts of one incremental resimulation event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResimEvent {
-    /// Nodes whose fresh value was requested (current class members and
-    /// constant candidates).
-    pub targets: usize,
-    /// AND nodes actually evaluated for the new pattern.
-    pub resimulated: usize,
-    /// AND nodes a `simulate_all` pass would have evaluated on top of that
-    /// (they went, or stayed, dirty instead).
-    pub skipped: usize,
-}
-
-/// The dirty-set bookkeeper of incremental resimulation.
-///
-/// One engine instance accompanies one sweeping run; every counter-example
-/// resimulation is recorded through [`ResimEngine::record_event`].
-#[derive(Debug, Clone)]
-pub struct ResimEngine {
-    /// The event epoch each node was last evaluated in (0 = only the
-    /// priming simulation).  Because target sets — and therefore evaluated
-    /// sets — only ever shrink, a node is dirty exactly when it missed the
-    /// *latest* event: `last_seen[id] != events`.  This keeps
-    /// [`ResimEngine::record_event`] at one write per evaluated node
-    /// instead of a full-network scan per counter-example.
-    last_seen: Vec<u64>,
-    is_and: Vec<bool>,
-    num_and_nodes: usize,
-    events: u64,
-    resimulated: u64,
-    skipped: u64,
-}
-
-impl ResimEngine {
-    /// Creates the bookkeeper for a network; nothing is dirty initially
-    /// (the priming simulation covers every node).
-    pub fn new(aig: &Aig) -> Self {
-        let is_and: Vec<bool> = aig
-            .node_ids()
-            .map(|id| matches!(aig.node(id), AigNode::And { .. }))
-            .collect();
-        ResimEngine {
-            last_seen: vec![0; aig.num_nodes()],
-            num_and_nodes: aig.num_ands(),
-            is_and,
-            events: 0,
-            resimulated: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Records one resimulation event: `evaluated` lists the AND nodes the
-    /// kernel refreshed.  Every other AND node of the network counts as
-    /// skipped and goes (or stays) dirty.  Returns the event's counts.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no evaluated node was already dirty — a dirty node
-    /// has an incomplete signature history and must never re-enter the
-    /// target set (candidate classes only shrink).
-    pub fn record_event(&mut self, targets: usize, evaluated: &[NodeId]) -> ResimEvent {
-        debug_assert!(
-            evaluated
-                .iter()
-                .all(|&id| self.last_seen[id] == self.events),
-            "a dirty node re-entered the resimulation target set"
-        );
-        self.events += 1;
-        for &id in evaluated {
-            self.last_seen[id] = self.events;
-        }
-        let event = ResimEvent {
-            targets,
-            resimulated: evaluated.len(),
-            skipped: self.num_and_nodes.saturating_sub(evaluated.len()),
-        };
-        self.resimulated += event.resimulated as u64;
-        self.skipped += event.skipped as u64;
-        event
-    }
-
-    /// Number of resimulation events recorded so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Total AND nodes evaluated across all events.
-    pub fn resimulated_nodes(&self) -> u64 {
-        self.resimulated
-    }
-
-    /// Total AND nodes skipped across all events (work a `simulate_all`
-    /// strategy would have done).
-    pub fn skipped_nodes(&self) -> u64 {
-        self.skipped
-    }
-
-    /// `true` if the node's cumulative signature history is incomplete.
-    /// Inputs and the constant never go dirty — their values are free.
-    pub fn is_dirty(&self, node: NodeId) -> bool {
-        self.is_and[node] && self.last_seen[node] != self.events
-    }
-
-    /// Captures the dirty-set state for a checkpoint (the `is_and` map is a
-    /// pure function of the network and is re-derived on restore).
-    pub fn snapshot(&self) -> ResimSnapshot {
-        ResimSnapshot {
-            last_seen: self.last_seen.clone(),
-            events: self.events,
-            resimulated: self.resimulated,
-            skipped: self.skipped,
-        }
-    }
-
-    /// Rebuilds the bookkeeper for `aig` from a snapshot taken against the
-    /// same network; a wrong-sized snapshot is rejected.
-    pub fn from_snapshot(aig: &Aig, snap: &ResimSnapshot) -> Result<Self, &'static str> {
-        if snap.last_seen.len() != aig.num_nodes() {
-            return Err("resimulation snapshot was taken against a different network");
-        }
-        if snap.last_seen.iter().any(|&e| e > snap.events) {
-            return Err("resimulation snapshot records an event from the future");
-        }
-        let mut engine = ResimEngine::new(aig);
-        engine.last_seen = snap.last_seen.clone();
-        engine.events = snap.events;
-        engine.resimulated = snap.resimulated;
-        engine.skipped = snap.skipped;
-        Ok(engine)
-    }
-}
-
-/// The serialisable state of a [`ResimEngine`] (see
-/// [`ResimEngine::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResimSnapshot {
-    /// The event epoch each node was last evaluated in.
-    pub last_seen: Vec<u64>,
-    /// Resimulation events recorded so far.
-    pub events: u64,
-    /// Total AND nodes evaluated across all events.
-    pub resimulated: u64,
-    /// Total AND nodes skipped across all events.
-    pub skipped: u64,
+    (value, evaluated)
 }
 
 #[cfg(test)]
@@ -261,10 +98,10 @@ mod tests {
         for p in 0..patterns.num_patterns() {
             let assignment = patterns.assignment(p);
             let (values, evaluated) = eval_pattern_targets(&aig, &assignment, &targets);
-            assert_eq!(evaluated.len(), aig.num_ands());
+            assert_eq!(evaluated, aig.num_ands());
             for &t in &targets {
                 assert_eq!(
-                    values[&t].get_bit(0),
+                    values[t],
                     full.signature(t).get_bit(p),
                     "node {t}, pattern {p}"
                 );
@@ -279,27 +116,7 @@ mod tests {
         let first_and = aig.and_ids().next().unwrap();
         let (values, evaluated) =
             eval_pattern_targets(&aig, &[true, true, false, false, false], &[first_and]);
-        assert_eq!(evaluated, vec![first_and]);
-        assert!(values[&first_and].get_bit(0));
-    }
-
-    #[test]
-    fn record_event_accumulates_and_marks_dirty() {
-        let aig = sample_aig();
-        let mut engine = ResimEngine::new(&aig);
-        let all_ands: Vec<NodeId> = aig.and_ids().collect();
-        let first = engine.record_event(all_ands.len(), &all_ands);
-        assert_eq!(first.resimulated, aig.num_ands());
-        assert_eq!(first.skipped, 0);
-
-        let shrunk = &all_ands[..1];
-        let second = engine.record_event(1, shrunk);
-        assert_eq!(second.resimulated, 1);
-        assert_eq!(second.skipped, aig.num_ands() - 1);
-        assert_eq!(engine.events(), 2);
-        assert_eq!(engine.resimulated_nodes(), (aig.num_ands() + 1) as u64);
-        assert_eq!(engine.skipped_nodes(), (aig.num_ands() - 1) as u64);
-        assert!(!engine.is_dirty(all_ands[0]));
-        assert!(engine.is_dirty(all_ands[1]));
+        assert_eq!(evaluated, 1);
+        assert!(values[first_and]);
     }
 }

@@ -70,7 +70,6 @@ use crate::checkpoint::{netlist_fingerprint, PhasePod, SweepCheckpoint};
 use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::report::{SweepConfig, SweepResult};
-use crate::resim::ResimSnapshot;
 use crate::session::Sweeper;
 use bitsim::{
     ternary_fixpoint, AigSimulator, PatternSet, Signature, TernaryFixpoint, TernaryValue,
@@ -608,14 +607,7 @@ fn build_seq_checkpoint(
         dont_touch: Vec::new(),
         classes: Vec::new(),
         constants: Vec::new(),
-        resim: ResimSnapshot {
-            last_seen: Vec::new(),
-            events: 0,
-            resimulated: 0,
-            skipped: 0,
-        },
         stats: run.stats,
-        sweep_sat_calls: run.stats.sat_calls_total(),
         committed_candidates: run.cursor as u64,
         simulation_time,
         sat_time: run.sat_time,

@@ -48,20 +48,19 @@ use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::patterns::{self, PatternGenConfig};
 use crate::report::{SweepConfig, SweepResult};
-use crate::resim::{self, ResimEngine};
+use crate::resim;
 use crate::window::WindowIndex;
-use bitsim::{AigSimulator, PatternSet, Signature};
+use bitsim::AigSimulator;
 use netlist::{Aig, Lit, NodeId};
 use satsolver::{CircuitSat, EquivOutcome};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Which sweeping engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Baseline FRAIG-style sweeping: random initial patterns, representative
-    /// drivers only, full bitwise counter-example resimulation.
+    /// Baseline FRAIG-style sweeping: random initial patterns, no window
+    /// verdicts, candidates in forward topological order.
     Baseline,
     /// The paper's STP-based sweeping (Algorithm 2): SAT-guided patterns,
     /// constant substitution, reverse topological processing and exhaustive
@@ -259,8 +258,9 @@ pub struct SweepSession<'n, 'o> {
     /// proofs and pairwise merges all query it, in canonical order.
     sat: CircuitSat<'n>,
     classes: EquivClasses,
+    /// Window verdicts; built only when [`SweepConfig::window_refinement`]
+    /// is on.
     windows: Option<WindowIndex>,
-    resim: ResimEngine,
     merged: Vec<Option<Lit>>,
     /// Ordered log of applied merges; replaying it reconstructs `result`
     /// and `merged` when a checkpoint is restored.
@@ -273,7 +273,6 @@ pub struct SweepSession<'n, 'o> {
     /// Wall-clock consumed before this session leg (nonzero for resumed
     /// sessions; added to the final report's total time).
     elapsed_base: Duration,
-    sweep_sat_calls: u64,
     stopped: Option<BudgetCause>,
     /// The execution cursor (see [`crate::checkpoint`]).
     phase: Phase,
@@ -325,7 +324,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 sat,
                 classes: EquivClasses::default(),
                 windows: None,
-                resim: ResimEngine::new(aig),
                 merged: vec![None; aig.num_nodes()],
                 merge_log: Vec::new(),
                 dont_touch: vec![false; aig.num_nodes()],
@@ -334,7 +332,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 sat_time: Duration::ZERO,
                 started,
                 elapsed_base: Duration::ZERO,
-                sweep_sat_calls: 0,
                 stopped: Some(cause),
                 phase: Phase::Start,
                 committed_candidates: 0,
@@ -352,7 +349,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         // reported to observers nor counted against the budget, as in the
         // paper's Table II accounting.
         let sim_start = Instant::now();
-        let patterns = if builder.engine == Engine::Stp && config.sat_guided_patterns {
+        let patterns = if config.sat_guided_patterns {
             let gen_config = PatternGenConfig {
                 num_random: config.num_initial_patterns,
                 seed: config.seed,
@@ -372,13 +369,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let classes =
             EquivClasses::from_node_signatures(aig.and_ids().map(|id| (id, state.signature(id))));
 
-        // Window index used by the STP engine for exhaustive refinement and
-        // for counter-example simulation restricted to class nodes.
-        let windows = if builder.engine == Engine::Stp {
-            Some(WindowIndex::build(aig, config.window_limit))
-        } else {
-            None
-        };
+        let windows = config
+            .window_refinement
+            .then(|| WindowIndex::build(aig, config.window_limit));
 
         let mut session = SweepSession {
             engine: builder.engine,
@@ -391,7 +384,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sat,
             classes,
             windows,
-            resim: ResimEngine::new(aig),
             merged: vec![None; aig.num_nodes()],
             merge_log: Vec::new(),
             dont_touch: vec![false; aig.num_nodes()],
@@ -400,7 +392,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sat_time: Duration::ZERO,
             started,
             elapsed_base: Duration::ZERO,
-            sweep_sat_calls: 0,
             stopped: None,
             phase: Phase::Start,
             committed_candidates: 0,
@@ -464,14 +455,17 @@ impl<'n, 'o> SweepSession<'n, 'o> {
 
         let num_nodes = aig.num_nodes();
         let in_range = |node: NodeId| node < num_nodes;
-        // The merge log is replayed through `Aig::replace_node`, whose
+        let is_and = |node: NodeId| in_range(node) && aig.node(node).is_and();
+        // Merges are applied through `Aig::replace_node`, whose
         // preconditions (an AND node, a topologically earlier replacement)
-        // must hold for corrupt data too — check them here so corruption
+        // must hold for corrupt data too: the merge log is replayed below,
+        // and every candidate (class member, constant candidate, queued
+        // constant) may be merged later.  Check them here so corruption
         // surfaces as a typed mismatch, never a panic.
         if !checkpoint
             .merge_log
             .iter()
-            .all(|&(node, lit)| in_range(node) && aig.node(node).is_and() && lit.node() < node)
+            .all(|&(node, lit)| is_and(node) && lit.node() < node)
         {
             return Err(mismatch("merge log entry violates the network's topology"));
         }
@@ -485,16 +479,16 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             .iter()
             .flat_map(|(members, _)| members.iter().copied())
             .chain(checkpoint.constants.iter().map(|c| c.node))
-            .all(in_range)
+            .all(is_and)
         {
             return Err(mismatch(
-                "candidate classes reference a node outside the network",
+                "candidate classes name a node that is not an AND node of the network",
             ));
         }
         match &checkpoint.phase {
             PhasePod::Start | PhasePod::Done => {}
             PhasePod::Constants { queue, next } => {
-                if !queue.iter().all(|c| in_range(c.node)) || *next > queue.len() {
+                if !queue.iter().all(|c| is_and(c.node)) || *next > queue.len() {
                     return Err(mismatch("constant-phase cursor is inconsistent"));
                 }
             }
@@ -523,12 +517,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let classes =
             EquivClasses::from_parts(checkpoint.classes.clone(), checkpoint.constants.clone())
                 .map_err(mismatch)?;
-        let windows = if engine == Engine::Stp {
-            Some(WindowIndex::build(aig, config.window_limit))
-        } else {
-            None
-        };
-        let resim = ResimEngine::from_snapshot(aig, &checkpoint.resim).map_err(mismatch)?;
+        let windows = config
+            .window_refinement
+            .then(|| WindowIndex::build(aig, config.window_limit));
         let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver).map_err(mismatch)?;
 
         // No `on_round` notification: the resumed session continues the
@@ -545,7 +536,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sat,
             classes,
             windows,
-            resim,
             merged,
             merge_log: checkpoint.merge_log.clone(),
             dont_touch,
@@ -554,7 +544,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sat_time: checkpoint.sat_time,
             started: Instant::now(),
             elapsed_base: checkpoint.elapsed,
-            sweep_sat_calls: checkpoint.sweep_sat_calls,
             stopped: None,
             phase: checkpoint.phase.clone(),
             committed_candidates: checkpoint.committed_candidates,
@@ -663,7 +652,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         if self.stopped.is_some() {
             return false;
         }
-        match self.budget.exceeded(self.started, self.sweep_sat_calls) {
+        match self
+            .budget
+            .exceeded(self.started, self.stats.sat_calls_total())
+        {
             Some(cause) => {
                 self.stopped = Some(cause);
                 false
@@ -697,9 +689,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 .map(|c| (c.members().to_vec(), c.phases().to_vec()))
                 .collect(),
             constants: self.classes.constants().to_vec(),
-            resim: self.resim.snapshot(),
             stats: self.stats,
-            sweep_sat_calls: self.sweep_sat_calls,
             committed_candidates: self.committed_candidates,
             simulation_time: self.simulation_time,
             sat_time: self.sat_time,
@@ -818,7 +808,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let sat_start = Instant::now();
         let outcome = run(&mut self.sat, self.config.conflict_limit);
         self.sat_time += sat_start.elapsed();
-        self.sweep_sat_calls += 1;
         self.notify_sat_call(match outcome {
             EquivOutcome::Equivalent => SatCallOutcome::Unsat,
             EquivOutcome::CounterExample(_) => SatCallOutcome::Sat,
@@ -986,10 +975,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         candidate: NodeId,
         drivers: &[(NodeId, bool)],
     ) -> Option<(Step, usize)> {
-        let windows = self
-            .windows
-            .as_ref()
-            .filter(|_| self.config.window_refinement);
+        let windows = self.windows.as_ref();
         let mut verdicts = Vec::new();
         let mut proved = None;
         let mut query = None;
@@ -1040,44 +1026,30 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         self.notify_merge(candidate, replacement);
     }
 
-    /// Simulates a counter-example incrementally and refines the candidate
-    /// classes.
+    /// Resimulates a counter-example and refines the candidate classes.
     ///
-    /// Both engines resimulate **only the nodes that are still merge
+    /// Both engines evaluate **only the nodes that are still merge
     /// candidates** (class members and constant candidates) on the new
-    /// pattern: the STP engine evaluates them through their cut windows, the
-    /// baseline through a single-bit sweep of their transitive fanin (see
-    /// [`crate::resim`]).  Every AND node outside the evaluated set goes
-    /// into the dirty set instead of being recomputed — the refinement
-    /// outcome is identical to a full `simulate_all` pass because class
-    /// members agree on all previously simulated patterns by construction.
+    /// pattern, through a single-bit sweep of their transitive fanin (see
+    /// [`crate::resim`]); every class then splits in two by the pattern.
+    /// The outcome equals re-priming the classes with the pattern appended,
+    /// because class members agree on every earlier pattern by
+    /// construction.
     fn refine_with_counterexample(&mut self, counterexample: &[bool]) {
         self.notify_counterexample(counterexample);
         let sim_start = Instant::now();
-        // Fresh values are only needed for nodes that are still candidates.
-        let mut targets: Vec<NodeId> = self
+        let targets: Vec<NodeId> = self
             .classes
             .classes()
             .iter()
             .flat_map(|c| c.members().iter().copied())
+            .chain(self.classes.constants().iter().map(|c| c.node))
             .collect();
-        targets.extend(self.classes.constants().iter().map(|c| c.node));
-        targets.sort_unstable();
-        targets.dedup();
-        let (new_signatures, evaluated): (HashMap<NodeId, Signature>, Vec<NodeId>) =
-            match (self.engine, &self.windows) {
-                (Engine::Stp, Some(index)) => {
-                    // STP engine: evaluate the targets through their cut
-                    // windows (the specified-node mode of Algorithm 1).
-                    let mut ce_only = PatternSet::new(self.original.num_inputs());
-                    ce_only.push_pattern(counterexample);
-                    index.simulate_targets_counted(self.original, &ce_only, &targets)
-                }
-                _ => resim::eval_pattern_targets(self.original, counterexample, &targets),
-            };
-        let event = self.resim.record_event(targets.len(), &evaluated);
-        self.notify_resimulation(event.targets, event.resimulated, event.skipped);
-        let moved = self.classes.refine(&new_signatures);
+        let (values, evaluated) =
+            resim::eval_pattern_targets(self.original, counterexample, &targets);
+        let skipped = self.original.num_ands() - evaluated;
+        self.notify_resimulation(targets.len(), evaluated, skipped);
+        let moved = self.classes.refine(&values);
         self.simulation_time += sim_start.elapsed();
         let num_classes = self.classes.classes().len();
         self.notify_class_refined(num_classes, moved);
@@ -1110,6 +1082,7 @@ mod tests {
     use super::*;
     use crate::budget::CancelToken;
     use crate::cec::check_equivalence;
+    use crate::equiv::ConstantCandidate;
     use netlist::aiger::write_aiger_string;
 
     /// A circuit with planted redundancy: the same functions built twice
@@ -1227,11 +1200,21 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_up_front() {
         let aig = redundant_circuit();
-        let err = Sweeper::new(Engine::Stp)
-            .config(SweepConfig::default().with_patterns(0))
-            .run(&aig)
-            .unwrap_err();
-        assert!(matches!(err, SweepError::InvalidConfig(_)));
+        // A window limit below 2 is rejected for both engines, even the
+        // baseline, which never builds the window index.
+        for config in [
+            SweepConfig::default().with_patterns(0),
+            SweepConfig::default().with_window_limit(0),
+            SweepConfig::default().with_window_limit(1),
+        ] {
+            for engine in [Engine::Stp, Engine::Baseline] {
+                let err = Sweeper::new(engine).config(config).run(&aig).unwrap_err();
+                assert!(
+                    matches!(err, SweepError::InvalidConfig(_)),
+                    "{engine}, {config:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1478,6 +1461,61 @@ mod tests {
         };
         assert!(matches!(err, SweepError::CheckpointMismatch(_)));
         assert!(err.to_string().contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn checkpoints_naming_a_non_and_candidate_are_rejected() {
+        let aig = redundant_circuit();
+        let base = Sweeper::new(Engine::Stp)
+            .begin(&aig)
+            .expect("primes")
+            .checkpoint();
+        let queued = |node, value| PhasePod::Constants {
+            queue: vec![ConstantCandidate { node, value }],
+            next: 0,
+        };
+        let input = aig.inputs()[0];
+        let member = base.classes[0].0[1];
+
+        // The constant node as a constant candidate and as the queued one.
+        let mut constant_node = base.clone();
+        constant_node.constants = vec![ConstantCandidate {
+            node: 0,
+            value: false,
+        }];
+        constant_node.phase = queued(0, false);
+        // The constant node queued only.
+        let mut queued_constant_node = base.clone();
+        queued_constant_node.phase = queued(0, true);
+        // An input as a constant candidate.
+        let mut input_constant = base.clone();
+        input_constant.constants = vec![ConstantCandidate {
+            node: input,
+            value: false,
+        }];
+        // An input as a class representative.
+        let mut input_member = base.clone();
+        input_member.classes = vec![(vec![input, member], vec![false, false])];
+
+        for checkpoint in [
+            constant_node,
+            queued_constant_node,
+            input_constant,
+            input_member,
+        ] {
+            // Through bytes, as a checkpoint from outside the process: the
+            // encoder writes a valid checksum, so only resume can object.
+            let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
+            match Sweeper::new(Engine::Stp).resume_from(&aig, &decoded) {
+                Err(SweepError::CheckpointMismatch(_)) => {}
+                Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),
+                Ok(_) => panic!(
+                    "resume must refuse a non-AND candidate: classes {:?}, constants {:?}, \
+                     phase {:?}",
+                    decoded.classes, decoded.constants, decoded.phase
+                ),
+            }
+        }
     }
 
     #[test]

@@ -304,9 +304,6 @@ impl<'a> StpSimulator<'a> {
 
     /// Collapses the transitive fanin of `targets` into cuts with at most
     /// `limit` leaves (Section III-B).  Returns the set of cut roots (which
-    /// includes every target) and the cut of every root.
-    /// Collapses the transitive fanin of `targets` into cuts with at most
-    /// `limit` leaves (Section III-B).  Returns the set of cut roots (which
     /// includes every target) and, for every needed node, its function
     /// expressed over its cut leaves.
     fn collapse(&self, targets: &[LutNodeId], limit: usize) -> Collapse {

@@ -1,16 +1,16 @@
-//! Cut-window collapse of an AIG, used by the STP sweeper.
+//! Cut-window collapse of an AIG, used by the STP sweeper's window verdicts.
 //!
 //! The STP-based refinement of Section IV-A works on the network being
 //! swept: nodes that are *not* in any candidate equivalence class are mapped
-//! into k-LUTs (their logic is absorbed into cut windows), and the class
-//! nodes are then simulated — exhaustively over their window leaves whenever
+//! into k-LUTs (their logic is absorbed into cut windows), and candidate
+//! pairs are then compared exhaustively over their window leaves whenever
 //! the window is small enough.  [`WindowIndex`] pre-computes, for every AND
 //! node, a window (a cut with at most `limit` leaves) and the node's function
 //! over that window, obtained by logic-matrix (truth-table) composition.
+//! The index serves only these verdicts ([`WindowIndex::compare`]);
+//! counter-examples are resimulated by [`crate::resim`].
 
-use bitsim::{PatternSet, Signature};
 use netlist::{Aig, AigNode, NodeId};
-use std::collections::HashMap;
 use truthtable::TruthTable;
 
 /// A node's window: its function expressed over a small set of leaf nodes.
@@ -185,97 +185,6 @@ impl WindowIndex {
         let tb = if complemented { !&tb } else { tb };
         Some(ta == tb)
     }
-
-    /// Simulates only the `targets` under `patterns`, evaluating each target
-    /// through its window (leaves first, one table lookup per pattern).
-    /// Non-target internal logic inside the windows is never visited — this
-    /// is the AIG-side analogue of the specified-node mode of Algorithm 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern set's input count differs from the AIG's.
-    pub fn simulate_targets(
-        &self,
-        aig: &Aig,
-        patterns: &PatternSet,
-        targets: &[NodeId],
-    ) -> HashMap<NodeId, Signature> {
-        self.simulate_targets_counted(aig, patterns, targets).0
-    }
-
-    /// Like [`WindowIndex::simulate_targets`], but also returns the sorted
-    /// list of AND nodes that were actually evaluated (targets plus the
-    /// window leaves visited on their behalf) — the measure of work
-    /// incremental resimulation saves over a full network pass.
-    pub fn simulate_targets_counted(
-        &self,
-        aig: &Aig,
-        patterns: &PatternSet,
-        targets: &[NodeId],
-    ) -> (HashMap<NodeId, Signature>, Vec<NodeId>) {
-        assert_eq!(
-            patterns.num_inputs(),
-            aig.num_inputs(),
-            "pattern set input count must match the network"
-        );
-        let n = patterns.num_patterns();
-        // Evaluate every node that appears as a leaf of some target window
-        // and is itself an AND node, recursively.  The recursion grounds out
-        // at PIs; memoisation keeps each node evaluated once.
-        let mut cache: HashMap<NodeId, Signature> = HashMap::new();
-        let mut result = HashMap::new();
-        for &t in targets {
-            let sig = self.eval_node(aig, patterns, t, n, &mut cache);
-            result.insert(t, sig);
-        }
-        let mut evaluated: Vec<NodeId> = cache
-            .keys()
-            .copied()
-            .filter(|&id| matches!(aig.node(id), AigNode::And { .. }))
-            .collect();
-        evaluated.sort_unstable();
-        (result, evaluated)
-    }
-
-    fn eval_node(
-        &self,
-        aig: &Aig,
-        patterns: &PatternSet,
-        node: NodeId,
-        n: usize,
-        cache: &mut HashMap<NodeId, Signature>,
-    ) -> Signature {
-        if let Some(sig) = cache.get(&node) {
-            return sig.clone();
-        }
-        let sig = match aig.node(node) {
-            AigNode::Const0 => Signature::zeros(n),
-            AigNode::Input { position } => patterns.input_signature(*position).clone(),
-            AigNode::And { .. } => {
-                let window = self.windows[node].clone();
-                let leaf_sigs: Vec<Signature> = window
-                    .leaves
-                    .iter()
-                    .map(|&l| self.eval_node(aig, patterns, l, n, cache))
-                    .collect();
-                let mut out = Signature::zeros(n);
-                for p in 0..n {
-                    let mut index = 0usize;
-                    for (k, ls) in leaf_sigs.iter().enumerate() {
-                        if ls.get_bit(p) {
-                            index |= 1 << k;
-                        }
-                    }
-                    if window.table.get_bit(index) {
-                        out.set_bit(p, true);
-                    }
-                }
-                out
-            }
-        };
-        cache.insert(node, sig.clone());
-        sig
-    }
 }
 
 fn remap(table: &TruthTable, old_leaves: &[NodeId], new_leaves: &[NodeId]) -> TruthTable {
@@ -294,7 +203,6 @@ fn remap(table: &TruthTable, old_leaves: &[NodeId], new_leaves: &[NodeId]) -> Tr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitsim::AigSimulator;
 
     fn sample_aig() -> (Aig, Vec<netlist::Lit>) {
         let mut aig = Aig::new();
@@ -367,46 +275,5 @@ mod tests {
         assert_eq!(index.compare(&aig, f.node(), h.node(), false), Some(false));
         // Complemented comparison: f vs !g is definitely different.
         assert_eq!(index.compare(&aig, f.node(), g.node(), true), Some(false));
-    }
-
-    #[test]
-    fn simulate_targets_matches_full_simulation() {
-        let (aig, gates) = sample_aig();
-        let patterns = PatternSet::random(6, 200, 21).unwrap();
-        let full = AigSimulator::new(&aig).run(&patterns);
-        for limit in [2, 4, 8] {
-            let index = WindowIndex::build(&aig, limit);
-            let targets: Vec<NodeId> = gates.iter().map(|l| l.node()).collect();
-            let (result, evaluated) = index.simulate_targets_counted(&aig, &patterns, &targets);
-            for &t in &targets {
-                assert_eq!(result[&t], full.signature(t), "limit {limit}, node {t}");
-            }
-            // Every target that is an AND gate was evaluated; no more AND
-            // nodes than the network holds were visited.
-            for &t in &targets {
-                assert!(evaluated.contains(&t), "limit {limit}, target {t}");
-            }
-            assert!(evaluated.len() <= aig.num_ands());
-            assert!(evaluated.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
-        }
-    }
-
-    #[test]
-    fn simulate_targets_handles_pi_and_subset_targets() {
-        let (aig, gates) = sample_aig();
-        let patterns = PatternSet::random(6, 130, 9).unwrap();
-        let full = AigSimulator::new(&aig).run(&patterns);
-        let index = WindowIndex::build(&aig, 4);
-        let pi = aig.inputs()[1];
-        let targets = vec![pi, gates[2].node()];
-        let (result, evaluated) = index.simulate_targets_counted(&aig, &patterns, &targets);
-        // The PI target's signature is the raw input column; the gate
-        // target matches full simulation.
-        assert_eq!(&result[&pi], patterns.input_signature(1));
-        assert_eq!(result[&targets[1]], full.signature(targets[1]));
-        assert!(
-            !evaluated.contains(&pi),
-            "only AND nodes count as evaluated"
-        );
     }
 }

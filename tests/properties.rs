@@ -8,8 +8,10 @@ use stp_sat_sweep::bitsim::{
     TernaryValue,
 };
 use stp_sat_sweep::netlist::aiger::{read_aiger_str, write_aiger_string};
-use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit};
+use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit, NodeId};
 use stp_sat_sweep::stp::{canonical_form, canonical_form_enumerated, BoolVec, Expr};
+use stp_sat_sweep::stp_sweep::equiv::{ConstantCandidate, EquivClasses};
+use stp_sat_sweep::stp_sweep::resim::eval_pattern_targets;
 use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
 use stp_sat_sweep::stp_sweep::{cec, SweepConfig};
 use stp_sat_sweep::workloads::inject_redundancy;
@@ -275,6 +277,54 @@ proptest! {
                 prop_assert_eq!(stp_state.output_signature(&lut, o).get_bit(p), exp);
             }
         }
+    }
+
+    /// Refining the candidates by one counter-example equals re-priming
+    /// them with that pattern appended: the single-bit fanin sweep and the
+    /// two-way class split, checked against bitwise simulation.
+    #[test]
+    fn refining_by_a_counterexample_equals_repriming_with_it(
+        spec in arb_aig(),
+        num_patterns in 1usize..24,
+        seed in 0u64..1000,
+        bits in any::<u64>(),
+    ) {
+        let aig = build_aig(&spec);
+        let mut patterns = PatternSet::random(aig.num_inputs(), num_patterns, seed).unwrap();
+        let primed = AigSimulator::new(&aig).run(&patterns);
+        let mut classes = EquivClasses::from_node_signatures(
+            aig.and_ids().map(|id| (id, primed.signature(id))),
+        );
+        let primed_constants = classes.constants().to_vec();
+        let members: Vec<NodeId> = classes
+            .classes()
+            .iter()
+            .flat_map(|c| c.members().iter().copied())
+            .collect();
+        let targets: Vec<NodeId> = members
+            .iter()
+            .copied()
+            .chain(primed_constants.iter().map(|c| c.node))
+            .collect();
+        let assignment: Vec<bool> = (0..aig.num_inputs()).map(|i| (bits >> i) & 1 == 1).collect();
+        let (values, _) = eval_pattern_targets(&aig, &assignment, &targets);
+        classes.refine(&values);
+
+        patterns.push_pattern(&assignment);
+        let extended = AigSimulator::new(&aig).run(&patterns);
+        let reprimed = EquivClasses::from_node_signatures(
+            members.iter().map(|&id| (id, extended.signature(id))),
+        );
+        prop_assert_eq!(classes.classes(), reprimed.classes());
+        // Class members were never constant on `P`, so they are not on
+        // `P` plus one pattern either.
+        prop_assert!(reprimed.constants().is_empty());
+        let last = patterns.num_patterns() - 1;
+        let agreeing: Vec<ConstantCandidate> = primed_constants
+            .into_iter()
+            .filter(|c| extended.signature(c.node).get_bit(last) == c.value)
+            .collect();
+        prop_assert_eq!(classes.constants(), &agreeing[..]);
     }
 
     /// Every optimisation pass — the structural cleanups, cut rewriting,
