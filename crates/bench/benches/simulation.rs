@@ -46,8 +46,9 @@ fn simulation_benches(c: &mut Criterion) {
     }
     group.finish();
 
-    // Level-scheduled parallel evaluation vs. sequential, on the largest
-    // selected benchmarks with a wider pattern set (more words per level).
+    // One thread vs. several, each on its own range of pattern words, on
+    // the largest selected benchmarks with a wider pattern set (more words
+    // to split).
     let mut group = c.benchmark_group("table1_parallel_simulation");
     for bench in suite
         .iter()

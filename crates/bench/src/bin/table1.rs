@@ -14,10 +14,10 @@
 //!
 //! Usage: `cargo run -p bench --release --bin table1 -- [--scale tiny|small|large] [--patterns N] [--lut-k K] [--threads T] [--json PATH] [--passes SCRIPT] [--checkpoint-every N] [--resume PATH]`
 //!
-//! `--threads T` runs every simulator through the level-scheduled parallel
-//! evaluator with `T` workers; results are bit-identical to `--threads 1`
-//! (the default), only the times change.  The sweeps of the JSON section
-//! are single-threaded either way.
+//! `--threads T` runs the AIG and STP simulators on `T` threads, each over
+//! its own contiguous range of pattern words; results are bit-identical to
+//! `--threads 1` (the default), only the times change.  The sweeps of the
+//! JSON section are single-threaded either way.
 //!
 //! With `--json PATH` the measured numbers are also written as a JSON
 //! document (the format of the checked-in `BENCH_baseline.json`).  The JSON

@@ -59,7 +59,10 @@ impl AigSimState {
 /// AND/NOT per node per word (Section II-A of the paper).
 ///
 /// The simulator is stateless apart from the network reference; [`run`] and
-/// [`run_parallel`] return an [`AigSimState`] holding all signatures.
+/// [`run_parallel`] return an [`AigSimState`] holding all signatures.  Both
+/// run the same evaluation loop: [`run`] over every pattern word on the
+/// calling thread, [`run_parallel`] over one contiguous range of words per
+/// thread.
 ///
 /// [`run`]: AigSimulator::run
 /// [`run_parallel`]: AigSimulator::run_parallel
@@ -74,116 +77,60 @@ impl<'a> AigSimulator<'a> {
         AigSimulator { aig }
     }
 
-    /// Simulates all nodes under the pattern set.
+    /// Simulates all nodes under the pattern set on the calling thread:
+    /// [`AigSimulator::run_parallel`] with one thread.
     ///
     /// # Panics
     ///
     /// Panics if the pattern set's input count differs from the AIG's.
     pub fn run(&self, patterns: &PatternSet) -> AigSimState {
-        assert_eq!(
-            patterns.num_inputs(),
-            self.aig.num_inputs(),
-            "pattern set input count must match the network"
-        );
-        let n = patterns.num_patterns();
-        let mut arena = SignatureArena::new(self.aig.num_nodes(), n);
-        for id in self.aig.node_ids() {
-            match self.aig.node(id) {
-                AigNode::Const0 => {} // rows start zeroed
-                AigNode::Input { position } => {
-                    arena
-                        .row_mut(id)
-                        .copy_from_slice(patterns.input_signature(*position).words());
-                }
-                AigNode::And { fanin0, fanin1 } => {
-                    let (prefix, row) = arena.split_at_row(id);
-                    kernels::and2_masked(
-                        prefix.row(fanin0.node()),
-                        prefix.row(fanin1.node()),
-                        mask(fanin0.is_complemented()),
-                        mask(fanin1.is_complemented()),
-                        row,
-                    );
-                    arena.mask_row_tail(id);
-                }
-            }
-        }
-        AigSimState { arena }
+        self.run_parallel(patterns, 1)
     }
 
-    /// Simulates all nodes with up to `num_threads` worker threads.
+    /// Simulates all nodes with up to `num_threads` threads.
     ///
-    /// Nodes are grouped by topological level; within one level the arena
-    /// rows are partitioned into cost-balanced chunks that workers claim
-    /// through an atomic cursor (see
-    /// [`parallel::evaluate_level_stealing`]).  Workers execute exactly the
-    /// word operations of [`AigSimulator::run`], so the result is
-    /// **bit-identical to a sequential run** for any thread count.  Levels
-    /// whose work is below [`parallel::PARALLEL_GRAIN`] are evaluated
-    /// inline.
-    ///
-    /// `num_threads <= 1` falls back to [`AigSimulator::run`].
+    /// Each thread evaluates every node, in id order, on its own contiguous
+    /// range of pattern words (see [`parallel::evaluate_word_parts`]), so
+    /// the result is bit-identical for every thread count.  A thread count
+    /// above the number of words per signature is clamped to it.
     ///
     /// # Panics
     ///
     /// Panics if the pattern set's input count differs from the AIG's.
     pub fn run_parallel(&self, patterns: &PatternSet, num_threads: usize) -> AigSimState {
-        if num_threads <= 1 {
-            return self.run(patterns);
-        }
         assert_eq!(
             patterns.num_inputs(),
             self.aig.num_inputs(),
             "pattern set input count must match the network"
         );
-        let n = patterns.num_patterns();
-        let mut arena = SignatureArena::new(self.aig.num_nodes(), n);
-        let groups = parallel::group_by_level(&self.aig.levels());
-        for group in &groups {
-            // Constants and inputs (always level 0) are plain copies.
-            let mut and_nodes: Vec<NodeId> = Vec::with_capacity(group.len());
-            for &id in group {
-                match self.aig.node(id) {
-                    AigNode::Const0 => {} // rows start zeroed
-                    AigNode::Input { position } => {
-                        arena
-                            .row_mut(id)
-                            .copy_from_slice(patterns.input_signature(*position).words());
-                    }
-                    AigNode::And { .. } => and_nodes.push(id),
+        let mut arena = SignatureArena::new(self.aig.num_nodes(), patterns.num_patterns());
+        parallel::evaluate_word_parts(&mut arena, num_threads, |lo, rows| {
+            self.eval_words(patterns, lo, rows)
+        });
+        AigSimState { arena }
+    }
+
+    /// The evaluation loop: every node in id order on the word range that
+    /// starts at word `lo`, where `rows[id]` holds node `id`'s words.
+    fn eval_words(&self, patterns: &PatternSet, lo: usize, rows: &mut [&mut [u64]]) {
+        for id in self.aig.node_ids() {
+            let (prefix, rest) = rows.split_at_mut(id);
+            let out = &mut *rest[0];
+            match self.aig.node(id) {
+                AigNode::Const0 => {} // rows start zeroed
+                AigNode::Input { position } => {
+                    let words = patterns.input_signature(*position).words();
+                    out.copy_from_slice(&words[lo..lo + out.len()]);
                 }
-            }
-            if and_nodes.is_empty() {
-                continue;
-            }
-            let aig = self.aig;
-            let costs = vec![1u64; and_nodes.len()];
-            let (rows, reader) = arena.split_rows(&and_nodes);
-            parallel::evaluate_level_stealing(
-                rows,
-                &and_nodes,
-                &costs,
-                num_threads,
-                &|id, word_lo, out| {
-                    let AigNode::And { fanin0, fanin1 } = aig.node(id) else {
-                        unreachable!("and_nodes only holds AND gates");
-                    };
-                    let w0 = &reader.row(fanin0.node())[word_lo..word_lo + out.len()];
-                    let w1 = &reader.row(fanin1.node())[word_lo..word_lo + out.len()];
-                    kernels::and2_masked(
-                        w0,
-                        w1,
-                        mask(fanin0.is_complemented()),
-                        mask(fanin1.is_complemented()),
-                        out,
-                    );
-                },
-            );
-            for &id in &and_nodes {
-                arena.mask_row_tail(id);
+                AigNode::And { fanin0, fanin1 } => kernels::and2_masked(
+                    prefix[fanin0.node()],
+                    prefix[fanin1.node()],
+                    mask(fanin0.is_complemented()),
+                    mask(fanin1.is_complemented()),
+                    out,
+                ),
             }
         }
-        AigSimState { arena }
     }
 }
 
@@ -235,8 +182,7 @@ mod tests {
 
     #[test]
     fn parallel_run_is_bit_identical_to_sequential() {
-        // A deeper circuit with enough words per level to cross the grain on
-        // some levels and stay below it on others.
+        // A deeper circuit of mixed AND/XOR levels.
         let mut aig = Aig::new();
         let xs = aig.add_inputs("x", 12);
         let mut layer: Vec<netlist::Lit> = xs.clone();
@@ -256,8 +202,8 @@ mod tests {
             aig.add_output(format!("y{i}"), lit);
         }
         let sim = AigSimulator::new(&aig);
-        // 65536 patterns = 1024 words: enough for every level to cross the
-        // parallel grain; the small counts keep the inline path covered.
+        // One word at eight threads clamps to one part; 1000 patterns (16
+        // words) at three threads split unevenly; 65536 patterns = 1024 words.
         for n in [1usize, 63, 64, 65, 1000, 65536] {
             let patterns = PatternSet::random(12, n, n as u64).unwrap();
             let sequential = sim.run(&patterns);

@@ -7,21 +7,20 @@
 //!
 //! 1. **O(1) allocations**: a full simulation pass allocates the arena once
 //!    instead of once per node;
-//! 2. **locality**: a node's signature is a dense sub-slice, and the rows of
-//!    a topological level are close together, so the level-evaluation
-//!    kernels stream through memory instead of pointer-chasing;
+//! 2. **locality**: a node's signature is a dense sub-slice, so the
+//!    word kernels stream through memory instead of pointer-chasing;
 //! 3. **cheap views**: [`SigRef`] is a `Copy` slice view that supports the
 //!    read operations the sweeping engines need without cloning, and
 //!    [`Signature`] stays the public boundary type via
 //!    [`SigRef::to_signature`].
 //!
-//! The borrow puzzle of parallel level evaluation — every node of a level
-//! writes its own row while reading fanin rows — is solved without `unsafe`
-//! by [`SignatureArena::split_rows`]: a single `split_at_mut` walk hands out
-//! the level's rows as disjoint `&mut [u64]` and wraps everything between
-//! them in an [`ArenaRows`] reader.  Because node ids are topological
-//! (fanins precede their node) and a node's fanins live on strictly lower
-//! levels, no fanin is ever part of the level being written.
+//! The borrow puzzle of parallel simulation — every thread writes node rows
+//! while reading fanin rows — is solved without `unsafe` by splitting the
+//! *words*, not the rows: [`SignatureArena::split_words`] cuts every row
+//! into the same contiguous word ranges and hands each part one disjoint
+//! `&mut [u64]` per row.  Patterns are independent, so a part reads its
+//! fanins' words and writes its nodes' words of the same range and never
+//! touches another part's words.
 
 use crate::signature::Signature;
 
@@ -268,49 +267,31 @@ impl SignatureArena {
         )
     }
 
-    /// Splits the arena into write access for the rows in `group` and read
-    /// access ([`ArenaRows`]) to every other row.
+    /// Splits every row into `min(parts, stride)` (at least one) contiguous
+    /// word ranges of near-equal length, one range per part.
     ///
-    /// The returned `Vec<&mut [u64]>` holds one full-stride row per group
-    /// entry, in `group` order.  This is the safe-Rust foundation of
-    /// parallel level evaluation: a level's nodes write their rows while
-    /// their fanins (never members of the same level) are read through the
-    /// reader.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is not strictly ascending or indexes out of range.
-    pub fn split_rows(&mut self, group: &[usize]) -> (Vec<&mut [u64]>, ArenaRows<'_>) {
+    /// Part `p` is `(lo, rows)`: `lo` is the index of the part's first word
+    /// and `rows[i]` is row `i`'s slice of the part's words.  The parts are
+    /// in ascending word order and hand out every word of every row exactly
+    /// once, so each part can be evaluated on its own thread (see
+    /// [`crate::parallel`]).  Tail bits written through the slices are not
+    /// masked; call [`SignatureArena::mask_row_tail`] afterwards.
+    pub fn split_words(&mut self, parts: usize) -> Vec<(usize, Vec<&mut [u64]>)> {
         let stride = self.stride;
-        let mut rows: Vec<&mut [u64]> = Vec::with_capacity(group.len());
-        let mut segments: Vec<&[u64]> = Vec::with_capacity(group.len() + 1);
-        let mut seg_starts: Vec<usize> = Vec::with_capacity(group.len() + 1);
-        let mut rest: &mut [u64] = &mut self.words;
-        let mut cursor = 0usize; // row index at which `rest` begins
-        for &g in group {
-            assert!(g >= cursor, "group rows must be strictly ascending");
-            assert!(g < self.num_rows, "group row {g} out of range");
-            let taken = std::mem::take(&mut rest);
-            let (before, tail) = taken.split_at_mut((g - cursor) * stride);
-            let (row, tail) = tail.split_at_mut(stride);
-            seg_starts.push(cursor);
-            segments.push(before);
-            rows.push(row);
-            rest = tail;
-            cursor = g + 1;
+        let parts = parts.clamp(1, stride);
+        let mut split: Vec<(usize, Vec<&mut [u64]>)> = (0..parts)
+            .map(|p| (p * stride / parts, Vec::with_capacity(self.num_rows)))
+            .collect();
+        for row in self.words.chunks_exact_mut(stride) {
+            let mut rest = row;
+            for (p, (lo, rows)) in split.iter_mut().enumerate() {
+                let hi = (p + 1) * stride / parts;
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(hi - *lo);
+                rows.push(head);
+                rest = tail;
+            }
         }
-        seg_starts.push(cursor);
-        segments.push(rest);
-        (
-            rows,
-            ArenaRows {
-                segments,
-                seg_starts,
-                group: group.to_vec(),
-                stride,
-                num_patterns: self.num_patterns,
-            },
-        )
+        split
     }
 }
 
@@ -330,47 +311,6 @@ impl ArenaPrefix<'_> {
     }
 
     /// A [`SigRef`] view of row `i`.
-    pub fn sig(&self, i: usize) -> SigRef<'_> {
-        SigRef {
-            words: self.row(i),
-            len: self.num_patterns,
-        }
-    }
-}
-
-/// Read access to the arena rows *outside* a [`SignatureArena::split_rows`]
-/// group while the group rows are mutably borrowed.
-#[derive(Debug)]
-pub struct ArenaRows<'a> {
-    /// The gaps between (and around) the group rows, in arena order.
-    segments: Vec<&'a [u64]>,
-    /// Row index at which each segment begins.
-    seg_starts: Vec<usize>,
-    /// The sorted group rows (not readable through this view).
-    group: Vec<usize>,
-    stride: usize,
-    num_patterns: usize,
-}
-
-impl ArenaRows<'_> {
-    /// Read access to row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is a member of the split group or out of range.
-    pub fn row(&self, i: usize) -> &[u64] {
-        let k = self.group.partition_point(|&g| g < i);
-        assert!(
-            self.group.get(k) != Some(&i),
-            "row {i} is mutably borrowed by the split group"
-        );
-        let start = self.seg_starts[k];
-        let offset = (i - start) * self.stride;
-        &self.segments[k][offset..offset + self.stride]
-    }
-
-    /// A [`SigRef`] view of row `i` (same restrictions as
-    /// [`ArenaRows::row`]).
     pub fn sig(&self, i: usize) -> SigRef<'_> {
         SigRef {
             words: self.row(i),
@@ -400,30 +340,37 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_reads_around_the_group() {
-        let mut arena = SignatureArena::new(5, 64);
-        for i in 0..5 {
-            arena.row_mut(i).fill(i as u64);
+    fn split_words_hands_out_every_word_once() {
+        for stride in [1usize, 2, 3, 64] {
+            for parts in 1..=8 {
+                let mut arena = SignatureArena::new(3, stride * 64);
+                let split = arena.split_words(parts);
+                assert_eq!(split.len(), parts.min(stride), "stride {stride}");
+                let lens: Vec<usize> = split.iter().map(|(_, rows)| rows[0].len()).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(*min >= 1 && max - min <= 1, "near-equal parts {lens:?}");
+                let mut next = 0;
+                for (lo, mut rows) in split {
+                    assert_eq!(lo, next, "parts are ascending and contiguous");
+                    assert_eq!(rows.len(), 3);
+                    let len = rows[0].len();
+                    for (i, row) in rows.iter_mut().enumerate() {
+                        assert_eq!(row.len(), len);
+                        for (w, word) in row.iter_mut().enumerate() {
+                            // Accumulate so a word handed out twice is caught.
+                            *word += (i * stride + lo + w + 1) as u64;
+                        }
+                    }
+                    next = lo + len;
+                }
+                assert_eq!(next, stride);
+                for i in 0..3 {
+                    for w in 0..stride {
+                        assert_eq!(arena.row(i)[w], (i * stride + w + 1) as u64);
+                    }
+                }
+            }
         }
-        let (mut rows, reader) = arena.split_rows(&[1, 3]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(reader.row(0), &[0]);
-        assert_eq!(reader.row(2), &[2]);
-        assert_eq!(reader.row(4), &[4]);
-        rows[0].fill(10);
-        rows[1].fill(30);
-        drop(rows);
-        drop(reader);
-        assert_eq!(arena.row(1), &[10]);
-        assert_eq!(arena.row(3), &[30]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mutably borrowed")]
-    fn split_rows_rejects_reading_group_rows() {
-        let mut arena = SignatureArena::new(3, 8);
-        let (_rows, reader) = arena.split_rows(&[1]);
-        let _ = reader.row(1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Word-zip kernels shared by the level-evaluation paths.
+//! Word-zip kernels shared by the simulators' evaluation loops.
 //!
 //! These are the innermost loops of bit-parallel simulation: bulk AND / OR
 //! / AND-NOT over `u64` signature words, written as plain stride-1 slice

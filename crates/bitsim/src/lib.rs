@@ -48,7 +48,7 @@ mod signature;
 pub mod ternary;
 
 pub use aig_sim::{AigSimState, AigSimulator};
-pub use arena::{ArenaPrefix, ArenaRows, SigRef, SignatureArena};
+pub use arena::{ArenaPrefix, SigRef, SignatureArena};
 pub use lut_sim::{LutSimState, LutSimulator};
 pub use patterns::{PatternError, PatternSet};
 pub use signature::Signature;

@@ -106,7 +106,8 @@ impl<'a> StpSimulator<'a> {
         self.net
     }
 
-    /// Simulates **all** nodes (Algorithm 1, mode `a`).
+    /// Simulates **all** nodes (Algorithm 1, mode `a`) on the calling
+    /// thread: [`StpSimulator::simulate_all_parallel`] with one thread.
     ///
     /// Each node's output is produced by one pass over its logic matrix: the
     /// columns holding a `True` vector (the minterms of the LUT function)
@@ -119,106 +120,53 @@ impl<'a> StpSimulator<'a> {
     ///
     /// Panics if the pattern set's input count differs from the network's.
     pub fn simulate_all(&self, patterns: &PatternSet) -> StpSimState {
-        assert_eq!(
-            patterns.num_inputs(),
-            self.net.num_pis(),
-            "pattern set input count must match the network"
-        );
-        let n = patterns.num_patterns();
-        let mut arena = SignatureArena::new(self.net.num_nodes(), n);
-        for id in self.net.node_ids() {
-            match self.net.node(id) {
-                LutNode::Const0 => {} // rows start zeroed
-                LutNode::Input { position } => {
-                    arena
-                        .row_mut(id)
-                        .copy_from_slice(patterns.input_signature(*position).words());
-                }
-                LutNode::Lut { .. } => {
-                    let (prefix, row) = arena.split_at_row(id);
-                    let fanin_words: Vec<&[u64]> = self.node_fanins[id]
-                        .iter()
-                        .map(|&f| prefix.row(f))
-                        .collect();
-                    eval_lut_words(&self.node_words[id], &fanin_words, n, 0, row);
-                    arena.mask_row_tail(id);
-                }
-            }
-        }
-        StpSimState { arena }
+        self.simulate_all_parallel(patterns, 1)
     }
 
-    /// Simulates **all** nodes with up to `num_threads` worker threads.
+    /// Simulates **all** nodes with up to `num_threads` threads.
     ///
-    /// Nodes are grouped by topological level; within one level the arena
-    /// rows are partitioned into **cost-balanced** chunks (a `k`-input LUT
-    /// weighs `2^k`, so skewed levels no longer starve threads) that
-    /// [`std::thread::scope`] workers claim through an atomic cursor — see
-    /// [`parallel::evaluate_level_stealing`].  The workers run exactly the
-    /// word operations of [`StpSimulator::simulate_all`], so the result is
-    /// **bit-identical to a sequential run** for any thread count.  Levels
-    /// whose work is below [`parallel::PARALLEL_GRAIN`] are evaluated
-    /// inline.
-    ///
-    /// `num_threads <= 1` falls back to [`StpSimulator::simulate_all`].
+    /// Each thread evaluates every node, in id order, on its own contiguous
+    /// range of pattern words (see [`parallel::evaluate_word_parts`]), so
+    /// the result is bit-identical for every thread count.  A thread count
+    /// above the number of words per signature is clamped to it.
     ///
     /// # Panics
     ///
     /// Panics if the pattern set's input count differs from the network's.
     pub fn simulate_all_parallel(&self, patterns: &PatternSet, num_threads: usize) -> StpSimState {
-        if num_threads <= 1 {
-            return self.simulate_all(patterns);
-        }
         assert_eq!(
             patterns.num_inputs(),
             self.net.num_pis(),
             "pattern set input count must match the network"
         );
-        let n = patterns.num_patterns();
-        let mut arena = SignatureArena::new(self.net.num_nodes(), n);
-        let groups = parallel::group_by_level(&self.net.levels());
-        for group in &groups {
-            let mut luts: Vec<LutNodeId> = Vec::with_capacity(group.len());
-            for &id in group {
-                match self.net.node(id) {
-                    LutNode::Const0 => {} // rows start zeroed
-                    LutNode::Input { position } => {
-                        arena
-                            .row_mut(id)
-                            .copy_from_slice(patterns.input_signature(*position).words());
-                    }
-                    LutNode::Lut { .. } => luts.push(id),
+        let mut arena = SignatureArena::new(self.net.num_nodes(), patterns.num_patterns());
+        parallel::evaluate_word_parts(&mut arena, num_threads, |lo, rows| {
+            self.eval_words(patterns, lo, rows)
+        });
+        StpSimState { arena }
+    }
+
+    /// The evaluation loop: every node in id order on the word range that
+    /// starts at word `lo`, where `rows[id]` holds node `id`'s words.
+    fn eval_words(&self, patterns: &PatternSet, lo: usize, rows: &mut [&mut [u64]]) {
+        // Patterns from the range's first word on.
+        let n = patterns.num_patterns() - lo * 64;
+        for id in self.net.node_ids() {
+            let (prefix, rest) = rows.split_at_mut(id);
+            let out = &mut *rest[0];
+            match self.net.node(id) {
+                LutNode::Const0 => {} // rows start zeroed
+                LutNode::Input { position } => {
+                    let words = patterns.input_signature(*position).words();
+                    out.copy_from_slice(&words[lo..lo + out.len()]);
+                }
+                LutNode::Lut { .. } => {
+                    let fanin_words: Vec<&[u64]> =
+                        self.node_fanins[id].iter().map(|&f| &*prefix[f]).collect();
+                    eval_lut_words(&self.node_words[id], &fanin_words, n, out);
                 }
             }
-            if luts.is_empty() {
-                continue;
-            }
-            // Cost model: evaluating a k-input LUT scans up to 2^k minterm
-            // columns per word, so its per-word cost is exponential in its
-            // fanin width while an AND gate's is constant.
-            let costs: Vec<u64> = luts
-                .iter()
-                .map(|&id| 1u64 << self.node_fanins[id].len().min(MAX_CUT_LEAVES))
-                .collect();
-            let (rows, reader) = arena.split_rows(&luts);
-            parallel::evaluate_level_stealing(
-                rows,
-                &luts,
-                &costs,
-                num_threads,
-                &|id, word_lo, out| {
-                    let fanin_words: Vec<&[u64]> = self.node_fanins[id]
-                        .iter()
-                        .map(|&f| reader.row(f))
-                        .collect();
-                    eval_lut_words(&self.node_words[id], &fanin_words, n, word_lo, out);
-                },
-            );
-            for &id in &luts {
-                arena.mask_row_tail(id);
-            }
         }
-        StpSimState { arena }
     }
 
     /// Simulates only the **specified** nodes (Algorithm 1, mode `s`).
@@ -446,15 +394,14 @@ impl<'a> StpSimulator<'a> {
     }
 }
 
-/// Evaluates one LUT node for signature words `word_lo .. word_lo +
-/// out.len()`: `words` is the node's packed logic-matrix row, `fanin_words`
-/// the complete word arrays of the fanins, `n` the total pattern count.
+/// Evaluates one LUT node on a range of signature words: `words` is the
+/// node's packed logic-matrix row, `fanin_words` the fanins' words of the
+/// same range, `n` the number of patterns from the range's first word on.
 ///
-/// This is the single LUT kernel shared by the sequential and parallel
-/// evaluators: the minterm columns (or the maxterm columns when the function
-/// is dense) are accumulated 64 patterns at a time; very wide LUTs (more
-/// than 256 columns) fall back to per-pattern column selection.  `out` must
-/// be zero-initialised.
+/// The minterm columns (or the maxterm columns when the function is dense)
+/// are accumulated 64 patterns at a time; very wide LUTs (more than 256
+/// columns) fall back to per-pattern column selection.  `out` must be
+/// zero-initialised; its bits beyond `n` are left for the caller to mask.
 ///
 /// The narrow path is structured minterm-outer / fanin-middle / words-inner
 /// over stack blocks of up to [`LUT_BLOCK_WORDS`] words: the innermost loops
@@ -463,25 +410,17 @@ impl<'a> StpSimulator<'a> {
 /// amortised over a whole block and the hot loops autovectorize.  The
 /// pre-arena kernel was words-outer / minterm-inner, re-deciding every
 /// column once per word.
-fn eval_lut_words(
-    words: &[u64],
-    fanin_words: &[&[u64]],
-    n: usize,
-    word_lo: usize,
-    out: &mut [u64],
-) {
+fn eval_lut_words(words: &[u64], fanin_words: &[&[u64]], n: usize, out: &mut [u64]) {
     let k = fanin_words.len();
     let columns = 1usize << k;
     if columns > 256 {
-        // Wide LUT: per-pattern column selection, restricted to the chunk.
-        let p_lo = word_lo * 64;
-        let p_hi = ((word_lo + out.len()) * 64).min(n);
-        for p in p_lo..p_hi {
+        // Wide LUT: per-pattern column selection.
+        for p in 0..(out.len() * 64).min(n) {
             let mut index = 0usize;
             for (j, fw) in fanin_words.iter().enumerate() {
                 index |= (((fw[p / 64] >> (p % 64)) & 1) as usize) << j;
             }
-            out[p / 64 - word_lo] |= ((words[index / 64] >> (index % 64)) & 1) << (p % 64);
+            out[p / 64] |= ((words[index / 64] >> (index % 64)) & 1) << (p % 64);
         }
     } else {
         let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
@@ -491,7 +430,6 @@ fn eval_lut_words(
         let mut start = 0usize;
         while start < out.len() {
             let blen = (out.len() - start).min(LUT_BLOCK_WORDS);
-            let w0 = word_lo + start;
             acc[..blen].fill(0);
             for m in 0..columns {
                 let column_is_one = (words[m / 64] >> (m % 64)) & 1 == 1;
@@ -500,7 +438,7 @@ fn eval_lut_words(
                 }
                 term[..blen].fill(u64::MAX);
                 for (j, fw) in fanin_words.iter().enumerate() {
-                    let src = &fw[w0..w0 + blen];
+                    let src = &fw[start..start + blen];
                     if (m >> j) & 1 == 1 {
                         kernels::and_assign(&mut term[..blen], src);
                     } else {
@@ -670,24 +608,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_simulation_is_bit_identical_to_sequential() {
+    fn parallel_simulation_matches_the_per_pattern_baseline() {
         let (_, lut) = mapped_network();
         let sim = StpSimulator::new(&lut);
-        // 65536 patterns = 1024 words cross the parallel grain; the small
-        // counts keep the inline fallback covered.
+        // One word at eight threads clamps to one part; 500 patterns (8
+        // words) at three threads split unevenly; 65536 patterns = 1024 words.
         for n in [1usize, 63, 64, 65, 500, 65536] {
             let patterns = PatternSet::random(6, n, n as u64 + 1).unwrap();
-            let sequential = sim.simulate_all(&patterns);
+            let reference = LutSimulator::new(&lut).run(&patterns);
             for threads in [1usize, 2, 3, 4, 8] {
                 let parallel = sim.simulate_all_parallel(&patterns, threads);
-                assert_eq!(parallel.num_patterns(), sequential.num_patterns());
+                assert_eq!(parallel.num_patterns(), n);
                 for id in lut.node_ids() {
                     assert_eq!(
                         parallel.signature(id),
-                        sequential.signature(id),
+                        reference.signature(id),
                         "node {id}, {n} patterns, {threads} threads"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_luts_split_across_threads_match_the_baseline() {
+        // A 10-input LUT takes the per-pattern column-selection path.
+        let mut net = LutNetwork::new();
+        let pis: Vec<LutNodeId> = (0..10).map(|i| net.add_input(format!("x{i}"))).collect();
+        let words: Vec<u64> = (0..16u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let wide = net.add_lut(pis.clone(), TruthTable::from_words(10, &words));
+        let narrow = net.add_lut(
+            vec![wide, pis[0]],
+            TruthTable::from_binary_str(2, "0110").unwrap(),
+        );
+        net.add_output("y", narrow, false);
+        let sim = StpSimulator::new(&net);
+        for (n, threads) in [(100usize, 4usize), (1000, 3)] {
+            let patterns = PatternSet::random(10, n, 7).unwrap();
+            let reference = LutSimulator::new(&net).run(&patterns);
+            let parallel = sim.simulate_all_parallel(&patterns, threads);
+            for id in net.node_ids() {
+                assert_eq!(parallel.signature(id), reference.signature(id), "node {id}");
             }
         }
     }

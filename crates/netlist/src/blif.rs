@@ -235,26 +235,38 @@ pub fn read_blif_str(text: &str) -> Result<LutNetwork, BlifError> {
             let cover = slot.take().expect("checked above");
             let fanin_ids: Vec<usize> = cover.fanins.iter().map(|f| by_name[f]).collect();
             let num_vars = fanin_ids.len();
+            if num_vars > TruthTable::MAX_VARS {
+                return Err(format_err(format!(
+                    ".names with {num_vars} fanins exceeds the {}-input limit",
+                    TruthTable::MAX_VARS
+                )));
+            }
             let mut table = TruthTable::zeros(num_vars);
             for (pattern, value) in &cover.rows {
                 if *value != '1' {
                     return Err(format_err("only on-set ('1') cover rows are supported"));
                 }
-                // Expand '-' wildcards.
-                let mut indices = vec![0usize];
-                for (j, ch) in pattern.chars().enumerate() {
-                    indices = match ch {
-                        '0' => indices,
-                        '1' => indices.iter().map(|&x| x | (1 << j)).collect(),
-                        '-' => indices.iter().flat_map(|&x| [x, x | (1 << j)]).collect(),
-                        _ => return Err(format_err(format!("invalid cover character '{ch}'"))),
-                    };
-                }
                 if pattern.len() != num_vars {
                     return Err(format_err("cover row width does not match fanin count"));
                 }
-                for idx in indices {
-                    table.set_bit(idx, true);
+                let (mut fixed, mut free) = (0usize, 0usize);
+                for (j, ch) in pattern.chars().enumerate() {
+                    match ch {
+                        '0' => {}
+                        '1' => fixed |= 1 << j,
+                        '-' => free |= 1 << j,
+                        _ => return Err(format_err(format!("invalid cover character '{ch}'"))),
+                    }
+                }
+                // Expand the '-' wildcards: set every index that agrees with
+                // the fixed bits, walking the subsets of the free bits.
+                let mut sub = free;
+                loop {
+                    table.set_bit(fixed | sub, true);
+                    if sub == 0 {
+                        break;
+                    }
+                    sub = (sub - 1) & free;
                 }
             }
             let id = if num_vars == 0 {
@@ -372,6 +384,21 @@ mod tests {
         // Cyclic definition.
         let cyclic = ".model m\n.inputs a\n.outputs y\n.names y a y\n11 1\n.end\n";
         assert!(read_blif_str(cyclic).is_err());
+        // More fanins than a truth table holds.
+        let names: Vec<String> = (0..25).map(|i| format!("x{i}")).collect();
+        let wide = format!(
+            ".model m\n.inputs {0}\n.outputs y\n.names {0} y\n{1} 1\n.end\n",
+            names.join(" "),
+            "1".repeat(25)
+        );
+        assert!(matches!(read_blif_str(&wide), Err(BlifError::Format(_))));
+        // A one-fanin cover whose row holds 36 wildcards.
+        let wild = format!(
+            ".model m\n.inputs a\n.outputs y\n.names a y\n{} 1\n.end\n",
+            "-".repeat(36)
+        );
+        assert_eq!(wild.len(), 85);
+        assert!(matches!(read_blif_str(&wild), Err(BlifError::Format(_))));
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! CNF formulas, propositional literals and the Tseitin transformation of
-//! AIG cones.
+//! Propositional variables and literals.
 
-use netlist::{Aig, AigNode};
 use std::fmt;
 
 /// A propositional variable.
@@ -76,16 +74,6 @@ impl SatLit {
     pub fn from_code(code: u32) -> Self {
         SatLit(code)
     }
-
-    /// DIMACS-style signed integer (1-based, negative for negated).
-    pub fn to_dimacs(self) -> i64 {
-        let v = self.var().index() as i64 + 1;
-        if self.is_negative() {
-            -v
-        } else {
-            v
-        }
-    }
 }
 
 impl std::ops::Not for SatLit {
@@ -94,119 +82,6 @@ impl std::ops::Not for SatLit {
     fn not(self) -> SatLit {
         SatLit(self.0 ^ 1)
     }
-}
-
-impl fmt::Display for SatLit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_dimacs())
-    }
-}
-
-/// A CNF formula: a variable pool plus a list of clauses.
-///
-/// The container is independent of the solver so that encodings can be
-/// constructed, inspected and serialised (DIMACS) without committing to a
-/// solving strategy.
-#[derive(Debug, Clone, Default)]
-pub struct Cnf {
-    num_vars: usize,
-    clauses: Vec<Vec<SatLit>>,
-}
-
-impl Cnf {
-    /// Creates an empty formula.
-    pub fn new() -> Self {
-        Cnf::default()
-    }
-
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
-        let v = Var(self.num_vars as u32);
-        self.num_vars += 1;
-        v
-    }
-
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Adds a clause (a disjunction of literals).
-    pub fn add_clause(&mut self, lits: &[SatLit]) {
-        self.clauses.push(lits.to_vec());
-    }
-
-    /// The clauses of the formula.
-    pub fn clauses(&self) -> &[Vec<SatLit>] {
-        &self.clauses
-    }
-
-    /// Adds the Tseitin clauses for `out ↔ a ∧ b`.
-    pub fn add_and_gate(&mut self, out: SatLit, a: SatLit, b: SatLit) {
-        self.add_clause(&[!out, a]);
-        self.add_clause(&[!out, b]);
-        self.add_clause(&[out, !a, !b]);
-    }
-
-    /// Adds the Tseitin clauses for `out ↔ a ⊕ b`.
-    pub fn add_xor_gate(&mut self, out: SatLit, a: SatLit, b: SatLit) {
-        self.add_clause(&[!out, a, b]);
-        self.add_clause(&[!out, !a, !b]);
-        self.add_clause(&[out, !a, b]);
-        self.add_clause(&[out, a, !b]);
-    }
-
-    /// Serialises the formula in DIMACS format.
-    pub fn to_dimacs(&self) -> String {
-        let mut out = format!("p cnf {} {}\n", self.num_vars, self.clauses.len());
-        for clause in &self.clauses {
-            for lit in clause {
-                out.push_str(&format!("{} ", lit.to_dimacs()));
-            }
-            out.push_str("0\n");
-        }
-        out
-    }
-
-    /// Evaluates the formula under a full assignment (index = variable
-    /// index).  Returns `true` iff every clause is satisfied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment is shorter than the variable count.
-    pub fn evaluate(&self, assignment: &[bool]) -> bool {
-        assert!(assignment.len() >= self.num_vars, "assignment too short");
-        self.clauses.iter().all(|clause| {
-            clause
-                .iter()
-                .any(|lit| assignment[lit.var().index()] != lit.is_negative())
-        })
-    }
-}
-
-/// Tseitin-encodes an entire AIG into a [`Cnf`].
-///
-/// Returns the formula together with one variable per AIG node (index =
-/// node id).  The constant node is constrained to false; outputs are not
-/// constrained (callers add the property clauses they need).
-pub fn encode_aig(aig: &Aig) -> (Cnf, Vec<Var>) {
-    let mut cnf = Cnf::new();
-    let vars: Vec<Var> = (0..aig.num_nodes()).map(|_| cnf.new_var()).collect();
-    // Constant node is false.
-    cnf.add_clause(&[SatLit::negative(vars[0])]);
-    for id in aig.node_ids() {
-        if let AigNode::And { fanin0, fanin1 } = aig.node(id) {
-            let a = SatLit::new(vars[fanin0.node()], fanin0.is_complemented());
-            let b = SatLit::new(vars[fanin1.node()], fanin1.is_complemented());
-            cnf.add_and_gate(SatLit::positive(vars[id]), a, b);
-        }
-    }
-    (cnf, vars)
 }
 
 #[cfg(test)]
@@ -221,94 +96,5 @@ mod tests {
         assert_eq!(!p, n);
         assert_eq!(p.code(), 8);
         assert_eq!(n.code(), 9);
-        assert_eq!(p.to_dimacs(), 5);
-        assert_eq!(n.to_dimacs(), -5);
-    }
-
-    #[test]
-    fn and_gate_clauses_are_consistent() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        let o = cnf.new_var();
-        cnf.add_and_gate(
-            SatLit::positive(o),
-            SatLit::positive(a),
-            SatLit::positive(b),
-        );
-        for bits in 0..8usize {
-            let assignment = vec![bits & 1 == 1, bits & 2 == 2, bits & 4 == 4];
-            let consistent = assignment[2] == (assignment[0] && assignment[1]);
-            assert_eq!(cnf.evaluate(&assignment), consistent);
-        }
-    }
-
-    #[test]
-    fn xor_gate_clauses_are_consistent() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        let o = cnf.new_var();
-        cnf.add_xor_gate(
-            SatLit::positive(o),
-            SatLit::positive(a),
-            SatLit::positive(b),
-        );
-        for bits in 0..8usize {
-            let assignment = vec![bits & 1 == 1, bits & 2 == 2, bits & 4 == 4];
-            let consistent = assignment[2] == (assignment[0] ^ assignment[1]);
-            assert_eq!(cnf.evaluate(&assignment), consistent);
-        }
-    }
-
-    #[test]
-    fn encode_aig_respects_semantics() {
-        let mut aig = Aig::new();
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let y = aig.xor(a, b);
-        aig.add_output("y", y);
-        let (cnf, vars) = encode_aig(&aig);
-        // For each input assignment, the unique consistent extension gives
-        // the right output value.
-        for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
-            let expected = aig.evaluate(&[va, vb])[0];
-            // Build the consistent assignment by evaluating every node.
-            let mut assignment = vec![false; cnf.num_vars()];
-            for id in aig.node_ids() {
-                let value = match aig.node(id) {
-                    AigNode::Const0 => false,
-                    AigNode::Input { position } => {
-                        if *position == 0 {
-                            va
-                        } else {
-                            vb
-                        }
-                    }
-                    AigNode::And { fanin0, fanin1 } => {
-                        let v0 = assignment[vars[fanin0.node()].index()] ^ fanin0.is_complemented();
-                        let v1 = assignment[vars[fanin1.node()].index()] ^ fanin1.is_complemented();
-                        v0 && v1
-                    }
-                };
-                assignment[vars[id].index()] = value;
-            }
-            assert!(cnf.evaluate(&assignment));
-            assert_eq!(
-                assignment[vars[y.node()].index()] ^ y.is_complemented(),
-                expected
-            );
-        }
-    }
-
-    #[test]
-    fn dimacs_output() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        cnf.add_clause(&[SatLit::positive(a), SatLit::negative(b)]);
-        let text = cnf.to_dimacs();
-        assert!(text.starts_with("p cnf 2 1"));
-        assert!(text.contains("1 -2 0"));
     }
 }

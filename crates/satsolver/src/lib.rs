@@ -9,8 +9,8 @@
 //!   clause database reduction, incremental solving under assumptions and a
 //!   conflict budget that yields [`SolveResult::Unknown`] (the paper's
 //!   `unDET` outcome).
-//! * [`cnf`] — CNF formula containers and the Tseitin transformation of AIG
-//!   cones.
+//! * [`cnf`] — the propositional variables ([`Var`]) and literals
+//!   ([`SatLit`]) the solver and the circuit front-end share.
 //! * [`CircuitSat`] — the incremental circuit front-end used by the SAT
 //!   sweeper: it lazily encodes transitive-fanin cones and answers
 //!   constant-ness and pairwise-equivalence queries with counter-examples
@@ -33,13 +33,11 @@
 
 pub mod circuit;
 pub mod cnf;
-pub mod dimacs;
 mod heap;
 mod solver;
 
 pub use circuit::{CircuitSat, CircuitSatSnapshot, EquivOutcome, QueryStats};
-pub use cnf::{Cnf, Var};
-pub use dimacs::{parse_dimacs, solve_dimacs, ParseDimacsError};
+pub use cnf::Var;
 pub use solver::{
     ClauseSnapshot, SatLit, SolveResult, Solver, SolverConfig, SolverSnapshot, SolverStats,
 };

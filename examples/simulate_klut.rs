@@ -4,9 +4,10 @@
 //! Run with: `cargo run --release --example simulate_klut -- [benchmark] [patterns] [threads]`
 //! (default: `multiplier`, 4096 patterns, 1 thread)
 //!
-//! With `threads > 1` the AIG and the STP simulators run through the
-//! level-scheduled parallel evaluator; the signatures are bit-identical to
-//! the sequential run (the example asserts it), only the times change.
+//! With `threads > 1` the AIG and the STP simulators split the pattern
+//! words into one contiguous range per thread; the signatures are
+//! bit-identical to the one-thread run (the example asserts it), only the
+//! times change.
 
 use std::time::Instant;
 use stp_sat_sweep::bitsim::{AigSimulator, LutSimulator, PatternSet};

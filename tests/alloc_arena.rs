@@ -71,7 +71,8 @@ fn simulation_pass_performs_constant_allocations() {
     let after = ALLOCS.load(Ordering::SeqCst);
     let allocs = after - before;
 
-    // The arena needs one allocation (the word plane).  Allow a little
+    // The pass needs three allocations: the word plane, the list of word
+    // parts and the one part's table of row slices.  Allow a little
     // slack for allocator-internal bookkeeping, but stay orders of
     // magnitude below the per-node layout's floor of one allocation per AND
     // node.

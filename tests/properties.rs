@@ -122,23 +122,33 @@ proptest! {
         }
     }
 
-    /// Parallel simulation is bit-identical to sequential simulation on
-    /// random AIGs and their LUT mappings, for every thread count.
+    /// Multi-threaded simulation is bit-identical to one-thread simulation
+    /// and to the per-pattern k-LUT baseline on random AIGs and their LUT
+    /// mappings, for every thread count, including counts above the number
+    /// of words (100 patterns) and uneven splits (1000 patterns, 16 words).
     #[test]
     fn parallel_simulation_is_deterministic(spec in arb_aig(), threads in 2usize..5) {
         let aig = build_aig(&spec);
-        let patterns = PatternSet::random(aig.num_inputs(), 192, 23).unwrap();
-        let sequential = AigSimulator::new(&aig).run(&patterns);
-        let parallel = AigSimulator::new(&aig).run_parallel(&patterns, threads);
-        for id in aig.node_ids() {
-            prop_assert_eq!(sequential.signature(id), parallel.signature(id));
-        }
         let lut = lutmap::map_to_luts(&aig, 4);
         let stp = StpSimulator::new(&lut);
-        let stp_seq = stp.simulate_all(&patterns);
-        let stp_par = stp.simulate_all_parallel(&patterns, threads);
-        for id in lut.node_ids() {
-            prop_assert_eq!(stp_seq.signature(id), stp_par.signature(id));
+        for num_patterns in [100usize, 192, 1000] {
+            let patterns = PatternSet::random(aig.num_inputs(), num_patterns, 23).unwrap();
+            let reference = LutSimulator::new(&lut).run(&patterns);
+            let sequential = AigSimulator::new(&aig).run(&patterns);
+            let parallel = AigSimulator::new(&aig).run_parallel(&patterns, threads);
+            for id in aig.node_ids() {
+                prop_assert_eq!(sequential.signature(id), parallel.signature(id));
+            }
+            for o in 0..aig.num_outputs() {
+                prop_assert_eq!(
+                    parallel.output_signature(&aig, o),
+                    reference.output_signature(&lut, o)
+                );
+            }
+            let stp_par = stp.simulate_all_parallel(&patterns, threads);
+            for id in lut.node_ids() {
+                prop_assert_eq!(stp_par.signature(id), reference.signature(id));
+            }
         }
     }
 
@@ -362,10 +372,9 @@ proptest! {
     }
 }
 
-/// A wide, shallow circuit whose levels are large enough to engage the
-/// work-stealing parallel path (`rows × words ≥ PARALLEL_GRAIN`), crossed
-/// with thread counts {1, 2, 4}: the stolen evaluation must be bit-identical
-/// to the sequential one for both engines.
+/// A wide, shallow circuit of 1800 gates on 512 patterns (8 words), crossed
+/// with thread counts {1, 2, 4}: each thread's range of pattern words must
+/// come out bit-identical to the one-thread run for both engines.
 #[test]
 fn work_stealing_is_thread_count_invariant_on_wide_levels() {
     let mut aig = Aig::new();

@@ -39,32 +39,47 @@ fn all_three_simulators_agree_on_the_epfl_suite() {
 
 #[test]
 fn parallel_simulators_are_bit_identical_on_the_epfl_suite() {
+    // 2048 patterns split evenly, 1000 patterns (16 words) split unevenly
+    // across three threads, and 100 patterns (2 words) clamp four threads
+    // to two parts.
+    let runs: [(usize, &[usize]); 3] = [(2048, &[2, 4]), (1000, &[3]), (100, &[4])];
     for bench in epfl_suite(Scale::Tiny) {
         let aig = &bench.aig;
-        let patterns = PatternSet::random(aig.num_inputs(), 2048, 0xAB).unwrap();
         let aig_sim = AigSimulator::new(aig);
-        let sequential = aig_sim.run(&patterns);
         let lut = lutmap::map_to_luts(aig, 6);
         let stp = StpSimulator::new(&lut);
-        let stp_sequential = stp.simulate_all(&patterns);
-        for threads in [2usize, 4] {
-            let parallel = aig_sim.run_parallel(&patterns, threads);
-            for id in aig.node_ids() {
-                assert_eq!(
-                    parallel.signature(id),
-                    sequential.signature(id),
-                    "{}: AIG node {id}, {threads} threads",
-                    bench.name
-                );
-            }
-            let stp_parallel = stp.simulate_all_parallel(&patterns, threads);
-            for id in lut.node_ids() {
-                assert_eq!(
-                    stp_parallel.signature(id),
-                    stp_sequential.signature(id),
-                    "{}: LUT node {id}, {threads} threads",
-                    bench.name
-                );
+        for (num_patterns, thread_counts) in runs {
+            let patterns = PatternSet::random(aig.num_inputs(), num_patterns, 0xAB).unwrap();
+            let sequential = aig_sim.run(&patterns);
+            // An independent reference: the per-pattern k-LUT baseline.
+            let reference = LutSimulator::new(&lut).run(&patterns);
+            for &threads in thread_counts {
+                let parallel = aig_sim.run_parallel(&patterns, threads);
+                for id in aig.node_ids() {
+                    assert_eq!(
+                        parallel.signature(id),
+                        sequential.signature(id),
+                        "{}: AIG node {id}, {num_patterns} patterns, {threads} threads",
+                        bench.name
+                    );
+                }
+                for o in 0..aig.num_outputs() {
+                    assert_eq!(
+                        parallel.output_signature(aig, o),
+                        reference.output_signature(&lut, o),
+                        "{}: AIG output {o}, {num_patterns} patterns, {threads} threads",
+                        bench.name
+                    );
+                }
+                let stp_parallel = stp.simulate_all_parallel(&patterns, threads);
+                for id in lut.node_ids() {
+                    assert_eq!(
+                        stp_parallel.signature(id),
+                        reference.signature(id),
+                        "{}: LUT node {id}, {num_patterns} patterns, {threads} threads",
+                        bench.name
+                    );
+                }
             }
         }
     }
