@@ -62,13 +62,15 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 8 holds the session's
-/// one solver and a pending-candidate cursor, and no pattern words or
-/// resimulation state: the classes and the solver carry everything a
+/// [`CheckpointError::UnsupportedVersion`].  Version 9 holds the session's
+/// one solver and its phase cursor for both sweeps: a sequential sweep is a
+/// session phase whose cursor is the next induction query, and its solver
+/// snapshot is that of the induction network.  There are no pattern words
+/// or resimulation state: the classes and the solver carry everything a
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 8;
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -181,6 +183,10 @@ pub(crate) enum PhasePod {
     /// Inside pairwise merging: the candidates still to prove, each with
     /// the driver attempts it has consumed, the next candidate last.
     Merging { pending: Vec<(NodeId, usize)> },
+    /// Inside a sequential sweep's latch pairs: the next query of the
+    /// sequence base₀, step₀, base₁, step₁, … (candidate `next / 2`, its
+    /// step when `next` is odd).
+    Latches { next: usize },
     /// All phases complete.
     Done,
 }
@@ -228,9 +234,10 @@ pub struct SweepCheckpoint {
     /// resumed leg's elapsed time in the final report).
     pub(crate) elapsed: Duration,
     /// The session's incremental solver (pattern generation, constant
-    /// proofs and pairwise merges).
+    /// proofs and pairwise merges — or, for a sequential sweep, induction
+    /// over its unrolled network).
     pub(crate) solver: CircuitSatSnapshot,
-    /// Latch-correspondence candidates submitted to induction so far
+    /// Latch-correspondence candidates of the sequential analysis
     /// (sequential checkpoints only; zero otherwise).
     pub(crate) seq_candidates: u64,
     /// Latches substituted by constants from the ternary fixpoint alone.
@@ -581,6 +588,10 @@ fn encode_phase(w: &mut Writer, phase: &PhasePod) {
             }
         }
         PhasePod::Done => w.u8(3),
+        PhasePod::Latches { next } => {
+            w.u8(4);
+            w.usize(*next);
+        }
     }
 }
 
@@ -609,6 +620,7 @@ fn decode_phase(r: &mut Reader<'_>) -> Result<PhasePod, CheckpointError> {
             Ok(PhasePod::Merging { pending })
         }
         3 => Ok(PhasePod::Done),
+        4 => Ok(PhasePod::Latches { next: r.usize()? }),
         _ => Err(CheckpointError::Corrupt("unknown phase tag")),
     }
 }
@@ -1203,14 +1215,14 @@ mod tests {
 
     #[test]
     fn every_other_version_is_rejected_before_the_payload_is_read() {
-        // A version-7 header followed by arbitrary bytes: rejected on the
+        // A version-8 header followed by arbitrary bytes: rejected on the
         // version field alone, before the payload is parsed.
-        let mut v7 = CHECKPOINT_MAGIC.to_vec();
-        v7.extend_from_slice(&7u32.to_le_bytes());
-        v7.extend_from_slice(&[0xA5; 64]);
+        let mut v8 = CHECKPOINT_MAGIC.to_vec();
+        v8.extend_from_slice(&8u32.to_le_bytes());
+        v8.extend_from_slice(&[0xA5; 64]);
         assert_eq!(
-            SweepCheckpoint::decode(&v7),
-            Err(CheckpointError::UnsupportedVersion(7))
+            SweepCheckpoint::decode(&v8),
+            Err(CheckpointError::UnsupportedVersion(8))
         );
         for version in (1..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1]) {
             let mut bytes = sample_checkpoint().encode();
@@ -1266,6 +1278,7 @@ mod tests {
                 }),
             proptest::collection::vec((0usize..1000, 0usize..10), 0..8)
                 .prop_map(|pending| PhasePod::Merging { pending }),
+            (0usize..1000).prop_map(|next| PhasePod::Latches { next }),
             Just(PhasePod::Done),
         ]
     }

@@ -30,9 +30,10 @@
 //! * [`sequential`] — sequential SAT-sweeping over latches, activated by
 //!   [`SweepConfig::seq_depth`] (see [`SweepConfig::sequential`]): ternary
 //!   fixpoint analysis of the initial states, multi-frame binary
-//!   refinement of latch-correspondence classes and k-step induction per
-//!   candidate pair, with the same determinism, budget and checkpoint
-//!   guarantees as the combinational engine ([`Sweeper::resume_run`]).
+//!   refinement of latch-correspondence classes and one `k`-step induction
+//!   network.  The same [`SweepSession`] proves the latch pairs on its one
+//!   solver, with the same determinism, budget and checkpoint guarantees
+//!   as the combinational sweep.
 //! * [`bmc`] — the bounded-model-checking sequential-equivalence oracle
 //!   ([`bmc::bmc_sec`]) the sequential test battery verifies every latch
 //!   merge against.

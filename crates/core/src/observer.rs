@@ -62,7 +62,9 @@ pub trait Observer {
     }
 
     /// A satisfiable SAT query produced this distinguishing input
-    /// assignment (one `bool` per primary input).
+    /// assignment (one `bool` per primary input; for a sequential sweep,
+    /// the refuting base-case trace: the values of the `X`-initialised
+    /// latches, then `k − 1` frames of primary inputs).
     fn on_counterexample(&mut self, assignment: &[bool]) {
         let _ = assignment;
     }

@@ -36,7 +36,8 @@ pub struct SweepConfig {
     /// Emit a [`crate::SweepCheckpoint`] through
     /// [`crate::Observer::on_checkpoint`] every this many committed
     /// candidates (settled merge candidates plus processed constant
-    /// candidates).  `0` (the default) disables periodic checkpoints; a
+    /// candidates, or settled latch pairs in a sequential sweep).  `0` (the
+    /// default) disables periodic checkpoints; a
     /// budget-stopped run still carries a final checkpoint inside
     /// [`crate::SweepError::BudgetExhausted`] either way.  Checkpoints never
     /// change the sweep result.
@@ -54,11 +55,12 @@ pub struct SweepConfig {
     pub checkpoint_interval_millis: u64,
     /// Induction depth `k` of the sequential sweep.  `0` (the default) runs
     /// the purely combinational sweep, ignoring any latch table; a nonzero
-    /// value switches [`crate::Sweeper::run`] to the sequential engine:
-    /// ternary (X-valued) fixpoint simulation from the initial state, latch
-    /// correspondence candidates refined by multi-frame binary simulation,
-    /// and each surviving candidate proved by `k`-step induction (base case
-    /// unrolled from the initial state, inductive step from a free state).
+    /// value makes the session sweep latches instead: ternary (X-valued)
+    /// fixpoint simulation from the initial state, latch correspondence
+    /// candidates refined by multi-frame binary simulation, and each
+    /// surviving candidate proved by `k`-step induction on the session's
+    /// one solver (base case unrolled from the initial state, inductive
+    /// step from a free state).
     /// Set through [`SweepConfig::sequential`] or
     /// [`SweepConfig::with_seq_depth`]; capped at [`MAX_SEQ_DEPTH`] by
     /// [`SweepConfig::validate`].
@@ -341,7 +343,8 @@ pub struct SweepReport {
     /// Iterations the ternary fixpoint took to converge (at most
     /// latches + 1; `0` for combinational runs).
     pub ternary_iterations: u64,
-    /// Time spent simulating (initial + counter-example simulation).
+    /// Time spent simulating (initial + counter-example simulation; for a
+    /// sequential sweep, the analysis and the induction network).
     pub simulation_time: Duration,
     /// Time spent inside the SAT solver on sweeping queries (constant
     /// proofs, pairwise merges and, for sequential sweeps, induction).

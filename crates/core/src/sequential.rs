@@ -3,9 +3,9 @@
 //! induction.
 //!
 //! Activated through [`SweepConfig::seq_depth`] (see
-//! [`SweepConfig::sequential`]); [`crate::Sweeper::run`] dispatches here
-//! when the depth is nonzero.  The flow mirrors the combinational Fig. 2
-//! loop, lifted to reachable states:
+//! [`SweepConfig::sequential`]): a nonzero depth makes the
+//! [`crate::SweepSession`] sweep latch pairs instead of AND nodes.  The flow
+//! mirrors the combinational Fig. 2 loop, lifted to reachable states:
 //!
 //! 1. **Ternary fixpoint** ([`bitsim::ternary_fixpoint`]): iterate the latch
 //!    transition functions from the declared initial values with every
@@ -19,23 +19,26 @@
 //!    next-state functions).  Latches that ever disagree on a simulated
 //!    reachable-ish state can never correspond, so the buckets prune the
 //!    quadratic pair space the same way signatures do combinationally.
-//! 3. **k-step induction**: each candidate pair `(target, rep, phase)` is
-//!    proved on per-candidate unrollings of the original network — a base
-//!    case (the pair agrees on the first `seq_depth` frames from the
-//!    initial state; a SAT answer is a real counter-example) and an
-//!    induction step (agreement over `seq_depth` consecutive frames from an
-//!    arbitrary state forces agreement on the next; a SAT answer merely
-//!    means the depth was too shallow).  Both UNSAT merge the target latch
-//!    into its representative.
+//! 3. **k-step induction** on one network: a base-case
+//!    unrolling (`seq_depth - 1` transitions from the initial state) and an
+//!    induction unrolling (`seq_depth` transitions from a free state) are
+//!    built once, and every candidate pair `(target, rep, phase)` adds two
+//!    violation literals to them.  The base violation says the pair differs
+//!    on one of the first `seq_depth` frames (a SAT answer is a real
+//!    counter-example); the step violation says it agrees on `seq_depth`
+//!    consecutive frames from a free state and differs on the next (a SAT
+//!    answer merely means the depth was too shallow).  Both UNSAT merge the
+//!    target latch into its representative.
 //!
-//! Candidates are proved one after another, in canonical candidate order,
-//! each on fresh per-candidate solvers, so the committed SAT calls,
-//! counter-examples and merges — and the swept network — are a pure
-//! function of the network and the configuration, exactly like the
-//! combinational engine.  Budget
-//! stops and periodic checkpoints happen at candidate boundaries; a
-//! resumed run recomputes the deterministic analysis and continues from
-//! the committed-candidate cursor.
+//! The session proves the candidates one after another, in canonical
+//! candidate order, each violation literal an assumption on its one
+//! incremental solver over that network — the incremental form of temporal
+//! induction (Eén & Sörensson, 2003).  The committed SAT calls,
+//! counter-examples and merges — and the swept network — are therefore a
+//! pure function of the network and the configuration, exactly like the
+//! combinational sweep, and budget stops, periodic checkpoints and resume
+//! are the session's own: a resumed run recomputes the analysis and the
+//! network, restores the solver, and continues from the query cursor.
 //!
 //! The whole flow is driven through the ordinary [`crate::Sweeper`]
 //! builder — a nonzero [`SweepConfig::sequential`] depth is the only
@@ -65,19 +68,12 @@
 //! assert_eq!(result.report.seq_latches_after, 1);
 //! ```
 
-use crate::budget::BudgetCause;
-use crate::checkpoint::{netlist_fingerprint, PhasePod, SweepCheckpoint};
-use crate::error::SweepError;
-use crate::observer::{Observer, SatCallOutcome, StatsObserver};
-use crate::report::{SweepConfig, SweepResult};
-use crate::session::Sweeper;
+use crate::report::SweepConfig;
 use bitsim::{
     ternary_fixpoint, AigSimulator, PatternSet, Signature, TernaryFixpoint, TernaryValue,
 };
-use netlist::{Aig, AigNode, LatchInit, Lit};
-use satsolver::{CircuitSat, EquivOutcome};
+use netlist::{Aig, AigNode, LatchInit, Lit, NodeId};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Unrolling (shared with the BMC oracle in `crate::bmc`).
@@ -318,24 +314,42 @@ fn analyse(aig: &Aig, config: &SweepConfig) -> SeqAnalysis {
 }
 
 // ---------------------------------------------------------------------
-// k-step induction per candidate.
+// The induction network.
 // ---------------------------------------------------------------------
 
-enum Verdict {
-    /// Both the base case and the induction step are UNSAT: merge.
-    Merge,
-    /// The base case is satisfiable — a real reachable-state divergence.
-    Refuted(Vec<bool>),
-    /// The conflict budget ran out, or the induction step is satisfiable
-    /// (the depth was too shallow to conclude either way).
-    Undetermined,
+/// One latch-correspondence candidate, ready for the session's solver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LatchCandidate {
+    /// The target latch's state node, and the literal it merges into: the
+    /// representative's state, complemented for a complemented pair.  This
+    /// is the candidate's merge-log entry.
+    pub merge: (NodeId, Lit),
+    /// Base-case violation in the induction network: the pair differs on
+    /// one of the first `k` frames from the initial state.
+    pub base: Lit,
+    /// Induction-step violation: from a free state, the pair agrees on `k`
+    /// consecutive frames and differs on the next.
+    pub step: Lit,
 }
 
-struct Proof {
-    verdict: Verdict,
-    /// SAT-call outcomes in issue order (base, then step if reached).
-    calls: Vec<SatCallOutcome>,
-    sat_time: Duration,
+/// The fixed plan of a sequential sweep, plus the two counters the session
+/// advances while it proves the candidates.
+pub(crate) struct Induction {
+    /// Latches the ternary fixpoint proved constant, as `(state node,
+    /// constant literal)` substitutions.
+    pub constants: Vec<(NodeId, Lit)>,
+    /// Induction candidates in canonical order.
+    pub candidates: Vec<LatchCandidate>,
+    /// Inputs of the base-case unrolling, which come first in the
+    /// induction network: a refuting counter-example is the prefix of the
+    /// network's input assignment of this length.
+    pub trace_len: usize,
+    /// Iterations the ternary fixpoint took.
+    pub ternary_iterations: u64,
+    /// Candidates refuted by a satisfiable base case so far.
+    pub refuted: u64,
+    /// Candidates left undetermined so far.
+    pub undet: u64,
 }
 
 /// XOR of the pair's state literals at `frame` of an unrolling.
@@ -345,108 +359,86 @@ fn state_diff(dest: &mut Aig, states: &[Vec<Lit>], frame: usize, cand: Candidate
     dest.xor(target, rep)
 }
 
-/// Proves one candidate by `k`-step induction on fresh per-candidate
-/// unrollings of the original network.
-fn prove_candidate(aig: &Aig, cand: Candidate, k: usize, conflict_limit: u64) -> Proof {
-    let start = Instant::now();
-    let mut calls = Vec::with_capacity(2);
+/// Analyses `aig` and builds its `k`-step induction network (`k =
+/// config.seq_depth`): the base-case unrolling (`k - 1` transitions from
+/// the initial state), the induction unrolling (`k` transitions from free
+/// states) and each candidate's two violation literals, in canonical
+/// order.  Structural hashing shares the frame logic between candidates.
+/// Both are pure functions of the network and the configuration.
+pub(crate) fn induction(aig: &Aig, config: &SweepConfig) -> (Aig, Induction) {
+    let analysis = analyse(aig, config);
+    let k = config.seq_depth;
     let real_pis = real_pi_positions(aig);
-
-    // Base case: `k - 1` transitions from the initial state; the pair must
-    // agree at every one of the first `k` frames.
-    let mut base = Aig::new();
-    let frame0 = init_frame0(&mut base, aig);
-    let pis = fresh_frame_pis(&mut base, aig, &real_pis, k - 1);
-    let unrolled = unroll_into(&mut base, aig, frame0, &pis);
-    let diffs: Vec<Lit> = (0..k)
-        .map(|f| state_diff(&mut base, &unrolled.states, f, cand))
-        .collect();
-    let violation = base.or_many(&diffs);
-    let mut sat = CircuitSat::new(&base);
-    match sat.prove_constant(violation, false, conflict_limit) {
-        EquivOutcome::CounterExample(assignment) => {
-            calls.push(SatCallOutcome::Sat);
-            return Proof {
-                verdict: Verdict::Refuted(assignment),
-                calls,
-                sat_time: start.elapsed(),
-            };
-        }
-        EquivOutcome::Undetermined => {
-            calls.push(SatCallOutcome::Undetermined);
-            return Proof {
-                verdict: Verdict::Undetermined,
-                calls,
-                sat_time: start.elapsed(),
-            };
-        }
-        EquivOutcome::Equivalent => calls.push(SatCallOutcome::Unsat),
-    }
-
-    // Induction step: from an arbitrary state, agreement over `k`
-    // consecutive frames must force agreement on frame `k`.
-    let mut step = Aig::new();
+    let mut net = Aig::new();
+    let frame0 = init_frame0(&mut net, aig);
+    let pis = fresh_frame_pis(&mut net, aig, &real_pis, k - 1);
+    let base = unroll_into(&mut net, aig, frame0, &pis);
+    let trace_len = net.num_inputs();
     let frame0: Vec<Lit> = aig
         .latches()
         .iter()
-        .map(|latch| step.add_input(format!("{}@free", aig.input_name(latch.state_input))))
+        .map(|latch| net.add_input(format!("{}@free", aig.input_name(latch.state_input))))
         .collect();
-    let pis = fresh_frame_pis(&mut step, aig, &real_pis, k);
-    let unrolled = unroll_into(&mut step, aig, frame0, &pis);
-    let mut terms: Vec<Lit> = (0..k)
-        .map(|f| !state_diff(&mut step, &unrolled.states, f, cand))
+    let pis = fresh_frame_pis(&mut net, aig, &real_pis, k);
+    let step = unroll_into(&mut net, aig, frame0, &pis);
+
+    let candidates = analysis
+        .candidates
+        .iter()
+        .map(|&cand| {
+            let diffs: Vec<Lit> = (0..k)
+                .map(|f| state_diff(&mut net, &base.states, f, cand))
+                .collect();
+            let base_violation = net.or_many(&diffs);
+            let mut terms: Vec<Lit> = (0..k)
+                .map(|f| !state_diff(&mut net, &step.states, f, cand))
+                .collect();
+            terms.push(state_diff(&mut net, &step.states, k, cand));
+            LatchCandidate {
+                merge: (
+                    aig.latch_state_lit(cand.target).node(),
+                    aig.latch_state_lit(cand.rep)
+                        .complement_if(cand.complemented),
+                ),
+                base: base_violation,
+                step: net.and_many(&terms),
+            }
+        })
         .collect();
-    terms.push(state_diff(&mut step, &unrolled.states, k, cand));
-    let violation = step.and_many(&terms);
-    let mut sat = CircuitSat::new(&step);
-    let verdict = match sat.prove_constant(violation, false, conflict_limit) {
-        EquivOutcome::Equivalent => {
-            calls.push(SatCallOutcome::Unsat);
-            Verdict::Merge
-        }
-        EquivOutcome::CounterExample(_) => {
-            // Not a real divergence: the induction hypothesis admits
-            // unreachable states, so a satisfiable step only means the
-            // depth was too shallow.
-            calls.push(SatCallOutcome::Sat);
-            Verdict::Undetermined
-        }
-        EquivOutcome::Undetermined => {
-            calls.push(SatCallOutcome::Undetermined);
-            Verdict::Undetermined
-        }
+    let constants = analysis
+        .constants
+        .iter()
+        .map(|&(l, value)| {
+            let constant = if value { Lit::TRUE } else { Lit::FALSE };
+            (aig.latch_state_lit(l).node(), constant)
+        })
+        .collect();
+    let plan = Induction {
+        constants,
+        candidates,
+        trace_len,
+        ternary_iterations: analysis.fix.iterations as u64,
+        refuted: 0,
+        undet: 0,
     };
-    Proof {
-        verdict,
-        calls,
-        sat_time: start.elapsed(),
-    }
+    (net, plan)
 }
 
 // ---------------------------------------------------------------------
 // Result reconstruction.
 // ---------------------------------------------------------------------
 
-enum Subst {
-    Const(bool),
-    Rep { rep: usize, complemented: bool },
-}
-
-/// Rebuilds the network with the proved substitutions applied: removed
-/// latches lose their state input and next-state output, their fanouts
-/// redirect to the substitution, and dead next-state cones are cleaned up.
-/// Input and output order is otherwise preserved.
-fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig {
-    let mut subst: Vec<Option<Subst>> = (0..aig.num_latches()).map(|_| None).collect();
-    for &(l, value) in constants {
-        subst[l] = Some(Subst::Const(value));
-    }
-    for c in merges {
-        subst[c.target] = Some(Subst::Rep {
-            rep: c.rep,
-            complemented: c.complemented,
-        });
-    }
+/// Rebuilds the network with the proved substitutions applied, each
+/// mapping a latch's state node to a constant or to a surviving latch's
+/// state literal: removed latches lose their state input and next-state
+/// output, their fanouts redirect to the substitution, and dead next-state
+/// cones are cleaned up.  Input and output order is otherwise preserved.
+pub(crate) fn rebuild<'s>(
+    aig: &Aig,
+    substitutions: impl IntoIterator<Item = &'s (NodeId, Lit)>,
+) -> Aig {
+    let subst: HashMap<NodeId, Lit> = substitutions.into_iter().copied().collect();
+    let removed = |l: usize| subst.contains_key(&aig.latch_state_lit(l).node());
 
     let mut new = Aig::new();
     let mut node_map: Vec<Option<Lit>> = vec![None; aig.num_nodes()];
@@ -454,8 +446,7 @@ fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig 
     // Inputs in original order, minus the states of removed latches.
     let mut input_pos_map: Vec<Option<usize>> = vec![None; aig.num_inputs()];
     for (pos, &node) in aig.inputs().iter().enumerate() {
-        let removed = aig.latch_of_input(pos).is_some_and(|l| subst[l].is_some());
-        if removed {
+        if subst.contains_key(&node) {
             continue;
         }
         input_pos_map[pos] = Some(new.num_inputs());
@@ -463,24 +454,15 @@ fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig 
     }
     // Removed latch states resolve to their substitutions (representatives
     // always survive, so their new literals exist by now).
-    for (l, s) in subst.iter().enumerate() {
-        let Some(s) = s else { continue };
+    for l in 0..aig.num_latches() {
         let node = aig.latch_state_lit(l).node();
-        node_map[node] = Some(match s {
-            Subst::Const(value) => {
-                if *value {
-                    Lit::TRUE
-                } else {
-                    Lit::FALSE
-                }
-            }
-            Subst::Rep { rep, complemented } => {
-                let rep_node = aig.latch_state_lit(*rep).node();
-                node_map[rep_node]
+        if let Some(lit) = subst.get(&node) {
+            node_map[node] = Some(
+                node_map[lit.node()]
                     .expect("representatives survive")
-                    .complement_if(*complemented)
-            }
-        });
+                    .complement_if(lit.is_complemented()),
+            );
+        }
     }
     // AND nodes in topological order, through the strash (substituted
     // states fold constants and share structure on the way).
@@ -507,7 +489,7 @@ fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig 
         .collect();
     let mut output_pos_map: Vec<Option<usize>> = vec![None; aig.num_outputs()];
     for (i, out) in aig.outputs().iter().enumerate() {
-        if latch_of_output.get(&i).is_some_and(|&l| subst[l].is_some()) {
+        if latch_of_output.get(&i).is_some_and(|&l| removed(l)) {
             continue;
         }
         let lit = node_map[out.lit.node()]
@@ -518,7 +500,7 @@ fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig 
     }
     // Re-register the surviving latches at their new positions.
     for (l, latch) in aig.latches().iter().enumerate() {
-        if subst[l].is_some() {
+        if removed(l) {
             continue;
         }
         new.define_latch(
@@ -529,353 +511,4 @@ fn rebuild(aig: &Aig, constants: &[(usize, bool)], merges: &[Candidate]) -> Aig 
     }
     let (cleaned, _) = new.cleanup();
     cleaned
-}
-
-// ---------------------------------------------------------------------
-// The engine.
-// ---------------------------------------------------------------------
-
-/// Mutable run state threaded through the candidate loop.
-struct SeqRun<'o> {
-    stats: StatsObserver,
-    observer: Option<&'o mut dyn crate::Observer>,
-    merges: Vec<Candidate>,
-    cursor: usize,
-    refuted: u64,
-    undet: u64,
-    sat_time: Duration,
-}
-
-impl SeqRun<'_> {
-    fn notify_sat_call(&mut self, outcome: SatCallOutcome) {
-        self.stats.on_sat_call(outcome);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_sat_call(outcome);
-        }
-    }
-
-    fn notify_merge(&mut self, node: netlist::NodeId, replacement: Lit) {
-        self.stats.on_merge(node, replacement);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_merge(node, replacement);
-        }
-    }
-
-    fn notify_counterexample(&mut self, assignment: &[bool]) {
-        self.stats.on_counterexample(assignment);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_counterexample(assignment);
-        }
-    }
-}
-
-/// Builds the sequential engine's checkpoint: the merge log carries the
-/// committed induction merges as `(state node, replacement state literal)`
-/// pairs, the committed-candidate cursor indexes the canonical candidate
-/// list, and everything the analysis derives deterministically (ternary
-/// constants, classes, patterns) is recomputed on resume instead of being
-/// serialised.
-#[allow(clippy::too_many_arguments)]
-fn build_seq_checkpoint(
-    aig: &Aig,
-    engine: crate::Engine,
-    config: &SweepConfig,
-    round: usize,
-    analysis: &SeqAnalysis,
-    run: &SeqRun<'_>,
-    simulation_time: Duration,
-    elapsed: Duration,
-) -> SweepCheckpoint {
-    SweepCheckpoint {
-        fingerprint: netlist_fingerprint(aig),
-        canonical_fingerprint: netlist::canonical_fingerprint(aig),
-        primed: true,
-        engine,
-        config: *config,
-        round,
-        phase: PhasePod::Start,
-        merge_log: run
-            .merges
-            .iter()
-            .map(|c| {
-                (
-                    aig.latch_state_lit(c.target).node(),
-                    aig.latch_state_lit(c.rep).complement_if(c.complemented),
-                )
-            })
-            .collect(),
-        dont_touch: Vec::new(),
-        classes: Vec::new(),
-        constants: Vec::new(),
-        stats: run.stats,
-        committed_candidates: run.cursor as u64,
-        simulation_time,
-        sat_time: run.sat_time,
-        elapsed,
-        solver: CircuitSat::new(aig).snapshot(),
-        seq_candidates: analysis.candidates.len() as u64,
-        seq_ternary_constants: analysis.constants.len() as u64,
-        seq_induction_refuted: run.refuted,
-        seq_induction_undet: run.undet,
-        seq_ternary_iterations: analysis.fix.iterations as u64,
-    }
-}
-
-/// Runs (or resumes) a sequential sweep.  Called from [`Sweeper::run`] and
-/// [`Sweeper::resume_run`] when `seq_depth > 0`.
-pub(crate) fn run_sequential(
-    builder: Sweeper<'_>,
-    aig: &Aig,
-    resume: Option<&SweepCheckpoint>,
-) -> Result<SweepResult, SweepError> {
-    let mismatch = |what: &str| SweepError::CheckpointMismatch(what.to_string());
-    let (engine, config, round) = match resume {
-        Some(ckpt) => {
-            if ckpt.config().seq_depth == 0 {
-                return Err(mismatch(
-                    "checkpoint was taken by the combinational engine; resume it \
-                     through Sweeper::resume_from",
-                ));
-            }
-            if !ckpt.matches(aig) {
-                return Err(mismatch(
-                    "netlist fingerprint does not match the checkpoint's — the \
-                     checkpoint was taken against a different network",
-                ));
-            }
-            let config = *ckpt.config();
-            config.validate()?;
-            (ckpt.engine(), config, ckpt.round)
-        }
-        None => {
-            builder.config.validate()?;
-            (builder.engine, builder.config, builder.round)
-        }
-    };
-    let k = config.seq_depth;
-    debug_assert!(k > 0, "dispatch guarantees a sequential depth");
-    let budget = builder.budget;
-    let started = Instant::now();
-
-    // A budget exhausted before anything ran: return the input unchanged,
-    // with no checkpoint — exactly like an unprimed combinational session.
-    if resume.is_none() {
-        if let Some(cause) = budget.exceeded(started, 0) {
-            let (cleaned, _) = aig.cleanup();
-            let stats = StatsObserver::new();
-            let mut report = stats.counts();
-            report.gates_before = aig.num_ands();
-            report.gates_after = cleaned.num_ands();
-            report.levels = aig.depth();
-            report.seq_latches_before = aig.num_latches();
-            report.seq_latches_after = cleaned.num_latches();
-            report.total_time = started.elapsed();
-            return Err(SweepError::BudgetExhausted {
-                cause,
-                partial: Box::new(SweepResult {
-                    aig: cleaned,
-                    report,
-                }),
-                checkpoint: None,
-            });
-        }
-    }
-
-    // Deterministic analysis (recomputed on resume — it is a pure function
-    // of the network and the checkpointed configuration).
-    let sim_start = Instant::now();
-    let analysis = analyse(aig, &config);
-    let simulation_time_leg = sim_start.elapsed();
-
-    // Restore (or initialise) the run state.
-    let mut run = SeqRun {
-        stats: StatsObserver::new(),
-        observer: builder.observer,
-        merges: Vec::new(),
-        cursor: 0,
-        refuted: 0,
-        undet: 0,
-        sat_time: Duration::ZERO,
-    };
-    let mut simulation_time_base = Duration::ZERO;
-    let mut elapsed_base = Duration::ZERO;
-    match resume {
-        Some(ckpt) => {
-            if ckpt.seq_candidates != analysis.candidates.len() as u64
-                || ckpt.seq_ternary_constants != analysis.constants.len() as u64
-            {
-                return Err(mismatch(
-                    "recomputed sequential analysis disagrees with the checkpoint",
-                ));
-            }
-            let cursor = ckpt.committed_candidates() as usize;
-            if cursor > analysis.candidates.len() {
-                return Err(mismatch("committed-candidate cursor is out of range"));
-            }
-            // Map each merge-log entry back to a candidate through the
-            // latch state nodes.
-            let latch_of_state: HashMap<netlist::NodeId, usize> = (0..aig.num_latches())
-                .map(|l| (aig.latch_state_lit(l).node(), l))
-                .collect();
-            let mut merges = Vec::with_capacity(ckpt.merge_log.len());
-            for &(node, lit) in &ckpt.merge_log {
-                let (Some(&target), Some(&rep)) =
-                    (latch_of_state.get(&node), latch_of_state.get(&lit.node()))
-                else {
-                    return Err(mismatch(
-                        "merge log references a node that is not a latch state",
-                    ));
-                };
-                merges.push(Candidate {
-                    target,
-                    rep,
-                    complemented: lit.is_complemented(),
-                });
-            }
-            run.merges = merges;
-            run.cursor = cursor;
-            run.refuted = ckpt.seq_induction_refuted;
-            run.undet = ckpt.seq_induction_undet;
-            run.stats = ckpt.stats;
-            run.sat_time = ckpt.sat_time;
-            simulation_time_base = ckpt.simulation_time;
-            elapsed_base = ckpt.elapsed;
-        }
-        None => {
-            // Fresh run: announce the round and commit the ternary
-            // constants (analysis results, no SAT involved).  A resumed
-            // run recomputes them; the restored stats already count them.
-            run.stats.on_round(round, aig.num_ands());
-            if let Some(obs) = run.observer.as_mut() {
-                obs.on_round(round, aig.num_ands());
-            }
-            for &(l, value) in &analysis.constants {
-                let node = aig.latch_state_lit(l).node();
-                let replacement = if value { Lit::TRUE } else { Lit::FALSE };
-                run.notify_merge(node, replacement);
-            }
-        }
-    }
-
-    // The candidate loop, in canonical order.  Budget checks and periodic
-    // checkpoints sit at candidate boundaries, so a resumed run continues
-    // with exactly the candidates an uninterrupted run would prove next.
-    let candidates = &analysis.candidates;
-    let mut stopped: Option<BudgetCause> = None;
-    let mut last_checkpoint = run.cursor as u64;
-    let mut last_checkpoint_instant = Instant::now();
-    while let Some(&cand) = candidates.get(run.cursor) {
-        if let Some(cause) = budget.exceeded(started, run.stats.sat_calls_total()) {
-            stopped = Some(cause);
-            break;
-        }
-        let proof = prove_candidate(aig, cand, k, config.conflict_limit);
-        for &call in &proof.calls {
-            run.notify_sat_call(call);
-        }
-        run.sat_time += proof.sat_time;
-        match proof.verdict {
-            Verdict::Merge => {
-                run.merges.push(cand);
-                let node = aig.latch_state_lit(cand.target).node();
-                let replacement = aig
-                    .latch_state_lit(cand.rep)
-                    .complement_if(cand.complemented);
-                run.notify_merge(node, replacement);
-            }
-            Verdict::Refuted(cex) => {
-                run.refuted += 1;
-                run.notify_counterexample(&cex);
-            }
-            Verdict::Undetermined => run.undet += 1,
-        }
-        run.cursor += 1;
-        // A candidate's base case and step may overshoot a SAT-call cap by
-        // one, even on the last candidate: the run still reports the stop.
-        if let Some(cause) = budget.exceeded(started, run.stats.sat_calls_total()) {
-            stopped = Some(cause);
-            break;
-        }
-        if checkpoint_due(
-            &config,
-            run.cursor as u64,
-            last_checkpoint,
-            last_checkpoint_instant,
-        ) {
-            last_checkpoint = run.cursor as u64;
-            last_checkpoint_instant = Instant::now();
-            let ckpt = build_seq_checkpoint(
-                aig,
-                engine,
-                &config,
-                round,
-                &analysis,
-                &run,
-                simulation_time_base + simulation_time_leg,
-                elapsed_base + started.elapsed(),
-            );
-            let encoded = ckpt.encode();
-            run.stats.on_checkpoint(&ckpt, &encoded);
-            if let Some(obs) = run.observer.as_mut() {
-                obs.on_checkpoint(&ckpt, &encoded);
-            }
-        }
-    }
-    let stop_checkpoint = stopped.map(|_| {
-        Box::new(build_seq_checkpoint(
-            aig,
-            engine,
-            &config,
-            round,
-            &analysis,
-            &run,
-            simulation_time_base + simulation_time_leg,
-            elapsed_base + started.elapsed(),
-        ))
-    });
-
-    // Apply the proved substitutions and assemble the report.
-    let result_aig = rebuild(aig, &analysis.constants, &run.merges);
-    let mut report = run.stats.counts();
-    report.gates_before = aig.num_ands();
-    report.gates_after = result_aig.num_ands();
-    report.levels = aig.depth();
-    report.seq_latches_before = aig.num_latches();
-    report.seq_latches_after = result_aig.num_latches();
-    report.seq_candidates = analysis.candidates.len() as u64;
-    report.seq_ternary_constants = analysis.constants.len() as u64;
-    report.seq_induction_refuted = run.refuted;
-    report.seq_induction_undet = run.undet;
-    report.ternary_iterations = analysis.fix.iterations as u64;
-    report.simulation_time = simulation_time_base + simulation_time_leg;
-    report.sat_time = run.sat_time;
-    report.total_time = elapsed_base + started.elapsed();
-    let result = SweepResult {
-        aig: result_aig,
-        report,
-    };
-    match stopped {
-        None => Ok(result),
-        Some(cause) => Err(SweepError::BudgetExhausted {
-            cause,
-            partial: Box::new(result),
-            checkpoint: stop_checkpoint,
-        }),
-    }
-}
-
-/// Candidate-count or wall-clock checkpoint cadence (same rules as the
-/// combinational session).
-fn checkpoint_due(
-    config: &SweepConfig,
-    cursor: u64,
-    last_checkpoint: u64,
-    last_checkpoint_instant: Instant,
-) -> bool {
-    let interval = config.checkpoint_interval;
-    if interval > 0 && cursor.saturating_sub(last_checkpoint) >= interval as u64 {
-        return true;
-    }
-    let millis = config.checkpoint_interval_millis;
-    millis > 0 && last_checkpoint_instant.elapsed() >= Duration::from_millis(millis)
 }

@@ -8,9 +8,15 @@
 //! candidate order, as in the paper's Algorithm 2.  The swept network is
 //! therefore a pure function of the input and the configuration.
 //!
+//! A sequential sweep ([`SweepConfig::seq_depth`] `> 0`, see
+//! [`crate::sequential`]) is the same loop over latch pairs: its one solver
+//! holds the `k`-step induction network, and each pair costs a base-case
+//! query and, if that is UNSAT, an induction-step query.
+//!
 //! The session is a resumable phase machine: its execution cursor (constant
-//! queue, pending merge queue) lives in an explicit phase value, and every
-//! candidate boundary can be captured as a [`SweepCheckpoint`] — either
+//! queue, pending merge queue, latch query cursor) lives in an explicit
+//! phase value, and every candidate boundary can be captured as a
+//! [`SweepCheckpoint`] — either
 //! periodically ([`SweepConfig::checkpoint_interval`], delivered through
 //! [`crate::Observer::on_checkpoint`]) or when the [`Budget`] stops the run
 //! (the checkpoint travels inside
@@ -49,6 +55,7 @@ use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::patterns::{self, PatternGenConfig};
 use crate::report::{SweepConfig, SweepResult};
 use crate::resim;
+use crate::sequential::{self, Induction};
 use crate::window::WindowIndex;
 use bitsim::AigSimulator;
 use netlist::{Aig, Lit, NodeId};
@@ -150,19 +157,11 @@ impl<'o> Sweeper<'o> {
 
     /// Validates the configuration and primes a [`SweepSession`]: the
     /// initial patterns are generated, the network simulated and the
-    /// candidate classes built.
-    ///
-    /// Sessions are combinational; a configuration with
-    /// [`SweepConfig::seq_depth`] `> 0` is rejected here — sequential
-    /// sweeps run whole through [`Sweeper::run`] / [`Sweeper::resume_run`].
+    /// candidate classes built.  With [`SweepConfig::seq_depth`] `> 0`,
+    /// priming runs the sequential analysis instead (ternary constants and
+    /// latch-pair candidates) and builds the induction network the
+    /// session's solver answers on.
     pub fn begin<'n>(self, aig: &'n Aig) -> Result<SweepSession<'n, 'o>, SweepError> {
-        if self.config.seq_depth > 0 {
-            return Err(SweepError::InvalidConfig(
-                "sequential sweeps (seq_depth > 0) run through Sweeper::run or \
-                 Sweeper::resume_run, not through a SweepSession"
-                    .to_string(),
-            ));
-        }
         SweepSession::new(aig, self)
     }
 
@@ -194,48 +193,13 @@ impl<'o> Sweeper<'o> {
         aig: &'n Aig,
         checkpoint: &SweepCheckpoint,
     ) -> Result<SweepSession<'n, 'o>, SweepError> {
-        if checkpoint.config().seq_depth > 0 {
-            return Err(SweepError::CheckpointMismatch(
-                "the checkpoint was taken by the sequential engine; resume it \
-                 through Sweeper::resume_run"
-                    .to_string(),
-            ));
-        }
         SweepSession::resume(aig, self, checkpoint)
     }
 
-    /// Runs the sweep to completion (or until the budget trips).
-    ///
-    /// A configuration with [`SweepConfig::seq_depth`] `> 0` dispatches to
-    /// the sequential engine (ternary-fixpoint analysis plus k-step
-    /// induction over latch pairs); otherwise this is shorthand for
-    /// `self.begin(aig)?.run()`.
+    /// Runs the sweep to completion (or until the budget trips): shorthand
+    /// for `self.begin(aig)?.run()`, combinational or sequential.
     pub fn run(self, aig: &Aig) -> Result<SweepResult, SweepError> {
-        if self.config.seq_depth > 0 {
-            return crate::sequential::run_sequential(self, aig, None);
-        }
         self.begin(aig)?.run()
-    }
-
-    /// Resumes a checkpointed run — combinational or sequential — to
-    /// completion, dispatching on the engine that took the checkpoint.
-    ///
-    /// Combinational checkpoints behave exactly like
-    /// `self.resume_from(aig, checkpoint)?.run()`; sequential checkpoints
-    /// (taken by a run with [`SweepConfig::seq_depth`] `> 0`) continue the
-    /// candidate loop from the committed cursor.  Both directions keep the
-    /// resume guarantee: committed SAT calls, counter-examples, merges and
-    /// output bytes are identical to an uninterrupted run's.
-    pub fn resume_run(
-        self,
-        aig: &Aig,
-        checkpoint: &SweepCheckpoint,
-    ) -> Result<SweepResult, SweepError> {
-        if checkpoint.config().seq_depth > 0 {
-            crate::sequential::run_sequential(self, aig, Some(checkpoint))
-        } else {
-            self.resume_from(aig, checkpoint)?.run()
-        }
     }
 }
 
@@ -243,9 +207,10 @@ impl<'o> Sweeper<'o> {
 ///
 /// Created by [`Sweeper::begin`] (fresh) or [`Sweeper::resume_from`]
 /// (restored from a [`SweepCheckpoint`]); [`SweepSession::run`] executes the
-/// remaining phases (constant substitution, pairwise merging, cleanup) and
-/// returns the [`SweepResult`].  The session borrows the input network for
-/// its lifetime — the result is a fresh, functionally equivalent [`Aig`].
+/// remaining phases (constant substitution, pairwise merging, cleanup — or
+/// the latch pairs of a sequential sweep) and returns the [`SweepResult`].
+/// The session borrows the input network for its lifetime — the result is
+/// a fresh, functionally equivalent [`Aig`].
 pub struct SweepSession<'n, 'o> {
     engine: Engine,
     config: SweepConfig,
@@ -255,15 +220,19 @@ pub struct SweepSession<'n, 'o> {
     original: &'n Aig,
     result: Aig,
     /// The session's one incremental solver: pattern generation, constant
-    /// proofs and pairwise merges all query it, in canonical order.
+    /// proofs and pairwise merges all query it, in canonical order.  A
+    /// sequential session's solver owns the induction network instead.
     sat: CircuitSat<'n>,
+    /// The sequential sweep's plan and counters (`seq_depth > 0`, primed).
+    seq: Option<Induction>,
     classes: EquivClasses,
     /// Window verdicts; built only when [`SweepConfig::window_refinement`]
     /// is on.
     windows: Option<WindowIndex>,
     merged: Vec<Option<Lit>>,
     /// Ordered log of applied merges; replaying it reconstructs `result`
-    /// and `merged` when a checkpoint is restored.
+    /// and `merged` when a checkpoint is restored.  A sequential session
+    /// logs latch merges: target state node, representative state literal.
     merge_log: Vec<(NodeId, Lit)>,
     dont_touch: Vec<bool>,
     stats: StatsObserver,
@@ -303,76 +272,13 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             config.window_refinement = false;
         }
 
-        let started = Instant::now();
-        let mut sat = CircuitSat::new(aig);
-
         // A budget that is already exhausted (pre-tripped cancel token, zero
         // deadline) skips priming entirely: the run will return the input
         // unchanged, so pattern generation, simulation and the window index
         // would be wasted work.  An in-flight priming phase is not
         // interruptible — budget checks resume at the first candidate.
+        let started = Instant::now();
         let stopped = builder.budget.exceeded(started, 0);
-        if let Some(cause) = stopped {
-            let mut session = SweepSession {
-                engine: builder.engine,
-                config,
-                budget: builder.budget,
-                observer: builder.observer,
-                round: builder.round,
-                original: aig,
-                result: aig.clone(),
-                sat,
-                classes: EquivClasses::default(),
-                windows: None,
-                merged: vec![None; aig.num_nodes()],
-                merge_log: Vec::new(),
-                dont_touch: vec![false; aig.num_nodes()],
-                stats: StatsObserver::new(),
-                simulation_time: Duration::ZERO,
-                sat_time: Duration::ZERO,
-                started,
-                elapsed_base: Duration::ZERO,
-                stopped: Some(cause),
-                phase: Phase::Start,
-                committed_candidates: 0,
-                last_checkpoint: 0,
-                last_checkpoint_instant: started,
-                primed: false,
-                stop_checkpoint: None,
-            };
-            session.notify_round_start();
-            return Ok(session);
-        }
-
-        // Initial simulation (random or SAT-guided).  SAT queries spent on
-        // pattern generation are not sweeping queries; they are neither
-        // reported to observers nor counted against the budget, as in the
-        // paper's Table II accounting.
-        let sim_start = Instant::now();
-        let patterns = if config.sat_guided_patterns {
-            let gen_config = PatternGenConfig {
-                num_random: config.num_initial_patterns,
-                seed: config.seed,
-                conflict_limit: config.conflict_limit.min(2_000),
-                ..PatternGenConfig::default()
-            };
-            let (p, _) = patterns::sat_guided_patterns(aig, &mut sat, &gen_config);
-            p
-        } else {
-            patterns::random_patterns(aig, config.num_initial_patterns, config.seed)
-        };
-        let state = AigSimulator::new(aig).run(&patterns);
-        let simulation_time = sim_start.elapsed();
-
-        // Prime the classes straight from the arena views — no per-node
-        // signature clones.
-        let classes =
-            EquivClasses::from_node_signatures(aig.and_ids().map(|id| (id, state.signature(id))));
-
-        let windows = config
-            .window_refinement
-            .then(|| WindowIndex::build(aig, config.window_limit));
-
         let mut session = SweepSession {
             engine: builder.engine,
             config,
@@ -381,27 +287,80 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             round: builder.round,
             original: aig,
             result: aig.clone(),
-            sat,
-            classes,
-            windows,
+            sat: CircuitSat::new(aig),
+            seq: None,
+            classes: EquivClasses::default(),
+            windows: None,
             merged: vec![None; aig.num_nodes()],
             merge_log: Vec::new(),
             dont_touch: vec![false; aig.num_nodes()],
             stats: StatsObserver::new(),
-            simulation_time,
+            simulation_time: Duration::ZERO,
             sat_time: Duration::ZERO,
             started,
             elapsed_base: Duration::ZERO,
-            stopped: None,
+            stopped,
             phase: Phase::Start,
             committed_candidates: 0,
             last_checkpoint: 0,
             last_checkpoint_instant: started,
-            primed: true,
+            primed: false,
             stop_checkpoint: None,
         };
-        session.notify_round_start();
+        let (round, gates) = (builder.round, aig.num_ands());
+        session.notify(|o| o.on_round(round, gates));
+        if stopped.is_none() {
+            session.prime();
+        }
         Ok(session)
+    }
+
+    /// Primes the session: the initial patterns, the simulation, the
+    /// candidate classes and the window index — or, for a sequential sweep,
+    /// the analysis and the induction network its solver answers on.
+    fn prime(&mut self) {
+        let aig = self.original;
+        let config = self.config;
+        let sim_start = Instant::now();
+        if config.seq_depth > 0 {
+            let (net, plan) = sequential::induction(aig, &config);
+            self.simulation_time = sim_start.elapsed();
+            self.sat = CircuitSat::new_owned(net);
+            // The ternary constants are analysis results: observer merges
+            // without SAT, kept out of the merge log (a resumed run
+            // recomputes them, and its restored stats already count them).
+            for &(node, constant) in &plan.constants {
+                self.notify(|o| o.on_merge(node, constant));
+            }
+            self.seq = Some(plan);
+        } else {
+            // Initial simulation (random or SAT-guided).  SAT queries spent
+            // on pattern generation are not sweeping queries; they are
+            // neither reported to observers nor counted against the budget,
+            // as in the paper's Table II accounting.
+            let patterns = if config.sat_guided_patterns {
+                let gen_config = PatternGenConfig {
+                    num_random: config.num_initial_patterns,
+                    seed: config.seed,
+                    conflict_limit: config.conflict_limit.min(2_000),
+                    ..PatternGenConfig::default()
+                };
+                patterns::sat_guided_patterns(aig, &mut self.sat, &gen_config).0
+            } else {
+                patterns::random_patterns(aig, config.num_initial_patterns, config.seed)
+            };
+            let state = AigSimulator::new(aig).run(&patterns);
+            self.simulation_time = sim_start.elapsed();
+            // Prime the classes straight from the arena views — no per-node
+            // signature clones.
+            self.classes = EquivClasses::from_node_signatures(
+                aig.and_ids().map(|id| (id, state.signature(id))),
+            );
+            self.windows = config
+                .window_refinement
+                .then(|| WindowIndex::build(aig, config.window_limit));
+        }
+        self.primed = true;
     }
 
     /// Restores a session from a checkpoint (see [`Sweeper::resume_from`]).
@@ -456,71 +415,93 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let num_nodes = aig.num_nodes();
         let in_range = |node: NodeId| node < num_nodes;
         let is_and = |node: NodeId| in_range(node) && aig.node(node).is_and();
-        // Merges are applied through `Aig::replace_node`, whose
-        // preconditions (an AND node, a topologically earlier replacement)
-        // must hold for corrupt data too: the merge log is replayed below,
-        // and every candidate (class member, constant candidate, queued
-        // constant) may be merged later.  Check them here so corruption
-        // surfaces as a typed mismatch, never a panic.
-        if !checkpoint
-            .merge_log
-            .iter()
-            .all(|&(node, lit)| is_and(node) && lit.node() < node)
-        {
-            return Err(mismatch("merge log entry violates the network's topology"));
-        }
-        if !checkpoint.dont_touch.iter().copied().all(in_range) {
-            return Err(mismatch(
-                "don't-touch set references a node outside the network",
-            ));
-        }
-        if !checkpoint
-            .classes
-            .iter()
-            .flat_map(|(members, _)| members.iter().copied())
-            .chain(checkpoint.constants.iter().map(|c| c.node))
-            .all(is_and)
-        {
-            return Err(mismatch(
-                "candidate classes name a node that is not an AND node of the network",
-            ));
-        }
+        let sequential = config.seq_depth > 0;
         match &checkpoint.phase {
             PhasePod::Start | PhasePod::Done => {}
-            PhasePod::Constants { queue, next } => {
+            // Range-checked against the rebuilt candidates below.
+            PhasePod::Latches { .. } if sequential => {}
+            PhasePod::Constants { queue, next } if !sequential => {
                 if !queue.iter().all(|c| is_and(c.node)) || *next > queue.len() {
                     return Err(mismatch("constant-phase cursor is inconsistent"));
                 }
             }
-            PhasePod::Merging { pending } => {
+            PhasePod::Merging { pending } if !sequential => {
                 if !pending.iter().all(|&(node, _)| in_range(node)) {
                     return Err(mismatch(
                         "pending queue references a node outside the network",
                     ));
                 }
             }
+            _ => {
+                return Err(mismatch(
+                    "the execution phase does not fit the checkpoint's seq_depth",
+                ))
+            }
         }
 
-        // Rebuild the working copy by replaying the merge log in order
-        // (later merges may redirect literals created by earlier ones, so
-        // the order is part of the state).
         let mut result = aig.clone();
         let mut merged: Vec<Option<Lit>> = vec![None; num_nodes];
-        for &(node, lit) in &checkpoint.merge_log {
-            result.replace_node(node, lit);
-            merged[node] = Some(lit);
-        }
         let mut dont_touch = vec![false; num_nodes];
-        for &node in &checkpoint.dont_touch {
-            dont_touch[node] = true;
-        }
-        let classes =
-            EquivClasses::from_parts(checkpoint.classes.clone(), checkpoint.constants.clone())
-                .map_err(mismatch)?;
-        let windows = config
-            .window_refinement
-            .then(|| WindowIndex::build(aig, config.window_limit));
-        let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver).map_err(mismatch)?;
+        let (sat, seq, classes, windows) = if sequential {
+            if !(checkpoint.classes.is_empty()
+                && checkpoint.constants.is_empty()
+                && checkpoint.dont_touch.is_empty())
+            {
+                return Err(mismatch(
+                    "a sequential checkpoint carries combinational candidate state",
+                ));
+            }
+            let (sat, plan) = Self::restore_latches(aig, &config, checkpoint)?;
+            (sat, Some(plan), EquivClasses::default(), None)
+        } else {
+            // Merges are applied through `Aig::replace_node`, whose
+            // preconditions (an AND node, a topologically earlier
+            // replacement) must hold for corrupt data too: the merge log is
+            // replayed below, and every candidate (class member, constant
+            // candidate, queued constant) may be merged later.  Check them
+            // here so corruption surfaces as a typed mismatch, never a panic.
+            if !checkpoint
+                .merge_log
+                .iter()
+                .all(|&(node, lit)| is_and(node) && lit.node() < node)
+            {
+                return Err(mismatch("merge log entry violates the network's topology"));
+            }
+            if !checkpoint.dont_touch.iter().copied().all(in_range) {
+                return Err(mismatch(
+                    "don't-touch set references a node outside the network",
+                ));
+            }
+            if !checkpoint
+                .classes
+                .iter()
+                .flat_map(|(members, _)| members.iter().copied())
+                .chain(checkpoint.constants.iter().map(|c| c.node))
+                .all(is_and)
+            {
+                return Err(mismatch(
+                    "candidate classes name a node that is not an AND node of the network",
+                ));
+            }
+            // Rebuild the working copy by replaying the merge log in order
+            // (later merges may redirect literals created by earlier ones,
+            // so the order is part of the state).
+            for &(node, lit) in &checkpoint.merge_log {
+                result.replace_node(node, lit);
+                merged[node] = Some(lit);
+            }
+            for &node in &checkpoint.dont_touch {
+                dont_touch[node] = true;
+            }
+            let classes =
+                EquivClasses::from_parts(checkpoint.classes.clone(), checkpoint.constants.clone())
+                    .map_err(mismatch)?;
+            let windows = config
+                .window_refinement
+                .then(|| WindowIndex::build(aig, config.window_limit));
+            let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver).map_err(mismatch)?;
+            (sat, None, classes, windows)
+        };
 
         // No `on_round` notification: the resumed session continues the
         // round the checkpoint was taken in (the restored stats already
@@ -534,6 +515,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             original: aig,
             result,
             sat,
+            seq,
             classes,
             windows,
             merged,
@@ -554,13 +536,49 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         })
     }
 
-    fn notify_round_start(&mut self) {
-        let gates = self.original.num_ands();
-        let round = self.round;
-        self.stats.on_round(round, gates);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_round(round, gates);
+    /// Recomputes a sequential checkpoint's plan and induction network —
+    /// both pure functions of the network and the configuration — checks
+    /// the checkpoint against them, and restores the solver over the
+    /// network.
+    fn restore_latches(
+        aig: &Aig,
+        config: &SweepConfig,
+        checkpoint: &SweepCheckpoint,
+    ) -> Result<(CircuitSat<'n>, Induction), SweepError> {
+        let mismatch = |what: &str| SweepError::CheckpointMismatch(what.to_string());
+        let (net, mut plan) = sequential::induction(aig, config);
+        if checkpoint.seq_candidates != plan.candidates.len() as u64
+            || checkpoint.seq_ternary_constants != plan.constants.len() as u64
+        {
+            return Err(mismatch(
+                "recomputed sequential analysis disagrees with the checkpoint",
+            ));
         }
+        let settled = match checkpoint.phase {
+            PhasePod::Latches { next } => next / 2,
+            PhasePod::Done => plan.candidates.len(),
+            _ => 0,
+        };
+        if settled > plan.candidates.len() || checkpoint.committed_candidates != settled as u64 {
+            return Err(mismatch("latch-phase cursor is inconsistent"));
+        }
+        // Each merge-log entry must be a candidate settled before the
+        // cursor, in candidate order.  Then no latch is merged twice and no
+        // representative is merged away, as `sequential::rebuild` requires.
+        let mut settled_merges = plan.candidates[..settled].iter().map(|c| c.merge);
+        if !checkpoint
+            .merge_log
+            .iter()
+            .all(|entry| settled_merges.any(|merge| merge == *entry))
+        {
+            return Err(mismatch(
+                "merge log entry is not a latch candidate settled before the cursor",
+            ));
+        }
+        let sat = CircuitSat::from_snapshot_owned(net, &checkpoint.solver).map_err(mismatch)?;
+        plan.refuted = checkpoint.seq_induction_refuted;
+        plan.undet = checkpoint.seq_induction_undet;
+        Ok((sat, plan))
     }
 
     /// The engine this session runs.
@@ -574,9 +592,15 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 
     /// Number of merge candidates remaining (class members beyond their
-    /// representatives, plus constant candidates).
+    /// representatives, plus constant candidates) — for a sequential sweep,
+    /// the latch pairs left to prove.
     pub fn num_candidates(&self) -> usize {
-        self.classes.num_candidates()
+        match (&self.seq, &self.phase) {
+            (Some(plan), Phase::Latches { next }) => plan.candidates.len() - next / 2,
+            (Some(_), Phase::Done) => 0,
+            (Some(plan), _) => plan.candidates.len(),
+            (None, _) => self.classes.num_candidates(),
+        }
     }
 
     /// Captures the session's current state as a resumable checkpoint.
@@ -620,6 +644,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         }
         loop {
             match &self.phase {
+                Phase::Start if self.seq.is_some() => {
+                    self.phase = Phase::Latches { next: 0 };
+                }
                 Phase::Start => {
                     // Freeze the constant-candidate queue at phase entry
                     // (the engine examines exactly this snapshot even as
@@ -630,6 +657,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                         Vec::new()
                     };
                     self.phase = Phase::Constants { queue, next: 0 };
+                }
+                Phase::Latches { .. } => {
+                    if !self.step_latches() {
+                        return;
+                    }
                 }
                 Phase::Constants { .. } => {
                     if !self.step_constants() {
@@ -670,6 +702,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
 
     /// Assembles a checkpoint around the given execution cursor.
     fn build_checkpoint(&self, phase: Phase) -> SweepCheckpoint {
+        let seq = self.seq.as_ref();
         SweepCheckpoint {
             fingerprint: netlist_fingerprint(self.original),
             canonical_fingerprint: netlist::canonical_fingerprint(self.original),
@@ -695,13 +728,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             sat_time: self.sat_time,
             elapsed: self.elapsed_base + self.started.elapsed(),
             solver: self.sat.snapshot(),
-            // The sequential counters belong to the sequential engine's own
-            // checkpoints; a combinational session always writes zeros.
-            seq_candidates: 0,
-            seq_ternary_constants: 0,
-            seq_induction_refuted: 0,
-            seq_induction_undet: 0,
-            seq_ternary_iterations: 0,
+            seq_candidates: seq.map_or(0, |s| s.candidates.len() as u64),
+            seq_ternary_constants: seq.map_or(0, |s| s.constants.len() as u64),
+            seq_induction_refuted: seq.map_or(0, |s| s.refuted),
+            seq_induction_undet: seq.map_or(0, |s| s.undet),
+            seq_ternary_iterations: seq.map_or(0, |s| s.ternary_iterations),
         }
     }
 
@@ -741,57 +772,15 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         self.last_checkpoint_instant = Instant::now();
         let checkpoint = self.build_checkpoint(phase.clone());
         let encoded = checkpoint.encode();
-        self.stats.on_checkpoint(&checkpoint, &encoded);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_checkpoint(&checkpoint, &encoded);
-        }
+        self.notify(|o| o.on_checkpoint(&checkpoint, &encoded));
     }
 
-    // ------------------------------------------------------------------
-    // Observer plumbing: every event goes to the internal stats counter
-    // (from which the report is derived) and to the user observer.
-    // ------------------------------------------------------------------
-
-    fn notify_sat_call(&mut self, outcome: SatCallOutcome) {
-        self.stats.on_sat_call(outcome);
+    /// Delivers an event to the internal stats counter (from which the
+    /// report is derived) and then to the user observer.
+    fn notify(&mut self, event: impl Fn(&mut dyn Observer)) {
+        event(&mut self.stats);
         if let Some(obs) = self.observer.as_mut() {
-            obs.on_sat_call(outcome);
-        }
-    }
-
-    fn notify_merge(&mut self, candidate: NodeId, replacement: Lit) {
-        self.stats.on_merge(candidate, replacement);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_merge(candidate, replacement);
-        }
-    }
-
-    fn notify_counterexample(&mut self, assignment: &[bool]) {
-        self.stats.on_counterexample(assignment);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_counterexample(assignment);
-        }
-    }
-
-    fn notify_class_refined(&mut self, num_classes: usize, moved: usize) {
-        self.stats.on_class_refined(num_classes, moved);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_class_refined(num_classes, moved);
-        }
-    }
-
-    fn notify_simulation_verdict(&mut self, candidate: NodeId, driver: NodeId, equivalent: bool) {
-        self.stats
-            .on_simulation_verdict(candidate, driver, equivalent);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_simulation_verdict(candidate, driver, equivalent);
-        }
-    }
-
-    fn notify_resimulation(&mut self, targets: usize, resimulated: usize, skipped: usize) {
-        self.stats.on_resimulation(targets, resimulated, skipped);
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_resimulation(targets, resimulated, skipped);
+            event(&mut **obs);
         }
     }
 
@@ -808,11 +797,12 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let sat_start = Instant::now();
         let outcome = run(&mut self.sat, self.config.conflict_limit);
         self.sat_time += sat_start.elapsed();
-        self.notify_sat_call(match outcome {
+        let call = match outcome {
             EquivOutcome::Equivalent => SatCallOutcome::Unsat,
             EquivOutcome::CounterExample(_) => SatCallOutcome::Sat,
             EquivOutcome::Undetermined => SatCallOutcome::Undetermined,
-        });
+        };
+        self.notify(|o| o.on_sat_call(call));
         outcome
     }
 
@@ -876,6 +866,64 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             pending.reverse();
         }
         Phase::Merging { pending }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase: latch pairs (sequential sweeps).
+    // ------------------------------------------------------------------
+
+    /// Proves the latch pairs by the fixed query sequence base₀, step₀,
+    /// base₁, step₁, …, where a base that does not prove its pair skips the
+    /// pair's step.  Returns `true` when the candidates run out, `false` on
+    /// a budget stop (with the stop checkpoint captured).
+    fn step_latches(&mut self) -> bool {
+        loop {
+            let Phase::Latches { next } = self.phase else {
+                unreachable!("step_latches runs in the latch phase")
+            };
+            let plan = self.seq.as_ref().expect("a sequential session is primed");
+            let Some(&candidate) = plan.candidates.get(next / 2) else {
+                self.phase = Phase::Done;
+                return true;
+            };
+            let trace_len = plan.trace_len;
+            if !self.within_budget() {
+                let phase = self.phase.clone();
+                self.capture_stop_checkpoint(&phase);
+                return false;
+            }
+            let violation = [candidate.base, candidate.step][next % 2];
+            let outcome = self.query(|sat, limit| sat.prove_constant(violation, false, limit));
+            let plan = self.seq.as_mut().expect("a sequential session is primed");
+            let settled = match (outcome, next % 2 == 1) {
+                (EquivOutcome::Equivalent, false) => false,
+                (EquivOutcome::Equivalent, true) => {
+                    self.merge_log.push(candidate.merge);
+                    self.notify(|o| o.on_merge(candidate.merge.0, candidate.merge.1));
+                    true
+                }
+                (EquivOutcome::CounterExample(trace), false) => {
+                    plan.refuted += 1;
+                    self.notify(|o| o.on_counterexample(&trace[..trace_len]));
+                    true
+                }
+                // An undetermined base, or a step that is undetermined or
+                // satisfiable: the induction hypothesis admits unreachable
+                // states, so a satisfiable step only means the depth was
+                // too shallow.
+                _ => {
+                    plan.undet += 1;
+                    true
+                }
+            };
+            let next = if settled { next / 2 * 2 + 2 } else { next + 1 };
+            self.phase = Phase::Latches { next };
+            self.committed_candidates += u64::from(settled);
+            if self.checkpoint_due() {
+                let phase = self.phase.clone();
+                self.emit_checkpoint(&phase);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -999,7 +1047,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         }
         let used = verdicts.len() + usize::from(query.is_some());
         for (driver, equivalent) in verdicts {
-            self.notify_simulation_verdict(candidate, driver, equivalent);
+            self.notify(|o| o.on_simulation_verdict(candidate, driver, equivalent));
         }
         let step = match (proved, query) {
             (Some(replacement), _) => Step::Merge(replacement),
@@ -1023,7 +1071,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         self.merged[candidate] = Some(replacement);
         self.merge_log.push((candidate, replacement));
         self.classes.remove(candidate);
-        self.notify_merge(candidate, replacement);
+        self.notify(|o| o.on_merge(candidate, replacement));
     }
 
     /// Resimulates a counter-example and refines the candidate classes.
@@ -1036,7 +1084,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     /// because class members agree on every earlier pattern by
     /// construction.
     fn refine_with_counterexample(&mut self, counterexample: &[bool]) {
-        self.notify_counterexample(counterexample);
+        self.notify(|o| o.on_counterexample(counterexample));
         let sim_start = Instant::now();
         let targets: Vec<NodeId> = self
             .classes
@@ -1048,25 +1096,42 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let (values, evaluated) =
             resim::eval_pattern_targets(self.original, counterexample, &targets);
         let skipped = self.original.num_ands() - evaluated;
-        self.notify_resimulation(targets.len(), evaluated, skipped);
+        self.notify(|o| o.on_resimulation(targets.len(), evaluated, skipped));
         let moved = self.classes.refine(&values);
         self.simulation_time += sim_start.elapsed();
         let num_classes = self.classes.classes().len();
-        self.notify_class_refined(num_classes, moved);
+        self.notify(|o| o.on_class_refined(num_classes, moved));
     }
 
     // ------------------------------------------------------------------
     // Cleanup and reporting.
     // ------------------------------------------------------------------
 
-    /// Cleans up the working copy and derives the report from the internal
-    /// stats counter plus the session's own gate/time measurements.
+    /// Cleans up the working copy — or applies a sequential sweep's latch
+    /// substitutions — and derives the report from the internal stats
+    /// counter plus the session's own gate/time measurements.
     fn finish(self) -> SweepResult {
-        let (cleaned, _) = self.result.cleanup();
+        let cleaned = match &self.seq {
+            Some(plan) => {
+                sequential::rebuild(self.original, plan.constants.iter().chain(&self.merge_log))
+            }
+            None => self.result.cleanup().0,
+        };
         let mut report = self.stats.counts();
         report.gates_before = self.original.num_ands();
         report.levels = self.original.depth();
         report.gates_after = cleaned.num_ands();
+        if self.config.seq_depth > 0 {
+            report.seq_latches_before = self.original.num_latches();
+            report.seq_latches_after = cleaned.num_latches();
+        }
+        if let Some(plan) = &self.seq {
+            report.seq_candidates = plan.candidates.len() as u64;
+            report.seq_ternary_constants = plan.constants.len() as u64;
+            report.seq_induction_refuted = plan.refuted;
+            report.seq_induction_undet = plan.undet;
+            report.ternary_iterations = plan.ternary_iterations;
+        }
         report.simulation_time = self.simulation_time;
         report.sat_time = self.sat_time;
         report.total_time = self.elapsed_base + self.started.elapsed();
@@ -1477,45 +1542,129 @@ mod tests {
         let input = aig.inputs()[0];
         let member = base.classes[0].0[1];
 
-        // The constant node as a constant candidate and as the queued one.
         let mut constant_node = base.clone();
         constant_node.constants = vec![ConstantCandidate {
             node: 0,
             value: false,
         }];
         constant_node.phase = queued(0, false);
-        // The constant node queued only.
         let mut queued_constant_node = base.clone();
         queued_constant_node.phase = queued(0, true);
-        // An input as a constant candidate.
         let mut input_constant = base.clone();
         input_constant.constants = vec![ConstantCandidate {
             node: input,
             value: false,
         }];
-        // An input as a class representative.
         let mut input_member = base.clone();
         input_member.classes = vec![(vec![input, member], vec![false, false])];
+        assert_resume_refuses(
+            &aig,
+            [
+                ("the constant node as candidate and queued", constant_node),
+                ("the constant node queued only", queued_constant_node),
+                ("an input as a constant candidate", input_constant),
+                ("an input as a class representative", input_member),
+            ],
+        );
+    }
 
-        for checkpoint in [
-            constant_node,
-            queued_constant_node,
-            input_constant,
-            input_member,
-        ] {
-            // Through bytes, as a checkpoint from outside the process: the
-            // encoder writes a valid checksum, so only resume can object.
+    /// Resumes each checkpoint through its bytes, as a checkpoint from
+    /// outside the process (the encoder writes a valid checksum, so only
+    /// resume can object), and demands a typed mismatch.
+    fn assert_resume_refuses<'a>(
+        aig: &Aig,
+        crafted: impl IntoIterator<Item = (&'a str, SweepCheckpoint)>,
+    ) {
+        for (what, checkpoint) in crafted {
             let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
-            match Sweeper::new(Engine::Stp).resume_from(&aig, &decoded) {
+            match Sweeper::new(Engine::Stp).resume_from(aig, &decoded) {
                 Err(SweepError::CheckpointMismatch(_)) => {}
-                Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),
-                Ok(_) => panic!(
-                    "resume must refuse a non-AND candidate: classes {:?}, constants {:?}, \
-                     phase {:?}",
-                    decoded.classes, decoded.constants, decoded.phase
-                ),
+                Err(other) => panic!("{what}: expected CheckpointMismatch, got {other:?}"),
+                Ok(_) => panic!("{what}: resume must refuse the checkpoint"),
             }
         }
+    }
+
+    /// Three identical latches (`q_i' = q_i ⊕ x`, all reset to 0): the
+    /// candidates are `(q1 → q0)` and `(q2 → q0)`.
+    fn triplicated_latch() -> Aig {
+        let mut aig = Aig::new();
+        let x = aig.add_input("x");
+        let states: Vec<Lit> = (0..3)
+            .map(|i| aig.add_latch(format!("q{i}"), netlist::LatchInit::Zero))
+            .collect();
+        for (l, &q) in states.iter().enumerate() {
+            let next = aig.xor(q, x);
+            aig.set_latch_next(l, next);
+        }
+        let y = aig.or_many(&states);
+        aig.add_output("y", y);
+        aig
+    }
+
+    #[test]
+    fn crafted_sequential_checkpoints_are_rejected() {
+        let aig = triplicated_latch();
+        // Three calls: (q1 → q0) is merged and the base of (q2 → q0) is
+        // proved; the stop falls before that pair's step.
+        let stop = Sweeper::new(Engine::Stp)
+            .config(SweepConfig::sequential(1))
+            .budget(Budget::unlimited().with_max_sat_calls(3))
+            .run(&aig)
+            .unwrap_err()
+            .into_checkpoint()
+            .expect("a primed stop carries a checkpoint");
+        let q = |i: usize| aig.latch_state_lit(i);
+        assert_eq!(stop.phase, PhasePod::Latches { next: 3 });
+        assert_eq!(stop.merge_log, vec![(q(1).node(), q(0))]);
+        assert!(Sweeper::new(Engine::Stp).resume_from(&aig, &stop).is_ok());
+        let combinational = Sweeper::new(Engine::Stp)
+            .begin(&aig)
+            .expect("primes")
+            .checkpoint();
+        let crafted = |edit: &dyn Fn(&mut SweepCheckpoint)| {
+            let mut checkpoint = stop.clone();
+            edit(&mut checkpoint);
+            checkpoint
+        };
+        let cases = [
+            (
+                "a chain",
+                crafted(&|c| c.merge_log = vec![(q(0).node(), q(1)), (q(1).node(), q(2))]),
+            ),
+            (
+                "a self-merge",
+                crafted(&|c| c.merge_log = vec![(q(1).node(), q(1))]),
+            ),
+            (
+                "an entry past the cursor",
+                crafted(&|c| c.merge_log.push((q(2).node(), q(0)))),
+            ),
+            (
+                "a merging phase at seq_depth 1",
+                crafted(&|c| c.phase = PhasePod::Merging { pending: vec![] }),
+            ),
+            (
+                "a latch cursor out of range",
+                crafted(&|c| c.phase = PhasePod::Latches { next: 6 }),
+            ),
+            (
+                "a settled count that disagrees with the cursor",
+                crafted(&|c| c.committed_candidates = u64::MAX),
+            ),
+            (
+                "a solver of another network",
+                crafted(&|c| c.solver = combinational.solver.clone()),
+            ),
+            (
+                "a latch phase at seq_depth 0",
+                SweepCheckpoint {
+                    phase: PhasePod::Latches { next: 0 },
+                    ..combinational.clone()
+                },
+            ),
+        ];
+        assert_resume_refuses(&aig, cases);
     }
 
     #[test]

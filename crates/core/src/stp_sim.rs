@@ -18,7 +18,6 @@
 use bitsim::{kernels, parallel, PatternSet, SigRef, Signature, SignatureArena};
 use netlist::{LutNetwork, LutNode, LutNodeId};
 use std::collections::HashMap;
-use stp::LogicMatrix;
 use truthtable::{compose, TruthTable};
 
 /// Hard ceiling on the number of leaves of a collapsed cut (beyond this the
@@ -73,19 +72,16 @@ pub struct StpSimulator<'a> {
 }
 
 impl<'a> StpSimulator<'a> {
-    /// Prepares the simulator: every LUT function is converted once into its
-    /// logic matrix.
+    /// Prepares the simulator: the packed truth-table words of every LUT
+    /// are its logic matrix read column-wise (Definition 2), so they are
+    /// copied once into flat per-node rows.
     pub fn new(net: &'a LutNetwork) -> Self {
         let mut node_words = Vec::with_capacity(net.num_nodes());
         let mut node_fanins = Vec::with_capacity(net.num_nodes());
         for id in net.node_ids() {
             match net.node(id) {
                 LutNode::Lut { fanins, function } => {
-                    // The logic matrix of the node; its packed truth-table
-                    // words are what column selection indexes into.
-                    let matrix =
-                        LogicMatrix::from_truth_table_bits(function.num_vars(), function.words());
-                    node_words.push(matrix.to_truth_table_bits());
+                    node_words.push(function.words().to_vec());
                     node_fanins.push(fanins.clone());
                 }
                 _ => {

@@ -11,6 +11,7 @@
 use crate::cnf::{SatLit, Var};
 use crate::solver::{SolveResult, Solver, SolverSnapshot, SolverStats};
 use netlist::{Aig, AigNode, Lit, NodeId};
+use std::borrow::Cow;
 
 /// A complete snapshot of a [`CircuitSat`] front-end: the underlying
 /// [`SolverSnapshot`] plus the lazy node-encoding maps.  Restoring it against
@@ -55,7 +56,8 @@ pub struct QueryStats {
     pub undetermined_calls: u64,
 }
 
-/// Incremental SAT interface over a fixed AIG.
+/// Incremental SAT interface over a fixed AIG, borrowed
+/// ([`CircuitSat::new`]) or owned ([`CircuitSat::new_owned`]).
 ///
 /// ```
 /// use netlist::Aig;
@@ -77,7 +79,7 @@ pub struct QueryStats {
 /// ```
 #[derive(Debug)]
 pub struct CircuitSat<'a> {
-    aig: &'a Aig,
+    aig: Cow<'a, Aig>,
     solver: Solver,
     /// SAT variable of each AIG node, allocated lazily.
     node_var: Vec<Option<Var>>,
@@ -89,11 +91,22 @@ pub struct CircuitSat<'a> {
 impl<'a> CircuitSat<'a> {
     /// Creates a front-end for the given AIG.
     pub fn new(aig: &'a Aig) -> Self {
+        Self::over(Cow::Borrowed(aig))
+    }
+
+    /// Creates a front-end that owns its AIG, for a caller that builds the
+    /// network only to query it.
+    pub fn new_owned(aig: Aig) -> Self {
+        Self::over(Cow::Owned(aig))
+    }
+
+    fn over(aig: Cow<'a, Aig>) -> Self {
+        let num_nodes = aig.num_nodes();
         CircuitSat {
             aig,
             solver: Solver::new(),
-            node_var: vec![None; aig.num_nodes()],
-            encoded: vec![false; aig.num_nodes()],
+            node_var: vec![None; num_nodes],
+            encoded: vec![false; num_nodes],
             stats: QueryStats::default(),
         }
     }
@@ -126,6 +139,15 @@ impl<'a> CircuitSat<'a> {
     /// same network.  Returns an error message if the snapshot's arities or
     /// references do not fit the network or the solver state is corrupt.
     pub fn from_snapshot(aig: &'a Aig, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
+        Self::restore(Cow::Borrowed(aig), snap)
+    }
+
+    /// [`CircuitSat::from_snapshot`] for a front-end that owns its AIG.
+    pub fn from_snapshot_owned(aig: Aig, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
+        Self::restore(Cow::Owned(aig), snap)
+    }
+
+    fn restore(aig: Cow<'a, Aig>, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
         if snap.node_var.len() != aig.num_nodes() || snap.encoded.len() != aig.num_nodes() {
             return Err("circuit snapshot was taken against a different network");
         }
@@ -137,6 +159,14 @@ impl<'a> CircuitSat<'a> {
             .any(|&v| v as usize >= solver.num_vars())
         {
             return Err("circuit snapshot references an unallocated SAT variable");
+        }
+        if snap
+            .encoded
+            .iter()
+            .zip(&snap.node_var)
+            .any(|(&encoded, var)| encoded && var.is_none())
+        {
+            return Err("circuit snapshot marks a node encoded that has no SAT variable");
         }
         Ok(CircuitSat {
             aig,
@@ -424,6 +454,9 @@ mod tests {
         let snap = original.snapshot();
         let mut restored = CircuitSat::from_snapshot(&aig, &snap).expect("valid snapshot");
         assert_eq!(restored.snapshot(), snap);
+        // A front-end that owns its copy of the network restores the same.
+        let mut owned =
+            CircuitSat::from_snapshot_owned(aig.clone(), &snap).expect("valid snapshot");
 
         // Identical future queries — outcomes, counter-example models and
         // final states all agree.
@@ -432,10 +465,19 @@ mod tests {
                 let a = original.prove_equivalent(gates[i], gates[j], 10_000);
                 let b = restored.prove_equivalent(gates[i], gates[j], 10_000);
                 assert_eq!(a, b, "query ({i}, {j})");
+                assert_eq!(owned.prove_equivalent(gates[i], gates[j], 10_000), a);
             }
         }
         assert_eq!(original.snapshot(), restored.snapshot());
+        assert_eq!(original.snapshot(), owned.snapshot());
         assert_eq!(original.query_stats(), restored.query_stats());
+
+        // A node marked encoded without a variable would panic on its next
+        // query, so restore refuses such a snapshot.
+        let mut unencodable = snap.clone();
+        let node = snap.encoded.iter().position(|&e| e).expect("cones encoded");
+        unencodable.node_var[node] = None;
+        assert!(CircuitSat::from_snapshot(&aig, &unencodable).is_err());
 
         // A snapshot taken against one network is rejected by another.
         let mut other = Aig::new();

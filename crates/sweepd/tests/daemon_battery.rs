@@ -448,7 +448,7 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 #[test]
 fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
     // A spilled sweep job whose `SWC1` sidecar holds checkpoint bytes of
-    // format version 7: intact as a spill file, but not a checkpoint this
+    // format version 8: intact as a spill file, but not a checkpoint this
     // build decodes.  The job is re-adopted as queued — exactly like a job
     // with a corrupt checkpoint — and reruns to the uninterrupted result.
     let aig = inject_redundancy(&generators::barrel_shifter(8), 0.5, 21);
@@ -466,14 +466,14 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
         },
     )
     .expect("job spills");
-    let mut v7 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
-    v7.extend_from_slice(&7u32.to_le_bytes());
-    v7.extend_from_slice(&[0x5A; 256]);
+    let mut v8 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
+    v8.extend_from_slice(&8u32.to_le_bytes());
+    v8.extend_from_slice(&[0x5A; 256]);
     assert_eq!(
-        stp_sweep::SweepCheckpoint::decode(&v7),
-        Err(stp_sweep::CheckpointError::UnsupportedVersion(7))
+        stp_sweep::SweepCheckpoint::decode(&v8),
+        Err(stp_sweep::CheckpointError::UnsupportedVersion(8))
     );
-    dir.write_checkpoint(fp, &v7).expect("checkpoint spills");
+    dir.write_checkpoint(fp, &v8).expect("checkpoint spills");
 
     let service = SweepService::start(ServiceConfig {
         workers: 1,

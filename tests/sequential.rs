@@ -2,16 +2,17 @@
 //! commits is verified against the BMC sequential-equivalence oracle
 //! ([`bmc_sec`]), planted redundancy must actually be found, a seeded
 //! single-gate mutation must be rejected by the oracle (negative control),
-//! and the sweep must be byte-identical across every thread count, both
-//! engine labels and a cancel → resume boundary.
+//! and the sweep must be byte-identical across both engine labels, every
+//! SAT-call cancel → resume boundary and every periodic checkpoint.
 
 use stp_sat_sweep::netlist::aiger::write_aiger_string;
-use stp_sat_sweep::netlist::{Aig, LatchInit};
+use stp_sat_sweep::netlist::{Aig, LatchInit, Lit};
 use stp_sat_sweep::workloads::sequential::{
     flip_and_input, random_sequential_aig, sequential_miter, with_duplicate_latches,
 };
 use stp_sat_sweep::{
-    bmc_sec, Budget, Engine, SweepConfig, SweepError, SweepReport, SweepResult, Sweeper,
+    bmc_sec, Budget, Engine, Observer, SweepCheckpoint, SweepConfig, SweepError, SweepReport,
+    SweepResult, Sweeper,
 };
 
 const ORACLE_FRAMES: usize = 6;
@@ -220,37 +221,36 @@ fn the_sweep_is_identical_across_threads_parallelism_and_engines() {
     }
 }
 
-#[test]
-fn a_cancelled_sweep_resumes_to_the_uninterrupted_result() {
-    let base = random_sequential_aig(4, 5, 5, false, 23);
-    let workload = with_duplicate_latches(&base, 4);
-    let uninterrupted = run_seq(&workload.aig, seq_config());
+/// Stops a run of `config` on `aig` at every SAT-call cap in `1..n`,
+/// resumes each stop checkpoint through its bytes, and demands byte- and
+/// counter-identical final results.  Returns the uninterrupted result.
+fn assert_every_cap_resumes(aig: &Aig, config: SweepConfig) -> SweepResult {
+    let uninterrupted = run_seq(aig, config);
     let total_calls = uninterrupted.report.sat_calls_total;
     assert!(
         total_calls >= 2,
         "the battery needs a run worth interrupting"
     );
-
-    // Interrupt at every feasible SAT-call budget, resume each, and demand
-    // byte- and counter-identical final results.
-    for limit in [1, total_calls / 2, total_calls - 1] {
-        let budget = Budget::unlimited().with_max_sat_calls(limit);
+    let reference_bytes = write_aiger_string(&uninterrupted.aig);
+    for limit in 1..total_calls {
         let err = Sweeper::new(Engine::Stp)
-            .config(seq_config())
-            .budget(budget)
-            .run(&workload.aig)
+            .config(config)
+            .budget(Budget::unlimited().with_max_sat_calls(limit))
+            .run(aig)
             .expect_err("the budget must trip mid-run");
         let SweepError::BudgetExhausted { checkpoint, .. } = err else {
             panic!("expected BudgetExhausted, got {err:?}");
         };
-        let checkpoint = *checkpoint.expect("a primed run leaves a resumable checkpoint");
+        let checkpoint = checkpoint.expect("a primed run leaves a resumable checkpoint");
+        assert_eq!(checkpoint.sat_calls(), limit, "the cap is never overshot");
+        let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
         let resumed = Sweeper::new(Engine::Stp)
-            .config(seq_config())
-            .resume_run(&workload.aig, &checkpoint)
+            .resume_from(aig, &decoded)
+            .and_then(|session| session.run())
             .expect("the resumed run finishes under an unlimited budget");
         assert_eq!(
             write_aiger_string(&resumed.aig),
-            write_aiger_string(&uninterrupted.aig),
+            reference_bytes,
             "limit={limit}: resume diverged from the uninterrupted sweep"
         );
         assert_eq!(
@@ -259,35 +259,152 @@ fn a_cancelled_sweep_resumes_to_the_uninterrupted_result() {
             "limit={limit}: resumed counters diverged"
         );
     }
+    uninterrupted
 }
 
 #[test]
-fn sessions_and_combinational_resume_reject_sequential_work() {
-    let base = random_sequential_aig(3, 3, 3, false, 1);
-    let err = Sweeper::new(Engine::Stp)
-        .config(seq_config())
-        .begin(&base)
-        .map(|_| ())
-        .expect_err("a SweepSession cannot drive a sequential sweep");
-    assert!(matches!(err, SweepError::InvalidConfig(_)), "{err:?}");
+fn a_cancelled_sweep_resumes_to_the_uninterrupted_result() {
+    let base = random_sequential_aig(4, 5, 5, false, 23);
+    let workload = with_duplicate_latches(&base, 4);
+    assert_every_cap_resumes(&workload.aig, seq_config());
+}
 
-    // A sequential checkpoint must not resume through the combinational
-    // session path.
-    let budget = Budget::unlimited().with_max_sat_calls(1);
+#[test]
+fn a_sequential_session_checkpoints_and_resumes_to_the_uninterrupted_result() {
+    let base = random_sequential_aig(3, 3, 3, false, 1);
     let workload = with_duplicate_latches(&base, 2);
-    let err = Sweeper::new(Engine::Stp)
-        .config(seq_config())
-        .budget(budget)
-        .run(&workload.aig)
-        .expect_err("the one-call budget must trip");
-    let SweepError::BudgetExhausted { checkpoint, .. } = err else {
-        panic!("expected BudgetExhausted, got {err:?}");
+    let reference = run_seq(&workload.aig, seq_config());
+    let reference_bytes = write_aiger_string(&reference.aig);
+    assert!(
+        reference.report.merges >= 1,
+        "the run must merge a latch pair"
+    );
+    let assert_identical = |result: &SweepResult, what: &str| {
+        assert_eq!(write_aiger_string(&result.aig), reference_bytes, "{what}");
+        assert_eq!(
+            counters(&result.report),
+            counters(&reference.report),
+            "{what}"
+        );
     };
-    let checkpoint = *checkpoint.expect("resumable checkpoint");
-    let err = Sweeper::new(Engine::Stp)
+
+    // A primed session's checkpoint, taken before any query, resumes to
+    // the uninterrupted result.
+    let session = Sweeper::new(Engine::Stp)
         .config(seq_config())
+        .begin(&workload.aig)
+        .expect("a session drives a sequential sweep");
+    assert_eq!(
+        session.num_candidates() as u64,
+        reference.report.seq_candidates
+    );
+    let checkpoint = session.checkpoint();
+    assert_eq!(checkpoint.committed_candidates(), 0);
+    drop(session);
+    let resumed = Sweeper::new(Engine::Stp)
         .resume_from(&workload.aig, &checkpoint)
-        .map(|_| ())
-        .expect_err("resume_from must reject sequential checkpoints");
-    assert!(matches!(err, SweepError::CheckpointMismatch(_)), "{err:?}");
+        .and_then(|session| session.run())
+        .expect("the session checkpoint resumes");
+    assert_identical(&resumed, "begin -> checkpoint -> resume_from -> run");
+
+    // Every periodic checkpoint, one per settled latch pair, resumes to it
+    // too, and emitting them does not perturb the run.
+    struct Collector(Vec<SweepCheckpoint>);
+    impl Observer for Collector {
+        fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, _encoded: &[u8]) {
+            self.0.push(checkpoint.clone());
+        }
+    }
+    let mut collector = Collector(Vec::new());
+    let checkpointed = Sweeper::new(Engine::Stp)
+        .config(seq_config().checkpoint_every(1))
+        .observer(&mut collector)
+        .run(&workload.aig)
+        .expect("the checkpointed run finishes");
+    assert_eq!(
+        collector.0.len() as u64,
+        reference.report.seq_candidates,
+        "one periodic checkpoint per settled latch pair"
+    );
+    assert_identical(&checkpointed, "the checkpointed run itself");
+    for (i, checkpoint) in collector.0.iter().enumerate() {
+        assert_eq!(checkpoint.committed_candidates(), i as u64 + 1);
+        let resumed = Sweeper::new(Engine::Stp)
+            .resume_from(&workload.aig, checkpoint)
+            .and_then(|session| session.run())
+            .expect("a periodic checkpoint resumes");
+        assert_identical(&resumed, &format!("periodic checkpoint {i}"));
+    }
+}
+
+/// A machine whose latch pairs exercise every induction verdict at `k = 2`:
+///
+/// * `p ≡ q` (`p' = u`, `q' = v`) is 2-inductive: agreeing on frame 1
+///   forces `u = v`, so they agree on frame 2 as well;
+/// * `a ≡ b` (`a' = p`, `b' = q`) needs `k = 3`: from a free state with
+///   `u ≠ v` the pair agrees on frames 0 and 1 and differs on frame 2, so
+///   its step is satisfiable;
+/// * `c`, `d` (next states: ANDs of 20 inputs that differ in one) look
+///   equal to random simulation, but the base case separates them in
+///   frame 1.
+///
+/// `u` and `v` are stuck at 1, so the ternary analysis commits them as
+/// constants, but the induction network keeps them free.
+fn every_verdict_machine() -> Aig {
+    let mut aig = Aig::new();
+    let xs = aig.add_inputs("x", 21);
+    let names = ["u", "v", "p", "q", "a", "b", "c", "d"];
+    let states: Vec<Lit> = names
+        .iter()
+        .map(|&name| {
+            let init = if matches!(name, "u" | "v") {
+                LatchInit::One
+            } else {
+                LatchInit::Zero
+            };
+            aig.add_latch(name, init)
+        })
+        .collect();
+    let [u, v, p, q, ..] = states[..] else {
+        unreachable!("eight latches")
+    };
+    let c_next = aig.and_many(&xs[..20]);
+    let mut d_inputs = xs[..19].to_vec();
+    d_inputs.push(xs[20]);
+    let d_next = aig.and_many(&d_inputs);
+    for (l, next) in [u, v, u, v, p, q, c_next, d_next].into_iter().enumerate() {
+        aig.set_latch_next(l, next);
+    }
+    for (name, &state) in names.iter().zip(&states) {
+        aig.add_output(format!("y_{name}"), state);
+    }
+    aig
+}
+
+#[test]
+fn refuted_bases_and_undetermined_steps_resume_exactly() {
+    let aig = every_verdict_machine();
+    let config = seq_config().with_seq_depth(2);
+    let result = assert_every_cap_resumes(&aig, config);
+    let r = &result.report;
+    assert_eq!(r.seq_ternary_constants, 2, "u and v are stuck at 1");
+    assert_eq!(r.seq_candidates, 3, "(q, p), (b, a) and (d, c)");
+    assert_eq!(r.merges, 1, "only q merges into p");
+    assert_eq!(
+        r.seq_induction_undet, 1,
+        "the step of (b, a) is satisfiable"
+    );
+    assert_eq!(
+        r.seq_induction_refuted, 1,
+        "the base of (d, c) is satisfiable"
+    );
+    assert_eq!(r.sat_calls_sat, 2);
+    assert_oracle_accepts(&aig, &result.aig);
+
+    // One more frame of induction proves (b, a); (d, c) stays refuted.
+    let deeper = run_seq(&aig, config.with_seq_depth(3));
+    assert_eq!(deeper.report.merges, 2);
+    assert_eq!(deeper.report.seq_induction_undet, 0);
+    assert_eq!(deeper.report.seq_induction_refuted, 1);
+    assert_oracle_accepts(&aig, &deeper.aig);
 }
