@@ -3,21 +3,24 @@
 //! A [`SweepCheckpoint`] is a versioned, self-describing snapshot of a
 //! [`crate::SweepSession`] at a candidate boundary: the candidate
 //! equivalence classes, the ordered merge log, the phase cursor, the
-//! cumulative report counters — and, crucially, a behaviour-exact snapshot
-//! of the session's incremental SAT solver
-//! ([`satsolver::CircuitSatSnapshot`]).
+//! cumulative report counters — and, crucially, the behaviour-exact state
+//! of the session's incremental SAT solver, as the opaque bytes of
+//! [`satsolver::CircuitSat::snapshot`].
 //! CDCL solvers are history-dependent (learnt clauses, VSIDS activities,
 //! saved phases steer every future query), so carrying its exact state is
 //! what makes the headline guarantee possible: **cancel at any candidate
 //! boundary, resume with [`crate::Sweeper::resume_from`], and the final SAT
 //! calls, merges and AIGER bytes are identical to an uninterrupted run**.
 //!
-//! The on-disk format is a dependency-free little-endian binary codec with
-//! an integrity header: an 8-byte magic, a format version and the
-//! fingerprint of the netlist the checkpoint was taken against.  Decoding
-//! truncated or corrupt bytes yields a typed [`CheckpointError`] (never a
-//! panic), and resuming against a mutated network is rejected with
-//! [`crate::SweepError::CheckpointMismatch`] instead of corrupting results.
+//! The on-disk format is written with the bounded little-endian codec of
+//! [`satsolver::codec`], under an integrity header: an 8-byte magic, a
+//! format version and the fingerprint of the netlist the checkpoint was
+//! taken against.  The solver state is one length-prefixed blob that only
+//! `satsolver` parses, when the checkpoint is resumed.  Decoding truncated
+//! or corrupt bytes yields a typed [`CheckpointError`] (never a panic), and
+//! resuming against a mutated network or with solver state that does not
+//! parse is rejected with [`crate::SweepError::CheckpointMismatch`] instead
+//! of corrupting results.
 //!
 //! ```
 //! use netlist::Aig;
@@ -50,10 +53,7 @@ use crate::observer::StatsObserver;
 use crate::report::SweepConfig;
 use crate::session::Engine;
 use netlist::{Aig, AigNode, Lit, NodeId};
-use satsolver::{
-    CircuitSatSnapshot, ClauseSnapshot, QueryStats, SatLit, SolverConfig, SolverSnapshot,
-    SolverStats,
-};
+use satsolver::codec::{DecodeError, Reader, Writer};
 use std::fmt;
 use std::time::Duration;
 
@@ -62,15 +62,18 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 9 holds the session's
-/// one solver and its phase cursor for both sweeps: a sequential sweep is a
-/// session phase whose cursor is the next induction query, and its solver
-/// snapshot is that of the induction network.  There are no pattern words
-/// or resimulation state: the classes and the solver carry everything a
+/// [`CheckpointError::UnsupportedVersion`].  Version 10 carries the
+/// session's one solver as the opaque, length-prefixed bytes of
+/// [`satsolver::CircuitSat::snapshot`], which hold only what a later query
+/// reads, and drops the canonical fingerprint of the network.  As in
+/// version 9, both sweeps share the layout: a sequential sweep is a session
+/// phase whose cursor is the next induction query, and its solver state is
+/// that of the induction network.  There are no pattern words or
+/// resimulation state: the classes and the solver carry everything a
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 9;
+pub const CHECKPOINT_VERSION: u32 = 10;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -108,6 +111,15 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<DecodeError> for CheckpointError {
+    fn from(err: DecodeError) -> Self {
+        match err {
+            DecodeError::Truncated => CheckpointError::Truncated,
+            DecodeError::Corrupt(what) => CheckpointError::Corrupt(what),
+        }
+    }
+}
 
 impl From<CheckpointError> for crate::error::SweepError {
     fn from(err: CheckpointError) -> Self {
@@ -208,10 +220,6 @@ pub(crate) enum PhasePod {
 pub struct SweepCheckpoint {
     /// Fingerprint of the network the checkpoint was taken against.
     pub(crate) fingerprint: u64,
-    /// Canonical (topological-order-invariant) fingerprint of the same
-    /// network ([`netlist::canonical_fingerprint`]).  Used by services to
-    /// recognise a resubmitted job whose parser renumbered the circuit.
-    pub(crate) canonical_fingerprint: u64,
     /// Whether the session was primed (patterns generated, classes built).
     /// An unprimed checkpoint resumes by re-priming from scratch.
     pub(crate) primed: bool,
@@ -233,10 +241,11 @@ pub struct SweepCheckpoint {
     /// Wall-clock already consumed before this checkpoint (added to the
     /// resumed leg's elapsed time in the final report).
     pub(crate) elapsed: Duration,
-    /// The session's incremental solver (pattern generation, constant
-    /// proofs and pairwise merges — or, for a sequential sweep, induction
-    /// over its unrolled network).
-    pub(crate) solver: CircuitSatSnapshot,
+    /// The encoded state of the session's incremental solver (pattern
+    /// generation, constant proofs and pairwise merges — or, for a
+    /// sequential sweep, induction over its unrolled network), parsed by
+    /// [`satsolver::CircuitSat::from_snapshot`] on resume.
+    pub(crate) solver: Vec<u8>,
     /// Latch-correspondence candidates of the sequential analysis
     /// (sequential checkpoints only; zero otherwise).
     pub(crate) seq_candidates: u64,
@@ -260,23 +269,6 @@ impl SweepCheckpoint {
     /// structure).
     pub fn matches(&self, aig: &Aig) -> bool {
         self.fingerprint == netlist_fingerprint(aig)
-    }
-
-    /// The canonical (renumbering-invariant) fingerprint of the network
-    /// this checkpoint was taken against.  See
-    /// [`netlist::canonical_fingerprint`].
-    pub fn canonical_fingerprint(&self) -> u64 {
-        self.canonical_fingerprint
-    }
-
-    /// `true` if this checkpoint was taken against the same circuit as
-    /// `aig` *up to node renumbering*.  Such a checkpoint still cannot be
-    /// resumed against `aig` directly — its merge log names concrete node
-    /// ids — but a service can use this to route the job to the stored
-    /// original netlist (see `sweepd`'s spill-adoption).
-    pub fn matches_canonical(&self, aig: &Aig) -> bool {
-        self.canonical_fingerprint != 0
-            && self.canonical_fingerprint == netlist::canonical_fingerprint(aig)
     }
 
     /// The engine of the checkpointed run.
@@ -315,7 +307,6 @@ impl SweepCheckpoint {
         w.bytes(&CHECKPOINT_MAGIC);
         w.u32(CHECKPOINT_VERSION);
         w.u64(self.fingerprint);
-        w.u64(self.canonical_fingerprint);
         w.boolean(self.primed);
         w.u8(match self.engine {
             Engine::Baseline => 0,
@@ -324,36 +315,24 @@ impl SweepCheckpoint {
         encode_config(&mut w, &self.config);
         w.usize(self.round);
         encode_phase(&mut w, &self.phase);
-        w.usize(self.merge_log.len());
-        for &(node, lit) in &self.merge_log {
+        w.vec(&self.merge_log, |w, &(node, lit)| {
             w.usize(node);
             w.u32(lit.index());
-        }
-        w.usize(self.dont_touch.len());
-        for &node in &self.dont_touch {
-            w.usize(node);
-        }
-        w.usize(self.classes.len());
-        for (members, phases) in &self.classes {
-            w.usize(members.len());
-            for &m in members {
-                w.usize(m);
-            }
+        });
+        w.vec(&self.dont_touch, |w, &node| w.usize(node));
+        w.vec(&self.classes, |w, (members, phases)| {
+            w.vec(members, |w, &m| w.usize(m));
             for &p in phases {
                 w.boolean(p);
             }
-        }
-        w.usize(self.constants.len());
-        for c in &self.constants {
-            w.usize(c.node);
-            w.boolean(c.value);
-        }
+        });
+        w.vec(&self.constants, encode_constant);
         encode_stats(&mut w, &self.stats);
         w.u64(self.committed_candidates);
         w.duration(self.simulation_time);
         w.duration(self.sat_time);
         w.duration(self.elapsed);
-        encode_circuit_snapshot(&mut w, &self.solver);
+        w.blob(&self.solver);
         w.u64(self.seq_candidates);
         w.u64(self.seq_ternary_constants);
         w.u64(self.seq_induction_refuted);
@@ -362,15 +341,16 @@ impl SweepCheckpoint {
         // Payload checksum (everything up to here, header included): bit
         // flips anywhere in the file are caught at decode time instead of
         // resuming into a silently different run.
-        let checksum = fnv64(&w.buf);
+        let checksum = fnv64(w.as_bytes());
         w.u64(checksum);
-        w.buf
+        w.into_bytes()
     }
 
     /// Decodes a checkpoint from bytes, verifying the magic and format
     /// version.  Truncated or corrupt input yields a typed error, never a
-    /// panic.  Structural validation against the resume target happens in
-    /// [`crate::Sweeper::resume_from`].
+    /// panic.  The solver state is only bounded and copied here; it is
+    /// parsed, and validated against the resume target with the rest of
+    /// the checkpoint, in [`crate::Sweeper::resume_from`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         // Header checks come first so wrong-file and wrong-version inputs
         // get their specific errors; the payload checksum then catches any
@@ -395,89 +375,44 @@ impl SweepCheckpoint {
         }
         let mut r = Reader::new(body);
         let _ = r.bytes(12)?; // magic and version, verified above
-        let fingerprint = r.u64()?;
-        let canonical_fingerprint = r.u64()?;
-        let primed = r.boolean()?;
-        let engine = match r.u8()? {
-            0 => Engine::Baseline,
-            1 => Engine::Stp,
-            _ => return Err(CheckpointError::Corrupt("unknown engine tag")),
+
+        // Fields in their encoding order: a struct expression evaluates its
+        // fields as written.
+        let checkpoint = SweepCheckpoint {
+            fingerprint: r.u64()?,
+            primed: r.boolean()?,
+            engine: match r.u8()? {
+                0 => Engine::Baseline,
+                1 => Engine::Stp,
+                _ => return Err(CheckpointError::Corrupt("unknown engine tag")),
+            },
+            config: decode_config(&mut r)?,
+            round: r.usize()?,
+            phase: decode_phase(&mut r)?,
+            merge_log: r.vec(12, |r| Ok((r.usize()?, Lit::from_index(r.u32()?))))?,
+            dont_touch: r.vec(8, Reader::usize)?,
+            classes: r.vec(8, |r| {
+                let members = r.vec(8, Reader::usize)?;
+                let phases = r.seq(members.len(), Reader::boolean)?;
+                Ok((members, phases))
+            })?,
+            constants: r.vec(9, decode_constant)?,
+            stats: decode_stats(&mut r)?,
+            committed_candidates: r.u64()?,
+            simulation_time: r.duration()?,
+            sat_time: r.duration()?,
+            elapsed: r.duration()?,
+            solver: r.blob()?.to_vec(),
+            seq_candidates: r.u64()?,
+            seq_ternary_constants: r.u64()?,
+            seq_induction_refuted: r.u64()?,
+            seq_induction_undet: r.u64()?,
+            seq_ternary_iterations: r.u64()?,
         };
-        let config = decode_config(&mut r)?;
-        let round = r.usize()?;
-        let phase = decode_phase(&mut r)?;
-        let merge_log = {
-            let len = r.vec_len(12)?;
-            let mut log = Vec::with_capacity(len);
-            for _ in 0..len {
-                let node = r.usize()?;
-                let lit = Lit::from_index(r.u32()?);
-                log.push((node, lit));
-            }
-            log
-        };
-        let dont_touch = r.usize_vec()?;
-        let classes = {
-            let len = r.vec_len(2)?;
-            let mut classes = Vec::with_capacity(len);
-            for _ in 0..len {
-                let members = r.usize_vec()?;
-                let mut phases = Vec::with_capacity(members.len());
-                for _ in 0..members.len() {
-                    phases.push(r.boolean()?);
-                }
-                classes.push((members, phases));
-            }
-            classes
-        };
-        let constants = {
-            let len = r.vec_len(9)?;
-            let mut constants = Vec::with_capacity(len);
-            for _ in 0..len {
-                let node = r.usize()?;
-                let value = r.boolean()?;
-                constants.push(ConstantCandidate { node, value });
-            }
-            constants
-        };
-        let stats = decode_stats(&mut r)?;
-        let committed_candidates = r.u64()?;
-        let simulation_time = r.duration()?;
-        let sat_time = r.duration()?;
-        let elapsed = r.duration()?;
-        let solver = decode_circuit_snapshot(&mut r)?;
-        let seq_candidates = r.u64()?;
-        let seq_ternary_constants = r.u64()?;
-        let seq_induction_refuted = r.u64()?;
-        let seq_induction_undet = r.u64()?;
-        let seq_ternary_iterations = r.u64()?;
         if !r.is_empty() {
             return Err(CheckpointError::Corrupt("trailing bytes after payload"));
         }
-        Ok(SweepCheckpoint {
-            fingerprint,
-            canonical_fingerprint,
-            primed,
-            engine,
-            config,
-            round,
-            phase,
-            merge_log,
-            dont_touch,
-            classes,
-            constants,
-            stats,
-            committed_candidates,
-            simulation_time,
-            sat_time,
-            elapsed,
-            solver,
-            seq_candidates,
-            seq_ternary_constants,
-            seq_induction_refuted,
-            seq_induction_undet,
-            seq_ternary_iterations,
-        })
+        Ok(checkpoint)
     }
 
     /// Writes the encoded checkpoint to a file.
@@ -567,25 +502,32 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
     })
 }
 
+fn encode_constant(w: &mut Writer, c: &ConstantCandidate) {
+    w.usize(c.node);
+    w.boolean(c.value);
+}
+
+fn decode_constant(r: &mut Reader<'_>) -> Result<ConstantCandidate, DecodeError> {
+    Ok(ConstantCandidate {
+        node: r.usize()?,
+        value: r.boolean()?,
+    })
+}
+
 fn encode_phase(w: &mut Writer, phase: &PhasePod) {
     match phase {
         PhasePod::Start => w.u8(0),
         PhasePod::Constants { queue, next } => {
             w.u8(1);
-            w.usize(queue.len());
-            for c in queue {
-                w.usize(c.node);
-                w.boolean(c.value);
-            }
+            w.vec(queue, encode_constant);
             w.usize(*next);
         }
         PhasePod::Merging { pending } => {
             w.u8(2);
-            w.usize(pending.len());
-            for &(node, attempts) in pending {
+            w.vec(pending, |w, &(node, attempts)| {
                 w.usize(node);
                 w.usize(attempts);
-            }
+            });
         }
         PhasePod::Done => w.u8(3),
         PhasePod::Latches { next } => {
@@ -598,411 +540,16 @@ fn encode_phase(w: &mut Writer, phase: &PhasePod) {
 fn decode_phase(r: &mut Reader<'_>) -> Result<PhasePod, CheckpointError> {
     match r.u8()? {
         0 => Ok(PhasePod::Start),
-        1 => {
-            let len = r.vec_len(9)?;
-            let mut queue = Vec::with_capacity(len);
-            for _ in 0..len {
-                let node = r.usize()?;
-                let value = r.boolean()?;
-                queue.push(ConstantCandidate { node, value });
-            }
-            let next = r.usize()?;
-            Ok(PhasePod::Constants { queue, next })
-        }
-        2 => {
-            let len = r.vec_len(16)?;
-            let mut pending = Vec::with_capacity(len);
-            for _ in 0..len {
-                let node = r.usize()?;
-                let attempts = r.usize()?;
-                pending.push((node, attempts));
-            }
-            Ok(PhasePod::Merging { pending })
-        }
+        1 => Ok(PhasePod::Constants {
+            queue: r.vec(9, decode_constant)?,
+            next: r.usize()?,
+        }),
+        2 => Ok(PhasePod::Merging {
+            pending: r.vec(16, |r| Ok((r.usize()?, r.usize()?)))?,
+        }),
         3 => Ok(PhasePod::Done),
         4 => Ok(PhasePod::Latches { next: r.usize()? }),
         _ => Err(CheckpointError::Corrupt("unknown phase tag")),
-    }
-}
-
-fn encode_solver_snapshot(w: &mut Writer, s: &SolverSnapshot) {
-    w.f64(s.config.var_decay);
-    w.f64(s.config.clause_decay);
-    w.u64(s.config.restart_base);
-    w.usize(s.config.learnt_limit_base);
-    w.usize(s.clauses.len());
-    for clause in &s.clauses {
-        w.usize(clause.lits.len());
-        for &lit in &clause.lits {
-            w.u32(lit.code() as u32);
-        }
-        w.boolean(clause.learnt);
-        w.f64(clause.activity);
-        w.boolean(clause.deleted);
-    }
-    w.usize(s.watches.len());
-    for list in &s.watches {
-        w.usize(list.len());
-        for &ci in list {
-            w.usize(ci);
-        }
-    }
-    w.usize(s.assigns.len());
-    for &a in &s.assigns {
-        w.opt_bool(a);
-    }
-    for &p in &s.phase {
-        w.boolean(p);
-    }
-    for &l in &s.level {
-        w.u32(l);
-    }
-    for &reason in &s.reason {
-        match reason {
-            None => w.boolean(false),
-            Some(ci) => {
-                w.boolean(true);
-                w.usize(ci);
-            }
-        }
-    }
-    for &a in &s.activity {
-        w.f64(a);
-    }
-    w.usize(s.order_heap.len());
-    for &v in &s.order_heap {
-        w.usize(v);
-    }
-    for &p in &s.order_position {
-        // `usize::MAX` marks absence; map it to `u64::MAX` portably.
-        w.u64(if p == usize::MAX { u64::MAX } else { p as u64 });
-    }
-    w.usize(s.trail.len());
-    for &lit in &s.trail {
-        w.u32(lit.code() as u32);
-    }
-    w.usize(s.qhead);
-    w.f64(s.var_inc);
-    w.f64(s.cla_inc);
-    w.boolean(s.ok);
-    w.usize(s.model.len());
-    for &m in &s.model {
-        w.opt_bool(m);
-    }
-    w.u64(s.stats.decisions);
-    w.u64(s.stats.propagations);
-    w.u64(s.stats.conflicts);
-    w.u64(s.stats.restarts);
-    w.u64(s.stats.learnt_clauses);
-    w.u64(s.stats.solve_calls);
-    w.usize(s.num_learnts);
-}
-
-fn decode_solver_snapshot(r: &mut Reader<'_>) -> Result<SolverSnapshot, CheckpointError> {
-    let config = SolverConfig {
-        var_decay: r.f64()?,
-        clause_decay: r.f64()?,
-        restart_base: r.u64()?,
-        learnt_limit_base: r.usize()?,
-    };
-    let clauses = {
-        let len = r.vec_len(10)?;
-        let mut clauses = Vec::with_capacity(len);
-        for _ in 0..len {
-            let lits_len = r.vec_len(4)?;
-            let mut lits = Vec::with_capacity(lits_len);
-            for _ in 0..lits_len {
-                lits.push(SatLit::from_code(r.u32()?));
-            }
-            clauses.push(ClauseSnapshot {
-                lits,
-                learnt: r.boolean()?,
-                activity: r.f64()?,
-                deleted: r.boolean()?,
-            });
-        }
-        clauses
-    };
-    let watches = {
-        let len = r.vec_len(8)?;
-        let mut watches = Vec::with_capacity(len);
-        for _ in 0..len {
-            watches.push(r.usize_vec()?);
-        }
-        watches
-    };
-    let num_vars = r.vec_len(1)?;
-    let mut assigns = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        assigns.push(r.opt_bool()?);
-    }
-    let mut phase = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        phase.push(r.boolean()?);
-    }
-    let mut level = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        level.push(r.u32()?);
-    }
-    let mut reason = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        reason.push(if r.boolean()? { Some(r.usize()?) } else { None });
-    }
-    let mut activity = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        activity.push(r.f64()?);
-    }
-    let order_heap = r.usize_vec()?;
-    let mut order_position = Vec::with_capacity(num_vars);
-    for _ in 0..num_vars {
-        let raw = r.u64()?;
-        order_position.push(if raw == u64::MAX {
-            usize::MAX
-        } else {
-            usize::try_from(raw)
-                .map_err(|_| CheckpointError::Corrupt("heap position out of range"))?
-        });
-    }
-    let trail = {
-        let len = r.vec_len(4)?;
-        let mut trail = Vec::with_capacity(len);
-        for _ in 0..len {
-            trail.push(SatLit::from_code(r.u32()?));
-        }
-        trail
-    };
-    let qhead = r.usize()?;
-    let var_inc = r.f64()?;
-    let cla_inc = r.f64()?;
-    let ok = r.boolean()?;
-    let model = {
-        let len = r.vec_len(1)?;
-        let mut model = Vec::with_capacity(len);
-        for _ in 0..len {
-            model.push(r.opt_bool()?);
-        }
-        model
-    };
-    let stats = SolverStats {
-        decisions: r.u64()?,
-        propagations: r.u64()?,
-        conflicts: r.u64()?,
-        restarts: r.u64()?,
-        learnt_clauses: r.u64()?,
-        solve_calls: r.u64()?,
-    };
-    let num_learnts = r.usize()?;
-    Ok(SolverSnapshot {
-        config,
-        clauses,
-        watches,
-        assigns,
-        phase,
-        level,
-        reason,
-        activity,
-        order_heap,
-        order_position,
-        trail,
-        qhead,
-        var_inc,
-        cla_inc,
-        ok,
-        model,
-        stats,
-        num_learnts,
-    })
-}
-
-fn encode_circuit_snapshot(w: &mut Writer, s: &CircuitSatSnapshot) {
-    encode_solver_snapshot(w, &s.solver);
-    w.usize(s.node_var.len());
-    for &v in &s.node_var {
-        match v {
-            None => w.boolean(false),
-            Some(v) => {
-                w.boolean(true);
-                w.u32(v);
-            }
-        }
-    }
-    for &e in &s.encoded {
-        w.boolean(e);
-    }
-    w.u64(s.stats.total_calls);
-    w.u64(s.stats.sat_calls);
-    w.u64(s.stats.unsat_calls);
-    w.u64(s.stats.undetermined_calls);
-}
-
-fn decode_circuit_snapshot(r: &mut Reader<'_>) -> Result<CircuitSatSnapshot, CheckpointError> {
-    let solver = decode_solver_snapshot(r)?;
-    let num_nodes = r.vec_len(1)?;
-    let mut node_var = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        node_var.push(if r.boolean()? { Some(r.u32()?) } else { None });
-    }
-    let mut encoded = Vec::with_capacity(num_nodes);
-    for _ in 0..num_nodes {
-        encoded.push(r.boolean()?);
-    }
-    let stats = QueryStats {
-        total_calls: r.u64()?,
-        sat_calls: r.u64()?,
-        unsat_calls: r.u64()?,
-        undetermined_calls: r.u64()?,
-    };
-    Ok(CircuitSatSnapshot {
-        solver,
-        node_var,
-        encoded,
-        stats,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The little-endian writer/reader.
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn boolean(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn opt_bool(&mut self, v: Option<bool>) {
-        self.u8(match v {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
-    }
-
-    /// Bit-exact float encoding (restored activities must match exactly —
-    /// they steer VSIDS tie-breaking).
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn duration(&mut self, d: Duration) {
-        self.u64(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        usize::try_from(self.u64()?).map_err(|_| CheckpointError::Corrupt("value out of range"))
-    }
-
-    fn boolean(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Corrupt("invalid boolean")),
-        }
-    }
-
-    fn opt_bool(&mut self) -> Result<Option<bool>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(false)),
-            2 => Ok(Some(true)),
-            _ => Err(CheckpointError::Corrupt("invalid optional boolean")),
-        }
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn duration(&mut self) -> Result<Duration, CheckpointError> {
-        Ok(Duration::from_nanos(self.u64()?))
-    }
-
-    /// Reads a vector length and bounds it by the bytes actually left in
-    /// the stream (`min_elem_bytes` per element), so a corrupt length field
-    /// cannot trigger a pathological allocation.
-    fn vec_len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let len = self.usize()?;
-        if len.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(len)
-    }
-
-    fn usize_vec(&mut self) -> Result<Vec<usize>, CheckpointError> {
-        let len = self.vec_len(8)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(self.usize()?);
-        }
-        Ok(v)
     }
 }
 
@@ -1042,66 +589,11 @@ mod tests {
     }
 
     /// A synthetic but structurally rich checkpoint exercising every codec
-    /// branch (merging cursor, populated solver).
+    /// branch (merging cursor, solver state).  The checkpoint codec does not
+    /// parse the solver bytes, so any bytes do.
     fn sample_checkpoint() -> SweepCheckpoint {
-        let solver = SolverSnapshot {
-            config: SolverConfig::default(),
-            clauses: vec![
-                ClauseSnapshot {
-                    lits: vec![SatLit::from_code(0), SatLit::from_code(3)],
-                    learnt: false,
-                    activity: 0.0,
-                    deleted: false,
-                },
-                ClauseSnapshot {
-                    lits: vec![
-                        SatLit::from_code(2),
-                        SatLit::from_code(5),
-                        SatLit::from_code(1),
-                    ],
-                    learnt: true,
-                    activity: 1.5,
-                    deleted: true,
-                },
-            ],
-            watches: vec![vec![0], vec![1], vec![], vec![0, 1], vec![], vec![1]],
-            assigns: vec![Some(true), None, Some(false)],
-            phase: vec![true, false, true],
-            level: vec![0, 0, 0],
-            reason: vec![None, Some(1), None],
-            activity: vec![0.25, 1.0, 0.0],
-            order_heap: vec![1, 2],
-            order_position: vec![usize::MAX, 0, 1],
-            trail: vec![SatLit::from_code(0), SatLit::from_code(5)],
-            qhead: 2,
-            var_inc: 1.25,
-            cla_inc: 1.0,
-            ok: true,
-            model: vec![Some(true), Some(false), None],
-            stats: SolverStats {
-                decisions: 4,
-                propagations: 9,
-                conflicts: 2,
-                restarts: 1,
-                learnt_clauses: 1,
-                solve_calls: 3,
-            },
-            num_learnts: 0,
-        };
-        let circuit = CircuitSatSnapshot {
-            solver,
-            node_var: vec![None, Some(0), Some(1), None, Some(2)],
-            encoded: vec![false, true, true, false, true],
-            stats: QueryStats {
-                total_calls: 3,
-                sat_calls: 1,
-                unsat_calls: 1,
-                undetermined_calls: 1,
-            },
-        };
         SweepCheckpoint {
             fingerprint: 0xDEAD_BEEF_0123_4567,
-            canonical_fingerprint: 0xFEED_FACE_89AB_CDEF,
             primed: true,
             engine: Engine::Stp,
             config: SweepConfig::fast().checkpoint_every(7),
@@ -1131,7 +623,7 @@ mod tests {
             simulation_time: Duration::from_millis(12),
             sat_time: Duration::from_millis(7),
             elapsed: Duration::from_millis(20),
-            solver: circuit,
+            solver: vec![3, 0, 0, 0, 0xFF, 0x10, 7],
             seq_candidates: 5,
             seq_ternary_constants: 1,
             seq_induction_refuted: 2,
@@ -1215,14 +707,14 @@ mod tests {
 
     #[test]
     fn every_other_version_is_rejected_before_the_payload_is_read() {
-        // A version-8 header followed by arbitrary bytes: rejected on the
+        // A version-9 header followed by arbitrary bytes: rejected on the
         // version field alone, before the payload is parsed.
-        let mut v8 = CHECKPOINT_MAGIC.to_vec();
-        v8.extend_from_slice(&8u32.to_le_bytes());
-        v8.extend_from_slice(&[0xA5; 64]);
+        let mut v9 = CHECKPOINT_MAGIC.to_vec();
+        v9.extend_from_slice(&9u32.to_le_bytes());
+        v9.extend_from_slice(&[0xA5; 64]);
         assert_eq!(
-            SweepCheckpoint::decode(&v8),
-            Err(CheckpointError::UnsupportedVersion(8))
+            SweepCheckpoint::decode(&v9),
+            Err(CheckpointError::UnsupportedVersion(9))
         );
         for version in (1..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1]) {
             let mut bytes = sample_checkpoint().encode();
@@ -1254,14 +746,6 @@ mod tests {
 
     // -- proptest: encode ∘ decode = id over random session states ---------
 
-    fn arb_opt_bool() -> impl Strategy<Value = Option<bool>> {
-        (0u8..3).prop_map(|v| match v {
-            0 => None,
-            1 => Some(false),
-            _ => Some(true),
-        })
-    }
-
     fn arb_phase() -> impl Strategy<Value = PhasePod> {
         prop_oneof![
             Just(PhasePod::Start),
@@ -1283,79 +767,10 @@ mod tests {
         ]
     }
 
-    /// A small random (not necessarily semantically valid) solver snapshot:
-    /// the codec must round-trip arbitrary states byte-exactly; semantic
-    /// validation is the restore path's job.
-    fn arb_solver_snapshot() -> impl Strategy<Value = SolverSnapshot> {
-        (
-            (
-                proptest::collection::vec(
-                    (
-                        proptest::collection::vec(any::<u32>(), 1..4),
-                        any::<bool>(),
-                        any::<u32>(),
-                        any::<bool>(),
-                    ),
-                    0..4,
-                ),
-                proptest::collection::vec(proptest::collection::vec(0usize..10, 0..3), 0..6),
-                proptest::collection::vec(arb_opt_bool(), 0..5),
-            ),
-            (
-                proptest::collection::vec(any::<u32>(), 0..5),
-                proptest::collection::vec(any::<u32>(), 0..4),
-                0usize..8,
-                any::<u32>(),
-                any::<u32>(),
-                any::<bool>(),
-            ),
-        )
-            .prop_map(
-                |(
-                    (raw_clauses, watches, assigns),
-                    (levels, trail, qhead, var_inc, cla_inc, ok),
-                )| {
-                    let n = assigns.len();
-                    SolverSnapshot {
-                        config: SolverConfig::default(),
-                        clauses: raw_clauses
-                            .into_iter()
-                            .map(|(lits, learnt, activity, deleted)| ClauseSnapshot {
-                                lits: lits.into_iter().map(SatLit::from_code).collect(),
-                                learnt,
-                                activity: f64::from(activity),
-                                deleted,
-                            })
-                            .collect(),
-                        watches,
-                        phase: vec![false; n],
-                        // The codec relies on the per-variable vectors
-                        // sharing the arity of `assigns`; pad accordingly.
-                        level: (0..n)
-                            .map(|i| levels.get(i).copied().unwrap_or(0))
-                            .collect(),
-                        reason: vec![None; n],
-                        activity: vec![0.0; n],
-                        order_heap: Vec::new(),
-                        order_position: vec![usize::MAX; n],
-                        trail: trail.into_iter().map(SatLit::from_code).collect(),
-                        qhead,
-                        var_inc: f64::from(var_inc),
-                        cla_inc: f64::from(cla_inc),
-                        ok,
-                        model: Vec::new(),
-                        stats: SolverStats::default(),
-                        num_learnts: 0,
-                        assigns,
-                    }
-                },
-            )
-    }
-
     fn arb_checkpoint() -> impl Strategy<Value = SweepCheckpoint> {
         (
             (
-                (any::<u64>(), any::<u64>()),
+                any::<u64>(),
                 any::<bool>(),
                 any::<bool>(),
                 arb_phase(),
@@ -1364,19 +779,19 @@ mod tests {
             ),
             (
                 proptest::collection::vec((0usize..1000, any::<bool>()), 0..6),
-                arb_solver_snapshot(),
+                // Opaque here: the checkpoint codec only frames the bytes.
+                proptest::collection::vec(any::<u8>(), 0..64),
                 any::<u64>(),
                 any::<u64>(),
             ),
         )
             .prop_map(
                 |(
-                    ((fingerprint, canonical), primed, stp, phase, merges, dont_touch),
+                    (fingerprint, primed, stp, phase, merges, dont_touch),
                     (constants, solver, sat_calls, committed),
                 )| {
                     SweepCheckpoint {
                         fingerprint,
-                        canonical_fingerprint: canonical,
                         primed,
                         engine: if stp { Engine::Stp } else { Engine::Baseline },
                         config: SweepConfig::default(),
@@ -1400,12 +815,7 @@ mod tests {
                         simulation_time: Duration::ZERO,
                         sat_time: Duration::ZERO,
                         elapsed: Duration::ZERO,
-                        solver: CircuitSatSnapshot {
-                            node_var: vec![None; 3],
-                            encoded: vec![false; 3],
-                            stats: QueryStats::default(),
-                            solver,
-                        },
+                        solver,
                         seq_candidates: sat_calls % 97,
                         seq_ternary_constants: committed % 13,
                         seq_induction_refuted: sat_calls % 7,

@@ -48,7 +48,7 @@
 //! ```
 
 use crate::budget::{Budget, BudgetCause};
-use crate::checkpoint::{netlist_fingerprint, PhasePod, SweepCheckpoint};
+use crate::checkpoint::{netlist_fingerprint, CheckpointError, PhasePod, SweepCheckpoint};
 use crate::equiv::EquivClasses;
 use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
@@ -372,28 +372,13 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let mismatch = |what: &str| SweepError::CheckpointMismatch(what.to_string());
         if !checkpoint.matches(aig) {
             // A checkpoint's merge log names concrete node ids, so resuming
-            // requires the exact numbering it was taken against — but
-            // telling the caller their network is the same circuit merely
-            // renumbered lets a service route the job to its stored
-            // original netlist instead of restarting from scratch.
-            let msg = if checkpoint.matches_canonical(aig) {
-                format!(
-                    "netlist fingerprint {:016x} does not match the checkpoint's {:016x}, \
-                     but the canonical fingerprints agree — this is the same circuit up \
-                     to node renumbering; resume against the original netlist the \
-                     checkpoint was taken from",
-                    netlist_fingerprint(aig),
-                    checkpoint.fingerprint()
-                )
-            } else {
-                format!(
-                    "netlist fingerprint {:016x} does not match the checkpoint's {:016x} \
-                     — the checkpoint was taken against a different network",
-                    netlist_fingerprint(aig),
-                    checkpoint.fingerprint()
-                )
-            };
-            return Err(SweepError::CheckpointMismatch(msg));
+            // requires the exact numbering it was taken against.
+            return Err(mismatch(&format!(
+                "netlist fingerprint {:016x} does not match the checkpoint's {:016x} \
+                 — the checkpoint was taken against a different network",
+                netlist_fingerprint(aig),
+                checkpoint.fingerprint()
+            )));
         }
         let engine = checkpoint.engine();
         let config = *checkpoint.config();
@@ -499,7 +484,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             let windows = config
                 .window_refinement
                 .then(|| WindowIndex::build(aig, config.window_limit));
-            let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver).map_err(mismatch)?;
+            let sat = CircuitSat::from_snapshot(aig, &checkpoint.solver)
+                .map_err(CheckpointError::from)?;
             (sat, None, classes, windows)
         };
 
@@ -575,7 +561,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 "merge log entry is not a latch candidate settled before the cursor",
             ));
         }
-        let sat = CircuitSat::from_snapshot_owned(net, &checkpoint.solver).map_err(mismatch)?;
+        let sat = CircuitSat::from_snapshot_owned(net, &checkpoint.solver)
+            .map_err(CheckpointError::from)?;
         plan.refuted = checkpoint.seq_induction_refuted;
         plan.undet = checkpoint.seq_induction_undet;
         Ok((sat, plan))
@@ -705,7 +692,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let seq = self.seq.as_ref();
         SweepCheckpoint {
             fingerprint: netlist_fingerprint(self.original),
-            canonical_fingerprint: netlist::canonical_fingerprint(self.original),
             primed: self.primed,
             engine: self.engine,
             config: self.config,
@@ -1836,7 +1822,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_against_a_renumbered_network_names_the_canonical_match() {
+    fn resume_against_a_renumbered_network_is_refused() {
         let aig = redundant_circuit();
         let shuffled = renumbered_copy(&aig);
         // Genuinely renumbered, but canonically the same circuit.
@@ -1855,25 +1841,16 @@ mod tests {
             .begin(&aig)
             .expect("begins");
         let checkpoint = session.checkpoint();
-        assert!(checkpoint.matches_canonical(&shuffled));
         assert!(!checkpoint.matches(&shuffled));
 
-        // Strict resume still refuses (the merge log is bound to node ids),
-        // but the error tells the caller this is the same circuit
-        // renumbered — a service reacts by resuming against its stored
-        // original netlist instead of restarting.
-        let err = Sweeper::new(Engine::Stp)
-            .resume_from(&shuffled, &checkpoint)
-            .err()
-            .expect("strict resume must refuse a renumbered network");
-        match err {
-            SweepError::CheckpointMismatch(msg) => {
-                assert!(
-                    msg.contains("same circuit up to node renumbering"),
-                    "unexpected message: {msg}"
-                );
+        // The merge log is bound to node ids, so resume refuses the
+        // renumbered copy of the circuit.
+        match Sweeper::new(Engine::Stp).resume_from(&shuffled, &checkpoint) {
+            Err(SweepError::CheckpointMismatch(msg)) => {
+                assert!(msg.contains("different network"), "{msg}");
             }
-            other => panic!("expected CheckpointMismatch, got {other:?}"),
+            Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),
+            Ok(_) => panic!("strict resume must refuse a renumbered network"),
         }
 
         // Resuming against the original still works, and the renumbered
@@ -1890,5 +1867,79 @@ mod tests {
             .expect("runs");
         assert_eq!(fresh.report.merges, resumed.report.merges);
         assert_eq!(fresh.report.constants, resumed.report.constants);
+    }
+
+    /// Resumes `base` with its solver bytes replaced.  The checkpoint is
+    /// re-encoded, so its checksum holds and only the solver decoder in
+    /// `resume_from` can object.
+    fn resume_with_solver<'a>(
+        aig: &'a Aig,
+        base: &SweepCheckpoint,
+        solver: Vec<u8>,
+    ) -> Result<SweepSession<'a, 'static>, SweepError> {
+        let crafted = SweepCheckpoint {
+            solver,
+            ..base.clone()
+        };
+        let decoded = SweepCheckpoint::decode(&crafted.encode()).expect("the frame is intact");
+        Sweeper::new(Engine::Stp).resume_from(aig, &decoded)
+    }
+
+    /// A primed session's checkpoint: priming's SAT-guided patterns leave
+    /// encoded cones, selector clauses and search history in the solver.
+    fn primed_checkpoint(aig: &Aig) -> SweepCheckpoint {
+        let checkpoint = Sweeper::new(Engine::Stp)
+            .begin(aig)
+            .expect("primes")
+            .checkpoint();
+        assert!(resume_with_solver(aig, &checkpoint, checkpoint.solver.clone()).is_ok());
+        checkpoint
+    }
+
+    #[test]
+    fn solver_state_breaking_the_watch_invariant_is_refused() {
+        let aig = redundant_circuit();
+        let base = primed_checkpoint(&aig);
+        // The solver bytes open with the clause count and the first
+        // clause's literal count (eight bytes each), then its literal
+        // codes.  Negating the first literal leaves the clause in the watch
+        // list of a literal it no longer holds.
+        let mut solver = base.solver.clone();
+        solver[16] ^= 1;
+        match resume_with_solver(&aig, &base, solver) {
+            Err(SweepError::CheckpointMismatch(msg)) => assert!(msg.contains("watch"), "{msg}"),
+            Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),
+            Ok(_) => panic!("resume must refuse a broken watch list"),
+        }
+    }
+
+    #[test]
+    fn hostile_solver_state_is_refused_or_resumes_without_a_panic() {
+        let aig = redundant_circuit();
+        let base = primed_checkpoint(&aig);
+        for len in 0..base.solver.len() {
+            match resume_with_solver(&aig, &base, base.solver[..len].to_vec()) {
+                Err(SweepError::CheckpointMismatch(_)) => {}
+                Err(other) => panic!("cut at {len}: expected CheckpointMismatch, got {other:?}"),
+                Ok(_) => panic!("cut at {len}: resume must refuse a truncated solver state"),
+            }
+        }
+        let mut resumed = 0;
+        for position in 0..base.solver.len() {
+            let mut solver = base.solver.clone();
+            solver[position] ^= 0xFF;
+            match resume_with_solver(&aig, &base, solver) {
+                Ok(session) => {
+                    session
+                        .run()
+                        .expect("an unlimited resume runs to completion");
+                    resumed += 1;
+                }
+                Err(SweepError::CheckpointMismatch(_)) => {}
+                Err(other) => panic!("flip at {position}: got {other:?}"),
+            }
+        }
+        // Flipped activities, phases and counters still parse.
+        assert!(resumed > 0);
     }
 }

@@ -9,26 +9,10 @@
 //! assignments back into counter-example patterns over the primary inputs.
 
 use crate::cnf::{SatLit, Var};
-use crate::solver::{SolveResult, Solver, SolverSnapshot, SolverStats};
+use crate::codec::{DecodeError, Reader, Writer};
+use crate::solver::{SolveResult, Solver, SolverStats};
 use netlist::{Aig, AigNode, Lit, NodeId};
 use std::borrow::Cow;
-
-/// A complete snapshot of a [`CircuitSat`] front-end: the underlying
-/// [`SolverSnapshot`] plus the lazy node-encoding maps.  Restoring it against
-/// the *same* AIG (see [`CircuitSat::from_snapshot`]) yields a front-end
-/// whose future query answers are identical to the original's — the building
-/// block of the sweeping engine's checkpoint/resume guarantee.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CircuitSatSnapshot {
-    /// The CDCL solver state.
-    pub solver: SolverSnapshot,
-    /// SAT variable index of each AIG node, if allocated.
-    pub node_var: Vec<Option<u32>>,
-    /// Whether each node's AND-gate clauses have been added.
-    pub encoded: Vec<bool>,
-    /// Query statistics.
-    pub stats: QueryStats,
-}
 
 /// Outcome of an equivalence or constant-ness query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,20 +24,6 @@ pub enum EquivOutcome {
     CounterExample(Vec<bool>),
     /// The conflict budget was exhausted (`unDET` in the paper).
     Undetermined,
-}
-
-/// Counters describing the SAT activity of a sweeping run (the "SAT calls"
-/// and "Total SAT calls" columns of Table II).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Total number of SAT queries issued.
-    pub total_calls: u64,
-    /// Queries answered "satisfiable" (a counter-example was produced).
-    pub sat_calls: u64,
-    /// Queries answered "unsatisfiable" (the property was proved).
-    pub unsat_calls: u64,
-    /// Queries that exhausted their conflict budget.
-    pub undetermined_calls: u64,
 }
 
 /// Incremental SAT interface over a fixed AIG, borrowed
@@ -85,7 +55,6 @@ pub struct CircuitSat<'a> {
     node_var: Vec<Option<Var>>,
     /// Whether the AND-gate clauses of a node have been added.
     encoded: Vec<bool>,
-    stats: QueryStats,
 }
 
 impl<'a> CircuitSat<'a> {
@@ -107,13 +76,7 @@ impl<'a> CircuitSat<'a> {
             solver: Solver::new(),
             node_var: vec![None; num_nodes],
             encoded: vec![false; num_nodes],
-            stats: QueryStats::default(),
         }
-    }
-
-    /// Statistics about the queries issued so far.
-    pub fn query_stats(&self) -> QueryStats {
-        self.stats
     }
 
     /// Statistics of the underlying CDCL solver.
@@ -121,63 +84,96 @@ impl<'a> CircuitSat<'a> {
         self.solver.stats()
     }
 
-    /// Captures the complete front-end state (see [`CircuitSatSnapshot`]).
-    pub fn snapshot(&self) -> CircuitSatSnapshot {
-        CircuitSatSnapshot {
-            solver: self.solver.snapshot(),
-            node_var: self
-                .node_var
-                .iter()
-                .map(|v| v.map(|v| v.index() as u32))
-                .collect(),
-            encoded: self.encoded.clone(),
-            stats: self.stats,
+    /// Encodes the front-end's state between queries: the CDCL solver's
+    /// clauses, watch lists, phases, reasons, activities, heap order,
+    /// level-0 trail, activity increments and statistics, then the SAT
+    /// variable and encoded flag of every AIG node.
+    ///
+    /// CDCL answers are history-dependent: learnt clauses, VSIDS activities,
+    /// saved phases and watch-list order all steer the search.  Restoring
+    /// the bytes with [`CircuitSat::from_snapshot`] against the *same* AIG
+    /// yields a front-end whose future answers, counter-examples included,
+    /// are identical to this one's — the building block of the sweeping
+    /// engine's checkpoint/resume guarantee.  The bytes are an opaque,
+    /// versionless encoding, decoded only by the build that wrote them.
+    pub fn snapshot(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        self.solver.encode(&mut w);
+        w.usize(self.node_var.len());
+        for var in &self.node_var {
+            w.boolean(var.is_some());
+            if let Some(var) = var {
+                w.u32(var.index() as u32);
+            }
         }
+        for &encoded in &self.encoded {
+            w.boolean(encoded);
+        }
+        w.into_bytes()
     }
 
-    /// Rebuilds a front-end over `aig` from a snapshot taken against the
-    /// same network.  Returns an error message if the snapshot's arities or
-    /// references do not fit the network or the solver state is corrupt.
-    pub fn from_snapshot(aig: &'a Aig, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
-        Self::restore(Cow::Borrowed(aig), snap)
+    /// Rebuilds a front-end over `aig` from bytes written by
+    /// [`CircuitSat::snapshot`] against the same network.
+    ///
+    /// The bytes are parsed and validated, so untrusted input yields a
+    /// [`DecodeError`], never a panic: truncation, trailing bytes, a node
+    /// count that differs from `aig`'s, references out of range, a node
+    /// marked encoded without a variable, and solver state that breaks the
+    /// two-watched-literal invariant or repeats a variable in a clause, the
+    /// trail or the heap are all refused.  A semantically wrong clause, such
+    /// as a crafted learnt unit, still decodes: only re-solving could tell.
+    pub fn from_snapshot(aig: &'a Aig, bytes: &[u8]) -> Result<Self, DecodeError> {
+        Self::restore(Cow::Borrowed(aig), bytes)
     }
 
     /// [`CircuitSat::from_snapshot`] for a front-end that owns its AIG.
-    pub fn from_snapshot_owned(aig: Aig, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
-        Self::restore(Cow::Owned(aig), snap)
+    pub fn from_snapshot_owned(aig: Aig, bytes: &[u8]) -> Result<Self, DecodeError> {
+        Self::restore(Cow::Owned(aig), bytes)
     }
 
-    fn restore(aig: Cow<'a, Aig>, snap: &CircuitSatSnapshot) -> Result<Self, &'static str> {
-        if snap.node_var.len() != aig.num_nodes() || snap.encoded.len() != aig.num_nodes() {
-            return Err("circuit snapshot was taken against a different network");
+    fn restore(aig: Cow<'a, Aig>, bytes: &[u8]) -> Result<Self, DecodeError> {
+        let corrupt = DecodeError::Corrupt;
+        let mut r = Reader::new(bytes);
+        let solver = Solver::decode(&mut r)?;
+        // A node takes at least two bytes: its variable flag and its
+        // encoded flag.
+        if r.vec_len(2)? != aig.num_nodes() {
+            return Err(corrupt(
+                "solver state was taken against a different network",
+            ));
         }
-        let solver = Solver::from_snapshot(&snap.solver)?;
-        if snap
-            .node_var
-            .iter()
-            .flatten()
-            .any(|&v| v as usize >= solver.num_vars())
-        {
-            return Err("circuit snapshot references an unallocated SAT variable");
+        let node_var = r.seq(aig.num_nodes(), |r| {
+            if !r.boolean()? {
+                return Ok(None);
+            }
+            let var = r.u32()? as usize;
+            if var >= solver.num_vars() {
+                return Err(corrupt(
+                    "solver state maps a node to an unallocated variable",
+                ));
+            }
+            Ok(Some(Var::from_index(var)))
+        })?;
+        let encoded = r.seq(aig.num_nodes(), Reader::boolean)?;
+        if !r.is_empty() {
+            return Err(corrupt("trailing bytes after the solver state"));
         }
-        if snap
-            .encoded
+        // Encoding a node's clauses allocates its variable first; a node
+        // marked encoded without one would panic on its next query.
+        if encoded
             .iter()
-            .zip(&snap.node_var)
-            .any(|(&encoded, var)| encoded && var.is_none())
+            .zip(&node_var)
+            .any(|(&e, var)| e && var.is_none())
         {
-            return Err("circuit snapshot marks a node encoded that has no SAT variable");
+            return Err(corrupt(
+                "solver state marks a node encoded that has no variable",
+            ));
         }
         Ok(CircuitSat {
             aig,
             solver,
-            node_var: snap
-                .node_var
-                .iter()
-                .map(|v| v.map(|v| Var::from_index(v as usize)))
-                .collect(),
-            encoded: snap.encoded.clone(),
-            stats: snap.stats,
+            node_var,
+            encoded,
         })
     }
 
@@ -248,15 +244,6 @@ impl<'a> CircuitSat<'a> {
             .collect()
     }
 
-    fn record(&mut self, result: SolveResult) {
-        self.stats.total_calls += 1;
-        match result {
-            SolveResult::Sat => self.stats.sat_calls += 1,
-            SolveResult::Unsat => self.stats.unsat_calls += 1,
-            SolveResult::Unknown => self.stats.undetermined_calls += 1,
-        }
-    }
-
     /// Checks whether two AIG literals are functionally equivalent,
     /// spending at most `conflict_budget` conflicts.
     ///
@@ -274,7 +261,6 @@ impl<'a> CircuitSat<'a> {
         self.solver.add_clause(&[!d_pos, !sa, !sb]);
         self.solver.add_clause(&[!d_pos, sa, sb]);
         let result = self.solver.solve_limited(&[d_pos], conflict_budget);
-        self.record(result);
         match result {
             SolveResult::Unsat => EquivOutcome::Equivalent,
             SolveResult::Sat => EquivOutcome::CounterExample(self.extract_counterexample()),
@@ -290,7 +276,6 @@ impl<'a> CircuitSat<'a> {
         let sl = self.lit_to_sat(lit);
         let goal = if value { !sl } else { sl };
         let result = self.solver.solve_limited(&[goal], conflict_budget);
-        self.record(result);
         match result {
             SolveResult::Unsat => EquivOutcome::Equivalent,
             SolveResult::Sat => EquivOutcome::CounterExample(self.extract_counterexample()),
@@ -308,7 +293,6 @@ impl<'a> CircuitSat<'a> {
     ) -> Option<Vec<bool>> {
         let assumptions: Vec<SatLit> = constraints.iter().map(|&l| self.lit_to_sat(l)).collect();
         let result = self.solver.solve_limited(&assumptions, conflict_budget);
-        self.record(result);
         match result {
             SolveResult::Sat => Some(self.extract_counterexample()),
             _ => None,
@@ -341,7 +325,6 @@ mod tests {
             sat.prove_equivalent(f1, f2, 10_000),
             EquivOutcome::Equivalent
         );
-        assert_eq!(sat.query_stats().unsat_calls, 1);
     }
 
     #[test]
@@ -351,20 +334,16 @@ mod tests {
         match sat.prove_equivalent(f1, g, 10_000) {
             EquivOutcome::CounterExample(ce) => {
                 // The counter-example must actually distinguish the nodes.
-                let values = aig.evaluate(&ce);
-                let _ = values;
                 let f_val = eval_lit(&aig, f1, &ce);
                 let g_val = eval_lit(&aig, g, &ce);
                 assert_ne!(f_val, g_val);
             }
             other => panic!("expected a counter-example, got {other:?}"),
         }
-        assert_eq!(sat.query_stats().sat_calls, 1);
     }
 
+    /// The value of `lit` under an input assignment.
     fn eval_lit(aig: &Aig, lit: Lit, assignment: &[bool]) -> bool {
-        // Evaluate by creating a throwaway network view: reuse Aig::evaluate
-        // via a scratch AIG is overkill; walk values directly instead.
         let mut values = vec![false; aig.num_nodes()];
         for id in aig.node_ids() {
             values[id] = match aig.node(id) {
@@ -470,14 +449,28 @@ mod tests {
         }
         assert_eq!(original.snapshot(), restored.snapshot());
         assert_eq!(original.snapshot(), owned.snapshot());
-        assert_eq!(original.query_stats(), restored.query_stats());
+        assert_eq!(original.solver_stats(), restored.solver_stats());
 
         // A node marked encoded without a variable would panic on its next
         // query, so restore refuses such a snapshot.
-        let mut unencodable = snap.clone();
-        let node = snap.encoded.iter().position(|&e| e).expect("cones encoded");
+        let mut unencodable = CircuitSat::from_snapshot(&aig, &snap).expect("valid snapshot");
+        let node = unencodable
+            .encoded
+            .iter()
+            .position(|&e| e)
+            .expect("cones encoded");
         unencodable.node_var[node] = None;
-        assert!(CircuitSat::from_snapshot(&aig, &unencodable).is_err());
+        assert!(CircuitSat::from_snapshot(&aig, &unencodable.snapshot()).is_err());
+
+        // An appended byte is refused.
+        let mut trailing = snap.clone();
+        trailing.push(0);
+        assert_eq!(
+            CircuitSat::from_snapshot(&aig, &trailing).err(),
+            Some(DecodeError::Corrupt(
+                "trailing bytes after the solver state"
+            ))
+        );
 
         // A snapshot taken against one network is rejected by another.
         let mut other = Aig::new();
@@ -509,6 +502,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sat.query_stats().total_calls, 25);
+        assert_eq!(sat.solver_stats().solve_calls, 25);
     }
 }

@@ -14,11 +14,6 @@ pub(crate) struct VarOrder {
 const ABSENT: usize = usize::MAX;
 
 impl VarOrder {
-    #[allow(dead_code)] // used by unit tests and kept for API symmetry
-    pub(crate) fn new() -> Self {
-        VarOrder::default()
-    }
-
     /// Ensures `var` has a slot in the position table.
     pub(crate) fn grow_to(&mut self, num_vars: usize) {
         if self.position.len() < num_vars {
@@ -28,11 +23,6 @@ impl VarOrder {
 
     pub(crate) fn contains(&self, var: usize) -> bool {
         self.position.get(var).copied().unwrap_or(ABSENT) != ABSENT
-    }
-
-    #[allow(dead_code)] // used by unit tests
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Inserts `var` (no-op if already present).
@@ -107,28 +97,26 @@ impl VarOrder {
         self.position[self.heap[b]] = b;
     }
 
-    /// The raw heap array and position table, for state snapshots.  The heap
-    /// order (not only the membership) is part of the solver's deterministic
-    /// behaviour: equal-activity variables pop in heap order, so a restored
-    /// solver must reproduce the array verbatim.
-    pub(crate) fn to_parts(&self) -> (Vec<usize>, Vec<usize>) {
-        (self.heap.clone(), self.position.clone())
+    /// The heap array, for state encoding.  The heap order (not only the
+    /// membership) is part of the solver's deterministic behaviour:
+    /// equal-activity variables pop in heap order, so a restored solver
+    /// must reproduce the array verbatim.
+    pub(crate) fn heap(&self) -> &[usize] {
+        &self.heap
     }
 
-    /// Rebuilds a heap from parts produced by [`VarOrder::to_parts`].
+    /// Rebuilds a heap over `num_vars` variables from an array produced by
+    /// [`VarOrder::heap`]; the position table is derived from it.
     ///
-    /// Returns `None` if the parts are inconsistent (positions not matching
-    /// the heap array), so corrupt snapshots surface as errors instead of
-    /// breaking the heap invariants silently.
-    pub(crate) fn from_parts(heap: Vec<usize>, position: Vec<usize>) -> Option<Self> {
+    /// Returns `None` if an entry is out of range or repeated, so corrupt
+    /// state surfaces as an error instead of breaking the heap silently.
+    pub(crate) fn from_heap(heap: Vec<usize>, num_vars: usize) -> Option<Self> {
+        let mut position = vec![ABSENT; num_vars];
         for (idx, &var) in heap.iter().enumerate() {
-            if position.get(var).copied() != Some(idx) {
-                return None;
+            match position.get_mut(var) {
+                Some(slot) if *slot == ABSENT => *slot = idx,
+                _ => return None,
             }
-        }
-        let members = position.iter().filter(|&&p| p != ABSENT).count();
-        if members != heap.len() {
-            return None;
         }
         Some(VarOrder { heap, position })
     }
@@ -141,7 +129,7 @@ mod tests {
     #[test]
     fn pops_in_activity_order() {
         let activity = vec![0.5, 3.0, 1.0, 2.0];
-        let mut order = VarOrder::new();
+        let mut order = VarOrder::default();
         for v in 0..4 {
             order.insert(v, &activity);
         }
@@ -155,24 +143,38 @@ mod tests {
     #[test]
     fn duplicate_insert_is_noop() {
         let activity = vec![1.0, 2.0];
-        let mut order = VarOrder::new();
+        let mut order = VarOrder::default();
         order.insert(0, &activity);
         order.insert(0, &activity);
         order.insert(1, &activity);
         assert_eq!(order.pop_max(&activity), Some(1));
         assert_eq!(order.pop_max(&activity), Some(0));
-        assert!(order.is_empty());
+        assert_eq!(order.pop_max(&activity), None);
     }
 
     #[test]
     fn update_after_activity_bump() {
         let mut activity = vec![1.0, 2.0, 3.0];
-        let mut order = VarOrder::new();
+        let mut order = VarOrder::default();
         for v in 0..3 {
             order.insert(v, &activity);
         }
         activity[0] = 10.0;
         order.update(0, &activity);
         assert_eq!(order.pop_max(&activity), Some(0));
+    }
+
+    #[test]
+    fn from_heap_derives_positions_and_rejects_bad_entries() {
+        let activity = vec![1.0, 3.0, 2.0, 0.5];
+        let mut order = VarOrder::default();
+        for v in 0..4 {
+            order.insert(v, &activity);
+        }
+        let _ = order.pop_max(&activity);
+        let rebuilt = VarOrder::from_heap(order.heap().to_vec(), 4).expect("valid array");
+        assert_eq!(rebuilt.position, order.position);
+        assert!(VarOrder::from_heap(vec![0, 2, 0], 4).is_none(), "repeated");
+        assert!(VarOrder::from_heap(vec![0, 4], 4).is_none(), "out of range");
     }
 }

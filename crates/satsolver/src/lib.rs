@@ -14,7 +14,13 @@
 //! * [`CircuitSat`] — the incremental circuit front-end used by the SAT
 //!   sweeper: it lazily encodes transitive-fanin cones and answers
 //!   constant-ness and pairwise-equivalence queries with counter-examples
-//!   expressed at the primary inputs.
+//!   expressed at the primary inputs.  It owns the bytes of its state:
+//!   [`CircuitSat::snapshot`] encodes everything a later query reads, and
+//!   [`CircuitSat::from_snapshot`] parses and validates it, so a resumed
+//!   sweep answers exactly as the uninterrupted one would.
+//! * [`codec`] — the bounded little-endian [`codec::Writer`] and
+//!   [`codec::Reader`] that this state and the sweeping engine's checkpoints
+//!   are written with; corrupt bytes yield a [`DecodeError`], never a panic.
 //!
 //! ```
 //! use satsolver::{SatLit, Solver, SolveResult};
@@ -33,11 +39,11 @@
 
 pub mod circuit;
 pub mod cnf;
+pub mod codec;
 mod heap;
 mod solver;
 
-pub use circuit::{CircuitSat, CircuitSatSnapshot, EquivOutcome, QueryStats};
+pub use circuit::{CircuitSat, EquivOutcome};
 pub use cnf::Var;
-pub use solver::{
-    ClauseSnapshot, SatLit, SolveResult, Solver, SolverConfig, SolverSnapshot, SolverStats,
-};
+pub use codec::DecodeError;
+pub use solver::{SatLit, SolveResult, Solver, SolverStats};

@@ -9,6 +9,7 @@
 
 pub use crate::cnf::SatLit;
 use crate::cnf::Var;
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::heap::VarOrder;
 
 /// Outcome of a SAT query.
@@ -23,29 +24,14 @@ pub enum SolveResult {
     Unknown,
 }
 
-/// Tunable solver parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities at each conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities at each conflict.
-    pub clause_decay: f64,
-    /// Base interval (in conflicts) of the Luby restart sequence.
-    pub restart_base: u64,
-    /// Initial learnt-clause limit before database reduction triggers.
-    pub learnt_limit_base: usize,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 100,
-            learnt_limit_base: 4000,
-        }
-    }
-}
+/// Multiplicative decay applied to variable activities at each conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to clause activities at each conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Base interval (in conflicts) of the Luby restart sequence.
+const RESTART_BASE: u64 = 100;
+/// Initial learnt-clause limit before database reduction triggers.
+const LEARNT_LIMIT_BASE: usize = 4000;
 
 /// Aggregate statistics of a solver instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,83 +58,11 @@ struct Clause {
     deleted: bool,
 }
 
-/// One clause of a [`SolverSnapshot`].
-///
-/// The literal order is part of the state: positions 0 and 1 are the watched
-/// literals, and the traversal order during propagation determines which
-/// conflict is found first.  A restored clause must be verbatim.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClauseSnapshot {
-    /// The literals, watched literals first, in stored order.
-    pub lits: Vec<SatLit>,
-    /// Whether the clause was learnt (subject to database reduction).
-    pub learnt: bool,
-    /// VSIDS-style clause activity.
-    pub activity: f64,
-    /// Whether the clause has been deleted by database reduction (deleted
-    /// clauses still occupy their index — reasons reference indices).
-    pub deleted: bool,
-}
-
-/// A complete, behaviour-exact snapshot of a [`Solver`] at decision level 0.
-///
-/// A CDCL solver's answers are history-dependent: learnt clauses, VSIDS
-/// activities, saved phases and watch-list order all steer the search, so
-/// two solvers agree on future queries only if *all* of that state agrees.
-/// `SolverSnapshot` captures every field verbatim; restoring it with
-/// [`Solver::from_snapshot`] yields a solver whose observable behaviour is
-/// indistinguishable from the original.  This is the foundation of the
-/// sweeping engine's checkpoint/resume guarantee.
-///
-/// Snapshots can only be taken between queries (the solver is always at
-/// decision level 0 there, with an empty assumption trail limit stack and
-/// cleared analysis flags).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolverSnapshot {
-    /// The tunable parameters.
-    pub config: SolverConfig,
-    /// All clauses, original and learnt, in allocation order.
-    pub clauses: Vec<ClauseSnapshot>,
-    /// Per-literal watch lists (`watches[lit.code()]`), verbatim order.
-    pub watches: Vec<Vec<usize>>,
-    /// Current (level-0) assignments.
-    pub assigns: Vec<Option<bool>>,
-    /// Saved phases.
-    pub phase: Vec<bool>,
-    /// Assignment levels (level 0 for all assigned variables).
-    pub level: Vec<u32>,
-    /// Reason clause indices of propagated literals.
-    pub reason: Vec<Option<usize>>,
-    /// VSIDS variable activities.
-    pub activity: Vec<f64>,
-    /// The VSIDS heap array (order matters for tie-breaking).
-    pub order_heap: Vec<usize>,
-    /// Position of each variable in the heap (`usize::MAX` if absent).
-    pub order_position: Vec<usize>,
-    /// The level-0 trail.
-    pub trail: Vec<SatLit>,
-    /// Propagation queue head (equals the trail length between queries).
-    pub qhead: usize,
-    /// Current variable activity increment.
-    pub var_inc: f64,
-    /// Current clause activity increment.
-    pub cla_inc: f64,
-    /// `false` once the formula is unconditionally unsatisfiable.
-    pub ok: bool,
-    /// The most recent model (empty or stale between queries).
-    pub model: Vec<Option<bool>>,
-    /// Aggregate statistics.
-    pub stats: SolverStats,
-    /// Number of live learnt clauses.
-    pub num_learnts: usize,
-}
-
 /// A CDCL SAT solver.
 ///
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
-    config: SolverConfig,
     clauses: Vec<Clause>,
     /// watches[lit.code()] lists clause indices currently watching `lit`.
     watches: Vec<Vec<usize>>,
@@ -171,15 +85,9 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// Creates a solver with default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::default())
-    }
-
-    /// Creates a solver with an explicit configuration.
-    pub fn with_config(config: SolverConfig) -> Self {
         Solver {
-            config,
             var_inc: 1.0,
             cla_inc: 1.0,
             ok: true,
@@ -205,14 +113,6 @@ impl Solver {
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
-    }
-
-    /// Number of original (problem) clauses added so far.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
     }
 
     /// Solver statistics.
@@ -322,139 +222,199 @@ impl Solver {
         self.model.get(var.index()).copied().flatten()
     }
 
-    /// The value of a literal in the most recent satisfying assignment.
-    pub fn model_lit_value(&self, lit: SatLit) -> Option<bool> {
-        self.model_value(lit.var()).map(|v| v != lit.is_negative())
-    }
-
-    /// Captures the complete solver state (see [`SolverSnapshot`]).
+    /// Writes the solver's state between queries: the clauses (literals in
+    /// stored order, learnt flag, activity and deleted flag), the watch
+    /// lists in order, the saved phases, reasons and activities of the
+    /// variables, the VSIDS heap array, the level-0 trail with its
+    /// propagation head, the two activity increments and the statistics.
+    ///
+    /// Everything else is derived by [`Solver::decode`].  Between queries
+    /// the assignment is exactly the level-0 trail, and every assigned
+    /// variable sits at level 0.  The model is stale until the next
+    /// satisfiable answer.  The heap positions follow from the heap array,
+    /// and the learnt-clause count from the clauses.  `ok` holds, because
+    /// the one caller, [`crate::CircuitSat`], only adds satisfiable clauses.
     ///
     /// # Panics
     ///
     /// Panics if called mid-search (the solver is between queries — and
     /// therefore at decision level 0 — whenever it is externally reachable).
-    pub fn snapshot(&self) -> SolverSnapshot {
-        assert_eq!(
-            self.trail_lim.len(),
-            0,
-            "solver snapshots are taken between queries, at decision level 0"
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        assert!(
+            self.trail_lim.is_empty(),
+            "solver state is encoded between queries, at decision level 0"
         );
         debug_assert!(self.seen.iter().all(|&s| !s), "analysis flags are clear");
-        let (order_heap, order_position) = self.order.to_parts();
-        SolverSnapshot {
-            config: self.config,
-            clauses: self
-                .clauses
-                .iter()
-                .map(|c| ClauseSnapshot {
-                    lits: c.lits.clone(),
-                    learnt: c.learnt,
-                    activity: c.activity,
-                    deleted: c.deleted,
-                })
-                .collect(),
-            watches: self.watches.clone(),
-            assigns: self.assigns.clone(),
-            phase: self.phase.clone(),
-            level: self.level.clone(),
-            reason: self.reason.clone(),
-            activity: self.activity.clone(),
-            order_heap,
-            order_position,
-            trail: self.trail.clone(),
-            qhead: self.qhead,
-            var_inc: self.var_inc,
-            cla_inc: self.cla_inc,
-            ok: self.ok,
-            model: self.model.clone(),
-            stats: self.stats,
-            num_learnts: self.num_learnts,
+        w.vec(&self.clauses, |w, clause| {
+            w.vec(&clause.lits, |w, lit| w.u32(lit.code() as u32));
+            w.boolean(clause.learnt);
+            w.f64(clause.activity);
+            w.boolean(clause.deleted);
+        });
+        w.vec(&self.watches, |w, list| w.vec(list, |w, &ci| w.usize(ci)));
+        w.usize(self.num_vars());
+        for &phase in &self.phase {
+            w.boolean(phase);
+        }
+        for &reason in &self.reason {
+            w.boolean(reason.is_some());
+            if let Some(ci) = reason {
+                w.usize(ci);
+            }
+        }
+        for &activity in &self.activity {
+            w.f64(activity);
+        }
+        w.vec(self.order.heap(), |w, &var| w.usize(var));
+        w.vec(&self.trail, |w, lit| w.u32(lit.code() as u32));
+        w.usize(self.qhead);
+        w.f64(self.var_inc);
+        w.f64(self.cla_inc);
+        let s = &self.stats;
+        for count in [
+            s.decisions,
+            s.propagations,
+            s.conflicts,
+            s.restarts,
+            s.solve_calls,
+        ] {
+            w.u64(count);
         }
     }
 
-    /// Rebuilds a solver from a snapshot.  Returns an error message if the
-    /// snapshot is internally inconsistent (wrong vector arities, clause or
-    /// variable references out of range, corrupt heap), so corrupt data is
-    /// rejected instead of producing a solver that panics later.
-    pub fn from_snapshot(snap: &SolverSnapshot) -> Result<Self, &'static str> {
-        let num_vars = snap.assigns.len();
-        let arity_ok = snap.phase.len() == num_vars
-            && snap.level.len() == num_vars
-            && snap.reason.len() == num_vars
-            && snap.activity.len() == num_vars
-            && snap.order_position.len() == num_vars
-            && snap.watches.len() == 2 * num_vars;
-        if !arity_ok {
-            return Err("solver snapshot vector arities disagree");
+    /// Reads a state written by [`Solver::encode`] and checks that it can
+    /// drive the search without a panic: every clause has at least two
+    /// literals over allocated variables and repeats no variable, every
+    /// reference is in range, the watch lists keep the two-watched-literal
+    /// invariant, and neither the trail nor the heap repeats a variable.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let corrupt = DecodeError::Corrupt;
+        let lit = |r: &mut Reader<'_>| r.u32().map(SatLit::from_code);
+        // A clause takes at least 26 bytes: its length, two literals, two
+        // flags and its activity.
+        let clauses = r.vec(26, |r| {
+            Ok(Clause {
+                lits: r.vec(4, lit)?,
+                learnt: r.boolean()?,
+                activity: r.f64()?,
+                deleted: r.boolean()?,
+            })
+        })?;
+        let watches = r.vec(8, |r| r.vec(8, Reader::usize))?;
+        // A variable takes at least ten bytes: its phase, its reason flag
+        // and its activity.
+        let num_vars = r.vec_len(10)?;
+        let phase = r.seq(num_vars, Reader::boolean)?;
+        let reason = r.seq(num_vars, |r| {
+            Ok(if r.boolean()? { Some(r.usize()?) } else { None })
+        })?;
+        let activity = r.seq(num_vars, Reader::f64)?;
+        let heap = r.vec(8, Reader::usize)?;
+        let trail = r.vec(4, lit)?;
+        let qhead = r.usize()?;
+        let var_inc = r.f64()?;
+        let cla_inc = r.f64()?;
+        let stats = SolverStats {
+            decisions: r.u64()?,
+            propagations: r.u64()?,
+            conflicts: r.u64()?,
+            restarts: r.u64()?,
+            learnt_clauses: 0,
+            solve_calls: r.u64()?,
+        };
+
+        if watches.len() != 2 * num_vars {
+            return Err(corrupt(
+                "solver watch lists do not match the variable count",
+            ));
         }
-        // Every attached clause has at least two literals (units are
-        // enqueued, never attached); a shorter clause would panic inside
-        // `propagate` when its missing watch position is accessed.
-        if snap.clauses.iter().any(|c| c.lits.len() < 2) {
-            return Err("solver snapshot contains a clause with fewer than two literals");
+        // Units are enqueued, never attached, so every clause has two
+        // watched literals; a shorter clause would panic inside `propagate`.
+        let mut last_clause_of = vec![usize::MAX; num_vars];
+        for (ci, clause) in clauses.iter().enumerate() {
+            if clause.lits.len() < 2 {
+                return Err(corrupt("solver clause has fewer than two literals"));
+            }
+            for lit in &clause.lits {
+                let last = last_clause_of
+                    .get_mut(lit.var().index())
+                    .ok_or(corrupt("solver clause references an unallocated variable"))?;
+                if *last == ci {
+                    return Err(corrupt("solver clause repeats a variable"));
+                }
+                *last = ci;
+            }
         }
-        if snap
-            .clauses
+        if reason.iter().flatten().any(|&ci| ci >= clauses.len()) {
+            return Err(corrupt("solver reason references an out-of-range clause"));
+        }
+        // The two-watched-literal invariant: a watch entry's clause holds
+        // the literal at position 0 or 1, and a live clause sits exactly
+        // once in each of its two lists.  Deleted clauses linger in the
+        // lists until propagation visits them.
+        let mut watched = vec![0u8; clauses.len()];
+        for (code, list) in watches.iter().enumerate() {
+            for &ci in list {
+                let clause = clauses.get(ci).ok_or(corrupt(
+                    "solver watch list references an out-of-range clause",
+                ))?;
+                let bit = if clause.lits[0].code() == code {
+                    0b01
+                } else if clause.lits[1].code() == code {
+                    0b10
+                } else {
+                    return Err(corrupt(
+                        "solver watch entry's clause does not watch its literal",
+                    ));
+                };
+                if !clause.deleted {
+                    if watched[ci] & bit != 0 {
+                        return Err(corrupt("solver clause is listed twice in a watch list"));
+                    }
+                    watched[ci] |= bit;
+                }
+            }
+        }
+        if clauses
             .iter()
-            .flat_map(|c| &c.lits)
-            .any(|l| l.var().index() >= num_vars)
+            .zip(&watched)
+            .any(|(c, &w)| !c.deleted && w != 0b11)
         {
-            return Err("solver snapshot clause references an unallocated variable");
+            return Err(corrupt("live solver clause is missing from a watch list"));
         }
-        let num_clauses = snap.clauses.len();
-        if snap
-            .watches
-            .iter()
-            .flatten()
-            .chain(snap.reason.iter().flatten())
-            .any(|&ci| ci >= num_clauses)
-        {
-            return Err("solver snapshot references an out-of-range clause");
+        let mut assigns = vec![None; num_vars];
+        for lit in &trail {
+            let value = assigns
+                .get_mut(lit.var().index())
+                .ok_or(corrupt("solver trail references an unallocated variable"))?;
+            if value.is_some() {
+                return Err(corrupt("solver trail repeats a variable"));
+            }
+            *value = Some(!lit.is_negative());
         }
-        if snap.trail.iter().any(|l| l.var().index() >= num_vars)
-            || snap.qhead > snap.trail.len()
-            || snap.model.len() > num_vars
-        {
-            return Err("solver snapshot trail or model is inconsistent");
+        if qhead > trail.len() {
+            return Err(corrupt("solver propagation head is past the trail"));
         }
-        let order = VarOrder::from_parts(snap.order_heap.clone(), snap.order_position.clone())
-            .ok_or("solver snapshot heap is corrupt")?;
-        let live_learnts = snap
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .count();
-        if snap.num_learnts != live_learnts {
-            return Err("solver snapshot learnt-clause count disagrees");
-        }
+        let order = VarOrder::from_heap(heap, num_vars).ok_or(corrupt("solver heap is corrupt"))?;
+        let num_learnts = clauses.iter().filter(|c| c.learnt && !c.deleted).count();
         Ok(Solver {
-            config: snap.config,
-            clauses: snap
-                .clauses
-                .iter()
-                .map(|c| Clause {
-                    lits: c.lits.clone(),
-                    learnt: c.learnt,
-                    activity: c.activity,
-                    deleted: c.deleted,
-                })
-                .collect(),
-            watches: snap.watches.clone(),
-            assigns: snap.assigns.clone(),
-            phase: snap.phase.clone(),
-            level: snap.level.clone(),
-            reason: snap.reason.clone(),
-            activity: snap.activity.clone(),
+            clauses,
+            watches,
+            assigns,
+            phase,
+            level: vec![0; num_vars],
+            reason,
+            activity,
             order,
-            trail: snap.trail.clone(),
+            trail,
             trail_lim: Vec::new(),
-            qhead: snap.qhead,
-            var_inc: snap.var_inc,
-            cla_inc: snap.cla_inc,
-            ok: snap.ok,
-            model: snap.model.clone(),
-            stats: snap.stats,
-            num_learnts: snap.num_learnts,
+            qhead,
+            var_inc,
+            cla_inc,
+            ok: true,
+            model: Vec::new(),
+            stats,
+            num_learnts,
             seen: vec![false; num_vars],
         })
     }
@@ -699,8 +659,8 @@ impl Solver {
     fn search(&mut self, assumptions: &[SatLit], conflict_budget: u64) -> SolveResult {
         let mut conflicts_this_call = 0u64;
         let mut restarts = 0u64;
-        let mut next_restart = Self::luby(restarts) * self.config.restart_base;
-        let mut learnt_limit = self.config.learnt_limit_base + self.clauses.len() / 3;
+        let mut next_restart = Self::luby(restarts) * RESTART_BASE;
+        let mut learnt_limit = LEARNT_LIMIT_BASE + self.clauses.len() / 3;
 
         loop {
             if let Some(conflict) = self.propagate() {
@@ -725,16 +685,15 @@ impl Solver {
                     self.bump_clause(ci);
                     self.enqueue(asserting, Some(ci));
                 }
-                self.var_inc /= self.config.var_decay;
-                self.cla_inc /= self.config.clause_decay;
+                self.var_inc /= VAR_DECAY;
+                self.cla_inc /= CLAUSE_DECAY;
                 if conflicts_this_call >= conflict_budget {
                     return SolveResult::Unknown;
                 }
                 if conflicts_this_call >= next_restart {
                     restarts += 1;
                     self.stats.restarts += 1;
-                    next_restart =
-                        conflicts_this_call + Self::luby(restarts) * self.config.restart_base;
+                    next_restart = conflicts_this_call + Self::luby(restarts) * RESTART_BASE;
                     self.cancel_until(0);
                 }
                 if self.num_learnts > learnt_limit {
@@ -986,17 +945,29 @@ mod tests {
         assert_eq!(s.model_value(vars[1]), Some(true));
     }
 
+    fn encode(solver: &Solver) -> Vec<u8> {
+        let mut w = Writer::default();
+        solver.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Solver, DecodeError> {
+        Solver::decode(&mut Reader::new(bytes))
+    }
+
     #[test]
     fn snapshot_restore_is_behaviour_exact() {
         // Build nontrivial history: an interrupted hard query leaves learnt
         // clauses, bumped activities and saved phases behind.
         let (mut original, grid) = pigeonhole(6, 5);
         assert_eq!(original.solve_limited(&[], 8), SolveResult::Unknown);
-        let snap = original.snapshot();
-        let mut restored = Solver::from_snapshot(&snap).expect("valid snapshot");
-        // Restoring is lossless: a fresh snapshot of the restored solver is
-        // identical to the one it came from.
-        assert_eq!(restored.snapshot(), snap);
+        let bytes = encode(&original);
+        let mut reader = Reader::new(&bytes);
+        let mut restored = Solver::decode(&mut reader).expect("valid state");
+        assert!(reader.is_empty(), "the state is read to its end");
+        // Restoring is lossless: the restored solver encodes to the bytes
+        // it came from.
+        assert_eq!(encode(&restored), bytes);
 
         // The same future query sequence must produce identical results,
         // identical models and identical final states.
@@ -1015,39 +986,75 @@ mod tests {
                 }
             }
         }
-        assert_eq!(original.snapshot(), restored.snapshot());
+        assert_eq!(encode(&original), encode(&restored));
+        assert_eq!(original.stats(), restored.stats());
     }
 
     #[test]
     fn snapshot_rejects_corrupt_state() {
-        let (mut s, _) = pigeonhole(4, 3);
-        let _ = s.solve_limited(&[], 5);
-        let good = s.snapshot();
-        assert!(Solver::from_snapshot(&good).is_ok());
-
-        let mut wrong_arity = good.clone();
-        wrong_arity.phase.pop();
-        assert!(Solver::from_snapshot(&wrong_arity).is_err());
-
-        let mut bad_clause_ref = good.clone();
-        bad_clause_ref.watches[0].push(usize::MAX / 2);
-        assert!(Solver::from_snapshot(&bad_clause_ref).is_err());
-
-        let mut bad_heap = good.clone();
-        if bad_heap.order_heap.len() >= 2 {
-            bad_heap.order_heap.swap(0, 1); // positions no longer match
-            assert!(Solver::from_snapshot(&bad_heap).is_err());
+        // Pigeonhole(5, 4) is unsatisfiable; with its watch lists rotated,
+        // a restored solver would answer `Sat`.
+        let (mut s, grid) = pigeonhole(5, 4);
+        let _ = s.solve_limited(&[], 3);
+        let good = encode(&s);
+        assert!(decode(&good).is_ok());
+        for len in 0..good.len() {
+            assert!(decode(&good[..len]).is_err(), "prefix {len} decodes");
+        }
+        let x = grid[4][3];
+        let unallocated = SatLit::positive(Var::from_index(s.num_vars()));
+        // The first clause places pigeon 0 in one of the four holes.
+        let first_watch = s.clauses[0].lits[1].code();
+        type Edit<'a> = &'a dyn Fn(&mut Solver);
+        let cases: [(&str, Edit); 12] = [
+            ("variable count", &|s| {
+                s.watches.truncate(s.watches.len() - 2)
+            }),
+            ("out-of-range clause", &|s| {
+                s.watches[0].push(usize::MAX / 2)
+            }),
+            ("out-of-range clause", &|s| {
+                s.reason[0] = Some(s.clauses.len())
+            }),
+            ("fewer than two literals", &|s| {
+                s.clauses[0].lits.truncate(1)
+            }),
+            ("unallocated variable", &|s| {
+                s.clauses[0].lits[1] = unallocated
+            }),
+            ("repeats a variable", &|s| {
+                s.clauses[0].lits[2] = !s.clauses[0].lits[0]
+            }),
+            ("trail repeats a variable", &|s| {
+                s.trail = vec![SatLit::positive(x), SatLit::negative(x)];
+                s.qhead = 2;
+            }),
+            ("propagation head", &|s| s.qhead = s.trail.len() + 1),
+            ("does not watch its literal", &|s| s.watches.rotate_left(3)),
+            ("missing from a watch list", &|s| {
+                s.watches[first_watch].retain(|&ci| ci != 0);
+            }),
+            ("missing from a watch list", &|s| {
+                s.watches.iter_mut().for_each(Vec::clear);
+            }),
+            ("listed twice", &|s| s.watches[first_watch].push(0)),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = s.clone();
+            corrupt(&mut bad);
+            match decode(&encode(&bad)) {
+                Err(DecodeError::Corrupt(message)) => {
+                    assert!(message.contains(what), "{what}: {message}");
+                }
+                other => panic!("{what}: expected a corrupt state, got {other:?}"),
+            }
         }
 
-        let mut bad_learnts = good.clone();
-        bad_learnts.num_learnts += 1;
-        assert!(Solver::from_snapshot(&bad_learnts).is_err());
-
-        let mut short_clause = good.clone();
-        if let Some(clause) = short_clause.clauses.first_mut() {
-            clause.lits.truncate(1);
-            assert!(Solver::from_snapshot(&short_clause).is_err());
-        }
+        // A deleted clause may linger in the lists, even twice.
+        let mut deleted = s.clone();
+        deleted.clauses[0].deleted = true;
+        deleted.watches[first_watch].push(0);
+        assert!(decode(&encode(&deleted)).is_ok());
     }
 
     #[test]

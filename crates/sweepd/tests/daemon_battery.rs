@@ -448,7 +448,7 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
 #[test]
 fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
     // A spilled sweep job whose `SWC1` sidecar holds checkpoint bytes of
-    // format version 8: intact as a spill file, but not a checkpoint this
+    // format version 9: intact as a spill file, but not a checkpoint this
     // build decodes.  The job is re-adopted as queued — exactly like a job
     // with a corrupt checkpoint — and reruns to the uninterrupted result.
     let aig = inject_redundancy(&generators::barrel_shifter(8), 0.5, 21);
@@ -466,14 +466,14 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
         },
     )
     .expect("job spills");
-    let mut v8 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
-    v8.extend_from_slice(&8u32.to_le_bytes());
-    v8.extend_from_slice(&[0x5A; 256]);
+    let mut v9 = stp_sweep::checkpoint::CHECKPOINT_MAGIC.to_vec();
+    v9.extend_from_slice(&9u32.to_le_bytes());
+    v9.extend_from_slice(&[0x5A; 256]);
     assert_eq!(
-        stp_sweep::SweepCheckpoint::decode(&v8),
-        Err(stp_sweep::CheckpointError::UnsupportedVersion(8))
+        stp_sweep::SweepCheckpoint::decode(&v9),
+        Err(stp_sweep::CheckpointError::UnsupportedVersion(9))
     );
-    dir.write_checkpoint(fp, &v8).expect("checkpoint spills");
+    dir.write_checkpoint(fp, &v9).expect("checkpoint spills");
 
     let service = SweepService::start(ServiceConfig {
         workers: 1,

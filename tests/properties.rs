@@ -9,6 +9,7 @@ use stp_sat_sweep::bitsim::{
 };
 use stp_sat_sweep::netlist::aiger::{read_aiger_str, write_aiger_string};
 use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit, NodeId};
+use stp_sat_sweep::satsolver::{CircuitSat, EquivOutcome};
 use stp_sat_sweep::stp::{canonical_form, canonical_form_enumerated, BoolVec, Expr};
 use stp_sat_sweep::stp_sweep::equiv::{ConstantCandidate, EquivClasses};
 use stp_sat_sweep::stp_sweep::resim::eval_pattern_targets;
@@ -81,6 +82,23 @@ fn build_aig(spec: &RandomAig) -> Aig {
         aig.add_output(format!("y{i}"), *lit);
     }
     aig
+}
+
+/// One query of a random sequence: an equivalence, a constant or an
+/// assignment query over literals of the network, under a conflict budget
+/// small enough to leave some queries undetermined.
+fn ask(sat: &mut CircuitSat<'_>, aig: &Aig, query: (u8, usize, usize, bool, u64)) -> EquivOutcome {
+    let (kind, a, b, flag, budget) = query;
+    let a = Lit::new(a % aig.num_nodes(), flag);
+    let b = Lit::new(b % aig.num_nodes(), false);
+    match kind % 3 {
+        0 => sat.prove_equivalent(a, b, budget),
+        1 => sat.prove_constant(a, flag, budget),
+        _ => match sat.find_assignment(&[a, b], budget) {
+            Some(assignment) => EquivOutcome::CounterExample(assignment),
+            None => EquivOutcome::Undetermined,
+        },
+    }
 }
 
 proptest! {
@@ -197,6 +215,33 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The circuit front-end owns its state bytes: a front-end restored
+    /// from them re-encodes to the same bytes and answers every later query
+    /// exactly as the original does, counter-examples included.
+    #[test]
+    fn circuit_sat_snapshots_restore_exactly(
+        spec in arb_aig(),
+        queries in proptest::collection::vec(
+            (0u8..3, any::<usize>(), any::<usize>(), any::<bool>(), 0u64..40),
+            1..24,
+        ),
+        split in any::<usize>(),
+    ) {
+        let aig = build_aig(&spec);
+        let (before, after) = queries.split_at(split % (queries.len() + 1));
+        let mut original = CircuitSat::new(&aig);
+        for &query in before {
+            ask(&mut original, &aig, query);
+        }
+        let bytes = original.snapshot();
+        let mut restored = CircuitSat::from_snapshot(&aig, &bytes).expect("own state restores");
+        prop_assert_eq!(restored.snapshot(), bytes);
+        for &query in after {
+            prop_assert_eq!(ask(&mut original, &aig, query), ask(&mut restored, &aig, query));
+        }
+        prop_assert_eq!(original.snapshot(), restored.snapshot());
     }
 
     /// Sweeping a randomly redundant random AIG preserves equivalence and
