@@ -17,7 +17,7 @@
 //!   bit-parallel words do not help a k-LUT directly: the baseline extracts
 //!   the individual input bits of each pattern, forms the LUT index and looks
 //!   the output bit up, pattern by pattern.  This is the behaviour the
-//!   STP-based simulator in the `stp-sweep` crate is measured against.
+//!   STP-based simulator in the `stp_sweep` crate is measured against.
 //!
 //! ```
 //! use bitsim::{AigSimulator, PatternSet};

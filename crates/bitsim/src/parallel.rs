@@ -7,7 +7,7 @@
 //! Parts share no word, so the result is bit-identical to a one-part run by
 //! construction, for any thread count.
 //!
-//! Both the AIG simulator here and the STP simulator in the `stp-sweep`
+//! Both the AIG simulator here and the STP simulator in the `stp_sweep`
 //! crate run through [`evaluate_word_parts`]; the per-node word kernels
 //! stay with their simulators.
 

@@ -769,7 +769,7 @@ impl Aig {
     /// Evaluates the network on a single input assignment (one Boolean per
     /// primary input, in declaration order), returning one Boolean per
     /// output.  Intended for tests and tiny examples; simulators should use
-    /// the `bitsim` or STP crates.
+    /// the `bitsim` or `stp_sweep` crates.
     ///
     /// # Panics
     ///

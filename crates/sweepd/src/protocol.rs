@@ -194,7 +194,9 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), Protoc
 }
 
 /// Reads one length-prefixed frame.  Returns `Ok(None)` on a clean EOF at
-/// a frame boundary (the peer hung up between messages).
+/// a frame boundary (the peer hung up between messages).  The payload
+/// buffer grows with the bytes that arrive, not with the length the header
+/// announces.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut len_bytes = [0u8; 4];
     match reader.read_exact(&mut len_bytes) {
@@ -206,8 +208,11 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolErr
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    reader.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(Some(payload))
 }
 
@@ -664,6 +669,40 @@ mod tests {
         let huge = (MAX_FRAME_LEN + 1).to_be_bytes();
         let err = read_frame(&mut huge.as_slice()).expect_err("oversized");
         assert!(matches!(err, ProtocolError::Oversized(_)), "got {err}");
+    }
+
+    #[test]
+    fn a_lying_length_header_allocates_only_what_arrives() {
+        /// Reads from a byte slice, recording the largest buffer it is
+        /// handed.
+        struct Recording<'a> {
+            data: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+
+        // A header announcing the largest legal frame, then 16 bytes.
+        let mut input = MAX_FRAME_LEN.to_be_bytes().to_vec();
+        input.extend_from_slice(&[7; 16]);
+        let mut reader = Recording {
+            data: &input,
+            largest: 0,
+        };
+        let err = read_frame(&mut reader).expect_err("short payload");
+        assert!(
+            matches!(&err, ProtocolError::Io(io) if io.kind() == io::ErrorKind::UnexpectedEof),
+            "got {err}"
+        );
+        assert!(
+            reader.largest <= 64 * 1024,
+            "the reader was handed a {}-byte buffer for 20 input bytes",
+            reader.largest
+        );
     }
 
     #[test]

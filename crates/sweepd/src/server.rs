@@ -8,7 +8,7 @@
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,6 +66,29 @@ impl Write for Stream {
         match self {
             Stream::Unix(stream) => stream.flush(),
             Stream::Tcp(stream) => stream.flush(),
+        }
+    }
+}
+
+impl Stream {
+    fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            Stream::Unix(stream) => stream.try_clone().map(Stream::Unix),
+            Stream::Tcp(stream) => stream.try_clone().map(Stream::Tcp),
+        }
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            Stream::Unix(stream) => stream.set_nonblocking(nonblocking),
+            Stream::Tcp(stream) => stream.set_nonblocking(nonblocking),
+        }
+    }
+
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Stream::Unix(stream) => stream.shutdown(how),
+            Stream::Tcp(stream) => stream.shutdown(how),
         }
     }
 }
@@ -141,7 +164,9 @@ fn handle_connection(service: &SweepService, mut stream: Stream, stop: &AtomicBo
 
 /// Binds `endpoint` and serves until a client sends `Shutdown` (or the
 /// service itself was shut down).  Returns once every connection thread
-/// has drained.  The caller still owns stopping the service afterwards.
+/// has answered the request it was serving, without waiting for idle
+/// clients to hang up.  The caller still owns stopping the service
+/// afterwards.
 pub fn serve(service: Arc<SweepService>, endpoint: &Endpoint) -> io::Result<()> {
     let listener = match endpoint {
         Endpoint::Unix(path) => {
@@ -160,29 +185,21 @@ pub fn serve(service: Arc<SweepService>, endpoint: &Endpoint) -> io::Result<()> 
     };
 
     let stop = Arc::new(AtomicBool::new(false));
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
+    // Each live connection's thread, with a second handle on its socket.
+    let mut connections: Vec<(thread::JoinHandle<()>, Stream)> = Vec::new();
     while !stop.load(Ordering::Relaxed) && !service.is_shut_down() {
+        connections.retain(|(conn, _)| !conn.is_finished());
         match listener.accept() {
             Ok(stream) => {
+                // Frame reads on the accepted stream should block.
+                let _ = stream.set_nonblocking(false);
+                let peer = stream.try_clone()?;
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
-                let handle =
-                    thread::Builder::new()
-                        .name("sweepd-conn".into())
-                        .spawn(move || {
-                            // Frame reads on the accepted stream should block.
-                            match &stream {
-                                Stream::Unix(s) => {
-                                    let _ = s.set_nonblocking(false);
-                                }
-                                Stream::Tcp(s) => {
-                                    let _ = s.set_nonblocking(false);
-                                }
-                            }
-                            handle_connection(&service, stream, &stop);
-                        })?;
-                connections.retain(|conn| !conn.is_finished());
-                connections.push(handle);
+                let handle = thread::Builder::new()
+                    .name("sweepd-conn".into())
+                    .spawn(move || handle_connection(&service, stream, &stop))?;
+                connections.push((handle, peer));
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -190,7 +207,13 @@ pub fn serve(service: Arc<SweepService>, endpoint: &Endpoint) -> io::Result<()> 
             Err(err) => return Err(err),
         }
     }
-    for connection in connections {
+    // A connection thread blocks reading its client's next request, which
+    // an idle client never sends.  Closing the read halves ends those
+    // reads with EOF; a request already read still gets its response.
+    for (_, stream) in &connections {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (connection, _) in connections {
         let _ = connection.join();
     }
     if let Endpoint::Unix(path) = endpoint {

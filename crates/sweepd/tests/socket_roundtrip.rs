@@ -1,9 +1,11 @@
 //! End-to-end over a real Unix socket: daemon thread on one side, the
 //! blocking client on the other, full submit → wait → fetch → shutdown
-//! lifecycle, with the same byte-identity gate as the in-process battery.
+//! lifecycle, with the same byte-identity gate as the in-process battery;
+//! and a shutdown that an idle connection must not hold up.
 
 mod common;
 
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,6 +133,56 @@ fn socket_end_to_end_lifecycle() {
         .expect("server thread exits")
         .expect("server exits cleanly");
     assert!(!socket.exists(), "the socket file is cleaned up");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_returns_while_an_idle_client_holds_a_connection() {
+    let dir = fresh_dir("socket-idle");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let socket = dir.join("sweepd.sock");
+    let service = Arc::new(
+        SweepService::start(ServiceConfig {
+            workers: 1,
+            quantum: Duration::from_millis(5),
+            spill_dir: None,
+            checkpoint_every_secs: 0.0,
+        })
+        .expect("service starts"),
+    );
+    let server = {
+        let service = Arc::clone(&service);
+        let endpoint = Endpoint::Unix(socket.clone());
+        std::thread::spawn(move || serve(service, &endpoint))
+    };
+    let client = SweepClient::unix(&socket);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.list().is_err() {
+        assert!(Instant::now() < deadline, "server never came up");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A client that connects and never sends a request.  The server
+    // accepts connections in order, so once the next request is answered
+    // the idle one has its own connection thread.
+    let idle = UnixStream::connect(&socket).expect("idle client connects");
+    client.list().expect("list over the socket");
+
+    client.shutdown().expect("shutdown over the socket");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "serve did not return within 5 s of Shutdown while a client held an idle connection"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server
+        .join()
+        .expect("server thread exits")
+        .expect("server exits cleanly");
+    drop(idle);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,8 +8,10 @@
 //!
 //! Convention: bit `i` of the table is the function value for the assignment
 //! where variable `j` takes the value `(i >> j) & 1` (variable 0 is the
-//! least-significant index).  This is the same convention the `stp` crate
-//! uses for [`LogicMatrix::from_truth_table_bits`].
+//! least-significant index).  The bits are the columns of the paper's
+//! `2 × 2^k` logic matrix (Definition 2) in reverse order: taking variable
+//! `k − 1` as the first argument `x₁`, bit `i` is column `2^k − i`
+//! (counting from 1), and a 1 bit is the column `[1 0]ᵀ`, true.
 //!
 //! ```
 //! use truthtable::TruthTable;
@@ -21,8 +23,6 @@
 //! assert_eq!(maj.count_ones(), 4);
 //! assert!(maj.support().eq([0, 1, 2]));
 //! ```
-//!
-//! [`LogicMatrix::from_truth_table_bits`]: https://docs.rs/stp
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,7 +43,6 @@
 pub use bitsim;
 pub use netlist;
 pub use satsolver;
-pub use stp;
 pub use stp_sweep;
 pub use sweepd;
 pub use truthtable;

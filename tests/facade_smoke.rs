@@ -42,7 +42,7 @@ fn full_pipeline_round_trip_through_facade() {
     let bit_state = AigSimulator::new(&aig).run(&patterns);
 
     // Layer 2: LUT mapping + STP simulation agree with the bitwise baseline
-    // (netlist -> stp -> stp_sim).
+    // (netlist -> stp_sweep::stp_sim).
     let lut = lutmap::map_to_luts(&aig, 4);
     let stp_state = StpSimulator::new(&lut).simulate_all(&patterns);
     for o in 0..aig.num_outputs() {

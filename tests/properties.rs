@@ -1,6 +1,6 @@
-//! Property-based integration tests: random expressions, random circuits and
-//! random pattern sets exercising the cross-crate invariants (canonical-form
-//! agreement, simulator agreement, sweep equivalence).
+//! Property-based integration tests: random circuits and random pattern
+//! sets exercising the cross-crate invariants (simulator agreement, sweep
+//! equivalence).
 
 use proptest::prelude::*;
 use stp_sat_sweep::bitsim::{
@@ -10,7 +10,6 @@ use stp_sat_sweep::bitsim::{
 use stp_sat_sweep::netlist::aiger::{read_aiger_str, write_aiger_string};
 use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit, NodeId};
 use stp_sat_sweep::satsolver::{CircuitSat, EquivOutcome};
-use stp_sat_sweep::stp::{canonical_form, canonical_form_enumerated, BoolVec, Expr};
 use stp_sat_sweep::stp_sweep::equiv::{ConstantCandidate, EquivClasses};
 use stp_sat_sweep::stp_sweep::resim::eval_pattern_targets;
 use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
@@ -18,24 +17,6 @@ use stp_sat_sweep::stp_sweep::{cec, SweepConfig};
 use stp_sat_sweep::workloads::inject_redundancy;
 use stp_sat_sweep::workloads::sequential::random_sequential_aig;
 use stp_sat_sweep::{Engine, PassManager, Sweeper};
-
-/// A random Boolean expression over `num_vars` variables with bounded depth.
-fn arb_expr(num_vars: usize, depth: u32) -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        (0..num_vars).prop_map(Expr::var),
-        any::<bool>().prop_map(Expr::constant),
-    ];
-    leaf.prop_recursive(depth, 64, 2, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(Expr::not),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::and(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::or(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::xor(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::implies(a, b)),
-            (inner.clone(), inner).prop_map(|(a, b)| Expr::iff(a, b)),
-        ]
-    })
-}
 
 /// A random small AIG described as a list of gate recipes.
 #[derive(Debug, Clone)]
@@ -103,21 +84,6 @@ fn ask(sat: &mut CircuitSat<'_>, aig: &Aig, query: (u8, usize, usize, bool, u64)
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Property 3 of the paper: the algebraically constructed canonical form
-    /// agrees with brute-force enumeration and with direct evaluation.
-    #[test]
-    fn canonical_forms_agree(expr in arb_expr(4, 4)) {
-        let num_vars = 4;
-        let algebraic = canonical_form(&expr, num_vars).expect("within range");
-        let enumerated = canonical_form_enumerated(&expr, num_vars).expect("within range");
-        prop_assert_eq!(&algebraic, &enumerated);
-        for bits in 0..(1usize << num_vars) {
-            let assignment: Vec<bool> = (0..num_vars).map(|j| (bits >> j) & 1 == 1).collect();
-            let args: Vec<BoolVec> = assignment.iter().map(|&b| BoolVec::new(b)).collect();
-            prop_assert_eq!(algebraic.apply(&args).value(), expr.eval(&assignment));
-        }
-    }
 
     /// LUT mapping and both simulators preserve the function of random AIGs.
     #[test]
