@@ -7,7 +7,8 @@
 //! document's `"table"` field:
 //!
 //! * **deterministic counters** (gate counts, SAT calls, merges, constants,
-//!   resimulation counts) must match the baseline exactly —
+//!   resimulation counts, candidates skipped as dead) must match the
+//!   baseline exactly —
 //!   the engines are seeded and deterministic, so any drift is a real
 //!   behaviour change;
 //! * **time-like fields** (per-benchmark wall-clock, the Table I speed-up
@@ -58,6 +59,7 @@ const EXACT_ROW_FIELDS: &[&str] = &[
     "resim_events",
     "resim_nodes",
     "resim_skipped",
+    "dead_skips",
 ];
 
 /// The run-parameter header fields of a table1 snapshot; the two snapshots
@@ -80,10 +82,12 @@ const TABLE2_EXACT_ROW_FIELDS: &[&str] = &[
     "tsat_b",
     "merges_b",
     "constants_b",
+    "dead_skips_b",
     "ssat_s",
     "tsat_s",
     "merges_s",
     "constants_s",
+    "dead_skips_s",
 ];
 
 /// The time-like per-benchmark fields of a table2 snapshot, gated with the
@@ -482,6 +486,10 @@ mod tests {
     use super::*;
 
     fn snapshot(total_s: f64, sat_calls: u64, xl: f64) -> Json {
+        snapshot_with_skips(total_s, sat_calls, xl, 7)
+    }
+
+    fn snapshot_with_skips(total_s: f64, sat_calls: u64, xl: f64, dead_skips: u64) -> Json {
         parse(&format!(
             r#"{{"table": "table1_simulation", "scale": "Small", "patterns": 4096,
                 "lut_k": 6, "threads": 1,
@@ -490,21 +498,31 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": 345,
                     "sat_calls": {sat_calls}, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "total_s": {total_s}}}
+                    "dead_skips": {dead_skips}, "total_s": {total_s}}}
                 ]}}}}"#
         ))
         .unwrap()
     }
 
     fn table2_snapshot(total_s: f64, ssat_s: u64, merges_s: u64) -> Json {
+        table2_snapshot_with_skips(total_s, ssat_s, merges_s, 11)
+    }
+
+    fn table2_snapshot_with_skips(
+        total_s: f64,
+        ssat_s: u64,
+        merges_s: u64,
+        dead_skips_s: u64,
+    ) -> Json {
         parse(&format!(
             r#"{{"table": "table2_sweeping", "scale": "Tiny", "patterns": 256,
                 "rows": [
                   {{"benchmark": "6s100", "pi": 24, "po": 40, "levels": 12,
                     "gates": 600, "result_b": 510, "result_s": 500,
                     "ssat_b": 40, "tsat_b": 90, "merges_b": 30, "constants_b": 2,
+                    "dead_skips_b": 9,
                     "ssat_s": {ssat_s}, "tsat_s": 60, "merges_s": {merges_s},
-                    "constants_s": 2,
+                    "constants_s": 2, "dead_skips_s": {dead_skips_s},
                     "sim_b_s": 0.001, "sim_s_s": 0.002,
                     "total_b_s": 0.040, "total_s_s": {total_s}}}
                 ]}}"#
@@ -526,6 +544,9 @@ mod tests {
         let fresh = snapshot(0.01, 4, 40.0);
         let findings = compare(&base, &fresh, 0.30, 0.0, false);
         assert!(findings.failures.iter().any(|f| f.contains("sat_calls")));
+        let skipped = snapshot_with_skips(0.01, 3, 40.0, 8);
+        let findings = compare(&base, &skipped, 0.30, 0.0, false);
+        assert!(findings.failures.iter().any(|f| f.contains("dead_skips")));
     }
 
     #[test]
@@ -571,6 +592,9 @@ mod tests {
         let merged = table2_snapshot(0.050, 5, 26);
         let findings = compare(&base, &merged, 0.30, 0.0, false);
         assert!(findings.failures.iter().any(|f| f.contains("merges_s")));
+        let skipped = table2_snapshot_with_skips(0.050, 5, 25, 12);
+        let findings = compare(&base, &skipped, 0.30, 0.0, false);
+        assert!(findings.failures.iter().any(|f| f.contains("dead_skips_s")));
         // A slowdown beyond tolerance fails; a speedup passes; the floor and
         // --skip-times exempt it.
         let slow = table2_snapshot(0.080, 5, 25);
@@ -636,7 +660,7 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": {gates_after},
                     "sat_calls": 0, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "total_s": 0.01, "passes": [
+                    "dead_skips": 0, "total_s": 0.01, "passes": [
                       {{"name": "rewrite", "gates_before": 345, "gates_after": {gates_after},
                         "sat_calls": 0, "merges": 0, "time_s": 0.005,
                         "counters": {{"candidates": 40, "rewrites": {rewrites}}}}},

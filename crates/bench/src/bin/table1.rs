@@ -246,7 +246,7 @@ fn pipeline_json_row(
         "      {{\"benchmark\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, \
          \"sat_calls\": {}, \"merges\": {}, \"constants\": {}, \
          \"resim_events\": {}, \"resim_nodes\": {}, \"resim_skipped\": {}, \
-         \"total_s\": {:.6}, \"passes\": [{}]}}",
+         \"dead_skips\": {}, \"total_s\": {:.6}, \"passes\": [{}]}}",
         name,
         r.gates_before,
         r.gates_after,
@@ -256,6 +256,7 @@ fn pipeline_json_row(
         r.resim_events,
         r.resim_nodes,
         r.resim_skipped_nodes,
+        r.dead_skips,
         r.total_time.as_secs_f64(),
         passes.join(", ")
     )

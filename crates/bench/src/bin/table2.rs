@@ -95,7 +95,9 @@ fn main() {
             "    {{\"benchmark\": \"{}\", \"pi\": {}, \"po\": {}, \"levels\": {}, \"gates\": {}, \
              \"result_b\": {}, \"result_s\": {}, \
              \"ssat_b\": {}, \"tsat_b\": {}, \"merges_b\": {}, \"constants_b\": {}, \
+             \"dead_skips_b\": {}, \
              \"ssat_s\": {}, \"tsat_s\": {}, \"merges_s\": {}, \"constants_s\": {}, \
+             \"dead_skips_s\": {}, \
              \"sim_b_s\": {:.6}, \"sim_s_s\": {:.6}, \"total_b_s\": {:.6}, \"total_s_s\": {:.6}}}",
             bench.name,
             aig.num_inputs(),
@@ -108,10 +110,12 @@ fn main() {
             rb.sat_calls_total,
             rb.merges,
             rb.constants,
+            rb.dead_skips,
             rs.sat_calls_sat,
             rs.sat_calls_total,
             rs.merges,
             rs.constants,
+            rs.dead_skips,
             rb.simulation_time.as_secs_f64(),
             rs.simulation_time.as_secs_f64(),
             rb.total_time.as_secs_f64(),

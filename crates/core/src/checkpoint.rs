@@ -62,18 +62,20 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 10 carries the
-/// session's one solver as the opaque, length-prefixed bytes of
+/// [`CheckpointError::UnsupportedVersion`].  Version 11 adds the count of
+/// candidates skipped because they reached no output to the stats; the
+/// live-reference counts behind the skips are not stored, because replaying
+/// the merge log rebuilds them.  As in version 10, the session's one solver
+/// travels as the opaque, length-prefixed bytes of
 /// [`satsolver::CircuitSat::snapshot`], which hold only what a later query
-/// reads, and drops the canonical fingerprint of the network.  As in
-/// version 9, both sweeps share the layout: a sequential sweep is a session
+/// reads.  Both sweeps share the layout: a sequential sweep is a session
 /// phase whose cursor is the next induction query, and its solver state is
 /// that of the induction network.  There are no pattern words or
 /// resimulation state: the classes and the solver carry everything a
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 10;
+pub const CHECKPOINT_VERSION: u32 = 11;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -475,6 +477,7 @@ fn encode_stats(w: &mut Writer, s: &StatsObserver) {
     w.u64(s.resim_events);
     w.u64(s.resim_nodes);
     w.u64(s.resim_skipped_nodes);
+    w.u64(s.dead_skips);
     w.u64(s.checkpoints);
     w.u64(s.checkpoint_bytes);
 }
@@ -494,6 +497,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
         resim_events: r.u64()?,
         resim_nodes: r.u64()?,
         resim_skipped_nodes: r.u64()?,
+        dead_skips: r.u64()?,
         checkpoints: r.u64()?,
         checkpoint_bytes: r.u64()?,
         // Pipeline-level pass brackets are not part of a sweep session's
@@ -616,6 +620,7 @@ mod tests {
                 resim_events: 1,
                 resim_nodes: 7,
                 resim_skipped_nodes: 3,
+                dead_skips: 2,
                 checkpoints: 1,
                 ..StatsObserver::new()
             },

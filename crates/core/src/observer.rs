@@ -84,6 +84,12 @@ pub trait Observer {
         let _ = (targets, resimulated, skipped);
     }
 
+    /// `candidate` reached no output of the working copy at its turn, so
+    /// it was skipped with no window verdict and no SAT query.
+    fn on_dead_candidate(&mut self, candidate: NodeId) {
+        let _ = candidate;
+    }
+
     /// A periodic checkpoint was captured (every
     /// [`crate::SweepConfig::checkpoint_interval`] committed candidates
     /// and/or every [`crate::SweepConfig::checkpoint_interval_millis`]
@@ -154,6 +160,8 @@ pub struct StatsObserver {
     pub resim_nodes: u64,
     /// AND nodes incremental resimulation skipped, over all events.
     pub resim_skipped_nodes: u64,
+    /// Candidates skipped because they reached no output at their turn.
+    pub dead_skips: u64,
     /// Periodic checkpoints captured (not part of [`SweepReport`]: a
     /// resumed run re-emits its own checkpoints, while the report counters
     /// stay identical to an uninterrupted run).
@@ -194,6 +202,7 @@ impl StatsObserver {
             resim_events: self.resim_events,
             resim_nodes: self.resim_nodes,
             resim_skipped_nodes: self.resim_skipped_nodes,
+            dead_skips: self.dead_skips,
             ..SweepReport::default()
         }
     }
@@ -242,6 +251,10 @@ impl Observer for StatsObserver {
         self.resim_skipped_nodes += skipped as u64;
     }
 
+    fn on_dead_candidate(&mut self, _candidate: NodeId) {
+        self.dead_skips += 1;
+    }
+
     fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, encoded: &[u8]) {
         self.checkpoints += 1;
         self.checkpoint_bytes += encoded.len() as u64;
@@ -271,6 +284,7 @@ mod tests {
         stats.on_simulation_verdict(5, 3, true);
         stats.on_simulation_verdict(6, 3, false);
         stats.on_resimulation(3, 5, 95);
+        stats.on_dead_candidate(11);
 
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.merges, 1);
@@ -286,6 +300,7 @@ mod tests {
         assert_eq!(stats.resim_events, 1);
         assert_eq!(stats.resim_nodes, 5);
         assert_eq!(stats.resim_skipped_nodes, 95);
+        assert_eq!(stats.dead_skips, 1);
 
         let report = stats.counts();
         assert_eq!(report.merges, 1);
@@ -294,6 +309,7 @@ mod tests {
         assert_eq!(report.resim_events, 1);
         assert_eq!(report.resim_nodes, 5);
         assert_eq!(report.resim_skipped_nodes, 95);
+        assert_eq!(report.dead_skips, 1);
         assert_eq!(report.gates_before, 0, "gate counts belong to the session");
     }
 
@@ -307,5 +323,6 @@ mod tests {
         noop.on_class_refined(0, 0);
         noop.on_simulation_verdict(1, 2, true);
         noop.on_resimulation(0, 0, 0);
+        noop.on_dead_candidate(1);
     }
 }

@@ -312,6 +312,9 @@ pub struct SweepReport {
     /// extra work a `simulate_all`-per-counter-example strategy would have
     /// done.
     pub resim_skipped_nodes: u64,
+    /// Constant and merge candidates skipped with no window verdict and no
+    /// SAT query, because no output reached them at their turn.
+    pub dead_skips: u64,
     /// Always 0; kept because the frozen `stpbench` benchmark reads it.
     #[doc(hidden)]
     pub sat_batches: u64,
@@ -382,6 +385,7 @@ impl SweepReport {
         self.resim_events += later.resim_events;
         self.resim_nodes += later.resim_nodes;
         self.resim_skipped_nodes += later.resim_skipped_nodes;
+        self.dead_skips += later.dead_skips;
         self.seq_latches_after = later.seq_latches_after;
         self.seq_candidates += later.seq_candidates;
         self.seq_ternary_constants += later.seq_ternary_constants;
@@ -617,6 +621,7 @@ mod tests {
             resim_events: 2,
             resim_nodes: 30,
             resim_skipped_nodes: 130,
+            dead_skips: 9,
             seq_latches_after: 3,
             seq_candidates: 4,
             seq_ternary_constants: 1,
@@ -637,6 +642,7 @@ mod tests {
         assert_eq!(first.resim_events, 2);
         assert_eq!(first.resim_nodes, 30);
         assert_eq!(first.resim_skipped_nodes, 130);
+        assert_eq!(first.dead_skips, 9);
         assert_eq!(first.seq_latches_before, 7, "merge keeps the origin");
         assert_eq!(first.seq_latches_after, 3, "the later pass wins");
         assert_eq!(first.seq_candidates, 6);

@@ -58,7 +58,7 @@ use crate::resim;
 use crate::sequential::{self, Induction};
 use crate::window::WindowIndex;
 use bitsim::AigSimulator;
-use netlist::{Aig, Lit, NodeId};
+use netlist::{Aig, AigNode, Lit, NodeId};
 use satsolver::{CircuitSat, EquivOutcome};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -230,9 +230,15 @@ pub struct SweepSession<'n, 'o> {
     /// is on.
     windows: Option<WindowIndex>,
     merged: Vec<Option<Lit>>,
-    /// Ordered log of applied merges; replaying it reconstructs `result`
-    /// and `merged` when a checkpoint is restored.  A sequential session
-    /// logs latch merges: target state node, representative state literal.
+    /// Live-reference count of every node of `result`: its references from
+    /// outputs and from ANDs that reach an output (see [`live_refs`]).  A
+    /// candidate whose count is 0 at its turn is skipped.  Empty for a
+    /// sequential session.
+    refs: Vec<u32>,
+    /// Ordered log of applied merges; replaying it reconstructs `result`,
+    /// `merged` and `refs` when a checkpoint is restored.  A sequential
+    /// session logs latch merges: target state node, representative state
+    /// literal.
     merge_log: Vec<(NodeId, Lit)>,
     dont_touch: Vec<bool>,
     stats: StatsObserver,
@@ -292,6 +298,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             classes: EquivClasses::default(),
             windows: None,
             merged: vec![None; aig.num_nodes()],
+            refs: Vec::new(),
             merge_log: Vec::new(),
             dont_touch: vec![false; aig.num_nodes()],
             stats: StatsObserver::new(),
@@ -359,6 +366,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             self.windows = config
                 .window_refinement
                 .then(|| WindowIndex::build(aig, config.window_limit));
+            self.refs = live_refs(aig);
         }
         self.primed = true;
     }
@@ -427,6 +435,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let mut result = aig.clone();
         let mut merged: Vec<Option<Lit>> = vec![None; num_nodes];
         let mut dont_touch = vec![false; num_nodes];
+        let mut refs = Vec::new();
         let (sat, seq, classes, windows) = if sequential {
             if !(checkpoint.classes.is_empty()
                 && checkpoint.constants.is_empty()
@@ -475,6 +484,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 result.replace_node(node, lit);
                 merged[node] = Some(lit);
             }
+            // The counts the merges maintained are those of the replayed
+            // working copy.
+            refs = live_refs(&result);
             for &node in &checkpoint.dont_touch {
                 dont_touch[node] = true;
             }
@@ -505,6 +517,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             classes,
             windows,
             merged,
+            refs,
             merge_log: checkpoint.merge_log.clone(),
             dont_touch,
             stats: checkpoint.stats,
@@ -810,6 +823,23 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 self.phase = self.merging_entry_phase();
                 return true;
             };
+            // A candidate a counter-example refuted after the queue froze
+            // would only get a satisfiable query, and one that reaches no
+            // output is skipped.
+            let refuted = self
+                .classes
+                .constants()
+                .binary_search_by_key(&candidate.node, |c| c.node)
+                .is_err();
+            if refuted || self.refs[candidate.node] == 0 {
+                if !refuted {
+                    self.notify(|o| o.on_dead_candidate(candidate.node));
+                }
+                if let Phase::Constants { next, .. } = &mut self.phase {
+                    *next += 1;
+                }
+                continue;
+            }
             if !self.within_budget() {
                 let phase = self.phase.clone();
                 self.capture_stop_checkpoint(&phase);
@@ -947,8 +977,14 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     /// The pairwise-merging phase: the candidate on top of the pending
     /// queue takes proof steps until it settles; a counter-example refines
     /// the classes and the candidate retries with its remaining drivers.
-    /// Returns `true` when the queue drains, `false` on a budget stop (with
-    /// the stop checkpoint captured).
+    /// A candidate that reaches no output at its turn is skipped.  Returns
+    /// `true` when the queue drains, `false` on a budget stop (with the
+    /// stop checkpoint captured).
+    ///
+    /// A merge can revive nodes (see [`SweepSession::apply_merge`]), all of
+    /// them topologically before the candidate.  The STP engine has not
+    /// reached them yet; the baseline has, so it pushes them back, smallest
+    /// on top, unless they are don't-touch.
     fn step_merging(&mut self) -> bool {
         // Take the cursor out of `self.phase` while mutating it; it is
         // written back before any stop checkpoint is captured.
@@ -960,15 +996,21 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 pending.pop();
                 continue;
             };
+            if self.refs[candidate] == 0 {
+                self.notify(|o| o.on_dead_candidate(candidate));
+                pending.pop();
+                continue;
+            }
             let Some((step, used)) = self.prove_step(candidate, &drivers) else {
                 let phase = Phase::Merging { pending };
                 self.capture_stop_checkpoint(&phase);
                 self.phase = phase;
                 return false;
             };
+            let mut revived = Vec::new();
             let settled = match step {
                 Step::Merge(replacement) => {
-                    self.apply_merge(candidate, replacement);
+                    revived = self.apply_merge(candidate, replacement);
                     true
                 }
                 Step::CounterExample(assignment) => {
@@ -985,6 +1027,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             if settled {
                 pending.pop();
                 self.committed_candidates += 1;
+                if self.engine == Engine::Baseline {
+                    revived.retain(|&node| !self.dont_touch[node]);
+                    revived.sort_unstable_by(|a, b| b.cmp(a));
+                    pending.extend(revived.into_iter().map(|node| (node, 0)));
+                }
             } else if let Some(top) = pending.last_mut() {
                 top.1 = attempts + used;
             }
@@ -1051,13 +1098,52 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 
     /// Applies a proved merge: redirects `candidate`'s fanouts to
-    /// `replacement` in the working copy.
-    fn apply_merge(&mut self, candidate: NodeId, replacement: Lit) {
+    /// `replacement` in the working copy, and moves the candidate's live
+    /// references with them.  A dead replacement revives with its dead
+    /// cone; the candidate's own cone then loses the candidate's
+    /// references (ABC's `Aig_NodeRef_rec` and `Aig_NodeDeref_rec`).
+    /// Returns the AND nodes the merge revived.
+    fn apply_merge(&mut self, candidate: NodeId, replacement: Lit) -> Vec<NodeId> {
         self.result.replace_node(candidate, replacement);
         self.merged[candidate] = Some(replacement);
         self.merge_log.push((candidate, replacement));
         self.classes.remove(candidate);
         self.notify(|o| o.on_merge(candidate, replacement));
+
+        // Both phases skip dead candidates, so the candidate is live.
+        let moved = std::mem::take(&mut self.refs[candidate]);
+        debug_assert!(moved > 0, "a merged candidate reaches an output");
+        let target = replacement.node();
+        let mut revived = Vec::new();
+        if self.refs[target] == 0 {
+            revived.push(target);
+        }
+        self.refs[target] += moved;
+        let mut next = 0;
+        while let Some(&node) = revived.get(next) {
+            next += 1;
+            if let AigNode::And { fanin0, fanin1 } = self.result.node(node) {
+                for fanin in [fanin0.node(), fanin1.node()] {
+                    self.refs[fanin] += 1;
+                    if self.refs[fanin] == 1 {
+                        revived.push(fanin);
+                    }
+                }
+            }
+        }
+        let mut dying = vec![candidate];
+        while let Some(node) = dying.pop() {
+            if let AigNode::And { fanin0, fanin1 } = self.result.node(node) {
+                for fanin in [fanin0.node(), fanin1.node()] {
+                    self.refs[fanin] -= 1;
+                    if self.refs[fanin] == 0 {
+                        dying.push(fanin);
+                    }
+                }
+            }
+        }
+        revived.retain(|&node| self.result.node(node).is_and());
+        revived
     }
 
     /// Resimulates a counter-example and refines the candidate classes.
@@ -1128,6 +1214,27 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 }
 
+/// The live-reference count of every node of `aig`: one per output that
+/// it drives and one per fanin edge from an AND that itself has a live
+/// reference.  A node whose count is 0 reaches no output.
+fn live_refs(aig: &Aig) -> Vec<u32> {
+    let mut refs = vec![0u32; aig.num_nodes()];
+    for output in aig.outputs() {
+        refs[output.lit.node()] += 1;
+    }
+    // Fanouts follow their fanins, so a node's count is final when the
+    // reverse sweep reaches it.
+    for node in (0..aig.num_nodes()).rev() {
+        if let AigNode::And { fanin0, fanin1 } = aig.node(node) {
+            if refs[node] > 0 {
+                refs[fanin0.node()] += 1;
+                refs[fanin1.node()] += 1;
+            }
+        }
+    }
+    refs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1165,6 +1272,129 @@ mod tests {
         aig.add_output("o3", o3);
         aig.add_output("o4", o4);
         aig
+    }
+
+    /// A circuit with dangling logic: compact originals that no output
+    /// reads come first, then live duplicates built differently, which
+    /// merge back into them, then a dangling duplicate.  One dead original
+    /// repeats earlier live logic (`x0 ⊕ x1` as a plain xor), so the
+    /// baseline skips that node and requeues it once a merge revives it.
+    fn dangling_circuit() -> Aig {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 6);
+        let g_t = aig.or(xs[0], xs[1]);
+        let g_b = aig.nand(xs[0], xs[1]);
+        let g = aig.and(g_t, g_b);
+        let f = aig.and(xs[1], xs[5]);
+        let g1 = aig.xor(xs[0], xs[1]);
+        let _d = aig.and(f, g1);
+        let _h = aig.maj(xs[0], xs[2], xs[5]);
+        // x1 ∧ (x5 ∨ x2) ∧ (x5 ∨ ¬x2) = x1 ∧ x5.
+        let p = aig.or(xs[5], xs[2]);
+        let q = aig.or(xs[5], !xs[2]);
+        let pq = aig.and(p, q);
+        let f2 = aig.and(xs[1], pq);
+        let d2 = aig.and(f2, g);
+        let o25 = aig.or(xs[2], xs[5]);
+        let a25 = aig.and(xs[2], xs[5]);
+        let h2 = aig.mux(xs[0], o25, a25);
+        let o05 = aig.or(xs[0], xs[5]);
+        let a05 = aig.and(xs[0], xs[5]);
+        let _h3 = aig.mux(xs[2], o05, a05);
+        let o1 = aig.xor(d2, xs[3]);
+        let o2 = aig.or(h2, f2);
+        aig.add_output("o1", o1);
+        aig.add_output("o2", o2);
+        aig
+    }
+
+    /// Records the candidates skipped as dead and the merged ones.
+    #[derive(Default)]
+    struct SkipLog {
+        skipped: Vec<NodeId>,
+        merged: Vec<NodeId>,
+    }
+
+    impl Observer for SkipLog {
+        fn on_dead_candidate(&mut self, candidate: NodeId) {
+            self.skipped.push(candidate);
+        }
+        fn on_merge(&mut self, candidate: NodeId, _replacement: Lit) {
+            self.merged.push(candidate);
+        }
+    }
+
+    /// Few random patterns: plenty of SAT traffic.
+    fn sat_heavy_config() -> SweepConfig {
+        SweepConfig {
+            num_initial_patterns: 4,
+            sat_guided_patterns: false,
+            ..SweepConfig::default()
+        }
+    }
+
+    /// Windows of three leaves settle only some of the dangling circuit's
+    /// pairs, so the STP engine still queries SAT on it.
+    fn dangling_config() -> SweepConfig {
+        sat_heavy_config().with_window_limit(3)
+    }
+
+    #[test]
+    fn dead_candidates_are_skipped_and_the_baseline_requeues_revived_ones() {
+        let aig = dangling_circuit();
+        for engine in [Engine::Stp, Engine::Baseline] {
+            let mut log = SkipLog::default();
+            let result = Sweeper::new(engine)
+                .config(dangling_config())
+                .observer(&mut log)
+                .run(&aig)
+                .expect("runs");
+            assert!(result.report.dead_skips > 0, "{engine} skips");
+            assert_eq!(result.report.dead_skips, log.skipped.len() as u64);
+            // A skipped node merged later was revived and requeued: only
+            // the baseline has passed the nodes a merge revives.
+            let requeued = log.skipped.iter().any(|n| log.merged.contains(n));
+            assert_eq!(requeued, engine == Engine::Baseline, "{engine}");
+            assert!(check_equivalence(&aig, &result.aig, 100_000).equivalent);
+        }
+    }
+
+    #[test]
+    fn a_live_duplicate_merges_into_its_dead_compact_original() {
+        // x0 ⊕ x1: compact and dangling, then a five-AND live copy.
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 3);
+        let _compact = aig.xor(xs[0], xs[1]);
+        let t = aig.or(xs[0], xs[1]);
+        let b = aig.nand(xs[0], xs[1]);
+        let inner = aig.and(t, b);
+        let s = aig.or(xs[2], t);
+        let live = aig.and(inner, s);
+        aig.add_output("y", live);
+        // The same plus a dangling copy: (x0 ∨ x1) ∧ ¬(x0 x1 x2) ∧ ¬(x0 x1 ¬x2).
+        let mut dangling = aig.clone();
+        let both = !b;
+        let u = dangling.and(both, xs[2]);
+        let v = dangling.and(both, !xs[2]);
+        let w = dangling.and(t, !u);
+        let _copy = dangling.and(w, !v);
+        for engine in [Engine::Stp, Engine::Baseline] {
+            let sweep = |aig: &Aig| {
+                Sweeper::new(engine)
+                    .config(sat_heavy_config())
+                    .run(aig)
+                    .expect("runs")
+            };
+            let plain = sweep(&aig);
+            assert_eq!(plain.report.gates_after, 3, "{engine}: the compact xor");
+            let with_copy = sweep(&dangling);
+            assert_eq!(with_copy.report.gates_after, 3, "{engine}");
+            assert_eq!(
+                with_copy.report.sat_calls_total, plain.report.sat_calls_total,
+                "{engine}: the dangling copy costs no SAT call"
+            );
+            assert!(with_copy.report.dead_skips > plain.report.dead_skips);
+        }
     }
 
     #[test]
@@ -1295,12 +1525,7 @@ mod tests {
         for engine in [Engine::Stp, Engine::Baseline] {
             let mut stats = StatsObserver::new();
             let result = Sweeper::new(engine)
-                .config(SweepConfig {
-                    // Few initial patterns so that SAT finds counter-examples.
-                    num_initial_patterns: 4,
-                    sat_guided_patterns: false,
-                    ..SweepConfig::default()
-                })
+                .config(sat_heavy_config())
                 .observer(&mut stats)
                 .run(&aig)
                 .expect("runs");
@@ -1417,51 +1642,64 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_at_every_sat_boundary_is_identity() {
-        let aig = redundant_circuit();
-        for engine in [Engine::Stp, Engine::Baseline] {
-            let config = SweepConfig {
-                num_initial_patterns: 4, // few patterns: plenty of SAT traffic
-                sat_guided_patterns: false,
-                ..SweepConfig::default()
-            };
-            let context = |cut: u64, total: u64| {
-                format!("{engine}, cancelled after {cut} of {total} SAT calls")
-            };
-            let reference = Sweeper::new(engine).config(config).run(&aig).expect("runs");
-            let reference_aiger = write_aiger_string(&reference.aig);
-            let total = reference.report.sat_calls_total;
-            assert!(total >= 2, "workload must need SAT calls ({engine})");
-            // `cut = 0` pre-trips the budget before priming (no checkpoint);
-            // that boundary is covered by the begin()+checkpoint() test.
-            for cut in 1..total {
-                let err = Sweeper::new(engine)
-                    .config(config)
-                    .budget(Budget::unlimited().with_max_sat_calls(cut))
-                    .run(&aig)
-                    .unwrap_err();
-                let checkpoint = err
-                    .into_checkpoint()
-                    .expect("a primed budget stop carries a checkpoint");
-                // Round-trip through bytes: resume from the decoded copy.
-                let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
-                let resumed = Sweeper::new(engine)
-                    .resume_from(&aig, &decoded)
-                    .expect("fingerprints match")
-                    .run()
-                    .expect("unlimited resume finishes");
-                assert_eq!(
-                    strip(&resumed.report),
-                    strip(&reference.report),
-                    "{}",
-                    context(cut, total)
-                );
-                assert_eq!(
-                    write_aiger_string(&resumed.aig),
-                    reference_aiger,
-                    "{}",
-                    context(cut, total)
-                );
+        for (name, aig, config) in [
+            ("redundant", redundant_circuit(), sat_heavy_config()),
+            ("dangling", dangling_circuit(), dangling_config()),
+        ] {
+            for engine in [Engine::Stp, Engine::Baseline] {
+                assert_resume_at_every_sat_boundary(&aig, engine, config, name);
             }
+        }
+    }
+
+    /// Cancels the run after each of its SAT calls in turn and demands
+    /// that every resumed run reproduces the uninterrupted one exactly.
+    fn assert_resume_at_every_sat_boundary(
+        aig: &Aig,
+        engine: Engine,
+        config: SweepConfig,
+        name: &str,
+    ) {
+        let context = |cut: u64, total: u64| {
+            format!("{name}, {engine}, cancelled after {cut} of {total} SAT calls")
+        };
+        let reference = Sweeper::new(engine).config(config).run(aig).expect("runs");
+        let reference_aiger = write_aiger_string(&reference.aig);
+        let total = reference.report.sat_calls_total;
+        assert!(
+            total >= 2,
+            "workload must need SAT calls ({name}, {engine})"
+        );
+        // `cut = 0` pre-trips the budget before priming (no checkpoint);
+        // that boundary is covered by the begin()+checkpoint() test.
+        for cut in 1..total {
+            let err = Sweeper::new(engine)
+                .config(config)
+                .budget(Budget::unlimited().with_max_sat_calls(cut))
+                .run(aig)
+                .unwrap_err();
+            let checkpoint = err
+                .into_checkpoint()
+                .expect("a primed budget stop carries a checkpoint");
+            // Round-trip through bytes: resume from the decoded copy.
+            let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
+            let resumed = Sweeper::new(engine)
+                .resume_from(aig, &decoded)
+                .expect("fingerprints match")
+                .run()
+                .expect("unlimited resume finishes");
+            assert_eq!(
+                strip(&resumed.report),
+                strip(&reference.report),
+                "{}",
+                context(cut, total)
+            );
+            assert_eq!(
+                write_aiger_string(&resumed.aig),
+                reference_aiger,
+                "{}",
+                context(cut, total)
+            );
         }
     }
 
@@ -1490,11 +1728,7 @@ mod tests {
     fn resume_against_a_mutated_network_is_rejected() {
         let aig = redundant_circuit();
         let checkpoint = Sweeper::new(Engine::Stp)
-            .config(SweepConfig {
-                num_initial_patterns: 4,
-                sat_guided_patterns: false,
-                ..SweepConfig::default()
-            })
+            .config(sat_heavy_config())
             .budget(Budget::unlimited().with_max_sat_calls(1))
             .run(&aig)
             .unwrap_err()
@@ -1674,11 +1908,7 @@ mod tests {
     #[test]
     fn periodic_checkpoints_are_emitted_and_resumable() {
         let aig = redundant_circuit();
-        let config = SweepConfig {
-            num_initial_patterns: 4,
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
+        let config = sat_heavy_config();
 
         struct Collector {
             checkpoints: Vec<SweepCheckpoint>,
@@ -1729,11 +1959,7 @@ mod tests {
     #[test]
     fn wall_clock_checkpoints_are_emitted_and_resumable() {
         let aig = redundant_circuit();
-        let config = SweepConfig {
-            num_initial_patterns: 4,
-            sat_guided_patterns: false,
-            ..SweepConfig::default()
-        };
+        let config = sat_heavy_config();
 
         struct TimedCollector {
             checkpoints: Vec<SweepCheckpoint>,

@@ -136,18 +136,22 @@ impl WindowIndex {
 
     /// Attempts to disprove or prove the equivalence of two nodes (up to the
     /// given complement relation) purely from their windows — the
-    /// "exhaustive simulation" shortcut of Section IV-A.
+    /// "exhaustive simulation" shortcut of Section IV-A.  Each table is the
+    /// node's exact function of its leaf signals, so equal tables over the
+    /// union of the leaves prove the pair whatever the leaves are.
     ///
-    /// * `Some(true)`  — the nodes are provably equivalent: both windows are
-    ///   global (all leaves are PIs) and their truth tables agree over the
-    ///   union of the leaves.  This is a complete proof and needs no SAT
-    ///   call.
+    /// * `Some(true)`  — the nodes are provably equivalent: their truth
+    ///   tables agree over the union of the leaves (at most 16).  This is a
+    ///   complete proof and needs no SAT call.
     /// * `Some(false)` — the exhaustive window simulation distinguishes the
-    ///   nodes.  When both windows are global this is a complete disproof;
-    ///   when they are not, it is the same heuristic filter the paper uses
-    ///   (the pair is dropped as a merge candidate — never merged — so
-    ///   soundness of the sweep is unaffected).
-    /// * `None` — the windows are not comparable; a SAT query is needed.
+    ///   nodes over the same leaf set, or over a union of global windows
+    ///   (all leaves are PIs).  When both windows are global this is a
+    ///   complete disproof; when they are not, it is the same heuristic
+    ///   filter the paper uses (the pair is dropped as a merge candidate —
+    ///   never merged — so soundness of the sweep is unaffected).
+    /// * `None` — the windows are not comparable (a union of more than 16
+    ///   leaves, or unequal tables over different non-global leaf sets); a
+    ///   SAT query is needed.
     pub fn compare(&self, aig: &Aig, a: NodeId, b: NodeId, complemented: bool) -> Option<bool> {
         let wa = &self.windows[a];
         let wb = &self.windows[b];
@@ -157,18 +161,7 @@ impl WindowIndex {
             } else {
                 wb.table.clone()
             };
-            let equal = wa.table == tb;
-            if !equal {
-                return Some(false);
-            }
-            return if wa.is_global(aig) { Some(true) } else { None };
-        }
-        // Different leaf sets: an exhaustive comparison is only conclusive
-        // when both windows are global; then both tables are the nodes'
-        // actual functions of the primary inputs and can be compared over
-        // the union of the leaves.
-        if !wa.is_global(aig) || !wb.is_global(aig) {
-            return None;
+            return Some(wa.table == tb);
         }
         let mut union = wa.leaves.clone();
         for &l in &wb.leaves {
@@ -183,7 +176,15 @@ impl WindowIndex {
         let ta = remap(&wa.table, &wa.leaves, &union);
         let tb = remap(&wb.table, &wb.leaves, &union);
         let tb = if complemented { !&tb } else { tb };
-        Some(ta == tb)
+        // Unequal tables over non-global leaves may differ only on leaf
+        // values the circuit never produces.
+        if ta == tb {
+            Some(true)
+        } else if wa.is_global(aig) && wb.is_global(aig) {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 
@@ -275,5 +276,46 @@ mod tests {
         assert_eq!(index.compare(&aig, f.node(), h.node(), false), Some(false));
         // Complemented comparison: f vs !g is definitely different.
         assert_eq!(index.compare(&aig, f.node(), g.node(), true), Some(false));
+    }
+
+    #[test]
+    fn equal_tables_over_non_input_leaves_prove_the_pair() {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 5);
+        let m = aig.and(xs[0], xs[1]);
+        let n = aig.and(xs[2], xs[3]);
+        // m ⊕ n twice, and once more over an extra leaf it ignores.
+        let x1 = aig.xor(m, n);
+        let t = aig.or(m, n);
+        let b = aig.nand(m, n);
+        let x2 = aig.and(t, b);
+        let p = aig.or(x2, xs[4]);
+        let q = aig.or(x2, !xs[4]);
+        let x3 = aig.and(p, q);
+        let k = aig.and(m, n);
+        aig.add_output("y", x3);
+        // Three-leaf windows stop at m and n.
+        let index = WindowIndex::build(&aig, 3);
+        let (w1, w2, w3) = (
+            index.window(x1.node()),
+            index.window(x2.node()),
+            index.window(x3.node()),
+        );
+        assert_eq!(w1.leaves, vec![m.node(), n.node()]);
+        assert_eq!(w1.leaves, w2.leaves);
+        assert_eq!(w3.leaves.len(), 3);
+        assert!(!w1.is_global(&aig) && !w3.is_global(&aig));
+        // The xor's node is the complement of the literal it returns.
+        assert!(x1.is_complemented() && !x2.is_complemented());
+        // The same leaf set: equal tables prove, unequal ones disprove.
+        assert_eq!(index.compare(&aig, x2.node(), x1.node(), true), Some(true));
+        assert_eq!(
+            index.compare(&aig, x2.node(), x1.node(), false),
+            Some(false)
+        );
+        // A leaf union of three: equal tables prove; unequal tables over
+        // non-input leaves settle nothing.
+        assert_eq!(index.compare(&aig, x3.node(), x2.node(), false), Some(true));
+        assert_eq!(index.compare(&aig, x3.node(), k.node(), false), None);
     }
 }

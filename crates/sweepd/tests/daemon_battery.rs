@@ -113,7 +113,7 @@ fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
     let circuits = [
         (
             Priority::High,
-            inject_redundancy(&generators::barrel_shifter(16), 0.5, 7),
+            inject_redundancy(&generators::barrel_shifter(32), 0.5, 7),
         ),
         (
             Priority::Normal,
@@ -504,7 +504,7 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
 
 #[test]
 fn a_high_priority_job_preempts_a_running_low_one() {
-    let low = inject_redundancy(&generators::barrel_shifter(16), 0.5, 12);
+    let low = inject_redundancy(&generators::barrel_shifter(32), 0.5, 12);
     let high = inject_redundancy(&generators::decoder(4), 0.5, 13);
     // One worker and a quantum far longer than the whole test: without
     // preemption the high job could not start until the low job finished.
