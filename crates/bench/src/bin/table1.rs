@@ -332,7 +332,7 @@ fn main() {
         passes_script
             .as_deref()
             .map(|script| match stp_sweep::passes::parse_script(script) {
-                Ok(parsed) => parsed.iter().map(|p| p.name().to_string()).collect(),
+                Ok(parsed) => parsed.iter().map(|p| p.to_string()).collect(),
                 Err(e) => {
                     eprintln!("--passes: {e}");
                     std::process::exit(2);

@@ -12,10 +12,6 @@
 //!   sequential redundancy, every sweep verified by the BMC oracle).
 //! * `ablation` — the design-choice ablations
 //!   (window refinement on/off, SAT-guided patterns on/off, window limit).
-//!
-//! Criterion benches (`cargo bench -p bench`) cover the same comparisons on
-//! a fixed subset so they can be tracked over time.
-//!
 //! * `bench_diff` — the CI regression gate: compares a fresh `table1 --json`
 //!   snapshot against the checked-in `BENCH_baseline.json` (deterministic
 //!   counters exactly, time-like fields within a tolerance).

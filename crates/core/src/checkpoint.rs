@@ -500,7 +500,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
         dead_skips: r.u64()?,
         checkpoints: r.u64()?,
         checkpoint_bytes: r.u64()?,
-        // Pipeline-level pass brackets are not part of a sweep session's
+        // Pipeline-level pass starts are not part of a sweep session's
         // state: a resumed session starts outside any pass manager.
         passes: 0,
     })

@@ -14,10 +14,10 @@
 //!   STP sweeper (Algorithm 2), driven through the [`Sweeper`] builder:
 //!   engine selection ([`Engine`]), progress [`Observer`]s, resource
 //!   [`Budget`]s with partial results, and typed [`SweepError`]s.
-//! * [`passes`] / [`pipeline`] — the optimisation-pass framework: a
-//!   [`Pass`] trait with structural cleanups, cut-based NPN rewriting
-//!   ([`passes::Rewrite`]), the [`passes::Dc2`] fixpoint loop, sweeps and
-//!   CEC verification, composed by the [`PassManager`] with per-pass
+//! * [`passes`] / [`pipeline`] — the optimisation passes: the closed
+//!   [`Pass`] set of structural cleanups, cut-based NPN rewriting
+//!   ([`Pass::Rewrite`]), the [`Pass::Dc2`] fixpoint loop, sweeps and CEC
+//!   verification, run in order by the [`PassManager`] with per-pass
 //!   reports — built programmatically or from a textual script
 //!   ([`PassManager::parse`]).
 //! * [`resim`] — counter-example resimulation: single-pattern evaluation
@@ -96,7 +96,7 @@ pub use budget::{Budget, BudgetCause, CancelToken};
 pub use checkpoint::{netlist_fingerprint, CheckpointError, SweepCheckpoint};
 pub use error::SweepError;
 pub use observer::{NoopObserver, Observer, SatCallOutcome, StatsObserver};
-pub use passes::{ParsePassError, Pass, PassCtx};
+pub use passes::{ParsePassError, Pass};
 pub use pipeline::{PassManager, PassReport, PipelineResult};
 pub use report::{SweepConfig, SweepReport, SweepResult};
 pub use session::{Engine, SweepSession, Sweeper};

@@ -12,7 +12,6 @@
 //! same numbers the run returns.
 
 use crate::checkpoint::SweepCheckpoint;
-use crate::pipeline::PassReport;
 use crate::report::SweepReport;
 use netlist::{Lit, NodeId};
 
@@ -112,15 +111,10 @@ pub trait Observer {
     /// A [`crate::PassManager`] pass is about to run: `name` is the pass
     /// name (e.g. `"rewrite"`), `gates` the AND count entering the pass.
     /// Sub-reports of composite passes (fixpoint rounds, `dc2` iterations)
-    /// do not re-trigger this hook — one start/end bracket per scheduled
-    /// pass.
+    /// do not re-trigger this hook — one call per scheduled pass.  The
+    /// finished passes' reports are [`crate::PipelineResult::passes`].
     fn on_pass_start(&mut self, name: &str, gates: usize) {
         let _ = (name, gates);
-    }
-
-    /// A [`crate::PassManager`] pass finished with this [`PassReport`].
-    fn on_pass_end(&mut self, report: &PassReport) {
-        let _ = report;
     }
 }
 

@@ -1,28 +1,26 @@
-//! The optimisation-pass framework.
+//! The optimisation passes.
 //!
-//! A [`Pass`] is one transformation of the network: a sweep, a structural
-//! cleanup, a rewrite, a verification.  Passes run inside a [`PassCtx`]
-//! that carries the current network, the sweep configuration, the budget
-//! spanning the whole run, the observer and the cumulative statistics.  The
-//! [`crate::PassManager`] owns a sequence of boxed passes and executes them
-//! in order, collecting one [`PassReport`] per pass.
-//!
-//! The built-in passes:
+//! A [`Pass`] is one step of a [`crate::PassManager`] run: a sweep, a
+//! structural cleanup, a rewrite, a verification.  The set is closed: a
+//! pipeline is a sequence of these values, built with the manager's builder
+//! verbs or parsed from a textual script ([`parse_script`]), and the
+//! manager runs each one through a single loop that owns the budget check,
+//! the timing, the gate counts, the aggregate report and the observer call.
 //!
 //! | pass | script name | effect |
 //! |------|-------------|--------|
-//! | [`Strash`] | `strash` | re-hash, re-fold constants, drop dead nodes |
-//! | [`ConstantFold`] | `cfold` | in-place 0/1 and unit-literal propagation |
-//! | [`DanglingGc`] | `gc` | dead-node sweep with PO reachability, structure preserved |
-//! | [`Rewrite`] | `rewrite` | 4-input cut rewriting against an NPN class library |
-//! | [`Sweep`] | `sweep(stp)` | one SAT-sweeping round of an engine |
-//! | [`SweepToFixpoint`] | `sweep_fix(n)` | sweep rounds until no gate is removed |
-//! | [`Verify`] | `verify` | CEC check of the current network against the input |
-//! | [`Dc2`] | `dc2(n)` | rewrite → strash → sweep until the node count stops improving |
+//! | [`Pass::Strash`] | `strash` | re-hash, re-fold constants, drop dead nodes |
+//! | [`Pass::ConstantFold`] | `cfold` | in-place 0/1 and unit-literal propagation |
+//! | [`Pass::Gc`] | `gc` | dead-node sweep with PO reachability, structure preserved |
+//! | [`Pass::Rewrite`] | `rewrite` | 4-input cut rewriting against an NPN class library |
+//! | [`Pass::Sweep`] | `sweep(stp)` | one SAT-sweeping round of an engine |
+//! | [`Pass::SweepToFixpoint`] | `sweep_fix(n)` | sweep rounds until no gate is removed |
+//! | [`Pass::Dc2`] | `dc2(n)` | rewrite → strash → sweep until the node count stops improving |
+//! | [`Pass::Verify`] | `verify` | CEC check of the current network against the input |
 //!
 //! Every structural pass is deterministic — the output is a pure function
-//! of the input network — and preserves functional equivalence, which the
-//! test suite pins with CEC checks per pass.
+//! of the input network — preserves functional equivalence, which the test
+//! suite pins with CEC checks per pass, and keeps the latch table.
 //!
 //! ```
 //! use netlist::Aig;
@@ -43,108 +41,91 @@
 //! assert!(outcome.aig.num_ands() <= aig.num_ands());
 //! ```
 
-mod dc2;
 mod rewrite;
 mod script;
-mod structural;
-mod sweep;
 
-pub use dc2::Dc2;
-pub use rewrite::Rewrite;
+pub(crate) use rewrite::RewriteLibrary;
 pub use script::{parse_script, ParsePassError};
-pub use structural::{ConstantFold, DanglingGc, Strash};
-pub use sweep::{Sweep, SweepToFixpoint, Verify};
 
-use crate::budget::{Budget, BudgetCause};
-use crate::error::SweepError;
-use crate::observer::Observer;
-use crate::pipeline::PassReport;
-use crate::report::{SweepConfig, SweepReport, SweepResult};
-use netlist::Aig;
-use std::time::Instant;
+use crate::session::Engine;
+use netlist::{Aig, Lit};
+use std::fmt;
 
-/// One transformation step of a [`crate::PassManager`] run.
-///
-/// Implementations transform [`PassCtx::aig`] in place (replacing it is
-/// fine) and return a [`PassReport`] describing what happened.  A pass that
-/// emits several reports (e.g. a fixpoint loop reporting each round)
-/// records the earlier ones with [`PassCtx::record`] and returns the last.
-pub trait Pass {
-    /// Human-readable pass name (also the name used in pass scripts).
-    fn name(&self) -> &str;
-
-    /// Runs the pass on the context's network.
-    ///
-    /// Budgeted passes should call [`PassCtx::budget_exceeded`] before
-    /// starting (and, for long passes, at internal boundaries) and return
-    /// [`PassCtx::budget_stop`] so the work of earlier passes is handed
-    /// back instead of discarded.
-    fn run(&mut self, ctx: &mut PassCtx<'_>) -> Result<PassReport, SweepError>;
+/// One step of a [`crate::PassManager`] run.  Its [`fmt::Display`] form is
+/// the pass name that [`crate::Observer::on_pass_start`] receives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// Structural-hashing cleanup: rebuilds the network keeping only the
+    /// logic reachable from the outputs, re-running constant propagation
+    /// and structural hashing ([`Aig::cleanup`]).  Merging can expose new
+    /// structural sharing; a `strash` between sweeps lets the next round
+    /// find it.
+    Strash,
+    /// In-place constant and unit-literal propagation.  Walks the AND nodes
+    /// in topological order and redirects every node whose fanins force its
+    /// value: a `0` fanin (or complementary fanins) makes the node constant
+    /// false, a `1` fanin (or equal fanins) makes it a copy of the other
+    /// fanin.  The node count is unchanged — folded nodes dangle until a
+    /// later [`Pass::Gc`] or [`Pass::Strash`] removes them.
+    ConstantFold,
+    /// Dead-node sweep: keeps exactly the nodes reachable from the outputs,
+    /// copied verbatim ([`Aig::cleanup_raw`]), so the live structure is
+    /// never perturbed.
+    Gc,
+    /// Cut-based NPN rewriting: every AND node's 4-feasible cuts are
+    /// canonicalised and replaced by a library implementation when that
+    /// does not grow the cut's MFFC.
+    Rewrite,
+    /// One SAT-sweeping round of an [`Engine`].
+    Sweep(Engine),
+    /// Sweep rounds of an engine until no gate is removed, capped at the
+    /// given round count.  At least one round runs; each round reports as
+    /// `"sweep({engine}) round {n}"`.
+    SweepToFixpoint(Engine, usize),
+    /// Rewrite → strash → `sweep(stp)` until the AND count stops improving,
+    /// capped at the given iteration count (at least one runs).  Each step
+    /// reports as `"dc2[{iter}] {step}"`, followed by a `"dc2"` summary with
+    /// an `iterations` counter.
+    Dc2(usize),
+    /// CEC verification of the current network against the run's input; a
+    /// mismatch (or an inconclusive check) aborts with
+    /// [`crate::SweepError::Inconsistent`].
+    Verify,
 }
 
-/// Shared state threaded through every pass of a [`crate::PassManager`]
-/// run.
-pub struct PassCtx<'a> {
-    /// The network being transformed.  Passes mutate or replace it.
-    pub aig: Aig,
-    /// The sweep configuration of the run.
-    pub config: SweepConfig,
-    /// Cumulative statistics: sweep passes merge their reports here (see
-    /// [`SweepReport::merge`] for the policy), structural passes add their
-    /// wall time and keep `gates_after` current.
-    pub aggregate: SweepReport,
-    /// Sweeping SAT calls consumed so far (drives the budget).
-    pub sat_calls_used: u64,
-    /// SAT conflict budget of [`Verify`] passes.
-    pub verify_conflict_limit: u64,
-    pub(crate) budget: Budget,
-    pub(crate) observer: Option<&'a mut dyn Observer>,
-    pub(crate) started: Instant,
-    pub(crate) round: usize,
-    pub(crate) input: &'a Aig,
-    pub(crate) recorded: Vec<PassReport>,
-}
-
-impl<'a> PassCtx<'a> {
-    /// The original input network of the run (the reference of [`Verify`]).
-    pub fn input(&self) -> &Aig {
-        self.input
-    }
-
-    /// Records an intermediate [`PassReport`] (for passes that emit more
-    /// than one, e.g. per-round reports of a fixpoint loop).  Recorded
-    /// reports appear in [`crate::PipelineResult::passes`] before the
-    /// report the pass returns.
-    pub fn record(&mut self, report: PassReport) {
-        self.recorded.push(report);
-    }
-
-    /// Checks the run-spanning budget against the resources consumed so
-    /// far.  `None` means the run may continue.
-    pub fn budget_exceeded(&self) -> Option<BudgetCause> {
-        self.budget.exceeded(self.started, self.sat_calls_used)
-    }
-
-    /// The budget that remains for the next sweep pass.
-    pub fn remaining_budget(&self) -> Budget {
-        self.budget
-            .remaining(self.started.elapsed(), self.sat_calls_used)
-    }
-
-    /// Wraps the run's current state into a budget-exhaustion error so the
-    /// work done by the completed passes is handed back, not discarded.
-    pub fn budget_stop(&self, cause: BudgetCause) -> SweepError {
-        SweepError::BudgetExhausted {
-            cause,
-            partial: Box::new(SweepResult {
-                aig: self.aig.clone(),
-                report: self.aggregate,
-            }),
-            checkpoint: None,
+impl fmt::Display for Pass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Pass::Strash => write!(f, "strash"),
+            Pass::ConstantFold => write!(f, "cfold"),
+            Pass::Gc => write!(f, "gc"),
+            Pass::Rewrite => write!(f, "rewrite"),
+            Pass::Sweep(engine) => write!(f, "sweep({engine})"),
+            Pass::SweepToFixpoint(engine, _) => write!(f, "sweep({engine}) to fixpoint"),
+            Pass::Dc2(_) => write!(f, "dc2"),
+            Pass::Verify => write!(f, "verify"),
         }
     }
+}
 
-    pub(crate) fn take_recorded(&mut self) -> Vec<PassReport> {
-        std::mem::take(&mut self.recorded)
+/// The [`Pass::ConstantFold`] transformation; returns its counters.
+pub(crate) fn constant_fold(aig: &mut Aig) -> Vec<(&'static str, u64)> {
+    let ids: Vec<usize> = aig.and_ids().collect();
+    let mut constants = 0u64;
+    let mut units = 0u64;
+    for id in ids {
+        let fanins = aig.node(id).fanins();
+        let (a, b) = (fanins[0], fanins[1]);
+        if a == Lit::FALSE || b == Lit::FALSE || a == !b {
+            aig.replace_node(id, Lit::FALSE);
+            constants += 1;
+        } else if a == Lit::TRUE {
+            aig.replace_node(id, b);
+            units += 1;
+        } else if b == Lit::TRUE || a == b {
+            aig.replace_node(id, a);
+            units += 1;
+        }
     }
+    vec![("constants", constants), ("units", units)]
 }

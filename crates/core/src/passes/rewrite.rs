@@ -17,13 +17,9 @@
 //! disjoint and their leaves and roots are never claimed by a later
 //! rewrite.
 
-use super::{Pass, PassCtx};
-use crate::error::SweepError;
-use crate::pipeline::PassReport;
 use netlist::cuts::{self, Cut, CutParams};
 use netlist::{Aig, AigNode, Lit};
 use std::collections::HashMap;
-use std::time::Instant;
 use truthtable::npn::{self, NpnTransform};
 
 /// A reference to a value inside a [`LibEntry`]: a constant, one of the
@@ -182,9 +178,10 @@ fn cofactor(tt: u16, v: usize, value: bool) -> u16 {
 
 /// The per-class replacement library, synthesised on first demand and
 /// memoised.  Entries are a pure function of the canonical table, so the
-/// library contents never depend on lookup order.
+/// library contents never depend on lookup order, and one library serves
+/// every rewrite of a run.
 #[derive(Debug, Default)]
-struct RewriteLibrary {
+pub(crate) struct RewriteLibrary {
     entries: HashMap<u16, LibEntry>,
 }
 
@@ -203,32 +200,10 @@ struct Choice {
     inverse: NpnTransform,
 }
 
-/// Cut-based NPN rewriting (see [`crate::passes`] for the pass table).
-#[derive(Debug, Default)]
-pub struct Rewrite {
-    library: RewriteLibrary,
-}
-
-impl Rewrite {
-    /// Creates the pass with an empty (lazily filled) class library.
-    pub fn new() -> Self {
-        Rewrite::default()
-    }
-}
-
-impl Pass for Rewrite {
-    fn name(&self) -> &str {
-        "rewrite"
-    }
-
-    fn run(&mut self, ctx: &mut PassCtx<'_>) -> Result<PassReport, SweepError> {
-        if let Some(cause) = ctx.budget_exceeded() {
-            return Err(ctx.budget_stop(cause));
-        }
-        let pass_start = Instant::now();
-        let gates_before = ctx.aig.num_ands();
-
-        let aig = &ctx.aig;
+impl RewriteLibrary {
+    /// Rewrites `aig` (see the module docs) with this library's classes;
+    /// returns the rewritten network and the pass counters.
+    pub(crate) fn rewrite(&mut self, aig: &Aig) -> (Aig, Vec<(&'static str, u64)>) {
         let params = CutParams {
             max_leaves: 4,
             max_cuts: 8,
@@ -269,7 +244,7 @@ impl Pass for Rewrite {
                 let table = cuts::cut_truth_table(aig, id, cut);
                 let tt = npn::from_table(&table).expect("cut has at most 4 leaves");
                 let (canon, transform) = npn::canonicalize4(tt);
-                let size = self.library.entry(canon).size();
+                let size = self.entry(canon).size();
                 candidates += 1;
                 let gain = mffc.len() as isize - size as isize;
                 if gain < 0 {
@@ -319,7 +294,7 @@ impl Pass for Rewrite {
                 continue;
             }
             if let Some(choice) = &choices[id] {
-                let entry = self.library.entry(choice.canon);
+                let entry = self.entry(choice.canon);
                 let mut leaves = [Lit::FALSE; 4];
                 for (j, leaf) in leaves.iter_mut().enumerate() {
                     // Library slot `j` reads cut leaf `inverse.perm[j]`;
@@ -354,23 +329,17 @@ impl Pass for Rewrite {
                 .complement_if(output.lit.is_complemented());
             new.add_output(output.name.clone(), lit);
         }
-        ctx.aig = new;
-
-        let time = pass_start.elapsed();
-        ctx.aggregate.gates_after = ctx.aig.num_ands();
-        ctx.aggregate.total_time += time;
-        Ok(PassReport {
-            name: self.name().into(),
-            gates_before,
-            gates_after: ctx.aig.num_ands(),
-            report: None,
-            time,
-            counters: vec![
-                ("candidates".into(), candidates),
-                ("rewrites".into(), applied),
-                ("estimated_gain".into(), estimated_gain),
-            ],
-        })
+        // Inputs and outputs keep their positions, so the latch table
+        // carries over unchanged.
+        for latch in aig.latches() {
+            new.define_latch(latch.state_input, latch.next_output, latch.init);
+        }
+        let counters = vec![
+            ("candidates", candidates),
+            ("rewrites", applied),
+            ("estimated_gain", estimated_gain),
+        ];
+        (new, counters)
     }
 }
 

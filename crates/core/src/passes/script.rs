@@ -5,7 +5,7 @@
 //! grammar is deliberately tiny — see [`parse_script`] for the accepted
 //! names.
 
-use super::{ConstantFold, DanglingGc, Dc2, Pass, Rewrite, Strash, Sweep, SweepToFixpoint, Verify};
+use super::Pass;
 use crate::session::Engine;
 use std::fmt;
 
@@ -65,6 +65,9 @@ impl fmt::Display for ParsePassError {
 
 impl std::error::Error for ParsePassError {}
 
+/// The iteration cap of a bare `dc2`.
+const DC2_DEFAULT_ITERS: usize = 10;
+
 /// Splits one script item into a name and an optional argument.
 fn split_item(item: &str) -> Result<(&str, Option<&str>), ParsePassError> {
     match (item.find('('), item.ends_with(')')) {
@@ -108,11 +111,12 @@ fn parse_count(pass: &str, arg: &str) -> Result<usize, ParsePassError> {
         })
 }
 
-fn no_argument(pass: &str, arg: Option<&str>) -> Result<(), ParsePassError> {
+/// `pass` if the item carries no argument.
+fn no_argument(name: &str, arg: Option<&str>, pass: Pass) -> Result<Pass, ParsePassError> {
     match arg {
-        None => Ok(()),
+        None => Ok(pass),
         Some(argument) => Err(ParsePassError::BadArgument {
-            pass: pass.into(),
+            pass: name.into(),
             argument: argument.into(),
             expected: "no argument",
         }),
@@ -124,55 +128,37 @@ fn no_argument(pass: &str, arg: Option<&str>) -> Result<(), ParsePassError> {
 /// Accepted items (whitespace around items and a trailing `;` are
 /// tolerated):
 ///
-/// * `strash` — [`Strash`]
-/// * `cfold` / `constant_fold` — [`ConstantFold`]
-/// * `gc` / `dangling_gc` — [`DanglingGc`]
-/// * `rewrite` — [`Rewrite`]
-/// * `sweep` / `sweep(stp)` / `sweep(baseline)` — [`Sweep`]
-/// * `sweep_fix(n)` / `sweep_fix(engine, n)` — [`SweepToFixpoint`]
-/// * `dc2` / `dc2(n)` — [`Dc2`] capped at `n` iterations
-/// * `verify` — [`Verify`]
+/// * `strash` — [`Pass::Strash`]
+/// * `cfold` / `constant_fold` — [`Pass::ConstantFold`]
+/// * `gc` / `dangling_gc` — [`Pass::Gc`]
+/// * `rewrite` — [`Pass::Rewrite`]
+/// * `sweep` / `sweep(stp)` / `sweep(baseline)` — [`Pass::Sweep`]
+/// * `sweep_fix(n)` / `sweep_fix(engine, n)` — [`Pass::SweepToFixpoint`]
+/// * `dc2` / `dc2(n)` — [`Pass::Dc2`] capped at `n` iterations (default 10)
+/// * `verify` — [`Pass::Verify`]
 ///
 /// ```
-/// use stp_sweep::passes::parse_script;
+/// use stp_sweep::passes::{parse_script, Pass};
 /// let passes = parse_script("strash; rewrite; sweep(stp); dc2(3); verify").unwrap();
 /// assert_eq!(passes.len(), 5);
-/// assert_eq!(passes[3].name(), "dc2");
+/// assert_eq!(passes[3], Pass::Dc2(3));
 /// assert!(parse_script("frobnicate").is_err());
 /// ```
-pub fn parse_script(script: &str) -> Result<Vec<Box<dyn Pass>>, ParsePassError> {
-    let mut passes: Vec<Box<dyn Pass>> = Vec::new();
+pub fn parse_script(script: &str) -> Result<Vec<Pass>, ParsePassError> {
+    let mut passes = Vec::new();
     for raw in script.split(';') {
         let item = raw.trim();
         if item.is_empty() {
             continue;
         }
         let (name, arg) = split_item(item)?;
-        match name {
-            "strash" => {
-                no_argument(name, arg)?;
-                passes.push(Box::new(Strash));
-            }
-            "cfold" | "constant_fold" => {
-                no_argument(name, arg)?;
-                passes.push(Box::new(ConstantFold));
-            }
-            "gc" | "dangling_gc" => {
-                no_argument(name, arg)?;
-                passes.push(Box::new(DanglingGc));
-            }
-            "rewrite" => {
-                no_argument(name, arg)?;
-                passes.push(Box::new(Rewrite::new()));
-            }
-            "verify" => {
-                no_argument(name, arg)?;
-                passes.push(Box::new(Verify));
-            }
-            "sweep" => {
-                let engine = parse_engine(name, arg)?;
-                passes.push(Box::new(Sweep::new(engine)));
-            }
+        let pass = match name {
+            "strash" => no_argument(name, arg, Pass::Strash)?,
+            "cfold" | "constant_fold" => no_argument(name, arg, Pass::ConstantFold)?,
+            "gc" | "dangling_gc" => no_argument(name, arg, Pass::Gc)?,
+            "rewrite" => no_argument(name, arg, Pass::Rewrite)?,
+            "verify" => no_argument(name, arg, Pass::Verify)?,
+            "sweep" => Pass::Sweep(parse_engine(name, arg)?),
             "sweep_fix" => {
                 let arg = arg.ok_or_else(|| ParsePassError::BadArgument {
                     pass: name.into(),
@@ -186,19 +172,15 @@ pub fn parse_script(script: &str) -> Result<Vec<Box<dyn Pass>>, ParsePassError> 
                         parse_count(name, n.trim())?,
                     ),
                 };
-                passes.push(Box::new(SweepToFixpoint::new(engine, count)));
+                Pass::SweepToFixpoint(engine, count)
             }
-            "dc2" => {
-                let iters = match arg {
-                    None => Dc2::DEFAULT_MAX_ITERS,
-                    Some(n) => parse_count(name, n)?,
-                };
-                passes.push(Box::new(Dc2::new(iters)));
-            }
-            other => {
-                return Err(ParsePassError::UnknownPass { name: other.into() });
-            }
-        }
+            "dc2" => Pass::Dc2(match arg {
+                None => DC2_DEFAULT_ITERS,
+                Some(n) => parse_count(name, n)?,
+            }),
+            other => return Err(ParsePassError::UnknownPass { name: other.into() }),
+        };
+        passes.push(pass);
     }
     if passes.is_empty() {
         return Err(ParsePassError::Empty);
@@ -217,7 +199,24 @@ mod tests {
              sweep_fix(4); sweep_fix(baseline, 2); dc2; dc2(3); verify;",
         )
         .unwrap();
-        let names: Vec<&str> = passes.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            passes,
+            [
+                Pass::Strash,
+                Pass::ConstantFold,
+                Pass::Gc,
+                Pass::Rewrite,
+                Pass::Sweep(Engine::Stp),
+                Pass::Sweep(Engine::Stp),
+                Pass::Sweep(Engine::Baseline),
+                Pass::SweepToFixpoint(Engine::Stp, 4),
+                Pass::SweepToFixpoint(Engine::Baseline, 2),
+                Pass::Dc2(10),
+                Pass::Dc2(3),
+                Pass::Verify,
+            ]
+        );
+        let names: Vec<String> = passes.iter().map(Pass::to_string).collect();
         assert_eq!(
             names,
             [
@@ -240,8 +239,7 @@ mod tests {
     #[test]
     fn aliases_resolve() {
         let passes = parse_script("constant_fold; dangling_gc").unwrap();
-        assert_eq!(passes[0].name(), "cfold");
-        assert_eq!(passes[1].name(), "gc");
+        assert_eq!(passes, [Pass::ConstantFold, Pass::Gc]);
     }
 
     #[test]

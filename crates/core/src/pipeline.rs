@@ -1,8 +1,8 @@
 //! Multi-pass optimisation runs.
 //!
-//! A [`PassManager`] owns a sequence of boxed [`Pass`]es — sweeps,
-//! structural cleanups, rewriting, verification — and executes them in
-//! order inside one budgeted, observable run:
+//! A [`PassManager`] owns a sequence of [`Pass`]es — sweeps, structural
+//! cleanups, rewriting, verification — and executes them in order inside
+//! one budgeted, observable run:
 //!
 //! ```
 //! use netlist::Aig;
@@ -29,20 +29,18 @@
 //!
 //! The per-pass [`PassReport`]s record where the gates and the time went;
 //! the aggregate [`PipelineResult::report`] is the fold of all sweep passes
-//! via [`crate::SweepReport::merge`].  Beyond the builder verbs, arbitrary
-//! pass sequences come from [`PassManager::pass`] (any [`Pass`]
-//! implementation) or from a textual script via [`PassManager::parse`] /
+//! via [`crate::SweepReport::merge`].  A pass sequence comes from the
+//! builder verbs or from a textual script via [`PassManager::parse`] /
 //! [`PassManager::with_script`] (see [`crate::passes::parse_script`]).
 
-use crate::budget::Budget;
+use crate::budget::{Budget, BudgetCause};
+use crate::cec;
+use crate::checkpoint::SweepCheckpoint;
 use crate::error::SweepError;
 use crate::observer::Observer;
-use crate::passes::{
-    ConstantFold, DanglingGc, Dc2, ParsePassError, Pass, PassCtx, Rewrite, Strash, Sweep,
-    SweepToFixpoint, Verify,
-};
+use crate::passes::{self, ParsePassError, Pass, RewriteLibrary};
 use crate::report::{SweepConfig, SweepReport, SweepResult};
-use crate::session::Engine;
+use crate::session::{Engine, Sweeper};
 use netlist::Aig;
 use std::time::{Duration, Instant};
 
@@ -61,7 +59,7 @@ pub struct PassReport {
     /// Wall-clock time of the pass.
     pub time: Duration,
     /// Pass-specific counters (name, value) in a pass-chosen, deterministic
-    /// order — e.g. `rewrites` for [`Rewrite`], `iterations` for [`Dc2`].
+    /// order — e.g. `rewrites` for `rewrite`, `iterations` for `dc2`.
     pub counters: Vec<(String, u64)>,
 }
 
@@ -84,7 +82,7 @@ pub struct PipelineResult {
     pub report: SweepReport,
     /// Per-pass measurements, in execution order.  Composite passes
     /// contribute several entries (per-round reports of a fixpoint sweep,
-    /// per-iteration sub-reports of [`Dc2`]) followed by their own.
+    /// per-iteration sub-reports of a `dc2` followed by its summary).
     pub passes: Vec<PassReport>,
 }
 
@@ -105,10 +103,9 @@ impl PipelineResult {
 /// is also checked *before* every structural/verify pass (a running
 /// structural pass is not interrupted mid-pass).  One [`Observer`] sees
 /// every sweep round with an increasing round index, plus an
-/// [`Observer::on_pass_start`] / [`Observer::on_pass_end`] bracket around
-/// each scheduled pass.
+/// [`Observer::on_pass_start`] call before each scheduled pass.
 pub struct PassManager<'o> {
-    passes: Vec<Box<dyn Pass>>,
+    passes: Vec<Pass>,
     config: SweepConfig,
     budget: Budget,
     observer: Option<&'o mut dyn Observer>,
@@ -141,60 +138,59 @@ impl<'o> PassManager<'o> {
 
     /// Appends every pass of a textual script.
     pub fn with_script(mut self, script: &str) -> Result<Self, ParsePassError> {
-        self.passes.extend(crate::passes::parse_script(script)?);
+        self.passes.extend(passes::parse_script(script)?);
         Ok(self)
     }
 
-    /// Appends an arbitrary pass.
-    pub fn pass(mut self, pass: Box<dyn Pass>) -> Self {
+    fn push(mut self, pass: Pass) -> Self {
         self.passes.push(pass);
         self
     }
 
     /// Appends a single sweep round of `engine`.
     pub fn sweep(self, engine: Engine) -> Self {
-        self.pass(Box::new(Sweep::new(engine)))
+        self.push(Pass::Sweep(engine))
     }
 
     /// Appends a fixpoint sweep: rounds of `engine` until no further gate is
     /// removed, capped at `max_rounds` (at least one round always runs).
     pub fn sweep_to_fixpoint(self, engine: Engine, max_rounds: usize) -> Self {
-        self.pass(Box::new(SweepToFixpoint::new(engine, max_rounds)))
+        self.push(Pass::SweepToFixpoint(engine, max_rounds))
     }
 
     /// Appends a structural-hashing cleanup pass.  Merging can expose new
     /// structural sharing; a `strash` between sweeps lets the next round
     /// find it.
     pub fn strash(self) -> Self {
-        self.pass(Box::new(Strash))
+        self.push(Pass::Strash)
     }
 
     /// Appends an in-place constant/unit-literal folding pass.
     pub fn constant_fold(self) -> Self {
-        self.pass(Box::new(ConstantFold))
+        self.push(Pass::ConstantFold)
     }
 
     /// Appends a structure-preserving dead-node sweep.
     pub fn dangling_gc(self) -> Self {
-        self.pass(Box::new(DanglingGc))
+        self.push(Pass::Gc)
     }
 
     /// Appends a cut-based NPN rewriting pass.
     pub fn rewrite(self) -> Self {
-        self.pass(Box::new(Rewrite::new()))
+        self.push(Pass::Rewrite)
     }
 
     /// Appends a `dc2` loop (rewrite → strash → sweep until the node count
     /// stops improving), capped at `max_iters` iterations.
     pub fn dc2(self, max_iters: usize) -> Self {
-        self.pass(Box::new(Dc2::new(max_iters)))
+        self.push(Pass::Dc2(max_iters))
     }
 
     /// Appends a verification pass: the current network is CEC-checked
     /// against the run *input*; a mismatch aborts the run with
     /// [`SweepError::Inconsistent`].
     pub fn verify(self) -> Self {
-        self.pass(Box::new(Verify))
+        self.push(Pass::Verify)
     }
 
     /// Sets the SAT conflict budget of `verify` passes (default 500 000).
@@ -220,46 +216,208 @@ impl<'o> PassManager<'o> {
     /// On budget exhaustion, the aggregate partial result (the merges of
     /// every completed and the truncated pass) is returned inside
     /// [`SweepError::BudgetExhausted`].
-    pub fn run(mut self, aig: &'o Aig) -> Result<PipelineResult, SweepError> {
+    pub fn run(self, aig: &'o Aig) -> Result<PipelineResult, SweepError> {
         self.config.validate()?;
-        let mut passes = std::mem::take(&mut self.passes);
-        let mut ctx = PassCtx {
+        let mut run = Run {
             aig: aig.clone(),
-            config: self.config,
             aggregate: SweepReport {
                 gates_before: aig.num_ands(),
                 gates_after: aig.num_ands(),
                 levels: aig.depth(),
                 ..SweepReport::default()
             },
-            sat_calls_used: 0,
-            verify_conflict_limit: self.verify_conflict_limit,
-            budget: self.budget,
-            observer: self.observer,
-            started: Instant::now(),
+            reports: Vec::new(),
+            library: RewriteLibrary::default(),
             round: 0,
+            started: Instant::now(),
             input: aig,
-            recorded: Vec::new(),
+            manager: self,
         };
-        let mut reports: Vec<PassReport> = Vec::new();
-        for pass in &mut passes {
-            if let Some(obs) = ctx.observer.as_deref_mut() {
-                let gates = ctx.aig.num_ands();
-                obs.on_pass_start(pass.name(), gates);
+        for pass in std::mem::take(&mut run.manager.passes) {
+            let name = pass.to_string();
+            if let Some(obs) = run.manager.observer.as_deref_mut() {
+                obs.on_pass_start(&name, run.aig.num_ands());
             }
-            let outcome = pass.run(&mut ctx);
-            reports.extend(ctx.take_recorded());
-            let report = outcome?;
-            if let Some(obs) = ctx.observer.as_deref_mut() {
-                obs.on_pass_end(&report);
-            }
-            reports.push(report);
+            run.exec(pass, name)?;
         }
         Ok(PipelineResult {
-            aig: ctx.aig,
-            report: ctx.aggregate,
-            passes: reports,
+            aig: run.aig,
+            report: run.aggregate,
+            passes: run.reports,
         })
+    }
+}
+
+/// The state of one [`PassManager::run`].
+struct Run<'o> {
+    /// The network being transformed.
+    aig: Aig,
+    /// Sweep reports merged (see [`SweepReport::merge`]), plus the wall
+    /// time of the other passes.
+    aggregate: SweepReport,
+    reports: Vec<PassReport>,
+    /// One class library for every rewrite of the run.
+    library: RewriteLibrary,
+    /// Index of the next sweep round, for the observer.
+    round: usize,
+    started: Instant,
+    input: &'o Aig,
+    manager: PassManager<'o>,
+}
+
+impl Run<'_> {
+    /// Runs `pass` and records its report under `name`; composite passes
+    /// run their steps through here.
+    fn exec(&mut self, pass: Pass, name: String) -> Result<(), SweepError> {
+        // Structural passes and `verify` check the budget before they start
+        // and are timed here; a sweep runs on what remains of the budget
+        // and reports its own time.
+        let structural = matches!(
+            pass,
+            Pass::Strash | Pass::ConstantFold | Pass::Gc | Pass::Rewrite | Pass::Verify
+        );
+        if structural {
+            let used = self.aggregate.sat_calls_total;
+            if let Some(cause) = self.manager.budget.exceeded(self.started, used) {
+                let aig = std::mem::take(&mut self.aig);
+                return Err(self.stop(cause, aig, None));
+            }
+        }
+        let start = Instant::now();
+        let gates_before = self.aig.num_ands();
+        let mut sweep = None;
+        let counters = match pass {
+            Pass::Strash => {
+                self.aig = self.aig.cleanup().0;
+                vec![("removed", (gates_before - self.aig.num_ands()) as u64)]
+            }
+            Pass::Gc => {
+                self.aig = self.aig.cleanup_raw();
+                vec![("removed", (gates_before - self.aig.num_ands()) as u64)]
+            }
+            Pass::ConstantFold => passes::constant_fold(&mut self.aig),
+            Pass::Rewrite => {
+                let (aig, counters) = self.library.rewrite(&self.aig);
+                self.aig = aig;
+                counters
+            }
+            Pass::Sweep(engine) => {
+                let result = self.sweep(engine)?;
+                self.aig = result.aig;
+                sweep = Some(result.report);
+                Vec::new()
+            }
+            Pass::SweepToFixpoint(engine, max_rounds) => {
+                for round in 0..max_rounds.max(1) {
+                    let entering = self.aig.num_ands();
+                    let name = format!("sweep({engine}) round {round}");
+                    self.exec(Pass::Sweep(engine), name)?;
+                    if self.aig.num_ands() == entering {
+                        break;
+                    }
+                }
+                return Ok(());
+            }
+            Pass::Dc2(max_iters) => {
+                let mut iterations = 0;
+                while iterations < max_iters.max(1) {
+                    let entering = self.aig.num_ands();
+                    for step in [Pass::Rewrite, Pass::Strash, Pass::Sweep(Engine::Stp)] {
+                        self.exec(step, format!("dc2[{iterations}] {step}"))?;
+                    }
+                    iterations += 1;
+                    if self.aig.num_ands() >= entering {
+                        break;
+                    }
+                }
+                vec![("iterations", iterations as u64)]
+            }
+            Pass::Verify => {
+                let limit = self.manager.verify_conflict_limit;
+                let check = cec::check_equivalence(self.input, &self.aig, limit);
+                if !check.equivalent {
+                    // An undetermined check means the CEC ran out of
+                    // conflicts, not that the sweep is wrong — but a
+                    // verification the pipeline promised could not be
+                    // completed, which callers must not mistake for a
+                    // verified result.
+                    return Err(SweepError::Inconsistent(if check.undetermined {
+                        "verify pass could not prove equivalence within its budget \
+                         (raise PassManager::verify_conflict_limit)"
+                            .into()
+                    } else {
+                        "verify pass found the swept network inequivalent to the input".into()
+                    }));
+                }
+                Vec::new()
+            }
+        };
+        let time = sweep.map_or_else(|| start.elapsed(), |report| report.total_time);
+        match &sweep {
+            Some(report) => self.aggregate.merge(report),
+            None if structural => self.aggregate.total_time += time,
+            // The steps of a `dc2` have folded their own time already.
+            None => {}
+        }
+        self.aggregate.gates_after = self.aig.num_ands();
+        self.reports.push(PassReport {
+            name,
+            gates_before,
+            gates_after: self.aig.num_ands(),
+            report: sweep,
+            time,
+            counters: counters
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        });
+        Ok(())
+    }
+
+    /// One sweep round of `engine` on the remaining budget.
+    fn sweep(&mut self, engine: Engine) -> Result<SweepResult, SweepError> {
+        let used = self.aggregate.sat_calls_total;
+        let remaining = self.manager.budget.remaining(self.started.elapsed(), used);
+        let mut sweeper = Sweeper::new(engine)
+            .config(self.manager.config)
+            .budget(remaining)
+            .round_index(self.round);
+        if let Some(obs) = self.manager.observer.as_deref_mut() {
+            sweeper = sweeper.observer(obs);
+        }
+        self.round += 1;
+        match sweeper.run(&self.aig) {
+            Err(SweepError::BudgetExhausted {
+                cause,
+                partial,
+                checkpoint,
+            }) => {
+                // The interrupted sweep's checkpoint travels with the
+                // pipeline error: resuming it completes that pass exactly;
+                // the passes after it have to be re-run by the caller.
+                self.aggregate.merge(&partial.report);
+                Err(self.stop(cause, partial.aig, checkpoint))
+            }
+            outcome => outcome,
+        }
+    }
+
+    /// The budget-exhaustion error that hands back `aig` and the aggregate
+    /// report, so the work of the completed passes is not discarded.
+    fn stop(
+        &self,
+        cause: BudgetCause,
+        aig: Aig,
+        checkpoint: Option<Box<SweepCheckpoint>>,
+    ) -> SweepError {
+        SweepError::BudgetExhausted {
+            cause,
+            partial: Box::new(SweepResult {
+                aig,
+                report: self.aggregate,
+            }),
+            checkpoint,
+        }
     }
 }
 
@@ -269,6 +427,7 @@ mod tests {
     use crate::cec::check_equivalence;
     use crate::observer::StatsObserver;
     use crate::session::Sweeper;
+    use netlist::{write_aiger_string, LatchInit, Lit};
 
     fn redundant_circuit() -> Aig {
         let mut aig = Aig::new();
@@ -285,6 +444,84 @@ mod tests {
         aig.add_output("o1", o1);
         aig.add_output("o2", o2);
         aig
+    }
+
+    /// One latch of each init value over redundant next-state logic, with
+    /// a foldable node and a dead one.
+    fn latched_circuit() -> Aig {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 3);
+        let q0 = aig.add_latch("q0", LatchInit::Zero);
+        let q1 = aig.add_latch("q1", LatchInit::One);
+        let q2 = aig.add_latch("q2", LatchInit::X);
+        let f = aig.and(xs[0], q0);
+        let g1 = aig.xor(xs[1], q1);
+        let g2_t = aig.or(xs[1], q1);
+        let g2_b = aig.nand(xs[1], q1);
+        let g2 = aig.and(g2_t, g2_b); // equals g1
+        let n0 = aig.mux(xs[2], g1, f);
+        let n1 = aig.mux(xs[2], f, g2);
+        let folds = aig.and_raw(g2, Lit::TRUE);
+        let n2 = aig.and(folds, q2);
+        let _dead = aig.and(xs[0], xs[1]);
+        aig.set_latch_next(0, n0);
+        aig.set_latch_next(1, n1);
+        aig.set_latch_next(2, n2);
+        let o = aig.and(n0, q2);
+        aig.add_output("o", o);
+        aig
+    }
+
+    /// The init values that the latch lines of an ASCII AIGER text declare.
+    fn aiger_latch_inits(text: &str) -> Vec<LatchInit> {
+        let mut lines = text.lines();
+        let header: Vec<usize> = lines
+            .next()
+            .expect("header")
+            .split(' ')
+            .skip(1)
+            .map(|f| f.parse().expect("count"))
+            .collect();
+        let (inputs, latches) = (header[1], header[2]);
+        lines
+            .skip(inputs)
+            .take(latches)
+            .map(|line| match line.split(' ').collect::<Vec<_>>()[..] {
+                [_, _] => LatchInit::Zero,
+                [_, _, "1"] => LatchInit::One,
+                [q, _, init] if init == q => LatchInit::X,
+                _ => panic!("malformed latch line {line:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_pass_keeps_the_latch_table() {
+        let aig = latched_circuit();
+        let inits = [LatchInit::Zero, LatchInit::One, LatchInit::X];
+        assert_eq!(aiger_latch_inits(&write_aiger_string(&aig)), inits);
+        for script in [
+            "strash",
+            "cfold",
+            "gc",
+            "rewrite",
+            "sweep(stp)",
+            "sweep_fix(2)",
+            "dc2(1)",
+            "verify",
+        ] {
+            let outcome = PassManager::new(SweepConfig::default())
+                .with_script(script)
+                .expect("script parses")
+                .run(&aig)
+                .unwrap_or_else(|err| panic!("{script}: {err}"));
+            let out = &outcome.aig;
+            assert_eq!(out.num_latches(), aig.num_latches(), "{script}");
+            assert_eq!(out.latches(), aig.latches(), "{script}: latch table");
+            let written = aiger_latch_inits(&write_aiger_string(out));
+            assert_eq!(written, inits, "{script}: AIGER latch section");
+            assert!(check_equivalence(&aig, out, 100_000).equivalent, "{script}");
+        }
     }
 
     #[test]
@@ -357,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_gets_a_bracket_per_scheduled_pass() {
+    fn observer_sees_one_pass_start_per_scheduled_pass() {
         let aig = redundant_circuit();
         let mut stats = StatsObserver::new();
         let outcome = PassManager::new(SweepConfig::default())
@@ -368,8 +605,8 @@ mod tests {
             .observer(&mut stats)
             .run(&aig)
             .expect("runs");
-        // Four scheduled passes — fixpoint rounds do not re-trigger the
-        // bracket even though they contribute extra reports.
+        // Four scheduled passes — fixpoint rounds do not re-trigger
+        // `on_pass_start` even though they contribute extra reports.
         assert_eq!(stats.passes, 4);
         assert!(outcome.passes.len() >= 4);
     }

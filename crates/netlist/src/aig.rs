@@ -673,6 +673,21 @@ impl Aig {
     /// Inputs and outputs keep their order and count, so latches survive
     /// unchanged (their next-state cones are output cones and hence live).
     pub fn cleanup(&self) -> (Aig, Vec<Option<Lit>>) {
+        self.copy_live(Aig::and)
+    }
+
+    /// Rebuilds the AIG keeping exactly the nodes reachable from the
+    /// outputs, copied verbatim through [`Aig::and_raw`]: no re-folding and
+    /// no re-sharing, so only dangling logic disappears.  Inputs, outputs
+    /// and latches are kept as in [`Aig::cleanup`].
+    pub fn cleanup_raw(&self) -> Aig {
+        self.copy_live(Aig::and_raw).0
+    }
+
+    /// The walk behind [`Aig::cleanup`] and [`Aig::cleanup_raw`]: copies
+    /// the cone reachable from the outputs in topological order, building
+    /// each AND with `and`.
+    fn copy_live(&self, mut and: impl FnMut(&mut Aig, Lit, Lit) -> Lit) -> (Aig, Vec<Option<Lit>>) {
         let mut new = Aig::new();
         let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         map[0] = Some(Lit::FALSE);
@@ -704,7 +719,7 @@ impl Aig {
                 let f1 = map[fanin1.node()]
                     .expect("fanin precedes node in topological order")
                     .complement_if(fanin1.is_complemented());
-                map[id] = Some(new.and(f0, f1));
+                map[id] = Some(and(&mut new, f0, f1));
             }
         }
         for output in &self.outputs {
@@ -1079,6 +1094,25 @@ mod tests {
         assert_eq!(cleaned.num_outputs(), 2);
         // The next-state cone is an output cone, so it survived the sweep.
         assert!(!cleaned.latch_next_lit(0).is_constant());
+    }
+
+    #[test]
+    fn cleanup_raw_drops_only_dangling_nodes() {
+        let mut aig = Aig::new();
+        let d = aig.add_input("d");
+        let q = aig.add_latch("q", LatchInit::X);
+        let _dead = aig.xor(d, q);
+        let g1 = aig.and(d, q);
+        let g2 = aig.and_raw(q, d); // a structural duplicate that strash would share
+        let next = aig.and(g1, !g2);
+        aig.set_latch_next(0, next);
+        aig.add_output("o", g2);
+        let raw = aig.cleanup_raw();
+        assert_eq!(raw.num_ands(), 3, "the live duplicate stays");
+        assert_eq!(aig.cleanup().0.num_ands(), 1, "strash shares and folds it");
+        assert_eq!(raw.latches(), aig.latches());
+        assert_eq!(raw.num_inputs(), 2);
+        assert_eq!(raw.num_outputs(), 2);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use netlist::{write_aiger_string, Aig, Lit, NodeId};
 use stp_sweep::{Engine, Sweeper};
 use sweepd::{effective_config, JobCounters, Preset};
+use workloads::{generators, inject_redundancy};
 
 /// A unique, initially-absent temp directory per call.
 pub fn fresh_dir(tag: &str) -> PathBuf {
@@ -33,6 +35,28 @@ pub fn reference(engine: Engine, preset: Preset, aig: &Aig) -> (String, JobCount
         write_aiger_string(&result.aig),
         JobCounters::from_report(&result.report),
     )
+}
+
+/// A `Fast` STP job that outlasts `min`, with its oracle: a
+/// `barrel_shifter` with redundancy injected under `seed`, whose width
+/// starts at 32 and doubles until one [`reference`] sweep of it takes at
+/// least `min`.  Tests that need a job to outlive a slice size it with
+/// this, so they hold however fast the sweep gets.
+pub fn long_job(seed: u64, min: Duration) -> (Aig, (String, JobCounters)) {
+    let mut width = 32;
+    loop {
+        let aig = inject_redundancy(&generators::barrel_shifter(width), 0.5, seed);
+        let start = Instant::now();
+        let oracle = reference(Engine::Stp, Preset::Fast, &aig);
+        if start.elapsed() >= min {
+            return (aig, oracle);
+        }
+        assert!(
+            width < 1024,
+            "barrel_shifter({width}) sweeps in under {min:?}"
+        );
+        width *= 2;
+    }
 }
 
 /// Rebuilds `aig` with a different (but still topological) node order, so

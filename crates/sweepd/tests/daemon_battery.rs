@@ -10,7 +10,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{aiger_bytes, fresh_dir, reference, renumbered_copy, spill_files};
+use common::{aiger_bytes, fresh_dir, long_job, reference, renumbered_copy, spill_files};
 use netlist::canonical_fingerprint;
 use stp_sweep::{Engine, PassManager};
 use sweepd::spill::{SpillDir, SpilledJob};
@@ -110,30 +110,30 @@ fn sliced_mixed_priority_jobs_match_uninterrupted_runs() {
 
 #[test]
 fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
+    let quantum = Duration::from_millis(3);
+    // The shifter job must outlast its first slices; its sizing run is
+    // its oracle.
+    let (shifter, shifter_oracle) = long_job(7, 50 * quantum);
+    let multiplier = inject_redundancy(&generators::array_multiplier(6), 0.4, 8);
+    let multiplier_oracle = reference(Engine::Stp, Preset::Fast, &multiplier);
     let circuits = [
-        (
-            Priority::High,
-            inject_redundancy(&generators::barrel_shifter(32), 0.5, 7),
-        ),
-        (
-            Priority::Normal,
-            inject_redundancy(&generators::array_multiplier(6), 0.4, 8),
-        ),
+        (Priority::High, shifter, shifter_oracle),
+        (Priority::Normal, multiplier, multiplier_oracle),
     ];
     let spill = fresh_dir("crash");
     let config = ServiceConfig {
         workers: 2,
-        quantum: Duration::from_millis(3),
+        quantum,
         spill_dir: Some(spill.clone()),
         checkpoint_every_secs: 0.0,
     };
     let service = SweepService::start(config.clone()).expect("service starts");
     let mut expected = Vec::new();
-    for (priority, aig) in &circuits {
+    for (priority, aig, oracle) in &circuits {
         service
             .submit(*priority, Engine::Stp, Preset::Fast, &aiger_bytes(aig))
             .expect("submit succeeds");
-        expected.push((canonical_fingerprint(aig), aig));
+        expected.push((canonical_fingerprint(aig), aig, oracle));
     }
 
     // Crash as soon as the first suspension checkpoint hits the disk —
@@ -175,9 +175,9 @@ fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
     let recovered = service.list();
     assert_eq!(recovered.len(), 2, "both spilled jobs were re-adopted");
     for job in &recovered {
-        let (fp, aig) = expected
+        let (fp, aig, (want_aiger, want_counters)) = expected
             .iter()
-            .find(|(fp, _)| *fp == job.canonical_fingerprint)
+            .find(|(fp, _, _)| *fp == job.canonical_fingerprint)
             .expect("re-adopted job matches a submitted circuit");
         assert_eq!(job.canonical_fingerprint, *fp);
 
@@ -192,13 +192,12 @@ fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
         let info = service.wait(job.id, WAIT).expect("recovered job finishes");
         assert_eq!(info.state, JobState::Done);
         let (aiger, counters) = service.fetch(job.id).expect("output available");
-        let (want_aiger, want_counters) = reference(Engine::Stp, Preset::Fast, aig);
         assert_eq!(
             String::from_utf8(aiger).expect("AIGER is text"),
-            want_aiger,
+            *want_aiger,
             "crash-recovered output differs from the uninterrupted run"
         );
-        assert_eq!(counters, want_counters);
+        assert_eq!(counters, *want_counters);
     }
     service.shutdown();
     let _ = std::fs::remove_dir_all(&spill);
@@ -504,8 +503,12 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
 
 #[test]
 fn a_high_priority_job_preempts_a_running_low_one() {
-    let low = inject_redundancy(&generators::barrel_shifter(32), 0.5, 12);
     let high = inject_redundancy(&generators::decoder(4), 0.5, 13);
+    let start = Instant::now();
+    reference(Engine::Stp, Preset::Fast, &high);
+    // The low job must still be running when the high one is done; its
+    // sizing run is its oracle.
+    let (low, (want_aiger, want_counters)) = long_job(12, 20 * start.elapsed());
     // One worker and a quantum far longer than the whole test: without
     // preemption the high job could not start until the low job finished.
     let service = SweepService::start(ServiceConfig {
@@ -547,7 +550,6 @@ fn a_high_priority_job_preempts_a_running_low_one() {
     let info = service.wait(low_id, WAIT).expect("low job finishes");
     assert_eq!(info.state, JobState::Done);
     let (aiger, counters) = service.fetch(low_id).expect("output available");
-    let (want_aiger, want_counters) = reference(Engine::Stp, Preset::Fast, &low);
     assert_eq!(String::from_utf8(aiger).expect("AIGER is text"), want_aiger);
     assert_eq!(counters, want_counters);
     service.shutdown();

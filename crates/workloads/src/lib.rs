@@ -51,7 +51,7 @@ pub use sequential::{
 
 /// The size class of a generated suite.
 ///
-/// `Tiny` keeps unit tests fast, `Small` is the default for `cargo bench`,
+/// `Tiny` keeps unit tests fast, `Small` is the default of the table binaries,
 /// `Large` approaches (but does not reach) the paper's circuit sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {

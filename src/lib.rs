@@ -51,7 +51,7 @@ pub use workloads;
 pub use netlist::canonical_fingerprint;
 pub use stp_sweep::{
     bmc_sec, netlist_fingerprint, Budget, BudgetCause, CancelToken, CheckpointError, Engine,
-    NoopObserver, Observer, ParsePassError, Pass, PassCtx, PassManager, PassReport, PipelineResult,
+    NoopObserver, Observer, ParsePassError, Pass, PassManager, PassReport, PipelineResult,
     SatCallOutcome, SecResult, StatsObserver, SweepCheckpoint, SweepConfig, SweepError,
     SweepReport, SweepResult, SweepSession, Sweeper,
 };
