@@ -2,9 +2,10 @@
 //!
 //! Compares a fresh `table1 --json`, `table2 --json` or `table_seq --json`
 //! snapshot against the matching checked-in baseline
-//! (`BENCH_baseline.json` / `BENCH_baseline_table2.json` /
+//! (`BENCH_baseline.json` or, for `table1 --passes "dc2(2)"`,
+//! `BENCH_baseline_dc2.json` / `BENCH_baseline_table2.json` /
 //! `BENCH_baseline_seq.json`) — the snapshot kind is detected from the
-//! document's `"table"` field:
+//! document's `"table"` field, and all kinds go through one row comparison:
 //!
 //! * **deterministic counters** (gate counts, SAT calls, merges, constants,
 //!   resimulation counts, candidates skipped as dead) must match the
@@ -48,79 +49,95 @@ impl Findings {
     }
 }
 
-/// The deterministic per-benchmark pipeline counters of a table1 snapshot;
-/// any drift fails.
-const EXACT_ROW_FIELDS: &[&str] = &[
-    "gates_before",
-    "gates_after",
-    "sat_calls",
-    "merges",
-    "constants",
-    "resim_events",
-    "resim_nodes",
-    "resim_skipped",
-    "dead_skips",
-];
+/// What the gate compares in one snapshot kind.
+struct Kind {
+    /// The path to the row array: `["rows"]`, or `["pipeline", "rows"]`
+    /// for table1.
+    rows: &'static [&'static str],
+    /// The run-parameter header fields; the two snapshots must describe
+    /// the same workload to be comparable.
+    header: &'static [&'static str],
+    /// The deterministic per-benchmark counters; any drift fails.
+    exact: &'static [&'static str],
+    /// The time-like per-benchmark fields, gated with the tolerance and
+    /// floor.
+    time: &'static [&'static str],
+    /// The baseline file to refresh when a benchmark is new.
+    refresh: &'static str,
+}
 
-/// The run-parameter header fields of a table1 snapshot; the two snapshots
-/// must describe the same workload to be comparable.
-const HEADER_FIELDS: &[&str] = &["patterns", "lut_k", "threads"];
+/// table1 snapshots: the per-benchmark pipeline rows (the default
+/// pipeline or a `--passes` script).
+const TABLE1: Kind = Kind {
+    rows: &["pipeline", "rows"],
+    header: &["patterns", "lut_k", "threads"],
+    exact: &[
+        "gates_before",
+        "gates_after",
+        "sat_calls",
+        "merges",
+        "constants",
+        "resim_events",
+        "resim_nodes",
+        "resim_skipped",
+        "dead_skips",
+    ],
+    time: &["total_s"],
+    refresh: "BENCH_baseline.json or BENCH_baseline_dc2.json",
+};
+
+/// table2 snapshots: both engines' sweeping counters per benchmark.
+const TABLE2: Kind = Kind {
+    rows: &["rows"],
+    header: &["patterns"],
+    exact: &[
+        "gates",
+        "levels",
+        "result_b",
+        "result_s",
+        "ssat_b",
+        "tsat_b",
+        "merges_b",
+        "constants_b",
+        "dead_skips_b",
+        "ssat_s",
+        "tsat_s",
+        "merges_s",
+        "constants_s",
+        "dead_skips_s",
+    ],
+    time: &["total_b_s", "total_s_s"],
+    refresh: "BENCH_baseline_table2.json",
+};
+
+/// `table_seq --json` sequential-sweeping snapshots.
+const TABLE_SEQ: Kind = Kind {
+    rows: &["rows"],
+    header: &["patterns", "seq_depth"],
+    exact: &[
+        "latches",
+        "gates",
+        "levels",
+        "result",
+        "latches_after",
+        "seq_candidates",
+        "seq_ternary_constants",
+        "seq_refuted",
+        "seq_undet",
+        "ternary_iterations",
+        "ssat",
+        "tsat",
+        "merges",
+        "constants",
+    ],
+    time: &["total_s"],
+    refresh: "BENCH_baseline_seq.json",
+};
 
 /// The deterministic fields of one entry of a pipeline row's `"passes"`
 /// array; compared exactly whenever the baseline records the array (both
 /// the default pipeline and `--passes` script snapshots do).
 const PASS_EXACT_FIELDS: &[&str] = &["gates_before", "gates_after", "sat_calls", "merges"];
-
-/// The deterministic per-benchmark sweeping counters of a table2 snapshot
-/// (both engines); any drift fails.
-const TABLE2_EXACT_ROW_FIELDS: &[&str] = &[
-    "gates",
-    "levels",
-    "result_b",
-    "result_s",
-    "ssat_b",
-    "tsat_b",
-    "merges_b",
-    "constants_b",
-    "dead_skips_b",
-    "ssat_s",
-    "tsat_s",
-    "merges_s",
-    "constants_s",
-    "dead_skips_s",
-];
-
-/// The time-like per-benchmark fields of a table2 snapshot, gated with the
-/// usual tolerance/floor.
-const TABLE2_TIME_ROW_FIELDS: &[&str] = &["total_b_s", "total_s_s"];
-
-/// The run-parameter header fields of a table2 snapshot.
-const TABLE2_HEADER_FIELDS: &[&str] = &["patterns"];
-
-/// The deterministic per-benchmark counters of a `table_seq --json`
-/// sequential-sweeping snapshot; any drift fails.
-const SEQ_EXACT_ROW_FIELDS: &[&str] = &[
-    "latches",
-    "gates",
-    "levels",
-    "result",
-    "latches_after",
-    "seq_candidates",
-    "seq_ternary_constants",
-    "seq_refuted",
-    "seq_undet",
-    "ternary_iterations",
-    "ssat",
-    "tsat",
-    "merges",
-    "constants",
-];
-
-/// The time-like per-benchmark fields of a table_seq snapshot.
-const SEQ_TIME_ROW_FIELDS: &[&str] = &["total_s"];
-
-/// The run-parameter header fields of a table_seq snapshot.
-const SEQ_HEADER_FIELDS: &[&str] = &["patterns", "seq_depth"];
 
 fn num_field(row: &Json, key: &str) -> Result<f64, String> {
     row.num(key)
@@ -145,137 +162,14 @@ fn compare(
         });
         return findings;
     }
-    match base_kind {
-        "table2_sweeping" => compare_flat(
-            baseline,
-            fresh,
-            tolerance,
-            time_floor,
-            skip_times,
-            TABLE2_HEADER_FIELDS,
-            TABLE2_EXACT_ROW_FIELDS,
-            TABLE2_TIME_ROW_FIELDS,
-            "BENCH_baseline_table2.json",
-        ),
-        "table_seq_sequential" => compare_flat(
-            baseline,
-            fresh,
-            tolerance,
-            time_floor,
-            skip_times,
-            SEQ_HEADER_FIELDS,
-            SEQ_EXACT_ROW_FIELDS,
-            SEQ_TIME_ROW_FIELDS,
-            "BENCH_baseline_seq.json",
-        ),
-        _ => compare_table1(baseline, fresh, tolerance, time_floor, skip_times),
-    }
-}
-
-/// Compares two flat-row snapshots (`table2 --json`, `table_seq --json`):
-/// the given counters exactly, the given wall-clock fields within the
-/// tolerance/floor.
-#[allow(clippy::too_many_arguments)]
-fn compare_flat(
-    baseline: &Json,
-    fresh: &Json,
-    tolerance: f64,
-    time_floor: f64,
-    skip_times: bool,
-    header_fields: &[&str],
-    exact_fields: &[&str],
-    time_fields: &[&str],
-    refresh_hint: &str,
-) -> Findings {
-    let mut findings = Findings::default();
-    findings.check(baseline.str("scale") == fresh.str("scale"), || {
-        format!(
-            "workload scale differs: baseline {:?} vs fresh {:?}",
-            baseline.str("scale"),
-            fresh.str("scale")
-        )
-    });
-    for &key in header_fields {
-        let base = baseline.num(key).unwrap_or(1.0);
-        let new = fresh.num(key).unwrap_or(1.0);
-        findings.check(base == new, || {
-            format!("run parameter '{key}' differs: baseline {base} vs fresh {new}")
-        });
-    }
-    let empty: Vec<Json> = Vec::new();
-    let base_rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let fresh_rows = fresh.get("rows").and_then(Json::as_arr).unwrap_or(&empty);
-    findings.check(!base_rows.is_empty(), || "baseline has no rows".into());
-    for base_row in base_rows {
-        let Some(name) = base_row.str("benchmark") else {
-            findings.check(false, || "baseline row without a name".into());
-            continue;
-        };
-        let Some(fresh_row) = fresh_rows.iter().find(|r| r.str("benchmark") == Some(name)) else {
-            findings.check(false, || format!("{name}: missing from the fresh snapshot"));
-            continue;
-        };
-        for &key in exact_fields {
-            match (num_field(base_row, key), num_field(fresh_row, key)) {
-                (Ok(base), Ok(new)) => findings.check(base == new, || {
-                    format!("{name}: {key} changed: baseline {base} vs fresh {new}")
-                }),
-                (Err(e), _) | (_, Err(e)) => findings.check(false, || format!("{name}: {e}")),
-            }
-        }
-        if !skip_times {
-            for &key in time_fields {
-                if let (Ok(base), Ok(new)) = (num_field(base_row, key), num_field(fresh_row, key)) {
-                    findings.check(base < time_floor || new <= base * (1.0 + tolerance), || {
-                        format!(
-                            "{name}: {key} regressed beyond {:.0}%: \
-                             baseline {base:.6}s vs fresh {new:.6}s",
-                            tolerance * 100.0
-                        )
-                    });
-                }
-            }
-        }
-    }
-    for fresh_row in fresh_rows {
-        let name = fresh_row.str("benchmark").unwrap_or("<unnamed>");
-        findings.check(
-            base_rows.iter().any(|r| r.str("benchmark") == Some(name)),
-            || format!("{name}: not in the baseline (refresh {refresh_hint})"),
-        );
-    }
-    findings
-}
-
-fn compare_table1(
-    baseline: &Json,
-    fresh: &Json,
-    tolerance: f64,
-    time_floor: f64,
-    skip_times: bool,
-) -> Findings {
-    let mut findings = Findings::default();
-
-    findings.check(baseline.str("scale") == fresh.str("scale"), || {
-        format!(
-            "workload scale differs: baseline {:?} vs fresh {:?}",
-            baseline.str("scale"),
-            fresh.str("scale")
-        )
-    });
-    for &key in HEADER_FIELDS {
-        let base = baseline.num(key).unwrap_or(1.0);
-        let new = fresh.num(key).unwrap_or(1.0);
-        findings.check(base == new, || {
-            format!("run parameter '{key}' differs: baseline {base} vs fresh {new}")
-        });
-    }
-
+    let (kind, table1) = match base_kind {
+        "table2_sweeping" => (&TABLE2, false),
+        "table_seq_sequential" => (&TABLE_SEQ, false),
+        _ => (&TABLE1, true),
+    };
+    let mut findings = compare_rows(baseline, fresh, kind, tolerance, time_floor, skip_times);
     // Table I geomeans: dimensionless speed-ups, higher is better.
-    if !skip_times {
+    if table1 && !skip_times {
         for &key in &["xa", "xl"] {
             let base = baseline.get("geomean").and_then(|g| g.num(key));
             let new = fresh.get("geomean").and_then(|g| g.num(key));
@@ -289,32 +183,58 @@ fn compare_table1(
             }
         }
     }
+    findings
+}
 
-    let empty: Vec<Json> = Vec::new();
-    let base_rows = baseline
-        .get("pipeline")
-        .and_then(|p| p.get("rows"))
+/// The row array of a snapshot of `kind` (empty when it has none).
+fn rows<'a>(doc: &'a Json, kind: &Kind) -> &'a [Json] {
+    kind.rows
+        .iter()
+        .try_fold(doc, |node, key| node.get(key))
         .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let fresh_rows = fresh
-        .get("pipeline")
-        .and_then(|p| p.get("rows"))
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    findings.check(!base_rows.is_empty(), || {
-        "baseline has no pipeline rows".into()
+        .unwrap_or(&[])
+}
+
+/// Compares the rows of two snapshots of one kind: the scale and header
+/// must agree, every baseline row must have a fresh row of the same name
+/// whose counters match exactly (its `passes` too, when the baseline row
+/// has them) and whose times are within the tolerance/floor, and no fresh
+/// row may be missing from the baseline.
+fn compare_rows(
+    baseline: &Json,
+    fresh: &Json,
+    kind: &Kind,
+    tolerance: f64,
+    time_floor: f64,
+    skip_times: bool,
+) -> Findings {
+    let mut findings = Findings::default();
+    findings.check(baseline.str("scale") == fresh.str("scale"), || {
+        format!(
+            "workload scale differs: baseline {:?} vs fresh {:?}",
+            baseline.str("scale"),
+            fresh.str("scale")
+        )
     });
-
+    for &key in kind.header {
+        let base = baseline.num(key).unwrap_or(1.0);
+        let new = fresh.num(key).unwrap_or(1.0);
+        findings.check(base == new, || {
+            format!("run parameter '{key}' differs: baseline {base} vs fresh {new}")
+        });
+    }
+    let (base_rows, fresh_rows) = (rows(baseline, kind), rows(fresh, kind));
+    findings.check(!base_rows.is_empty(), || "baseline has no rows".into());
     for base_row in base_rows {
         let Some(name) = base_row.str("benchmark") else {
-            findings.check(false, || "baseline pipeline row without a name".into());
+            findings.check(false, || "baseline row without a name".into());
             continue;
         };
         let Some(fresh_row) = fresh_rows.iter().find(|r| r.str("benchmark") == Some(name)) else {
             findings.check(false, || format!("{name}: missing from the fresh snapshot"));
             continue;
         };
-        for &key in EXACT_ROW_FIELDS {
+        for &key in kind.exact {
             match (num_field(base_row, key), num_field(fresh_row, key)) {
                 (Ok(base), Ok(new)) => findings.check(base == new, || {
                     format!("{name}: {key} changed: baseline {base} vs fresh {new}")
@@ -323,16 +243,16 @@ fn compare_table1(
             }
         }
         compare_passes(&mut findings, name, base_row, fresh_row);
-        if !skip_times {
-            if let (Ok(base), Ok(new)) = (
-                num_field(base_row, "total_s"),
-                num_field(fresh_row, "total_s"),
-            ) {
+        if skip_times {
+            continue;
+        }
+        for &key in kind.time {
+            if let (Ok(base), Ok(new)) = (num_field(base_row, key), num_field(fresh_row, key)) {
                 // Sub-floor rows are noise-dominated; only gate rows whose
                 // baseline time is large enough to measure a real ratio.
                 findings.check(base < time_floor || new <= base * (1.0 + tolerance), || {
                     format!(
-                        "{name}: pipeline wall-clock regressed beyond {:.0}%: \
+                        "{name}: {key} regressed beyond {:.0}%: \
                          baseline {base:.6}s vs fresh {new:.6}s",
                         tolerance * 100.0
                     )
@@ -344,7 +264,7 @@ fn compare_table1(
         let name = fresh_row.str("benchmark").unwrap_or("<unnamed>");
         findings.check(
             base_rows.iter().any(|r| r.str("benchmark") == Some(name)),
-            || format!("{name}: not in the baseline (refresh BENCH_baseline.json)"),
+            || format!("{name}: not in the baseline (refresh {})", kind.refresh),
         );
     }
     findings
@@ -474,7 +394,8 @@ fn main() {
         eprintln!(
             "if the change is intentional, refresh the baseline: \
              cargo run -p bench --release --bin table1 -- --json BENCH_baseline.json \
-             (or: --bin table2 -- --scale tiny --json BENCH_baseline_table2.json, \
+             (or: --bin table1 -- --json BENCH_baseline_dc2.json --passes \"dc2(2)\", \
+             or: --bin table2 -- --scale tiny --json BENCH_baseline_table2.json, \
              or: --bin table_seq -- --scale tiny --json BENCH_baseline_seq.json)"
         );
         std::process::exit(1);

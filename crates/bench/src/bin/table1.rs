@@ -33,7 +33,7 @@
 //! an arbitrary pass script (e.g. `--passes "dc2(2)"`, see
 //! `stp_sweep::passes::parse_script` for the grammar).  The per-pass JSON
 //! rows then additionally carry each pass's deterministic counters (e.g.
-//! `rewrites`, `iterations`), so `bench_diff` against a script baseline
+//! `removed`, `iterations`), so `bench_diff` against a script baseline
 //! pins the pass-level behaviour exactly.  Scripted runs cannot be
 //! combined with `--checkpoint-every` (the cancel→resume cycle is specific
 //! to the default pipeline).

@@ -12,9 +12,12 @@
 //!   sequential redundancy, every sweep verified by the BMC oracle).
 //! * `ablation` — the design-choice ablations
 //!   (window refinement on/off, SAT-guided patterns on/off, window limit).
-//! * `bench_diff` — the CI regression gate: compares a fresh `table1 --json`
-//!   snapshot against the checked-in `BENCH_baseline.json` (deterministic
-//!   counters exactly, time-like fields within a tolerance).
+//! * `bench_diff` — the CI regression gate: compares a fresh `table1`,
+//!   `table2` or `table_seq` JSON snapshot against its checked-in baseline
+//!   (`BENCH_baseline.json`, `BENCH_baseline_dc2.json` for a `table1
+//!   --passes "dc2(2)"` snapshot, `BENCH_baseline_table2.json`,
+//!   `BENCH_baseline_seq.json`): deterministic counters exactly, time-like
+//!   fields within a tolerance.
 //!
 //! This library exposes the small amount of shared measurement machinery
 //! and the snapshot [`json`] reader.

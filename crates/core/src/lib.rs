@@ -15,11 +15,10 @@
 //!   engine selection ([`Engine`]), progress [`Observer`]s, resource
 //!   [`Budget`]s with partial results, and typed [`SweepError`]s.
 //! * [`passes`] / [`pipeline`] — the optimisation passes: the closed
-//!   [`Pass`] set of structural cleanups, cut-based NPN rewriting
-//!   ([`Pass::Rewrite`]), the [`Pass::Dc2`] fixpoint loop, sweeps and CEC
-//!   verification, run in order by the [`PassManager`] with per-pass
-//!   reports — built programmatically or from a textual script
-//!   ([`PassManager::parse`]).
+//!   [`Pass`] set of the structural-hashing cleanup ([`Pass::Strash`]),
+//!   sweeps, the [`Pass::Dc2`] fixpoint loop and CEC verification, run in
+//!   order by the [`PassManager`] with per-pass reports — built
+//!   programmatically or from a textual script ([`PassManager::parse`]).
 //! * [`resim`] — counter-example resimulation: single-pattern evaluation
 //!   restricted to the transitive fanin of the surviving candidates.  Both
 //!   engines route every counter-example through it into the two-way class

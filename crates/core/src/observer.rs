@@ -109,7 +109,7 @@ pub trait Observer {
     }
 
     /// A [`crate::PassManager`] pass is about to run: `name` is the pass
-    /// name (e.g. `"rewrite"`), `gates` the AND count entering the pass.
+    /// name (e.g. `"strash"`), `gates` the AND count entering the pass.
     /// Sub-reports of composite passes (fixpoint rounds, `dc2` iterations)
     /// do not re-trigger this hook — one call per scheduled pass.  The
     /// finished passes' reports are [`crate::PipelineResult::passes`].

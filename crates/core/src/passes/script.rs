@@ -1,7 +1,7 @@
 //! Textual pass scripts.
 //!
 //! A script is a `;`-separated list of pass names, each optionally carrying
-//! one parenthesised argument: `"strash;rewrite;sweep(stp);dc2(3)"`.  The
+//! one parenthesised argument: `"strash;sweep(stp);dc2(3);verify"`.  The
 //! grammar is deliberately tiny — see [`parse_script`] for the accepted
 //! names.
 
@@ -42,8 +42,7 @@ impl fmt::Display for ParsePassError {
             ParsePassError::UnknownPass { name } => {
                 write!(
                     f,
-                    "unknown pass `{name}` (expected strash, cfold, gc, rewrite, \
-                     sweep, sweep_fix, dc2 or verify)"
+                    "unknown pass `{name}` (expected strash, sweep, sweep_fix, dc2 or verify)"
                 )
             }
             ParsePassError::BadArgument {
@@ -129,9 +128,6 @@ fn no_argument(name: &str, arg: Option<&str>, pass: Pass) -> Result<Pass, ParseP
 /// tolerated):
 ///
 /// * `strash` — [`Pass::Strash`]
-/// * `cfold` / `constant_fold` — [`Pass::ConstantFold`]
-/// * `gc` / `dangling_gc` — [`Pass::Gc`]
-/// * `rewrite` — [`Pass::Rewrite`]
 /// * `sweep` / `sweep(stp)` / `sweep(baseline)` — [`Pass::Sweep`]
 /// * `sweep_fix(n)` / `sweep_fix(engine, n)` — [`Pass::SweepToFixpoint`]
 /// * `dc2` / `dc2(n)` — [`Pass::Dc2`] capped at `n` iterations (default 10)
@@ -139,9 +135,9 @@ fn no_argument(name: &str, arg: Option<&str>, pass: Pass) -> Result<Pass, ParseP
 ///
 /// ```
 /// use stp_sweep::passes::{parse_script, Pass};
-/// let passes = parse_script("strash; rewrite; sweep(stp); dc2(3); verify").unwrap();
-/// assert_eq!(passes.len(), 5);
-/// assert_eq!(passes[3], Pass::Dc2(3));
+/// let passes = parse_script("strash; sweep(stp); dc2(3); verify").unwrap();
+/// assert_eq!(passes.len(), 4);
+/// assert_eq!(passes[2], Pass::Dc2(3));
 /// assert!(parse_script("frobnicate").is_err());
 /// ```
 pub fn parse_script(script: &str) -> Result<Vec<Pass>, ParsePassError> {
@@ -154,9 +150,6 @@ pub fn parse_script(script: &str) -> Result<Vec<Pass>, ParsePassError> {
         let (name, arg) = split_item(item)?;
         let pass = match name {
             "strash" => no_argument(name, arg, Pass::Strash)?,
-            "cfold" | "constant_fold" => no_argument(name, arg, Pass::ConstantFold)?,
-            "gc" | "dangling_gc" => no_argument(name, arg, Pass::Gc)?,
-            "rewrite" => no_argument(name, arg, Pass::Rewrite)?,
             "verify" => no_argument(name, arg, Pass::Verify)?,
             "sweep" => Pass::Sweep(parse_engine(name, arg)?),
             "sweep_fix" => {
@@ -195,7 +188,7 @@ mod tests {
     #[test]
     fn parses_the_full_grammar() {
         let passes = parse_script(
-            "strash; cfold; gc; rewrite; sweep; sweep(stp); sweep(baseline); \
+            "strash; sweep; sweep(stp); sweep(baseline); \
              sweep_fix(4); sweep_fix(baseline, 2); dc2; dc2(3); verify;",
         )
         .unwrap();
@@ -203,9 +196,6 @@ mod tests {
             passes,
             [
                 Pass::Strash,
-                Pass::ConstantFold,
-                Pass::Gc,
-                Pass::Rewrite,
                 Pass::Sweep(Engine::Stp),
                 Pass::Sweep(Engine::Stp),
                 Pass::Sweep(Engine::Baseline),
@@ -221,9 +211,6 @@ mod tests {
             names,
             [
                 "strash",
-                "cfold",
-                "gc",
-                "rewrite",
                 "sweep(stp)",
                 "sweep(stp)",
                 "sweep(baseline)",
@@ -237,9 +224,16 @@ mod tests {
     }
 
     #[test]
-    fn aliases_resolve() {
-        let passes = parse_script("constant_fold; dangling_gc").unwrap();
-        assert_eq!(passes, [Pass::ConstantFold, Pass::Gc]);
+    fn deleted_passes_are_unknown() {
+        for name in ["rewrite", "cfold", "constant_fold", "gc", "dangling_gc"] {
+            let err = parse_script(&format!("strash;{name};sweep(stp)")).unwrap_err();
+            assert_eq!(err, ParsePassError::UnknownPass { name: name.into() });
+            assert!(
+                err.to_string()
+                    .ends_with("(expected strash, sweep, sweep_fix, dc2 or verify)"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

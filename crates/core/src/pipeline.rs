@@ -1,7 +1,7 @@
 //! Multi-pass optimisation runs.
 //!
 //! A [`PassManager`] owns a sequence of [`Pass`]es — sweeps, structural
-//! cleanups, rewriting, verification — and executes them in order inside
+//! cleanups, verification — and executes them in order inside
 //! one budgeted, observable run:
 //!
 //! ```
@@ -38,7 +38,7 @@ use crate::cec;
 use crate::checkpoint::SweepCheckpoint;
 use crate::error::SweepError;
 use crate::observer::Observer;
-use crate::passes::{self, ParsePassError, Pass, RewriteLibrary};
+use crate::passes::{self, ParsePassError, Pass};
 use crate::report::{SweepConfig, SweepReport, SweepResult};
 use crate::session::{Engine, Sweeper};
 use netlist::Aig;
@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct PassReport {
     /// Human-readable pass name (`"sweep(stp)"`, `"strash"`, `"verify"`,
-    /// `"sweep(stp) round 2"`, `"dc2[1] rewrite"` …).
+    /// `"sweep(stp) round 2"`, `"dc2[1] strash"` …).
     pub name: String,
     /// AND gates entering the pass.
     pub gates_before: usize,
@@ -59,7 +59,7 @@ pub struct PassReport {
     /// Wall-clock time of the pass.
     pub time: Duration,
     /// Pass-specific counters (name, value) in a pass-chosen, deterministic
-    /// order — e.g. `rewrites` for `rewrite`, `iterations` for `dc2`.
+    /// order — `removed` for `strash`, `iterations` for `dc2`.
     pub counters: Vec<(String, u64)>,
 }
 
@@ -158,30 +158,16 @@ impl<'o> PassManager<'o> {
         self.push(Pass::SweepToFixpoint(engine, max_rounds))
     }
 
-    /// Appends a structural-hashing cleanup pass.  Merging can expose new
-    /// structural sharing; a `strash` between sweeps lets the next round
-    /// find it.
+    /// Appends a structural-hashing cleanup pass.  A sweep already returns
+    /// a strashed network, so a `strash` right after one changes nothing;
+    /// it drops an input's dangling logic and folds what
+    /// [`Aig::and_raw`] built.
     pub fn strash(self) -> Self {
         self.push(Pass::Strash)
     }
 
-    /// Appends an in-place constant/unit-literal folding pass.
-    pub fn constant_fold(self) -> Self {
-        self.push(Pass::ConstantFold)
-    }
-
-    /// Appends a structure-preserving dead-node sweep.
-    pub fn dangling_gc(self) -> Self {
-        self.push(Pass::Gc)
-    }
-
-    /// Appends a cut-based NPN rewriting pass.
-    pub fn rewrite(self) -> Self {
-        self.push(Pass::Rewrite)
-    }
-
-    /// Appends a `dc2` loop (rewrite → strash → sweep until the node count
-    /// stops improving), capped at `max_iters` iterations.
+    /// Appends a `dc2` loop (strash → sweep until the node count stops
+    /// improving), capped at `max_iters` iterations.
     pub fn dc2(self, max_iters: usize) -> Self {
         self.push(Pass::Dc2(max_iters))
     }
@@ -227,7 +213,6 @@ impl<'o> PassManager<'o> {
                 ..SweepReport::default()
             },
             reports: Vec::new(),
-            library: RewriteLibrary::default(),
             round: 0,
             started: Instant::now(),
             input: aig,
@@ -256,8 +241,6 @@ struct Run<'o> {
     /// time of the other passes.
     aggregate: SweepReport,
     reports: Vec<PassReport>,
-    /// One class library for every rewrite of the run.
-    library: RewriteLibrary,
     /// Index of the next sweep round, for the observer.
     round: usize,
     started: Instant,
@@ -272,10 +255,7 @@ impl Run<'_> {
         // Structural passes and `verify` check the budget before they start
         // and are timed here; a sweep runs on what remains of the budget
         // and reports its own time.
-        let structural = matches!(
-            pass,
-            Pass::Strash | Pass::ConstantFold | Pass::Gc | Pass::Rewrite | Pass::Verify
-        );
+        let structural = matches!(pass, Pass::Strash | Pass::Verify);
         if structural {
             let used = self.aggregate.sat_calls_total;
             if let Some(cause) = self.manager.budget.exceeded(self.started, used) {
@@ -290,16 +270,6 @@ impl Run<'_> {
             Pass::Strash => {
                 self.aig = self.aig.cleanup().0;
                 vec![("removed", (gates_before - self.aig.num_ands()) as u64)]
-            }
-            Pass::Gc => {
-                self.aig = self.aig.cleanup_raw();
-                vec![("removed", (gates_before - self.aig.num_ands()) as u64)]
-            }
-            Pass::ConstantFold => passes::constant_fold(&mut self.aig),
-            Pass::Rewrite => {
-                let (aig, counters) = self.library.rewrite(&self.aig);
-                self.aig = aig;
-                counters
             }
             Pass::Sweep(engine) => {
                 let result = self.sweep(engine)?;
@@ -322,7 +292,7 @@ impl Run<'_> {
                 let mut iterations = 0;
                 while iterations < max_iters.max(1) {
                     let entering = self.aig.num_ands();
-                    for step in [Pass::Rewrite, Pass::Strash, Pass::Sweep(Engine::Stp)] {
+                    for step in [Pass::Strash, Pass::Sweep(Engine::Stp)] {
                         self.exec(step, format!("dc2[{iterations}] {step}"))?;
                     }
                     iterations += 1;
@@ -500,16 +470,7 @@ mod tests {
         let aig = latched_circuit();
         let inits = [LatchInit::Zero, LatchInit::One, LatchInit::X];
         assert_eq!(aiger_latch_inits(&write_aiger_string(&aig)), inits);
-        for script in [
-            "strash",
-            "cfold",
-            "gc",
-            "rewrite",
-            "sweep(stp)",
-            "sweep_fix(2)",
-            "dc2(1)",
-            "verify",
-        ] {
+        for script in ["strash", "sweep(stp)", "sweep_fix(2)", "dc2(1)", "verify"] {
             let outcome = PassManager::new(SweepConfig::default())
                 .with_script(script)
                 .expect("script parses")
@@ -598,15 +559,16 @@ mod tests {
         let aig = redundant_circuit();
         let mut stats = StatsObserver::new();
         let outcome = PassManager::new(SweepConfig::default())
-            .rewrite()
+            .dc2(2)
             .strash()
             .sweep_to_fixpoint(Engine::Stp, 4)
             .verify()
             .observer(&mut stats)
             .run(&aig)
             .expect("runs");
-        // Four scheduled passes — fixpoint rounds do not re-trigger
-        // `on_pass_start` even though they contribute extra reports.
+        // Four scheduled passes — `dc2` steps and fixpoint rounds do not
+        // re-trigger `on_pass_start` even though they contribute extra
+        // reports.
         assert_eq!(stats.passes, 4);
         assert!(outcome.passes.len() >= 4);
     }
@@ -694,23 +656,24 @@ mod tests {
     }
 
     #[test]
-    fn structural_passes_preserve_equivalence_and_report_counters() {
-        let aig = redundant_circuit();
+    fn strash_folds_and_drops_dead_logic_and_reports_it() {
+        let mut aig = redundant_circuit();
+        let (o1, o2) = (aig.outputs()[0].lit, aig.outputs()[1].lit);
+        let folds = aig.and_raw(o1, Lit::TRUE);
+        aig.add_output("folds", folds);
+        let _dead = aig.and(o1, o2);
         let outcome = PassManager::new(SweepConfig::default())
-            .constant_fold()
-            .dangling_gc()
-            .rewrite()
             .strash()
             .verify()
             .run(&aig)
             .expect("structural flow verifies");
-        assert!(outcome.aig.num_ands() <= aig.num_ands());
+        assert_eq!(outcome.aig.num_ands(), aig.cleanup().0.num_ands());
         assert!(check_equivalence(&aig, &outcome.aig, 100_000).equivalent);
         let names: Vec<&str> = outcome.passes.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["cfold", "gc", "rewrite", "strash", "verify"]);
-        let rewrite = &outcome.passes[2];
-        assert!(rewrite.counter("rewrites").is_some());
-        assert!(rewrite.counter("candidates").unwrap_or(0) >= rewrite.counter("rewrites").unwrap());
+        assert_eq!(names, ["strash", "verify"]);
+        let removed = (aig.num_ands() - outcome.aig.num_ands()) as u64;
+        assert!(removed >= 2, "the folded and the dead AND go");
+        assert_eq!(outcome.passes[0].counter("removed"), Some(removed));
     }
 
     #[test]
@@ -728,9 +691,13 @@ mod tests {
             .find(|p| p.name == "dc2")
             .expect("dc2 summary report");
         assert!(summary.counter("iterations").unwrap() >= 1);
-        assert!(outcome.passes.iter().any(|p| p.name == "dc2[0] rewrite"));
-        assert!(outcome.passes.iter().any(|p| p.name == "dc2[0] strash"));
-        assert!(outcome.passes.iter().any(|p| p.name == "dc2[0] sweep(stp)"));
+        let first: Vec<&str> = outcome
+            .passes
+            .iter()
+            .map(|p| p.name.as_str())
+            .filter(|name| name.starts_with("dc2[0]"))
+            .collect();
+        assert_eq!(first, ["dc2[0] strash", "dc2[0] sweep(stp)"]);
         assert!(check_equivalence(&aig, &outcome.aig, 100_000).equivalent);
     }
 

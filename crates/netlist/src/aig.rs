@@ -387,9 +387,9 @@ impl Aig {
     /// Appends an AND node with exactly these fanins, skipping constant
     /// propagation and the structural-hash lookup.
     ///
-    /// This is the building block of structure-preserving rebuilds (e.g. a
-    /// dangling-node sweep that must not re-fold or re-share logic): the
-    /// node is appended even when an identical or foldable one exists.  The
+    /// The node is appended even when an identical or foldable one exists,
+    /// so this builds networks that [`Aig::and`] never produces, such as
+    /// fixtures for [`Aig::cleanup`], which folds and shares them.  The
     /// structural hash stays coherent — the new node registers itself unless
     /// an equal node is already registered — so later [`Aig::and`] calls
     /// still deduplicate against the network.
@@ -554,21 +554,6 @@ impl Aig {
             .unwrap_or(0)
     }
 
-    /// Fanout count of every node (references from AND fanins and outputs).
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            if let AigNode::And { fanin0, fanin1 } = node {
-                counts[fanin0.node()] += 1;
-                counts[fanin1.node()] += 1;
-            }
-        }
-        for output in &self.outputs {
-            counts[output.lit.node()] += 1;
-        }
-        counts
-    }
-
     /// Collects the transitive fanin of `node` (the node itself excluded),
     /// stopping once `limit` nodes have been gathered.  The result is in
     /// reverse-DFS order; constant and input nodes are included.
@@ -668,26 +653,12 @@ impl Aig {
     /// Rebuilds the AIG keeping only the logic reachable from the outputs,
     /// re-running constant propagation and structural hashing.  Returns the
     /// cleaned AIG together with a map from old node ids to new literals
-    /// (dead nodes map to `None`).
+    /// (dead nodes map to `None`).  The result is its own cleanup: no
+    /// constant to fold, no structure to share, no dead AND.
     ///
     /// Inputs and outputs keep their order and count, so latches survive
     /// unchanged (their next-state cones are output cones and hence live).
     pub fn cleanup(&self) -> (Aig, Vec<Option<Lit>>) {
-        self.copy_live(Aig::and)
-    }
-
-    /// Rebuilds the AIG keeping exactly the nodes reachable from the
-    /// outputs, copied verbatim through [`Aig::and_raw`]: no re-folding and
-    /// no re-sharing, so only dangling logic disappears.  Inputs, outputs
-    /// and latches are kept as in [`Aig::cleanup`].
-    pub fn cleanup_raw(&self) -> Aig {
-        self.copy_live(Aig::and_raw).0
-    }
-
-    /// The walk behind [`Aig::cleanup`] and [`Aig::cleanup_raw`]: copies
-    /// the cone reachable from the outputs in topological order, building
-    /// each AND with `and`.
-    fn copy_live(&self, mut and: impl FnMut(&mut Aig, Lit, Lit) -> Lit) -> (Aig, Vec<Option<Lit>>) {
         let mut new = Aig::new();
         let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         map[0] = Some(Lit::FALSE);
@@ -696,20 +667,9 @@ impl Aig {
             let lit = new.add_input(self.input_names[pos].clone());
             map[id] = Some(lit);
         }
-        // Mark reachable nodes from outputs.
-        let mut reachable = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.outputs.iter().map(|o| o.lit.node()).collect();
-        while let Some(id) = stack.pop() {
-            if reachable[id] {
-                continue;
-            }
-            reachable[id] = true;
-            for f in self.nodes[id].fanins() {
-                stack.push(f.node());
-            }
-        }
+        let live = self.live();
         for id in 0..self.nodes.len() {
-            if !reachable[id] {
+            if !live[id] {
                 continue;
             }
             if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
@@ -719,7 +679,7 @@ impl Aig {
                 let f1 = map[fanin1.node()]
                     .expect("fanin precedes node in topological order")
                     .complement_if(fanin1.is_complemented());
-                map[id] = Some(and(&mut new, f0, f1));
+                map[id] = Some(new.and(f0, f1));
             }
         }
         for output in &self.outputs {
@@ -729,7 +689,37 @@ impl Aig {
             new.add_output(output.name.clone(), lit);
         }
         new.latches = self.latches.clone();
+        // Folding strands a node whose fanouts all folded away.  Copying
+        // once more drops it, and that copy folds nothing, so it is final.
+        let live = new.live();
+        if new.and_ids().any(|id| !live[id]) {
+            let (again, remap) = new.cleanup();
+            for lit in &mut map {
+                *lit =
+                    lit.and_then(|l| remap[l.node()].map(|r| r.complement_if(l.is_complemented())));
+            }
+            return (again, map);
+        }
         (new, map)
+    }
+
+    /// Marks the nodes that some output reaches.
+    fn live(&self) -> Vec<bool> {
+        let mut live = vec![false; self.nodes.len()];
+        for output in &self.outputs {
+            live[output.lit.node()] = true;
+        }
+        // Fanins precede their fanouts, so a node's mark is final when the
+        // reverse sweep reaches it.
+        for id in (0..self.nodes.len()).rev() {
+            if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
+                if live[id] {
+                    live[fanin0.node()] = true;
+                    live[fanin1.node()] = true;
+                }
+            }
+        }
+        live
     }
 
     /// Copies the logic of `other` into this AIG, driving `other`'s primary
@@ -952,19 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_counts_include_outputs() {
-        let mut aig = Aig::new();
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let g = aig.and(a, b);
-        aig.add_output("y1", g);
-        aig.add_output("y2", !g);
-        let counts = aig.fanout_counts();
-        assert_eq!(counts[g.node()], 2);
-        assert_eq!(counts[a.node()], 1);
-    }
-
-    #[test]
     fn transitive_fanin_limit() {
         let mut aig = Aig::new();
         let xs = aig.add_inputs("x", 8);
@@ -1013,6 +990,25 @@ mod tests {
         assert_eq!(cleaned.num_ands(), 1);
         assert_eq!(cleaned.num_inputs(), 2);
         assert!(map[live.node()].is_some());
+    }
+
+    #[test]
+    fn cleanup_drops_nodes_that_folding_strands() {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 3);
+        let p = aig.and(xs[0], xs[1]);
+        let q = aig.and(xs[0], xs[2]);
+        let h = aig.and(p, q);
+        let y = aig.or(h, xs[2]);
+        aig.add_output("y", y);
+        // `h` becomes `p & !p`, which folds to false and strands `p`.
+        aig.replace_node(q.node(), !p);
+        let (cleaned, map) = aig.cleanup();
+        assert_eq!(cleaned.num_ands(), 0);
+        assert_eq!(cleaned.outputs()[0].lit, xs[2]);
+        assert_eq!(map[p.node()], None);
+        assert_eq!(map[h.node()], Some(Lit::FALSE));
+        assert_eq!(cleaned.cleanup().0.num_ands(), 0);
     }
 
     #[test]
@@ -1097,22 +1093,21 @@ mod tests {
     }
 
     #[test]
-    fn cleanup_raw_drops_only_dangling_nodes() {
+    fn cleanup_shares_folds_and_drops_dangling_nodes() {
         let mut aig = Aig::new();
         let d = aig.add_input("d");
         let q = aig.add_latch("q", LatchInit::X);
         let _dead = aig.xor(d, q);
         let g1 = aig.and(d, q);
-        let g2 = aig.and_raw(q, d); // a structural duplicate that strash would share
-        let next = aig.and(g1, !g2);
+        let g2 = aig.and_raw(q, d); // a structural duplicate of `g1`
+        let next = aig.and(g1, !g2); // folds to false once `g2` is shared
         aig.set_latch_next(0, next);
         aig.add_output("o", g2);
-        let raw = aig.cleanup_raw();
-        assert_eq!(raw.num_ands(), 3, "the live duplicate stays");
-        assert_eq!(aig.cleanup().0.num_ands(), 1, "strash shares and folds it");
-        assert_eq!(raw.latches(), aig.latches());
-        assert_eq!(raw.num_inputs(), 2);
-        assert_eq!(raw.num_outputs(), 2);
+        let (cleaned, _) = aig.cleanup();
+        assert_eq!(cleaned.num_ands(), 1);
+        assert_eq!(cleaned.latches(), aig.latches());
+        assert_eq!(cleaned.num_inputs(), 2);
+        assert_eq!(cleaned.num_outputs(), 2);
     }
 
     #[test]

@@ -208,65 +208,6 @@ fn compute_tt(
     tt
 }
 
-/// Size of the cut-local *maximum fanout-free cone* (MFFC) of `root`: the
-/// number of AND nodes inside the cone of `cut` that die when `root` is
-/// replaced by another implementation of the cut function.
-///
-/// A cone node is in the MFFC when *every* one of its fanouts (counted
-/// globally, outputs included — pass [`Aig::fanout_counts`]) is itself an
-/// MFFC node; the root is always in (its fanouts are redirected to the
-/// replacement).  Leaves of the cut and the constant node are never
-/// counted.  Rewriting uses this as its gain baseline: replacing the root
-/// with an `n`-node implementation nets `mffc − n` gates.
-pub fn cut_mffc_size(aig: &Aig, root: NodeId, cut: &Cut, fanout_counts: &[usize]) -> usize {
-    cut_mffc(aig, root, cut, fanout_counts).1.len()
-}
-
-/// The cone and cut-local MFFC of `root` over `cut` (see [`cut_mffc_size`]).
-///
-/// Returns `(cone, mffc)`: `cone` holds every AND node on a path from the
-/// root down to (but excluding) the leaves, in descending id order; `mffc`
-/// is the subset that dies when the root is replaced.  The root is in both.
-pub fn cut_mffc(
-    aig: &Aig,
-    root: NodeId,
-    cut: &Cut,
-    fanout_counts: &[usize],
-) -> (Vec<NodeId>, Vec<NodeId>) {
-    let is_leaf = |id: NodeId| cut.leaves().binary_search(&id).is_ok();
-    // Collect the cone: AND nodes on paths from the root down to the leaves.
-    let mut cone: Vec<NodeId> = Vec::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if cone.contains(&id) || is_leaf(id) || !aig.node(id).is_and() {
-            continue;
-        }
-        cone.push(id);
-        for f in aig.node(id).fanins() {
-            stack.push(f.node());
-        }
-    }
-    // Walk the cone top-down (descending id = reverse topological order):
-    // a node is dead when all its global references come from already-dead
-    // cone nodes.  `deref` counts the references accounted for so far.
-    cone.sort_unstable_by(|a, b| b.cmp(a));
-    let mut deref: HashMap<NodeId, usize> = HashMap::new();
-    let mut dead: Vec<NodeId> = Vec::new();
-    for &id in &cone {
-        let accounted = deref.get(&id).copied().unwrap_or(0);
-        if id == root || accounted == fanout_counts[id] {
-            dead.push(id);
-            for f in aig.node(id).fanins() {
-                let fid = f.node();
-                if !is_leaf(fid) && aig.node(fid).is_and() {
-                    *deref.entry(fid).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-    (cone, dead)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,51 +291,6 @@ mod tests {
         // A cut that misses the inputs entirely.
         let cut = Cut::from_leaves(vec![root.node() - 1]);
         let _ = cut_truth_table(&aig, root.node(), &cut);
-    }
-
-    #[test]
-    fn mffc_counts_exclusive_cone_nodes() {
-        let (aig, inputs, root) = small_aig();
-        let fanouts = aig.fanout_counts();
-        let pi_cut = Cut::from_leaves(inputs.iter().map(|l| l.node()).collect());
-        // The XOR cone over the PI cut is exclusive to the root: every AND
-        // node feeds only the root's cone, so the whole cone dies with it.
-        assert_eq!(
-            cut_mffc_size(&aig, root.node(), &pi_cut, &fanouts),
-            aig.num_ands()
-        );
-    }
-
-    #[test]
-    fn mffc_excludes_shared_nodes() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs("x", 3);
-        let shared = aig.and(xs[0], xs[1]);
-        let root = aig.and(shared, xs[2]);
-        aig.add_output("y", root);
-        aig.add_output("z", shared); // external fanout keeps `shared` alive
-        let fanouts = aig.fanout_counts();
-        let cut = Cut::from_leaves(xs.iter().map(|l| l.node()).collect());
-        // Only the root dies; `shared` survives through the second output.
-        assert_eq!(cut_mffc_size(&aig, root.node(), &cut, &fanouts), 1);
-    }
-
-    #[test]
-    fn mffc_stops_at_cut_leaves() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs("x", 4);
-        let inner = aig.and(xs[0], xs[1]);
-        let mid = aig.and(inner, xs[2]);
-        let root = aig.and(mid, xs[3]);
-        aig.add_output("y", root);
-        let fanouts = aig.fanout_counts();
-        // With `mid` as a leaf, the cone is just the root even though
-        // `mid` and `inner` would die in the full-cone MFFC.
-        let cut = Cut::from_leaves(vec![mid.node(), xs[3].node()]);
-        assert_eq!(cut_mffc_size(&aig, root.node(), &cut, &fanouts), 1);
-        // Over the PI cut, all three AND nodes are exclusive to the root.
-        let pi_cut = Cut::from_leaves(xs.iter().map(|l| l.node()).collect());
-        assert_eq!(cut_mffc_size(&aig, root.node(), &pi_cut, &fanouts), 3);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub enum Request {
         /// AIGER bytes of the netlist to sweep.
         aiger: Vec<u8>,
         /// Optional pass script in the [`stp_sweep::PassManager::parse`]
-        /// grammar (e.g. `"strash;rewrite;sweep(stp)"`).  Empty runs the
+        /// grammar (e.g. `"strash;sweep(stp);verify"`).  Empty runs the
         /// engine's plain sweep.
         passes: String,
     },
@@ -588,7 +588,7 @@ mod tests {
                 engine: Engine::Stp,
                 preset: Preset::Paper,
                 aiger: b"aag 0 0 0 0 0\n".to_vec(),
-                passes: "strash;rewrite;sweep(stp);verify".into(),
+                passes: "strash;sweep(stp);verify".into(),
             },
             Request::Status { id: 7 },
             Request::Cancel { id: u64::MAX },

@@ -271,7 +271,7 @@ mod tests {
     fn scripted_jobs_round_trip_and_retired_formats_are_skipped() {
         let spill = SpillDir::open(fresh_dir("script")).expect("open");
         let scripted = SpilledJob {
-            passes: "strash;rewrite;sweep(stp);verify".into(),
+            passes: "strash;sweep(stp);verify".into(),
             ..sample_job()
         };
         spill.write_job(0xC0, &scripted).expect("write");

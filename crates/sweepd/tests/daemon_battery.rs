@@ -328,7 +328,7 @@ fn cancelled_jobs_stop_and_resubmission_restarts_them() {
 
 #[test]
 fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
-    let script = "strash;rewrite;sweep(stp);verify";
+    let script = "strash;sweep(stp);verify";
     let aig = inject_redundancy(&generators::barrel_shifter(8), 0.5, 14);
 
     // The oracle: the same pipeline run uninterrupted, in-process, under
@@ -440,6 +440,80 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
         "crash-recovered scripted output differs from the in-process pipeline"
     );
     assert_eq!(counters, JobCounters::from_report(&want.report));
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&spill);
+}
+
+#[test]
+fn a_readopted_job_whose_script_no_longer_parses_fails_cleanly() {
+    // A spill directory written by an older build can hold a scripted job
+    // that names a pass this build no longer has.  On restart that job
+    // fails with the parse error and leaves no spill files behind, and a
+    // plain job spilled next to it still completes.
+    let spill = fresh_dir("stale-script");
+    let dir = SpillDir::open(&spill).expect("spill dir opens");
+    let scripted = inject_redundancy(&generators::priority_encoder(10), 0.5, 22);
+    let plain = inject_redundancy(&generators::barrel_shifter(8), 0.5, 23);
+    let scripted_fp = canonical_fingerprint(&scripted);
+    let plain_fp = canonical_fingerprint(&plain);
+    for (fp, aig, passes) in [
+        (scripted_fp, &scripted, "strash;rewrite;sweep(stp)"),
+        (plain_fp, &plain, ""),
+    ] {
+        dir.write_job(
+            fp,
+            &SpilledJob {
+                priority: Priority::Normal,
+                engine: Engine::Stp,
+                preset: Preset::Fast,
+                aiger: aiger_bytes(aig),
+                passes: passes.to_string(),
+            },
+        )
+        .expect("job spills");
+    }
+    dir.write_checkpoint(scripted_fp, b"stale sweep checkpoint")
+        .expect("checkpoint spills");
+
+    let service = SweepService::start(ServiceConfig {
+        workers: 1,
+        quantum: Duration::from_secs(3600),
+        spill_dir: Some(spill.clone()),
+        checkpoint_every_secs: 0.0,
+    })
+    .expect("service starts");
+    let recovered = service.list();
+    assert_eq!(recovered.len(), 2, "both spilled jobs are re-adopted");
+    let id_of = |fp| {
+        recovered
+            .iter()
+            .find(|job| job.canonical_fingerprint == fp)
+            .expect("re-adopted")
+            .id
+    };
+
+    let info = service.wait(id_of(scripted_fp), WAIT).expect("job ends");
+    assert_eq!(info.state, JobState::Failed);
+    assert!(info.error.contains("rewrite"), "got: {}", info.error);
+    let err = service
+        .fetch(info.id)
+        .expect_err("a failed job has no output");
+    assert!(
+        err.contains(&info.error),
+        "fetch returns the job's error: {err}"
+    );
+    assert!(dir.read_job(scripted_fp).expect("readable").is_none());
+    assert!(dir
+        .read_checkpoint(scripted_fp)
+        .expect("readable")
+        .is_none());
+
+    let info = service.wait(id_of(plain_fp), WAIT).expect("job finishes");
+    assert_eq!(info.state, JobState::Done);
+    let (aiger, counters) = service.fetch(info.id).expect("output");
+    let (want_aiger, want_counters) = reference(Engine::Stp, Preset::Fast, &plain);
+    assert_eq!(String::from_utf8(aiger).expect("AIGER is text"), want_aiger);
+    assert_eq!(counters, want_counters);
     service.shutdown();
     let _ = std::fs::remove_dir_all(&spill);
 }

@@ -75,7 +75,7 @@ fn socket_end_to_end_lifecycle() {
     // A scripted submission rides the same wire: the v2 `passes` field
     // reaches the scheduler and the result matches the in-process
     // pipeline run uninterrupted.
-    let script = "strash;rewrite;sweep(stp)";
+    let script = "strash;sweep(stp);verify";
     let scripted = inject_redundancy(&generators::priority_encoder(10), 0.5, 22);
     let (scripted_id, _) = client
         .submit_with_passes(

@@ -28,10 +28,8 @@
 #![warn(missing_docs)]
 
 mod compose;
-pub mod npn;
 mod ops;
 mod table;
 
 pub use compose::compose;
-pub use npn::NpnTransform;
 pub use table::{ParseTruthTableError, TruthTable};

@@ -29,7 +29,7 @@
 //! # }
 //! ```
 //!
-//! Multi-pass flows (rewrite → strash → sweep → verify) compose through
+//! Multi-pass flows (strash → sweep → verify) compose through
 //! the [`PassManager`] — programmatically via its builder verbs or from a
 //! textual script via [`PassManager::parse`] — with runs bounded by
 //! [`Budget`] and observed through [`Observer`]; see the `stp_sweep` crate
