@@ -66,7 +66,6 @@ use workloads::{epfl_suite, Scale};
 struct CancelAfterSatCalls {
     remaining: u64,
     token: CancelToken,
-    checkpoints_seen: u64,
 }
 
 impl Observer for CancelAfterSatCalls {
@@ -76,10 +75,6 @@ impl Observer for CancelAfterSatCalls {
         } else {
             self.remaining -= 1;
         }
-    }
-
-    fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, _encoded: &[u8]) {
-        self.checkpoints_seen += 1;
     }
 }
 
@@ -100,7 +95,6 @@ fn checkpointed_sweep_pass(
     let mut canceller = CancelAfterSatCalls {
         remaining: every,
         token: token.clone(),
-        checkpoints_seen: 0,
     };
     let run = Sweeper::new(Engine::Stp)
         .config(config)
@@ -136,7 +130,7 @@ fn checkpointed_sweep_pass(
 /// [`PassManager::run`]), with every sweep pass executed through
 /// [`checkpointed_sweep_pass`].
 fn run_pipeline_checkpointed(name: &str, aig: &netlist::Aig, every: u64) -> PipelineResult {
-    let config = SweepConfig::fast().checkpoint_every(every as usize);
+    let config = SweepConfig::fast();
     let mut current = aig.clone();
     let mut aggregate = SweepReport {
         gates_before: aig.num_ands(),
@@ -183,14 +177,14 @@ fn run_pipeline_checkpointed(name: &str, aig: &netlist::Aig, every: u64) -> Pipe
 }
 
 /// Runs the standard pipeline on one benchmark and renders its JSON row.
-/// With `checkpoint_every` set, the run is the cancel→resume execution of
-/// [`run_pipeline_checkpointed`], whose counters `bench_diff` then pins
-/// against the uninterrupted baseline.
+/// With `cancel_after` set (`--checkpoint-every`), the run is the
+/// cancel→resume execution of [`run_pipeline_checkpointed`], whose
+/// counters `bench_diff` then pins against the uninterrupted baseline.
 fn pipeline_json_row(
     name: &str,
     aig: &netlist::Aig,
     script: Option<&str>,
-    checkpoint_every: Option<u64>,
+    cancel_after: Option<u64>,
 ) -> String {
     let run = || {
         let config = SweepConfig::fast();
@@ -207,7 +201,7 @@ fn pipeline_json_row(
             .run(aig)
             .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
     };
-    let outcome = match checkpoint_every {
+    let outcome = match cancel_after {
         Some(every) => run_pipeline_checkpointed(name, aig, every),
         None => run(),
     };
@@ -319,7 +313,7 @@ fn main() {
     let threads: usize = arg_value(&args, "--threads")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let checkpoint_every: Option<u64> = arg_value(&args, "--checkpoint-every").map(|v| {
+    let cancel_after: Option<u64> = arg_value(&args, "--checkpoint-every").map(|v| {
         v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
             eprintln!("--checkpoint-every expects a positive SAT-call count");
             std::process::exit(2);
@@ -338,7 +332,7 @@ fn main() {
                     std::process::exit(2);
                 }
             });
-    if passes_script.is_some() && checkpoint_every.is_some() {
+    if passes_script.is_some() && cancel_after.is_some() {
         eprintln!("--passes cannot be combined with --checkpoint-every");
         std::process::exit(2);
     }
@@ -436,7 +430,7 @@ fn main() {
 
     if let Some(path) = arg_value(&args, "--json") {
         // The sweeping pipeline section: per-pass reports per benchmark.
-        match (&passes_script, checkpoint_every) {
+        match (&passes_script, cancel_after) {
             (Some(script), _) => {
                 println!("\nrunning the pass script \"{script}\" per benchmark ...")
             }
@@ -458,7 +452,7 @@ fn main() {
                     bench.name,
                     &bench.aig,
                     passes_script.as_deref(),
-                    checkpoint_every,
+                    cancel_after,
                 )
             })
             .collect();

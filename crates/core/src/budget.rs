@@ -2,10 +2,12 @@
 //!
 //! A [`Budget`] bounds a run along three independent dimensions — a
 //! wall-clock deadline, a cap on the number of sweeping SAT queries, and a
-//! [`CancelToken`] another thread (or signal handler) can trip.  The engine
-//! checks the budget at candidate boundaries and immediately before every
-//! SAT call, so a tripped budget stops the run at the next check *without*
-//! discarding the merges proved so far: the partial result travels inside
+//! [`CancelToken`] another thread (or signal handler) can trip.  A session
+//! checks the budget only immediately before each sweeping SAT query (a
+//! candidate that window verdicts or the dead-candidate skip settle passes
+//! no check), so a tripped budget stops the run at the next query *without*
+//! discarding the merges proved so far: the partial result and the
+//! checkpoint of the stop point travel inside
 //! [`crate::SweepError::BudgetExhausted`].  A budget that is already
 //! exhausted when a session starts skips priming entirely; an in-flight
 //! phase (pattern generation, a single SAT query, a pipeline strash or

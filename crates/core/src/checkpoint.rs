@@ -1,16 +1,19 @@
 //! Checkpoint/resume for sweeping sessions.
 //!
 //! A [`SweepCheckpoint`] is a versioned, self-describing snapshot of a
-//! [`crate::SweepSession`] at a candidate boundary: the candidate
-//! equivalence classes, the ordered merge log, the phase cursor, the
-//! cumulative report counters — and, crucially, the behaviour-exact state
-//! of the session's incremental SAT solver, as the opaque bytes of
+//! [`crate::SweepSession`] where a run stops: at the budget check before a
+//! sweeping SAT query (inside [`crate::SweepError::BudgetExhausted`]), or
+//! on request through [`crate::SweepSession::checkpoint`].  It holds the
+//! candidate equivalence classes, the ordered merge log, the phase cursor,
+//! the cumulative report counters — and, crucially, the behaviour-exact
+//! state of the session's incremental SAT solver, as the opaque bytes of
 //! [`satsolver::CircuitSat::snapshot`].
 //! CDCL solvers are history-dependent (learnt clauses, VSIDS activities,
 //! saved phases steer every future query), so carrying its exact state is
-//! what makes the headline guarantee possible: **cancel at any candidate
-//! boundary, resume with [`crate::Sweeper::resume_from`], and the final SAT
-//! calls, merges and AIGER bytes are identical to an uninterrupted run**.
+//! what makes the headline guarantee possible: **stop before any sweeping
+//! SAT query, resume with [`crate::Sweeper::resume_from`], and the final
+//! SAT calls, merges and AIGER bytes are identical to an uninterrupted
+//! run**.
 //!
 //! The on-disk format is written with the bounded little-endian codec of
 //! [`satsolver::codec`], under an integrity header: an 8-byte magic, a
@@ -62,11 +65,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 11 adds the count of
-/// candidates skipped because they reached no output to the stats; the
-/// live-reference counts behind the skips are not stored, because replaying
-/// the merge log rebuilds them.  As in version 10, the session's one solver
-/// travels as the opaque, length-prefixed bytes of
+/// [`CheckpointError::UnsupportedVersion`].  Version 12 drops the two
+/// periodic-cadence fields of the configuration and the two counters of
+/// emitted checkpoints from the stats: a checkpoint is taken only where a
+/// run stops.  As in version 11, the live-reference counts behind the dead
+/// skips are not stored, because replaying the merge log rebuilds them, and
+/// the session's one solver travels as the opaque, length-prefixed bytes of
 /// [`satsolver::CircuitSat::snapshot`], which hold only what a later query
 /// reads.  Both sweeps share the layout: a sequential sweep is a session
 /// phase whose cursor is the next induction query, and its solver state is
@@ -75,7 +79,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 11;
+pub const CHECKPOINT_VERSION: u32 = 12;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -209,15 +213,13 @@ pub(crate) enum PhasePod {
 // The checkpoint itself.
 // ---------------------------------------------------------------------------
 
-/// A resumable snapshot of a sweeping session at a candidate boundary.
+/// A resumable snapshot of a sweeping session where its run stopped.
 ///
-/// Obtain one from [`crate::SweepSession::checkpoint`], from the
-/// `checkpoint` field of [`crate::SweepError::BudgetExhausted`], or through
-/// [`crate::Observer::on_checkpoint`] when
-/// [`crate::SweepConfig::checkpoint_interval`] is set.  Serialise with
-/// [`SweepCheckpoint::encode`] / [`SweepCheckpoint::decode`] (or the
-/// [`SweepCheckpoint::save`] / [`SweepCheckpoint::load`] file helpers) and
-/// resume with [`crate::Sweeper::resume_from`].
+/// Obtain one from [`crate::SweepSession::checkpoint`] or from the
+/// `checkpoint` field of [`crate::SweepError::BudgetExhausted`].
+/// Serialise with [`SweepCheckpoint::encode`] / [`SweepCheckpoint::decode`]
+/// (or the [`SweepCheckpoint::save`] / [`SweepCheckpoint::load`] file
+/// helpers) and resume with [`crate::Sweeper::resume_from`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCheckpoint {
     /// Fingerprint of the network the checkpoint was taken against.
@@ -442,8 +444,6 @@ fn encode_config(w: &mut Writer, c: &SweepConfig) {
     w.boolean(c.sat_guided_patterns);
     w.boolean(c.constant_substitution);
     w.boolean(c.window_refinement);
-    w.usize(c.checkpoint_interval);
-    w.u64(c.checkpoint_interval_millis);
     w.usize(c.seq_depth);
 }
 
@@ -457,8 +457,6 @@ fn decode_config(r: &mut Reader<'_>) -> Result<SweepConfig, CheckpointError> {
         sat_guided_patterns: r.boolean()?,
         constant_substitution: r.boolean()?,
         window_refinement: r.boolean()?,
-        checkpoint_interval: r.usize()?,
-        checkpoint_interval_millis: r.u64()?,
         seq_depth: r.usize()?,
     })
 }
@@ -478,8 +476,6 @@ fn encode_stats(w: &mut Writer, s: &StatsObserver) {
     w.u64(s.resim_nodes);
     w.u64(s.resim_skipped_nodes);
     w.u64(s.dead_skips);
-    w.u64(s.checkpoints);
-    w.u64(s.checkpoint_bytes);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
@@ -498,8 +494,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
         resim_nodes: r.u64()?,
         resim_skipped_nodes: r.u64()?,
         dead_skips: r.u64()?,
-        checkpoints: r.u64()?,
-        checkpoint_bytes: r.u64()?,
         // Pipeline-level pass starts are not part of a sweep session's
         // state: a resumed session starts outside any pass manager.
         passes: 0,
@@ -600,7 +594,7 @@ mod tests {
             fingerprint: 0xDEAD_BEEF_0123_4567,
             primed: true,
             engine: Engine::Stp,
-            config: SweepConfig::fast().checkpoint_every(7),
+            config: SweepConfig::fast().with_seq_depth(3),
             round: 2,
             phase: PhasePod::Merging {
                 pending: vec![(9, 0), (7, 2)],
@@ -621,7 +615,6 @@ mod tests {
                 resim_nodes: 7,
                 resim_skipped_nodes: 3,
                 dead_skips: 2,
-                checkpoints: 1,
                 ..StatsObserver::new()
             },
             committed_candidates: 4,

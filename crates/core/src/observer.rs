@@ -10,8 +10,11 @@
 //! engine derives the countable fields of [`SweepReport`] from exactly
 //! these events, so an external `StatsObserver` attached to a run sees the
 //! same numbers the run returns.
+//!
+//! Checkpoints are not events: a run yields one only where it stops, inside
+//! [`crate::SweepError::BudgetExhausted`], or on request through
+//! [`crate::SweepSession::checkpoint`].
 
-use crate::checkpoint::SweepCheckpoint;
 use crate::report::SweepReport;
 use netlist::{Lit, NodeId};
 
@@ -89,25 +92,6 @@ pub trait Observer {
         let _ = candidate;
     }
 
-    /// A periodic checkpoint was captured (every
-    /// [`crate::SweepConfig::checkpoint_interval`] committed candidates
-    /// and/or every [`crate::SweepConfig::checkpoint_interval_millis`]
-    /// milliseconds of wall-clock time, whichever fires first).  The
-    /// checkpoint describes the session state at a candidate boundary:
-    /// persist it and a later [`crate::Sweeper::resume_from`] continues the
-    /// run with results identical to an uninterrupted sweep.  `encoded` is
-    /// the [`SweepCheckpoint::encode`] serialisation, produced exactly once
-    /// per emission — observers that spill to disk write these bytes
-    /// instead of re-encoding, and observers that meter checkpoint cost
-    /// read `encoded.len()`.  Candidate-count checkpoints fire at
-    /// deterministic points, so their event stream is identical on every
-    /// run; wall-clock checkpoints fire at time-dependent points, but
-    /// checkpoints never change the sweep, so the *results* stay
-    /// byte-identical either way.
-    fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-        let _ = (checkpoint, encoded);
-    }
-
     /// A [`crate::PassManager`] pass is about to run: `name` is the pass
     /// name (e.g. `"strash"`), `gates` the AND count entering the pass.
     /// Sub-reports of composite passes (fixpoint rounds, `dc2` iterations)
@@ -156,15 +140,6 @@ pub struct StatsObserver {
     pub resim_skipped_nodes: u64,
     /// Candidates skipped because they reached no output at their turn.
     pub dead_skips: u64,
-    /// Periodic checkpoints captured (not part of [`SweepReport`]: a
-    /// resumed run re-emits its own checkpoints, while the report counters
-    /// stay identical to an uninterrupted run).
-    pub checkpoints: u64,
-    /// Total serialised checkpoint bytes across those emissions (the sum of
-    /// `encoded.len()` seen by [`Observer::on_checkpoint`]) — the cost the
-    /// cheap-checkpoint encoding keeps down.  Like `checkpoints`, not part
-    /// of [`SweepReport`].
-    pub checkpoint_bytes: u64,
     /// Pipeline passes started (one per [`Observer::on_pass_start`]; not
     /// part of [`SweepReport`]).
     pub passes: u64,
@@ -247,11 +222,6 @@ impl Observer for StatsObserver {
 
     fn on_dead_candidate(&mut self, _candidate: NodeId) {
         self.dead_skips += 1;
-    }
-
-    fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-        self.checkpoints += 1;
-        self.checkpoint_bytes += encoded.len() as u64;
     }
 
     fn on_pass_start(&mut self, _name: &str, _gates: usize) {

@@ -33,26 +33,6 @@ pub struct SweepConfig {
     /// Refine candidate equivalence classes by exhaustive STP window
     /// simulation before calling the SAT solver.
     pub window_refinement: bool,
-    /// Emit a [`crate::SweepCheckpoint`] through
-    /// [`crate::Observer::on_checkpoint`] every this many committed
-    /// candidates (settled merge candidates plus processed constant
-    /// candidates, or settled latch pairs in a sequential sweep).  `0` (the
-    /// default) disables periodic checkpoints; a
-    /// budget-stopped run still carries a final checkpoint inside
-    /// [`crate::SweepError::BudgetExhausted`] either way.  Checkpoints never
-    /// change the sweep result.
-    pub checkpoint_interval: usize,
-    /// Emit a [`crate::SweepCheckpoint`] whenever this many *milliseconds* of
-    /// wall-clock time have elapsed since the last one was emitted, checked
-    /// at the same candidate boundaries as [`SweepConfig::checkpoint_interval`]
-    /// (the two cadences compose with OR).  Wall-clock cadence is what a
-    /// sweep service wants: a slice can be suspended or a crash survived
-    /// after a bounded amount of *time*, independent of how fast candidates
-    /// commit.  Checkpoints never change the sweep result, so runs with any
-    /// cadence still produce byte-identical output.  `0` (the default)
-    /// disables the timer.  Set through [`SweepConfig::checkpoint_every_secs`],
-    /// which stores whole milliseconds to keep the config `Copy + Eq`.
-    pub checkpoint_interval_millis: u64,
     /// Induction depth `k` of the sequential sweep.  `0` (the default) runs
     /// the purely combinational sweep, ignoring any latch table; a nonzero
     /// value makes the session sweep latches instead: ternary (X-valued)
@@ -78,8 +58,6 @@ impl Default for SweepConfig {
             sat_guided_patterns: true,
             constant_substitution: true,
             window_refinement: true,
-            checkpoint_interval: 0,
-            checkpoint_interval_millis: 0,
             seq_depth: 0,
         }
     }
@@ -199,32 +177,6 @@ impl SweepConfig {
         self
     }
 
-    /// Sets the periodic checkpoint cadence in committed candidates
-    /// (see [`SweepConfig::checkpoint_interval`]; `0` disables).
-    pub fn checkpoint_every(mut self, candidates: usize) -> Self {
-        self.checkpoint_interval = candidates;
-        self
-    }
-
-    /// Sets the periodic checkpoint cadence in wall-clock seconds (see
-    /// [`SweepConfig::checkpoint_interval_millis`]; `0.0` disables).
-    ///
-    /// Fractional seconds work down to a millisecond (`0.05` → 50 ms);
-    /// positive values below one millisecond round up to 1 ms.  Negative,
-    /// NaN or infinite values are recorded as invalid and rejected by
-    /// [`SweepConfig::validate`] — the builder itself stays infallible so
-    /// setters keep chaining.
-    pub fn checkpoint_every_secs(mut self, secs: f64) -> Self {
-        self.checkpoint_interval_millis = if secs == 0.0 {
-            0
-        } else if secs.is_finite() && secs > 0.0 {
-            ((secs * 1000.0).ceil() as u64).max(1)
-        } else {
-            u64::MAX // sentinel: rejected by validate()
-        };
-        self
-    }
-
     /// Checks the configuration for values the engines cannot work with.
     ///
     /// Invalid values used to be clamped or to silently misbehave; the
@@ -238,8 +190,6 @@ impl SweepConfig {
     /// * `window_limit` must be at least 2 (a window of a two-input AND
     ///   needs both fanins as leaves) and at most [`MAX_WINDOW_LIMIT`] (the
     ///   paper restricts exhaustive windows to at most 16 leaves);
-    /// * [`SweepConfig::checkpoint_every_secs`] must have been given a
-    ///   finite, non-negative duration;
     /// * `seq_depth` must be at most [`MAX_SEQ_DEPTH`].
     pub fn validate(&self) -> Result<(), SweepError> {
         if self.num_initial_patterns == 0 {
@@ -263,11 +213,6 @@ impl SweepConfig {
                 "window_limit {} exceeds the paper's maximum of {MAX_WINDOW_LIMIT} leaves",
                 self.window_limit
             )));
-        }
-        if self.checkpoint_interval_millis == u64::MAX {
-            return Err(SweepError::InvalidConfig(
-                "checkpoint_every_secs must be a finite, non-negative duration".into(),
-            ));
         }
         if self.seq_depth > MAX_SEQ_DEPTH {
             return Err(SweepError::InvalidConfig(format!(
@@ -475,16 +420,12 @@ mod tests {
             .with_tfi_limit(3)
             .with_window_limit(5)
             .with_seed(42)
-            .checkpoint_every(50)
-            .checkpoint_every_secs(1.5)
             .with_seq_depth(2);
         assert_eq!(config.num_initial_patterns, 99);
         assert_eq!(config.conflict_limit, 7);
         assert_eq!(config.tfi_limit, 3);
         assert_eq!(config.window_limit, 5);
         assert_eq!(config.seed, 42);
-        assert_eq!(config.checkpoint_interval, 50);
-        assert_eq!(config.checkpoint_interval_millis, 1500);
         assert_eq!(config.seq_depth, 2);
     }
 
@@ -504,36 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_every_secs_maps_to_whole_milliseconds() {
-        assert_eq!(
-            SweepConfig::default()
-                .checkpoint_every_secs(0.0)
-                .checkpoint_interval_millis,
-            0,
-            "0.0 disables the timer"
-        );
-        assert_eq!(
-            SweepConfig::default()
-                .checkpoint_every_secs(0.05)
-                .checkpoint_interval_millis,
-            50
-        );
-        assert_eq!(
-            SweepConfig::default()
-                .checkpoint_every_secs(1e-9)
-                .checkpoint_interval_millis,
-            1,
-            "sub-millisecond durations round up"
-        );
-        assert_eq!(
-            SweepConfig::default()
-                .checkpoint_every_secs(2.0)
-                .checkpoint_interval_millis,
-            2000
-        );
-    }
-
-    #[test]
     fn presets_leave_opt_in_features_off() {
         for config in [
             SweepConfig::paper(),
@@ -541,11 +452,6 @@ mod tests {
             SweepConfig::thorough(),
             SweepConfig::baseline(),
         ] {
-            assert_eq!(config.checkpoint_interval, 0, "checkpoints are opt-in");
-            assert_eq!(
-                config.checkpoint_interval_millis, 0,
-                "wall-clock checkpoints are opt-in"
-            );
             assert_eq!(config.seq_depth, 0, "sequential sweeping is opt-in");
         }
     }
@@ -574,21 +480,6 @@ mod tests {
                 .validate()
                 .is_ok());
         }
-        // Degenerate wall-clock cadences are recorded as a sentinel and
-        // rejected here, not at the (infallible) builder.
-        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(
-                SweepConfig::default()
-                    .checkpoint_every_secs(bad)
-                    .validate()
-                    .is_err(),
-                "{bad} must be rejected"
-            );
-        }
-        assert!(SweepConfig::default()
-            .checkpoint_every_secs(0.25)
-            .validate()
-            .is_ok());
         assert!(SweepConfig::sequential(MAX_SEQ_DEPTH + 1)
             .validate()
             .is_err());

@@ -36,8 +36,8 @@
 //! induction (Eén & Sörensson, 2003).  The committed SAT calls,
 //! counter-examples and merges — and the swept network — are therefore a
 //! pure function of the network and the configuration, exactly like the
-//! combinational sweep, and budget stops, periodic checkpoints and resume
-//! are the session's own: a resumed run recomputes the analysis and the
+//! combinational sweep, and budget stops, checkpoints and resume are the
+//! session's own: a resumed run recomputes the analysis and the
 //! network, restores the solver, and continues from the query cursor.
 //!
 //! The whole flow is driven through the ordinary [`crate::Sweeper`]

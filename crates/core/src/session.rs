@@ -15,12 +15,11 @@
 //!
 //! The session is a resumable phase machine: its execution cursor (constant
 //! queue, pending merge queue, latch query cursor) lives in an explicit
-//! phase value, and every candidate boundary can be captured as a
-//! [`SweepCheckpoint`] — either
-//! periodically ([`SweepConfig::checkpoint_interval`], delivered through
-//! [`crate::Observer::on_checkpoint`]) or when the [`Budget`] stops the run
-//! (the checkpoint travels inside
-//! [`crate::SweepError::BudgetExhausted`]).  [`Sweeper::resume_from`]
+//! phase value, and a checkpoint is taken only where a run stops: when the
+//! [`Budget`] stops it before a sweeping SAT query (the
+//! [`SweepCheckpoint`] travels inside
+//! [`crate::SweepError::BudgetExhausted`]), or on request through
+//! [`SweepSession::checkpoint`] before it runs.  [`Sweeper::resume_from`]
 //! restores the full state — the solver included, see
 //! [`crate::checkpoint`] — and the resumed run commits SAT calls, merges
 //! and output bytes identical to an uninterrupted one.
@@ -184,10 +183,10 @@ impl<'o> Sweeper<'o> {
     ///
     /// # Guarantee
     ///
-    /// A run cancelled at any candidate boundary and resumed through this
-    /// method commits exactly the SAT calls, counter-examples and merges an
-    /// uninterrupted run would have committed, and produces byte-identical
-    /// AIGER output.
+    /// A run stopped by its budget before any sweeping SAT query and
+    /// resumed through this method commits exactly the SAT calls,
+    /// counter-examples and merges an uninterrupted run would have
+    /// committed, and produces byte-identical AIGER output.
     pub fn resume_from<'n>(
         self,
         aig: &'n Aig,
@@ -252,13 +251,9 @@ pub struct SweepSession<'n, 'o> {
     /// The execution cursor (see [`crate::checkpoint`]).
     phase: Phase,
     /// Settled candidates so far (constants processed plus merge candidates
-    /// settled by a proof step) — the periodic-checkpoint cursor.
+    /// settled by a proof step, or settled latch pairs) — the progress
+    /// cursor a checkpoint reports.
     committed_candidates: u64,
-    last_checkpoint: u64,
-    /// When the last periodic checkpoint was emitted (or the session leg
-    /// started) — the wall-clock cadence cursor
-    /// ([`SweepConfig::checkpoint_interval_millis`]).
-    last_checkpoint_instant: Instant,
     /// Whether priming ran (patterns, classes).  A pre-tripped budget skips
     /// priming; such a session resumes by re-priming from scratch.
     primed: bool,
@@ -309,8 +304,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             stopped,
             phase: Phase::Start,
             committed_candidates: 0,
-            last_checkpoint: 0,
-            last_checkpoint_instant: started,
             primed: false,
             stop_checkpoint: None,
         };
@@ -528,8 +521,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             stopped: None,
             phase: checkpoint.phase.clone(),
             committed_candidates: checkpoint.committed_candidates,
-            last_checkpoint: checkpoint.committed_candidates,
-            last_checkpoint_instant: Instant::now(),
             primed: true,
             stop_checkpoint: None,
         })
@@ -607,11 +598,40 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     ///
     /// The session sits at a candidate boundary whenever it is externally
     /// reachable, so the checkpoint is always consistent.  Runs stopped by
-    /// a budget additionally hand their stop-point checkpoint back inside
-    /// [`SweepError::BudgetExhausted`], and periodic checkpoints flow
-    /// through [`crate::Observer::on_checkpoint`].
+    /// a budget hand their stop-point checkpoint back inside
+    /// [`SweepError::BudgetExhausted`].
     pub fn checkpoint(&self) -> SweepCheckpoint {
-        self.build_checkpoint(self.phase.clone())
+        let seq = self.seq.as_ref();
+        SweepCheckpoint {
+            fingerprint: netlist_fingerprint(self.original),
+            primed: self.primed,
+            engine: self.engine,
+            config: self.config,
+            round: self.round,
+            phase: self.phase.clone(),
+            merge_log: self.merge_log.clone(),
+            dont_touch: (0..self.original.num_nodes())
+                .filter(|&n| self.dont_touch[n])
+                .collect(),
+            classes: self
+                .classes
+                .classes()
+                .iter()
+                .map(|c| (c.members().to_vec(), c.phases().to_vec()))
+                .collect(),
+            constants: self.classes.constants().to_vec(),
+            stats: self.stats,
+            committed_candidates: self.committed_candidates,
+            simulation_time: self.simulation_time,
+            sat_time: self.sat_time,
+            elapsed: self.elapsed_base + self.started.elapsed(),
+            solver: self.sat.snapshot(),
+            seq_candidates: seq.map_or(0, |s| s.candidates.len() as u64),
+            seq_ternary_constants: seq.map_or(0, |s| s.constants.len() as u64),
+            seq_induction_refuted: seq.map_or(0, |s| s.refuted),
+            seq_induction_undet: seq.map_or(0, |s| s.undet),
+            seq_ternary_iterations: seq.map_or(0, |s| s.ternary_iterations),
+        }
     }
 
     /// Executes the remaining phases and returns the result.
@@ -696,82 +716,12 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Checkpoint plumbing.
-    // ------------------------------------------------------------------
-
-    /// Assembles a checkpoint around the given execution cursor.
-    fn build_checkpoint(&self, phase: Phase) -> SweepCheckpoint {
-        let seq = self.seq.as_ref();
-        SweepCheckpoint {
-            fingerprint: netlist_fingerprint(self.original),
-            primed: self.primed,
-            engine: self.engine,
-            config: self.config,
-            round: self.round,
-            phase,
-            merge_log: self.merge_log.clone(),
-            dont_touch: (0..self.original.num_nodes())
-                .filter(|&n| self.dont_touch[n])
-                .collect(),
-            classes: self
-                .classes
-                .classes()
-                .iter()
-                .map(|c| (c.members().to_vec(), c.phases().to_vec()))
-                .collect(),
-            constants: self.classes.constants().to_vec(),
-            stats: self.stats,
-            committed_candidates: self.committed_candidates,
-            simulation_time: self.simulation_time,
-            sat_time: self.sat_time,
-            elapsed: self.elapsed_base + self.started.elapsed(),
-            solver: self.sat.snapshot(),
-            seq_candidates: seq.map_or(0, |s| s.candidates.len() as u64),
-            seq_ternary_constants: seq.map_or(0, |s| s.constants.len() as u64),
-            seq_induction_refuted: seq.map_or(0, |s| s.refuted),
-            seq_induction_undet: seq.map_or(0, |s| s.undet),
-            seq_ternary_iterations: seq.map_or(0, |s| s.ternary_iterations),
-        }
-    }
-
     /// Records the stop-point checkpoint when a budget stop is observed
     /// (skipped for unprimed sessions — there is nothing to resume).
-    fn capture_stop_checkpoint(&mut self, phase: &Phase) {
+    fn capture_stop_checkpoint(&mut self) {
         if self.primed {
-            self.stop_checkpoint = Some(Box::new(self.build_checkpoint(phase.clone())));
+            self.stop_checkpoint = Some(Box::new(self.checkpoint()));
         }
-    }
-
-    /// Whether a periodic checkpoint is due at this candidate boundary:
-    /// the committed-candidate cursor advanced by the count cadence, or the
-    /// wall clock advanced by the time cadence (whichever fires first).
-    /// Checkpoints never change the sweep, so the time-triggered emissions
-    /// — nondeterministic as events — cannot perturb results.
-    fn checkpoint_due(&self) -> bool {
-        let interval = self.config.checkpoint_interval;
-        if interval > 0
-            && self
-                .committed_candidates
-                .saturating_sub(self.last_checkpoint)
-                >= interval as u64
-        {
-            return true;
-        }
-        let millis = self.config.checkpoint_interval_millis;
-        millis > 0 && self.last_checkpoint_instant.elapsed() >= Duration::from_millis(millis)
-    }
-
-    /// Emits a periodic checkpoint through the observers.  The checkpoint
-    /// is encoded exactly once; observers receive both the structured form
-    /// and the serialised bytes (spill-to-disk observers write the bytes,
-    /// metering observers read their length).
-    fn emit_checkpoint(&mut self, phase: &Phase) {
-        self.last_checkpoint = self.committed_candidates;
-        self.last_checkpoint_instant = Instant::now();
-        let checkpoint = self.build_checkpoint(phase.clone());
-        let encoded = checkpoint.encode();
-        self.notify(|o| o.on_checkpoint(&checkpoint, &encoded));
     }
 
     /// Delivers an event to the internal stats counter (from which the
@@ -841,8 +791,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 continue;
             }
             if !self.within_budget() {
-                let phase = self.phase.clone();
-                self.capture_stop_checkpoint(&phase);
+                self.capture_stop_checkpoint();
                 return false;
             }
             let lit = Lit::positive(candidate.node);
@@ -865,10 +814,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 *next += 1;
             }
             self.committed_candidates += 1;
-            if self.checkpoint_due() {
-                let phase = self.phase.clone();
-                self.emit_checkpoint(&phase);
-            }
         }
     }
 
@@ -904,8 +849,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             };
             let trace_len = plan.trace_len;
             if !self.within_budget() {
-                let phase = self.phase.clone();
-                self.capture_stop_checkpoint(&phase);
+                self.capture_stop_checkpoint();
                 return false;
             }
             let violation = [candidate.base, candidate.step][next % 2];
@@ -935,10 +879,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             let next = if settled { next / 2 * 2 + 2 } else { next + 1 };
             self.phase = Phase::Latches { next };
             self.committed_candidates += u64::from(settled);
-            if self.checkpoint_due() {
-                let phase = self.phase.clone();
-                self.emit_checkpoint(&phase);
-            }
         }
     }
 
@@ -1002,9 +942,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 continue;
             }
             let Some((step, used)) = self.prove_step(candidate, &drivers) else {
-                let phase = Phase::Merging { pending };
-                self.capture_stop_checkpoint(&phase);
-                self.phase = phase;
+                self.phase = Phase::Merging { pending };
+                self.capture_stop_checkpoint();
                 return false;
             };
             let mut revived = Vec::new();
@@ -1034,11 +973,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 }
             } else if let Some(top) = pending.last_mut() {
                 top.1 = attempts + used;
-            }
-            if self.checkpoint_due() {
-                self.emit_checkpoint(&Phase::Merging {
-                    pending: pending.clone(),
-                });
             }
         }
         self.phase = Phase::Done;
@@ -1582,7 +1516,7 @@ mod tests {
         let unlimited = Sweeper::new(Engine::Stp).run(&aig).expect("runs");
         assert!(unlimited.report.sat_calls_total >= 1);
 
-        // A zero-call budget trips at the first candidate boundary.
+        // A zero-call budget trips before the first sweeping SAT query.
         let err = Sweeper::new(Engine::Stp)
             .budget(Budget::unlimited().with_max_sat_calls(0))
             .run(&aig)
@@ -1903,114 +1837,6 @@ mod tests {
             .run()
             .expect("runs");
         assert_eq!(strip(&resumed.report), strip(&reference.report));
-    }
-
-    #[test]
-    fn periodic_checkpoints_are_emitted_and_resumable() {
-        let aig = redundant_circuit();
-        let config = sat_heavy_config();
-
-        struct Collector {
-            checkpoints: Vec<SweepCheckpoint>,
-        }
-        impl Observer for Collector {
-            fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-                // The handed-out bytes are exactly the checkpoint's own
-                // encoding (encoded once, not a divergent copy).
-                assert_eq!(encoded, checkpoint.encode());
-                self.checkpoints.push(checkpoint.clone());
-            }
-        }
-
-        let mut collector = Collector {
-            checkpoints: Vec::new(),
-        };
-        let reference = Sweeper::new(Engine::Stp)
-            .config(config.checkpoint_every(2))
-            .observer(&mut collector)
-            .run(&aig)
-            .expect("runs");
-        assert!(
-            !collector.checkpoints.is_empty(),
-            "interval 2 must emit at least one checkpoint"
-        );
-        // Resuming from every emitted mid-run checkpoint reproduces the
-        // run exactly.
-        for checkpoint in &collector.checkpoints {
-            let resumed = Sweeper::new(Engine::Stp)
-                .resume_from(&aig, checkpoint)
-                .expect("matches")
-                .run()
-                .expect("runs");
-            assert_eq!(strip(&resumed.report), strip(&reference.report));
-            assert_eq!(
-                write_aiger_string(&resumed.aig),
-                write_aiger_string(&reference.aig)
-            );
-        }
-        // The checkpointed run itself is not perturbed by checkpointing.
-        let plain = Sweeper::new(Engine::Stp)
-            .config(config)
-            .run(&aig)
-            .expect("runs");
-        assert_eq!(strip(&plain.report), strip(&reference.report));
-    }
-
-    #[test]
-    fn wall_clock_checkpoints_are_emitted_and_resumable() {
-        let aig = redundant_circuit();
-        let config = sat_heavy_config();
-
-        struct TimedCollector {
-            checkpoints: Vec<SweepCheckpoint>,
-            bytes: u64,
-        }
-        impl Observer for TimedCollector {
-            fn on_sat_call(&mut self, _outcome: SatCallOutcome) {
-                // Stretch the gaps between candidate boundaries so the 1 ms
-                // cadence below is guaranteed to fire mid-run.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            fn on_checkpoint(&mut self, checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-                self.bytes += encoded.len() as u64;
-                self.checkpoints.push(checkpoint.clone());
-            }
-        }
-
-        let mut collector = TimedCollector {
-            checkpoints: Vec::new(),
-            bytes: 0,
-        };
-        let reference = Sweeper::new(Engine::Stp)
-            .config(config.checkpoint_every_secs(0.001))
-            .observer(&mut collector)
-            .run(&aig)
-            .expect("runs");
-        assert!(
-            !collector.checkpoints.is_empty(),
-            "the wall-clock cadence must emit at least one checkpoint"
-        );
-        assert!(collector.bytes > 0, "emissions report their encoded size");
-
-        // Every time-triggered checkpoint resumes to the identical result.
-        for checkpoint in &collector.checkpoints {
-            let resumed = Sweeper::new(Engine::Stp)
-                .resume_from(&aig, checkpoint)
-                .expect("matches")
-                .run()
-                .expect("runs");
-            assert_eq!(strip(&resumed.report), strip(&reference.report));
-            assert_eq!(
-                write_aiger_string(&resumed.aig),
-                write_aiger_string(&reference.aig)
-            );
-        }
-        // Time-triggered emissions never perturb the sweep itself.
-        let plain = Sweeper::new(Engine::Stp)
-            .config(config)
-            .run(&aig)
-            .expect("runs");
-        assert_eq!(strip(&plain.report), strip(&reference.report));
     }
 
     /// Rebuilds `aig` gate-for-gate in a different (LIFO) topological

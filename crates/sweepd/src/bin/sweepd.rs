@@ -2,13 +2,15 @@
 //!
 //! ```text
 //! sweepd [--socket PATH | --tcp ADDR] [--workers N] [--quantum-ms N]
-//!        [--spill-dir DIR] [--checkpoint-secs F]
+//!        [--spill-dir DIR]
 //! ```
 //!
 //! Listens on a Unix socket (default `/tmp/sweepd.sock`) or a TCP address
 //! and serves sweep jobs until a client sends `shutdown`.  With a spill
 //! directory, suspended jobs survive restarts: start the daemon again on
-//! the same directory and they resume byte-exactly.
+//! the same directory and they resume byte-exactly.  Each suspended slice
+//! spills its checkpoint, so `--quantum-ms` also bounds the work a crash
+//! can lose.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +21,7 @@ use sweepd::server::Endpoint;
 use sweepd::{serve, ServiceConfig, SweepService};
 
 const USAGE: &str = "usage: sweepd [--socket PATH | --tcp ADDR] [--workers N] \
-                     [--quantum-ms N] [--spill-dir DIR] [--checkpoint-secs F]";
+                     [--quantum-ms N] [--spill-dir DIR]";
 
 struct Args {
     endpoint: Endpoint,
@@ -47,20 +49,12 @@ fn parse_args(mut args: std::env::Args) -> Result<Args, String> {
                 config.quantum = Duration::from_millis(millis.max(1));
             }
             "--spill-dir" => config.spill_dir = Some(PathBuf::from(value("--spill-dir")?)),
-            "--checkpoint-secs" => {
-                config.checkpoint_every_secs = value("--checkpoint-secs")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-secs needs a number".to_string())?
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     if config.workers == 0 {
         return Err("--workers must be at least 1".to_string());
-    }
-    if !(config.checkpoint_every_secs >= 0.0 && config.checkpoint_every_secs.is_finite()) {
-        return Err("--checkpoint-secs must be a finite non-negative number".to_string());
     }
     Ok(Args { endpoint, config })
 }

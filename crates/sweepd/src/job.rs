@@ -18,8 +18,8 @@ pub type JobId = u64;
 
 /// Scheduling priority of a job.  The scheduler always runs the
 /// highest-priority runnable job first and preempts lower-priority
-/// running jobs (at their next candidate boundary) when a higher-priority
-/// job arrives.
+/// running jobs (before their next sweeping SAT query) when a
+/// higher-priority job arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Batch work: runs when nothing more urgent is queued.
@@ -79,8 +79,8 @@ pub enum JobState {
     Queued,
     /// Currently holding a worker.
     Running,
-    /// Preempted at a candidate boundary; its checkpoint is held in memory
-    /// (and spilled to disk when a spill directory is configured).
+    /// Preempted before a sweeping SAT query; its checkpoint is held in
+    /// memory (and spilled to disk when a spill directory is configured).
     Suspended,
     /// Finished; the swept AIGER and counters are available.
     Done,

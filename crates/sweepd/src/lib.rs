@@ -6,8 +6,8 @@
 //! [`stp_sweep::PassManager::parse`] grammar) and receive the swept AIGER
 //! and its committed counters back.  Inside, a fair scheduler time-slices N concurrent
 //! sweeps over a worker pool by running each job for a bounded quantum and
-//! suspending it to an in-memory [`stp_sweep::SweepCheckpoint`] at a
-//! candidate boundary — the engine's byte-exact checkpoint/resume
+//! suspending it to an in-memory [`stp_sweep::SweepCheckpoint`] before
+//! its next sweeping SAT query — the engine's byte-exact checkpoint/resume
 //! guarantee means a job sliced a thousand times produces output identical
 //! to an uninterrupted run.
 //!
@@ -45,9 +45,8 @@ pub use server::{serve, Endpoint};
 /// The sweep configuration a preset resolves to, shared by the daemon and
 /// by reference runs in tests: the determinism gate compares a sliced
 /// daemon job against an uninterrupted in-process run *under the same
-/// config*.  Checkpoint cadence is deliberately not part of this —
-/// checkpoints never change the sweep, so the daemon layers its own
-/// cadence on top without perturbing results.
+/// config*.  The daemon adds only a budget per slice, and a budget stop's
+/// checkpoint resumes to the uninterrupted result.
 pub fn effective_config(preset: Preset) -> stp_sweep::SweepConfig {
     match preset {
         Preset::Fast => stp_sweep::SweepConfig::fast(),

@@ -100,7 +100,7 @@ pub enum Request {
         /// Job to query.
         id: JobId,
     },
-    /// Cancel one job (at its next candidate boundary if running).
+    /// Cancel one job (before its next sweeping SAT query if running).
     Cancel {
         /// Job to cancel.
         id: JobId,

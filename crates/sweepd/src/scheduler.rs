@@ -6,11 +6,11 @@
 //! Each job runs in *slices*: a worker claims the runnable job with the
 //! highest priority (ties broken by fewest slices consumed, then lowest
 //! id), runs it under a wall-clock deadline [`Budget`], and — when the
-//! deadline trips at a candidate boundary — suspends it back to an
-//! in-memory [`SweepCheckpoint`].  Because the engine's checkpoint/resume
-//! is byte-exact, slicing is invisible in the output: a job sliced any
-//! number of times produces the same swept AIGER and the same committed
-//! counters as one uninterrupted run.
+//! deadline has passed at the budget check before the next sweeping SAT
+//! query — suspends it to the [`SweepCheckpoint`] of that stop.  Because
+//! the engine's checkpoint/resume is byte-exact, slicing is invisible in
+//! the output: a job sliced any number of times produces the same swept
+//! AIGER and the same committed counters as one uninterrupted run.
 //!
 //! A slice that makes no progress (resume overhead can exceed a tiny
 //! quantum) doubles that job's private quantum for its next slice, so
@@ -19,8 +19,8 @@
 //!
 //! Submitting a job with a higher priority than a currently running one
 //! preempts the victim when all workers are busy: its cancel token trips,
-//! it suspends at the next candidate boundary, and the worker picks up the
-//! newcomer.
+//! it suspends before its next sweeping SAT query, and the worker picks up
+//! the newcomer.
 //!
 //! ## Scripted jobs
 //!
@@ -36,11 +36,11 @@
 //! ## Durability
 //!
 //! With a spill directory configured, submissions and suspension
-//! checkpoints are written through to disk (plus periodic within-slice
-//! checkpoints on the wall-clock cadence of
-//! [`SweepConfig::checkpoint_every_secs`]).  On restart the daemon
-//! re-adopts every spilled job by canonical netlist fingerprint and
-//! resumes it byte-exactly — see [`crate::spill`].
+//! checkpoints are written through to disk: every suspended slice refreshes
+//! the job's spilled checkpoint, so the quantum also bounds the work a crash
+//! can lose.  On restart the daemon re-adopts every spilled job by
+//! canonical netlist fingerprint and resumes it byte-exactly — see
+//! [`crate::spill`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -55,12 +55,7 @@ use crate::job::{JobCounters, JobId, JobInfo, JobState, Priority};
 use crate::protocol::Preset;
 use crate::spill::{SpillDir, SpilledJob};
 use netlist::{canonical_fingerprint, read_aiger_bytes, write_aiger_string, Aig};
-use stp_sweep::{
-    Budget, CancelToken, Engine, Observer, PassManager, SweepCheckpoint, SweepError, Sweeper,
-};
-
-#[cfg(doc)]
-use stp_sweep::SweepConfig;
+use stp_sweep::{Budget, CancelToken, Engine, PassManager, SweepCheckpoint, SweepError, Sweeper};
 
 /// Caps the zero-progress quantum doubling: `quantum << 12` of 1 ms is
 /// already ~4 s, enough to resume and commit on any realistic netlist.
@@ -71,16 +66,13 @@ const MAX_BOOST: u32 = 12;
 pub struct ServiceConfig {
     /// Worker threads slicing jobs concurrently.
     pub workers: usize,
-    /// Wall-clock time slice per job per turn.
+    /// Wall-clock time slice per job per turn.  With a spill directory it
+    /// is also the crash-recovery interval: each suspended slice spills its
+    /// stop checkpoint.
     pub quantum: Duration,
     /// Directory for durable spilling; `None` keeps all state in memory
     /// (no crash recovery).
     pub spill_dir: Option<PathBuf>,
-    /// Within-slice wall-clock checkpoint cadence in seconds (`0.0`
-    /// disables).  Only meaningful with a spill directory: long slices
-    /// then leave a resumable checkpoint on disk every so often even
-    /// before their first suspension.
-    pub checkpoint_every_secs: f64,
 }
 
 impl Default for ServiceConfig {
@@ -89,7 +81,6 @@ impl Default for ServiceConfig {
             workers: 2,
             quantum: Duration::from_millis(50),
             spill_dir: None,
-            checkpoint_every_secs: 0.0,
         }
     }
 }
@@ -153,7 +144,6 @@ struct Inner {
     /// Signalled when a job reaches a terminal state.
     done: Condvar,
     quantum: Duration,
-    checkpoint_every_secs: f64,
     workers: usize,
     spill: Option<SpillDir>,
     shutdown: AtomicBool,
@@ -166,7 +156,6 @@ struct Inner {
 /// Everything a worker needs to run one slice outside the state lock.
 struct Claim {
     id: JobId,
-    fp: u64,
     aig: Arc<Aig>,
     engine: Engine,
     preset: Preset,
@@ -175,24 +164,6 @@ struct Claim {
     token: CancelToken,
     quantum: Duration,
     cancel_requested: bool,
-}
-
-/// Spills within-slice wall-clock checkpoints straight to disk.
-struct SpillSink<'a> {
-    spill: Option<&'a SpillDir>,
-    fp: u64,
-    crashed: &'a AtomicBool,
-}
-
-impl Observer for SpillSink<'_> {
-    fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-        if let Some(spill) = self.spill {
-            if !self.crashed.load(Ordering::Relaxed) {
-                // Best effort: a full disk must not fail the sweep itself.
-                let _ = spill.write_checkpoint(self.fp, encoded);
-            }
-        }
-    }
 }
 
 /// The multiplexing sweep service.  See the module docs for the model.
@@ -278,7 +249,6 @@ impl SweepService {
             work: Condvar::new(),
             done: Condvar::new(),
             quantum,
-            checkpoint_every_secs: config.checkpoint_every_secs,
             workers,
             spill,
             shutdown: AtomicBool::new(false),
@@ -398,8 +368,8 @@ impl SweepService {
     }
 
     /// Trips the cancel token of one running lower-priority job when every
-    /// worker is busy, freeing a worker for the newcomer at the victim's
-    /// next candidate boundary.
+    /// worker is busy, freeing a worker for the newcomer before the
+    /// victim's next sweeping SAT query.
     fn preempt_for(&self, state: &mut State, newcomer: Priority) {
         let running = state
             .jobs
@@ -620,7 +590,6 @@ fn worker_loop(inner: &Arc<Inner>) {
                     }
                     break Claim {
                         id,
-                        fp: job.fp,
                         aig: Arc::clone(&job.aig),
                         engine: job.engine,
                         preset: job.preset,
@@ -650,15 +619,7 @@ fn run_slice(inner: &Arc<Inner>, claim: Claim) {
         .with_deadline(claim.quantum)
         .with_cancel_token(claim.token.clone());
     let scripted = !claim.passes.is_empty();
-    let mut config = effective_config(claim.preset);
-    if !scripted && inner.spill.is_some() && inner.checkpoint_every_secs > 0.0 {
-        config = config.checkpoint_every_secs(inner.checkpoint_every_secs);
-    }
-    let mut sink = SpillSink {
-        spill: inner.spill.as_ref(),
-        fp: claim.fp,
-        crashed: &inner.crashed,
-    };
+    let config = effective_config(claim.preset);
 
     // A checkpoint that no longer decodes (e.g. spilled by an older build)
     // degrades to a fresh start — correct, just slower.  Scripted jobs
@@ -677,8 +638,9 @@ fn run_slice(inner: &Arc<Inner>, claim: Claim) {
     };
     let result = if scripted {
         // The script was validated at submission; a parse failure here
-        // means the spill directory handed us something newer than this
-        // build understands, which fails the job instead of looping.
+        // means the spill directory holds a script this build does not
+        // understand, which fails the job instead of looping, with the
+        // words a refused submission gets.
         match PassManager::new(config).with_script(&claim.passes) {
             Ok(pipeline) => pipeline
                 .budget(budget)
@@ -697,15 +659,12 @@ fn run_slice(inner: &Arc<Inner>, claim: Claim) {
                     }
                     other => other,
                 }),
-            Err(err) => Err(SweepError::Inconsistent(format!(
-                "pass script no longer parses: {err}"
+            Err(err) => Err(SweepError::InvalidConfig(format!(
+                "invalid pass script: {err}"
             ))),
         }
     } else {
-        let sweeper = Sweeper::new(claim.engine)
-            .config(config)
-            .budget(budget)
-            .observer(&mut sink);
+        let sweeper = Sweeper::new(claim.engine).config(config).budget(budget);
         match &decoded {
             Some(checkpoint) => sweeper
                 .resume_from(&claim.aig, checkpoint)

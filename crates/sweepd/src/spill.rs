@@ -8,8 +8,8 @@
 //!   pass script) and the original AIGER bytes.  Written once at
 //!   submission.
 //! * `<fp:016x>.ckpt` — the latest encoded [`stp_sweep::SweepCheckpoint`].
-//!   Rewritten at every suspension (and, when a wall-clock cadence is
-//!   configured, periodically *within* a slice).
+//!   Rewritten at every suspension, so a crash loses at most the slice in
+//!   flight.
 //!
 //! Every write goes to a `.tmp` sibling first and is moved into place with
 //! an atomic rename, and every file carries an FNV-1a checksum, so a crash

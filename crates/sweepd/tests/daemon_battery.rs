@@ -56,7 +56,6 @@ fn sliced_mixed_priority_jobs_match_uninterrupted_runs() {
         workers: 3,
         quantum: Duration::from_millis(2),
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.05,
     })
     .expect("service starts");
 
@@ -125,7 +124,6 @@ fn crash_recovery_resumes_spilled_jobs_byte_exactly() {
         workers: 2,
         quantum,
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.0,
     };
     let service = SweepService::start(config.clone()).expect("service starts");
     let mut expected = Vec::new();
@@ -217,7 +215,6 @@ fn renumbered_resubmission_adopts_the_existing_job() {
         workers: 1,
         quantum: Duration::from_millis(5),
         spill_dir: None,
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
     let (id, adopted) = service
@@ -267,7 +264,6 @@ fn cancelled_jobs_stop_and_resubmission_restarts_them() {
         workers: 1,
         quantum: Duration::from_millis(5),
         spill_dir: None,
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
 
@@ -315,7 +311,7 @@ fn cancelled_jobs_stop_and_resubmission_restarts_them() {
     assert_eq!(String::from_utf8(aiger).expect("AIGER is text"), want_aiger);
     assert_eq!(counters, want_counters);
 
-    // Cancelling a running job stops it at the next candidate boundary.
+    // Cancelling a running job stops it before its next sweeping SAT query.
     service.cancel(long_id).expect("cancel succeeds");
     let info = service.wait(long_id, WAIT).expect("terminal");
     assert!(
@@ -346,7 +342,6 @@ fn scripted_jobs_match_in_process_pipelines_and_recover_from_spill() {
         workers: 1,
         quantum: Duration::from_millis(2),
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.0,
     };
     let service = SweepService::start(config.clone()).expect("service starts");
 
@@ -479,7 +474,6 @@ fn a_readopted_job_whose_script_no_longer_parses_fails_cleanly() {
         workers: 1,
         quantum: Duration::from_secs(3600),
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
     let recovered = service.list();
@@ -495,6 +489,18 @@ fn a_readopted_job_whose_script_no_longer_parses_fails_cleanly() {
     let info = service.wait(id_of(scripted_fp), WAIT).expect("job ends");
     assert_eq!(info.state, JobState::Failed);
     assert!(info.error.contains("rewrite"), "got: {}", info.error);
+    // The job reads as a refused script, as a submission of it would, not
+    // as a bug in the daemon.
+    assert!(
+        info.error.contains("invalid pass script"),
+        "got: {}",
+        info.error
+    );
+    assert!(
+        !info.error.contains("internal inconsistency"),
+        "got: {}",
+        info.error
+    );
     let err = service
         .fetch(info.id)
         .expect_err("a failed job has no output");
@@ -552,7 +558,6 @@ fn a_checkpoint_of_a_retired_format_reruns_its_job_from_scratch() {
         workers: 1,
         quantum: Duration::from_secs(3600),
         spill_dir: Some(spill.clone()),
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
     let recovered = service.list();
@@ -589,7 +594,6 @@ fn a_high_priority_job_preempts_a_running_low_one() {
         workers: 1,
         quantum: Duration::from_secs(3600),
         spill_dir: None,
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
     let (low_id, _) = service

@@ -25,7 +25,6 @@ fn socket_end_to_end_lifecycle() {
             workers: 2,
             quantum: Duration::from_millis(5),
             spill_dir: None,
-            checkpoint_every_secs: 0.0,
         })
         .expect("service starts"),
     );
@@ -147,7 +146,6 @@ fn shutdown_returns_while_an_idle_client_holds_a_connection() {
             workers: 1,
             quantum: Duration::from_millis(5),
             spill_dir: None,
-            checkpoint_every_secs: 0.0,
         })
         .expect("service starts"),
     );

@@ -1,32 +1,17 @@
-//! Checkpoint/resume: cancel a sweep mid-run, persist its state, and
-//! resume it later with results identical to an uninterrupted run.
+//! Checkpoint/resume: stop a sweep mid-run with a budget, persist its
+//! state, and resume it later with results identical to an uninterrupted
+//! run.
 //!
 //! Run with `cargo run --example checkpoint_resume`.
 
 use stp_sat_sweep::netlist::write_aiger_string;
 use stp_sat_sweep::workloads::{generators, inject_redundancy};
-use stp_sat_sweep::{Budget, Engine, Observer, SweepCheckpoint, SweepConfig, SweepError, Sweeper};
-
-/// Persists every periodic checkpoint, keeping only the latest — the shape
-/// of a real preemptible sweep service's checkpoint sink.
-struct LatestCheckpoint {
-    latest: Option<Vec<u8>>,
-    emitted: usize,
-}
-
-impl Observer for LatestCheckpoint {
-    fn on_checkpoint(&mut self, _checkpoint: &SweepCheckpoint, encoded: &[u8]) {
-        // The session hands over the serialised bytes directly — a spill
-        // sink stores them without re-encoding.
-        self.latest = Some(encoded.to_vec());
-        self.emitted += 1;
-    }
-}
+use stp_sat_sweep::{Budget, Engine, SweepCheckpoint, SweepConfig, SweepError, Sweeper};
 
 fn main() {
     let base = generators::barrel_shifter(16);
     let aig = inject_redundancy(&base, 0.5, 7);
-    let config = SweepConfig::fast().checkpoint_every(8);
+    let config = SweepConfig::fast();
     println!(
         "workload: barrel shifter + redundancy, {} AND gates",
         aig.num_ands()
@@ -42,20 +27,7 @@ fn main() {
         reference.report, reference.report.sat_calls_total, reference.report.merges
     );
 
-    // 1. Periodic checkpoints: every 8 committed candidates the session
-    //    hands the observer a resumable snapshot.
-    let mut sink = LatestCheckpoint {
-        latest: None,
-        emitted: 0,
-    };
-    let _ = Sweeper::new(Engine::Stp)
-        .config(config)
-        .observer(&mut sink)
-        .run(&aig)
-        .expect("runs");
-    println!("periodic checkpoints emitted: {}", sink.emitted);
-
-    // 2. A cancelled run: cap the SAT calls mid-sweep.  The error carries
+    // 1. A budget stop: cap the SAT calls mid-sweep.  The error carries
     //    both the partial result and the stop-point checkpoint.
     let cap = reference.report.sat_calls_total / 2;
     let err = Sweeper::new(Engine::Stp)
@@ -70,15 +42,18 @@ fn main() {
         panic!("expected budget exhaustion");
     };
     let checkpoint = *checkpoint.expect("primed stops are resumable");
+
+    // 2. Encode — the bytes a preemptible service would spill to disk.
+    let bytes = checkpoint.encode();
     println!(
-        "cancelled ({cause}) after {} of {} SAT calls; checkpoint is {} bytes",
+        "stopped ({cause}) after {} of {} SAT calls; checkpoint is {} bytes",
         checkpoint.sat_calls(),
         reference.report.sat_calls_total,
-        checkpoint.encode().len()
+        bytes.len()
     );
 
-    // 3. Resume — through the binary encoding, as a separate process would.
-    let restored = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
+    // 3. Decode and resume, as a separate process would.
+    let restored = SweepCheckpoint::decode(&bytes).expect("decodes");
     let resumed = Sweeper::new(Engine::Stp)
         .resume_from(&aig, &restored)
         .expect("fingerprints match")
@@ -99,5 +74,5 @@ fn main() {
         write_aiger_string(&resumed.aig),
         write_aiger_string(&reference.aig)
     );
-    println!("cancel→resume output is byte-identical to the uninterrupted run");
+    println!("budget stop → resume output is byte-identical to the uninterrupted run");
 }

@@ -52,7 +52,6 @@ fn main() {
         workers: 2,
         quantum: Duration::from_millis(2),
         spill_dir: None,
-        checkpoint_every_secs: 0.0,
     })
     .expect("service starts");
 

@@ -80,7 +80,7 @@ impl Observer for CancelAfter {
 }
 
 #[test]
-fn checkpoint_resume_identity_across_parallelism_grid() {
+fn checkpoint_resume_identity_across_engines_and_sat_caps() {
     let aig = workload();
     for engine in [Engine::Stp, Engine::Baseline] {
         let config = config();
@@ -91,8 +91,8 @@ fn checkpoint_resume_identity_across_parallelism_grid() {
         let total = reference.report.sat_calls_total;
         assert!(total >= 4, "workload must need SAT calls (got {total})");
 
-        // Budget-cap cancellation at a spread of candidate boundaries (the
-        // first, the last, and the quartiles).
+        // Budget-cap stops at a spread of SAT calls (the first, the last,
+        // and the quartiles).
         for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
             let cut = cut.max(1);
             let context = format!("{engine}, cancelled after {cut}/{total} SAT calls");

@@ -16,7 +16,7 @@ use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
 use stp_sat_sweep::stp_sweep::{cec, SweepConfig};
 use stp_sat_sweep::workloads::inject_redundancy;
 use stp_sat_sweep::workloads::sequential::random_sequential_aig;
-use stp_sat_sweep::{Engine, PassManager, Sweeper};
+use stp_sat_sweep::{Budget, Engine, PassManager, SweepCheckpoint, Sweeper};
 
 /// A random small AIG described as a list of gate recipes.
 #[derive(Debug, Clone)]
@@ -137,48 +137,59 @@ proptest! {
     }
 
     /// The determinism battery: for both engines, with and without
-    /// SAT-guided patterns, sweeping with and without periodic checkpoints
-    /// commits identical SAT calls, identical merges and byte-identical
-    /// AIGER output — the checkpoint cadence is a scheduling knob, never an
-    /// input of the sweep.
+    /// SAT-guided patterns, a sweep stopped by a SAT-call cap and resumed
+    /// from the decoded bytes of its stop checkpoint commits the SAT calls
+    /// and merges of the uninterrupted sweep and writes byte-identical
+    /// AIGER.
     #[test]
-    fn checkpoint_cadence_never_changes_the_sweep(spec in arb_aig(), seed in 0u64..500) {
-        let aig = build_aig(&spec);
-        let redundant = inject_redundancy(&aig, 0.4, seed);
+    fn budget_stops_resume_to_the_uninterrupted_sweep(
+        spec in arb_aig(),
+        seed in 0u64..500,
+        cut in any::<u64>(),
+    ) {
+        let redundant = inject_redundancy(&build_aig(&spec), 0.4, seed);
         for engine in [Engine::Stp, Engine::Baseline] {
             for sat_guided_patterns in [false, true] {
-                let base = SweepConfig {
+                let config = SweepConfig {
                     num_initial_patterns: 16, // few patterns: SAT finds counter-examples
                     sat_guided_patterns,
                     ..SweepConfig::default()
                 };
-                let mut reference: Option<(stp_sat_sweep::SweepResult, String)> = None;
-                for checkpoint_every in [0usize, 1] {
-                    let run = Sweeper::new(engine)
-                        .config(base.checkpoint_every(checkpoint_every))
-                        .run(&redundant)
-                        .expect("valid config");
-                    let aiger = write_aiger_string(&run.aig);
-                    match &reference {
-                        None => reference = Some((run, aiger)),
-                        Some((reference, reference_aiger)) => {
-                            let (r, s) = (&run.report, &reference.report);
-                            prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
-                            prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
-                            prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
-                            prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
-                            prop_assert_eq!(r.merges, s.merges);
-                            prop_assert_eq!(r.constants, s.constants);
-                            prop_assert_eq!(r.resim_events, s.resim_events);
-                            prop_assert_eq!(r.resim_nodes, s.resim_nodes);
-                            prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
-                            prop_assert_eq!(r.disproved_by_simulation, s.disproved_by_simulation);
-                            // The post-sweep networks are identical, not
-                            // merely equivalent.
-                            prop_assert_eq!(&aiger, reference_aiger);
-                        }
-                    }
+                let reference = Sweeper::new(engine)
+                    .config(config)
+                    .run(&redundant)
+                    .expect("valid config");
+                let total = reference.report.sat_calls_total;
+                if total < 2 {
+                    continue;
                 }
+                let cap = 1 + cut % (total - 1);
+                let stop = Sweeper::new(engine)
+                    .config(config)
+                    .budget(Budget::unlimited().with_max_sat_calls(cap))
+                    .run(&redundant)
+                    .expect_err("the cap stops the sweep before its last SAT call")
+                    .into_checkpoint()
+                    .expect("a primed stop carries a checkpoint");
+                let decoded = SweepCheckpoint::decode(&stop.encode()).expect("own encoding decodes");
+                let run = Sweeper::new(engine)
+                    .resume_from(&redundant, &decoded)
+                    .expect("fingerprints match")
+                    .run()
+                    .expect("an unlimited resume finishes");
+                let (r, s) = (&run.report, &reference.report);
+                prop_assert_eq!(r.sat_calls_total, s.sat_calls_total);
+                prop_assert_eq!(r.sat_calls_sat, s.sat_calls_sat);
+                prop_assert_eq!(r.sat_calls_unsat, s.sat_calls_unsat);
+                prop_assert_eq!(r.sat_calls_undet, s.sat_calls_undet);
+                prop_assert_eq!(r.merges, s.merges);
+                prop_assert_eq!(r.constants, s.constants);
+                prop_assert_eq!(r.resim_events, s.resim_events);
+                prop_assert_eq!(r.resim_nodes, s.resim_nodes);
+                prop_assert_eq!(r.proved_by_simulation, s.proved_by_simulation);
+                prop_assert_eq!(r.disproved_by_simulation, s.disproved_by_simulation);
+                // The resumed network is identical, not merely equivalent.
+                prop_assert_eq!(write_aiger_string(&run.aig), write_aiger_string(&reference.aig));
             }
         }
     }
