@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p bench --release --bin ablation -- [--scale tiny|small|large]`
 
-use bench::{geometric_mean, parse_scale, secs};
+use bench::{geometric_mean, secs, Args};
 use stp_sweep::{Engine, SweepConfig, Sweeper};
 use workloads::hwmcc_suite;
 
@@ -62,8 +62,7 @@ fn variants() -> Vec<Variant> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_scale(&args);
+    let scale = Args::from_env("ablation [--scale tiny|small|large]").scale();
     let suite = hwmcc_suite(scale);
     println!("Ablation of the STP sweeper on the HWMCC/IWLS-analog suite (scale = {scale:?})\n");
     println!(

@@ -30,8 +30,8 @@
 //! deterministic counters entirely (useful on machines whose speed is not
 //! comparable to the baseline host).
 
-use bench::arg_value;
 use bench::json::{parse, Json};
+use bench::Args;
 
 /// Collects human-readable regressions.
 #[derive(Default)]
@@ -337,33 +337,14 @@ fn load(path: &str) -> Result<Json, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 1usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--time-tolerance" | "--time-floor" => i += 2,
-            "--skip-times" => i += 1,
-            other => {
-                positional.push(other.to_string());
-                i += 1;
-            }
-        }
-    }
-    if positional.len() != 2 {
-        eprintln!(
-            "usage: bench_diff <baseline.json> <fresh.json> \
-             [--time-tolerance F] [--time-floor S] [--skip-times]"
-        );
-        std::process::exit(2);
-    }
-    let tolerance: f64 = arg_value(&args, "--time-tolerance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.30);
-    let time_floor: f64 = arg_value(&args, "--time-floor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.005);
-    let skip_times = args.iter().any(|a| a == "--skip-times");
+    let args = Args::from_env(
+        "bench_diff <baseline.json> <fresh.json> [--time-tolerance F] [--time-floor S] \
+         [--skip-times]",
+    );
+    let positional = &args.positional;
+    let tolerance: f64 = args.value("--time-tolerance", 0.30);
+    let time_floor: f64 = args.value("--time-floor", 0.005);
+    let skip_times = args.switch("--skip-times");
 
     let (baseline, fresh) = match (load(&positional[0]), load(&positional[1])) {
         (Ok(b), Ok(f)) => (b, f),

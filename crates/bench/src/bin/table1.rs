@@ -12,7 +12,10 @@
 //! The paper reports parity on `TA` and a ~7.2× average speed-up on `TL`;
 //! the shape (not the absolute numbers) is what this harness reproduces.
 //!
-//! Usage: `cargo run -p bench --release --bin table1 -- [--scale tiny|small|large] [--patterns N] [--lut-k K] [--threads T] [--json PATH] [--passes SCRIPT] [--checkpoint-every N] [--resume PATH]`
+//! Usage: `cargo run -p bench --release --bin table1 -- [--scale tiny|small|large] [--patterns N] [--lut-k K] [--threads T] [--json PATH] [--passes SCRIPT]`
+//!
+//! `--lut-k K` sets the LUT size of the `TL` network (default 6), from 2 up
+//! to the STP simulator's cut bound `stp_sim::MAX_CUT_LEAVES` (16).
 //!
 //! `--threads T` runs the AIG and STP simulators on `T` threads, each over
 //! its own contiguous range of pattern words; results are bit-identical to
@@ -21,8 +24,9 @@
 //!
 //! With `--json PATH` the measured numbers are also written as a JSON
 //! document (the format of the checked-in `BENCH_baseline.json`).  The JSON
-//! additionally runs the standard sweeping pipeline (sweep → strash →
-//! sweep, `SweepConfig::fast`) on every benchmark and records the
+//! additionally runs the standard sweeping pipeline (the pass script
+//! `sweep(stp);strash;sweep(stp)` under `SweepConfig::fast`) through
+//! `PassManager::run` on every benchmark and records the
 //! *per-pass* reports, so snapshots track where the gates and the time go
 //! pass by pass rather than only in aggregate.  No `verify` pass is run
 //! here: the CEC miters of the hard arithmetic benchmarks (`hyp`, `log2`,
@@ -34,177 +38,32 @@
 //! `stp_sweep::passes::parse_script` for the grammar).  The per-pass JSON
 //! rows then additionally carry each pass's deterministic counters (e.g.
 //! `removed`, `iterations`), so `bench_diff` against a script baseline
-//! pins the pass-level behaviour exactly.  Scripted runs cannot be
-//! combined with `--checkpoint-every` (the cancel→resume cycle is specific
-//! to the default pipeline).
+//! pins the pass-level behaviour exactly.
 //!
-//! `--checkpoint-every N` exercises the checkpoint/resume subsystem: every
-//! sweep pass of the JSON pipeline section is cancelled (via a
-//! [`CancelToken`] tripped after `N` committed SAT calls), checkpointed,
-//! and resumed to completion — the snapshot therefore records the numbers
-//! of *resumed* runs, and `bench_diff` against the untouched baseline
-//! proves the cancel→resume identity on real workloads.  The first pass's
-//! mid-sweep checkpoint of each benchmark is saved as
-//! `table1_<bench>.ckpt`.
-//!
-//! `--resume PATH` loads such a file, locates the matching benchmark by
-//! netlist fingerprint in the (deterministically regenerated) suite,
-//! resumes it to completion and prints the cumulative report.
+//! An unknown flag, a value that does not parse or an unknown scale exits
+//! with code 2 and the usage line.
 
-use bench::{arg_value, geometric_mean, parse_scale, timed};
+use bench::{geometric_mean, timed, Args};
 use bitsim::{AigSimulator, LutSimulator, PatternSet};
 use netlist::lutmap;
-use stp_sweep::stp_sim::StpSimulator;
-use stp_sweep::{
-    Budget, CancelToken, Engine, Observer, PassManager, PassReport, PipelineResult, SatCallOutcome,
-    SweepCheckpoint, SweepConfig, SweepError, SweepReport, SweepResult, Sweeper,
-};
-use workloads::{epfl_suite, Scale};
+use stp_sweep::stp_sim::{StpSimulator, MAX_CUT_LEAVES};
+use stp_sweep::{PassManager, SweepConfig};
+use workloads::epfl_suite;
 
-/// Cancels a run from inside the event stream: trips a [`CancelToken`]
-/// after a fixed number of committed SAT calls.
-struct CancelAfterSatCalls {
-    remaining: u64,
-    token: CancelToken,
-}
+const USAGE: &str = "table1 [--scale tiny|small|large] [--patterns N] [--lut-k K] \
+                     [--threads T] [--json PATH] [--passes SCRIPT]";
 
-impl Observer for CancelAfterSatCalls {
-    fn on_sat_call(&mut self, _outcome: SatCallOutcome) {
-        if self.remaining == 0 {
-            self.token.cancel();
-        } else {
-            self.remaining -= 1;
-        }
-    }
-}
+/// The pass script of the JSON section without `--passes`.
+const DEFAULT_PIPELINE: &str = "sweep(stp);strash;sweep(stp)";
 
-/// Runs one sweep pass as a cancel→checkpoint→resume cycle: the run is
-/// cancelled after `every` committed SAT calls, the stop checkpoint is
-/// round-tripped through its binary encoding (and optionally saved to
-/// disk), and the resumed run completes the pass.  The identity guarantee
-/// makes the returned result indistinguishable from an uninterrupted run —
-/// which `bench_diff` then pins against the baseline.
-fn checkpointed_sweep_pass(
-    name: &str,
-    aig: &netlist::Aig,
-    config: SweepConfig,
-    every: u64,
-    save_to: Option<&str>,
-) -> SweepResult {
-    let token = CancelToken::new();
-    let mut canceller = CancelAfterSatCalls {
-        remaining: every,
-        token: token.clone(),
-    };
-    let run = Sweeper::new(Engine::Stp)
-        .config(config)
-        .budget(Budget::unlimited().with_cancel_token(token))
-        .observer(&mut canceller)
-        .run(aig);
-    match run {
-        // The pass finished before the cancel point: nothing to resume.
-        Ok(full) => full,
-        Err(SweepError::BudgetExhausted {
-            checkpoint: Some(checkpoint),
-            ..
-        }) => {
-            if let Some(path) = save_to {
-                checkpoint
-                    .save(path)
-                    .unwrap_or_else(|e| panic!("{name}: writing {path}: {e}"));
-            }
-            let restored = SweepCheckpoint::decode(&checkpoint.encode())
-                .unwrap_or_else(|e| panic!("{name}: checkpoint round trip: {e}"));
-            Sweeper::new(Engine::Stp)
-                .resume_from(aig, &restored)
-                .unwrap_or_else(|e| panic!("{name}: resume rejected: {e}"))
-                .run()
-                .unwrap_or_else(|e| panic!("{name}: resumed run failed: {e}"))
-        }
-        Err(other) => panic!("{name}: checkpointed sweep failed: {other}"),
-    }
-}
-
-/// The `--checkpoint-every` variant of the standard pipeline: the same
-/// sweep → strash → sweep composition (aggregation mirrors
-/// [`PassManager::run`]), with every sweep pass executed through
-/// [`checkpointed_sweep_pass`].
-fn run_pipeline_checkpointed(name: &str, aig: &netlist::Aig, every: u64) -> PipelineResult {
-    let config = SweepConfig::fast();
-    let mut current = aig.clone();
-    let mut aggregate = SweepReport {
-        gates_before: aig.num_ands(),
-        gates_after: aig.num_ands(),
-        levels: aig.depth(),
-        ..SweepReport::default()
-    };
-    let mut passes = Vec::new();
-    for (index, pass) in ["sweep(stp)", "strash", "sweep(stp)"].iter().enumerate() {
-        let gates_before = current.num_ands();
-        if *pass == "strash" {
-            let (cleaned, time) = timed(|| current.cleanup().0);
-            current = cleaned;
-            aggregate.gates_after = current.num_ands();
-            aggregate.total_time += time;
-            passes.push(PassReport {
-                name: (*pass).to_string(),
-                gates_before,
-                gates_after: current.num_ands(),
-                report: None,
-                time,
-                counters: Vec::new(),
-            });
-        } else {
-            let save = (index == 0).then(|| format!("table1_{name}.ckpt"));
-            let result = checkpointed_sweep_pass(name, &current, config, every, save.as_deref());
-            aggregate.merge(&result.report);
-            passes.push(PassReport {
-                name: (*pass).to_string(),
-                gates_before,
-                gates_after: result.aig.num_ands(),
-                report: Some(result.report),
-                time: result.report.total_time,
-                counters: Vec::new(),
-            });
-            current = result.aig;
-        }
-    }
-    PipelineResult {
-        aig: current,
-        report: aggregate,
-        passes,
-    }
-}
-
-/// Runs the standard pipeline on one benchmark and renders its JSON row.
-/// With `cancel_after` set (`--checkpoint-every`), the run is the
-/// cancel→resume execution of [`run_pipeline_checkpointed`], whose
-/// counters `bench_diff` then pins against the uninterrupted baseline.
-fn pipeline_json_row(
-    name: &str,
-    aig: &netlist::Aig,
-    script: Option<&str>,
-    cancel_after: Option<u64>,
-) -> String {
-    let run = || {
-        let config = SweepConfig::fast();
-        let manager = match script {
-            Some(script) => PassManager::new(config)
-                .with_script(script)
-                .unwrap_or_else(|e| panic!("{name}: --passes script: {e}")),
-            None => PassManager::new(config)
-                .sweep(Engine::Stp)
-                .strash()
-                .sweep(Engine::Stp),
-        };
-        manager
-            .run(aig)
-            .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"))
-    };
-    let outcome = match cancel_after {
-        Some(every) => run_pipeline_checkpointed(name, aig, every),
-        None => run(),
-    };
+/// Runs the `--passes` script (or the default pipeline) on one benchmark
+/// and renders its JSON row.
+fn pipeline_json_row(name: &str, aig: &netlist::Aig, script: Option<&str>) -> String {
+    let outcome = PassManager::new(SweepConfig::fast())
+        .with_script(script.unwrap_or(DEFAULT_PIPELINE))
+        .expect("the script was parsed up front")
+        .run(aig)
+        .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
     let passes: Vec<String> = outcome
         .passes
         .iter()
@@ -256,89 +115,25 @@ fn pipeline_json_row(
     )
 }
 
-/// The `--resume <file>` mode: load a checkpoint, find the benchmark whose
-/// netlist fingerprint matches in the (deterministically regenerated)
-/// suite, resume it to completion and print the cumulative report.
-fn run_resume(path: &str, scale: Scale) -> ! {
-    let checkpoint = match SweepCheckpoint::load(path) {
-        Ok(checkpoint) => checkpoint,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let suite = epfl_suite(scale);
-    let Some(bench) = suite.iter().find(|b| checkpoint.matches(&b.aig)) else {
-        eprintln!(
-            "{path}: no benchmark of the {scale:?} suite matches the checkpoint's \
-             netlist fingerprint {:016x} (was the checkpoint taken at another --scale?)",
-            checkpoint.fingerprint()
-        );
-        std::process::exit(1);
-    };
-    println!(
-        "resuming {} from {path}: engine {}, {} SAT calls / {} candidates committed",
-        bench.name,
-        checkpoint.engine(),
-        checkpoint.sat_calls(),
-        checkpoint.committed_candidates()
-    );
-    let resumed = Sweeper::new(checkpoint.engine())
-        .resume_from(&bench.aig, &checkpoint)
-        .and_then(|session| session.run());
-    match resumed {
-        Ok(result) => {
-            println!("resumed run finished: {}", result.report);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{path}: resume failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_scale(&args);
-    if let Some(path) = arg_value(&args, "--resume") {
-        run_resume(&path, scale);
-    }
-    let num_patterns: usize = arg_value(&args, "--patterns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096);
-    let lut_k: usize = arg_value(&args, "--lut-k")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let cancel_after: Option<u64> = arg_value(&args, "--checkpoint-every").map(|v| {
-        v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-            eprintln!("--checkpoint-every expects a positive SAT-call count");
-            std::process::exit(2);
-        })
-    });
-    let passes_script: Option<String> = arg_value(&args, "--passes");
+    let args = Args::from_env(USAGE);
+    let scale = args.scale();
+    let num_patterns: usize = args.value("--patterns", 4096);
+    let lut_k: usize = args.value("--lut-k", 6);
+    let threads: usize = args.value("--threads", 1);
+    let passes_script = args.text("--passes");
+    let script = passes_script.unwrap_or(DEFAULT_PIPELINE);
     // Validate the script up-front (and collect the scheduled pass names
     // for the snapshot header) instead of panicking per benchmark.
-    let script_pass_names: Option<Vec<String>> =
-        passes_script
-            .as_deref()
-            .map(|script| match stp_sweep::passes::parse_script(script) {
-                Ok(parsed) => parsed.iter().map(|p| p.to_string()).collect(),
-                Err(e) => {
-                    eprintln!("--passes: {e}");
-                    std::process::exit(2);
-                }
-            });
-    if passes_script.is_some() && cancel_after.is_some() {
-        eprintln!("--passes cannot be combined with --checkpoint-every");
-        std::process::exit(2);
-    }
+    let pass_names: Vec<String> = match stp_sweep::passes::parse_script(script) {
+        Ok(parsed) => parsed.iter().map(|p| format!("\"{p}\"")).collect(),
+        Err(e) => args.fail(&format!("--passes: {e}")),
+    };
     if num_patterns == 0 || threads == 0 {
-        eprintln!("--patterns and --threads must be nonzero");
-        std::process::exit(2);
+        args.fail("--patterns and --threads must be nonzero");
+    }
+    if !(2..=MAX_CUT_LEAVES).contains(&lut_k) {
+        args.fail(&format!("--lut-k must be in 2..={MAX_CUT_LEAVES}"));
     }
 
     println!("Table I analog: circuit simulation on the EPFL-analog suite");
@@ -428,64 +223,31 @@ fn main() {
         geometric_mean(tl_ratios.iter().copied())
     );
 
-    if let Some(path) = arg_value(&args, "--json") {
+    if let Some(path) = args.text("--json") {
         // The sweeping pipeline section: per-pass reports per benchmark.
-        match (&passes_script, cancel_after) {
-            (Some(script), _) => {
-                println!("\nrunning the pass script \"{script}\" per benchmark ...")
-            }
-            (None, Some(every)) => println!(
-                "\nrunning the sweep pipeline (sweep -> strash -> sweep) per benchmark, \
-                 cancelling each sweep after {every} SAT calls and resuming from its \
-                 checkpoint (table1_<bench>.ckpt) ..."
-            ),
-            (None, None) => {
-                println!(
-                    "\nrunning the sweep pipeline (sweep -> strash -> sweep) per benchmark ..."
-                )
-            }
-        }
+        println!("\nrunning the pass script \"{script}\" per benchmark ...");
         let pipeline_rows: Vec<String> = suite
             .iter()
-            .map(|bench| {
-                pipeline_json_row(
-                    bench.name,
-                    &bench.aig,
-                    passes_script.as_deref(),
-                    cancel_after,
-                )
-            })
+            .map(|bench| pipeline_json_row(bench.name, &bench.aig, passes_script))
             .collect();
-        // The default-pipeline header is spelled out verbatim so the
-        // checked-in `BENCH_baseline.json` stays byte-identical; scripted
-        // runs record the script plus the scheduled pass names.
-        let pipeline_header = match (&passes_script, &script_pass_names) {
-            (Some(script), Some(names)) => {
-                let names: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
-                format!(
-                    "\"config\": \"fast\",\n    \"script\": \"{script}\",\n    \
-                     \"passes\": [{}]",
-                    names.join(", ")
-                )
-            }
-            _ => "\"config\": \"fast\",\n    \
-                  \"passes\": [\"sweep(stp)\", \"strash\", \"sweep(stp)\"]"
-                .to_string(),
-        };
+        // Only a `--passes` snapshot records its script, so the default
+        // one stays byte-identical to the checked-in `BENCH_baseline.json`.
+        let script_field =
+            passes_script.map_or(String::new(), |s| format!("\"script\": \"{s}\",\n    "));
         let document = format!(
             "{{\n  \"table\": \"table1_simulation\",\n  \"scale\": \"{scale:?}\",\n  \
              \"patterns\": {num_patterns},\n  \"lut_k\": {lut_k},\n  \"threads\": {threads},\n  \"rows\": [\n{}\n  ],\n  \
              \"geomean\": {{\"xa\": {:.3}, \"xl\": {:.3}}},\n  \
              \"paper\": {{\"xa\": 0.99, \"xl\": 7.18}},\n  \
-             \"pipeline\": {{\n    {},\n    \
+             \"pipeline\": {{\n    \"config\": \"fast\",\n    {script_field}\"passes\": [{}],\n    \
              \"rows\": [\n{}\n    ]\n  }}\n}}\n",
             json_rows.join(",\n"),
             geometric_mean(ta_ratios),
             geometric_mean(tl_ratios),
-            pipeline_header,
+            pass_names.join(", "),
             pipeline_rows.join(",\n")
         );
-        std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -15,9 +15,11 @@
 //! per-benchmark SAT-call/merge/constant counters of both engines plus
 //! their wall-clock times.
 
-use bench::{arg_value, geometric_mean, parse_scale, secs};
+use bench::{geometric_mean, secs, Args};
 use stp_sweep::{cec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::hwmcc_suite;
+
+const USAGE: &str = "table2 [--scale tiny|small|large] [--patterns N] [--no-verify] [--json PATH]";
 
 /// Runs one engine on one benchmark.
 fn sweep(aig: &netlist::Aig, engine: Engine, config: SweepConfig) -> SweepResult {
@@ -28,16 +30,12 @@ fn sweep(aig: &netlist::Aig, engine: Engine, config: SweepConfig) -> SweepResult
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_scale(&args);
-    let verify = !args.iter().any(|a| a == "--no-verify");
-    let json_path = arg_value(&args, "--json");
-    let num_patterns: usize = arg_value(&args, "--patterns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
+    let args = Args::from_env(USAGE);
+    let scale = args.scale();
+    let verify = !args.switch("--no-verify");
+    let num_patterns: usize = args.value("--patterns", 256);
     if num_patterns == 0 {
-        eprintln!("--patterns must be nonzero");
-        std::process::exit(2);
+        args.fail("--patterns must be nonzero");
     }
 
     println!("Table II analog: SAT-sweeping on the HWMCC/IWLS-analog suite");
@@ -177,13 +175,13 @@ fn main() {
     );
     println!("(paper: satisfiable SAT calls 0.09, total SAT calls 0.60, simulation 1.99, total runtime 0.65)");
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.text("--json") {
         let document = format!(
             "{{\n  \"table\": \"table2_sweeping\",\n  \"scale\": \"{scale:?}\",\n  \
              \"patterns\": {num_patterns},\n  \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -15,12 +15,14 @@
 //! (the format of the checked-in `BENCH_baseline_seq.json`, gated in CI by
 //! `bench_diff`).
 
-use bench::{arg_value, parse_scale, secs};
+use bench::{secs, Args};
 use netlist::Aig;
 use stp_sweep::{bmc_sec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::sequential::{random_sequential_aig, sequential_miter, with_duplicate_latches};
 use workloads::Scale;
 
+const USAGE: &str = "table_seq [--scale tiny|small|large] [--depth K] [--patterns N] \
+                     [--no-verify] [--json PATH]";
 const ORACLE_FRAMES: usize = 5;
 const ORACLE_CONFLICTS: u64 = 200_000;
 
@@ -50,19 +52,13 @@ fn sweep(aig: &Aig, config: SweepConfig) -> SweepResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = parse_scale(&args);
-    let verify = !args.iter().any(|a| a == "--no-verify");
-    let json_path = arg_value(&args, "--json");
-    let depth: usize = arg_value(&args, "--depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let num_patterns: usize = arg_value(&args, "--patterns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let args = Args::from_env(USAGE);
+    let scale = args.scale();
+    let verify = !args.switch("--no-verify");
+    let depth: usize = args.value("--depth", 1);
+    let num_patterns: usize = args.value("--patterns", 64);
     if depth == 0 || num_patterns == 0 {
-        eprintln!("--depth and --patterns must be nonzero");
-        std::process::exit(2);
+        args.fail("--depth and --patterns must be nonzero");
     }
 
     println!(
@@ -136,14 +132,14 @@ fn main() {
         );
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.text("--json") {
         let document = format!(
             "{{\n  \"table\": \"table_seq_sequential\",\n  \"scale\": \"{scale:?}\",\n  \
              \"patterns\": {num_patterns},\n  \"seq_depth\": {depth},\n  \
              \"rows\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
         );
-        std::fs::write(&path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, document).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("\nwrote {path}");
     }
 }

@@ -19,15 +19,17 @@
 //!   `BENCH_baseline_seq.json`): deterministic counters exactly, time-like
 //!   fields within a tolerance.
 //!
-//! This library exposes the small amount of shared measurement machinery
-//! and the snapshot [`json`] reader.
+//! This library exposes the small amount of shared measurement machinery,
+//! the command-line reader [`Args`] and the snapshot [`json`] reader.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
 
+use std::str::FromStr;
 use std::time::{Duration, Instant};
+use workloads::Scale;
 
 /// Times a closure, returning its result and the elapsed wall-clock time.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
@@ -54,19 +56,98 @@ pub fn geometric_mean<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     }
 }
 
-/// Parses a `--key value` style command-line option.
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+/// A bench binary's command line, checked against its usage line: each
+/// `[--flag VALUE]` of the usage line takes a value, each `[--flag]` none,
+/// and each `<NAME>` is a positional argument.
+pub struct Args {
+    usage: &'static str,
+    flags: Vec<(String, Option<String>)>,
+    /// The positional arguments, in order.
+    pub positional: Vec<String>,
 }
 
-/// Parses the `--scale` option into a [`workloads::Scale`].
-pub fn parse_scale(args: &[String]) -> workloads::Scale {
-    match arg_value(args, "--scale").as_deref() {
-        Some("tiny") => workloads::Scale::Tiny,
-        Some("large") => workloads::Scale::Large,
-        _ => workloads::Scale::Small,
+impl Args {
+    /// [`Args::parse`] of the process's arguments, ending the process on
+    /// an error as [`Args::fail`] does.
+    pub fn from_env(usage: &'static str) -> Args {
+        let args = std::env::args().skip(1).collect();
+        Args::parse(usage, args).unwrap_or_else(|e| usage_error(usage, &e))
+    }
+
+    /// Parses `args` against `usage`: an unknown flag, a flag without its
+    /// value or a wrong number of positional arguments is an error.
+    pub fn parse(usage: &'static str, args: Vec<String>) -> Result<Args, String> {
+        let (mut flags, mut positional, mut args) = (Vec::new(), Vec::new(), args.into_iter());
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                positional.push(arg);
+                continue;
+            }
+            let missing = || format!("{arg} expects a value");
+            let mut declared = usage.split_whitespace().map(|w| w.trim_start_matches('['));
+            let value = match declared.find(|w| w.trim_end_matches(']') == arg) {
+                None => return Err(format!("unknown flag {arg}")),
+                Some(word) if word.ends_with(']') => None,
+                Some(_) => Some(args.next().ok_or_else(missing)?),
+            };
+            flags.push((arg, value));
+        }
+        let expected = usage.matches(" <").count();
+        if positional.len() != expected {
+            return Err(format!("expected {expected} positional arguments"));
+        }
+        Ok(Args {
+            usage,
+            flags,
+            positional,
+        })
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value of `flag`, the first one if it was given more than once.
+    pub fn text(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| f == flag)?;
+        value.as_deref()
+    }
+
+    /// The value of `flag` parsed as a `T`, or `default` without the flag;
+    /// a value that does not parse ends the process.
+    pub fn value<T: FromStr>(&self, flag: &str, default: T) -> T {
+        let Some(text) = self.text(flag) else {
+            return default;
+        };
+        text.parse()
+            .unwrap_or_else(|_| self.fail(&format!("{flag}: cannot parse `{text}`")))
+    }
+
+    /// The `--scale` (`small` without the flag), ending the process on an
+    /// unknown scale.
+    pub fn scale(&self) -> Scale {
+        parse_scale(self.text("--scale").unwrap_or("small")).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// Ends the process with `message`, the usage line and exit code 2.
+    pub fn fail(&self, message: &str) -> ! {
+        usage_error(self.usage, message)
+    }
+}
+
+fn usage_error(usage: &str, message: &str) -> ! {
+    eprintln!("{message}\nusage: {usage}");
+    std::process::exit(2)
+}
+
+/// Parses a `--scale` value.
+pub fn parse_scale(name: &str) -> Result<Scale, String> {
+    match name {
+        "tiny" => Ok(Scale::Tiny),
+        "small" => Ok(Scale::Small),
+        "large" => Ok(Scale::Large),
+        _ => Err(format!("unknown scale `{name}`")),
     }
 }
 
@@ -87,14 +168,32 @@ mod tests {
     }
 
     #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--scale", "tiny", "--patterns", "128"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--patterns"), Some("128".to_string()));
-        assert_eq!(arg_value(&args, "--missing"), None);
-        assert_eq!(parse_scale(&args), workloads::Scale::Tiny);
+    fn args_are_checked_against_the_usage_line() {
+        let usage = "bin <in> [--scale tiny|small|large] [--patterns N] [--quiet]";
+        let parse = |line: &str| Args::parse(usage, line.split(' ').map(String::from).collect());
+        let args = parse("--scale tiny in.json --patterns 128 --quiet").expect("parses");
+        assert_eq!(args.positional, ["in.json"]);
+        assert_eq!(args.scale(), Scale::Tiny);
+        assert_eq!(args.value("--patterns", 7), 128);
+        assert!(args.switch("--quiet"));
+        let defaults = parse("in.json").expect("parses");
+        assert_eq!(defaults.scale(), Scale::Small);
+        assert_eq!(defaults.value("--patterns", 7), 7);
+        assert!(!defaults.switch("--quiet"));
+        for (line, error) in [
+            ("in.json --seed 6", "unknown flag --seed"),
+            ("in.json --patterns", "--patterns expects a value"),
+            ("in.json extra", "expected 1 positional arguments"),
+        ] {
+            assert!(parse(line).is_err_and(|e| e.contains(error)), "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_scale_refuses_unknown_scales() {
+        assert_eq!(parse_scale("tiny"), Ok(Scale::Tiny));
+        assert_eq!(parse_scale("large"), Ok(Scale::Large));
+        assert!(parse_scale("tinny").is_err_and(|e| e.contains("tinny")));
     }
 
     #[test]

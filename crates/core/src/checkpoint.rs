@@ -15,8 +15,9 @@
 //! SAT calls, merges and AIGER bytes are identical to an uninterrupted
 //! run**.
 //!
-//! The on-disk format is written with the bounded little-endian codec of
-//! [`satsolver::codec`], under an integrity header: an 8-byte magic, a
+//! A checkpoint leaves the process only as the bytes of
+//! [`SweepCheckpoint::encode`], written with the bounded little-endian codec
+//! of [`satsolver::codec`] under an integrity header: an 8-byte magic, a
 //! format version and the fingerprint of the netlist the checkpoint was
 //! taken against.  The solver state is one length-prefixed blob that only
 //! `satsolver` parses, when the checkpoint is resumed.  Decoding truncated
@@ -90,14 +91,12 @@ pub const CHECKPOINT_VERSION: u32 = 12;
 pub enum CheckpointError {
     /// The byte stream ended before the payload was complete.
     Truncated,
-    /// The magic prefix is missing — not a checkpoint file.
+    /// The magic prefix is missing — not an encoded checkpoint.
     BadMagic,
     /// The format version is not supported by this build.
     UnsupportedVersion(u32),
     /// The payload is structurally invalid (the message names the field).
     Corrupt(&'static str),
-    /// An I/O error while reading or writing a checkpoint file.
-    Io(String),
 }
 
 impl fmt::Display for CheckpointError {
@@ -111,7 +110,6 @@ impl fmt::Display for CheckpointError {
                  version {CHECKPOINT_VERSION} only)"
             ),
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
-            CheckpointError::Io(msg) => write!(f, "checkpoint I/O error: {msg}"),
         }
     }
 }
@@ -218,8 +216,7 @@ pub(crate) enum PhasePod {
 /// Obtain one from [`crate::SweepSession::checkpoint`] or from the
 /// `checkpoint` field of [`crate::SweepError::BudgetExhausted`].
 /// Serialise with [`SweepCheckpoint::encode`] / [`SweepCheckpoint::decode`]
-/// (or the [`SweepCheckpoint::save`] / [`SweepCheckpoint::load`] file
-/// helpers) and resume with [`crate::Sweeper::resume_from`].
+/// and resume with [`crate::Sweeper::resume_from`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCheckpoint {
     /// Fingerprint of the network the checkpoint was taken against.
@@ -417,17 +414,6 @@ impl SweepCheckpoint {
             return Err(CheckpointError::Corrupt("trailing bytes after payload"));
         }
         Ok(checkpoint)
-    }
-
-    /// Writes the encoded checkpoint to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.encode()).map_err(|e| CheckpointError::Io(e.to_string()))
-    }
-
-    /// Reads and decodes a checkpoint file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, CheckpointError> {
-        let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-        SweepCheckpoint::decode(&bytes)
     }
 }
 
@@ -724,22 +710,6 @@ mod tests {
         }
         let message = CheckpointError::UnsupportedVersion(5).to_string();
         assert!(message.contains("version 5"), "{message}");
-    }
-
-    #[test]
-    fn save_and_load_round_trip_through_a_file() {
-        let checkpoint = sample_checkpoint();
-        let path = std::env::temp_dir().join(format!(
-            "stp_sweep_checkpoint_test_{}.ckpt",
-            std::process::id()
-        ));
-        checkpoint.save(&path).expect("writes");
-        let loaded = SweepCheckpoint::load(&path).expect("reads");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded, checkpoint);
-
-        let missing = SweepCheckpoint::load(path.with_extension("missing"));
-        assert!(matches!(missing, Err(CheckpointError::Io(_))));
     }
 
     // -- proptest: encode ∘ decode = id over random session states ---------

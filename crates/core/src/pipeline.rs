@@ -201,7 +201,11 @@ impl<'o> PassManager<'o> {
     ///
     /// On budget exhaustion, the aggregate partial result (the merges of
     /// every completed and the truncated pass) is returned inside
-    /// [`SweepError::BudgetExhausted`].
+    /// [`SweepError::BudgetExhausted`].  A stop inside a sweep pass also
+    /// carries that pass's checkpoint.  It resumes against the interrupted
+    /// pass's *input*, which the caller rebuilds by re-running the earlier
+    /// passes, and resuming it completes that pass exactly; a stop before a
+    /// structural pass or `verify` carries none.
     pub fn run(self, aig: &'o Aig) -> Result<PipelineResult, SweepError> {
         self.config.validate()?;
         let mut run = Run {

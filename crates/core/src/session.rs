@@ -1638,7 +1638,7 @@ mod tests {
     }
 
     #[test]
-    fn session_checkpoint_before_run_resumes_to_identity() {
+    fn session_checkpoint_before_running_resumes_to_identity() {
         let aig = redundant_circuit();
         let reference = Sweeper::new(Engine::Stp).run(&aig).expect("runs");
         let session = Sweeper::new(Engine::Stp).begin(&aig).expect("primes");

@@ -20,7 +20,8 @@ struct MappedCut {
     depth: usize,
 }
 
-/// Maps an AIG into a k-LUT network with LUTs of at most `k` inputs.
+/// Maps an AIG into a k-LUT network with LUTs of at most `k` inputs,
+/// `2 <= k <= TruthTable::MAX_VARS`.
 ///
 /// The resulting network is functionally equivalent to the AIG (its outputs
 /// compute the same functions of the same primary inputs, in the same
@@ -28,9 +29,10 @@ struct MappedCut {
 ///
 /// # Panics
 ///
-/// Panics if `k` is zero or larger than [`TruthTable::MAX_VARS`].
+/// Panics if `k` is below 2 (one-input LUTs cannot cover an AND gate) or
+/// larger than [`TruthTable::MAX_VARS`].
 pub fn map_to_luts(aig: &Aig, k: usize) -> LutNetwork {
-    assert!((1..=TruthTable::MAX_VARS).contains(&k), "invalid LUT size");
+    assert!((2..=TruthTable::MAX_VARS).contains(&k), "invalid LUT size");
     let params = CutParams {
         max_leaves: k,
         max_cuts: 8,
@@ -161,6 +163,12 @@ mod tests {
             assert!(lut.max_fanin() <= k);
             check_equivalent(&aig, &lut, 6);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LUT size")]
+    fn one_input_luts_are_refused() {
+        map_to_luts(&adder_like_aig(1), 1);
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! calls, merges and output AIGER bytes are identical to an uninterrupted
 //! run, for both engines.  The battery exercises both cancellation
 //! mechanisms (`max_sat_calls` budget caps and
-//! a mid-run [`CancelToken`] tripped from an observer callback), round-trips
-//! every checkpoint through its binary encoding, and pins the corruption
+//! a mid-run [`CancelToken`] tripped from an observer callback), resumes
+//! the stop checkpoint of a pass pipeline's sweep pass, round-trips
+//! checkpoints through their binary encoding, and pins the corruption
 //! paths (truncated bytes, wrong version, mutated netlist) to typed errors.
 
 use stp_sat_sweep::netlist::{write_aiger_string, Aig, Lit};
 use stp_sat_sweep::stp_sweep::cec;
 use stp_sat_sweep::stp_sweep::checkpoint::CheckpointError;
-use stp_sat_sweep::workloads::{hwmcc_suite, inject_redundancy, Scale};
+use stp_sat_sweep::workloads::{epfl_suite, hwmcc_suite, inject_redundancy, Scale};
 use stp_sat_sweep::{
-    Budget, CancelToken, Engine, Observer, SatCallOutcome, SweepCheckpoint, SweepConfig,
-    SweepError, SweepReport, SweepResult, Sweeper,
+    Budget, CancelToken, Engine, Observer, PassManager, SatCallOutcome, SweepCheckpoint,
+    SweepConfig, SweepError, SweepReport, SweepResult, Sweeper,
 };
 
 /// The battery workload: a mid-size tiny-scale HWMCC-analog bench with
@@ -63,7 +64,8 @@ fn assert_identical(resumed: &SweepResult, reference: &SweepResult, context: &st
 }
 
 /// Cancels the run from inside the event stream: trips a [`CancelToken`]
-/// after a fixed number of committed SAT calls.
+/// inside the `(remaining + 1)`-th `on_sat_call`, so the run stops at the
+/// next budget check with `remaining + 1` committed SAT calls.
 struct CancelAfter {
     remaining: u64,
     token: CancelToken,
@@ -142,7 +144,7 @@ fn checkpoint_resume_identity_after_mid_run_cancel_token() {
             remaining: cancel_after,
             token: token.clone(),
         };
-        let context = format!("token tripped after ~{cancel_after}/{total} SAT calls");
+        let context = format!("token tripped after {cancel_after}/{total} SAT calls");
         let err = Sweeper::new(Engine::Stp)
             .config(config)
             .budget(Budget::unlimited().with_cancel_token(token))
@@ -152,6 +154,7 @@ fn checkpoint_resume_identity_after_mid_run_cancel_token() {
         let checkpoint = err
             .into_checkpoint()
             .expect("a primed cancel carries a checkpoint");
+        assert_eq!(checkpoint.sat_calls(), cancel_after + 1, "{context}");
         let resumed = Sweeper::new(Engine::Stp)
             .resume_from(&aig, &checkpoint)
             .expect("fingerprints match")
@@ -203,6 +206,64 @@ fn checkpoint_chained_cancels_still_reach_identity() {
         .run()
         .expect("final resume finishes");
     assert_identical(&finished, &reference, "two chained cancels");
+}
+
+/// `PassManager::run` hands back the stop checkpoint of the sweep pass it
+/// interrupts; resumed against that pass's input, it completes the pass as
+/// an uninterrupted run does.  The cuts land inside both sweeps of `sweep;
+/// strash; sweep`, and only the cut at the first sweep's last SAT call,
+/// which stops before `strash`, comes without a checkpoint.
+#[test]
+fn a_pipeline_stop_resumes_the_interrupted_sweep_pass() {
+    let sweep = |aig: &Aig| {
+        let sweeper = Sweeper::new(Engine::Stp).config(SweepConfig::fast());
+        sweeper.run(aig).expect("an unlimited sweep finishes")
+    };
+    let mut resumed_per_pass = [0; 2];
+    for bench in epfl_suite(Scale::Tiny) {
+        let first_pass = sweep(&bench.aig);
+        let second_input = first_pass.aig.cleanup().0;
+        let second_pass = sweep(&second_input);
+        let passes = [(&bench.aig, first_pass), (&second_input, second_pass)];
+        let first = passes[0].1.report.sat_calls_total;
+        let total = first + passes[1].1.report.sat_calls_total;
+        let (second_half, last) = ((first + total) / 2, total.saturating_sub(1));
+        let mut cuts = vec![1, first / 2, first, first + 1, second_half, last];
+        cuts.retain(|&cut| 0 < cut && cut < total);
+        cuts.dedup();
+        for cut in cuts {
+            let context = format!("{}: cap {cut}, first sweep {first} of {total}", bench.name);
+            let stop = PassManager::new(SweepConfig::fast())
+                .sweep(Engine::Stp)
+                .strash()
+                .sweep(Engine::Stp)
+                .budget(Budget::unlimited().with_max_sat_calls(cut))
+                .run(&bench.aig)
+                .expect_err("the cap must trip");
+            let SweepError::BudgetExhausted { checkpoint, .. } = stop else {
+                panic!("{context}: not a budget stop");
+            };
+            assert_eq!(checkpoint.is_none(), cut == first, "{context}");
+            let Some(checkpoint) = checkpoint else {
+                continue;
+            };
+            let pass = usize::from(cut > first);
+            let (input, reference) = &passes[pass];
+            let decoded =
+                SweepCheckpoint::decode(&checkpoint.encode()).expect("own encoding decodes");
+            let resumed = Sweeper::new(Engine::Stp)
+                .resume_from(input, &decoded)
+                .expect("the checkpoint matches its pass's input")
+                .run()
+                .expect("unlimited resume finishes");
+            assert_identical(&resumed, reference, &context);
+            resumed_per_pass[pass] += 1;
+        }
+    }
+    assert!(
+        resumed_per_pass.iter().all(|&n| n > 0),
+        "{resumed_per_pass:?}"
+    );
 }
 
 #[test]
