@@ -66,21 +66,25 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 12 drops the two
-/// periodic-cadence fields of the configuration and the two counters of
-/// emitted checkpoints from the stats: a checkpoint is taken only where a
-/// run stops.  As in version 11, the live-reference counts behind the dead
-/// skips are not stored, because replaying the merge log rebuilds them, and
-/// the session's one solver travels as the opaque, length-prefixed bytes of
-/// [`satsolver::CircuitSat::snapshot`], which hold only what a later query
-/// reads.  Both sweeps share the layout: a sequential sweep is a session
+/// [`CheckpointError::UnsupportedVersion`].  Version 13 changes the
+/// layout of the solver blob: the solver keeps its clauses in one flat
+/// arena of `u32` words and a blocker literal in every watch entry, and the
+/// blob copies both arrays as they are.  The blob travels as the opaque,
+/// length-prefixed bytes of [`satsolver::CircuitSat::snapshot`], which hold
+/// only what a later query reads; since this module does not parse them, a
+/// version-12 checkpoint would otherwise decode and be refused only at
+/// resume.  The bump refuses it at decode, so a daemon job reruns from
+/// scratch.  As in version 12, a checkpoint is taken only where
+/// a run stops, and as in version 11, the live-reference counts behind the
+/// dead skips are not stored, because replaying the merge log rebuilds
+/// them.  Both sweeps share the layout: a sequential sweep is a session
 /// phase whose cursor is the next induction query, and its solver state is
 /// that of the induction network.  There are no pattern words or
 /// resimulation state: the classes and the solver carry everything a
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 12;
+pub const CHECKPOINT_VERSION: u32 = 13;
 
 // ---------------------------------------------------------------------------
 // Errors.

@@ -1952,12 +1952,12 @@ mod tests {
     fn solver_state_breaking_the_watch_invariant_is_refused() {
         let aig = redundant_circuit();
         let base = primed_checkpoint(&aig);
-        // The solver bytes open with the clause count and the first
-        // clause's literal count (eight bytes each), then its literal
-        // codes.  Negating the first literal leaves the clause in the watch
-        // list of a literal it no longer holds.
+        // The solver bytes open with the arena's word count (eight bytes),
+        // then the first clause: its header word, its activity (two words)
+        // and its literal codes.  Negating the first literal leaves the
+        // clause in the watch list of a literal it no longer holds.
         let mut solver = base.solver.clone();
-        solver[16] ^= 1;
+        solver[20] ^= 1;
         match resume_with_solver(&aig, &base, solver) {
             Err(SweepError::CheckpointMismatch(msg)) => assert!(msg.contains("watch"), "{msg}"),
             Err(other) => panic!("expected CheckpointMismatch, got {other:?}"),

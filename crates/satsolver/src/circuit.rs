@@ -85,9 +85,10 @@ impl<'a> CircuitSat<'a> {
     }
 
     /// Encodes the front-end's state between queries: the CDCL solver's
-    /// clauses, watch lists, phases, reasons, activities, heap order,
-    /// level-0 trail, activity increments and statistics, then the SAT
-    /// variable and encoded flag of every AIG node.
+    /// clause arena word for word, its watch entries with their blockers,
+    /// phases, reasons, activities, heap order, level-0 trail, activity
+    /// increments and statistics, then the SAT variable and encoded flag of
+    /// every AIG node.
     ///
     /// CDCL answers are history-dependent: learnt clauses, VSIDS activities,
     /// saved phases and watch-list order all steer the search.  Restoring
@@ -118,10 +119,13 @@ impl<'a> CircuitSat<'a> {
     /// The bytes are parsed and validated, so untrusted input yields a
     /// [`DecodeError`], never a panic: truncation, trailing bytes, a node
     /// count that differs from `aig`'s, references out of range, a node
-    /// marked encoded without a variable, and solver state that breaks the
-    /// two-watched-literal invariant or repeats a variable in a clause, the
-    /// trail or the heap are all refused.  A semantically wrong clause, such
-    /// as a crafted learnt unit, still decodes: only re-solving could tell.
+    /// marked encoded without a variable, and solver state whose arena does
+    /// not parse into clauses, whose watch or reason references do not start
+    /// a clause, or that breaks the two-watched-literal invariant, holds a
+    /// blocker that is not a literal of its clause, or repeats a variable in
+    /// a clause, the trail or the heap are all refused.  A semantically
+    /// wrong clause, such as a crafted learnt unit, still decodes: only
+    /// re-solving could tell.
     pub fn from_snapshot(aig: &'a Aig, bytes: &[u8]) -> Result<Self, DecodeError> {
         Self::restore(Cow::Borrowed(aig), bytes)
     }
@@ -247,9 +251,10 @@ impl<'a> CircuitSat<'a> {
     /// Checks whether two AIG literals are functionally equivalent,
     /// spending at most `conflict_budget` conflicts.
     ///
-    /// The query encodes the miter `a ⊕ b` and asks for a satisfying
-    /// assignment; UNSAT proves equivalence, SAT yields a counter-example
-    /// over the primary inputs.
+    /// The query encodes the miter `a ⊕ b` behind a fresh selector and asks
+    /// for a satisfying assignment; UNSAT proves equivalence, SAT yields a
+    /// counter-example over the primary inputs.  The selector is retired
+    /// afterwards: the unit `¬d` fixes it false at level 0.
     pub fn prove_equivalent(&mut self, a: Lit, b: Lit, conflict_budget: u64) -> EquivOutcome {
         let sa = self.lit_to_sat(a);
         let sb = self.lit_to_sat(b);
@@ -261,11 +266,15 @@ impl<'a> CircuitSat<'a> {
         self.solver.add_clause(&[!d_pos, !sa, !sb]);
         self.solver.add_clause(&[!d_pos, sa, sb]);
         let result = self.solver.solve_limited(&[d_pos], conflict_budget);
-        match result {
+        let outcome = match result {
             SolveResult::Unsat => EquivOutcome::Equivalent,
             SolveResult::Sat => EquivOutcome::CounterExample(self.extract_counterexample()),
             SolveResult::Unknown => EquivOutcome::Undetermined,
-        }
+        };
+        // Retire the spent selector: false at level 0, it satisfies its two
+        // clauses for good, and later answers need not assign it.
+        self.solver.add_clause(&[!d_pos]);
+        outcome
     }
 
     /// Checks whether an AIG literal is the constant `value`.

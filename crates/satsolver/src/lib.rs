@@ -4,19 +4,24 @@
 //! nodes of an AIG and hand back counter-examples (Section II-C of the
 //! paper).  This crate provides:
 //!
-//! * [`Solver`] — a from-scratch CDCL solver: two-literal watching, first-UIP
-//!   clause learning, VSIDS branching, phase saving, Luby restarts, learnt
-//!   clause database reduction, incremental solving under assumptions and a
-//!   conflict budget that yields [`SolveResult::Unknown`] (the paper's
-//!   `unDET` outcome).
+//! * [`Solver`] — a from-scratch CDCL solver: two-literal watching with a
+//!   blocker literal in each watch entry, every clause in one flat `u32`
+//!   arena, first-UIP clause learning, VSIDS branching, phase saving, Luby
+//!   restarts, learnt clause database reduction, incremental solving under
+//!   assumptions and a conflict budget that yields [`SolveResult::Unknown`]
+//!   (the paper's `unDET` outcome).  Propagation and conflict analysis
+//!   allocate nothing.
 //! * [`cnf`] — the propositional variables ([`Var`]) and literals
 //!   ([`SatLit`]) the solver and the circuit front-end share.
 //! * [`CircuitSat`] — the incremental circuit front-end used by the SAT
 //!   sweeper: it lazily encodes transitive-fanin cones and answers
 //!   constant-ness and pairwise-equivalence queries with counter-examples
-//!   expressed at the primary inputs.  It owns the bytes of its state:
-//!   [`CircuitSat::snapshot`] encodes everything a later query reads, and
-//!   [`CircuitSat::from_snapshot`] parses and validates it, so a resumed
+//!   expressed at the primary inputs; each equivalence query retires its
+//!   miter selector afterwards with a level-0 unit.  It owns the bytes of
+//!   its state: [`CircuitSat::snapshot`] copies the solver's flat arrays
+//!   (the clause arena, the watch entries with their blockers, the
+//!   per-variable state and the level-0 trail), and
+//!   [`CircuitSat::from_snapshot`] parses and validates them, so a resumed
 //!   sweep answers exactly as the uninterrupted one would.
 //! * [`codec`] — the bounded little-endian [`codec::Writer`] and
 //!   [`codec::Reader`] that this state and the sweeping engine's checkpoints

@@ -3,6 +3,13 @@
 //! The implementation follows the MiniSat architecture: two-literal
 //! watching, first-UIP conflict analysis, VSIDS branching with an indexed
 //! heap, phase saving, Luby restarts and learnt-clause database reduction.
+//! Every clause lives in one flat arena of `u32` words and is addressed by
+//! the index of its header word; each watch entry carries a blocker literal
+//! of its clause, and while the blocker is true propagation passes the
+//! clause without reading it (Eén and Sörensson, *An Extensible
+//! SAT-solver*, SAT 2003; the blockers follow MiniSat 2.2).  Propagation
+//! compacts each watch list in place, and conflict analysis reads reason
+//! clauses in place into one reused buffer, so neither allocates.
 //! Queries can be budgeted with a conflict limit, in which case the solver
 //! answers [`SolveResult::Unknown`] — the `unDET` outcome the SAT-sweeping
 //! algorithm reacts to by marking a candidate as *don't touch*.
@@ -50,12 +57,37 @@ pub struct SolverStats {
     pub solve_calls: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<SatLit>,
-    learnt: bool,
-    activity: f64,
-    deleted: bool,
+/// A clause reference: the arena index of the clause's header word.
+type CRef = u32;
+
+/// Words in front of a clause's literals: the header, then the two halves
+/// of the clause's `f64` activity.
+const HEADER_WORDS: usize = 3;
+/// Header bit of a deleted clause.
+const DELETED: u32 = 0b01;
+/// Header bit of a learnt clause.
+const LEARNT: u32 = 0b10;
+/// The header holds the clause's length above its two flag bits.
+const LEN_SHIFT: u32 = 2;
+
+/// An entry of a watch list: a clause that watches the list's literal, and
+/// a blocker literal of that clause.  While the blocker is true the clause
+/// is satisfied, and propagation passes it without reading it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Watch {
+    cref: CRef,
+    blocker: SatLit,
+}
+
+/// The number of literals of the clause with this header word.
+fn clause_len(header: u32) -> usize {
+    (header >> LEN_SHIFT) as usize
+}
+
+/// The literals of the clause at `c`, as literal codes.
+fn clause_lits(arena: &[u32], c: CRef) -> &[u32] {
+    let start = c as usize + HEADER_WORDS;
+    &arena[start..start + clause_len(arena[c as usize])]
 }
 
 /// A CDCL SAT solver.
@@ -63,13 +95,18 @@ struct Clause {
 /// See the crate-level documentation for an end-to-end example.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// watches[lit.code()] lists clause indices currently watching `lit`.
-    watches: Vec<Vec<usize>>,
+    /// Every clause in order of creation, as one flat array: a header word
+    /// (the length above the learnt and deleted bits), the two words of the
+    /// clause's `f64` activity, then its literal codes.
+    arena: Vec<u32>,
+    /// Number of clauses in the arena, deleted ones included.
+    num_clauses: usize,
+    /// watches[lit.code()] lists the clauses currently watching `lit`.
+    watches: Vec<Vec<Watch>>,
     assigns: Vec<Option<bool>>,
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    reason: Vec<Option<CRef>>,
     activity: Vec<f64>,
     order: VarOrder,
     trail: Vec<SatLit>,
@@ -82,6 +119,8 @@ pub struct Solver {
     stats: SolverStats,
     num_learnts: usize,
     seen: Vec<bool>,
+    /// The clause [`Solver::analyze`] learns, kept to reuse its buffer.
+    learnt: Vec<SatLit>,
 }
 
 impl Solver {
@@ -167,26 +206,37 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach_clause(filtered, false);
+                self.attach_clause(&filtered, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<SatLit>, learnt: bool) -> usize {
-        let idx = self.clauses.len();
-        self.watches[lits[0].code()].push(idx);
-        self.watches[lits[1].code()].push(idx);
+    /// Appends a clause of at least two literals to the arena and watches
+    /// its first two literals.
+    fn attach_clause(&mut self, lits: &[SatLit], learnt: bool) -> CRef {
+        let c = CRef::try_from(self.arena.len()).expect("the clause arena fits 32-bit references");
+        let len = u32::try_from(lits.len())
+            .ok()
+            .filter(|&len| len < 1 << (32 - LEN_SHIFT))
+            .expect("a clause's length fits its header");
+        self.arena
+            .push(len << LEN_SHIFT | if learnt { LEARNT } else { 0 });
+        self.arena.extend([0, 0]); // activity 0.0
+        self.arena.extend(lits.iter().map(|lit| lit.code() as u32));
+        self.watches[lits[0].code()].push(Watch {
+            cref: c,
+            blocker: lits[1],
+        });
+        self.watches[lits[1].code()].push(Watch {
+            cref: c,
+            blocker: lits[0],
+        });
+        self.num_clauses += 1;
         if learnt {
             self.num_learnts += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
-        });
-        idx
+        c
     }
 
     /// Solves the formula without assumptions and without a conflict budget.
@@ -222,18 +272,19 @@ impl Solver {
         self.model.get(var.index()).copied().flatten()
     }
 
-    /// Writes the solver's state between queries: the clauses (literals in
-    /// stored order, learnt flag, activity and deleted flag), the watch
-    /// lists in order, the saved phases, reasons and activities of the
-    /// variables, the VSIDS heap array, the level-0 trail with its
-    /// propagation head, the two activity increments and the statistics.
+    /// Writes the solver's state between queries: the clause arena word for
+    /// word, the watch lists in order, the saved phases, reasons and
+    /// activities of the variables, the VSIDS heap array, the level-0 trail
+    /// with its propagation head, the two activity increments and the
+    /// statistics.
     ///
     /// Everything else is derived by [`Solver::decode`].  Between queries
     /// the assignment is exactly the level-0 trail, and every assigned
     /// variable sits at level 0.  The model is stale until the next
     /// satisfiable answer.  The heap positions follow from the heap array,
-    /// and the learnt-clause count from the clauses.  `ok` holds, because
-    /// the one caller, [`crate::CircuitSat`], only adds satisfiable clauses.
+    /// and the clause and learnt-clause counts from the arena.  `ok` holds,
+    /// because the one caller, [`crate::CircuitSat`], only adds satisfiable
+    /// clauses.
     ///
     /// # Panics
     ///
@@ -245,21 +296,21 @@ impl Solver {
             "solver state is encoded between queries, at decision level 0"
         );
         debug_assert!(self.seen.iter().all(|&s| !s), "analysis flags are clear");
-        w.vec(&self.clauses, |w, clause| {
-            w.vec(&clause.lits, |w, lit| w.u32(lit.code() as u32));
-            w.boolean(clause.learnt);
-            w.f64(clause.activity);
-            w.boolean(clause.deleted);
+        w.vec(&self.arena, |w, &word| w.u32(word));
+        w.vec(&self.watches, |w, list| {
+            w.vec(list, |w, watch| {
+                w.u32(watch.cref);
+                w.u32(watch.blocker.code() as u32);
+            })
         });
-        w.vec(&self.watches, |w, list| w.vec(list, |w, &ci| w.usize(ci)));
         w.usize(self.num_vars());
         for &phase in &self.phase {
             w.boolean(phase);
         }
         for &reason in &self.reason {
             w.boolean(reason.is_some());
-            if let Some(ci) = reason {
-                w.usize(ci);
+            if let Some(c) = reason {
+                w.u32(c);
             }
         }
         for &activity in &self.activity {
@@ -283,34 +334,34 @@ impl Solver {
     }
 
     /// Reads a state written by [`Solver::encode`] and checks that it can
-    /// drive the search without a panic: every clause has at least two
-    /// literals over allocated variables and repeats no variable, every
-    /// reference is in range, the watch lists keep the two-watched-literal
-    /// invariant, and neither the trail nor the heap repeats a variable.
+    /// drive the search without a panic: the arena parses into clauses of at
+    /// least two literals over allocated variables that repeat no variable,
+    /// every watch and reason reference is the start of a clause, the watch
+    /// lists keep the two-watched-literal invariant with blockers from the
+    /// entries' clauses, and neither the trail nor the heap repeats a
+    /// variable.  What it allocates, and the time it takes, are proportional
+    /// to the bytes it reads.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let corrupt = DecodeError::Corrupt;
-        let lit = |r: &mut Reader<'_>| r.u32().map(SatLit::from_code);
-        // A clause takes at least 26 bytes: its length, two literals, two
-        // flags and its activity.
-        let clauses = r.vec(26, |r| {
-            Ok(Clause {
-                lits: r.vec(4, lit)?,
-                learnt: r.boolean()?,
-                activity: r.f64()?,
-                deleted: r.boolean()?,
+        let arena = r.vec(4, Reader::u32)?;
+        let watches = r.vec(8, |r| {
+            r.vec(8, |r| {
+                Ok(Watch {
+                    cref: r.u32()?,
+                    blocker: SatLit::from_code(r.u32()?),
+                })
             })
         })?;
-        let watches = r.vec(8, |r| r.vec(8, Reader::usize))?;
         // A variable takes at least ten bytes: its phase, its reason flag
         // and its activity.
         let num_vars = r.vec_len(10)?;
         let phase = r.seq(num_vars, Reader::boolean)?;
         let reason = r.seq(num_vars, |r| {
-            Ok(if r.boolean()? { Some(r.usize()?) } else { None })
+            Ok(if r.boolean()? { Some(r.u32()?) } else { None })
         })?;
         let activity = r.seq(num_vars, Reader::f64)?;
         let heap = r.vec(8, Reader::usize)?;
-        let trail = r.vec(4, lit)?;
+        let trail = r.vec(4, |r| r.u32().map(SatLit::from_code))?;
         let qhead = r.usize()?;
         let var_inc = r.f64()?;
         let cla_inc = r.f64()?;
@@ -328,58 +379,92 @@ impl Solver {
                 "solver watch lists do not match the variable count",
             ));
         }
-        // Units are enqueued, never attached, so every clause has two
-        // watched literals; a shorter clause would panic inside `propagate`.
+        if CRef::try_from(arena.len()).is_err() {
+            return Err(corrupt("solver clause arena outgrows 32-bit references"));
+        }
+        // Walk the arena clause by clause.  `mark` flags the header word of
+        // each clause, and later which of its two watches were seen.  Units
+        // are enqueued, never attached, so every clause has two watched
+        // literals; a shorter clause would panic inside `propagate`.
+        const START: u8 = 0b100;
+        let mut mark = vec![0u8; arena.len()];
         let mut last_clause_of = vec![usize::MAX; num_vars];
-        for (ci, clause) in clauses.iter().enumerate() {
-            if clause.lits.len() < 2 {
+        let (mut num_clauses, mut num_learnts) = (0, 0);
+        let mut at = 0;
+        while at < arena.len() {
+            let len = clause_len(arena[at]);
+            if len < 2 {
                 return Err(corrupt("solver clause has fewer than two literals"));
             }
-            for lit in &clause.lits {
+            // No overflow: `at` and `len` are below 2^32 and 2^30.
+            let end = at + HEADER_WORDS + len;
+            let lits = arena
+                .get(at + HEADER_WORDS..end)
+                .ok_or(corrupt("solver clause runs past the arena"))?;
+            for &code in lits {
                 let last = last_clause_of
-                    .get_mut(lit.var().index())
+                    .get_mut(SatLit::from_code(code).var().index())
                     .ok_or(corrupt("solver clause references an unallocated variable"))?;
-                if *last == ci {
+                if *last == at {
                     return Err(corrupt("solver clause repeats a variable"));
                 }
-                *last = ci;
+                *last = at;
             }
+            mark[at] = START;
+            num_clauses += 1;
+            if arena[at] & (LEARNT | DELETED) == LEARNT {
+                num_learnts += 1;
+            }
+            at = end;
         }
-        if reason.iter().flatten().any(|&ci| ci >= clauses.len()) {
-            return Err(corrupt("solver reason references an out-of-range clause"));
+        let is_clause =
+            |mark: &[u8], c: CRef| mark.get(c as usize).is_some_and(|&m| m & START != 0);
+        if !reason.iter().flatten().all(|&c| is_clause(&mark, c)) {
+            return Err(corrupt(
+                "solver reason does not reference the start of a clause",
+            ));
         }
         // The two-watched-literal invariant: a watch entry's clause holds
-        // the literal at position 0 or 1, and a live clause sits exactly
-        // once in each of its two lists.  Deleted clauses linger in the
-        // lists until propagation visits them.
-        let mut watched = vec![0u8; clauses.len()];
+        // the literal at position 0 or 1, a clause sits at most once in each
+        // of its two lists, and a live clause exactly once.  Deleted clauses
+        // linger in the lists until propagation visits them.  So the lists
+        // hold at most two entries per clause, and the blocker scans below
+        // read at most twice the arena.  A blocker is a literal of its
+        // clause: a true blocker that is not would let propagation skip a
+        // unit or conflicting clause.
         for (code, list) in watches.iter().enumerate() {
-            for &ci in list {
-                let clause = clauses.get(ci).ok_or(corrupt(
-                    "solver watch list references an out-of-range clause",
-                ))?;
-                let bit = if clause.lits[0].code() == code {
+            for &Watch { cref: c, blocker } in list {
+                if !is_clause(&mark, c) {
+                    return Err(corrupt(
+                        "solver watch entry does not reference the start of a clause",
+                    ));
+                }
+                let lits = clause_lits(&arena, c);
+                let bit = if lits[0] as usize == code {
                     0b01
-                } else if clause.lits[1].code() == code {
+                } else if lits[1] as usize == code {
                     0b10
                 } else {
                     return Err(corrupt(
                         "solver watch entry's clause does not watch its literal",
                     ));
                 };
-                if !clause.deleted {
-                    if watched[ci] & bit != 0 {
-                        return Err(corrupt("solver clause is listed twice in a watch list"));
-                    }
-                    watched[ci] |= bit;
+                let seen = &mut mark[c as usize];
+                if *seen & bit != 0 {
+                    return Err(corrupt("solver clause is listed twice in a watch list"));
+                }
+                *seen |= bit;
+                if !lits.contains(&(blocker.code() as u32)) {
+                    return Err(corrupt(
+                        "solver watch blocker is not a literal of its clause",
+                    ));
                 }
             }
         }
-        if clauses
-            .iter()
-            .zip(&watched)
-            .any(|(c, &w)| !c.deleted && w != 0b11)
-        {
+        let live_unwatched = |(at, &m): (usize, &u8)| {
+            m & START != 0 && arena[at] & DELETED == 0 && m != START | 0b11
+        };
+        if mark.iter().enumerate().any(live_unwatched) {
             return Err(corrupt("live solver clause is missing from a watch list"));
         }
         let mut assigns = vec![None; num_vars];
@@ -396,9 +481,9 @@ impl Solver {
             return Err(corrupt("solver propagation head is past the trail"));
         }
         let order = VarOrder::from_heap(heap, num_vars).ok_or(corrupt("solver heap is corrupt"))?;
-        let num_learnts = clauses.iter().filter(|c| c.learnt && !c.deleted).count();
         Ok(Solver {
-            clauses,
+            arena,
+            num_clauses,
             watches,
             assigns,
             phase,
@@ -416,6 +501,7 @@ impl Solver {
             stats,
             num_learnts,
             seen: vec![false; num_vars],
+            learnt: Vec::new(),
         })
     }
 
@@ -431,7 +517,7 @@ impl Solver {
         self.assigns[lit.var().index()].map(|v| v != lit.is_negative())
     }
 
-    fn enqueue(&mut self, lit: SatLit, reason: Option<usize>) {
+    fn enqueue(&mut self, lit: SatLit, reason: Option<CRef>) {
         debug_assert!(self.value(lit).is_none());
         let var = lit.var().index();
         self.assigns[var] = Some(!lit.is_negative());
@@ -461,63 +547,96 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    fn propagate(&mut self) -> Option<usize> {
-        while self.qhead < self.trail.len() {
+    fn clause_activity(&self, c: CRef) -> f64 {
+        let at = c as usize;
+        f64::from_bits(u64::from(self.arena[at + 1]) | u64::from(self.arena[at + 2]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, c: CRef, activity: f64) {
+        let at = c as usize;
+        let bits = activity.to_bits();
+        self.arena[at + 1] = bits as u32;
+        self.arena[at + 2] = (bits >> 32) as u32;
+    }
+
+    /// The clause references in arena order, deleted clauses included.
+    fn clause_refs(&self) -> impl Iterator<Item = CRef> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let c = at;
+            at += HEADER_WORDS + clause_len(*self.arena.get(c)?);
+            Some(c as CRef)
+        })
+    }
+
+    /// Propagates the trail from `qhead`; returns a conflicting clause, if
+    /// any.  Each watch list is compacted in place, in its order.
+    fn propagate(&mut self) -> Option<CRef> {
+        let mut conflict = None;
+        while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut kept = Vec::with_capacity(watch_list.len());
-            let mut conflict = None;
-            let mut iter = watch_list.into_iter();
-            while let Some(ci) = iter.next() {
-                if self.clauses[ci].deleted {
+            let false_code = false_lit.code() as u32;
+            let mut list = std::mem::take(&mut self.watches[false_lit.code()]);
+            let (mut i, mut kept) = (0, 0);
+            while i < list.len() {
+                let watch = list[i];
+                i += 1;
+                // A true blocker satisfies the clause: keep it unread.
+                if self.value(watch.blocker) == Some(true) {
+                    list[kept] = watch;
+                    kept += 1;
                     continue;
                 }
-                // Make sure the false literal is at position 1.
-                {
-                    let clause = &mut self.clauses[ci];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
-                    }
+                let c = watch.cref;
+                let header = self.arena[c as usize];
+                if header & DELETED != 0 {
+                    continue;
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.value(first) == Some(true) {
-                    kept.push(ci);
+                let start = c as usize + HEADER_WORDS;
+                // Make sure the false literal is at position 1.
+                if self.arena[start] == false_code {
+                    self.arena.swap(start, start + 1);
+                }
+                // From here on the clause's entries block on its other
+                // watched literal.
+                let first = SatLit::from_code(self.arena[start]);
+                let entry = Watch {
+                    cref: c,
+                    blocker: first,
+                };
+                if first != watch.blocker && self.value(first) == Some(true) {
+                    list[kept] = entry;
+                    kept += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                let mut replaced = false;
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let candidate = self.clauses[ci].lits[k];
-                    if self.value(candidate) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[candidate.code()].push(ci);
-                        replaced = true;
-                        break;
-                    }
-                }
-                if replaced {
+                let end = start + clause_len(header);
+                let replacement = (start + 2..end)
+                    .find(|&k| self.value(SatLit::from_code(self.arena[k])) != Some(false));
+                if let Some(k) = replacement {
+                    self.arena.swap(start + 1, k);
+                    self.watches[self.arena[start + 1] as usize].push(entry);
                     continue;
                 }
                 // No replacement: the clause is unit or conflicting.
-                kept.push(ci);
+                list[kept] = entry;
+                kept += 1;
                 if self.value(first) == Some(false) {
-                    conflict = Some(ci);
-                    // Copy back the remaining watchers and stop.
-                    kept.extend(iter);
+                    conflict = Some(c);
+                    // Keep the remaining watchers and stop.
+                    list.copy_within(i.., kept);
+                    kept += list.len() - i;
                     break;
                 }
-                self.enqueue(first, Some(ci));
+                self.enqueue(first, Some(c));
             }
-            self.watches[false_lit.code()].extend(kept);
-            if conflict.is_some() {
-                return conflict;
-            }
+            list.truncate(kept);
+            self.watches[false_lit.code()] = list;
         }
-        None
+        conflict
     }
 
     fn bump_var(&mut self, var: usize) {
@@ -531,18 +650,27 @@ impl Solver {
         self.order.update(var, &self.activity);
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+    fn bump_clause(&mut self, c: CRef) {
+        let activity = self.clause_activity(c) + self.cla_inc;
+        self.set_clause_activity(c, activity);
+        if activity > 1e20 {
+            let mut at = 0;
+            while at < self.arena.len() {
+                let c = at as CRef;
+                self.set_clause_activity(c, self.clause_activity(c) * 1e-20);
+                at += HEADER_WORDS + clause_len(self.arena[at]);
             }
             self.cla_inc *= 1e-20;
         }
     }
 
-    fn analyze(&mut self, conflict: usize) -> (Vec<SatLit>, usize) {
-        let mut learnt: Vec<SatLit> = vec![SatLit::positive(Var::from_index(0))]; // placeholder slot 0
+    /// Derives the first-UIP clause of `conflict` into `self.learnt`, its
+    /// asserting literal first and a literal of the backtrack level second,
+    /// and returns the backtrack level.
+    fn analyze(&mut self, conflict: CRef) -> usize {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(SatLit::positive(Var::from_index(0))); // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<SatLit> = None;
         let mut index = self.trail.len();
@@ -551,9 +679,12 @@ impl Solver {
 
         loop {
             self.bump_clause(confl);
-            let lits = self.clauses[confl].lits.clone();
-            let start = if p.is_none() { 0 } else { 1 };
-            for &q in &lits[start..] {
+            // A reason clause holds the literal it implied, `p`, at
+            // position 0.
+            let start = confl as usize + HEADER_WORDS;
+            let end = start + clause_len(self.arena[confl as usize]);
+            for at in start + usize::from(p.is_some())..end {
+                let q = SatLit::from_code(self.arena[at]);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -576,12 +707,11 @@ impl Solver {
             let v = lit.var().index();
             self.seen[v] = false;
             counter -= 1;
+            p = Some(lit);
             if counter == 0 {
-                p = Some(lit);
                 break;
             }
             confl = self.reason[v].expect("non-decision literal has a reason");
-            p = Some(lit);
         }
         learnt[0] = !p.expect("first UIP literal exists");
 
@@ -603,36 +733,38 @@ impl Solver {
         for lit in &learnt {
             self.seen[lit.var().index()] = false;
         }
-        (learnt, backtrack_level)
+        self.learnt = learnt;
+        backtrack_level
     }
 
     fn reduce_db(&mut self) {
-        // Collect learnt clause indices sorted by activity (ascending).
-        let mut learnt_indices: Vec<usize> = self
-            .clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, _)| i)
+        // Collect the learnt clauses of more than two literals, sorted by
+        // activity (ascending).
+        let mut learnts: Vec<CRef> = self
+            .clause_refs()
+            .filter(|&c| {
+                let header = self.arena[c as usize];
+                header & (LEARNT | DELETED) == LEARNT && clause_len(header) > 2
+            })
             .collect();
-        learnt_indices.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
+        learnts.sort_by(|&a, &b| {
+            self.clause_activity(a)
+                .partial_cmp(&self.clause_activity(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        let locked: std::collections::HashSet<usize> =
-            self.reason.iter().flatten().copied().collect();
-        let to_remove = learnt_indices.len() / 2;
+        let to_remove = learnts.len() / 2;
         let mut removed = 0usize;
-        for &ci in &learnt_indices {
+        for &c in &learnts {
             if removed >= to_remove {
                 break;
             }
-            if locked.contains(&ci) {
+            // A reason clause is locked.  It holds the literal it implied at
+            // position 0, so it is the reason of that literal's variable.
+            let implied = SatLit::from_code(self.arena[c as usize + HEADER_WORDS]);
+            if self.reason[implied.var().index()] == Some(c) {
                 continue;
             }
-            self.clauses[ci].deleted = true;
+            self.arena[c as usize] |= DELETED;
             self.num_learnts -= 1;
             removed += 1;
         }
@@ -660,7 +792,7 @@ impl Solver {
         let mut conflicts_this_call = 0u64;
         let mut restarts = 0u64;
         let mut next_restart = Self::luby(restarts) * RESTART_BASE;
-        let mut learnt_limit = LEARNT_LIMIT_BASE + self.clauses.len() / 3;
+        let mut learnt_limit = LEARNT_LIMIT_BASE + self.num_clauses / 3;
 
         loop {
             if let Some(conflict) = self.propagate() {
@@ -675,16 +807,17 @@ impl Solver {
                     // UNSAT under the given assumptions.
                     return SolveResult::Unsat;
                 }
-                let (learnt, backtrack_level) = self.analyze(conflict);
+                let backtrack_level = self.analyze(conflict);
                 self.cancel_until(backtrack_level);
-                let asserting = learnt[0];
+                let learnt = std::mem::take(&mut self.learnt);
                 if learnt.len() == 1 {
-                    self.enqueue(asserting, None);
+                    self.enqueue(learnt[0], None);
                 } else {
-                    let ci = self.attach_clause(learnt, true);
-                    self.bump_clause(ci);
-                    self.enqueue(asserting, Some(ci));
+                    let c = self.attach_clause(&learnt, true);
+                    self.bump_clause(c);
+                    self.enqueue(learnt[0], Some(c));
                 }
+                self.learnt = learnt;
                 self.var_inc /= VAR_DECAY;
                 self.cla_inc /= CLAUSE_DECAY;
                 if conflicts_this_call >= conflict_budget {
@@ -727,7 +860,7 @@ impl Solver {
                 match decision {
                     None => {
                         // All variables assigned: a model has been found.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
                         return SolveResult::Sat;
                     }
                     Some(var) => {
@@ -1002,28 +1135,46 @@ mod tests {
             assert!(decode(&good[..len]).is_err(), "prefix {len} decodes");
         }
         let x = grid[4][3];
-        let unallocated = SatLit::positive(Var::from_index(s.num_vars()));
-        // The first clause places pigeon 0 in one of the four holes.
-        let first_watch = s.clauses[0].lits[1].code();
+        let unallocated = SatLit::positive(Var::from_index(s.num_vars())).code() as u32;
+        // The first clause, at reference 0, places pigeon 0 in one of the
+        // four holes; its literals start after the header words.
+        let lit0 = HEADER_WORDS;
+        let first_watch = s.arena[lit0 + 1] as usize;
+        let entry = |cref: usize| Watch {
+            cref: cref as CRef,
+            blocker: SatLit::from_code(s.arena[lit0]),
+        };
+        // The first clause's entry in the list of its second literal.
+        fn first_entry(s: &mut Solver) -> &mut Watch {
+            let list = &mut s.watches[s.arena[HEADER_WORDS + 1] as usize];
+            list.iter_mut().find(|w| w.cref == 0).expect("watched")
+        }
+        let last = s.clause_refs().last().expect("clauses") as usize;
         type Edit<'a> = &'a dyn Fn(&mut Solver);
-        let cases: [(&str, Edit); 12] = [
+        let cases: [(&str, Edit); 18] = [
             ("variable count", &|s| {
                 s.watches.truncate(s.watches.len() - 2)
             }),
-            ("out-of-range clause", &|s| {
-                s.watches[0].push(usize::MAX / 2)
+            ("watch entry does not reference the start", &|s| {
+                s.watches[0].push(entry(u32::MAX as usize))
             }),
-            ("out-of-range clause", &|s| {
-                s.reason[0] = Some(s.clauses.len())
+            ("watch entry does not reference the start", &|s| {
+                s.watches[first_watch].push(entry(lit0))
             }),
-            ("fewer than two literals", &|s| {
-                s.clauses[0].lits.truncate(1)
+            ("reason does not reference the start", &|s| {
+                s.reason[0] = Some(s.arena.len() as CRef)
             }),
-            ("unallocated variable", &|s| {
-                s.clauses[0].lits[1] = unallocated
+            ("reason does not reference the start", &|s| {
+                s.reason[0] = Some(1)
             }),
+            ("fewer than two literals", &|s| s.arena[0] = 1 << LEN_SHIFT),
+            ("runs past the arena", &|s| s.arena[last] += 1 << LEN_SHIFT),
+            ("runs past the arena", &|s| {
+                s.arena[0] |= u32::MAX << LEN_SHIFT
+            }),
+            ("unallocated variable", &|s| s.arena[lit0 + 1] = unallocated),
             ("repeats a variable", &|s| {
-                s.clauses[0].lits[2] = !s.clauses[0].lits[0]
+                s.arena[lit0 + 2] = s.arena[lit0] ^ 1
             }),
             ("trail repeats a variable", &|s| {
                 s.trail = vec![SatLit::positive(x), SatLit::negative(x)];
@@ -1032,12 +1183,18 @@ mod tests {
             ("propagation head", &|s| s.qhead = s.trail.len() + 1),
             ("does not watch its literal", &|s| s.watches.rotate_left(3)),
             ("missing from a watch list", &|s| {
-                s.watches[first_watch].retain(|&ci| ci != 0);
+                s.watches[first_watch].retain(|w| w.cref != 0);
             }),
             ("missing from a watch list", &|s| {
                 s.watches.iter_mut().for_each(Vec::clear);
             }),
-            ("listed twice", &|s| s.watches[first_watch].push(0)),
+            ("listed twice", &|s| s.watches[first_watch].push(entry(0))),
+            ("blocker is not a literal of its clause", &|s| {
+                first_entry(s).blocker = SatLit::positive(x)
+            }),
+            ("blocker is not a literal of its clause", &|s| {
+                first_entry(s).blocker = SatLit::from_code(unallocated)
+            }),
         ];
         for (what, corrupt) in cases {
             let mut bad = s.clone();
@@ -1050,11 +1207,108 @@ mod tests {
             }
         }
 
-        // A deleted clause may linger in the lists, even twice.
+        // A deleted clause may linger in its lists, or in one of them, but
+        // not twice in one.
         let mut deleted = s.clone();
-        deleted.clauses[0].deleted = true;
-        deleted.watches[first_watch].push(0);
+        deleted.arena[0] |= DELETED;
         assert!(decode(&encode(&deleted)).is_ok());
+        deleted.watches[first_watch].retain(|w| w.cref != 0);
+        assert!(decode(&encode(&deleted)).is_ok());
+        deleted.watches[first_watch].extend([entry(0), entry(0)]);
+        assert_eq!(
+            decode(&encode(&deleted)).err(),
+            Some(DecodeError::Corrupt(
+                "solver clause is listed twice in a watch list"
+            ))
+        );
+    }
+
+    #[test]
+    fn reduce_db_keeps_answers_and_restores_exactly() {
+        // Disjoint copies of a pigeonhole problem.  In copy k, seven pigeons
+        // must each sit in one of seven holes while the copy's switch e_k is
+        // on, no two share a hole, and the last hole is open only while the
+        // hole switch h_k is on.  So every query has a known status: under
+        // e_k it is satisfiable, and under e_k and ¬h_k (seven pigeons, six
+        // holes) it is not.  Nine copies teach about 8,000 clauses, past
+        // the first learnt limit (LEARNT_LIMIT_BASE plus a third of the
+        // clauses).
+        const COPIES: usize = 9;
+        const PIGEONS: usize = 7;
+        let mut s = Solver::new();
+        let mut clauses: Vec<Vec<SatLit>> = Vec::new();
+        let mut queries: Vec<Vec<SatLit>> = Vec::new();
+        for _ in 0..COPIES {
+            let grid: Vec<Vec<Var>> = (0..PIGEONS).map(|_| make_vars(&mut s, PIGEONS)).collect();
+            let (on, open) = (SatLit::positive(s.new_var()), SatLit::positive(s.new_var()));
+            queries.extend([vec![on, !open], vec![on]]);
+            for row in &grid {
+                let mut placed = vec![!on];
+                placed.extend(row.iter().map(|&v| SatLit::positive(v)));
+                clauses.push(placed);
+                clauses.push(vec![SatLit::negative(row[PIGEONS - 1]), open]);
+            }
+            for (p, row) in grid.iter().enumerate() {
+                for other in &grid[p + 1..] {
+                    for (&v, &w) in row.iter().zip(other) {
+                        clauses.push(vec![SatLit::negative(v), SatLit::negative(w)]);
+                    }
+                }
+            }
+        }
+        for clause in &clauses {
+            assert!(s.add_clause(clause));
+        }
+        let check = |s: &Solver, assumptions: &[SatLit], answer: SolveResult| match answer {
+            SolveResult::Sat => {
+                assert_eq!(assumptions.len(), 1, "{assumptions:?} answered Sat");
+                let holds = |l: &SatLit| s.model_value(l.var()) == Some(!l.is_negative());
+                assert!(
+                    assumptions.iter().all(holds),
+                    "the model breaks an assumption"
+                );
+                assert!(
+                    clauses.iter().all(|c| c.iter().any(holds)),
+                    "the model breaks a clause"
+                );
+            }
+            SolveResult::Unsat => {
+                assert_eq!(assumptions.len(), 2, "{assumptions:?} answered Unsat")
+            }
+            SolveResult::Unknown => {}
+        };
+        // Run the queries until a reduction shows as a fall of the
+        // learnt-clause count between two queries: it deletes half of the
+        // long learnt clauses, more than one query learns.
+        let (mut peak, mut fell, mut asked) = (0, false, 0);
+        while !(fell && peak > LEARNT_LIMIT_BASE as u64) {
+            let assumptions = queries
+                .get(asked)
+                .expect("a reduction before the last query");
+            let before = s.stats().learnt_clauses;
+            let answer = s.solve_with_assumptions(assumptions);
+            check(&s, assumptions, answer);
+            let after = s.stats().learnt_clauses;
+            peak = peak.max(after);
+            fell |= after < before;
+            asked += 1;
+        }
+
+        // The reduced database, deleted clauses and all, restores exactly;
+        // a small budget keeps the remaining queries cheap.
+        let bytes = encode(&s);
+        let mut restored = decode(&bytes).expect("valid state");
+        assert_eq!(encode(&restored), bytes);
+        for assumptions in &queries[asked..] {
+            let answer = s.solve_limited(assumptions, 100);
+            assert_eq!(restored.solve_limited(assumptions, 100), answer);
+            check(&s, assumptions, answer);
+            for v in (0..s.num_vars()).map(Var::from_index) {
+                assert_eq!(s.model_value(v), restored.model_value(v));
+            }
+            assert_eq!(s.stats(), restored.stats());
+        }
+        assert_eq!(encode(&s), encode(&restored));
     }
 
     #[test]
