@@ -8,8 +8,8 @@
 //! document's `"table"` field, and all kinds go through one row comparison:
 //!
 //! * **deterministic counters** (gate counts, SAT calls, merges, constants,
-//!   resimulation counts, candidates skipped as dead) must match the
-//!   baseline exactly —
+//!   resimulation counts, candidates skipped as dead) and the digest of
+//!   each swept network's AIGER bytes must match the baseline exactly —
 //!   the engines are seeded and deterministic, so any drift is a real
 //!   behaviour change;
 //! * **time-like fields** (per-benchmark wall-clock, the Table I speed-up
@@ -81,6 +81,7 @@ const TABLE1: Kind = Kind {
         "resim_nodes",
         "resim_skipped",
         "dead_skips",
+        "digest",
     ],
     time: &["total_s"],
     refresh: "BENCH_baseline.json or BENCH_baseline_dc2.json",
@@ -100,11 +101,13 @@ const TABLE2: Kind = Kind {
         "merges_b",
         "constants_b",
         "dead_skips_b",
+        "digest_b",
         "ssat_s",
         "tsat_s",
         "merges_s",
         "constants_s",
         "dead_skips_s",
+        "digest_s",
     ],
     time: &["total_b_s", "total_s_s"],
     refresh: "BENCH_baseline_table2.json",
@@ -129,6 +132,7 @@ const TABLE_SEQ: Kind = Kind {
         "tsat",
         "merges",
         "constants",
+        "digest",
     ],
     time: &["total_s"],
     refresh: "BENCH_baseline_seq.json",
@@ -388,10 +392,10 @@ mod tests {
     use super::*;
 
     fn snapshot(total_s: f64, sat_calls: u64, xl: f64) -> Json {
-        snapshot_with_skips(total_s, sat_calls, xl, 7)
+        snapshot_with(total_s, sat_calls, xl, 7, 12345)
     }
 
-    fn snapshot_with_skips(total_s: f64, sat_calls: u64, xl: f64, dead_skips: u64) -> Json {
+    fn snapshot_with(total_s: f64, sat_calls: u64, xl: f64, dead_skips: u64, digest: u32) -> Json {
         parse(&format!(
             r#"{{"table": "table1_simulation", "scale": "Small", "patterns": 4096,
                 "lut_k": 6, "threads": 1,
@@ -400,7 +404,7 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": 345,
                     "sat_calls": {sat_calls}, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "dead_skips": {dead_skips}, "total_s": {total_s}}}
+                    "dead_skips": {dead_skips}, "digest": {digest}, "total_s": {total_s}}}
                 ]}}}}"#
         ))
         .unwrap()
@@ -422,9 +426,9 @@ mod tests {
                   {{"benchmark": "6s100", "pi": 24, "po": 40, "levels": 12,
                     "gates": 600, "result_b": 510, "result_s": 500,
                     "ssat_b": 40, "tsat_b": 90, "merges_b": 30, "constants_b": 2,
-                    "dead_skips_b": 9,
+                    "dead_skips_b": 9, "digest_b": 1,
                     "ssat_s": {ssat_s}, "tsat_s": 60, "merges_s": {merges_s},
-                    "constants_s": 2, "dead_skips_s": {dead_skips_s},
+                    "constants_s": 2, "dead_skips_s": {dead_skips_s}, "digest_s": 2,
                     "sim_b_s": 0.001, "sim_s_s": 0.002,
                     "total_b_s": 0.040, "total_s_s": {total_s}}}
                 ]}}"#
@@ -446,9 +450,13 @@ mod tests {
         let fresh = snapshot(0.01, 4, 40.0);
         let findings = compare(&base, &fresh, 0.30, 0.0, false);
         assert!(findings.failures.iter().any(|f| f.contains("sat_calls")));
-        let skipped = snapshot_with_skips(0.01, 3, 40.0, 8);
+        let skipped = snapshot_with(0.01, 3, 40.0, 8, 12345);
         let findings = compare(&base, &skipped, 0.30, 0.0, false);
         assert!(findings.failures.iter().any(|f| f.contains("dead_skips")));
+        // Equal counts with other output bytes fail too.
+        let rewired = snapshot_with(0.01, 3, 40.0, 7, u32::MAX);
+        let findings = compare(&base, &rewired, 0.30, 0.0, false);
+        assert!(findings.failures.iter().any(|f| f.contains("digest")));
     }
 
     #[test]
@@ -517,7 +525,7 @@ mod tests {
                     "seq_candidates": 5, "seq_ternary_constants": 1,
                     "seq_refuted": {refuted}, "seq_undet": 0,
                     "ternary_iterations": 2,
-                    "ssat": 0, "tsat": 10, "merges": 4, "constants": 1,
+                    "ssat": 0, "tsat": 10, "merges": 4, "constants": 1, "digest": 3,
                     "sim_s": 0.001, "sat_s": 0.002, "total_s": {total_s}}}
                 ]}}"#
         ))
@@ -562,7 +570,7 @@ mod tests {
                   {{"benchmark": "adder", "gates_before": 345, "gates_after": {gates_after},
                     "sat_calls": 0, "merges": 0, "constants": 0,
                     "resim_events": 0, "resim_nodes": 0, "resim_skipped": 0,
-                    "dead_skips": 0, "total_s": 0.01, "passes": [
+                    "dead_skips": 0, "digest": 4, "total_s": 0.01, "passes": [
                       {{"name": "rewrite", "gates_before": 345, "gates_after": {gates_after},
                         "sat_calls": 0, "merges": 0, "time_s": 0.005,
                         "counters": {{"candidates": 40, "rewrites": {rewrites}}}}},

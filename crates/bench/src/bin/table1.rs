@@ -28,7 +28,8 @@
 //! `sweep(stp);strash;sweep(stp)` under `SweepConfig::fast`) through
 //! `PassManager::run` on every benchmark and records the
 //! *per-pass* reports, so snapshots track where the gates and the time go
-//! pass by pass rather than only in aggregate.  No `verify` pass is run
+//! pass by pass rather than only in aggregate, and the `digest` of the
+//! final network's AIGER bytes (`bench::aiger_digest`).  No `verify` pass is run
 //! here: the CEC miters of the hard arithmetic benchmarks (`hyp`, `log2`,
 //! …) are intractable by design — sweep correctness is covered by the
 //! test-suite and by `table2` (which verifies on the sweeping suite).
@@ -43,7 +44,7 @@
 //! An unknown flag, a value that does not parse or an unknown scale exits
 //! with code 2 and the usage line.
 
-use bench::{geometric_mean, timed, Args};
+use bench::{aiger_digest, geometric_mean, timed, Args};
 use bitsim::{AigSimulator, LutSimulator, PatternSet};
 use netlist::lutmap;
 use stp_sweep::stp_sim::{StpSimulator, MAX_CUT_LEAVES};
@@ -99,7 +100,7 @@ fn pipeline_json_row(name: &str, aig: &netlist::Aig, script: Option<&str>) -> St
         "      {{\"benchmark\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, \
          \"sat_calls\": {}, \"merges\": {}, \"constants\": {}, \
          \"resim_events\": {}, \"resim_nodes\": {}, \"resim_skipped\": {}, \
-         \"dead_skips\": {}, \"total_s\": {:.6}, \"passes\": [{}]}}",
+         \"dead_skips\": {}, \"digest\": {}, \"total_s\": {:.6}, \"passes\": [{}]}}",
         name,
         r.gates_before,
         r.gates_after,
@@ -110,6 +111,7 @@ fn pipeline_json_row(name: &str, aig: &netlist::Aig, script: Option<&str>) -> St
         r.resim_nodes,
         r.resim_skipped_nodes,
         r.dead_skips,
+        aiger_digest(&outcome.aig),
         r.total_time.as_secs_f64(),
         passes.join(", ")
     )

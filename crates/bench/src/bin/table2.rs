@@ -12,10 +12,11 @@
 //!
 //! With `--json PATH` the measured numbers are written as a JSON document
 //! (the format of the checked-in `BENCH_baseline_table2.json`): the exact
-//! per-benchmark SAT-call/merge/constant counters of both engines plus
-//! their wall-clock times.
+//! per-benchmark SAT-call/merge/constant counters of both engines, the
+//! digests of their swept networks' AIGER bytes (`bench::aiger_digest`),
+//! plus their wall-clock times.
 
-use bench::{geometric_mean, secs, Args};
+use bench::{aiger_digest, geometric_mean, secs, Args};
 use stp_sweep::{cec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::hwmcc_suite;
 
@@ -93,9 +94,9 @@ fn main() {
             "    {{\"benchmark\": \"{}\", \"pi\": {}, \"po\": {}, \"levels\": {}, \"gates\": {}, \
              \"result_b\": {}, \"result_s\": {}, \
              \"ssat_b\": {}, \"tsat_b\": {}, \"merges_b\": {}, \"constants_b\": {}, \
-             \"dead_skips_b\": {}, \
+             \"dead_skips_b\": {}, \"digest_b\": {}, \
              \"ssat_s\": {}, \"tsat_s\": {}, \"merges_s\": {}, \"constants_s\": {}, \
-             \"dead_skips_s\": {}, \
+             \"dead_skips_s\": {}, \"digest_s\": {}, \
              \"sim_b_s\": {:.6}, \"sim_s_s\": {:.6}, \"total_b_s\": {:.6}, \"total_s_s\": {:.6}}}",
             bench.name,
             aig.num_inputs(),
@@ -109,11 +110,13 @@ fn main() {
             rb.merges,
             rb.constants,
             rb.dead_skips,
+            aiger_digest(&baseline.aig),
             rs.sat_calls_sat,
             rs.sat_calls_total,
             rs.merges,
             rs.constants,
             rs.dead_skips,
+            aiger_digest(&stp.aig),
             rb.simulation_time.as_secs_f64(),
             rs.simulation_time.as_secs_f64(),
             rb.total_time.as_secs_f64(),

@@ -15,7 +15,7 @@
 //! (the format of the checked-in `BENCH_baseline_seq.json`, gated in CI by
 //! `bench_diff`).
 
-use bench::{secs, Args};
+use bench::{aiger_digest, secs, Args};
 use netlist::Aig;
 use stp_sweep::{bmc_sec, Engine, SweepConfig, SweepResult, Sweeper};
 use workloads::sequential::{random_sequential_aig, sequential_miter, with_duplicate_latches};
@@ -93,6 +93,7 @@ fn main() {
              \"seq_candidates\": {}, \"seq_ternary_constants\": {}, \
              \"seq_refuted\": {}, \"seq_undet\": {}, \"ternary_iterations\": {}, \
              \"ssat\": {}, \"tsat\": {}, \"merges\": {}, \"constants\": {}, \
+             \"digest\": {}, \
              \"sim_s\": {:.6}, \"sat_s\": {:.6}, \"total_s\": {:.6}}}",
             r.seq_latches_before,
             r.gates_before,
@@ -108,6 +109,7 @@ fn main() {
             r.sat_calls_total,
             r.merges,
             r.constants,
+            aiger_digest(&result.aig),
             r.simulation_time.as_secs_f64(),
             r.sat_time.as_secs_f64(),
             r.total_time.as_secs_f64(),

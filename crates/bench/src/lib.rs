@@ -156,6 +156,19 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
+/// The snapshot digest of a network: FNV-1a over its binary AIGER bytes,
+/// cut to 32 bits so that the snapshot reader's `f64` holds it exactly.
+/// `bench_diff` compares it exactly, so a snapshot pins the output bytes
+/// and not only their counts.
+pub fn aiger_digest(aig: &netlist::Aig) -> u32 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in netlist::aiger::write_aiger_binary_bytes(aig) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash as u32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

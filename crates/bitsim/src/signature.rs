@@ -151,56 +151,6 @@ impl Signature {
         Signature::from_words(self.len, words)
     }
 
-    /// `true` if the two signatures are equal or complementary.
-    pub fn equal_up_to_complement(&self, other: &Signature) -> bool {
-        self == other || *self == other.complement()
-    }
-
-    /// A canonical key for equivalence-class bucketing up to
-    /// complementation: the signature itself if its first bit is 0,
-    /// otherwise its complement.  Two nodes share a key iff their signatures
-    /// are equal up to complementation.
-    pub fn canonical_key(&self) -> Signature {
-        if self.len > 0 && self.get_bit(0) {
-            self.complement()
-        } else {
-            self.clone()
-        }
-    }
-
-    /// The toggle rate: the fraction of adjacent pattern positions whose
-    /// values differ (footnote 1 of the paper).
-    pub fn toggle_rate(&self) -> f64 {
-        if self.len < 2 {
-            return 0.0;
-        }
-        let mut toggles = 0usize;
-        let mut prev = self.get_bit(0);
-        for i in 1..self.len {
-            let cur = self.get_bit(i);
-            if cur != prev {
-                toggles += 1;
-            }
-            prev = cur;
-        }
-        toggles as f64 / (self.len - 1) as f64
-    }
-
-    /// Index of the first pattern where the two signatures differ, if any.
-    pub fn first_difference(&self, other: &Signature) -> Option<usize> {
-        assert_eq!(self.len, other.len, "signatures must have the same length");
-        for (w, (&a, &b)) in self.words.iter().zip(other.words.iter()).enumerate() {
-            let diff = a ^ b;
-            if diff != 0 {
-                let bit = w * 64 + diff.trailing_zeros() as usize;
-                if bit < self.len {
-                    return Some(bit);
-                }
-            }
-        }
-        None
-    }
-
     /// Renders the signature as a binary string with pattern 0 as the
     /// right-most character.
     pub fn to_binary_string(&self) -> String {
@@ -275,13 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn complement_and_canonical_key() {
+    fn complement() {
         let s = Signature::from_bits([true, false, true]);
         let c = s.complement();
         assert_eq!(c.to_binary_string(), "010");
-        assert!(s.equal_up_to_complement(&c));
-        assert_eq!(s.canonical_key(), c);
-        assert_eq!(c.canonical_key(), c);
+        assert_eq!(c.complement(), s);
     }
 
     #[test]
@@ -300,21 +248,5 @@ mod tests {
         }
         assert_eq!(s.len(), 130);
         assert_eq!(s.count_ones(), 44);
-    }
-
-    #[test]
-    fn first_difference() {
-        let a = Signature::from_bits((0..100).map(|i| i % 2 == 0));
-        let mut b = a.clone();
-        assert_eq!(a.first_difference(&b), None);
-        b.set_bit(77, !b.get_bit(77));
-        assert_eq!(a.first_difference(&b), Some(77));
-    }
-
-    #[test]
-    fn toggle_rate() {
-        let alternating = Signature::from_bits((0..64).map(|i| i % 2 == 0));
-        assert!(alternating.toggle_rate() > 0.99);
-        assert_eq!(Signature::ones(64).toggle_rate(), 0.0);
     }
 }

@@ -15,6 +15,11 @@
 //! SAT calls, merges and AIGER bytes are identical to an uninterrupted
 //! run**.
 //!
+//! The swept network itself is not stored.  The input and the merge log
+//! define it: a resumed session refills its merge table from the log and
+//! recounts the live references, and the result is built once, when the
+//! run finishes.
+//!
 //! A checkpoint leaves the process only as the bytes of
 //! [`SweepCheckpoint::encode`], written with the bounded little-endian codec
 //! of [`satsolver::codec`] under an integrity header: an 8-byte magic, a
@@ -66,25 +71,24 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 13 changes the
-/// layout of the solver blob: the solver keeps its clauses in one flat
-/// arena of `u32` words and a blocker literal in every watch entry, and the
-/// blob copies both arrays as they are.  The blob travels as the opaque,
-/// length-prefixed bytes of [`satsolver::CircuitSat::snapshot`], which hold
-/// only what a later query reads; since this module does not parse them, a
-/// version-12 checkpoint would otherwise decode and be refused only at
-/// resume.  The bump refuses it at decode, so a daemon job reruns from
-/// scratch.  As in version 12, a checkpoint is taken only where
-/// a run stops, and as in version 11, the live-reference counts behind the
-/// dead skips are not stored, because replaying the merge log rebuilds
-/// them.  Both sweeps share the layout: a sequential sweep is a session
+/// [`CheckpointError::UnsupportedVersion`].  Version 14 drops the
+/// don't-touch set: an undetermined candidate leaves its class, and the
+/// classes are stored.  The bump refuses an older checkpoint at decode,
+/// so a daemon job reruns from scratch.  As in version 13, the solver
+/// blob holds one flat clause arena of `u32` words and a blocker literal
+/// in every watch entry; it travels as the opaque, length-prefixed bytes
+/// of [`satsolver::CircuitSat::snapshot`], which hold only what a later
+/// query reads.  As in version 12, a checkpoint is taken only where a run
+/// stops, and as in version 11, the live-reference counts behind the dead
+/// skips are not stored, because they are recounted from the merge log.
+/// Both sweeps share the layout: a sequential sweep is a session
 /// phase whose cursor is the next induction query, and its solver state is
 /// that of the induction network.  There are no pattern words or
 /// resimulation state: the classes and the solver carry everything a
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 13;
+pub const CHECKPOINT_VERSION: u32 = 14;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -232,10 +236,10 @@ pub struct SweepCheckpoint {
     pub(crate) config: SweepConfig,
     pub(crate) round: usize,
     pub(crate) phase: PhasePod,
-    /// Ordered log of applied merges (constants included): replaying it on
-    /// a fresh copy of the input reconstructs the working network.
+    /// Ordered log of applied merges (constants included): each entry
+    /// names a merged node and the literal that replaces it, which
+    /// together with the input define the swept network.
     pub(crate) merge_log: Vec<(NodeId, Lit)>,
-    pub(crate) dont_touch: Vec<NodeId>,
     /// Raw class parts: (members, phases) per class, plus constants.
     pub(crate) classes: Vec<(Vec<NodeId>, Vec<bool>)>,
     pub(crate) constants: Vec<ConstantCandidate>,
@@ -324,7 +328,6 @@ impl SweepCheckpoint {
             w.usize(node);
             w.u32(lit.index());
         });
-        w.vec(&self.dont_touch, |w, &node| w.usize(node));
         w.vec(&self.classes, |w, (members, phases)| {
             w.vec(members, |w, &m| w.usize(m));
             for &p in phases {
@@ -395,7 +398,6 @@ impl SweepCheckpoint {
             round: r.usize()?,
             phase: decode_phase(&mut r)?,
             merge_log: r.vec(12, |r| Ok((r.usize()?, Lit::from_index(r.u32()?))))?,
-            dont_touch: r.vec(8, Reader::usize)?,
             classes: r.vec(8, |r| {
                 let members = r.vec(8, Reader::usize)?;
                 let phases = r.seq(members.len(), Reader::boolean)?;
@@ -590,7 +592,6 @@ mod tests {
                 pending: vec![(9, 0), (7, 2)],
             },
             merge_log: vec![(5, Lit::positive(3)), (6, Lit::FALSE)],
-            dont_touch: vec![8],
             classes: vec![(vec![4, 7, 9], vec![false, true, false])],
             constants: vec![ConstantCandidate {
                 node: 10,
@@ -747,7 +748,6 @@ mod tests {
                 any::<bool>(),
                 arb_phase(),
                 proptest::collection::vec((0usize..1000, any::<u32>()), 0..6),
-                proptest::collection::vec(0usize..1000, 0..5),
             ),
             (
                 proptest::collection::vec((0usize..1000, any::<bool>()), 0..6),
@@ -759,7 +759,7 @@ mod tests {
         )
             .prop_map(
                 |(
-                    (fingerprint, primed, stp, phase, merges, dont_touch),
+                    (fingerprint, primed, stp, phase, merges),
                     (constants, solver, sat_calls, committed),
                 )| {
                     SweepCheckpoint {
@@ -773,7 +773,6 @@ mod tests {
                             .into_iter()
                             .map(|(node, lit)| (node, Lit::from_index(lit)))
                             .collect(),
-                        dont_touch,
                         classes: vec![(vec![1, 2], vec![false, true])],
                         constants: constants
                             .into_iter()

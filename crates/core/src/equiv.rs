@@ -6,7 +6,7 @@
 //! tracks constant candidates, and hands out the candidate pairs the SAT
 //! solver has to decide.
 
-use bitsim::{SigRef, Signature};
+use bitsim::SigRef;
 use netlist::NodeId;
 use std::collections::HashMap;
 
@@ -142,44 +142,13 @@ pub struct EquivClasses {
 }
 
 impl EquivClasses {
-    /// Builds candidate classes from node signatures.
+    /// Builds candidate classes from node signatures, borrowed as arena
+    /// views.
     ///
-    /// `signatures` maps node ids to their simulation signature; only the
-    /// provided nodes are classified (the caller passes the AND nodes).
-    /// Nodes whose signature is all-zero or all-one become
-    /// [`ConstantCandidate`]s instead of class members.
-    pub fn from_signatures(signatures: &HashMap<NodeId, Signature>) -> Self {
-        let mut constants = Vec::new();
-        let mut buckets: HashMap<Signature, Vec<(NodeId, bool)>> = HashMap::new();
-        for (&node, sig) in signatures {
-            if sig.is_const0() {
-                constants.push(ConstantCandidate { node, value: false });
-                continue;
-            }
-            if sig.is_const1() {
-                constants.push(ConstantCandidate { node, value: true });
-                continue;
-            }
-            let key = sig.canonical_key();
-            let phase = sig.get_bit(0);
-            buckets.entry(key).or_default().push((node, phase));
-        }
-        let mut classes: Vec<EquivClass> = buckets
-            .into_values()
-            .filter(|members| members.len() >= 2)
-            .map(EquivClass::from_members)
-            .collect();
-        classes.sort_by_key(|c| c.representative());
-        constants.sort_by_key(|c| c.node);
-        EquivClasses { classes, constants }
-    }
-
-    /// Builds candidate classes straight from borrowed arena views — the
-    /// zero-clone priming path.
-    ///
-    /// Semantically identical to [`EquivClasses::from_signatures`] (the
-    /// produced classes and constants are equal for equal inputs), but the
-    /// signatures are consumed as [`SigRef`] views: bucketing uses a
+    /// Only the given nodes are classified (the session passes the AND
+    /// nodes).  Nodes whose signature is all-zero or all-one become
+    /// [`ConstantCandidate`]s instead of class members; the others group by
+    /// signature up to complementation.  Bucketing uses a
     /// complement-normalised FNV fingerprint and an exact canonical
     /// comparison within each bucket, so no per-node `Signature` clone is
     /// ever materialised.
@@ -333,9 +302,9 @@ impl EquivClasses {
         moved
     }
 
-    /// Removes a node from its class (e.g. after it has been merged away or
-    /// marked don't-touch).  Classes that shrink below two members are
-    /// dropped.
+    /// Removes a node from its class or from the constant candidates
+    /// (after it has been merged away, or its query came back
+    /// undetermined).  Classes that shrink below two members are dropped.
     pub fn remove(&mut self, node: NodeId) {
         for class in &mut self.classes {
             if let Some(idx) = class.members.iter().position(|&m| m == node) {
@@ -358,13 +327,17 @@ impl EquivClasses {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitsim::Signature;
 
     fn sig(bits: &[u8]) -> Signature {
         Signature::from_bits(bits.iter().map(|&b| b == 1))
     }
 
     fn build(map: &[(NodeId, Signature)]) -> EquivClasses {
-        EquivClasses::from_signatures(&map.iter().cloned().collect())
+        EquivClasses::from_node_signatures(
+            map.iter()
+                .map(|(node, sig)| (*node, SigRef::new(sig.words(), sig.len()))),
+        )
     }
 
     /// One pattern's per-node values, indexed by node id.
@@ -374,44 +347,6 @@ mod tests {
             values[node] = value;
         }
         values
-    }
-
-    #[test]
-    fn from_node_signatures_matches_from_signatures() {
-        use bitsim::{AigSimulator, PatternSet};
-        use netlist::Aig;
-
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs("x", 4);
-        let a = aig.and(xs[0], xs[1]);
-        let b = aig.and(xs[1], xs[0]); // structurally equal to `a`
-        let c = aig.xor(xs[2], xs[3]);
-        let d = !aig.xor(xs[3], xs[2]); // complement of `c`
-        let e = aig.and(a, !a); // constant 0
-        let f = aig.or(c, !c); // constant 1
-        let o = aig.or(b, d);
-        let k = aig.and(e, f);
-        aig.add_output("o", o);
-        aig.add_output("k", k);
-        let patterns = PatternSet::exhaustive(4);
-        let state = AigSimulator::new(&aig).run(&patterns);
-
-        let cloned: std::collections::HashMap<NodeId, Signature> = aig
-            .and_ids()
-            .map(|id| (id, state.signature(id).to_signature()))
-            .collect();
-        let expected = EquivClasses::from_signatures(&cloned);
-        let got =
-            EquivClasses::from_node_signatures(aig.and_ids().map(|id| (id, state.signature(id))));
-
-        assert_eq!(got.constants(), expected.constants());
-        assert_eq!(got.classes().len(), expected.classes().len());
-        for (g, e) in got.classes().iter().zip(expected.classes()) {
-            assert_eq!(g.members(), e.members());
-            for &m in g.members() {
-                assert_eq!(g.phase_of(m), e.phase_of(m));
-            }
-        }
     }
 
     #[test]

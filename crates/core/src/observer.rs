@@ -86,8 +86,9 @@ pub trait Observer {
         let _ = (targets, resimulated, skipped);
     }
 
-    /// `candidate` reached no output of the working copy at its turn, so
-    /// it was skipped with no window verdict and no SAT query.
+    /// `candidate` reached no output at its turn, with the merges proved so
+    /// far applied to the input, so it was skipped with no window verdict
+    /// and no SAT query.
     fn on_dead_candidate(&mut self, candidate: NodeId) {
         let _ = candidate;
     }

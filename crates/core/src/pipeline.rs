@@ -272,7 +272,7 @@ impl Run<'_> {
         let mut sweep = None;
         let counters = match pass {
             Pass::Strash => {
-                self.aig = self.aig.cleanup().0;
+                self.aig = self.aig.cleanup(&[]).0;
                 vec![("removed", (gates_before - self.aig.num_ands()) as u64)]
             }
             Pass::Sweep(engine) => {
@@ -671,7 +671,7 @@ mod tests {
             .verify()
             .run(&aig)
             .expect("structural flow verifies");
-        assert_eq!(outcome.aig.num_ands(), aig.cleanup().0.num_ands());
+        assert_eq!(outcome.aig.num_ands(), aig.cleanup(&[]).0.num_ands());
         assert!(check_equivalence(&aig, &outcome.aig, 100_000).equivalent);
         let names: Vec<&str> = outcome.passes.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["strash", "verify"]);

@@ -186,7 +186,8 @@ impl SweepConfig {
     /// * `num_initial_patterns` must be nonzero (candidate classes are built
     ///   from initial signatures);
     /// * `conflict_limit` must be nonzero (a zero budget turns every SAT
-    ///   query into `unDET` and marks every candidate don't-touch);
+    ///   query into `unDET`, which leaves every queried candidate
+    ///   unmerged);
     /// * `window_limit` must be at least 2 (a window of a two-input AND
     ///   needs both fanins as leaves) and at most [`MAX_WINDOW_LIMIT`] (the
     ///   paper restricts exhaustive windows to at most 16 leaves);

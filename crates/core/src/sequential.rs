@@ -509,6 +509,6 @@ pub(crate) fn rebuild<'s>(
             latch.init,
         );
     }
-    let (cleaned, _) = new.cleanup();
+    let (cleaned, _) = new.cleanup(&[]);
     cleaned
 }

@@ -96,8 +96,8 @@ enum Step {
     /// A satisfiable query: refine with the counter-example, then retry
     /// the candidate's remaining drivers.
     CounterExample(Vec<bool>),
-    /// The query ran out of conflicts (`unDET`): mark the candidate
-    /// don't-touch.
+    /// The query ran out of conflicts (`unDET`): the candidate leaves its
+    /// class unmerged.
     Undetermined,
     /// Windows disproved every driver.
     Exhausted,
@@ -217,7 +217,6 @@ pub struct SweepSession<'n, 'o> {
     observer: Option<&'o mut dyn Observer>,
     round: usize,
     original: &'n Aig,
-    result: Aig,
     /// The session's one incremental solver: pattern generation, constant
     /// proofs and pairwise merges all query it, in canonical order.  A
     /// sequential session's solver owns the induction network instead.
@@ -228,18 +227,21 @@ pub struct SweepSession<'n, 'o> {
     /// Window verdicts; built only when [`SweepConfig::window_refinement`]
     /// is on.
     windows: Option<WindowIndex>,
+    /// The proved merges: `merged[node]` is the literal that replaces
+    /// `node`, a literal of an earlier node.  The session reads
+    /// `original`'s fanins resolved through it (see [`resolve`]), and
+    /// [`SweepSession::finish`] hands it to [`Aig::cleanup`], which builds
+    /// the result.
     merged: Vec<Option<Lit>>,
-    /// Live-reference count of every node of `result`: its references from
-    /// outputs and from ANDs that reach an output (see [`live_refs`]).  A
-    /// candidate whose count is 0 at its turn is skipped.  Empty for a
-    /// sequential session.
+    /// Live-reference count of every node of the swept network (`original`
+    /// with `merged` applied): its references from outputs and from ANDs
+    /// that reach an output (see [`live_refs`]).  A candidate whose count
+    /// is 0 at its turn is skipped.  Empty for a sequential session.
     refs: Vec<u32>,
-    /// Ordered log of applied merges; replaying it reconstructs `result`,
-    /// `merged` and `refs` when a checkpoint is restored.  A sequential
-    /// session logs latch merges: target state node, representative state
-    /// literal.
+    /// Ordered log of applied merges; a restored checkpoint refills
+    /// `merged` from it and recounts `refs`.  A sequential session logs
+    /// latch merges: target state node, representative state literal.
     merge_log: Vec<(NodeId, Lit)>,
-    dont_touch: Vec<bool>,
     stats: StatsObserver,
     simulation_time: Duration,
     sat_time: Duration,
@@ -287,7 +289,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             observer: builder.observer,
             round: builder.round,
             original: aig,
-            result: aig.clone(),
             sat: CircuitSat::new(aig),
             seq: None,
             classes: EquivClasses::default(),
@@ -295,7 +296,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             merged: vec![None; aig.num_nodes()],
             refs: Vec::new(),
             merge_log: Vec::new(),
-            dont_touch: vec![false; aig.num_nodes()],
             stats: StatsObserver::new(),
             simulation_time: Duration::ZERO,
             sat_time: Duration::ZERO,
@@ -359,7 +359,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             self.windows = config
                 .window_refinement
                 .then(|| WindowIndex::build(aig, config.window_limit));
-            self.refs = live_refs(aig);
+            self.refs = live_refs(aig, &self.merged);
         }
         self.primed = true;
     }
@@ -425,15 +425,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             }
         }
 
-        let mut result = aig.clone();
         let mut merged: Vec<Option<Lit>> = vec![None; num_nodes];
-        let mut dont_touch = vec![false; num_nodes];
         let mut refs = Vec::new();
         let (sat, seq, classes, windows) = if sequential {
-            if !(checkpoint.classes.is_empty()
-                && checkpoint.constants.is_empty()
-                && checkpoint.dont_touch.is_empty())
-            {
+            if !(checkpoint.classes.is_empty() && checkpoint.constants.is_empty()) {
                 return Err(mismatch(
                     "a sequential checkpoint carries combinational candidate state",
                 ));
@@ -441,11 +436,10 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             let (sat, plan) = Self::restore_latches(aig, &config, checkpoint)?;
             (sat, Some(plan), EquivClasses::default(), None)
         } else {
-            // Merges are applied through `Aig::replace_node`, whose
-            // preconditions (an AND node, a topologically earlier
-            // replacement) must hold for corrupt data too: the merge log is
-            // replayed below, and every candidate (class member, constant
-            // candidate, queued constant) may be merged later.  Check them
+            // A merged node is an AND node, and its replacement precedes
+            // it: that order is what ends `resolve`, and `Aig::cleanup`
+            // refuses any other.  Every candidate (class member, constant
+            // candidate, queued constant) may be merged later.  Check both
             // here so corruption surfaces as a typed mismatch, never a panic.
             if !checkpoint
                 .merge_log
@@ -453,11 +447,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 .all(|&(node, lit)| is_and(node) && lit.node() < node)
             {
                 return Err(mismatch("merge log entry violates the network's topology"));
-            }
-            if !checkpoint.dont_touch.iter().copied().all(in_range) {
-                return Err(mismatch(
-                    "don't-touch set references a node outside the network",
-                ));
             }
             if !checkpoint
                 .classes
@@ -470,19 +459,12 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     "candidate classes name a node that is not an AND node of the network",
                 ));
             }
-            // Rebuild the working copy by replaying the merge log in order
-            // (later merges may redirect literals created by earlier ones,
-            // so the order is part of the state).
             for &(node, lit) in &checkpoint.merge_log {
-                result.replace_node(node, lit);
                 merged[node] = Some(lit);
             }
-            // The counts the merges maintained are those of the replayed
-            // working copy.
-            refs = live_refs(&result);
-            for &node in &checkpoint.dont_touch {
-                dont_touch[node] = true;
-            }
+            // The counts the merges maintained are those of the swept
+            // network they left.
+            refs = live_refs(aig, &merged);
             let classes =
                 EquivClasses::from_parts(checkpoint.classes.clone(), checkpoint.constants.clone())
                     .map_err(mismatch)?;
@@ -504,7 +486,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             observer: builder.observer,
             round: checkpoint.round,
             original: aig,
-            result,
             sat,
             seq,
             classes,
@@ -512,7 +493,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             merged,
             refs,
             merge_log: checkpoint.merge_log.clone(),
-            dont_touch,
             stats: checkpoint.stats,
             simulation_time: checkpoint.simulation_time,
             sat_time: checkpoint.sat_time,
@@ -610,9 +590,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             round: self.round,
             phase: self.phase.clone(),
             merge_log: self.merge_log.clone(),
-            dont_touch: (0..self.original.num_nodes())
-                .filter(|&n| self.dont_touch[n])
-                .collect(),
             classes: self
                 .classes
                 .classes()
@@ -805,10 +782,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     self.apply_merge(candidate.node, constant);
                 }
                 EquivOutcome::CounterExample(ce) => self.refine_with_counterexample(&ce),
-                EquivOutcome::Undetermined => {
-                    self.dont_touch[candidate.node] = true;
-                    self.classes.remove(candidate.node);
-                }
+                EquivOutcome::Undetermined => self.classes.remove(candidate.node),
             }
             if let Phase::Constants { next, .. } = &mut self.phase {
                 *next += 1;
@@ -889,13 +863,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     /// The driver list the engine examines next for `candidate`, given the
     /// attempts already consumed: class members that precede the candidate
     /// in topological order, bounded by the TFI limit.  `None` means the
-    /// candidate is settled (merged, don't-touch, out of attempts,
-    /// classless, its class's representative, or driverless).
+    /// candidate is settled: out of attempts, classless (as every merged
+    /// or undetermined candidate is), its class's representative, or
+    /// driverless.
     fn next_drivers(&self, candidate: NodeId, attempts: usize) -> Option<Vec<(NodeId, bool)>> {
-        if self.merged[candidate].is_some()
-            || self.dont_touch[candidate]
-            || attempts >= self.config.tfi_limit
-        {
+        if attempts >= self.config.tfi_limit {
             return None;
         }
         let class = self.classes.class_of(candidate)?;
@@ -907,7 +879,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             .members()
             .iter()
             .zip(class.phases())
-            .filter(|&(&m, _)| m < candidate && self.merged[m].is_none() && !self.dont_touch[m])
+            .filter(|&(&m, _)| m < candidate)
             .map(|(&m, &phase)| (m, phase != candidate_phase))
             .take(self.config.tfi_limit - attempts)
             .collect();
@@ -924,7 +896,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     /// A merge can revive nodes (see [`SweepSession::apply_merge`]), all of
     /// them topologically before the candidate.  The STP engine has not
     /// reached them yet; the baseline has, so it pushes them back, smallest
-    /// on top, unless they are don't-touch.
+    /// on top.  An undetermined one has no class, so it is popped again
+    /// with no event.
     fn step_merging(&mut self) -> bool {
         // Take the cursor out of `self.phase` while mutating it; it is
         // written back before any stop checkpoint is captured.
@@ -957,7 +930,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     false
                 }
                 Step::Undetermined => {
-                    self.dont_touch[candidate] = true;
                     self.classes.remove(candidate);
                     true
                 }
@@ -967,7 +939,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 pending.pop();
                 self.committed_candidates += 1;
                 if self.engine == Engine::Baseline {
-                    revived.retain(|&node| !self.dont_touch[node]);
                     revived.sort_unstable_by(|a, b| b.cmp(a));
                     pending.extend(revived.into_iter().map(|node| (node, 0)));
                 }
@@ -1031,14 +1002,13 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         Some((step, used))
     }
 
-    /// Applies a proved merge: redirects `candidate`'s fanouts to
-    /// `replacement` in the working copy, and moves the candidate's live
-    /// references with them.  A dead replacement revives with its dead
-    /// cone; the candidate's own cone then loses the candidate's
-    /// references (ABC's `Aig_NodeRef_rec` and `Aig_NodeDeref_rec`).
-    /// Returns the AND nodes the merge revived.
+    /// Applies a proved merge: records `replacement` for `candidate` in
+    /// `merged`, which redirects the candidate's fanouts, and moves the
+    /// candidate's live references with them.  A dead replacement revives
+    /// with its dead cone; the candidate's own cone then loses the
+    /// candidate's references (ABC's `Aig_NodeRef_rec` and
+    /// `Aig_NodeDeref_rec`).  Returns the AND nodes the merge revived.
     fn apply_merge(&mut self, candidate: NodeId, replacement: Lit) -> Vec<NodeId> {
-        self.result.replace_node(candidate, replacement);
         self.merged[candidate] = Some(replacement);
         self.merge_log.push((candidate, replacement));
         self.classes.remove(candidate);
@@ -1056,27 +1026,23 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let mut next = 0;
         while let Some(&node) = revived.get(next) {
             next += 1;
-            if let AigNode::And { fanin0, fanin1 } = self.result.node(node) {
-                for fanin in [fanin0.node(), fanin1.node()] {
-                    self.refs[fanin] += 1;
-                    if self.refs[fanin] == 1 {
-                        revived.push(fanin);
-                    }
+            for fanin in fanin_nodes(self.original, &self.merged, node) {
+                self.refs[fanin] += 1;
+                if self.refs[fanin] == 1 {
+                    revived.push(fanin);
                 }
             }
         }
         let mut dying = vec![candidate];
         while let Some(node) = dying.pop() {
-            if let AigNode::And { fanin0, fanin1 } = self.result.node(node) {
-                for fanin in [fanin0.node(), fanin1.node()] {
-                    self.refs[fanin] -= 1;
-                    if self.refs[fanin] == 0 {
-                        dying.push(fanin);
-                    }
+            for fanin in fanin_nodes(self.original, &self.merged, node) {
+                self.refs[fanin] -= 1;
+                if self.refs[fanin] == 0 {
+                    dying.push(fanin);
                 }
             }
         }
-        revived.retain(|&node| self.result.node(node).is_and());
+        revived.retain(|&node| self.original.node(node).is_and());
         revived
     }
 
@@ -1113,15 +1079,16 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     // Cleanup and reporting.
     // ------------------------------------------------------------------
 
-    /// Cleans up the working copy — or applies a sequential sweep's latch
-    /// substitutions — and derives the report from the internal stats
-    /// counter plus the session's own gate/time measurements.
+    /// Builds the result — the input cleaned up with the proved merges
+    /// substituted, or with a sequential sweep's latch substitutions
+    /// applied — and derives the report from the internal stats counter
+    /// plus the session's own gate/time measurements.
     fn finish(self) -> SweepResult {
         let cleaned = match &self.seq {
             Some(plan) => {
                 sequential::rebuild(self.original, plan.constants.iter().chain(&self.merge_log))
             }
-            None => self.result.cleanup().0,
+            None => self.original.cleanup(&self.merged).0,
         };
         let mut report = self.stats.counts();
         report.gates_before = self.original.num_ands();
@@ -1148,21 +1115,43 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 }
 
-/// The live-reference count of every node of `aig`: one per output that
-/// it drives and one per fanin edge from an AND that itself has a live
-/// reference.  A node whose count is 0 reaches no output.
-fn live_refs(aig: &Aig) -> Vec<u32> {
+/// The node that stands for `node` once the merges are applied: its
+/// replacement's node, then that one's, and so on.  The chain ends
+/// because each replacement precedes its node.
+fn resolve(merged: &[Option<Lit>], mut node: NodeId) -> NodeId {
+    while let Some(replacement) = merged[node] {
+        node = replacement.node();
+    }
+    node
+}
+
+/// The fanin nodes of `node` in `aig` with the merges applied (none for
+/// an input or the constant node).
+fn fanin_nodes(aig: &Aig, merged: &[Option<Lit>], node: NodeId) -> impl Iterator<Item = NodeId> {
+    let fanins = match *aig.node(node) {
+        AigNode::And { fanin0, fanin1 } => {
+            Some([fanin0, fanin1].map(|fanin| resolve(merged, fanin.node())))
+        }
+        _ => None,
+    };
+    fanins.into_iter().flatten()
+}
+
+/// The live-reference count of every node of `aig` with the merges
+/// applied: one per output that it drives and one per fanin edge from an
+/// AND that itself has a live reference.  A node whose count is 0 reaches
+/// no output, and so does every merged node.
+fn live_refs(aig: &Aig, merged: &[Option<Lit>]) -> Vec<u32> {
     let mut refs = vec![0u32; aig.num_nodes()];
     for output in aig.outputs() {
-        refs[output.lit.node()] += 1;
+        refs[resolve(merged, output.lit.node())] += 1;
     }
     // Fanouts follow their fanins, so a node's count is final when the
     // reverse sweep reaches it.
     for node in (0..aig.num_nodes()).rev() {
-        if let AigNode::And { fanin0, fanin1 } = aig.node(node) {
-            if refs[node] > 0 {
-                refs[fanin0.node()] += 1;
-                refs[fanin1.node()] += 1;
+        if refs[node] > 0 {
+            for fanin in fanin_nodes(aig, merged, node) {
+                refs[fanin] += 1;
             }
         }
     }

@@ -554,111 +554,35 @@ impl Aig {
             .unwrap_or(0)
     }
 
-    /// Collects the transitive fanin of `node` (the node itself excluded),
-    /// stopping once `limit` nodes have been gathered.  The result is in
-    /// reverse-DFS order; constant and input nodes are included.
-    pub fn transitive_fanin(&self, node: NodeId, limit: usize) -> Vec<NodeId> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = Vec::new();
-        let mut result = Vec::new();
-        visited[node] = true;
-        for f in self.nodes[node].fanins() {
-            if !visited[f.node()] {
-                visited[f.node()] = true;
-                stack.push(f.node());
-            }
-        }
-        while let Some(id) = stack.pop() {
-            result.push(id);
-            if result.len() >= limit {
-                break;
-            }
-            for f in self.nodes[id].fanins() {
-                if !visited[f.node()] {
-                    visited[f.node()] = true;
-                    stack.push(f.node());
-                }
-            }
-        }
-        result
-    }
-
-    /// `true` if `maybe_ancestor` lies in the transitive fanin of `node`.
-    pub fn in_transitive_fanin(&self, node: NodeId, maybe_ancestor: NodeId) -> bool {
-        if node == maybe_ancestor {
-            return false;
-        }
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.nodes[node].fanins().iter().map(|l| l.node()).collect();
-        while let Some(id) = stack.pop() {
-            if visited[id] {
-                continue;
-            }
-            visited[id] = true;
-            if id == maybe_ancestor {
-                return true;
-            }
-            for f in self.nodes[id].fanins() {
-                stack.push(f.node());
-            }
-        }
-        false
-    }
-
-    /// Redirects every reference to `old` (in AND fanins and outputs) to the
-    /// literal `replacement`, preserving complement polarity.
-    ///
-    /// This is the merge operation of SAT-sweeping: after `old ≡ replacement`
-    /// has been proved, `old` becomes dead and a later [`Aig::cleanup`] can
-    /// remove it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replacement.node() >= old` (which would create a cycle,
-    /// since references to `old` can only occur in nodes with larger ids) or
-    /// if `old` is not an AND node.
-    pub fn replace_node(&mut self, old: NodeId, replacement: Lit) {
-        assert!(
-            replacement.node() < old,
-            "replacement must precede the replaced node in topological order"
-        );
-        assert!(self.nodes[old].is_and(), "only AND nodes can be replaced");
-        for id in (old + 1)..self.nodes.len() {
-            if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
-                let mut new0 = fanin0;
-                let mut new1 = fanin1;
-                if fanin0.node() == old {
-                    new0 = replacement.complement_if(fanin0.is_complemented());
-                }
-                if fanin1.node() == old {
-                    new1 = replacement.complement_if(fanin1.is_complemented());
-                }
-                if new0 != fanin0 || new1 != fanin1 {
-                    self.nodes[id] = AigNode::And {
-                        fanin0: new0,
-                        fanin1: new1,
-                    };
-                }
-            }
-        }
-        for output in &mut self.outputs {
-            if output.lit.node() == old {
-                output.lit = replacement.complement_if(output.lit.is_complemented());
-            }
-        }
-        // The structural hash is stale after in-place edits.
-        self.strash.clear();
-    }
-
     /// Rebuilds the AIG keeping only the logic reachable from the outputs,
     /// re-running constant propagation and structural hashing.  Returns the
     /// cleaned AIG together with a map from old node ids to new literals
     /// (dead nodes map to `None`).  The result is its own cleanup: no
     /// constant to fold, no structure to share, no dead AND.
     ///
+    /// `substitutions[id] = Some(lit)` replaces node `id` by `lit` wherever
+    /// it is read (AND fanins and outputs), preserving complement polarity:
+    /// this is how SAT-sweeping applies its proved merges.  A substitute may
+    /// itself be substituted, and the chain is followed to its end.  Nodes
+    /// past the end of the slice keep their own logic, so `&[]` substitutes
+    /// nothing.
+    ///
     /// Inputs and outputs keep their order and count, so latches survive
     /// unchanged (their next-state cones are output cones and hence live).
-    pub fn cleanup(&self) -> (Aig, Vec<Option<Lit>>) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a substitute does not precede its node in topological
+    /// order (`lit.node() >= id`), which could close a cycle.
+    pub fn cleanup(&self, substitutions: &[Option<Lit>]) -> (Aig, Vec<Option<Lit>>) {
+        for (id, substitute) in substitutions.iter().enumerate() {
+            if let Some(lit) = substitute {
+                assert!(
+                    lit.node() < id,
+                    "a substitute must precede its node in topological order"
+                );
+            }
+        }
         let mut new = Aig::new();
         let mut map: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         map[0] = Some(Lit::FALSE);
@@ -667,18 +591,20 @@ impl Aig {
             let lit = new.add_input(self.input_names[pos].clone());
             map[id] = Some(lit);
         }
-        let live = self.live();
+        let copy = |map: &[Option<Lit>], lit: Lit| {
+            map[lit.node()]
+                .expect("a live node reads only earlier live nodes")
+                .complement_if(lit.is_complemented())
+        };
+        let live = self.live(substitutions);
         for id in 0..self.nodes.len() {
             if !live[id] {
                 continue;
             }
-            if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
-                let f0 = map[fanin0.node()]
-                    .expect("fanin precedes node in topological order")
-                    .complement_if(fanin0.is_complemented());
-                let f1 = map[fanin1.node()]
-                    .expect("fanin precedes node in topological order")
-                    .complement_if(fanin1.is_complemented());
+            if let Some(&Some(substitute)) = substitutions.get(id) {
+                map[id] = Some(copy(&map, substitute));
+            } else if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
+                let (f0, f1) = (copy(&map, fanin0), copy(&map, fanin1));
                 map[id] = Some(new.and(f0, f1));
             }
         }
@@ -691,9 +617,9 @@ impl Aig {
         new.latches = self.latches.clone();
         // Folding strands a node whose fanouts all folded away.  Copying
         // once more drops it, and that copy folds nothing, so it is final.
-        let live = new.live();
+        let live = new.live(&[]);
         if new.and_ids().any(|id| !live[id]) {
-            let (again, remap) = new.cleanup();
+            let (again, remap) = new.cleanup(&[]);
             for lit in &mut map {
                 *lit =
                     lit.and_then(|l| remap[l.node()].map(|r| r.complement_if(l.is_complemented())));
@@ -703,20 +629,24 @@ impl Aig {
         (new, map)
     }
 
-    /// Marks the nodes that some output reaches.
-    fn live(&self) -> Vec<bool> {
+    /// Marks the nodes that some output reaches, reading a substituted node
+    /// as its substitute (see [`Aig::cleanup`]).
+    fn live(&self, substitutions: &[Option<Lit>]) -> Vec<bool> {
         let mut live = vec![false; self.nodes.len()];
         for output in &self.outputs {
             live[output.lit.node()] = true;
         }
-        // Fanins precede their fanouts, so a node's mark is final when the
-        // reverse sweep reaches it.
+        // Fanins and substitutes precede their readers, so a node's mark is
+        // final when the reverse sweep reaches it.
         for id in (0..self.nodes.len()).rev() {
-            if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
-                if live[id] {
-                    live[fanin0.node()] = true;
-                    live[fanin1.node()] = true;
-                }
+            if !live[id] {
+                continue;
+            }
+            if let Some(&Some(substitute)) = substitutions.get(id) {
+                live[substitute.node()] = true;
+            } else if let AigNode::And { fanin0, fanin1 } = self.nodes[id] {
+                live[fanin0.node()] = true;
+                live[fanin1.node()] = true;
             }
         }
         live
@@ -941,22 +871,17 @@ mod tests {
         assert_eq!(aig.depth(), 2);
     }
 
-    #[test]
-    fn transitive_fanin_limit() {
-        let mut aig = Aig::new();
-        let xs = aig.add_inputs("x", 8);
-        let root = aig.and_many(&xs);
-        aig.add_output("y", root);
-        let full = aig.transitive_fanin(root.node(), usize::MAX);
-        assert!(full.len() >= 8);
-        let limited = aig.transitive_fanin(root.node(), 3);
-        assert_eq!(limited.len(), 3);
-        assert!(aig.in_transitive_fanin(root.node(), xs[0].node()));
-        assert!(!aig.in_transitive_fanin(xs[0].node(), root.node()));
+    /// The substitutions that replace each pair's `old` by its `lit`.
+    fn substitute(aig: &Aig, pairs: &[(Lit, Lit)]) -> Vec<Option<Lit>> {
+        let mut substitutions = vec![None; aig.num_nodes()];
+        for &(old, lit) in pairs {
+            substitutions[old.node()] = Some(lit.complement_if(old.is_complemented()));
+        }
+        substitutions
     }
 
     #[test]
-    fn replace_node_redirects_references() {
+    fn cleanup_substitutes_a_proved_merge() {
         let mut aig = Aig::new();
         let a = aig.add_input("a");
         let b = aig.add_input("b");
@@ -968,14 +893,49 @@ mod tests {
         let top = aig.and(g_red, c);
         aig.add_output("y", top);
         assert_ne!(g1, g_red);
-        aig.replace_node(g_red.node(), g1);
-        let (cleaned, _) = aig.cleanup();
-        assert!(cleaned.num_ands() < aig.num_ands());
+        let (cleaned, map) = aig.cleanup(&substitute(&aig, &[(g_red, g1)]));
+        assert_eq!(cleaned.num_ands(), 2);
+        assert_eq!(map[g_red.node()], map[g1.node()]);
         for i in 0..8usize {
             let assignment: Vec<bool> = (0..3).map(|j| (i >> j) & 1 == 1).collect();
             let expected = (assignment[0] && assignment[1]) && assignment[2];
             assert_eq!(cleaned.evaluate(&assignment), vec![expected]);
         }
+    }
+
+    #[test]
+    fn cleanup_follows_substitution_chains() {
+        let mut aig = Aig::new();
+        let xs = aig.add_inputs("x", 3);
+        // Three structural copies of x0 & x1: c, then b, then a.
+        let c = aig.and(xs[0], xs[1]);
+        let b = aig.and_raw(xs[1], xs[0]);
+        let a = aig.and_raw(xs[0], xs[1]);
+        let y = aig.and(a, xs[2]);
+        aig.add_output("y", y);
+        aig.add_output("z", !a);
+        let (chained, map) = aig.cleanup(&substitute(&aig, &[(a, b), (b, c)]));
+        let (direct, _) = aig.cleanup(&substitute(&aig, &[(a, c), (b, c)]));
+        assert_eq!(
+            crate::aiger::write_aiger_string(&chained),
+            crate::aiger::write_aiger_string(&direct)
+        );
+        assert_eq!(chained.num_ands(), 2);
+        assert_eq!(map[a.node()], map[c.node()]);
+        assert_eq!(map[b.node()], map[c.node()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "topological order")]
+    fn cleanup_rejects_a_forward_substitution() {
+        let mut aig = Aig::new();
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let g1 = aig.and(a, b);
+        let g2 = aig.xor(a, b);
+        aig.add_output("y", g2);
+        // g2's node id is larger than g1's: substituting g2 for g1 must panic.
+        aig.cleanup(&substitute(&aig, &[(g1, g2)]));
     }
 
     #[test]
@@ -986,7 +946,7 @@ mod tests {
         let _dead = aig.xor(a, b);
         let live = aig.and(a, b);
         aig.add_output("y", live);
-        let (cleaned, map) = aig.cleanup();
+        let (cleaned, map) = aig.cleanup(&[]);
         assert_eq!(cleaned.num_ands(), 1);
         assert_eq!(cleaned.num_inputs(), 2);
         assert!(map[live.node()].is_some());
@@ -1002,26 +962,12 @@ mod tests {
         let y = aig.or(h, xs[2]);
         aig.add_output("y", y);
         // `h` becomes `p & !p`, which folds to false and strands `p`.
-        aig.replace_node(q.node(), !p);
-        let (cleaned, map) = aig.cleanup();
+        let (cleaned, map) = aig.cleanup(&substitute(&aig, &[(q, !p)]));
         assert_eq!(cleaned.num_ands(), 0);
         assert_eq!(cleaned.outputs()[0].lit, xs[2]);
         assert_eq!(map[p.node()], None);
         assert_eq!(map[h.node()], Some(Lit::FALSE));
-        assert_eq!(cleaned.cleanup().0.num_ands(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "topological order")]
-    fn replace_node_rejects_forward_reference() {
-        let mut aig = Aig::new();
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let g1 = aig.and(a, b);
-        let g2 = aig.xor(a, b);
-        aig.add_output("y", g2);
-        // g2's node id is larger than g1's: replacing g1 by g2 must panic.
-        aig.replace_node(g1.node(), g2);
+        assert_eq!(cleaned.cleanup(&[]).0.num_ands(), 0);
     }
 
     #[test]
@@ -1083,7 +1029,7 @@ mod tests {
         let next = aig.and(d, !q);
         aig.set_latch_next(0, next);
         aig.add_output("o", q);
-        let (cleaned, _) = aig.cleanup();
+        let (cleaned, _) = aig.cleanup(&[]);
         assert_eq!(cleaned.num_latches(), 1);
         assert_eq!(cleaned.latches(), aig.latches());
         assert_eq!(cleaned.num_inputs(), 2);
@@ -1103,7 +1049,7 @@ mod tests {
         let next = aig.and(g1, !g2); // folds to false once `g2` is shared
         aig.set_latch_next(0, next);
         aig.add_output("o", g2);
-        let (cleaned, _) = aig.cleanup();
+        let (cleaned, _) = aig.cleanup(&[]);
         assert_eq!(cleaned.num_ands(), 1);
         assert_eq!(cleaned.latches(), aig.latches());
         assert_eq!(cleaned.num_inputs(), 2);

@@ -228,20 +228,6 @@ impl LutNetwork {
             .unwrap_or(0)
     }
 
-    /// Fanout count of every node.
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for &f in node.fanins() {
-                counts[f] += 1;
-            }
-        }
-        for output in &self.outputs {
-            counts[output.node] += 1;
-        }
-        counts
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> crate::NetworkStats {
         crate::NetworkStats {
@@ -312,7 +298,7 @@ mod tests {
     use super::*;
 
     /// Builds the example network of Fig. 1(a): five PIs, six NAND LUTs.
-    pub(crate) fn figure1_network() -> (LutNetwork, Vec<LutNodeId>) {
+    fn figure1_network() -> LutNetwork {
         let nand = TruthTable::from_binary_str(2, "0111").unwrap();
         let mut net = LutNetwork::new();
         let pis: Vec<LutNodeId> = (1..=5).map(|i| net.add_input(format!("{i}"))).collect();
@@ -325,24 +311,22 @@ mod tests {
         let n11 = net.add_lut(vec![n8, n9], nand); // 11 = NAND(8, 9)
         net.add_output("po1", n10, false);
         net.add_output("po2", n11, false);
-        (net, vec![n6, n7, n8, n9, n10, n11])
+        net
     }
 
     #[test]
     fn figure1_structure() {
-        let (net, nodes) = figure1_network();
+        let net = figure1_network();
         assert_eq!(net.num_pis(), 5);
         assert_eq!(net.num_pos(), 2);
         assert_eq!(net.num_luts(), 6);
         assert_eq!(net.depth(), 2);
         assert_eq!(net.max_fanin(), 2);
-        let counts = net.fanout_counts();
-        assert_eq!(counts[nodes[0]], 1); // node 6 feeds node 10
     }
 
     #[test]
     fn evaluate_nand_tree() {
-        let (net, _) = figure1_network();
+        let net = figure1_network();
         // First simulation pattern of the paper: inputs (1..5) = 0,1,1,0,0.
         let outs = net.evaluate(&[false, true, true, false, false]);
         // po1 = NAND(NAND(1,3), NAND(2,3)) = NAND(1, 0) = 1
@@ -370,7 +354,7 @@ mod tests {
 
     #[test]
     fn stats_and_display() {
-        let (net, _) = figure1_network();
+        let net = figure1_network();
         let stats = net.stats();
         assert_eq!(stats.gates, 6);
         assert_eq!(stats.depth, 2);

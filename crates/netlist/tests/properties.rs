@@ -85,7 +85,7 @@ proptest! {
     #[test]
     fn cleanup_preserves_function(recipe in arb_recipe()) {
         let aig = build(&recipe);
-        let (cleaned, _) = aig.cleanup();
+        let (cleaned, _) = aig.cleanup(&[]);
         prop_assert!(cleaned.num_ands() <= aig.num_ands());
         prop_assert_eq!(exhaustive_outputs(&cleaned), exhaustive_outputs(&aig));
     }

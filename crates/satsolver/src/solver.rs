@@ -11,8 +11,8 @@
 //! compacts each watch list in place, and conflict analysis reads reason
 //! clauses in place into one reused buffer, so neither allocates.
 //! Queries can be budgeted with a conflict limit, in which case the solver
-//! answers [`SolveResult::Unknown`] — the `unDET` outcome the SAT-sweeping
-//! algorithm reacts to by marking a candidate as *don't touch*.
+//! answers [`SolveResult::Unknown`] — the `unDET` outcome on which the
+//! SAT-sweeping algorithm leaves a candidate unmerged.
 
 pub use crate::cnf::SatLit;
 use crate::cnf::Var;

@@ -393,26 +393,6 @@ impl TruthTable {
         out
     }
 
-    /// The toggle rate of the table viewed as a simulation signature: the
-    /// fraction of adjacent bit positions whose values differ (Section IV-A,
-    /// footnote 1 of the paper).
-    pub fn toggle_rate(&self) -> f64 {
-        let bits = self.num_bits();
-        if bits < 2 {
-            return 0.0;
-        }
-        let mut toggles = 0usize;
-        let mut prev = self.get_bit(0);
-        for i in 1..bits {
-            let cur = self.get_bit(i);
-            if cur != prev {
-                toggles += 1;
-            }
-            prev = cur;
-        }
-        toggles as f64 / (bits - 1) as f64
-    }
-
     pub(crate) fn mask_unused(&mut self) {
         let mask = used_bits_mask(self.num_vars);
         if self.num_vars < 6 {
@@ -547,13 +527,6 @@ mod tests {
             let args: Vec<bool> = (0..4).map(|j| (i >> j) & 1 == 1).collect();
             assert_eq!(widened.evaluate(&args), args[3] ^ args[1]);
         }
-    }
-
-    #[test]
-    fn toggle_rate_extremes() {
-        assert_eq!(TruthTable::zeros(4).toggle_rate(), 0.0);
-        let alternating = TruthTable::variable(4, 0);
-        assert!(alternating.toggle_rate() > 0.99);
     }
 
     #[test]

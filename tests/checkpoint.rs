@@ -84,20 +84,32 @@ impl Observer for CancelAfter {
 #[test]
 fn checkpoint_resume_identity_across_engines_and_sat_caps() {
     let aig = workload();
-    for engine in [Engine::Stp, Engine::Baseline] {
-        let config = config();
+    // Starved of conflicts, some queries come back undetermined (`unDET`),
+    // and their candidates leave their classes unmerged.
+    let starved = config().with_conflict_limit(3);
+    for (config, engine) in [config(), starved]
+        .into_iter()
+        .flat_map(|c| [(c, Engine::Stp), (c, Engine::Baseline)])
+    {
         let reference = Sweeper::new(engine)
             .config(config)
             .run(&aig)
             .expect("uninterrupted run finishes");
         let total = reference.report.sat_calls_total;
         assert!(total >= 4, "workload must need SAT calls (got {total})");
+        assert!(
+            config != starved || reference.report.sat_calls_undet > 0,
+            "{engine}: the starved sweep must leave queries undetermined"
+        );
 
         // Budget-cap stops at a spread of SAT calls (the first, the last,
         // and the quartiles).
         for cut in [1, total / 4, total / 2, 3 * total / 4, total - 1] {
             let cut = cut.max(1);
-            let context = format!("{engine}, cancelled after {cut}/{total} SAT calls");
+            let context = format!(
+                "{engine}, conflict limit {}, cancelled after {cut}/{total} SAT calls",
+                config.conflict_limit
+            );
             let err = Sweeper::new(engine)
                 .config(config)
                 .budget(Budget::unlimited().with_max_sat_calls(cut))
@@ -222,7 +234,7 @@ fn a_pipeline_stop_resumes_the_interrupted_sweep_pass() {
     let mut resumed_per_pass = [0; 2];
     for bench in epfl_suite(Scale::Tiny) {
         let first_pass = sweep(&bench.aig);
-        let second_input = first_pass.aig.cleanup().0;
+        let second_input = first_pass.aig.cleanup(&[]).0;
         let second_pass = sweep(&second_input);
         let passes = [(&bench.aig, first_pass), (&second_input, second_pass)];
         let first = passes[0].1.report.sat_calls_total;
