@@ -7,6 +7,9 @@
 //! satisfiable and total SAT calls of each engine, their simulation time and
 //! their total runtime, plus the runtime ratio (STP / baseline).  Every
 //! sweep is verified with the CEC checker unless `--no-verify` is passed.
+//! Each engine sweeps each benchmark three times: the times are the fastest
+//! of the three, and the three runs must agree on every counter and on the
+//! swept network's digest.
 //!
 //! Usage: `cargo run -p bench --release --bin table2 -- [--scale tiny|small|large] [--patterns N] [--no-verify] [--json PATH]`
 //!
@@ -17,17 +20,55 @@
 //! plus their wall-clock times.
 
 use bench::{aiger_digest, geometric_mean, secs, Args};
-use stp_sweep::{cec, Engine, SweepConfig, SweepResult, Sweeper};
+use std::time::Duration;
+use stp_sweep::{cec, Engine, SweepConfig, SweepReport, SweepResult, Sweeper};
 use workloads::hwmcc_suite;
 
 const USAGE: &str = "table2 [--scale tiny|small|large] [--patterns N] [--no-verify] [--json PATH]";
 
-/// Runs one engine on one benchmark.
-fn sweep(aig: &netlist::Aig, engine: Engine, config: SweepConfig) -> SweepResult {
-    Sweeper::new(engine)
-        .config(config)
-        .run(aig)
-        .expect("valid sweep config")
+/// Sweeps per engine and benchmark.  A single sweep of a Tiny row takes a
+/// few milliseconds, and its time varies between runs by more than the
+/// bench gate's 30% tolerance.
+const RUNS: usize = 3;
+
+/// Runs one engine on one benchmark [`RUNS`] times and returns the first
+/// result with the fastest time of each kind.
+///
+/// # Panics
+///
+/// Panics if the runs disagree on a counter or on the swept network.
+fn sweep(name: &str, aig: &netlist::Aig, engine: Engine, config: SweepConfig) -> SweepResult {
+    let run = || {
+        Sweeper::new(engine)
+            .config(config)
+            .run(aig)
+            .expect("valid sweep config")
+    };
+    let counters = |r: &SweepReport| SweepReport {
+        simulation_time: Duration::ZERO,
+        sat_time: Duration::ZERO,
+        total_time: Duration::ZERO,
+        ..*r
+    };
+    let mut fastest = run();
+    for _ in 1..RUNS {
+        let again = run();
+        assert_eq!(
+            counters(&again.report),
+            counters(&fastest.report),
+            "{name}: two {engine} sweeps disagree on a counter"
+        );
+        assert_eq!(
+            aiger_digest(&again.aig),
+            aiger_digest(&fastest.aig),
+            "{name}: two {engine} sweeps disagree on the swept network"
+        );
+        let (best, r) = (&mut fastest.report, &again.report);
+        best.simulation_time = best.simulation_time.min(r.simulation_time);
+        best.sat_time = best.sat_time.min(r.sat_time);
+        best.total_time = best.total_time.min(r.total_time);
+    }
+    fastest
 }
 
 fn main() {
@@ -69,8 +110,8 @@ fn main() {
 
     for bench in hwmcc_suite(scale) {
         let aig = &bench.aig;
-        let baseline = sweep(aig, Engine::Baseline, baseline_config);
-        let stp = sweep(aig, Engine::Stp, stp_config);
+        let baseline = sweep(bench.name, aig, Engine::Baseline, baseline_config);
+        let stp = sweep(bench.name, aig, Engine::Stp, stp_config);
 
         if verify {
             let b_ok = cec::check_equivalence(aig, &baseline.aig, 200_000);

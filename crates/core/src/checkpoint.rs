@@ -71,10 +71,14 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 14 drops the
-/// don't-touch set: an undetermined candidate leaves its class, and the
-/// classes are stored.  The bump refuses an older checkpoint at decode,
-/// so a daemon job reruns from scratch.  As in version 13, the solver
+/// [`CheckpointError::UnsupportedVersion`].  Version 15 replaces the
+/// constant phase's frozen queue with a node cursor: the constant
+/// candidates only shrink, so those from the cursor on are exactly the ones
+/// left to prove.  It also drops the ternary iteration count, which the
+/// recomputed sequential plan reports.  The bump refuses an older
+/// checkpoint at decode, so a daemon job reruns from scratch.  As in
+/// version 14, an undetermined candidate leaves its class, and the classes
+/// are stored, with no don't-touch set.  As in version 13, the solver
 /// blob holds one flat clause arena of `u32` words and a blocker literal
 /// in every watch entry; it travels as the opaque, length-prefixed bytes
 /// of [`satsolver::CircuitSat::snapshot`], which hold only what a later
@@ -88,7 +92,7 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 /// resumed run reads, and the SAT-call count is the one in the stats.
 /// Checkpoints are resumed by the build that wrote them, so older layouts
 /// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 14;
+pub const CHECKPOINT_VERSION: u32 = 15;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -198,12 +202,9 @@ pub fn netlist_fingerprint(aig: &Aig) -> u64 {
 pub(crate) enum PhasePod {
     /// Primed, nothing proved yet.
     Start,
-    /// Inside constant substitution: the frozen candidate queue and the
-    /// next index to prove.
-    Constants {
-        queue: Vec<ConstantCandidate>,
-        next: usize,
-    },
+    /// Inside constant substitution: the candidates left to prove are the
+    /// constant candidates from node `next` on.
+    Constants { next: NodeId },
     /// Inside pairwise merging: the candidates still to prove, each with
     /// the driver attempts it has consumed, the next candidate last.
     Merging { pending: Vec<(NodeId, usize)> },
@@ -264,8 +265,6 @@ pub struct SweepCheckpoint {
     pub(crate) seq_induction_refuted: u64,
     /// Candidates left unknown (satisfiable step or exhausted budget) so far.
     pub(crate) seq_induction_undet: u64,
-    /// Iterations the ternary fixpoint took (for report fidelity on resume).
-    pub(crate) seq_ternary_iterations: u64,
 }
 
 impl SweepCheckpoint {
@@ -345,7 +344,6 @@ impl SweepCheckpoint {
         w.u64(self.seq_ternary_constants);
         w.u64(self.seq_induction_refuted);
         w.u64(self.seq_induction_undet);
-        w.u64(self.seq_ternary_iterations);
         // Payload checksum (everything up to here, header included): bit
         // flips anywhere in the file are caught at decode time instead of
         // resuming into a silently different run.
@@ -414,7 +412,6 @@ impl SweepCheckpoint {
             seq_ternary_constants: r.u64()?,
             seq_induction_refuted: r.u64()?,
             seq_induction_undet: r.u64()?,
-            seq_ternary_iterations: r.u64()?,
         };
         if !r.is_empty() {
             return Err(CheckpointError::Corrupt("trailing bytes after payload"));
@@ -507,9 +504,8 @@ fn decode_constant(r: &mut Reader<'_>) -> Result<ConstantCandidate, DecodeError>
 fn encode_phase(w: &mut Writer, phase: &PhasePod) {
     match phase {
         PhasePod::Start => w.u8(0),
-        PhasePod::Constants { queue, next } => {
+        PhasePod::Constants { next } => {
             w.u8(1);
-            w.vec(queue, encode_constant);
             w.usize(*next);
         }
         PhasePod::Merging { pending } => {
@@ -530,10 +526,7 @@ fn encode_phase(w: &mut Writer, phase: &PhasePod) {
 fn decode_phase(r: &mut Reader<'_>) -> Result<PhasePod, CheckpointError> {
     match r.u8()? {
         0 => Ok(PhasePod::Start),
-        1 => Ok(PhasePod::Constants {
-            queue: r.vec(9, decode_constant)?,
-            next: r.usize()?,
-        }),
+        1 => Ok(PhasePod::Constants { next: r.usize()? }),
         2 => Ok(PhasePod::Merging {
             pending: r.vec(16, |r| Ok((r.usize()?, r.usize()?)))?,
         }),
@@ -617,7 +610,6 @@ mod tests {
             seq_ternary_constants: 1,
             seq_induction_refuted: 2,
             seq_induction_undet: 1,
-            seq_ternary_iterations: 4,
         }
     }
 
@@ -722,17 +714,7 @@ mod tests {
     fn arb_phase() -> impl Strategy<Value = PhasePod> {
         prop_oneof![
             Just(PhasePod::Start),
-            (
-                proptest::collection::vec((0usize..1000, any::<bool>()), 0..6),
-                0usize..8,
-            )
-                .prop_map(|(queue, next)| PhasePod::Constants {
-                    queue: queue
-                        .into_iter()
-                        .map(|(node, value)| ConstantCandidate { node, value })
-                        .collect(),
-                    next,
-                }),
+            (0usize..1000).prop_map(|next| PhasePod::Constants { next }),
             proptest::collection::vec((0usize..1000, 0usize..10), 0..8)
                 .prop_map(|pending| PhasePod::Merging { pending }),
             (0usize..1000).prop_map(|next| PhasePod::Latches { next }),
@@ -791,7 +773,6 @@ mod tests {
                         seq_ternary_constants: committed % 13,
                         seq_induction_refuted: sat_calls % 7,
                         seq_induction_undet: committed % 5,
-                        seq_ternary_iterations: sat_calls % 31,
                     }
                 },
             )

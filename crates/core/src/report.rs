@@ -25,8 +25,9 @@ pub struct SweepConfig {
     pub window_limit: usize,
     /// Seed of the pseudo-random pattern generator.
     pub seed: u64,
-    /// Generate the initial patterns with SAT guidance (two-round scheme of
-    /// Section IV-A) instead of purely at random.
+    /// Generate the initial patterns with SAT guidance (the round of
+    /// Section IV-A that disproves would-be constants) instead of purely at
+    /// random.
     pub sat_guided_patterns: bool,
     /// Detect and substitute constant nodes before pairwise merging.
     pub constant_substitution: bool,

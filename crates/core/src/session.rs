@@ -14,7 +14,7 @@
 //! query and, if that is UNSAT, an induction-step query.
 //!
 //! The session is a resumable phase machine: its execution cursor (constant
-//! queue, pending merge queue, latch query cursor) lives in an explicit
+//! cursor, pending merge queue, latch query cursor) lives in an explicit
 //! phase value, and a checkpoint is taken only where a run stops: when the
 //! [`Budget`] stops it before a sweeping SAT query (the
 //! [`SweepCheckpoint`] travels inside
@@ -48,7 +48,7 @@
 
 use crate::budget::{Budget, BudgetCause};
 use crate::checkpoint::{netlist_fingerprint, CheckpointError, PhasePod, SweepCheckpoint};
-use crate::equiv::EquivClasses;
+use crate::equiv::{EquivClass, EquivClasses};
 use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::patterns::{self, PatternGenConfig};
@@ -343,7 +343,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     num_random: config.num_initial_patterns,
                     seed: config.seed,
                     conflict_limit: config.conflict_limit.min(2_000),
-                    ..PatternGenConfig::default()
                 };
                 patterns::sat_guided_patterns(aig, &mut self.sat, &gen_config).0
             } else {
@@ -403,14 +402,12 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let is_and = |node: NodeId| in_range(node) && aig.node(node).is_and();
         let sequential = config.seq_depth > 0;
         match &checkpoint.phase {
+            // A constant cursor indexes nothing: it only bounds the
+            // candidates left to prove.
             PhasePod::Start | PhasePod::Done => {}
+            PhasePod::Constants { .. } if !sequential => {}
             // Range-checked against the rebuilt candidates below.
             PhasePod::Latches { .. } if sequential => {}
-            PhasePod::Constants { queue, next } if !sequential => {
-                if !queue.iter().all(|c| is_and(c.node)) || *next > queue.len() {
-                    return Err(mismatch("constant-phase cursor is inconsistent"));
-                }
-            }
             PhasePod::Merging { pending } if !sequential => {
                 if !pending.iter().all(|&(node, _)| in_range(node)) {
                     return Err(mismatch(
@@ -438,8 +435,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         } else {
             // A merged node is an AND node, and its replacement precedes
             // it: that order is what ends `resolve`, and `Aig::cleanup`
-            // refuses any other.  Every candidate (class member, constant
-            // candidate, queued constant) may be merged later.  Check both
+            // refuses any other.  Every candidate (class member or constant
+            // candidate) may be merged later.  Check both
             // here so corruption surfaces as a typed mismatch, never a panic.
             if !checkpoint
                 .merge_log
@@ -607,7 +604,6 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             seq_ternary_constants: seq.map_or(0, |s| s.constants.len() as u64),
             seq_induction_refuted: seq.map_or(0, |s| s.refuted),
             seq_induction_undet: seq.map_or(0, |s| s.undet),
-            seq_ternary_iterations: seq.map_or(0, |s| s.ternary_iterations),
         }
     }
 
@@ -645,15 +641,11 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                     self.phase = Phase::Latches { next: 0 };
                 }
                 Phase::Start => {
-                    // Freeze the constant-candidate queue at phase entry
-                    // (the engine examines exactly this snapshot even as
-                    // refinements drop candidates along the way).
-                    let queue = if self.config.constant_substitution {
-                        self.classes.constants().to_vec()
+                    self.phase = if self.config.constant_substitution {
+                        Phase::Constants { next: 0 }
                     } else {
-                        Vec::new()
+                        self.merging_entry_phase()
                     };
-                    self.phase = Phase::Constants { queue, next: 0 };
                 }
                 Phase::Latches { .. } => {
                     if !self.step_latches() {
@@ -740,31 +732,23 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     /// the budget stops the run (`false`, stop checkpoint captured).
     fn step_constants(&mut self) -> bool {
         loop {
-            let candidate = {
-                let Phase::Constants { queue, next } = &self.phase else {
-                    unreachable!("step_constants runs in the constants phase")
-                };
-                queue.get(*next).copied()
+            let Phase::Constants { next } = self.phase else {
+                unreachable!("step_constants runs in the constants phase")
             };
-            let Some(candidate) = candidate else {
+            // The sorted constant candidates only shrink: a counter-example
+            // drops those it refutes, and a settled one leaves.  So the
+            // candidates from the cursor on are exactly those still to prove.
+            let constants = self.classes.constants();
+            let Some(&candidate) = constants.get(constants.partition_point(|c| c.node < next))
+            else {
                 self.phase = self.merging_entry_phase();
                 return true;
             };
-            // A candidate a counter-example refuted after the queue froze
-            // would only get a satisfiable query, and one that reaches no
-            // output is skipped.
-            let refuted = self
-                .classes
-                .constants()
-                .binary_search_by_key(&candidate.node, |c| c.node)
-                .is_err();
-            if refuted || self.refs[candidate.node] == 0 {
-                if !refuted {
-                    self.notify(|o| o.on_dead_candidate(candidate.node));
-                }
-                if let Phase::Constants { next, .. } = &mut self.phase {
-                    *next += 1;
-                }
+            if self.refs[candidate.node] == 0 {
+                self.notify(|o| o.on_dead_candidate(candidate.node));
+                self.phase = Phase::Constants {
+                    next: candidate.node + 1,
+                };
                 continue;
             }
             if !self.within_budget() {
@@ -784,9 +768,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 EquivOutcome::CounterExample(ce) => self.refine_with_counterexample(&ce),
                 EquivOutcome::Undetermined => self.classes.remove(candidate.node),
             }
-            if let Phase::Constants { next, .. } = &mut self.phase {
-                *next += 1;
-            }
+            self.phase = Phase::Constants {
+                next: candidate.node + 1,
+            };
             self.committed_candidates += 1;
         }
     }
@@ -860,30 +844,16 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     // Phase: pairwise merging.
     // ------------------------------------------------------------------
 
-    /// The driver list the engine examines next for `candidate`, given the
-    /// attempts already consumed: class members that precede the candidate
-    /// in topological order, bounded by the TFI limit.  `None` means the
-    /// candidate is settled: out of attempts, classless (as every merged
-    /// or undetermined candidate is), its class's representative, or
-    /// driverless.
-    fn next_drivers(&self, candidate: NodeId, attempts: usize) -> Option<Vec<(NodeId, bool)>> {
+    /// The class in which `candidate` waits to be settled, given the
+    /// driver attempts it has consumed.  `None` means the candidate is
+    /// settled: out of attempts, classless (as every merged or undetermined
+    /// candidate is), or its class's representative.
+    fn open_class(&self, candidate: NodeId, attempts: usize) -> Option<&EquivClass> {
         if attempts >= self.config.tfi_limit {
             return None;
         }
         let class = self.classes.class_of(candidate)?;
-        if class.representative() == candidate {
-            return None;
-        }
-        let candidate_phase = class.phase_of(candidate);
-        let drivers: Vec<(NodeId, bool)> = class
-            .members()
-            .iter()
-            .zip(class.phases())
-            .filter(|&(&m, _)| m < candidate)
-            .map(|(&m, &phase)| (m, phase != candidate_phase))
-            .take(self.config.tfi_limit - attempts)
-            .collect();
-        (!drivers.is_empty()).then_some(drivers)
+        (class.representative() != candidate).then_some(class)
     }
 
     /// The pairwise-merging phase: the candidate on top of the pending
@@ -905,7 +875,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             unreachable!("step_merging runs in the merging phase")
         };
         while let Some(&(candidate, attempts)) = pending.last() {
-            let Some(drivers) = self.next_drivers(candidate, attempts) else {
+            let Some(class) = self.open_class(candidate, attempts) else {
                 pending.pop();
                 continue;
             };
@@ -914,6 +884,18 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 pending.pop();
                 continue;
             }
+            // The members before the candidate, bounded by the TFI limit.
+            // Members are sorted, so the representative comes first and
+            // the list is never empty.
+            let candidate_phase = class.phase_of(candidate);
+            let drivers: Vec<(NodeId, bool)> = class
+                .members()
+                .iter()
+                .zip(class.phases())
+                .take_while(|&(&m, _)| m < candidate)
+                .map(|(&m, &phase)| (m, phase != candidate_phase))
+                .take(self.config.tfi_limit - attempts)
+                .collect();
             let Some((step, used)) = self.prove_step(candidate, &drivers) else {
                 self.phase = Phase::Merging { pending };
                 self.capture_stop_checkpoint();
@@ -1565,24 +1547,34 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_at_every_sat_boundary_is_identity() {
+        let mut refuted_ahead = false;
         for (name, aig, config) in [
             ("redundant", redundant_circuit(), sat_heavy_config()),
             ("dangling", dangling_circuit(), dangling_config()),
         ] {
             for engine in [Engine::Stp, Engine::Baseline] {
-                assert_resume_at_every_sat_boundary(&aig, engine, config, name);
+                let cuts = assert_resume_at_every_sat_boundary(&aig, engine, config, name);
+                refuted_ahead |= engine == Engine::Stp && cuts > 0;
             }
         }
+        // The constant cursor must skip what a counter-example refuted.
+        assert!(
+            refuted_ahead,
+            "some STP cut stops in the constant phase before a refuted candidate"
+        );
     }
 
     /// Cancels the run after each of its SAT calls in turn and demands
     /// that every resumed run reproduces the uninterrupted one exactly.
+    /// Returns the number of cuts that stop in the constant phase after a
+    /// counter-example refuted a constant candidate the cursor had not
+    /// reached yet.
     fn assert_resume_at_every_sat_boundary(
         aig: &Aig,
         engine: Engine,
         config: SweepConfig,
         name: &str,
-    ) {
+    ) -> usize {
         let context = |cut: u64, total: u64| {
             format!("{name}, {engine}, cancelled after {cut} of {total} SAT calls")
         };
@@ -1593,6 +1585,13 @@ mod tests {
             total >= 2,
             "workload must need SAT calls ({name}, {engine})"
         );
+        let primed = Sweeper::new(engine)
+            .config(config)
+            .begin(aig)
+            .expect("primes")
+            .checkpoint()
+            .constants;
+        let mut refuted_ahead = 0;
         // `cut = 0` pre-trips the budget before priming (no checkpoint);
         // that boundary is covered by the begin()+checkpoint() test.
         for cut in 1..total {
@@ -1604,6 +1603,13 @@ mod tests {
             let checkpoint = err
                 .into_checkpoint()
                 .expect("a primed budget stop carries a checkpoint");
+            if let PhasePod::Constants { next } = checkpoint.phase {
+                refuted_ahead += usize::from(
+                    primed
+                        .iter()
+                        .any(|c| c.node >= next && !checkpoint.constants.contains(c)),
+                );
+            }
             // Round-trip through bytes: resume from the decoded copy.
             let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
             let resumed = Sweeper::new(engine)
@@ -1624,6 +1630,7 @@ mod tests {
                 context(cut, total)
             );
         }
+        refuted_ahead
     }
 
     #[test]
@@ -1678,10 +1685,6 @@ mod tests {
             .begin(&aig)
             .expect("primes")
             .checkpoint();
-        let queued = |node, value| PhasePod::Constants {
-            queue: vec![ConstantCandidate { node, value }],
-            next: 0,
-        };
         let input = aig.inputs()[0];
         let member = base.classes[0].0[1];
 
@@ -1690,9 +1693,7 @@ mod tests {
             node: 0,
             value: false,
         }];
-        constant_node.phase = queued(0, false);
-        let mut queued_constant_node = base.clone();
-        queued_constant_node.phase = queued(0, true);
+        constant_node.phase = PhasePod::Constants { next: 0 };
         let mut input_constant = base.clone();
         input_constant.constants = vec![ConstantCandidate {
             node: input,
@@ -1703,8 +1704,7 @@ mod tests {
         assert_resume_refuses(
             &aig,
             [
-                ("the constant node as candidate and queued", constant_node),
-                ("the constant node queued only", queued_constant_node),
+                ("the constant node as candidate", constant_node),
                 ("an input as a constant candidate", input_constant),
                 ("an input as a class representative", input_member),
             ],
