@@ -57,7 +57,6 @@
 //! assert_eq!(finished.report.merges, uninterrupted.report.merges);
 //! ```
 
-use crate::equiv::ConstantCandidate;
 use crate::observer::StatsObserver;
 use crate::report::SweepConfig;
 use crate::session::Engine;
@@ -71,28 +70,27 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"STPSWCP\x01";
 
 /// The checkpoint format version, the only one this build reads or
 /// writes; any other version fails with
-/// [`CheckpointError::UnsupportedVersion`].  Version 15 replaces the
-/// constant phase's frozen queue with a node cursor: the constant
-/// candidates only shrink, so those from the cursor on are exactly the ones
-/// left to prove.  It also drops the ternary iteration count, which the
-/// recomputed sequential plan reports.  The bump refuses an older
-/// checkpoint at decode, so a daemon job reruns from scratch.  As in
-/// version 14, an undetermined candidate leaves its class, and the classes
-/// are stored, with no don't-touch set.  As in version 13, the solver
-/// blob holds one flat clause arena of `u32` words and a blocker literal
-/// in every watch entry; it travels as the opaque, length-prefixed bytes
-/// of [`satsolver::CircuitSat::snapshot`], which hold only what a later
-/// query reads.  As in version 12, a checkpoint is taken only where a run
-/// stops, and as in version 11, the live-reference counts behind the dead
-/// skips are not stored, because they are recounted from the merge log.
-/// Both sweeps share the layout: a sequential sweep is a session
-/// phase whose cursor is the next induction query, and its solver state is
-/// that of the induction network.  There are no pattern words or
-/// resimulation state: the classes and the solver carry everything a
-/// resumed run reads, and the SAT-call count is the one in the stats.
-/// Checkpoints are resumed by the build that wrote them, so older layouts
-/// are not decoded.
-pub const CHECKPOINT_VERSION: u32 = 15;
+/// [`CheckpointError::UnsupportedVersion`].  Version 16 stores the
+/// constant candidates as the class of node 0 (node 0 first, each
+/// candidate's phase its value); the bump refuses an older checkpoint at
+/// decode, so a daemon job reruns from scratch.  As in version 15, the
+/// constant phase's cursor is a node, and the recomputed sequential plan
+/// reports the ternary iteration count.  As in version 14, an undetermined
+/// candidate leaves its class, and the classes are stored, with no
+/// don't-touch set.  As in version 13, the solver blob holds one flat
+/// clause arena of `u32` words and a blocker literal in every watch entry;
+/// it travels as the opaque, length-prefixed bytes of
+/// [`satsolver::CircuitSat::snapshot`], which hold only what a later query
+/// reads.  As in version 12, a checkpoint is taken only where a run stops,
+/// and as in version 11, the live-reference counts behind the dead skips
+/// are not stored, because they are recounted from the merge log.  Both
+/// sweeps share the layout: a sequential sweep is a session phase whose
+/// cursor is the next induction query, and its solver state is that of the
+/// induction network.  There are no pattern words or resimulation state:
+/// the classes and the solver carry everything a resumed run reads, and
+/// the SAT-call count is the one in the stats.  Checkpoints are resumed by
+/// the build that wrote them, so older layouts are not decoded.
+pub const CHECKPOINT_VERSION: u32 = 16;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -203,7 +201,7 @@ pub(crate) enum PhasePod {
     /// Primed, nothing proved yet.
     Start,
     /// Inside constant substitution: the candidates left to prove are the
-    /// constant candidates from node `next` on.
+    /// members of node 0's class from node `next` on, node 0 excepted.
     Constants { next: NodeId },
     /// Inside pairwise merging: the candidates still to prove, each with
     /// the driver attempts it has consumed, the next candidate last.
@@ -241,9 +239,9 @@ pub struct SweepCheckpoint {
     /// names a merged node and the literal that replaces it, which
     /// together with the input define the swept network.
     pub(crate) merge_log: Vec<(NodeId, Lit)>,
-    /// Raw class parts: (members, phases) per class, plus constants.
+    /// Raw class parts: (members, phases) per class, ascending by
+    /// representative; the constant candidates are the class of node 0.
     pub(crate) classes: Vec<(Vec<NodeId>, Vec<bool>)>,
-    pub(crate) constants: Vec<ConstantCandidate>,
     pub(crate) stats: StatsObserver,
     pub(crate) committed_candidates: u64,
     pub(crate) simulation_time: Duration,
@@ -333,7 +331,6 @@ impl SweepCheckpoint {
                 w.boolean(p);
             }
         });
-        w.vec(&self.constants, encode_constant);
         encode_stats(&mut w, &self.stats);
         w.u64(self.committed_candidates);
         w.duration(self.simulation_time);
@@ -401,7 +398,6 @@ impl SweepCheckpoint {
                 let phases = r.seq(members.len(), Reader::boolean)?;
                 Ok((members, phases))
             })?,
-            constants: r.vec(9, decode_constant)?,
             stats: decode_stats(&mut r)?,
             committed_candidates: r.u64()?,
             simulation_time: r.duration()?,
@@ -489,18 +485,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<StatsObserver, CheckpointError> {
     })
 }
 
-fn encode_constant(w: &mut Writer, c: &ConstantCandidate) {
-    w.usize(c.node);
-    w.boolean(c.value);
-}
-
-fn decode_constant(r: &mut Reader<'_>) -> Result<ConstantCandidate, DecodeError> {
-    Ok(ConstantCandidate {
-        node: r.usize()?,
-        value: r.boolean()?,
-    })
-}
-
 fn encode_phase(w: &mut Writer, phase: &PhasePod) {
     match phase {
         PhasePod::Start => w.u8(0),
@@ -585,11 +569,10 @@ mod tests {
                 pending: vec![(9, 0), (7, 2)],
             },
             merge_log: vec![(5, Lit::positive(3)), (6, Lit::FALSE)],
-            classes: vec![(vec![4, 7, 9], vec![false, true, false])],
-            constants: vec![ConstantCandidate {
-                node: 10,
-                value: true,
-            }],
+            classes: vec![
+                (vec![0, 10], vec![false, true]),
+                (vec![4, 7, 9], vec![false, true, false]),
+            ],
             stats: StatsObserver {
                 rounds: 1,
                 merges: 2,
@@ -722,6 +705,21 @@ mod tests {
         ]
     }
 
+    /// A class: ascending members, some led by node 0 (the constant
+    /// candidates), the representative's phase `false`.
+    fn arb_class() -> impl Strategy<Value = (Vec<NodeId>, Vec<bool>)> {
+        let gaps = proptest::collection::vec((1usize..50, any::<bool>()), 1..6);
+        (0usize..1000, any::<bool>(), gaps).prop_map(|(start, constant, gaps)| {
+            let mut node = if constant { 0 } else { start };
+            let members = std::iter::once(node).chain(gaps.iter().map(|&(gap, _)| {
+                node += gap;
+                node
+            }));
+            let phases = std::iter::once(false).chain(gaps.iter().map(|&(_, phase)| phase));
+            (members.collect(), phases.collect())
+        })
+    }
+
     fn arb_checkpoint() -> impl Strategy<Value = SweepCheckpoint> {
         (
             (
@@ -732,7 +730,7 @@ mod tests {
                 proptest::collection::vec((0usize..1000, any::<u32>()), 0..6),
             ),
             (
-                proptest::collection::vec((0usize..1000, any::<bool>()), 0..6),
+                proptest::collection::vec(arb_class(), 0..4),
                 // Opaque here: the checkpoint codec only frames the bytes.
                 proptest::collection::vec(any::<u8>(), 0..64),
                 any::<u64>(),
@@ -742,7 +740,7 @@ mod tests {
             .prop_map(
                 |(
                     (fingerprint, primed, stp, phase, merges),
-                    (constants, solver, sat_calls, committed),
+                    (classes, solver, sat_calls, committed),
                 )| {
                     SweepCheckpoint {
                         fingerprint,
@@ -755,11 +753,7 @@ mod tests {
                             .into_iter()
                             .map(|(node, lit)| (node, Lit::from_index(lit)))
                             .collect(),
-                        classes: vec![(vec![1, 2], vec![false, true])],
-                        constants: constants
-                            .into_iter()
-                            .map(|(node, value)| ConstantCandidate { node, value })
-                            .collect(),
+                        classes,
                         stats: StatsObserver {
                             sat_calls_unsat: sat_calls,
                             ..StatsObserver::new()

@@ -3,11 +3,12 @@
 //! Nodes with identical simulation signatures — up to complementation — form
 //! candidate equivalence classes.  The manager builds the classes from a set
 //! of signatures, refines them when new patterns (counter-examples) arrive,
-//! tracks constant candidates, and hands out the candidate pairs the SAT
-//! solver has to decide.
+//! and hands out the candidate pairs the SAT solver has to decide.  Like
+//! ABC's FRAIG class manager (`Fra_Cla_t`), it is one table addressed by
+//! node, and the constant candidates are the class of the constant node.
 
 use bitsim::SigRef;
-use netlist::NodeId;
+use netlist::{Lit, NodeId};
 use std::collections::HashMap;
 
 /// FNV-1a fingerprint of a signature's *canonical* form (complemented when
@@ -59,112 +60,67 @@ fn canonical_eq(a: SigRef<'_>, phase_a: bool, b: SigRef<'_>, phase_b: bool) -> b
     })
 }
 
-/// A candidate constant node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConstantCandidate {
-    /// The node whose signature is constant.
-    pub node: NodeId,
-    /// The constant value suggested by simulation.
-    pub value: bool,
-}
-
-/// One candidate equivalence class.
+/// The equivalence-class manager: one table addressed by node.
 ///
-/// The representative is the member with the smallest node id (the earliest
-/// node in topological order); every other member is a merge candidate onto
-/// the representative.  `phase[i]` records whether member `i`'s signature is
-/// the complement of the representative's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EquivClass {
-    members: Vec<NodeId>,
-    phases: Vec<bool>,
-}
-
-impl EquivClass {
-    /// Builds a class from `(member, phase)` pairs whose phases share an
-    /// arbitrary reference: members are sorted and phases re-expressed
-    /// relative to the new representative.
-    fn from_members(mut members: Vec<(NodeId, bool)>) -> Self {
-        members.sort_unstable();
-        let repr_phase = members[0].1;
-        EquivClass {
-            phases: members.iter().map(|&(_, p)| p != repr_phase).collect(),
-            members: members.into_iter().map(|(n, _)| n).collect(),
-        }
-    }
-
-    /// The representative (earliest member).
-    pub fn representative(&self) -> NodeId {
-        self.members[0]
-    }
-
-    /// All members, representative first, ascending node id.
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Whether `member` is complemented relative to the representative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member` is not in the class.
-    pub fn phase_of(&self, member: NodeId) -> bool {
-        let idx = self
-            .members
-            .iter()
-            .position(|&m| m == member)
-            .expect("member belongs to the class");
-        self.phases[idx]
-    }
-
-    /// Per-member complement phases, aligned with [`EquivClass::members`]
-    /// (the representative's phase is always `false`).
-    pub fn phases(&self) -> &[bool] {
-        &self.phases
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` if the class has at most one member (nothing to merge).
-    pub fn is_empty(&self) -> bool {
-        self.members.len() <= 1
-    }
-}
-
-/// The equivalence-class manager.
+/// Each classed node points at its class's representative, the member
+/// with the smallest node id (the earliest in topological order), and
+/// every other member is a merge candidate onto it.  Node 0 represents the
+/// class of the constant candidates, so a constant candidate is an
+/// ordinary member whose phase is its value.
 #[derive(Debug, Clone, Default)]
 pub struct EquivClasses {
-    classes: Vec<EquivClass>,
-    constants: Vec<ConstantCandidate>,
+    /// `repr[n]` is the literal of `n`'s representative, complemented when
+    /// `n` is the opposite-phase member; `None` if `n` is in no class.  A
+    /// representative points at itself.
+    repr: Vec<Option<Lit>>,
+    /// `members[r]` holds the members of the class that `r` represents,
+    /// ascending, so `r` first; empty if `r` represents none.  Every class
+    /// has at least two members.
+    members: Vec<Vec<NodeId>>,
 }
 
 impl EquivClasses {
+    /// An empty table for nodes `0..num_nodes`.
+    fn with_nodes(num_nodes: usize) -> Self {
+        EquivClasses {
+            repr: vec![None; num_nodes],
+            members: vec![Vec::new(); num_nodes],
+        }
+    }
+
+    /// Enters a class of at least two `(member, phase)` pairs whose phases
+    /// share an arbitrary reference: the earliest member represents it, and
+    /// the phases are re-expressed relative to that member.
+    fn insert(&mut self, mut class: Vec<(NodeId, bool)>) {
+        class.sort_unstable();
+        let (leader, base) = class[0];
+        for &(member, phase) in &class {
+            self.repr[member] = Some(Lit::new(leader, phase != base));
+        }
+        self.members[leader] = class.into_iter().map(|(member, _)| member).collect();
+    }
+
     /// Builds candidate classes from node signatures, borrowed as arena
     /// views.
     ///
-    /// Only the given nodes are classified (the session passes the AND
-    /// nodes).  Nodes whose signature is all-zero or all-one become
-    /// [`ConstantCandidate`]s instead of class members; the others group by
-    /// signature up to complementation.  Bucketing uses a
-    /// complement-normalised FNV fingerprint and an exact canonical
+    /// Only the given nodes are classified; they must be AND nodes (the
+    /// session passes all of them).  Nodes whose signature is all-zero or
+    /// all-one join the class of node 0 with their value as their phase;
+    /// the others group by signature up to complementation.  Bucketing
+    /// uses a complement-normalised FNV fingerprint and an exact canonical
     /// comparison within each bucket, so no per-node `Signature` clone is
     /// ever materialised.
     pub fn from_node_signatures<'a, I>(signatures: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, SigRef<'a>)>,
     {
-        let mut constants = Vec::new();
+        let mut constants = vec![(0, false)];
         let mut buckets: HashMap<u64, Vec<(NodeId, SigRef<'a>, bool)>> = HashMap::new();
+        let mut num_nodes = 1;
         for (node, sig) in signatures {
-            if sig.is_const0() {
-                constants.push(ConstantCandidate { node, value: false });
-                continue;
-            }
-            if sig.is_const1() {
-                constants.push(ConstantCandidate { node, value: true });
+            num_nodes = num_nodes.max(node + 1);
+            if sig.is_const0() || sig.is_const1() {
+                constants.push((node, sig.is_const1()));
                 continue;
             }
             let phase = !sig.is_empty() && sig.get_bit(0);
@@ -173,7 +129,7 @@ impl EquivClasses {
                 .or_default()
                 .push((node, sig, phase));
         }
-        let mut classes = Vec::new();
+        let mut classes = EquivClasses::with_nodes(num_nodes);
         for (_, bucket) in buckets {
             // Split fingerprint collisions with exact canonical comparison.
             let mut groups: Vec<Vec<(NodeId, bool)>> = Vec::new();
@@ -190,32 +146,26 @@ impl EquivClasses {
                     }
                 }
             }
-            classes.extend(
-                groups
-                    .into_iter()
-                    .filter(|members| members.len() >= 2)
-                    .map(EquivClass::from_members),
-            );
+            for group in groups.into_iter().filter(|group| group.len() >= 2) {
+                classes.insert(group);
+            }
         }
-        classes.sort_by_key(|c| c.representative());
-        constants.sort_by_key(|c| c.node);
-        EquivClasses { classes, constants }
+        if constants.len() >= 2 {
+            classes.insert(constants);
+        }
+        classes
     }
 
-    /// The candidate classes (each with at least two members).
-    pub fn classes(&self) -> &[EquivClass] {
-        &self.classes
-    }
-
-    /// Rebuilds a manager from raw class parts (member/phase vectors) and
-    /// constant candidates, validating the invariants the engine relies on.
-    /// Used to restore a checkpointed session; corrupt data is rejected with
-    /// an error message instead of producing a manager that misbehaves.
+    /// Rebuilds a manager for a network of `num_nodes` nodes from raw class
+    /// parts (member/phase vectors, the form [`EquivClasses::parts`]
+    /// returns), validating the invariants the engine relies on.  Used to
+    /// restore a checkpointed session; corrupt data is rejected with an
+    /// error message instead of producing a manager that misbehaves.
     pub fn from_parts(
+        num_nodes: usize,
         parts: Vec<(Vec<NodeId>, Vec<bool>)>,
-        constants: Vec<ConstantCandidate>,
     ) -> Result<Self, &'static str> {
-        let mut classes = Vec::with_capacity(parts.len());
+        let mut classes = EquivClasses::with_nodes(num_nodes);
         for (members, phases) in parts {
             if members.len() < 2 {
                 return Err("equivalence class with fewer than two members");
@@ -223,104 +173,172 @@ impl EquivClasses {
             if members.len() != phases.len() {
                 return Err("equivalence class phases disagree with members");
             }
+            // Sorted members put node 0 first, so it can only represent.
             if members.windows(2).any(|w| w[0] >= w[1]) {
                 return Err("equivalence class members are not sorted and unique");
             }
             if phases[0] {
                 return Err("equivalence class representative has a nonzero phase");
             }
-            classes.push(EquivClass { members, phases });
+            if members.iter().any(|&m| m >= num_nodes) {
+                return Err("equivalence class member outside the network");
+            }
+            if members.iter().any(|&m| classes.repr[m].is_some()) {
+                return Err("a node is listed in two equivalence classes");
+            }
+            classes.insert(members.into_iter().zip(phases).collect());
         }
-        if constants.windows(2).any(|w| w[0].node >= w[1].node) {
-            return Err("constant candidates are not sorted and unique");
-        }
-        Ok(EquivClasses { classes, constants })
+        Ok(classes)
     }
 
-    /// The candidate constant nodes.
-    pub fn constants(&self) -> &[ConstantCandidate] {
-        &self.constants
+    /// The classes as (members, phases) pairs, ascending by representative
+    /// (the constant candidates' class first): the parts
+    /// [`EquivClasses::from_parts`] reads.
+    pub fn parts(&self) -> Vec<(Vec<NodeId>, Vec<bool>)> {
+        self.members
+            .iter()
+            .filter(|members| !members.is_empty())
+            .map(|members| {
+                let phases = members.iter().map(|&m| self.phase(m)).collect();
+                (members.clone(), phases)
+            })
+            .collect()
     }
 
-    /// Total number of merge candidates (class members beyond the
-    /// representative, plus constant candidates).
+    /// The literal of `node`'s representative, complemented when `node` is
+    /// the opposite-phase member; `None` if `node` is in no class.  For a
+    /// constant candidate it is the constant the candidate is suspected to
+    /// equal.
+    pub fn repr(&self, node: NodeId) -> Option<Lit> {
+        self.repr.get(node).copied().flatten()
+    }
+
+    /// Whether `node` is the opposite-phase member of its class.
+    fn phase(&self, node: NodeId) -> bool {
+        self.repr(node).is_some_and(Lit::is_complemented)
+    }
+
+    /// The members of the class that `representative` represents,
+    /// ascending; empty if it represents none.
+    pub fn members(&self, representative: NodeId) -> &[NodeId] {
+        self.members.get(representative).map_or(&[], Vec::as_slice)
+    }
+
+    /// The members of `node`'s class before `node`, its representative
+    /// first, each as the literal that equals `node` on every pattern so
+    /// far.  Empty if `node` is in no class or represents it.
+    pub(crate) fn drivers(&self, node: NodeId) -> impl Iterator<Item = Lit> + '_ {
+        let repr = self.repr(node);
+        let phase = repr.is_some_and(Lit::is_complemented);
+        self.members(repr.map_or(node, Lit::node))
+            .iter()
+            .take_while(move |&&m| m < node)
+            .map(move |&m| Lit::new(m, self.phase(m) != phase))
+    }
+
+    /// Every classed node but node 0, ascending: the nodes whose values
+    /// [`EquivClasses::refine`] reads.
+    pub fn classed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (1..self.repr.len()).filter(|&node| self.repr[node].is_some())
+    }
+
+    /// The number of classes, the constant candidates' class included.
+    pub(crate) fn num_classes(&self) -> usize {
+        self.members.iter().filter(|m| !m.is_empty()).count()
+    }
+
+    /// Total number of merge candidates: class members beyond their
+    /// representative, the constant candidates included.
     pub fn num_candidates(&self) -> usize {
-        self.classes.iter().map(|c| c.len() - 1).sum::<usize>() + self.constants.len()
-    }
-
-    /// Finds the class containing `node`, if any.
-    pub fn class_of(&self, node: NodeId) -> Option<&EquivClass> {
-        self.classes.iter().find(|c| c.members.contains(&node))
+        self.members.iter().map(|m| m.len().saturating_sub(1)).sum()
     }
 
     /// Refines the candidates by one simulated pattern (a counter-example):
-    /// `values` holds the pattern's value of every class member and
-    /// constant candidate, indexed by [`NodeId`] (the shape
-    /// [`crate::resim::eval_pattern_targets`] returns).
+    /// `values` holds the pattern's value of every classed node, indexed
+    /// by [`NodeId`] (the shape [`crate::resim::eval_pattern_targets`]
+    /// returns, whose entry for node 0 is `false`).
     ///
     /// Each class splits in two: the members that agree with the
     /// representative up to their phase, and the members that do not.
-    /// Groups of one member are dropped, and so are the constant candidates
-    /// the pattern contradicts.
+    /// Groups of one member are dropped, and so is the disagreeing side of
+    /// node 0's class: the constant candidates the pattern refutes.
     ///
     /// Returns the number of nodes that moved or were dropped: every
-    /// dropped node counts one, and so does every class a split leaves
-    /// with at least two members.
+    /// dropped node counts one (node 0 too, when its class empties), and
+    /// so does every class a split leaves with at least two members.
     ///
     /// # Panics
     ///
-    /// Panics if a candidate's id is out of range of `values`.
+    /// Panics if a classed node's id is out of range of `values`.
     pub fn refine(&mut self, values: &[bool]) -> usize {
-        let before = self.constants.len();
-        self.constants.retain(|c| values[c.node] == c.value);
-        let mut moved = before - self.constants.len();
-
-        let mut refined = Vec::with_capacity(self.classes.len());
-        for class in std::mem::take(&mut self.classes) {
-            let repr_value = values[class.representative()];
-            let (agree, differ): (Vec<_>, Vec<_>) = class
-                .members
-                .iter()
-                .copied()
-                .zip(class.phases.iter().copied())
-                .partition(|&(member, phase)| (values[member] ^ phase) == repr_value);
-            if differ.is_empty() {
-                refined.push(class);
+        let mut moved = 0;
+        // A split's new class is represented by a later node, so the
+        // descending walk meets every class once.
+        for leader in (0..self.members.len()).rev() {
+            if self.members[leader].is_empty() {
                 continue;
             }
-            for group in [agree, differ] {
-                if group.len() < 2 {
-                    moved += group.len();
-                } else {
-                    moved += 1;
-                    refined.push(EquivClass::from_members(group));
+            let mut agree = std::mem::take(&mut self.members[leader]);
+            let mut differ = Vec::new();
+            agree.retain(|&m| {
+                let agrees = values[m] ^ self.phase(m) == values[leader];
+                if !agrees {
+                    differ.push(m);
                 }
+                agrees
+            });
+            if differ.is_empty() {
+                self.members[leader] = agree;
+                continue;
             }
+            moved += self.settle(agree);
+            // The constant candidates the pattern refutes are dropped, not
+            // classed together: a refuted constant is never tried against
+            // another one.
+            moved += match leader {
+                0 => self.drop_all(&differ),
+                _ => self.settle(differ),
+            };
         }
-        refined.sort_by_key(|c| c.representative());
-        self.classes = refined;
         moved
     }
 
-    /// Removes a node from its class or from the constant candidates
-    /// (after it has been merged away, or its query came back
-    /// undetermined).  Classes that shrink below two members are dropped.
+    /// Removes a node from its class (after it has been merged away, or
+    /// its query came back undetermined).  A class that shrinks below two
+    /// members is dropped.
     pub fn remove(&mut self, node: NodeId) {
-        for class in &mut self.classes {
-            if let Some(idx) = class.members.iter().position(|&m| m == node) {
-                class.members.remove(idx);
-                class.phases.remove(idx);
-                if idx == 0 && !class.members.is_empty() {
-                    // Re-normalise phases relative to the new representative.
-                    let base = class.phases[0];
-                    for p in &mut class.phases {
-                        *p = *p != base;
-                    }
-                }
-            }
+        let Some(repr) = self.repr(node) else {
+            return;
+        };
+        let mut class = std::mem::take(&mut self.members[repr.node()]);
+        class.retain(|&m| m != node);
+        self.repr[node] = None;
+        self.settle(class);
+    }
+
+    /// Enters `class`, ascending members whose phases the table still
+    /// holds, as a class represented by its first member, or drops a
+    /// lone member.  Returns what [`EquivClasses::refine`] counts: one
+    /// for the class, or one for each dropped node.
+    fn settle(&mut self, class: Vec<NodeId>) -> usize {
+        if class.len() < 2 {
+            return self.drop_all(&class);
         }
-        self.classes.retain(|c| c.members.len() >= 2);
-        self.constants.retain(|c| c.node != node);
+        let leader = class[0];
+        let base = self.phase(leader);
+        for &m in &class {
+            self.repr[m] = Some(Lit::new(leader, self.phase(m) != base));
+        }
+        self.members[leader] = class;
+        1
+    }
+
+    /// Takes `nodes` out of the table; returns how many there were.
+    fn drop_all(&mut self, nodes: &[NodeId]) -> usize {
+        for &m in nodes {
+            self.repr[m] = None;
+        }
+        nodes.len()
     }
 }
 
@@ -357,106 +375,100 @@ mod tests {
             (7, sig(&[1, 0, 0, 1])), // complement of the others
             (9, sig(&[0, 0, 1, 0])), // different
         ]);
-        assert_eq!(classes.classes().len(), 1);
-        let class = &classes.classes()[0];
-        assert_eq!(class.representative(), 3);
-        assert_eq!(class.members(), &[3, 5, 7]);
-        assert!(!class.phase_of(5));
-        assert!(class.phase_of(7));
-        assert_eq!(classes.num_candidates(), 2);
-        assert!(classes.class_of(9).is_none());
+        assert_eq!(classes.members(3), &[3, 5, 7]);
+        assert_eq!(classes.repr(7), Some(Lit::new(3, true)));
+        assert_eq!(classes.repr(9), None);
+        assert_eq!((classes.num_classes(), classes.num_candidates()), (1, 2));
+        // Each driver, as a literal, equals node 7 on every pattern.
+        let drivers: Vec<Lit> = classes.drivers(7).collect();
+        assert_eq!(drivers, [Lit::new(3, true), Lit::new(5, true)]);
+        assert_eq!(classes.drivers(3).count() + classes.drivers(9).count(), 0);
     }
 
     #[test]
-    fn constant_candidates_are_split_out() {
-        let classes = build(&[
-            (2, sig(&[0, 0, 0, 0])),
-            (4, sig(&[1, 1, 1, 1])),
-            (6, sig(&[0, 1, 0, 1])),
-        ]);
-        assert_eq!(classes.classes().len(), 0);
-        assert_eq!(
-            classes.constants(),
-            &[
-                ConstantCandidate {
-                    node: 2,
-                    value: false
-                },
-                ConstantCandidate {
-                    node: 4,
-                    value: true
-                }
-            ]
-        );
-        assert_eq!(classes.num_candidates(), 2);
+    fn constant_candidates_join_the_constant_node() {
+        let classes = build(&[(2, sig(&[0, 0])), (4, sig(&[1, 1])), (6, sig(&[0, 1]))]);
+        assert_eq!(classes.members(0), &[0, 2, 4]);
+        assert_eq!(classes.repr(2), Some(Lit::FALSE));
+        assert_eq!(classes.repr(4), Some(Lit::TRUE));
+        assert_eq!((classes.num_classes(), classes.num_candidates()), (1, 2));
+        assert_eq!(classes.classed_nodes().collect::<Vec<_>>(), [2, 4]);
     }
 
     #[test]
     fn refine_splits_on_new_evidence() {
-        let mut classes = build(&[
-            (3, sig(&[0, 1, 1, 0])),
-            (5, sig(&[0, 1, 1, 0])),
-            (8, sig(&[0, 1, 1, 0])),
-        ]);
-        assert_eq!(classes.classes()[0].len(), 3);
+        let mut classes = build(&[(3, sig(&[0, 1])), (5, sig(&[0, 1])), (8, sig(&[0, 1]))]);
         // A counter-example distinguishes node 8 from 3 and 5.
-        let moved = classes.refine(&values(&[(3, false), (5, false), (8, true)]));
-        assert_eq!(moved, 2, "node 8 is dropped and {{3, 5}} is a new class");
-        assert_eq!(classes.classes().len(), 1);
-        assert_eq!(classes.classes()[0].members(), &[3, 5]);
-    }
-
-    #[test]
-    fn refine_keeps_complement_pairs_together() {
-        let mut classes = build(&[(3, sig(&[0, 1])), (5, sig(&[1, 0]))]);
-        assert_eq!(classes.classes().len(), 1);
-        // New evidence consistent with complementation must not split them.
+        assert_eq!(
+            classes.refine(&values(&[(8, true)])),
+            2,
+            "8 drops, {{3, 5}} stays"
+        );
+        assert_eq!((classes.members(3), classes.repr(8)), (&[3, 5][..], None));
+        // Complement pairs stay together on consistent evidence.
+        let mut pair = build(&[(3, sig(&[0, 1])), (5, sig(&[1, 0]))]);
         for value in [false, true] {
-            let moved = classes.refine(&values(&[(3, value), (5, !value)]));
-            assert_eq!(classes.classes().len(), 1);
-            assert_eq!(moved, 0);
+            assert_eq!(pair.refine(&values(&[(3, value), (5, !value)])), 0);
+            assert_eq!(pair.members(3), &[3, 5]);
         }
     }
 
     #[test]
-    fn refine_drops_disproved_constants() {
-        let mut classes = build(&[(2, sig(&[0, 0, 0]))]);
-        assert_eq!(classes.constants().len(), 1);
-        assert_eq!(classes.refine(&values(&[(2, false)])), 0);
+    fn refine_drops_refuted_constants() {
+        let mut classes = build(&[(2, sig(&[0, 0])), (4, sig(&[0, 0])), (6, sig(&[1, 1]))]);
+        assert_eq!(classes.refine(&values(&[(6, true)])), 0, "consistent");
+        // Nodes 2 and 4 now share a signature, yet form no class.
         assert_eq!(
-            classes.constants().len(),
-            1,
-            "a consistent pattern keeps it"
+            classes.refine(&values(&[(2, true), (4, true), (6, true)])),
+            3
         );
-        assert_eq!(classes.refine(&values(&[(2, true)])), 1);
-        assert!(classes.constants().is_empty());
+        assert_eq!((classes.members(0), classes.repr(2)), (&[0, 6][..], None));
+        assert_eq!(classes.refine(&values(&[])), 2, "node 6 and node 0 leave");
+        assert_eq!((classes.repr(0), classes.num_classes()), (None, 0));
     }
 
     #[test]
-    fn remove_member_and_collapse_class() {
-        let mut classes = build(&[
-            (3, sig(&[0, 1, 1, 0])),
-            (5, sig(&[0, 1, 1, 0])),
-            (7, sig(&[1, 0, 0, 1])),
-        ]);
+    fn remove_renormalises_and_collapses_classes() {
+        // An ordinary member leaves; the representative keeps the class.
+        let mut classes = build(&[(3, sig(&[0, 1])), (5, sig(&[0, 1])), (7, sig(&[1, 0]))]);
         classes.remove(5);
-        assert_eq!(classes.classes()[0].members(), &[3, 7]);
+        assert_eq!(
+            (classes.members(3), classes.repr(5), classes.repr(7)),
+            (&[3, 7][..], None, Some(Lit::new(3, true)))
+        );
+        // The representative leaves; the next member takes the class over.
+        let mut classes = build(&[(3, sig(&[0, 1])), (5, sig(&[1, 0])), (7, sig(&[1, 0]))]);
         classes.remove(3);
+        assert_eq!(
+            (classes.members(5), classes.repr(7)),
+            (&[5, 7][..], Some(Lit::positive(5)))
+        );
         // Only one member left: the class disappears.
-        assert!(classes.classes().is_empty());
+        classes.remove(5);
+        assert_eq!((classes.repr(7), classes.num_classes()), (None, 0));
     }
 
     #[test]
-    fn remove_representative_renormalises_phase() {
-        let mut classes = build(&[
-            (3, sig(&[0, 1, 1, 0])),
-            (5, sig(&[1, 0, 0, 1])),
-            (7, sig(&[1, 0, 0, 1])),
-        ]);
-        classes.remove(3);
-        let class = &classes.classes()[0];
-        assert_eq!(class.representative(), 5);
-        assert!(!class.phase_of(5));
-        assert!(!class.phase_of(7));
+    fn parts_round_trip_and_from_parts_refuses_what_the_table_cannot_hold() {
+        let parts = build(&[(2, sig(&[1, 1])), (3, sig(&[0, 1])), (5, sig(&[1, 0]))]).parts();
+        assert_eq!(
+            parts,
+            [
+                (vec![0, 2], vec![false, true]),
+                (vec![3, 5], vec![false, true])
+            ]
+        );
+        let restored = EquivClasses::from_parts(6, parts.clone()).expect("valid");
+        assert_eq!(
+            (restored.parts(), restored.repr(5)),
+            (parts, Some(Lit::new(3, true)))
+        );
+        for bad in [
+            vec![(vec![1, 3], vec![false; 2]), (vec![3, 4], vec![false; 2])],
+            vec![(vec![2, 0], vec![false; 2])],
+            vec![(vec![1, 6], vec![false; 2])],
+        ] {
+            assert!(EquivClasses::from_parts(6, bad.clone()).is_err(), "{bad:?}");
+        }
     }
 }

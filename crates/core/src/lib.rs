@@ -7,7 +7,9 @@
 //!   collapsed into k-LUTs whose truth tables are obtained by semi-tensor
 //!   (logic-matrix) composition, so that only the nodes of interest are
 //!   simulated — with exhaustive patterns whenever the window is small.
-//! * [`equiv`] — the candidate equivalence-class manager of Fig. 2.
+//! * [`equiv`] — the candidate equivalence-class manager of Fig. 2: one
+//!   table addressed by node, in which the constant candidates are the
+//!   class of the constant node 0.
 //! * [`patterns`] — SAT-guided initial simulation patterns and constant-node
 //!   detection (Section IV-A, after [Amarù et al., DAC'20]).
 //! * [`session`] — the sweeping engine behind both the baseline and the

@@ -45,7 +45,11 @@ pub trait Observer {
     }
 
     /// A counter-example refined the candidate classes: `num_classes`
-    /// classes remain and `moved` members changed class or were dropped.
+    /// classes remain, counting the constant candidates' class (that of
+    /// node 0), and `moved` counts the nodes the splits dropped (one each)
+    /// and the classes they left with at least two members (one each),
+    /// node 0's class like any other; see
+    /// [`crate::equiv::EquivClasses::refine`].
     fn on_class_refined(&mut self, num_classes: usize, moved: usize) {
         let _ = (num_classes, moved);
     }

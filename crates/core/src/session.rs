@@ -48,7 +48,7 @@
 
 use crate::budget::{Budget, BudgetCause};
 use crate::checkpoint::{netlist_fingerprint, CheckpointError, PhasePod, SweepCheckpoint};
-use crate::equiv::{EquivClass, EquivClasses};
+use crate::equiv::EquivClasses;
 use crate::error::SweepError;
 use crate::observer::{Observer, SatCallOutcome, StatsObserver};
 use crate::patterns::{self, PatternGenConfig};
@@ -425,7 +425,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         let mut merged: Vec<Option<Lit>> = vec![None; num_nodes];
         let mut refs = Vec::new();
         let (sat, seq, classes, windows) = if sequential {
-            if !(checkpoint.classes.is_empty() && checkpoint.constants.is_empty()) {
+            if !checkpoint.classes.is_empty() {
                 return Err(mismatch(
                     "a sequential checkpoint carries combinational candidate state",
                 ));
@@ -435,9 +435,9 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         } else {
             // A merged node is an AND node, and its replacement precedes
             // it: that order is what ends `resolve`, and `Aig::cleanup`
-            // refuses any other.  Every candidate (class member or constant
-            // candidate) may be merged later.  Check both
-            // here so corruption surfaces as a typed mismatch, never a panic.
+            // refuses any other.  Every class member but a representing
+            // constant node may be merged later.  Check both here so
+            // corruption surfaces as a typed mismatch, never a panic.
             if !checkpoint
                 .merge_log
                 .iter()
@@ -448,9 +448,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             if !checkpoint
                 .classes
                 .iter()
-                .flat_map(|(members, _)| members.iter().copied())
-                .chain(checkpoint.constants.iter().map(|c| c.node))
-                .all(is_and)
+                .flat_map(|(members, _)| members.iter().skip_while(|&&m| m == 0))
+                .all(|&m| is_and(m))
             {
                 return Err(mismatch(
                     "candidate classes name a node that is not an AND node of the network",
@@ -462,9 +461,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             // The counts the merges maintained are those of the swept
             // network they left.
             refs = live_refs(aig, &merged);
-            let classes =
-                EquivClasses::from_parts(checkpoint.classes.clone(), checkpoint.constants.clone())
-                    .map_err(mismatch)?;
+            let classes = EquivClasses::from_parts(num_nodes, checkpoint.classes.clone())
+                .map_err(mismatch)?;
             let windows = config
                 .window_refinement
                 .then(|| WindowIndex::build(aig, config.window_limit));
@@ -560,8 +558,8 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     }
 
     /// Number of merge candidates remaining (class members beyond their
-    /// representatives, plus constant candidates) — for a sequential sweep,
-    /// the latch pairs left to prove.
+    /// representatives, the constant candidates included) — for a
+    /// sequential sweep, the latch pairs left to prove.
     pub fn num_candidates(&self) -> usize {
         match (&self.seq, &self.phase) {
             (Some(plan), Phase::Latches { next }) => plan.candidates.len() - next / 2,
@@ -587,13 +585,7 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             round: self.round,
             phase: self.phase.clone(),
             merge_log: self.merge_log.clone(),
-            classes: self
-                .classes
-                .classes()
-                .iter()
-                .map(|c| (c.members().to_vec(), c.phases().to_vec()))
-                .collect(),
-            constants: self.classes.constants().to_vec(),
+            classes: self.classes.parts(),
             stats: self.stats,
             committed_candidates: self.committed_candidates,
             simulation_time: self.simulation_time,
@@ -735,19 +727,20 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             let Phase::Constants { next } = self.phase else {
                 unreachable!("step_constants runs in the constants phase")
             };
-            // The sorted constant candidates only shrink: a counter-example
-            // drops those it refutes, and a settled one leaves.  So the
-            // candidates from the cursor on are exactly those still to prove.
-            let constants = self.classes.constants();
-            let Some(&candidate) = constants.get(constants.partition_point(|c| c.node < next))
+            // The constant candidates are node 0's class, which only
+            // shrinks: a counter-example drops those it refutes, and a
+            // settled one leaves.  So its members from the cursor on, node 0
+            // itself skipped, are exactly the candidates still to prove.
+            let constants = self.classes.members(0);
+            let Some(&candidate) = constants.get(constants.partition_point(|&m| m < next.max(1)))
             else {
                 self.phase = self.merging_entry_phase();
                 return true;
             };
-            if self.refs[candidate.node] == 0 {
-                self.notify(|o| o.on_dead_candidate(candidate.node));
+            if self.refs[candidate] == 0 {
+                self.notify(|o| o.on_dead_candidate(candidate));
                 self.phase = Phase::Constants {
-                    next: candidate.node + 1,
+                    next: candidate + 1,
                 };
                 continue;
             }
@@ -755,21 +748,19 @@ impl<'n, 'o> SweepSession<'n, 'o> {
                 self.capture_stop_checkpoint();
                 return false;
             }
-            let lit = Lit::positive(candidate.node);
-            match self.query(|sat, limit| sat.prove_constant(lit, candidate.value, limit)) {
+            // A constant candidate's representative is its constant.
+            let constant = self.classes.repr(candidate).expect("node 0's class");
+            let lit = Lit::positive(candidate);
+            let value = constant.is_complemented();
+            match self.query(|sat, limit| sat.prove_constant(lit, value, limit)) {
                 EquivOutcome::Equivalent => {
-                    let constant = if candidate.value {
-                        Lit::TRUE
-                    } else {
-                        Lit::FALSE
-                    };
-                    self.apply_merge(candidate.node, constant);
+                    self.apply_merge(candidate, constant);
                 }
                 EquivOutcome::CounterExample(ce) => self.refine_with_counterexample(&ce),
-                EquivOutcome::Undetermined => self.classes.remove(candidate.node),
+                EquivOutcome::Undetermined => self.classes.remove(candidate),
             }
             self.phase = Phase::Constants {
-                next: candidate.node + 1,
+                next: candidate + 1,
             };
             self.committed_candidates += 1;
         }
@@ -844,16 +835,18 @@ impl<'n, 'o> SweepSession<'n, 'o> {
     // Phase: pairwise merging.
     // ------------------------------------------------------------------
 
-    /// The class in which `candidate` waits to be settled, given the
-    /// driver attempts it has consumed.  `None` means the candidate is
-    /// settled: out of attempts, classless (as every merged or undetermined
-    /// candidate is), or its class's representative.
-    fn open_class(&self, candidate: NodeId, attempts: usize) -> Option<&EquivClass> {
-        if attempts >= self.config.tfi_limit {
-            return None;
-        }
-        let class = self.classes.class_of(candidate)?;
-        (class.representative() != candidate).then_some(class)
+    /// Whether `candidate` still waits to be settled, given the driver
+    /// attempts it has consumed.  It is settled once out of attempts,
+    /// classless (as every merged or undetermined candidate is), its
+    /// class's representative, or a constant candidate: the merging phase
+    /// never tries one against node 0, whether the constant phase was
+    /// skipped (the baseline) or passed it by as dead.
+    fn is_open(&self, candidate: NodeId, attempts: usize) -> bool {
+        attempts < self.config.tfi_limit
+            && self
+                .classes
+                .repr(candidate)
+                .is_some_and(|repr| ![0, candidate].contains(&repr.node()))
     }
 
     /// The pairwise-merging phase: the candidate on top of the pending
@@ -875,28 +868,16 @@ impl<'n, 'o> SweepSession<'n, 'o> {
             unreachable!("step_merging runs in the merging phase")
         };
         while let Some(&(candidate, attempts)) = pending.last() {
-            let Some(class) = self.open_class(candidate, attempts) else {
+            if !self.is_open(candidate, attempts) {
                 pending.pop();
                 continue;
-            };
+            }
             if self.refs[candidate] == 0 {
                 self.notify(|o| o.on_dead_candidate(candidate));
                 pending.pop();
                 continue;
             }
-            // The members before the candidate, bounded by the TFI limit.
-            // Members are sorted, so the representative comes first and
-            // the list is never empty.
-            let candidate_phase = class.phase_of(candidate);
-            let drivers: Vec<(NodeId, bool)> = class
-                .members()
-                .iter()
-                .zip(class.phases())
-                .take_while(|&(&m, _)| m < candidate)
-                .map(|(&m, &phase)| (m, phase != candidate_phase))
-                .take(self.config.tfi_limit - attempts)
-                .collect();
-            let Some((step, used)) = self.prove_step(candidate, &drivers) else {
+            let Some((step, used)) = self.prove_step(candidate, attempts) else {
                 self.phase = Phase::Merging { pending };
                 self.capture_stop_checkpoint();
                 return false;
@@ -932,23 +913,22 @@ impl<'n, 'o> SweepSession<'n, 'o> {
         true
     }
 
-    /// One proof step for `candidate`: the window verdicts over `drivers`
-    /// (STP engine), stopping at the first window proof or at the first
-    /// driver a window cannot settle, whose pair then gets one SAT query.
-    /// Returns the outcome and the number of drivers consumed — or `None`,
-    /// having committed nothing, when the budget stops the run before the
-    /// query; a resumed run repeats the step.
-    fn prove_step(
-        &mut self,
-        candidate: NodeId,
-        drivers: &[(NodeId, bool)],
-    ) -> Option<(Step, usize)> {
+    /// One proof step for an open `candidate` that has consumed `attempts`
+    /// drivers: the window verdicts (STP engine) over its class's members
+    /// before it, from the representative on and bounded by the TFI limit,
+    /// stopping at the first window proof or at the first driver a window
+    /// cannot settle, whose pair then gets one SAT query.  Returns the
+    /// outcome and the number of drivers consumed — or `None`, having
+    /// committed nothing, when the budget stops the run before the query;
+    /// a resumed run repeats the step.
+    fn prove_step(&mut self, candidate: NodeId, attempts: usize) -> Option<(Step, usize)> {
         let windows = self.windows.as_ref();
         let mut verdicts = Vec::new();
         let mut proved = None;
         let mut query = None;
-        for &(driver, complemented) in drivers {
-            let replacement = Lit::new(driver, complemented);
+        let drivers = self.classes.drivers(candidate);
+        for replacement in drivers.take(self.config.tfi_limit - attempts) {
+            let (driver, complemented) = (replacement.node(), replacement.is_complemented());
             match windows.and_then(|w| w.compare(self.original, candidate, driver, complemented)) {
                 Some(false) => verdicts.push((driver, false)),
                 Some(true) => {
@@ -1030,30 +1010,24 @@ impl<'n, 'o> SweepSession<'n, 'o> {
 
     /// Resimulates a counter-example and refines the candidate classes.
     ///
-    /// Both engines evaluate **only the nodes that are still merge
-    /// candidates** (class members and constant candidates) on the new
+    /// Both engines evaluate **only the classed nodes** on the new
     /// pattern, through a single-bit sweep of their transitive fanin (see
     /// [`crate::resim`]); every class then splits in two by the pattern.
     /// The outcome equals re-priming the classes with the pattern appended,
     /// because class members agree on every earlier pattern by
-    /// construction.
+    /// construction — except that the constant candidates the pattern
+    /// refutes are dropped (see [`EquivClasses::refine`]).
     fn refine_with_counterexample(&mut self, counterexample: &[bool]) {
         self.notify(|o| o.on_counterexample(counterexample));
         let sim_start = Instant::now();
-        let targets: Vec<NodeId> = self
-            .classes
-            .classes()
-            .iter()
-            .flat_map(|c| c.members().iter().copied())
-            .chain(self.classes.constants().iter().map(|c| c.node))
-            .collect();
+        let targets: Vec<NodeId> = self.classes.classed_nodes().collect();
         let (values, evaluated) =
             resim::eval_pattern_targets(self.original, counterexample, &targets);
         let skipped = self.original.num_ands() - evaluated;
         self.notify(|o| o.on_resimulation(targets.len(), evaluated, skipped));
         let moved = self.classes.refine(&values);
         self.simulation_time += sim_start.elapsed();
-        let num_classes = self.classes.classes().len();
+        let num_classes = self.classes.num_classes();
         self.notify(|o| o.on_class_refined(num_classes, moved));
     }
 
@@ -1145,7 +1119,6 @@ mod tests {
     use super::*;
     use crate::budget::CancelToken;
     use crate::cec::check_equivalence;
-    use crate::equiv::ConstantCandidate;
     use netlist::aiger::write_aiger_string;
 
     /// A circuit with planted redundancy: the same functions built twice
@@ -1585,12 +1558,13 @@ mod tests {
             total >= 2,
             "workload must need SAT calls ({name}, {engine})"
         );
-        let primed = Sweeper::new(engine)
-            .config(config)
-            .begin(aig)
-            .expect("primes")
-            .checkpoint()
-            .constants;
+        let primed = constant_candidates(
+            &Sweeper::new(engine)
+                .config(config)
+                .begin(aig)
+                .expect("primes")
+                .checkpoint(),
+        );
         let mut refuted_ahead = 0;
         // `cut = 0` pre-trips the budget before priming (no checkpoint);
         // that boundary is covered by the begin()+checkpoint() test.
@@ -1604,11 +1578,9 @@ mod tests {
                 .into_checkpoint()
                 .expect("a primed budget stop carries a checkpoint");
             if let PhasePod::Constants { next } = checkpoint.phase {
-                refuted_ahead += usize::from(
-                    primed
-                        .iter()
-                        .any(|c| c.node >= next && !checkpoint.constants.contains(c)),
-                );
+                let left = constant_candidates(&checkpoint);
+                refuted_ahead +=
+                    usize::from(primed.iter().any(|c| *c >= next && !left.contains(c)));
             }
             // Round-trip through bytes: resume from the decoded copy.
             let decoded = SweepCheckpoint::decode(&checkpoint.encode()).expect("decodes");
@@ -1631,6 +1603,15 @@ mod tests {
             );
         }
         refuted_ahead
+    }
+
+    /// A checkpoint's constant candidates: node 0's class, listed first,
+    /// without node 0.  A candidate only leaves it, never changes value.
+    fn constant_candidates(checkpoint: &SweepCheckpoint) -> Vec<NodeId> {
+        match checkpoint.classes.first() {
+            Some((members, _)) if members[0] == 0 => members[1..].to_vec(),
+            _ => Vec::new(),
+        }
     }
 
     #[test]
@@ -1686,29 +1667,29 @@ mod tests {
             .expect("primes")
             .checkpoint();
         let input = aig.inputs()[0];
-        let member = base.classes[0].0[1];
-
-        let mut constant_node = base.clone();
-        constant_node.constants = vec![ConstantCandidate {
-            node: 0,
-            value: false,
-        }];
-        constant_node.phase = PhasePod::Constants { next: 0 };
-        let mut input_constant = base.clone();
-        input_constant.constants = vec![ConstantCandidate {
-            node: input,
-            value: false,
-        }];
-        let mut input_member = base.clone();
-        input_member.classes = vec![(vec![input, member], vec![false, false])];
-        assert_resume_refuses(
-            &aig,
-            [
-                ("the constant node as candidate", constant_node),
-                ("an input as a constant candidate", input_constant),
-                ("an input as a class representative", input_member),
-            ],
-        );
+        let class = &base.classes.last().expect("the circuit has classes").0;
+        let (member, other) = (class[0], class[1]);
+        assert_ne!(member, 0, "a class of AND nodes");
+        // Node 0 cannot be a candidate: sorted members put it first, where
+        // it represents the constant candidates, and the cursor skips it.
+        let cases = [
+            ("an input as a constant candidate", vec![vec![0, input]]),
+            (
+                "an input as a class representative",
+                vec![vec![input, member]],
+            ),
+            (
+                "node 0 in two classes",
+                vec![vec![0, member], vec![0, other]],
+            ),
+            ("a node listed in two classes", vec![vec![member, other]; 2]),
+        ];
+        let crafted = cases.map(|(what, classes)| {
+            let mut checkpoint = base.clone();
+            checkpoint.classes = classes.into_iter().map(|m| (m, vec![false; 2])).collect();
+            (what, checkpoint)
+        });
+        assert_resume_refuses(&aig, crafted);
     }
 
     /// Resumes each checkpoint through its bytes, as a checkpoint from

@@ -10,7 +10,7 @@ use stp_sat_sweep::bitsim::{
 use stp_sat_sweep::netlist::aiger::{read_aiger_str, write_aiger_string};
 use stp_sat_sweep::netlist::{lutmap, Aig, LatchInit, Lit, NodeId};
 use stp_sat_sweep::satsolver::{CircuitSat, EquivOutcome};
-use stp_sat_sweep::stp_sweep::equiv::{ConstantCandidate, EquivClasses};
+use stp_sat_sweep::stp_sweep::equiv::EquivClasses;
 use stp_sat_sweep::stp_sweep::resim::eval_pattern_targets;
 use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
 use stp_sat_sweep::stp_sweep::{cec, SweepConfig};
@@ -312,8 +312,9 @@ proptest! {
     }
 
     /// Refining the candidates by one counter-example equals re-priming
-    /// them with that pattern appended: the single-bit fanin sweep and the
-    /// two-way class split, checked against bitwise simulation.
+    /// them with that pattern appended, except that the constant
+    /// candidates it refutes are dropped: the single-bit fanin sweep and
+    /// the two-way class split, checked against bitwise simulation.
     #[test]
     fn refining_by_a_counterexample_equals_repriming_with_it(
         spec in arb_aig(),
@@ -327,16 +328,15 @@ proptest! {
         let mut classes = EquivClasses::from_node_signatures(
             aig.and_ids().map(|id| (id, primed.signature(id))),
         );
-        let primed_constants = classes.constants().to_vec();
-        let members: Vec<NodeId> = classes
-            .classes()
-            .iter()
-            .flat_map(|c| c.members().iter().copied())
-            .collect();
-        let targets: Vec<NodeId> = members
+        // Node 0's class: each constant candidate with its value.
+        let with_value = |&c: &NodeId| (c, classes.repr(c) == Some(Lit::TRUE));
+        let primed_constants: Vec<(NodeId, bool)> =
+            classes.members(0).iter().skip(1).map(with_value).collect();
+        let targets: Vec<NodeId> = classes.classed_nodes().collect();
+        let members: Vec<NodeId> = targets
             .iter()
             .copied()
-            .chain(primed_constants.iter().map(|c| c.node))
+            .filter(|&n| classes.repr(n).is_some_and(|r| !r.is_constant()))
             .collect();
         let assignment: Vec<bool> = (0..aig.num_inputs()).map(|i| (bits >> i) & 1 == 1).collect();
         let (values, _) = eval_pattern_targets(&aig, &assignment, &targets);
@@ -347,16 +347,21 @@ proptest! {
         let reprimed = EquivClasses::from_node_signatures(
             members.iter().map(|&id| (id, extended.signature(id))),
         );
-        prop_assert_eq!(classes.classes(), reprimed.classes());
-        // Class members were never constant on `P`, so they are not on
-        // `P` plus one pattern either.
-        prop_assert!(reprimed.constants().is_empty());
+        // Class members were never constant on `P`, so they are not on `P`
+        // plus one pattern either: the re-primed classes hold no constant.
+        let (constant_class, others): (Vec<_>, Vec<_>) =
+            classes.parts().into_iter().partition(|(members, _)| members[0] == 0);
+        prop_assert_eq!(others, reprimed.parts());
+        // Node 0's class keeps exactly the candidates the pattern agrees
+        // with, and their values.
         let last = patterns.num_patterns() - 1;
-        let agreeing: Vec<ConstantCandidate> = primed_constants
+        let agreeing: Vec<(NodeId, bool)> = primed_constants
             .into_iter()
-            .filter(|c| extended.signature(c.node).get_bit(last) == c.value)
+            .filter(|&(c, value)| extended.signature(c).get_bit(last) == value)
             .collect();
-        prop_assert_eq!(classes.constants(), &agreeing[..]);
+        let kept: Option<(Vec<NodeId>, Vec<bool>)> =
+            (!agreeing.is_empty()).then(|| std::iter::once((0, false)).chain(agreeing).unzip());
+        prop_assert_eq!(constant_class, Vec::from_iter(kept));
     }
 
     /// Every optimisation pass — the structural cleanup, a sweep of each
