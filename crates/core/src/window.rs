@@ -1,28 +1,48 @@
-//! Cut-window collapse of an AIG, used by the STP sweeper's window verdicts.
+//! Cut windows of an AIG, used by the STP sweeper's window verdicts.
 //!
-//! The STP-based refinement of Section IV-A works on the network being
-//! swept: nodes that are *not* in any candidate equivalence class are mapped
-//! into k-LUTs (their logic is absorbed into cut windows), and candidate
-//! pairs are then compared exhaustively over their window leaves whenever
-//! the window is small enough.  [`WindowIndex`] pre-computes, for every AND
-//! node, a window (a cut with at most `limit` leaves) and the node's function
-//! over that window, obtained by logic-matrix (truth-table) composition.
-//! The index serves only these verdicts ([`WindowIndex::compare`]);
-//! counter-examples are resimulated by [`crate::resim`].
+//! The STP-based refinement of Section IV-A compares candidate pairs
+//! exhaustively over small cut windows.  [`WindowIndex`] pre-computes, for
+//! every node of the network being swept, a window (a cut with at most
+//! `limit` leaves) and the node's function over that window, obtained by
+//! logic-matrix (truth-table) composition: an AND's table is its fanins'
+//! tables re-expressed over the merged leaves ([`truthtable::remap`]) and
+//! ANDed.  All windows live in one flat arena, so a build allocates nothing
+//! per node.  The index serves only these verdicts
+//! ([`WindowIndex::compare`]); counter-examples are resimulated by
+//! [`crate::resim`].
 
+use crate::report::MAX_WINDOW_LIMIT;
 use netlist::{Aig, AigNode, NodeId};
-use truthtable::TruthTable;
+use truthtable::{remap, used_bits_mask, words_needed, TruthTable};
 
-/// A node's window: its function expressed over a small set of leaf nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Window {
+/// The table of a node that is its own only leaf: variable 0 of one.
+const PROJECTION: u64 = 0b10;
+
+/// A node's window: its function over a small set of leaf nodes, borrowed
+/// from a [`WindowIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window<'a> {
     /// Sorted leaf node ids.
-    pub leaves: Vec<NodeId>,
-    /// The node's function over the leaves (leaf `i` ↔ variable `i`).
-    pub table: TruthTable,
+    pub leaves: &'a [NodeId],
+    /// The words of the node's function over the leaves (leaf `i` ↔
+    /// variable `i`), laid out as in [`TruthTable::words`].
+    pub words: &'a [u64],
 }
 
-impl Window {
+impl<'a> Window<'a> {
+    /// The window of a node cut at itself.
+    fn leaf(node: &'a NodeId) -> Self {
+        Window {
+            leaves: std::slice::from_ref(node),
+            words: &[PROJECTION],
+        }
+    }
+
+    /// The node's function over the leaves as an owned table.
+    pub fn table(&self) -> TruthTable {
+        TruthTable::from_words(self.leaves.len(), self.words)
+    }
+
     /// `true` if every leaf is a primary input or the constant node, in
     /// which case [`Window::table`] is the node's *global* function and an
     /// exhaustive comparison over the window is a complete equivalence
@@ -32,12 +52,23 @@ impl Window {
             .iter()
             .all(|&l| !matches!(aig.node(l), AigNode::And { .. }))
     }
+
+    /// Writes the table re-expressed over `num_vars` merged leaves into
+    /// `out`, leaf `i` moving to `map[i]`.
+    fn remap_into(&self, map: &[usize], num_vars: usize, out: &mut [u64]) {
+        remap(self.words, &map[..self.leaves.len()], num_vars, out);
+    }
 }
 
-/// Pre-computed windows for every node of an AIG.
+/// Pre-computed windows for every node of an AIG, in one flat arena.
 #[derive(Debug, Clone)]
 pub struct WindowIndex {
-    windows: Vec<Window>,
+    /// Node `n`'s leaves are `leaves[leaf_start[n]..leaf_start[n + 1]]`.
+    leaf_start: Vec<usize>,
+    leaves: Vec<NodeId>,
+    /// Node `n`'s table is `words[word_start[n]..word_start[n + 1]]`.
+    word_start: Vec<usize>,
+    words: Vec<u64>,
     limit: usize,
 }
 
@@ -48,80 +79,61 @@ impl WindowIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `limit < 2` or `limit > TruthTable::MAX_VARS`.
+    /// Panics if `limit < 2` or `limit > MAX_WINDOW_LIMIT` (16), the range
+    /// [`crate::SweepConfig::validate`] accepts.
     pub fn build(aig: &Aig, limit: usize) -> Self {
         assert!(
-            (2..=TruthTable::MAX_VARS).contains(&limit),
+            (2..=MAX_WINDOW_LIMIT).contains(&limit),
             "window limit out of range"
         );
-        let mut windows: Vec<Window> = Vec::with_capacity(aig.num_nodes());
+        let mut index = WindowIndex {
+            leaf_start: Vec::with_capacity(aig.num_nodes() + 1),
+            leaves: Vec::new(),
+            word_start: Vec::with_capacity(aig.num_nodes() + 1),
+            words: Vec::new(),
+            limit,
+        };
+        index.leaf_start.push(0);
+        index.word_start.push(0);
+        let mut merged = [0; MAX_WINDOW_LIMIT];
+        let mut maps = [[0; MAX_WINDOW_LIMIT]; 2];
+        let mut tables = vec![0; 2 * words_needed(limit)];
         for id in aig.node_ids() {
-            let window = match aig.node(id) {
-                AigNode::Const0 => Window {
-                    leaves: vec![id],
-                    table: TruthTable::variable(1, 0),
-                },
-                AigNode::Input { .. } => Window {
-                    leaves: vec![id],
-                    table: TruthTable::variable(1, 0),
-                },
-                AigNode::And { fanin0, fanin1 } => {
-                    let w0 = &windows[fanin0.node()];
-                    let w1 = &windows[fanin1.node()];
-                    let mut merged: Vec<NodeId> = w0.leaves.clone();
-                    for &l in &w1.leaves {
-                        if !merged.contains(&l) {
-                            merged.push(l);
-                        }
-                    }
-                    merged.sort_unstable();
-                    if merged.len() <= limit {
-                        let t0 = remap(&w0.table, &w0.leaves, &merged);
-                        let t1 = remap(&w1.table, &w1.leaves, &merged);
-                        let t0 = if fanin0.is_complemented() { !&t0 } else { t0 };
-                        let t1 = if fanin1.is_complemented() { !&t1 } else { t1 };
-                        Window {
-                            leaves: merged,
-                            table: &t0 & &t1,
-                        }
-                    } else {
-                        // Use the direct fanins as leaves.
-                        let mut leaves = vec![fanin0.node(), fanin1.node()];
-                        leaves.sort_unstable();
-                        leaves.dedup();
-                        let table = if leaves.len() == 1 {
-                            // Both fanins are the same node (possibly with
-                            // different polarity); express directly.
-                            let v = TruthTable::variable(1, 0);
-                            let t0 = if fanin0.is_complemented() {
-                                !&v
-                            } else {
-                                v.clone()
-                            };
-                            let t1 = if fanin1.is_complemented() { !&v } else { v };
-                            &t0 & &t1
-                        } else {
-                            let pos0 = leaves
-                                .iter()
-                                .position(|&l| l == fanin0.node())
-                                .expect("present");
-                            let pos1 = leaves
-                                .iter()
-                                .position(|&l| l == fanin1.node())
-                                .expect("present");
-                            let v0 = TruthTable::variable(2, pos0);
-                            let v1 = TruthTable::variable(2, pos1);
-                            let t0 = if fanin0.is_complemented() { !&v0 } else { v0 };
-                            let t1 = if fanin1.is_complemented() { !&v1 } else { v1 };
-                            &t0 & &t1
-                        };
-                        Window { leaves, table }
-                    }
+            match aig.node(id) {
+                AigNode::Const0 | AigNode::Input { .. } => {
+                    index.leaves.push(id);
+                    index.words.push(PROJECTION);
                 }
-            };
-            windows.push(window);
+                AigNode::And { fanin0, fanin1 } => {
+                    let cut = [fanin0.node(), fanin1.node()];
+                    let mut fanins = cut.map(|f| index.window(f));
+                    let k = match merge_leaves(fanins, &mut merged[..limit], &mut maps) {
+                        Some(k) => k,
+                        None => {
+                            // Use the direct fanins as leaves.
+                            fanins = cut.each_ref().map(Window::leaf);
+                            merge_leaves(fanins, &mut merged, &mut maps).expect("two leaves fit")
+                        }
+                    };
+                    let n = words_needed(k);
+                    let (t0, t1) = tables[..2 * n].split_at_mut(n);
+                    fanins[0].remap_into(&maps[0], k, t0);
+                    fanins[1].remap_into(&maps[1], k, t1);
+                    let [c0, c1] =
+                        [fanin0, fanin1].map(|f| if f.is_complemented() { u64::MAX } else { 0 });
+                    let used = used_bits_mask(k);
+                    index.leaves.extend_from_slice(&merged[..k]);
+                    index.words.extend(
+                        t0.iter()
+                            .zip(t1.iter())
+                            .map(|(&a, &b)| (a ^ c0) & (b ^ c1) & used),
+                    );
+                }
+            }
+            index.leaf_start.push(index.leaves.len());
+            index.word_start.push(index.words.len());
         }
-        WindowIndex { windows, limit }
+        index
     }
 
     /// The window limit used at construction time.
@@ -130,8 +142,11 @@ impl WindowIndex {
     }
 
     /// The window of `node`.
-    pub fn window(&self, node: NodeId) -> &Window {
-        &self.windows[node]
+    pub fn window(&self, node: NodeId) -> Window<'_> {
+        Window {
+            leaves: &self.leaves[self.leaf_start[node]..self.leaf_start[node + 1]],
+            words: &self.words[self.word_start[node]..self.word_start[node + 1]],
+        }
     }
 
     /// Attempts to disprove or prove the equivalence of two nodes (up to the
@@ -153,32 +168,29 @@ impl WindowIndex {
     ///   leaves, or unequal tables over different non-global leaf sets); a
     ///   SAT query is needed.
     pub fn compare(&self, aig: &Aig, a: NodeId, b: NodeId, complemented: bool) -> Option<bool> {
-        let wa = &self.windows[a];
-        let wb = &self.windows[b];
+        let windows = [self.window(a), self.window(b)];
+        let [wa, wb] = windows;
         if wa.leaves == wb.leaves {
-            let tb = if complemented {
-                !&wb.table
-            } else {
-                wb.table.clone()
-            };
-            return Some(wa.table == tb);
+            return Some(equal_tables(
+                wa.words,
+                wb.words,
+                wa.leaves.len(),
+                complemented,
+            ));
         }
-        let mut union = wa.leaves.clone();
-        for &l in &wb.leaves {
-            if !union.contains(&l) {
-                union.push(l);
-            }
-        }
-        union.sort_unstable();
-        if union.len() > 16 {
-            return None; // keep the exhaustive comparison bounded
-        }
-        let ta = remap(&wa.table, &wa.leaves, &union);
-        let tb = remap(&wb.table, &wb.leaves, &union);
-        let tb = if complemented { !&tb } else { tb };
+        // No comparison over a union of more than 16 leaves: keep the
+        // exhaustive comparison bounded.
+        let mut union = [0; MAX_WINDOW_LIMIT];
+        let mut maps = [[0; MAX_WINDOW_LIMIT]; 2];
+        let k = merge_leaves(windows, &mut union, &mut maps)?;
+        let n = words_needed(k);
+        let mut tables = vec![0; 2 * n];
+        let (ta, tb) = tables.split_at_mut(n);
+        wa.remap_into(&maps[0], k, ta);
+        wb.remap_into(&maps[1], k, tb);
         // Unequal tables over non-global leaves may differ only on leaf
         // values the circuit never produces.
-        if ta == tb {
+        if equal_tables(ta, tb, k, complemented) {
             Some(true)
         } else if wa.is_global(aig) && wb.is_global(aig) {
             Some(false)
@@ -188,17 +200,43 @@ impl WindowIndex {
     }
 }
 
-fn remap(table: &TruthTable, old_leaves: &[NodeId], new_leaves: &[NodeId]) -> TruthTable {
-    let var_map: Vec<usize> = old_leaves
-        .iter()
-        .map(|l| {
-            new_leaves
-                .iter()
-                .position(|m| m == l)
-                .expect("old leaf present in merged leaves")
-        })
-        .collect();
-    table.extend_to(new_leaves.len(), &var_map)
+/// Merges the sorted leaf sets of two windows into `merged`, recording in
+/// `maps[w][i]` where leaf `i` of window `w` lands.  Returns the number of
+/// merged leaves, or `None` if there are more than `merged.len()`.
+fn merge_leaves(
+    windows: [Window<'_>; 2],
+    merged: &mut [NodeId],
+    maps: &mut [[usize; MAX_WINDOW_LIMIT]; 2],
+) -> Option<usize> {
+    let [a, b] = windows.map(|w| w.leaves);
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() || j < b.len() {
+        let x = a.get(i).copied().unwrap_or(NodeId::MAX);
+        let y = b.get(j).copied().unwrap_or(NodeId::MAX);
+        let leaf = x.min(y);
+        *merged.get_mut(k)? = leaf;
+        if x == leaf {
+            maps[0][i] = k;
+            i += 1;
+        }
+        if y == leaf {
+            maps[1][j] = k;
+            j += 1;
+        }
+        k += 1;
+    }
+    Some(k)
+}
+
+/// `true` if two tables over `num_vars` variables are equal, or each
+/// other's complement when `complemented`.
+fn equal_tables(a: &[u64], b: &[u64], num_vars: usize, complemented: bool) -> bool {
+    let flip = if complemented {
+        used_bits_mask(num_vars)
+    } else {
+        0
+    };
+    a.iter().zip(b).all(|(&x, &y)| x ^ y == flip)
 }
 
 #[cfg(test)]
@@ -246,7 +284,7 @@ mod tests {
                     }
                 };
             }
-            assert_eq!(w.table.get_bit(bits), values[g2.node()]);
+            assert_eq!(w.table().get_bit(bits), values[g2.node()]);
         }
     }
 

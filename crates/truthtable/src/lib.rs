@@ -4,7 +4,8 @@
 //! (Section II-A of the paper) and the functions stored at the nodes of a
 //! k-LUT network.  This crate provides a kitty-style dynamic truth table:
 //! a bit-packed table over a fixed number of variables with the usual
-//! Boolean operations, cofactoring, support computation and composition.
+//! Boolean operations, cofactoring, support computation, composition and a
+//! word-level variable remap ([`remap`]) that writes into a caller's buffer.
 //!
 //! Convention: bit `i` of the table is the function value for the assignment
 //! where variable `j` takes the value `(i >> j) & 1` (variable 0 is the
@@ -29,7 +30,9 @@
 
 mod compose;
 mod ops;
+mod remap;
 mod table;
 
 pub use compose::compose;
-pub use table::{ParseTruthTableError, TruthTable};
+pub use remap::remap;
+pub use table::{used_bits_mask, words_needed, ParseTruthTableError, TruthTable};

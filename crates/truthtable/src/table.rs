@@ -2,6 +2,8 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
+use crate::remap::remap;
+
 /// A bit-packed truth table over a fixed number of variables.
 ///
 /// Bit `i` is the value of the function under the assignment where variable
@@ -45,7 +47,8 @@ impl fmt::Display for ParseTruthTableError {
 
 impl Error for ParseTruthTableError {}
 
-pub(crate) fn words_needed(num_vars: usize) -> usize {
+/// Number of 64-bit words backing a table over `num_vars` variables.
+pub fn words_needed(num_vars: usize) -> usize {
     if num_vars < 6 {
         1
     } else {
@@ -53,7 +56,9 @@ pub(crate) fn words_needed(num_vars: usize) -> usize {
     }
 }
 
-pub(crate) fn used_bits_mask(num_vars: usize) -> u64 {
+/// The bits of each word that a table over `num_vars` variables uses: all
+/// of them from 6 variables on, else the low `2^num_vars`.
+pub fn used_bits_mask(num_vars: usize) -> u64 {
     if num_vars >= 6 {
         u64::MAX
     } else {
@@ -364,7 +369,8 @@ impl TruthTable {
     }
 
     /// Re-expresses the table over a larger variable set, mapping variable
-    /// `i` of `self` to `var_map[i]` of the new table.
+    /// `i` of `self` to `var_map[i]` of the new table: the owned form of
+    /// [`crate::remap`].
     ///
     /// # Panics
     ///
@@ -373,23 +379,13 @@ impl TruthTable {
     #[must_use]
     pub fn extend_to(&self, new_num_vars: usize, var_map: &[usize]) -> TruthTable {
         assert!(var_map.len() >= self.num_vars, "variable map too short");
-        let map = &var_map[..self.num_vars];
-        assert!(
-            map.iter().all(|&v| v < new_num_vars),
-            "variable map target out of range"
-        );
         let mut out = TruthTable::zeros(new_num_vars);
-        for i in 0..(1usize << new_num_vars) {
-            // Gather the bits of the original variables directly from the
-            // wide minterm index (no per-minterm allocation).
-            let mut local = 0usize;
-            for (j, &v) in map.iter().enumerate() {
-                local |= ((i >> v) & 1) << j;
-            }
-            if self.get_bit(local) {
-                out.set_bit(i, true);
-            }
-        }
+        remap(
+            &self.words,
+            &var_map[..self.num_vars],
+            new_num_vars,
+            &mut out.words,
+        );
         out
     }
 
@@ -527,6 +523,12 @@ mod tests {
             let args: Vec<bool> = (0..4).map(|j| (i >> j) & 1 == 1).collect();
             assert_eq!(widened.evaluate(&args), args[3] ^ args[1]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "targets repeat")]
+    fn extend_to_rejects_repeated_targets() {
+        let _ = TruthTable::variable(2, 0).extend_to(2, &[0, 0]);
     }
 
     #[test]

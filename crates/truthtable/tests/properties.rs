@@ -1,7 +1,23 @@
 //! Property-based tests of the truth-table package.
 
 use proptest::prelude::*;
-use truthtable::{compose, TruthTable};
+use truthtable::{compose, remap, TruthTable};
+
+/// The per-minterm remap: bit `i` of the result is the bit of `t` at the
+/// minterm that gathers the bits of `i` at the mapped positions.
+fn extend_reference(t: &TruthTable, new_num_vars: usize, var_map: &[usize]) -> TruthTable {
+    let mut out = TruthTable::zeros(new_num_vars);
+    for i in 0..(1usize << new_num_vars) {
+        let mut local = 0usize;
+        for (j, &v) in var_map.iter().enumerate() {
+            local |= ((i >> v) & 1) << j;
+        }
+        if t.get_bit(local) {
+            out.set_bit(i, true);
+        }
+    }
+    out
+}
 
 fn arb_table(num_vars: usize) -> impl Strategy<Value = TruthTable> {
     let words = (1usize << num_vars).div_ceil(64).max(1);
@@ -89,6 +105,35 @@ proptest! {
             let local = [assignment[4], assignment[0], assignment[2]];
             prop_assert_eq!(widened.evaluate(&assignment), t.evaluate(&local));
         }
+    }
+
+    /// The word-level remap equals the per-minterm one for tables over 0–8
+    /// variables and injective maps, monotone or not, into up to 12
+    /// variables: in-word, half-word and whole-word swaps alike.  It
+    /// overwrites whatever its output buffer held.
+    #[test]
+    fn remap_matches_per_minterm_reference(
+        num_vars in 0usize..9,
+        extra in 0usize..5,
+        words in proptest::collection::vec(any::<u64>(), 4),
+        order in proptest::collection::vec(any::<u64>(), 12),
+        monotone in any::<bool>(),
+    ) {
+        let new_num_vars = num_vars + extra;
+        let t = TruthTable::from_words(num_vars, &words);
+        // A random choice of `num_vars` distinct targets: the new variables
+        // sorted by their random key.
+        let mut var_map: Vec<usize> = (0..new_num_vars).collect();
+        var_map.sort_by_key(|&v| order[v]);
+        var_map.truncate(num_vars);
+        if monotone {
+            var_map.sort_unstable();
+        }
+        let expected = extend_reference(&t, new_num_vars, &var_map);
+        prop_assert_eq!(t.extend_to(new_num_vars, &var_map), expected.clone());
+        let mut out = vec![u64::MAX; expected.words().len()];
+        remap(t.words(), &var_map, new_num_vars, &mut out);
+        prop_assert_eq!(out.as_slice(), expected.words());
     }
 
     /// Counting ones is consistent with complementation.

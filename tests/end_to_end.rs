@@ -2,6 +2,8 @@
 //! redundancy injection → sweeping (both engines) → CEC verification, plus
 //! AIGER round trips of generated circuits.
 
+use std::collections::HashSet;
+
 use stp_sat_sweep::netlist::{read_aiger_str, write_aiger_string};
 use stp_sat_sweep::stp_sweep::cec;
 use stp_sat_sweep::workloads::{epfl_suite, generators, hwmcc_suite, inject_redundancy, Scale};
@@ -108,6 +110,33 @@ fn sweeping_never_grows_a_network() {
             bench.aig.num_ands(),
             result.aig.num_ands()
         );
+    }
+}
+
+#[test]
+fn wide_window_sweeps_preserve_equivalence() {
+    // 12 leaves is the limit of `SweepConfig::thorough()`, 16 the paper's
+    // maximum; their tables span 64 and 1,024 words.
+    let suite = hwmcc_suite(Scale::Tiny);
+    let mut verified = vec![HashSet::new(); suite.len()];
+    for limit in [12, 16] {
+        let config = SweepConfig::default().with_window_limit(limit);
+        let mut proved = 0;
+        for (bench, verified) in suite.iter().zip(&mut verified) {
+            let result = sweep_stp(&bench.aig, &config);
+            proved += result.report.proved_by_simulation;
+            // A result equal to one already verified needs no second CEC.
+            if !verified.insert(write_aiger_string(&result.aig)) {
+                continue;
+            }
+            let cec = cec::check_equivalence(&bench.aig, &result.aig, 1_000_000);
+            assert!(
+                cec.equivalent,
+                "{} at window limit {limit}: {cec:?}",
+                bench.name
+            );
+        }
+        assert!(proved > 0, "window limit {limit} proves no pair");
     }
 }
 

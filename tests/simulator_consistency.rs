@@ -2,6 +2,8 @@
 //! per-pattern k-LUT baseline and the STP simulator (all-nodes and
 //! specified-nodes modes) must agree on every output for every workload.
 
+use std::collections::HashMap;
+
 use stp_sat_sweep::bitsim::{AigSimulator, LutSimulator, PatternSet};
 use stp_sat_sweep::netlist::lutmap;
 use stp_sat_sweep::stp_sweep::stp_sim::StpSimulator;
@@ -109,30 +111,68 @@ fn window_simulation_agrees_with_bitwise_simulation() {
         generators::majority_voter(9),
         generators::random_control(10, 150, 8, 5),
     ];
+    let mut proofs = 0;
     for aig in circuits {
         let patterns = PatternSet::random(aig.num_inputs(), 96, 7).unwrap();
         let reference = AigSimulator::new(&aig).run(&patterns);
-        let index = WindowIndex::build(&aig, 10);
-        // Every window's truth table, read at its leaves' reference values,
-        // gives the node's reference value — global windows and cut ones
-        // alike (the window verdicts compare exactly these tables).
-        for t in aig.and_ids() {
-            let window = index.window(t);
-            for p in 0..patterns.num_patterns() {
-                let row = window
-                    .leaves
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &leaf)| reference.signature(leaf).get_bit(p))
-                    .fold(0usize, |row, (k, _)| row | (1 << k));
-                assert_eq!(
-                    window.table.get_bit(row),
-                    reference.signature(t).get_bit(p),
-                    "node {t}, pattern {p}"
-                );
+        // Sampled AND pairs: each node with its predecessor, with a node
+        // half-way back and with the last earlier node of equal signature.
+        let ands: Vec<_> = aig.and_ids().collect();
+        let mut last_with = HashMap::new();
+        let mut pairs = Vec::new();
+        for (i, &t) in ands.iter().enumerate().skip(1) {
+            pairs.push((t, ands[i / 2]));
+            pairs.push((t, ands[i - 1]));
+            if let Some(u) = last_with.insert(reference.signature(t).words(), t) {
+                pairs.push((t, u));
+            }
+        }
+        // One limit in each word regime: one partial word, one full word,
+        // two words, whole-word blocks.
+        for limit in [2, 5, 6, 7, 8, 12, 16] {
+            let index = WindowIndex::build(&aig, limit);
+            // Every window's truth table, read at its leaves' reference
+            // values, gives the node's reference value — global windows and
+            // cut ones alike (the window verdicts compare exactly these
+            // tables).
+            for t in aig.and_ids() {
+                let window = index.window(t);
+                assert!(window.leaves.len() <= limit, "node {t}, limit {limit}");
+                let table = window.table();
+                for p in 0..patterns.num_patterns() {
+                    let row = window
+                        .leaves
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &leaf)| reference.signature(leaf).get_bit(p))
+                        .fold(0usize, |row, (k, _)| row | (1 << k));
+                    assert_eq!(
+                        table.get_bit(row),
+                        reference.signature(t).get_bit(p),
+                        "node {t}, pattern {p}, limit {limit}"
+                    );
+                }
+            }
+            // A window proof holds on every reference pattern.
+            for &(a, b) in &pairs {
+                for complemented in [false, true] {
+                    if index.compare(&aig, a, b, complemented) != Some(true) {
+                        continue;
+                    }
+                    proofs += 1;
+                    for p in 0..patterns.num_patterns() {
+                        assert_eq!(
+                            reference.signature(a).get_bit(p),
+                            reference.signature(b).get_bit(p) ^ complemented,
+                            "nodes {a} and {b} (complemented: {complemented}), \
+                             pattern {p}, limit {limit}"
+                        );
+                    }
+                }
             }
         }
     }
+    assert!(proofs > 0, "the sampled pairs include window proofs");
 }
 
 #[test]
